@@ -24,6 +24,12 @@ cargo test -q --release --offline -p atlas-integration-tests --test slo_campaign
 # must reproduce a campaign byte-for-byte from identical config + workload on
 # chaos-seeded and fleet-scale campaigns, even when the suite above is filtered.
 cargo test -q --release --offline -p atlas-integration-tests --test devent_diff
+# `--runThreadN` is real threads: the vendored rayon shim is a persistent pool with
+# one lifetime-erasing `unsafe`, so its protocol tests (panic hand-back, concurrent
+# installs, nested calls, drop joins) gate every merge, and so does the proof that
+# nothing a run reports depends on the thread count or the schedule.
+cargo test -q --release --offline -p rayon
+cargo test -q --release --offline -p atlas-integration-tests --test thread_invariance
 cargo clippy --offline -- -D warnings
 
 # Benches must keep compiling (they are not covered by `cargo test`), and the

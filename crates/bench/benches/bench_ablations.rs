@@ -99,19 +99,28 @@ fn bench_checkpoint_fraction(c: &mut Criterion) {
     group.finish();
 }
 
+/// `--runThreadN` scaling on both release indices at the usual batch size, and on
+/// r111 at a batch of 50 reads, where the pool's hand-off cost is paid 80 times per
+/// run (the small-batch guard: 2 threads must not lose to 1).
 fn bench_thread_scaling(c: &mut Criterion) {
     let sub = Substrate::build(ensembl_params(Scale::Test)).expect("substrate");
     let reads = bulk_reads(&sub, 4_000, 34);
     let mut group = c.benchmark_group("ablation_thread_scaling");
     group.sample_size(10);
     group.throughput(Throughput::Elements(reads.len() as u64));
-    for threads in [1usize, 2, 4, 8] {
-        let run_config =
-            RunConfig { threads, batch_size: 1_000, quant: false, record_alignments: false, collect_junctions: false };
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &run_config, |b, rc| {
-            let runner = Runner::new(&sub.index_111, AlignParams::default(), rc.clone()).expect("runner");
-            b.iter(|| runner.run(&reads, None, None, None).expect("run").final_snapshot.processed);
-        });
+    for (label, index, batch_size) in [
+        ("r111", &sub.index_111, 1_000),
+        ("r108", &sub.index_108, 1_000),
+        ("r111_batch50", &sub.index_111, 50),
+    ] {
+        for threads in [1usize, 2, 4, 8] {
+            let run_config =
+                RunConfig { threads, batch_size, quant: false, record_alignments: false, collect_junctions: false };
+            group.bench_with_input(BenchmarkId::new(label, threads), &run_config, |b, rc| {
+                let runner = Runner::new(index, AlignParams::default(), rc.clone()).expect("runner");
+                b.iter(|| runner.run(&reads, None, None, None).expect("run").final_snapshot.processed);
+            });
+        }
     }
     group.finish();
 }

@@ -17,8 +17,9 @@ use genomics::FastqRecord;
 use rayon::prelude::*;
 use star_aligner::align::MapClass;
 use star_aligner::progress::{ProgressSnapshot, ProgressStats};
-use star_aligner::runner::{MonitorVerdict, RunMonitor, RunStatus};
+use star_aligner::runner::{shared_pool, MonitorVerdict, RunMonitor, RunStatus};
 use star_aligner::StarError;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Run configuration.
@@ -66,11 +67,12 @@ impl PseudoRunOutput {
 pub struct PseudoRunner<'i> {
     aligner: PseudoAligner<'i>,
     config: PseudoRunConfig,
-    pool: rayon::ThreadPool,
+    pool: Arc<rayon::ThreadPool>,
 }
 
 impl<'i> PseudoRunner<'i> {
-    /// Create a runner with its own thread pool.
+    /// Create a runner on the process-wide pool for `config.threads`, the one the
+    /// STAR runner uses.
     pub fn new(
         index: &'i PseudoIndex,
         params: PseudoParams,
@@ -79,10 +81,7 @@ impl<'i> PseudoRunner<'i> {
         if config.threads == 0 || config.batch_size == 0 {
             return Err(StarError::InvalidParams("threads and batch_size must be positive".into()));
         }
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(config.threads)
-            .build()
-            .map_err(|e| StarError::InvalidParams(format!("thread pool: {e}")))?;
+        let pool = shared_pool(config.threads)?;
         Ok(PseudoRunner { aligner: PseudoAligner::new(index, params), config, pool })
     }
 

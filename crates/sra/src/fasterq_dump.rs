@@ -87,10 +87,12 @@ impl FasterqDump {
 
     /// Convert `archive` to FASTQ records.
     pub fn run(&self, archive: &SraArchive) -> Result<FasterqOutput, SraError> {
-        assert!(self.model.threads > 0, "dump threads must be positive");
+        if self.model.threads == 0 {
+            return Err(SraError::InvalidParams("dump threads must be positive".into()));
+        }
         let n_reads = archive.n_reads();
-        // Parallel decode in chunks (archive records are fixed-size, so indexes are
-        // independent).
+        // Parallel decode on rayon's global pool (archive records are fixed-size, so
+        // indexes are independent; `model.threads` only scales the modeled time).
         let reads: Vec<FastqRecord> = (0..n_reads)
             .into_par_iter()
             .map(|i| archive.decode_read(i))
@@ -195,6 +197,13 @@ mod tests {
         // Single-end dumps have no pairs view.
         let single = SraArchive::encode("S", LibraryStrategy::RnaSeqBulk, &rs).unwrap();
         assert!(FasterqDump::default().run(&single).unwrap().pairs().is_none());
+    }
+
+    #[test]
+    fn zero_threads_is_a_typed_error() {
+        let model = DumpModel { threads: 0, ..DumpModel::default() };
+        let err = FasterqDump::new(model).run(&archive(10)).unwrap_err();
+        assert!(matches!(err, SraError::InvalidParams(_)), "{err}");
     }
 
     #[test]

