@@ -24,6 +24,10 @@ cargo test -q --release --offline -p atlas-integration-tests --test slo_campaign
 # must reproduce a campaign byte-for-byte from identical config + workload on
 # chaos-seeded and fleet-scale campaigns, even when the suite above is filtered.
 cargo test -q --release --offline -p atlas-integration-tests --test devent_diff
+# Replay only proves a run agrees with itself. The absolute pins (digest, event
+# count, stripped-log and OpenMetrics hashes of five fixed campaigns) are what
+# catch a change that moves both sides of a replay together.
+cargo test -q --release --offline -p atlas-integration-tests --test campaign_pins
 # `--runThreadN` is real threads: the vendored rayon shim is a persistent pool with
 # one lifetime-erasing `unsafe`, so its protocol tests (panic hand-back, concurrent
 # installs, nested calls, drop joins) gate every merge, and so does the proof that
