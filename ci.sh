@@ -60,8 +60,8 @@ cargo build --release --offline -p atlas-bench --bin bench_compare
 # the unobserved campaign.
 ./target/release/bench_compare --overhead benchmarks/baseline \
     BENCH_cloud_campaign.json BENCH_cloud_campaign_slo.json --tolerance 0.02
-# Recovery-overhead gate: arming graceful spot degradation (in-flight job
-# tracking, checkpoint-store GC, resume lookups) on a fault-free campaign must
+# Recovery-overhead gate: arming graceful spot degradation (notice scheduling,
+# checkpoint-store GC, resume lookups) on a fault-free campaign must
 # stay within 2% of the recovery-off path. Captured by bench_spot_recovery with
 # the same interleaved protocol as the campaign baselines.
 ./target/release/bench_compare --overhead benchmarks/baseline \

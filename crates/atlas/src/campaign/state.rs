@@ -1,0 +1,663 @@
+//! The campaign's sub-states. Each owns one invariant and is testable without
+//! running a campaign:
+//!
+//! * [`Fleet`] — a terminated instance has no job and no open span;
+//!   `busy_count` equals the number of workers holding a job; both utilization
+//!   series are sampled at every change.
+//! * [`Resolution`] — an accession is resolved exactly once: completed, or
+//!   dead-lettered without (yet) completing.
+//! * [`Accounting`] — every wasted second lands in the campaign total and (when
+//!   a ledger will read it) in exactly one accession's account; every
+//!   checkpointed second ends up salvaged or wasted, never both.
+//! * [`Observers`] — telemetry only ever *reads* the campaign; the SLO sketches
+//!   and the ledger price compute at the rate the bill is settled at.
+
+#![warn(clippy::too_many_lines)]
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+use crate::ledger::CompletedAccession;
+use crate::orchestrator::CampaignConfig;
+use crate::pipeline::PipelineResult;
+use crate::AtlasError;
+use cloudsim::asg::AutoScalingGroup;
+use cloudsim::cost::CostTracker;
+use cloudsim::instance::{Instance, InstanceId, InstanceType};
+use cloudsim::sqs::ReceiptHandle;
+use cloudsim::SimTime;
+use telemetry::{JsonValue, Monitor, Recorder, SpanId, TimeSeries};
+
+/// One attempt at one accession, owned by the worker running it. The
+/// `JobDone` / `WorkerCrash` events only name `(instance, epoch)`; everything
+/// else they need is here, so a drain, crash or reclaim that takes the job away
+/// leaves those events with nothing to act on.
+#[derive(Debug)]
+pub(super) struct Job {
+    /// Unique per job start: tells a live assignment from a stale event.
+    pub epoch: u64,
+    /// The message body.
+    pub accession: String,
+    pub receipt: ReceiptHandle,
+    /// When the message was received.
+    pub started_secs: f64,
+    /// The attempt's outcome (align stage already shortened on resume).
+    pub result: PipelineResult,
+    /// Align-stage seconds skipped by resuming from a checkpoint.
+    pub resumed_secs: f64,
+    /// Seconds into the attempt at which its scheduled `WorkerCrash` strikes
+    /// (0 when none was rolled).
+    pub crash_offset_secs: f64,
+}
+
+/// Orchestration-side state of one instance; the lifecycle itself
+/// (Initializing → Running → Draining → Terminated) lives in [`Instance`].
+#[derive(Debug)]
+struct Worker {
+    job: Option<Box<Job>>,
+    /// The instance's telemetry span, open until it terminates.
+    span: SpanId,
+}
+
+/// The autoscaled fleet: the ASG plus one [`Worker`] per instance ever
+/// launched, indexed by instance serial (ids are dense and count from 1).
+pub(super) struct Fleet {
+    asg: AutoScalingGroup,
+    workers: Vec<Worker>,
+    busy_count: usize,
+    fleet_series: TimeSeries,
+    busy_series: TimeSeries,
+    recorder: Arc<Recorder>,
+    campaign_span: SpanId,
+}
+
+impl Fleet {
+    pub fn new(cfg: &CampaignConfig, obs: &Observers) -> Result<Fleet, AtlasError> {
+        let mut asg = AutoScalingGroup::new(cfg.scaling, cfg.instance_type, cfg.spot)
+            .map_err(AtlasError::Cloud)?;
+        asg.attach_recorder(Arc::clone(&obs.recorder));
+        Ok(Fleet {
+            asg,
+            workers: Vec::new(),
+            busy_count: 0,
+            fleet_series: TimeSeries::new(),
+            busy_series: TimeSeries::new(),
+            recorder: Arc::clone(&obs.recorder),
+            campaign_span: obs.campaign_span,
+        })
+    }
+
+    fn worker(&mut self, id: InstanceId) -> &mut Worker {
+        &mut self.workers[(id.0 - 1) as usize]
+    }
+
+    /// Read-only view of the group: policy evaluation, instance states, the
+    /// bill's instance list. Launches and terminations go through the fleet.
+    pub fn asg(&self) -> &AutoScalingGroup {
+        &self.asg
+    }
+
+    /// For transitions that keep the instance alive (`mark_running`,
+    /// `mark_draining`); termination goes through [`Fleet::retire`].
+    pub fn instance_mut(&mut self, id: InstanceId) -> Option<&mut Instance> {
+        self.asg.instance_mut(id)
+    }
+
+    pub fn is_busy(&self, id: InstanceId) -> bool {
+        self.workers[(id.0 - 1) as usize].job.is_some()
+    }
+
+    /// Parent for a job span: the instance's span (jobs only end on live
+    /// instances, so it is still open).
+    pub fn job_parent(&self, id: InstanceId) -> SpanId {
+        self.workers[(id.0 - 1) as usize].span
+    }
+
+    /// Launch one instance and open its span.
+    pub fn launch(&mut self, now: SimTime) -> InstanceId {
+        let id = self.asg.launch(now);
+        record(&mut self.fleet_series, now, self.asg.active_count());
+        debug_assert_eq!(id.0 as usize, self.workers.len() + 1, "serials are dense instance ids");
+        let inst = &self.asg.instances()[self.workers.len()];
+        let span = self.recorder.span_start_attrs(
+            "instance",
+            self.campaign_span,
+            now.as_secs(),
+            &[
+                ("instance", id.0.to_string()),
+                ("itype", inst.itype.name.to_string()),
+                ("spot", inst.spot.to_string()),
+            ],
+        );
+        self.workers.push(Worker { job: None, span });
+        id
+    }
+
+    /// Terminate `id`: whatever job it held is lost, its span closes. Returns
+    /// whether this call did the termination (idempotent, like the ASG's).
+    pub fn retire(&mut self, id: InstanceId, now: SimTime) -> bool {
+        if !matches!(self.asg.terminate(id, now), Ok(true)) {
+            return false;
+        }
+        self.go_idle(id, now);
+        record(&mut self.fleet_series, now, self.asg.active_count());
+        self.recorder.span_end(self.job_parent(id), now.as_secs());
+        true
+    }
+
+    pub fn start_job(&mut self, id: InstanceId, now: SimTime, job: Box<Job>) {
+        let slot = &mut self.worker(id).job;
+        debug_assert!(slot.is_none(), "a worker runs one job at a time");
+        *slot = Some(job);
+        self.busy_count += 1;
+        record(&mut self.busy_series, now, self.busy_count);
+    }
+
+    /// Take the worker's job away (finished, crashed, drained or reclaimed).
+    /// A no-op on an idle worker.
+    pub fn go_idle(&mut self, id: InstanceId, now: SimTime) -> Option<Box<Job>> {
+        let job = self.worker(id).job.take()?;
+        self.busy_count -= 1;
+        record(&mut self.busy_series, now, self.busy_count);
+        Some(job)
+    }
+
+    /// [`Fleet::go_idle`] for a `JobDone` / `WorkerCrash` event: only if the
+    /// worker is still on the job the event was scheduled for.
+    pub fn finish(&mut self, id: InstanceId, epoch: u64, now: SimTime) -> Option<Box<Job>> {
+        if self.worker(id).job.as_ref()?.epoch != epoch {
+            return None;
+        }
+        self.go_idle(id, now)
+    }
+
+    /// Sample both utilization series.
+    pub fn sample(&mut self, now: SimTime) {
+        record(&mut self.fleet_series, now, self.asg.active_count());
+        record(&mut self.busy_series, now, self.busy_count);
+    }
+
+    /// `(mean_fleet_size, busy_fraction)` over `[first launch, end]`.
+    pub fn utilization(&self, end: SimTime) -> (f64, f64) {
+        let fleet_secs = self.fleet_series.integral_until(end.as_secs());
+        let busy_secs = self.busy_series.integral_until(end.as_secs());
+        let busy_fraction = if fleet_secs > 0.0 { busy_secs / fleet_secs } else { 0.0 };
+        (self.fleet_series.time_weighted_mean(end.as_secs()), busy_fraction)
+    }
+}
+
+/// Append a utilization sample unless it repeats the last one exactly: a
+/// same-instant, same-value step is zero-width and contributes nothing to the
+/// series' integrals.
+fn record(series: &mut TimeSeries, now: SimTime, count: usize) {
+    let sample = (now.as_secs(), count as f64);
+    if series.samples().last() != Some(&sample) {
+        series.record(sample.0, sample.1);
+    }
+}
+
+/// Which accessions are resolved, and how.
+#[derive(Default)]
+pub(super) struct Resolution {
+    target: usize,
+    results: BTreeMap<String, PipelineResult>,
+    completion_order: Vec<String>,
+    /// Accessions currently resolved by dead-lettering alone (an in-flight
+    /// duplicate may still complete them, which moves them to `results`).
+    dl_only: BTreeSet<String>,
+    /// How much of the queue's dead-letter list has been absorbed.
+    dl_seen: usize,
+}
+
+impl Resolution {
+    pub fn new(target: usize) -> Resolution {
+        Resolution { target, ..Resolution::default() }
+    }
+
+    /// Accessions completed or dead-lettered without completing. O(1).
+    pub fn resolved(&self) -> usize {
+        self.results.len() + self.dl_only.len()
+    }
+
+    pub fn done(&self) -> bool {
+        self.resolved() >= self.target
+    }
+
+    pub fn is_completed(&self, accession: &str) -> bool {
+        self.results.contains_key(accession)
+    }
+
+    /// Absorb the tail of the queue's dead-letter list; returns the new entries.
+    pub fn absorb_dead_letters<'q>(&mut self, all: &'q [String]) -> &'q [String] {
+        let new = &all[self.dl_seen..];
+        for a in new {
+            if !self.results.contains_key(a) {
+                self.dl_only.insert(a.clone());
+            }
+        }
+        self.dl_seen = all.len();
+        new
+    }
+
+    /// Record a first completion (a dead-lettered accession re-resolves as
+    /// completed).
+    pub fn complete(&mut self, accession: String, result: PipelineResult) {
+        self.dl_only.remove(&accession);
+        let prev = self.results.insert(accession.clone(), result);
+        debug_assert!(prev.is_none(), "duplicates are filtered by is_completed");
+        self.completion_order.push(accession);
+    }
+
+    /// Results in completion order.
+    pub fn completed(&self) -> impl Iterator<Item = (&String, &PipelineResult)> {
+        self.completion_order.iter().map(|a| (a, &self.results[a]))
+    }
+
+    /// At-least-once accounting: every accession completed or dead-lettered.
+    /// Returns the dead-lettered ones, in the queue's dead-letter order.
+    pub fn conserve(
+        &self,
+        accessions: &[String],
+        dead_letters: &[String],
+    ) -> Result<Vec<String>, AtlasError> {
+        let dead: Vec<String> =
+            dead_letters.iter().filter(|a| !self.is_completed(a)).cloned().collect();
+        debug_assert_eq!(
+            dead.iter().collect::<BTreeSet<_>>(),
+            self.dl_only.iter().collect::<BTreeSet<_>>(),
+            "maintained dead-letter set diverged from the queue's"
+        );
+        if let Some(a) = accessions.iter().find(|a| !self.is_completed(a) && !dead.contains(a)) {
+            return Err(AtlasError::Conservation(format!(
+                "accession {a} neither completed nor dead-lettered"
+            )));
+        }
+        if self.results.len() + dead.len() != self.target {
+            return Err(AtlasError::Conservation(format!(
+                "{} completed + {} dead-lettered != {} accessions",
+                self.results.len(),
+                dead.len(),
+                self.target
+            )));
+        }
+        Ok(dead)
+    }
+}
+
+/// Per-accession side state. Entries exist only for accessions something was
+/// recorded about.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub(super) struct AccessionAccount {
+    /// Submit → first delivery.
+    pub queue_wait_secs: Option<f64>,
+    /// Seconds burned on this accession's failed or redundant attempts.
+    pub retry_waste_secs: f64,
+    pub completed_at_secs: Option<f64>,
+    /// Checkpointed seconds no resumed completion has reused yet.
+    pub pending_salvage_secs: f64,
+    /// Checkpointed seconds a resumed completion did reuse.
+    pub salvaged_secs: f64,
+}
+
+/// Counters, the waste/salvage books and the bill.
+#[derive(Default)]
+pub(super) struct Accounting {
+    pub cost: CostTracker,
+    pub interruptions: usize,
+    pub redeliveries: u64,
+    pub duplicate_completions: u64,
+    wasted_secs: f64,
+    salvaged_secs: f64,
+    /// Whether an attribution ledger will read the per-accession accounts. The
+    /// salvage accounts are kept regardless: settlement needs them.
+    ledger: bool,
+    accounts: BTreeMap<String, AccessionAccount>,
+}
+
+impl Accounting {
+    pub fn new(cost: CostTracker, ledger: bool) -> Accounting {
+        Accounting { cost, ledger, ..Accounting::default() }
+    }
+
+    /// `accession`'s account, when an attribution ledger will read it.
+    pub fn ledger_account(&mut self, accession: &str) -> Option<&mut AccessionAccount> {
+        self.ledger.then(|| self.accounts.entry(accession.to_string()).or_default())
+    }
+
+    /// `secs` of compute produced nothing durable for `accession`.
+    pub fn waste(&mut self, accession: &str, secs: f64) {
+        self.wasted_secs += secs;
+        if let Some(a) = self.ledger_account(accession) {
+            a.retry_waste_secs += secs;
+        }
+    }
+
+    /// A drain checkpointed `secs` of align progress. They stay optimistically
+    /// out of the waste pool until settlement.
+    pub fn checkpointed(&mut self, accession: &str, secs: f64) {
+        self.accounts.entry(accession.to_string()).or_default().pending_salvage_secs += secs;
+    }
+
+    /// A completion resumed past `secs` of checkpointed progress: provably
+    /// salvaged compute.
+    pub fn salvaged(&mut self, accession: &str, secs: f64) {
+        self.salvaged_secs += secs;
+        let a = self.accounts.entry(accession.to_string()).or_default();
+        a.salvaged_secs += secs;
+        a.pending_salvage_secs = (a.pending_salvage_secs - secs).max(0.0);
+    }
+
+    /// Settlement: checkpointed progress no resumed attempt ever reused is lost
+    /// compute after all, so every drained second is accounted exactly once
+    /// (salvaged or wasted) — reclassified in accession order. Labels the
+    /// wasted slice of the bill; returns `(wasted, salvaged)` seconds.
+    pub fn close(&mut self, itype: &InstanceType, spot: bool) -> (f64, f64) {
+        for a in self.accounts.values_mut().filter(|a| a.pending_salvage_secs > 0.0) {
+            self.wasted_secs += a.pending_salvage_secs;
+            if self.ledger {
+                a.retry_waste_secs += a.pending_salvage_secs;
+            }
+        }
+        self.cost.attribute_waste(itype, spot, self.wasted_secs);
+        (self.wasted_secs, self.salvaged_secs)
+    }
+
+    /// What the attribution ledger needs about each completed accession.
+    pub fn ledger_inputs(&self, resolution: &Resolution, end_secs: f64) -> Vec<CompletedAccession> {
+        resolution
+            .completed()
+            .map(|(accession, result)| {
+                let a = self.accounts.get(accession).copied().unwrap_or_default();
+                CompletedAccession {
+                    accession: accession.clone(),
+                    queue_wait_secs: a.queue_wait_secs.unwrap_or(0.0),
+                    stage_secs: result.stage_secs,
+                    ended_secs: a.completed_at_secs.unwrap_or(end_secs),
+                    retry_waste_secs: a.retry_waste_secs,
+                    salvaged_secs: a.salvaged_secs,
+                }
+            })
+            .collect()
+    }
+}
+
+/// Telemetry. Strictly observers: fault decisions, scaling and the event clock
+/// never read any of it, so a disabled recorder changes nothing.
+pub(super) struct Observers {
+    pub recorder: Arc<Recorder>,
+    pub monitor: Option<Monitor>,
+    pub campaign_span: SpanId,
+    /// Relative error of the SLO sketches; `None` when the SLO engine is off.
+    pub slo_alpha: Option<f64>,
+    /// The hourly rate the settle-time bill uses. SLO cost samples and ledger
+    /// dollars are priced with it, so they agree with the cost report to the bit.
+    pub usd_per_hour: f64,
+}
+
+impl Observers {
+    pub fn new(cfg: &CampaignConfig, usd_per_hour: f64) -> Observers {
+        let recorder = Arc::new(if cfg.telemetry { Recorder::new() } else { Recorder::disabled() });
+        let slo_alpha = cfg.slo.as_ref().map(|s| s.sketch_alpha);
+        // The monitor watches the stream through the recorder's observer hook;
+        // with telemetry off there is no stream, so no monitor either. An SLO
+        // config attaches one even without alert rules: the burn-rate evaluator
+        // *is* a stream observer.
+        let monitor =
+            (cfg.telemetry && (cfg.monitor.is_some() || slo_alpha.is_some())).then(|| {
+                let mut mc = cfg.monitor.clone().unwrap_or_default();
+                if let Some(slo) = &cfg.slo {
+                    mc.slos = slo.registry.clone();
+                    mc.slos.cost_usd_per_hour = usd_per_hour;
+                }
+                let m = Monitor::new(mc);
+                recorder.attach_observer(m.observer());
+                m
+            });
+        let campaign_span = recorder.span_start("campaign", SpanId::NONE, 0.0);
+        Observers { recorder, monitor, campaign_span, slo_alpha, usd_per_hour }
+    }
+
+    /// Log `kind` about `accession` on `instance`, plus event-specific seconds.
+    pub fn job_event(
+        &self,
+        now: SimTime,
+        kind: &'static str,
+        accession: &str,
+        instance: InstanceId,
+        extra: &[(&'static str, f64)],
+    ) {
+        let mut fields = vec![
+            ("accession", JsonValue::from(accession)),
+            ("instance", JsonValue::from(instance.0)),
+        ];
+        fields.extend(extra.iter().map(|&(k, v)| (k, JsonValue::from(v))));
+        self.recorder.event(now.as_secs(), kind, fields);
+    }
+
+    /// Feed one SLO signal's sketch (nothing when the SLO engine is off).
+    pub fn slo_sample(&self, sketch: &str, value: f64) {
+        if let Some(alpha) = self.slo_alpha {
+            self.recorder.sketch_observe(sketch, alpha, value);
+        }
+    }
+
+    /// Retroactively emit the span tree of one finished job: the `job` span
+    /// covering `[started, ended]`, its four pipeline-stage children, and the
+    /// align stage's seed/stitch/extend grandchildren (split by measured work
+    /// units). Only `outcome == "ok"` spans feed [`telemetry::summarize`]'s stage
+    /// statistics; duplicates and lost uploads are leaf spans — wasted,
+    /// undifferentiated time.
+    pub fn job_spans(
+        &self,
+        parent: SpanId,
+        instance: InstanceId,
+        job: &Job,
+        (started, ended): (f64, f64),
+        outcome: &str,
+    ) {
+        if !self.recorder.is_enabled() {
+            return;
+        }
+        let result = &job.result;
+        let span = self.recorder.span_closed(
+            "job",
+            parent,
+            started,
+            ended,
+            &[
+                ("accession", job.accession.clone()),
+                ("instance", instance.0.to_string()),
+                ("outcome", outcome.to_string()),
+                ("strategy", format!("{:?}", result.strategy)),
+                ("mapping_rate", format!("{:.6}", result.mapping_rate)),
+            ],
+        );
+        if outcome != "ok" {
+            return;
+        }
+        for (name, s, e) in result.stage_spans() {
+            let attrs: &[(&str, String)] =
+                if name == "fasterq-dump" { &result.dump_attrs } else { &[] };
+            let stage = self.recorder.span_closed(name, span, started + s, started + e, attrs);
+            if name == "align" {
+                for (phase, ps, pe) in result.align_phase_spans() {
+                    self.recorder.span_closed(phase, stage, started + ps, started + pe, &[]);
+                }
+            }
+        }
+    }
+
+    /// Emit up to 8 `progress` events for a starting job, timestamped inside its
+    /// modeled align window: snapshot `processed/processed_final` maps linearly
+    /// onto `[align_start, align_start + align_secs]`. The align stage duration
+    /// already reflects an early-stop cut, so the last snapshot lands exactly
+    /// when the stage ends — an `early_stop_eligible` alert therefore always
+    /// precedes the backdated `early_stop` decision event for the same accession.
+    /// (Histories only exist under a monitor, which implies an enabled recorder.)
+    pub fn progress_events(
+        &self,
+        instance: InstanceId,
+        job: &Job,
+        history: &[star_aligner::ProgressSnapshot],
+    ) {
+        let align_start = job.started_secs + job.result.stage_secs.prefix_secs(2);
+        let align_secs = job.result.stage_secs.align_secs;
+        let final_processed = history.last().map(|s| s.processed).unwrap_or(0).max(1);
+        let n = history.len();
+        let points = n.min(8);
+        for k in 1..=points {
+            // `points <= n`, so these indices are strictly increasing.
+            let snap = &history[k * n / points - 1];
+            let t = align_start + align_secs * (snap.processed as f64 / final_processed as f64);
+            self.recorder.event(
+                t,
+                "progress",
+                vec![
+                    ("accession", JsonValue::from(job.accession.as_str())),
+                    ("instance", JsonValue::from(instance.0)),
+                    ("processed", JsonValue::from(snap.processed)),
+                    ("total", JsonValue::from(snap.total_reads)),
+                    ("processed_fraction", JsonValue::from(snap.processed_fraction())),
+                    ("mapping_rate", JsonValue::from(snap.mapped_fraction())),
+                ],
+            );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workload::{CampaignWorkload, ModeledWorkload};
+    const T0: SimTime = SimTime::ZERO;
+
+    fn xlarge() -> &'static InstanceType {
+        InstanceType::by_name("r6a.xlarge").unwrap()
+    }
+
+    fn fleet() -> Fleet {
+        let mut cfg = CampaignConfig::new(xlarge(), 1 << 20);
+        cfg.telemetry = false;
+        Fleet::new(&cfg, &Observers::new(&cfg, 0.0)).unwrap()
+    }
+
+    fn result(accession: &str) -> PipelineResult {
+        ModeledWorkload::default().run_accession(accession).unwrap()
+    }
+
+    fn job(epoch: u64) -> Box<Job> {
+        let mut q = cloudsim::SqsQueue::new(cloudsim::SimDuration::from_secs(30.0));
+        q.send(());
+        Box::new(Job {
+            epoch,
+            accession: "SRR1".into(),
+            receipt: q.receive(T0).expect("one message").1,
+            started_secs: 0.0,
+            result: result("SRR1"),
+            resumed_secs: 0.0,
+            crash_offset_secs: 0.0,
+        })
+    }
+
+    #[test]
+    fn go_idle_on_an_idle_worker_is_a_no_op() {
+        let mut f = fleet();
+        let id = f.launch(T0);
+        assert!(f.go_idle(id, T0).is_none());
+        assert_eq!(f.busy_count, 0, "no underflow");
+        f.start_job(id, T0, job(1));
+        assert!(f.is_busy(id));
+        assert_eq!(f.busy_count, 1);
+        assert_eq!(f.go_idle(id, T0).unwrap().epoch, 1);
+        assert!(f.go_idle(id, T0).is_none(), "the job can be taken once");
+        assert_eq!(f.busy_count, 0);
+    }
+
+    #[test]
+    fn stale_epochs_are_inert_after_drain_crash_or_reclaim() {
+        let mut f = fleet();
+        let id = f.launch(T0);
+        // Drain or crash: the job is taken away; its JobDone finds nothing.
+        f.start_job(id, T0, job(1));
+        f.go_idle(id, T0);
+        assert!(f.finish(id, 1, T0).is_none());
+        // The worker moved on to a new job: the old epoch must not end it.
+        f.start_job(id, T0, job(2));
+        assert!(f.finish(id, 1, T0).is_none());
+        assert_eq!(f.busy_count, 1, "the live job is untouched");
+        // Reclaim: the job is lost with the instance.
+        assert!(f.retire(id, T0));
+        assert_eq!(f.busy_count, 0);
+        assert_eq!(f.asg().active_count(), 0);
+        assert!(f.finish(id, 2, T0).is_none());
+        assert!(!f.retire(id, T0), "retiring twice is idempotent");
+        // The live epoch does finish a live job.
+        let id2 = f.launch(T0);
+        f.start_job(id2, T0, job(3));
+        assert_eq!(f.finish(id2, 3, T0).unwrap().epoch, 3);
+    }
+
+    #[test]
+    fn dead_letter_then_complete_resolves_once() {
+        let mut r = Resolution::new(2);
+        let dlq = vec!["SRR1".to_string()];
+        assert_eq!(r.absorb_dead_letters(&dlq), &dlq[..]);
+        assert!(r.absorb_dead_letters(&dlq).is_empty(), "each dead letter is absorbed once");
+        assert_eq!(r.resolved(), 1);
+        assert!(!r.is_completed("SRR1"));
+        // An in-flight duplicate completes it after all.
+        r.complete("SRR1".into(), result("SRR1"));
+        assert!(r.is_completed("SRR1"));
+        assert_eq!(r.resolved(), 1, "moved from dead-lettered to completed, not counted twice");
+        assert!(!r.done());
+        // A dead letter for an already-completed accession resolves nothing new.
+        r.complete("SRR2".into(), result("SRR2"));
+        let dlq = vec!["SRR1".to_string(), "SRR2".to_string()];
+        assert_eq!(r.absorb_dead_letters(&dlq), &dlq[1..]);
+        assert_eq!(r.resolved(), 2);
+        assert!(r.done());
+        let ids = ["SRR1".to_string(), "SRR2".to_string()];
+        assert!(r.conserve(&ids, &dlq).unwrap().is_empty());
+        assert_eq!(r.completed().map(|(a, _)| a.as_str()).collect::<Vec<_>>(), ["SRR1", "SRR2"]);
+    }
+
+    #[test]
+    fn waste_lands_in_the_total_and_one_account_exactly_once() {
+        let mut with_ledger = Accounting::new(CostTracker::on_demand(), true);
+        with_ledger.waste("SRR1", 10.0);
+        with_ledger.waste("SRR2", 5.0);
+        with_ledger.waste("SRR1", 2.5);
+        assert_eq!(with_ledger.wasted_secs, 17.5);
+        assert_eq!(with_ledger.accounts["SRR1"].retry_waste_secs, 12.5);
+        assert_eq!(with_ledger.accounts["SRR2"].retry_waste_secs, 5.0);
+        // Without a ledger to read them, no per-accession entries are made.
+        let mut bare = Accounting::new(CostTracker::on_demand(), false);
+        bare.waste("SRR1", 10.0);
+        assert!(bare.ledger_account("SRR1").is_none());
+        assert_eq!(bare.wasted_secs, 10.0);
+        assert!(bare.accounts.is_empty());
+    }
+
+    #[test]
+    fn unsalvaged_checkpoints_become_waste_in_accession_order() {
+        let mut a = Accounting::new(CostTracker::on_demand(), true);
+        // Inserted out of order; float addition makes the fold order observable:
+        // (1 + 1) + 1e16 keeps the 2, 1e16 + 1 + 1 loses it.
+        a.checkpointed("C", 1e16);
+        a.checkpointed("B", 1.0);
+        a.checkpointed("A", 1.0);
+        a.checkpointed("D", 40.0);
+        a.salvaged("D", 40.0);
+        assert_eq!(a.close(xlarge(), true), ((1.0 + 1.0) + 1e16, 40.0));
+        assert_ne!(a.wasted_secs, (1e16 + 1.0) + 1.0, "premise: order is observable");
+        assert_eq!(a.accounts["D"].retry_waste_secs, 0.0, "fully salvaged: nothing lost");
+        assert_eq!(a.accounts["D"].salvaged_secs, 40.0);
+        assert_eq!(a.accounts["B"].retry_waste_secs, 1.0, "the ledger sees the reclassification");
+        // A partial resume leaves the remainder to be lost.
+        let mut p = Accounting::new(CostTracker::on_demand(), false);
+        p.checkpointed("A", 30.0);
+        p.salvaged("A", 10.0);
+        assert_eq!(p.close(xlarge(), true), (20.0, 10.0));
+        assert_eq!(p.accounts["A"].retry_waste_secs, 0.0, "no ledger, no per-accession waste");
+    }
+}

@@ -12,7 +12,8 @@
 //!   fits the index (85 GiB for release 108 vs 29.5 GiB for release 111).
 //! * [`orchestrator`] — the discrete-event campaign: SQS-fed autoscaled fleet,
 //!   index preload at instance init, spot interruptions with at-least-once
-//!   redelivery, results to S3, cost accounting.
+//!   redelivery, results to S3, cost accounting (config, report and facade; the
+//!   state machine itself is the private `campaign` module).
 //! * [`analysis`] — the paper's progress-log analysis methodology: replay candidate
 //!   checkpoint policies over recorded `Log.progress.out` histories to find the
 //!   smallest safe checkpoint fraction (the data behind the 10 % rule).
@@ -24,11 +25,11 @@
 //!   see DESIGN.md's experiment index.
 
 pub mod analysis;
+mod campaign;
 pub mod differential;
 pub mod early_stop;
 pub mod error;
 pub mod experiments;
-mod kernel_engine;
 pub mod ledger;
 pub mod orchestrator;
 pub mod pipeline;
@@ -41,7 +42,7 @@ pub use differential::{run_differential, EngineComparison};
 pub use early_stop::{EarlyStopAccounting, EarlyStopPolicy};
 pub use error::AtlasError;
 pub use ledger::{AccessionLedgerEntry, LedgerTotals, SloReport};
-pub use orchestrator::{CampaignConfig, CampaignEngine, CampaignReport, Orchestrator};
+pub use orchestrator::{CampaignConfig, CampaignReport, Orchestrator};
 pub use pipeline::{AtlasPipeline, PipelineConfig, PipelineResult, StageTimes};
 pub use recovery::{CheckpointStore, RecoveryConfig};
 pub use right_size::RightSizer;

@@ -21,42 +21,25 @@
 //! seconds of wall time. (At fleet scale, [`crate::workload::ModeledWorkload`]
 //! swaps the real alignment for a seeded synthetic one.)
 //!
-//! Campaigns run on the discrete-event kernel in [`crate::kernel_engine`]
-//! (see [`CampaignEngine`]). The legacy per-tick loop it replaced has been
-//! deleted after soaking byte-for-byte against the kernel; the harness in
-//! [`crate::differential`] now pins determinism by replaying the kernel
-//! against itself.
+//! This module is the public face — [`CampaignConfig`], [`CampaignReport`] and
+//! the [`Orchestrator`] facade; the event-driven state machine that runs a
+//! campaign lives in `crate::campaign`, and [`crate::differential`] pins its
+//! determinism by replay.
 
 use std::sync::Arc;
 
+use crate::campaign::Campaign;
 use crate::early_stop::SavingsSummary;
 use crate::pipeline::{AtlasPipeline, PipelineResult};
 use crate::workload::CampaignWorkload;
 use crate::AtlasError;
 use cloudsim::cost::CostReport;
-use cloudsim::faults::FaultPlan;
-use cloudsim::instance::{InstanceId, InstanceType};
-use cloudsim::faults::FaultCounters;
+use cloudsim::faults::{FaultCounters, FaultPlan};
+use cloudsim::instance::InstanceType;
 use cloudsim::retry::RetryPolicy;
-use cloudsim::sqs::ReceiptHandle;
 use cloudsim::{ScalingPolicy, SimDuration, SpotMarket};
-use deseq_norm::{CountsMatrix, NormalizedMatrix};
-use star_aligner::quant::Strandedness;
-use telemetry::{
-    AlertEvent, CampaignTelemetry, JsonValue, MonitorConfig, Recorder, SpanId,
-};
-
-/// Which simulation engine drives the campaign. A single variant since the
-/// legacy per-tick scan loop was deleted: the discrete-event kernel soaked
-/// against it byte-for-byte and [`crate::differential`] now pins determinism by
-/// replaying the kernel against itself.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CampaignEngine {
-    /// The discrete-event kernel ([`crate::kernel_engine`]): O(log n) per event,
-    /// no per-event scans — fleets of thousands simulate in seconds.
-    #[default]
-    EventKernel,
-}
+use deseq_norm::NormalizedMatrix;
+use telemetry::{AlertEvent, CampaignTelemetry, MonitorConfig};
 
 /// Campaign configuration.
 #[derive(Clone, Debug)]
@@ -105,10 +88,9 @@ pub struct CampaignConfig {
     /// Declarative SLOs ([`telemetry::slo`]) evaluated live over the telemetry
     /// stream — streaming quantile sketches, multi-window burn-rate alerting —
     /// plus the per-accession cost/latency attribution ledger
-    /// ([`crate::ledger`]). `None` = SLO engine off. Requires `telemetry` and
-    /// the event kernel; like the monitor it is strictly an observer — the
-    /// summary digest and the stripped event log are byte-identical with it on
-    /// or off.
+    /// ([`crate::ledger`]). `None` = SLO engine off. Requires `telemetry`; like
+    /// the monitor it is strictly an observer — the summary digest and the
+    /// stripped event log are byte-identical with it on or off.
     pub slo: Option<telemetry::SloConfig>,
     /// Graceful spot degradation ([`crate::recovery`]): act on the two-minute
     /// interruption notice by draining the worker (stop polling, hand the
@@ -118,8 +100,6 @@ pub struct CampaignConfig {
     /// out its visibility lease. Pure opt-in — with `None`, campaign digests
     /// and event logs are byte-identical to builds without the recovery layer.
     pub recovery: Option<crate::recovery::RecoveryConfig>,
-    /// Simulation engine (default: the discrete-event kernel).
-    pub engine: CampaignEngine,
 }
 
 impl CampaignConfig {
@@ -145,7 +125,6 @@ impl CampaignConfig {
             monitor: None,
             slo: None,
             recovery: None,
-            engine: CampaignEngine::default(),
         }
     }
 
@@ -164,6 +143,17 @@ impl CampaignConfig {
         }
         if self.max_sim_secs <= 0.0 {
             return Err(AtlasError::InvalidParams("max_sim_secs must be positive".into()));
+        }
+        // `init_secs` divides by both rates; a zero period re-fires at the same
+        // instant until the event budget runs out.
+        let positive = [
+            ("index_download_bps", self.index_download_bps),
+            ("index_load_bps", self.index_load_bps),
+            ("scale_tick", self.scale_tick.as_secs()),
+            ("poll_interval", self.poll_interval.as_secs()),
+        ];
+        if let Some((name, _)) = positive.iter().find(|(_, v)| !(v.is_finite() && *v > 0.0)) {
+            return Err(AtlasError::InvalidParams(format!("{name} must be finite and positive")));
         }
         if let Some(plan) = &self.faults {
             plan.validate().map_err(AtlasError::Cloud)?;
@@ -263,8 +253,8 @@ pub struct CampaignReport {
     /// [`CampaignConfig::monitor`] is `None`). Excluded from
     /// [`CampaignReport::summary_digest`] like the rest of the telemetry.
     pub alerts: Vec<AlertEvent>,
-    /// Simulation events dispatched over the campaign. Identical across engines
-    /// for the same campaign (the differential harness checks it); excluded from
+    /// Simulation events dispatched over the campaign. Identical across replays
+    /// of the same campaign (the differential harness checks it); excluded from
     /// the digest because it describes the simulator, not the outcome.
     pub sim_events: u64,
     /// SLO attainment and the per-accession attribution ledger (`None` when
@@ -377,33 +367,6 @@ impl CampaignReport {
     }
 }
 
-/// The campaign event taxonomy, shared by both engines. Everything that happens
-/// in a campaign is one of these, scheduled at an instant; there are no ticks.
-pub(crate) enum Event {
-    InstanceReady(InstanceId),
-    Poll(InstanceId),
-    JobDone {
-        instance: InstanceId,
-        epoch: u64,
-        accession: String,
-        receipt: ReceiptHandle,
-        result: Box<PipelineResult>,
-        /// Align-stage seconds skipped by resuming from a checkpoint (0 when
-        /// the attempt started fresh or recovery is off).
-        resumed_secs: f64,
-    },
-    /// The two-minute warning: `instance` will be reclaimed at `reclaim_at`.
-    /// Only scheduled when [`CampaignConfig::recovery`] is on.
-    SpotNotice {
-        instance: InstanceId,
-        reclaim_at: cloudsim::SimTime,
-        source: cloudsim::ReclaimSource,
-    },
-    Interruption(InstanceId),
-    WorkerCrash { instance: InstanceId, epoch: u64, accession: String, wasted_secs: f64 },
-    ScaleTick,
-}
-
 /// The campaign driver.
 pub struct Orchestrator {
     workload: Arc<dyn CampaignWorkload>,
@@ -426,128 +389,10 @@ impl Orchestrator {
         Ok(Orchestrator { workload, config })
     }
 
-    /// Run the campaign over `accessions` on the discrete-event kernel.
+    /// Run the campaign over `accessions`.
     pub fn run(&self, accessions: &[String]) -> Result<CampaignReport, AtlasError> {
-        match self.config.engine {
-            CampaignEngine::EventKernel => {
-                crate::kernel_engine::run_campaign(&self.workload, &self.config, accessions)
-            }
-        }
+        Campaign::new(&*self.workload, &self.config, accessions)?.run()
     }
-}
-
-/// Retroactively emit the span tree of one finished job: the `job` span covering
-/// `[started, ended]`, its four pipeline-stage children, and the align stage's
-/// seed/stitch/extend grandchildren (split by measured work units). Only spans
-/// with `outcome == "ok"` feed [`telemetry::summarize`]'s stage statistics.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn emit_job_spans(
-    recorder: &Recorder,
-    parent: SpanId,
-    accession: &str,
-    instance: InstanceId,
-    started: f64,
-    ended: f64,
-    outcome: &str,
-    result: &PipelineResult,
-) {
-    if !recorder.is_enabled() {
-        return;
-    }
-    let job = recorder.span_closed(
-        "job",
-        parent,
-        started,
-        ended,
-        &[
-            ("accession", accession.to_string()),
-            ("instance", instance.0.to_string()),
-            ("outcome", outcome.to_string()),
-            ("strategy", format!("{:?}", result.strategy)),
-            ("mapping_rate", format!("{:.6}", result.mapping_rate)),
-        ],
-    );
-    if outcome != "ok" {
-        return; // duplicates/lost uploads are leaf spans: wasted, undifferentiated time
-    }
-    for (name, s, e) in result.stage_spans() {
-        let attrs: &[(&str, String)] =
-            if name == "fasterq-dump" { &result.dump_attrs } else { &[] };
-        let stage = recorder.span_closed(name, job, started + s, started + e, attrs);
-        if name == "align" {
-            for (phase, ps, pe) in result.align_phase_spans() {
-                recorder.span_closed(phase, stage, started + ps, started + pe, &[]);
-            }
-        }
-    }
-}
-
-/// Emit up to 8 `progress` events for one job, timestamped inside its modeled
-/// align window: snapshot `processed/processed_final` maps linearly onto
-/// `[align_start, align_start + align_secs]`. The align stage duration already
-/// reflects an early-stop cut, so the last snapshot lands exactly when the
-/// stage ends — an `early_stop_eligible` alert therefore always precedes the
-/// backdated `early_stop` decision event for the same accession.
-pub(crate) fn emit_progress_events(
-    recorder: &Recorder,
-    accession: &str,
-    instance: InstanceId,
-    poll_secs: f64,
-    result: &PipelineResult,
-    history: &[star_aligner::ProgressSnapshot],
-) {
-    if !recorder.is_enabled() {
-        return;
-    }
-    let align_start = poll_secs + result.stage_secs.prefix_secs(2);
-    let align_secs = result.stage_secs.align_secs;
-    let final_processed = history.last().map(|s| s.processed).unwrap_or(0).max(1);
-    let n = history.len();
-    let points = n.min(8);
-    let mut last_idx = usize::MAX;
-    for k in 1..=points {
-        let i = k * n / points - 1;
-        if i == last_idx {
-            continue;
-        }
-        last_idx = i;
-        let snap = &history[i];
-        let t = align_start + align_secs * (snap.processed as f64 / final_processed as f64);
-        recorder.event(
-            t,
-            "progress",
-            vec![
-                ("accession", JsonValue::from(accession)),
-                ("instance", JsonValue::from(instance.0)),
-                ("processed", JsonValue::from(snap.processed)),
-                ("total", JsonValue::from(snap.total_reads)),
-                ("processed_fraction", JsonValue::from(snap.processed_fraction())),
-                ("mapping_rate", JsonValue::from(snap.mapped_fraction())),
-            ],
-        );
-    }
-}
-
-/// DESeq2 step: assemble the counts matrix over accessions that produced counts and
-/// normalize it. Returns `None` when there is nothing usable.
-pub(crate) fn build_normalized(results: &[PipelineResult]) -> Option<NormalizedMatrix> {
-    let with_counts: Vec<&PipelineResult> =
-        results.iter().filter(|r| r.gene_counts.is_some()).collect();
-    if with_counts.is_empty() {
-        return None;
-    }
-    let gene_ids = with_counts[0].gene_counts.as_ref().expect("filtered").gene_ids.clone();
-    let sample_ids: Vec<String> = with_counts.iter().map(|r| r.accession.clone()).collect();
-    let mut matrix = CountsMatrix::zeros(gene_ids.clone(), sample_ids);
-    for (j, r) in with_counts.iter().enumerate() {
-        let gc = r.gene_counts.as_ref().expect("filtered");
-        for (g, id) in gene_ids.iter().enumerate() {
-            if let Some(c) = gc.count(id, Strandedness::Unstranded) {
-                matrix.set(g, j, c);
-            }
-        }
-    }
-    deseq_norm::normalize(&matrix).ok()
 }
 
 #[cfg(test)]
@@ -755,7 +600,25 @@ mod tests {
         assert!(Orchestrator::new(Arc::clone(&pipeline), cfg).is_err());
         let mut cfg = config(index_bytes);
         cfg.max_sim_secs = 0.0;
-        assert!(Orchestrator::new(pipeline, cfg).is_err());
+        assert!(Orchestrator::new(Arc::clone(&pipeline), cfg).is_err());
+        // Rates `init_secs` divides by, and periods that would re-fire at the
+        // same instant forever: typed errors up front, not a panic or a burned
+        // event budget inside the run.
+        let cases: [(&str, fn(&mut CampaignConfig)); 5] = [
+            ("index_download_bps", |c| c.index_download_bps = 0.0),
+            ("index_load_bps", |c| c.index_load_bps = 0.0),
+            ("index_load_bps", |c| c.index_load_bps = f64::NAN),
+            ("scale_tick", |c| c.scale_tick = SimDuration::from_secs(0.0)),
+            ("poll_interval", |c| c.poll_interval = SimDuration::from_secs(0.0)),
+        ];
+        for (name, breakage) in cases {
+            let mut cfg = config(index_bytes);
+            breakage(&mut cfg);
+            match Orchestrator::new(Arc::clone(&pipeline), cfg) {
+                Err(AtlasError::InvalidParams(msg)) => assert!(msg.contains(name), "{msg}"),
+                other => panic!("{name}: expected InvalidParams, got {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     // ——— Graceful spot degradation (notice → drain → checkpoint → resume) ———

@@ -67,6 +67,8 @@ impl RecoveryConfig {
 pub struct CheckpointStore {
     store: ObjectStore,
     index: BTreeMap<String, CheckpointMeta>,
+    /// Seconds a checkpoint stays usable; lookups and GC share it.
+    ttl_secs: f64,
     expired_total: u64,
 }
 
@@ -77,9 +79,10 @@ struct CheckpointMeta {
 }
 
 impl CheckpointStore {
-    /// An empty store.
-    pub fn new() -> CheckpointStore {
-        CheckpointStore::default()
+    /// An empty store whose checkpoints live for `ttl_secs`
+    /// ([`RecoveryConfig::checkpoint_ttl_secs`]).
+    pub fn new(ttl_secs: f64) -> CheckpointStore {
+        CheckpointStore { ttl_secs, ..CheckpointStore::default() }
     }
 
     fn key(accession: &str) -> String {
@@ -101,9 +104,9 @@ impl CheckpointStore {
 
     /// The stored align offset for an accession, if a live (non-expired)
     /// checkpoint exists. Lookups are TTL-aware even before a GC pass runs.
-    pub fn get(&self, accession: &str, now_secs: f64, ttl_secs: f64) -> Option<f64> {
+    pub fn get(&self, accession: &str, now_secs: f64) -> Option<f64> {
         let meta = self.index.get(accession)?;
-        if now_secs - meta.written_at_secs > ttl_secs {
+        if now_secs - meta.written_at_secs > self.ttl_secs {
             return None;
         }
         debug_assert!(self.store.head(&Self::key(accession)).is_ok(), "index/object stores agree");
@@ -118,11 +121,11 @@ impl CheckpointStore {
     }
 
     /// Garbage-collect expired checkpoints; returns how many were collected.
-    pub fn gc(&mut self, now_secs: f64, ttl_secs: f64) -> usize {
+    pub fn gc(&mut self, now_secs: f64) -> usize {
         let expired: Vec<String> = self
             .index
             .iter()
-            .filter(|(_, m)| now_secs - m.written_at_secs > ttl_secs)
+            .filter(|(_, m)| now_secs - m.written_at_secs > self.ttl_secs)
             .map(|(a, _)| a.clone())
             .collect();
         for a in &expired {
@@ -163,34 +166,34 @@ mod tests {
 
     #[test]
     fn put_get_remove_roundtrip() {
-        let mut s = CheckpointStore::new();
+        let mut s = CheckpointStore::new(3600.0);
         assert!(s.is_empty());
         s.put("SRR1", 42.5, 100.0);
-        assert_eq!(s.get("SRR1", 150.0, 3600.0), Some(42.5));
-        assert_eq!(s.get("SRR2", 150.0, 3600.0), None);
+        assert_eq!(s.get("SRR1", 150.0), Some(42.5));
+        assert_eq!(s.get("SRR2", 150.0), None);
         assert_eq!(s.len(), 1);
         // Overwrite refreshes both the offset and the TTL clock.
         s.put("SRR1", 60.0, 200.0);
-        assert_eq!(s.get("SRR1", 250.0, 3600.0), Some(60.0));
+        assert_eq!(s.get("SRR1", 250.0), Some(60.0));
         s.remove("SRR1");
         assert!(s.is_empty());
-        assert_eq!(s.get("SRR1", 250.0, 3600.0), None);
+        assert_eq!(s.get("SRR1", 250.0), None);
     }
 
     #[test]
     fn expired_checkpoints_are_invisible_and_collectable() {
-        let mut s = CheckpointStore::new();
+        let mut s = CheckpointStore::new(600.0);
         s.put("A", 10.0, 0.0);
         s.put("B", 20.0, 500.0);
         // TTL 600: at t=700, A (age 700) is expired, B (age 200) is live.
-        assert_eq!(s.get("A", 700.0, 600.0), None, "expired before GC runs");
-        assert_eq!(s.get("B", 700.0, 600.0), Some(20.0));
-        assert_eq!(s.gc(700.0, 600.0), 1);
+        assert_eq!(s.get("A", 700.0), None, "expired before GC runs");
+        assert_eq!(s.get("B", 700.0), Some(20.0));
+        assert_eq!(s.gc(700.0), 1);
         assert_eq!(s.len(), 1);
         assert_eq!(s.expired_total(), 1);
         // GC is idempotent until more expire.
-        assert_eq!(s.gc(700.0, 600.0), 0);
-        assert_eq!(s.gc(2000.0, 600.0), 1);
+        assert_eq!(s.gc(700.0), 0);
+        assert_eq!(s.gc(2000.0), 1);
         assert!(s.is_empty());
         assert_eq!(s.expired_total(), 2);
     }

@@ -14,16 +14,15 @@
 //! event schedule with zero pipeline cost — the bench measures the simulator,
 //! not STAR.
 
-use atlas_pipeline::orchestrator::{CampaignConfig, CampaignEngine, CampaignReport, Orchestrator};
+use atlas_pipeline::orchestrator::{CampaignConfig, CampaignReport, Orchestrator};
 use atlas_pipeline::ModeledWorkload;
 use cloudsim::instance::InstanceType;
 use cloudsim::ScalingPolicy;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-fn fleet_config(engine: CampaignEngine, max_fleet: u32) -> CampaignConfig {
+fn fleet_config(max_fleet: u32) -> CampaignConfig {
     let t = InstanceType::by_name("r6a.xlarge").expect("catalog type");
     let mut cfg = CampaignConfig::new(t, 1 << 20);
-    cfg.engine = engine;
     cfg.scaling =
         ScalingPolicy { min_size: 0, max_size: max_fleet, target_backlog_per_instance: 8 };
     cfg.scale_tick = cloudsim::SimDuration::from_secs(10.0);
@@ -51,7 +50,7 @@ fn bench_fleet(c: &mut Criterion) {
     // actually drives it past 1000 instances at peak).
     let n_large = 10_000usize;
     let large_ids = ModeledWorkload::accessions(n_large);
-    let large_cfg = fleet_config(CampaignEngine::EventKernel, 1250);
+    let large_cfg = fleet_config(1250);
 
     // Premise check once, outside the timed loop: the campaign really is
     // fleet-scale and loses nothing.
@@ -87,7 +86,7 @@ fn bench_fleet(c: &mut Criterion) {
     let n_small = 1_000usize;
     let small_ids = ModeledWorkload::accessions(n_small);
     group.throughput(Throughput::Elements(n_small as u64));
-    let cfg = fleet_config(CampaignEngine::EventKernel, 128);
+    let cfg = fleet_config(128);
     group.bench_with_input(BenchmarkId::from_parameter("kernel_1k_x128"), &cfg, |b, cfg| {
         b.iter(|| {
             let r = run_campaign(cfg, &small_ids);

@@ -5,11 +5,11 @@
 //! process with the interleaved min-of-rounds estimator (same rationale as
 //! bench_cloud_campaign — see its module doc):
 //!
-//! * `spot_recovery_off` — recovery disabled (the pre-existing engine path);
-//! * `spot_recovery_on` — recovery armed: the engine tracks every busy
-//!   worker's in-flight job, runs checkpoint-store GC at scale ticks, and
-//!   consults the store on every job start. With zero reclaims none of it ever
-//!   fires, so the measured delta is pure bookkeeping overhead.
+//! * `spot_recovery_off` — recovery disabled;
+//! * `spot_recovery_on` — recovery armed: the campaign schedules a notice per
+//!   reclaim, runs checkpoint-store GC at scale ticks, and consults the store
+//!   on every job start. With zero reclaims none of it ever fires, so the
+//!   measured delta is pure bookkeeping overhead.
 //!
 //! The ci.sh gate holds that delta within 2% (`bench_compare --overhead
 //! benchmarks/baseline BENCH_spot_recovery_off.json BENCH_spot_recovery_on.json`).

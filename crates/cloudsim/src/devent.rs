@@ -7,13 +7,6 @@
 //! whole simulation *replayable* — feeding a recorded trace back through a fresh
 //! kernel must reproduce the exact pop sequence, byte for byte.
 //!
-//! Relationship to [`crate::event::EventQueue`]: the `EventQueue` is the
-//! original minimal heap the (since-deleted) per-tick orchestration loop was
-//! built on, kept as a freestanding utility. The kernel adds the pieces a real
-//! discrete-event core needs — cancellable timers, monotone-clock enforcement,
-//! stats, trace/replay — while preserving the identical `(time, sequence)`
-//! ordering contract the campaign digests were frozen against.
-//!
 //! Determinism contract:
 //!
 //! * `pop` order is a pure function of the sequence of `schedule`/`cancel` calls —
@@ -315,11 +308,15 @@ mod tests {
     #[test]
     fn peek_skips_tombstones() {
         let mut k = Kernel::new();
+        assert!(k.is_empty());
+        assert_eq!(k.peek_time(), None);
         let a = k.schedule(SimTime::from_secs(1.0), ());
         k.schedule(SimTime::from_secs(2.0), ());
+        assert_eq!(k.len(), 2);
         k.cancel(a);
         assert_eq!(k.peek_time(), Some(SimTime::from_secs(2.0)));
         assert_eq!(k.len(), 1);
+        assert!(!k.is_empty());
     }
 
     #[test]

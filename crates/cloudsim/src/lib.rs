@@ -4,7 +4,7 @@
 //! level of detail its claims depend on:
 //!
 //! * [`time`] — simulated clock types ([`time::SimTime`], [`time::SimDuration`]).
-//! * [`event`] — the generic discrete-event queue every simulation is driven by.
+//! * [`devent`] — the discrete-event kernel every simulation is driven by.
 //! * [`instance`] — EC2 instance-type catalog (vCPU / memory / hourly price, incl.
 //!   the paper's `r6a.4xlarge` testbed) and instance lifecycle.
 //! * [`spot`] — spot pricing discount and a Poisson interruption process.
@@ -27,7 +27,6 @@ pub mod asg;
 pub mod cost;
 pub mod devent;
 pub mod error;
-pub mod event;
 pub mod faults;
 pub mod instance;
 pub mod retry;
@@ -40,7 +39,6 @@ pub use asg::{AutoScalingGroup, ScalingPolicy};
 pub use cost::CostTracker;
 pub use devent::{Kernel, KernelStats, TimerId};
 pub use error::CloudError;
-pub use event::EventQueue;
 pub use faults::{FaultCounters, FaultEvent, FaultInjector, FaultOp, FaultPlan, SpotBurst};
 pub use instance::{Instance, InstanceId, InstanceState, InstanceType, INSTANCE_CATALOG};
 pub use retry::RetryPolicy;

@@ -3,7 +3,7 @@
 //!
 //! This crate provides everything below the aligner:
 //!
-//! * [`seq`] — DNA alphabet, working sequences, a 2-bit packed representation.
+//! * [`seq`] — DNA alphabet and working sequences.
 //! * [`fasta`] / [`fastq`] — plain-text sequence formats used between pipeline stages.
 //! * [`genome`] — assembly model: chromosomes plus unlocalized/unplaced scaffolds, and
 //!   the Ensembl *toplevel* vs *primary_assembly* distinction the paper relies on.
@@ -34,5 +34,5 @@ pub use error::GenomicsError;
 pub use fasta::FastaRecord;
 pub use fastq::FastqRecord;
 pub use genome::{Assembly, AssemblyKind, Contig, ContigKind};
-pub use seq::{Base, DnaSeq, PackedDna};
+pub use seq::{Base, DnaSeq};
 pub use simulate::{LibraryType, PairedRead, ReadSimulator, SimulatedRead, SimulatorParams};

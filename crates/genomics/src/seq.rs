@@ -1,8 +1,8 @@
 //! DNA alphabet and sequence containers.
 //!
-//! The aligner works on byte-per-base code sequences ([`DnaSeq`]) for speed; long-term
-//! storage and index-size accounting use the 2-bit [`PackedDna`] representation, which
-//! is what real STAR stores in its `Genome` file.
+//! Everything here is byte-per-base ([`DnaSeq`]): that is what the simulators and
+//! the FASTA/FASTQ IO produce. The 2-bit packed form real STAR stores in its
+//! `Genome` file is the aligner's concern and lives there (`star_aligner::Packed2`).
 
 use rand::Rng;
 use std::fmt;
@@ -213,60 +213,6 @@ impl std::str::FromStr for DnaSeq {
     }
 }
 
-/// 2-bit packed DNA, four bases per byte — the storage representation used for index
-/// size accounting (real STAR stores its `Genome` file this way).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct PackedDna {
-    words: Vec<u8>,
-    len: usize,
-}
-
-impl PackedDna {
-    /// Pack a [`DnaSeq`].
-    pub fn pack(seq: &DnaSeq) -> PackedDna {
-        let len = seq.len();
-        let mut words = vec![0u8; len.div_ceil(4)];
-        for (i, &code) in seq.codes().iter().enumerate() {
-            words[i / 4] |= code << ((i % 4) * 2);
-        }
-        PackedDna { words, len }
-    }
-
-    /// Unpack back to a byte-per-base sequence.
-    pub fn unpack(&self) -> DnaSeq {
-        let mut codes = Vec::with_capacity(self.len);
-        for i in 0..self.len {
-            codes.push((self.words[i / 4] >> ((i % 4) * 2)) & 0b11);
-        }
-        DnaSeq::from_codes(codes)
-    }
-
-    /// Number of bases stored.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no bases are stored.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The base at position `i` without unpacking.
-    #[inline]
-    pub fn base(&self, i: usize) -> Base {
-        assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
-        Base((self.words[i / 4] >> ((i % 4) * 2)) & 0b11)
-    }
-
-    /// Bytes occupied by the packed payload (the index-size accounting unit).
-    #[inline]
-    pub fn byte_size(&self) -> usize {
-        self.words.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,21 +272,6 @@ mod tests {
         let b: DnaSeq = "ACGA".parse().unwrap();
         assert!((a.identity(&b) - 0.75).abs() < 1e-12);
         assert_eq!(DnaSeq::new().identity(&DnaSeq::new()), 1.0);
-    }
-
-    #[test]
-    fn packed_round_trip_various_lengths() {
-        let mut rng = StdRng::seed_from_u64(42);
-        for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 1000] {
-            let s = DnaSeq::random(&mut rng, len);
-            let p = PackedDna::pack(&s);
-            assert_eq!(p.len(), len);
-            assert_eq!(p.unpack(), s, "round trip failed at len {len}");
-            for i in 0..len {
-                assert_eq!(p.base(i), s.base(i));
-            }
-            assert_eq!(p.byte_size(), len.div_ceil(4));
-        }
     }
 
     #[test]

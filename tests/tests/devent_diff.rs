@@ -16,7 +16,7 @@
 //! and the monitor pure-observer proof to the kernel path explicitly.
 
 use atlas_pipeline::experiments::Substrate;
-use atlas_pipeline::orchestrator::{CampaignConfig, CampaignEngine, Orchestrator};
+use atlas_pipeline::orchestrator::{CampaignConfig, Orchestrator};
 use atlas_pipeline::pipeline::{AtlasPipeline, PipelineConfig};
 use atlas_pipeline::{differential, run_differential, ModeledWorkload};
 use cloudsim::faults::{FaultPlan, SpotBurst};
@@ -138,7 +138,6 @@ fn kernel_engine_replays_bit_for_bit_and_conserves_under_chaos() {
     let ids = ModeledWorkload::accessions(n);
     let t = InstanceType::by_name("r6a.xlarge").unwrap();
     let mut cfg = CampaignConfig::new(t, 1 << 20);
-    cfg.engine = CampaignEngine::EventKernel;
     cfg.scaling = ScalingPolicy { min_size: 0, max_size: 12, target_backlog_per_instance: 6 };
     cfg.spot_market =
         cloudsim::SpotMarket { price_factor: 0.35, interruptions_per_hour: 30.0, seed: 5 };
@@ -181,7 +180,6 @@ fn monitor_is_a_pure_observer_on_the_kernel_engine() {
     // monitor must not perturb the simulation, only add monitor-gated records.
     let (pipeline, ids) = pipeline_fixture(8);
     let mut cfg = small_fleet_config();
-    cfg.engine = CampaignEngine::EventKernel;
     let off = Orchestrator::new(Arc::clone(&pipeline), cfg.clone()).unwrap().run(&ids).unwrap();
     cfg.monitor = Some(MonitorConfig::standard());
     let on = Orchestrator::new(pipeline, cfg).unwrap().run(&ids).unwrap();

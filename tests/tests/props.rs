@@ -1,8 +1,9 @@
 //! Property-based tests over the core data structures and invariants.
 
-use genomics::{DnaSeq, FastqRecord, PackedDna};
+use genomics::{DnaSeq, FastqRecord};
 use proptest::prelude::*;
 use star_aligner::sa::SuffixArray;
+use star_aligner::Packed2;
 
 /// Strategy: a DNA sequence of length in `range` as raw 2-bit codes.
 fn dna(range: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
@@ -14,9 +15,14 @@ proptest! {
 
     #[test]
     fn packed_dna_round_trips(codes in dna(0..600)) {
-        let seq = DnaSeq::from_codes(codes);
-        let packed = PackedDna::pack(&seq);
-        prop_assert_eq!(packed.unpack(), seq);
+        // Lengths include 0 and non-multiples of the 32-base word.
+        let packed = Packed2::from_codes(&codes);
+        prop_assert_eq!(packed.len(), codes.len());
+        prop_assert_eq!(packed.byte_size(), codes.len().div_ceil(32) * 8);
+        for (i, &c) in codes.iter().enumerate() {
+            prop_assert_eq!(packed.get(i), c);
+        }
+        prop_assert_eq!(packed.to_codes(), codes);
     }
 
     #[test]
