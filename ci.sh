@@ -35,6 +35,11 @@ cargo test -q --release --offline -p atlas-integration-tests --test campaign_pin
 cargo test -q --release --offline -p rayon
 cargo test -q --release --offline -p atlas-integration-tests --test thread_invariance
 cargo clippy --offline -- -D warnings
+# The detached benchmark crate (benchmarks/e2e) is a client of the public API and
+# is not a workspace member, so nothing above compiles it: build it, read-only.
+# `--locked` also fails if a crate's dependency set drifted from its committed
+# Cargo.lock.
+cargo build --release --offline --locked --manifest-path benchmarks/e2e/Cargo.toml
 
 # Benches must keep compiling (they are not covered by `cargo test`), and the
 # bench-regression comparator must accept the committed baseline against itself.

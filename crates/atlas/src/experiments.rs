@@ -387,6 +387,7 @@ pub fn hash_seed_tradeoff(
     params: EnsemblParams,
     seed_lens: &[usize],
 ) -> Result<HashTradeoffResult, AtlasError> {
+    use star_aligner::mmp::SeedLayers;
     use star_aligner::seed::{collect_seeds_packed, Seed, SeedProbeScratch};
     use star_aligner::{HashSeedIndex, Packed2};
 
@@ -406,11 +407,13 @@ pub fn hash_seed_tradeoff(
         .map(|r| Packed2::from_codes(r.fastq.seq.codes()))
         .collect();
     let align = AlignParams::default();
-    let deep = index.deep_prefix();
+    // The aligner's own layers; each cell swaps the hash table in or out.
+    let sa_layers = SeedLayers::for_params(index, &align);
 
     // Min-of-rounds seed-collection time per read; machine-load spikes only
     // ever slow a round down, so the minimum is the stable estimator.
     let time_ns = |hash: Option<&HashSeedIndex>| -> f64 {
+        let layers = SeedLayers { hash, ..sa_layers };
         let mut seeds = Vec::new();
         let mut probe = SeedProbeScratch::default();
         let mut best = f64::INFINITY;
@@ -418,7 +421,7 @@ pub fn hash_seed_tradeoff(
             let started = Instant::now();
             let mut total = 0usize;
             for q in &reads {
-                collect_seeds_packed(index, deep, hash, q, &align, &mut seeds, &mut probe);
+                collect_seeds_packed(&layers, q, &align, &mut seeds, &mut probe);
                 total += seeds.len();
             }
             assert!(total > 0, "premise: the workload must actually seed");
@@ -428,12 +431,13 @@ pub fn hash_seed_tradeoff(
     };
 
     let collect_all = |hash: Option<&HashSeedIndex>| -> Vec<Vec<Seed>> {
+        let layers = SeedLayers { hash, ..sa_layers };
         let mut seeds = Vec::new();
         let mut probe = SeedProbeScratch::default();
         reads
             .iter()
             .map(|q| {
-                collect_seeds_packed(index, deep, hash, q, &align, &mut seeds, &mut probe);
+                collect_seeds_packed(&layers, q, &align, &mut seeds, &mut probe);
                 seeds.clone()
             })
             .collect()

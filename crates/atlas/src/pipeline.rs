@@ -18,7 +18,7 @@ use crate::early_stop::{EarlyStopAccounting, EarlyStopPolicy};
 use crate::AtlasError;
 use genomics::Annotation;
 use serde::{Deserialize, Serialize};
-use sra_sim::accession::LibraryStrategy;
+use sra_sim::accession::{LibraryLayout, LibraryStrategy};
 use sra_sim::fasterq_dump::DumpModel;
 use sra_sim::prefetch::NetworkModel;
 use sra_sim::{FasterqDump, SraRepository};
@@ -259,7 +259,8 @@ impl AtlasPipeline {
         // the batch size to guarantee ~20 checkpoints per run — otherwise a small
         // (or spot-capped) input could finish inside its first batch and the 10 %
         // checkpoint would never be observable. Paired accessions align as fragments
-        // (`run_pairs`), matching how STAR reports paired libraries.
+        // (`run_pairs` over the interleaved dump, two reads at a time), matching how
+        // STAR reports paired libraries.
         let n_spots = dump.spots() as usize;
         let mut run_config = self.config.run_config.clone();
         run_config.batch_size = run_config.batch_size.clamp(1, (n_spots / 20).max(50));
@@ -267,11 +268,14 @@ impl AtlasPipeline {
         let monitor = self.config.early_stop;
         let monitor_dyn =
             monitor.as_ref().map(|p| p as &dyn star_aligner::runner::RunMonitor);
-        let output = match dump.pairs() {
-            Some(pairs) => {
-                runner.run_pairs(&pairs, Some(&self.annotation), monitor_dyn, None)?
+        let output = match dump.layout {
+            LibraryLayout::Paired => {
+                let (pairs, _) = dump.reads.as_chunks::<2>();
+                runner.run_pairs(pairs, Some(&self.annotation), monitor_dyn, None)?
             }
-            None => runner.run(&dump.reads, Some(&self.annotation), monitor_dyn, None)?,
+            LibraryLayout::Single => {
+                runner.run(&dump.reads, Some(&self.annotation), monitor_dyn, None)?
+            }
         };
 
         // Modeled alignment seconds: measured wall time, scaled for capped spots and

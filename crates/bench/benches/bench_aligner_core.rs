@@ -9,7 +9,7 @@ use genomics::{DnaSeq, LibraryType, ReadSimulator, SimulatorParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use star_aligner::align::Aligner;
-use star_aligner::mmp::{mmp_search, mmp_search_packed};
+use star_aligner::mmp::{mmp_search, mmp_search_packed, SeedLayers};
 use star_aligner::sa::SuffixArray;
 use star_aligner::seed::{collect_seeds_packed, SeedProbeScratch};
 use star_aligner::{AlignParams, Packed2};
@@ -66,13 +66,14 @@ fn bench_seed_collection(c: &mut Criterion) {
     group.throughput(Throughput::Elements(reads.len() as u64));
     for (label, index) in [("release_108", &sub.index_108), ("release_111", &sub.index_111)] {
         group.bench_with_input(BenchmarkId::from_parameter(label), index, |b, index| {
+            let layers = SeedLayers::base(index);
             let mut seeds = Vec::new();
             let mut probe = SeedProbeScratch::default();
             b.iter(|| {
                 reads
                     .iter()
                     .map(|q| {
-                        collect_seeds_packed(index, &[], None, q, &params, &mut seeds, &mut probe);
+                        collect_seeds_packed(&layers, q, &params, &mut seeds, &mut probe);
                         seeds.len()
                     })
                     .sum::<usize>()
@@ -96,21 +97,17 @@ fn bench_hash_seed_lookup(c: &mut Criterion) {
             Packed2::from_codes(chrom.seq.subseq(at, at + 100).codes())
         })
         .collect();
-    let hash = index.hash_seed(16);
+    let sa_path = SeedLayers::base(index);
+    let hashed = SeedLayers { hash: Some(index.hash_seed(16)), ..sa_path };
     // Premise outside the timed loop: the layers must agree on every MMP.
     for q in &queries {
-        assert_eq!(
-            mmp_search_packed(index, &[], Some(hash), q, 0).len,
-            mmp_search_packed(index, &[], None, q, 0).len,
-        );
+        assert_eq!(mmp_search_packed(&hashed, q, 0).len, mmp_search_packed(&sa_path, q, 0).len);
     }
     let mut group = c.benchmark_group("hash_seed_lookup");
     group.throughput(Throughput::Elements(queries.len() as u64));
-    for (label, hash) in [("sa_path", None), ("hash_s16", Some(hash))] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &hash, |b, hash| {
-            b.iter(|| {
-                queries.iter().map(|q| mmp_search_packed(index, &[], *hash, q, 0).len).sum::<usize>()
-            });
+    for (label, layers) in [("sa_path", sa_path), ("hash_s16", hashed)] {
+        group.bench_with_input(BenchmarkId::from_parameter(label), &layers, |b, layers| {
+            b.iter(|| queries.iter().map(|q| mmp_search_packed(layers, q, 0).len).sum::<usize>());
         });
     }
     group.finish();

@@ -14,10 +14,9 @@ use crate::pseudoalign::{PseudoAligner, PseudoOutcome, PseudoParams};
 use crate::quant::EqClassCounts;
 use crate::PseudoIndex;
 use genomics::FastqRecord;
-use rayon::prelude::*;
 use star_aligner::align::MapClass;
 use star_aligner::progress::{ProgressSnapshot, ProgressStats};
-use star_aligner::runner::{shared_pool, MonitorVerdict, RunMonitor, RunStatus};
+use star_aligner::runner::{shared_pool, BatchDriver, RunMonitor, RunStatus};
 use star_aligner::StarError;
 use std::sync::Arc;
 use std::time::Instant;
@@ -96,39 +95,34 @@ impl<'i> PseudoRunner<'i> {
         let started = Instant::now();
         let progress = ProgressStats::new(reads.len() as u64);
         let mut counts = EqClassCounts::new();
-        let mut history = Vec::new();
-        let mut status = RunStatus::Completed;
-
-        'batches: for batch in reads.chunks(self.config.batch_size) {
-            let outcomes: Vec<PseudoOutcome> = self.pool.install(|| {
-                batch.par_iter().map(|r| self.aligner.pseudoalign(&r.seq)).collect()
-            });
-            for out in &outcomes {
+        // Stock-Salmon mode is the shared loop with nobody watching: no monitor,
+        // and the snapshots it took are dropped (there is no progress file to tail).
+        let report = self.config.report_progress;
+        let driver = BatchDriver {
+            pool: &self.pool,
+            batch_size: self.config.batch_size,
+            monitor: monitor.filter(|_| report),
+            cancel: None,
+        };
+        let driven = driver.drive(
+            reads,
+            &progress,
+            |read| self.aligner.pseudoalign(&read.seq),
+            |_, out: PseudoOutcome| {
+                counts.record(&out.compatible);
                 // Pseudoalignment has no unique/multi split at the alignment level;
                 // classify singleton-compatible reads as unique for the statistics.
-                let class = match out.compatible.len() {
+                match out.compatible.len() {
                     0 => MapClass::Unmapped,
                     1 => MapClass::Unique,
                     n => MapClass::Multi(n as u32),
-                };
-                progress.record(class);
-                counts.record(&out.compatible);
-            }
-            if self.config.report_progress {
-                let snap = progress.snapshot();
-                history.push(snap);
-                if let Some(m) = monitor {
-                    if m.on_progress(&snap) == MonitorVerdict::Abort {
-                        status = RunStatus::EarlyStopped { processed_reads: snap.processed };
-                        break 'batches;
-                    }
                 }
-            }
-        }
+            },
+        );
         Ok(PseudoRunOutput {
-            status,
-            final_snapshot: progress.snapshot(),
-            history,
+            status: driven.status,
+            final_snapshot: driven.final_snapshot,
+            history: if report { driven.history } else { Vec::new() },
             counts,
             wall_secs: started.elapsed().as_secs_f64(),
         })
@@ -140,6 +134,7 @@ mod tests {
     use super::*;
     use crate::index::PseudoIndexParams;
     use genomics::annotation::AnnotationParams;
+    use star_aligner::runner::MonitorVerdict;
     use genomics::{
         Annotation, EnsemblGenerator, EnsemblParams, LibraryType, ReadSimulator, Release,
         SimulatorParams,

@@ -130,11 +130,10 @@ impl SraArchive {
         let accession = String::from_utf8(b.copy_to_bytes(id_len).to_vec())
             .map_err(|_| SraError::CorruptArchive("non-utf8 accession".into()))?;
         let per_read = (read_len as usize).div_ceil(4) + 1;
-        if b.remaining() as u64 != n_reads * per_read as u64 {
+        if n_reads.checked_mul(per_read as u64) != Some(b.remaining() as u64) {
             return Err(SraError::CorruptArchive(format!(
-                "payload is {} bytes, expected {}",
-                b.remaining(),
-                n_reads * per_read as u64
+                "payload is {} bytes, not {n_reads} reads of {per_read}",
+                b.remaining()
             )));
         }
         if layout == LibraryLayout::Paired && !n_reads.is_multiple_of(2) {

@@ -31,8 +31,9 @@ impl Default for DumpModel {
 /// Result of a dump: the reads plus accounting.
 #[derive(Clone, Debug)]
 pub struct FasterqOutput {
-    /// Decoded reads in archive order (for paired archives: mates interleaved —
-    /// use [`FasterqOutput::pairs`] for the `--split-files` view).
+    /// Decoded reads in archive order. For paired archives mates are interleaved
+    /// (r1, r2 per spot, always an even count): `reads.as_chunks::<2>()` is the
+    /// `--split-files` view, without copying a read.
     pub reads: Vec<FastqRecord>,
     /// Archive layout.
     pub layout: LibraryLayout,
@@ -43,14 +44,6 @@ pub struct FasterqOutput {
 }
 
 impl FasterqOutput {
-    /// The `--split-files` view of a paired dump. `None` for single-end archives.
-    pub fn pairs(&self) -> Option<Vec<(FastqRecord, FastqRecord)>> {
-        if self.layout != LibraryLayout::Paired {
-            return None;
-        }
-        Some(self.reads.chunks(2).map(|w| (w[0].clone(), w[1].clone())).collect())
-    }
-
     /// Number of spots dumped.
     pub fn spots(&self) -> u64 {
         match self.layout {
@@ -188,15 +181,17 @@ mod tests {
         let out = FasterqDump::default().run(&arc).unwrap();
         assert_eq!(out.layout, LibraryLayout::Paired);
         assert_eq!(out.spots(), 10);
-        let split = out.pairs().unwrap();
+        let (split, odd) = out.reads.as_chunks::<2>();
+        assert!(odd.is_empty(), "paired dumps hold whole spots");
         assert_eq!(split.len(), 10);
-        for ((o1, o2), (d1, d2)) in pairs.iter().zip(&split) {
+        for ((o1, o2), [d1, d2]) in pairs.iter().zip(split) {
             assert_eq!(o1.seq, d1.seq);
             assert_eq!(o2.seq, d2.seq);
         }
-        // Single-end dumps have no pairs view.
+        // Single-end dumps count every read as a spot.
         let single = SraArchive::encode("S", LibraryStrategy::RnaSeqBulk, &rs).unwrap();
-        assert!(FasterqDump::default().run(&single).unwrap().pairs().is_none());
+        let out = FasterqDump::default().run(&single).unwrap();
+        assert_eq!((out.layout, out.spots()), (LibraryLayout::Single, 20));
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! mapped-to-too-many-loci, or unmapped.
 
 use crate::extend::{extend_chain_into, WindowAlignment};
-use crate::hashseed::HashSeedIndex;
 use crate::index::StarIndex;
+use crate::mmp::SeedLayers;
 use crate::params::AlignParams;
-use crate::prefix::PrefixTable;
 use crate::scratch::{with_thread_scratch, AlignScratch, CandSet, ScratchCore};
 use crate::seed::collect_seeds_packed;
 use crate::sjdb::SpliceClass;
@@ -44,6 +43,16 @@ impl fmt::Display for CigarOp {
 /// Render a CIGAR vector as the usual compact string, e.g. `"5S45M400N50M"`.
 pub fn cigar_string(ops: &[CigarOp]) -> String {
     ops.iter().map(|op| op.to_string()).collect()
+}
+
+/// Contig bases a CIGAR spans from its position: aligned (`M`) plus skipped (`N`).
+pub fn genome_span(ops: &[CigarOp]) -> u64 {
+    ops.iter()
+        .map(|op| match op {
+            CigarOp::M(n) | CigarOp::N(n) => *n as u64,
+            CigarOp::S(_) => 0,
+        })
+        .sum()
 }
 
 /// Mapping classification, STAR `Log.final.out` vocabulary.
@@ -219,6 +228,10 @@ impl AlignOutcome {
     pub fn is_mapped(&self) -> bool {
         self.class.is_mapped()
     }
+
+    fn unmapped(candidates_examined: u32, work: PhaseWork) -> AlignOutcome {
+        AlignOutcome { class: MapClass::Unmapped, primary: None, candidates_examined, work }
+    }
 }
 
 /// STAR-style mapping quality from the locus count.
@@ -233,17 +246,13 @@ fn mapq_for(n_hits: u32) -> u8 {
 
 /// The per-read aligner, borrowing an index.
 pub struct Aligner<'i> {
-    index: &'i StarIndex,
+    /// The index and the runtime-only seed-start layers cached on it (deep prefix
+    /// tables; the hash table when [`AlignParams::use_hash_seed`] is set). Never
+    /// serialized, never change a search result.
+    layers: SeedLayers<'i>,
     params: AlignParams,
     /// Interned contig names, indexed like `genome().spans()`.
     contig_names: Vec<Arc<str>>,
-    /// Deeper runtime-only prefix tables cached on the index (deepest first);
-    /// never serialized, never change search results (see [`PrefixTable::deepen`]).
-    deep_prefix: &'i [PrefixTable],
-    /// SNAP-style hash seeding table, present when
-    /// [`AlignParams::use_hash_seed`] is set; cached on the index like the deep
-    /// prefix tables and equally invisible in the results.
-    hash_seed: Option<&'i HashSeedIndex>,
 }
 
 impl<'i> Aligner<'i> {
@@ -252,8 +261,7 @@ impl<'i> Aligner<'i> {
         params.validate().expect("invalid alignment parameters");
         let contig_names =
             index.genome().spans().iter().map(|s| Arc::from(s.name.as_str())).collect();
-        let hash_seed = params.use_hash_seed.then(|| index.hash_seed(params.hash_seed_len));
-        Aligner { index, params, contig_names, deep_prefix: index.deep_prefix(), hash_seed }
+        Aligner { layers: SeedLayers::for_params(index, &params), params, contig_names }
     }
 
     /// The parameters in use.
@@ -263,7 +271,7 @@ impl<'i> Aligner<'i> {
 
     /// The index in use.
     pub fn index(&self) -> &'i StarIndex {
-        self.index
+        self.layers.index
     }
 
     /// Align a FASTQ record (read id propagated into the record).
@@ -273,14 +281,6 @@ impl<'i> Aligner<'i> {
             rec.read_id = read.id.clone();
         }
         out
-    }
-
-    /// Align a FASTQ record without cloning its id into the record. The caller (the
-    /// run driver) attaches ids afterwards, and only when records are actually kept.
-    /// `materialize: false` skips building the [`AlignmentRecord`] entirely (class,
-    /// work, and candidate counts are still exact).
-    pub(crate) fn align_read_lean(&self, read: &FastqRecord, materialize: bool) -> AlignOutcome {
-        with_thread_scratch(|scratch| self.align_seq_with(&read.seq, scratch, materialize))
     }
 
     /// Enumerate deduplicated candidate window alignments for a read, both
@@ -301,7 +301,8 @@ impl<'i> Aligner<'i> {
         if read_len == 0 {
             return work;
         }
-        let genome = self.index.genome();
+        let index = self.layers.index;
+        let genome = index.genome();
         let ScratchCore { rc, fwd, rcp, seeds, probe, stitch, chains } = core;
         rc.clear();
         rc.extend(seq.codes().iter().rev().map(|&c| 3 - c));
@@ -310,15 +311,7 @@ impl<'i> Aligner<'i> {
         let timer = PhaseTimer::new(self.params.measure_phase_nanos);
         for (is_rc, read) in [(false, &*fwd), (true, &*rcp)] {
             let t = timer.start();
-            collect_seeds_packed(
-                self.index,
-                self.deep_prefix,
-                self.hash_seed,
-                read,
-                &self.params,
-                seeds,
-                probe,
-            );
+            collect_seeds_packed(&self.layers, read, &self.params, seeds, probe);
             timer.stop(t, &mut work.seed_nanos);
             work.seed_units += seeds.len() as u64;
             let t = timer.start();
@@ -335,7 +328,7 @@ impl<'i> Aligner<'i> {
                 }
                 work.extend_units += 1;
                 let wa = out.slot(is_rc);
-                if extend_chain_into(chain, read, genome, self.index.sjdb(), &self.params, wa) {
+                if extend_chain_into(chain, read, genome, index.sjdb(), &self.params, wa) {
                     out.commit();
                 }
             }
@@ -347,7 +340,7 @@ impl<'i> Aligner<'i> {
 
     /// Build the public record for a candidate (contig-local coordinates).
     pub(crate) fn record_for(&self, is_rc: bool, wa: &WindowAlignment, n_hits: u32) -> AlignmentRecord {
-        let genome = self.index.genome();
+        let genome = self.layers.index.genome();
         let (contig_idx, local) = genome.to_local(wa.gstart);
         let span = &genome.spans()[contig_idx];
         AlignmentRecord {
@@ -368,6 +361,16 @@ impl<'i> Aligner<'i> {
         }
     }
 
+    /// Classify a read (or pair) whose best alignment passed the filters by its
+    /// locus count, against `--outFilterMultimapNmax`.
+    pub(crate) fn class_for(&self, n_hits: u32) -> MapClass {
+        match n_hits {
+            1 => MapClass::Unique,
+            n if n as usize <= self.params.out_filter_multimap_nmax => MapClass::Multi(n),
+            n => MapClass::TooMany(n),
+        }
+    }
+
     /// Does a candidate's best alignment pass the output filters?
     pub(crate) fn passes_filters(&self, wa: &WindowAlignment, read_len: usize) -> bool {
         let matched_frac = wa.matched() as f64 / read_len.max(1) as f64;
@@ -381,9 +384,12 @@ impl<'i> Aligner<'i> {
         with_thread_scratch(|scratch| self.align_seq_with(seq, scratch, true))
     }
 
-    /// Align a bare sequence through caller-provided scratch buffers. With
-    /// `materialize: false` the [`AlignmentRecord`] is skipped (classification,
-    /// candidate counts, and phase work are still exact).
+    /// The hot path: align a bare sequence through caller-provided scratch buffers.
+    /// With `materialize: false` the [`AlignmentRecord`] is skipped (classification,
+    /// candidate counts, and phase work are still exact). The run driver calls this
+    /// on each worker's thread scratch and attaches read ids afterwards, only to
+    /// records it keeps; [`Aligner::align_seq`] and [`Aligner::align_read`] are the
+    /// two convenience forms.
     pub fn align_seq_with(
         &self,
         seq: &DnaSeq,
@@ -392,18 +398,13 @@ impl<'i> Aligner<'i> {
     ) -> AlignOutcome {
         let read_len = seq.len();
         if read_len == 0 {
-            return AlignOutcome {
-                class: MapClass::Unmapped,
-                primary: None,
-                candidates_examined: 0,
-                work: PhaseWork::default(),
-            };
+            return AlignOutcome::unmapped(0, PhaseWork::default());
         }
         let AlignScratch { core, cands, .. } = scratch;
         let work = self.candidates_into(seq, core, cands);
         let candidates_examined = cands.len() as u32;
         if cands.is_empty() {
-            return AlignOutcome { class: MapClass::Unmapped, primary: None, candidates_examined, work };
+            return AlignOutcome::unmapped(candidates_examined, work);
         }
 
         let best_score = cands.iter().map(|(_, wa)| wa.score).max().expect("non-empty");
@@ -414,23 +415,15 @@ impl<'i> Aligner<'i> {
 
         // Output filters (on the best alignment, like STAR).
         if !self.passes_filters(best_wa, read_len) {
-            return AlignOutcome { class: MapClass::Unmapped, primary: None, candidates_examined, work };
+            return AlignOutcome::unmapped(candidates_examined, work);
         }
 
         let n_hits = cands
             .iter()
             .filter(|(_, wa)| wa.score + self.params.multimap_score_range >= best_score)
             .count() as u32;
-        let class = if n_hits == 1 {
-            MapClass::Unique
-        } else if n_hits as usize <= self.params.out_filter_multimap_nmax {
-            MapClass::Multi(n_hits)
-        } else {
-            MapClass::TooMany(n_hits)
-        };
-
         let primary = materialize.then(|| self.record_for(*best_rc, best_wa, n_hits));
-        AlignOutcome { class, primary, candidates_examined, work }
+        AlignOutcome { class: self.class_for(n_hits), primary, candidates_examined, work }
     }
 }
 

@@ -21,15 +21,15 @@
 //! Flag names follow real STAR where a counterpart exists.
 
 use genomics::annotation::AnnotationParams;
-use genomics::{Annotation, Assembly, AssemblyKind, Contig, ContigKind};
+use genomics::{Annotation, Assembly, AssemblyKind, Contig, ContigKind, FastqRecord};
 use star_aligner::index::{IndexParams, StarIndex};
 use star_aligner::junctions::to_sj_tab;
 use star_aligner::runner::{RunConfig, Runner};
-use star_aligner::sam::{sam_header, sam_record};
+use star_aligner::sam::{sam_header, sam_run_body, sam_run_pair_body};
 use star_aligner::AlignParams;
 use std::collections::HashMap;
 use std::fs;
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -116,7 +116,7 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
         4242,
     )
     .map_err(|e| e.to_string())?;
-    let reads: Vec<genomics::FastqRecord> =
+    let reads: Vec<FastqRecord> =
         simulator.simulate(n_reads, "SIM").into_iter().map(|r| r.fastq).collect();
     let fastq_path = out_dir.join("reads.fastq");
     let mut fastq = Vec::new();
@@ -193,7 +193,7 @@ fn cmd_genome_generate(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn load_reads(path: &Path) -> Result<Vec<genomics::FastqRecord>, String> {
+fn load_reads(path: &Path) -> Result<Vec<FastqRecord>, String> {
     let file = fs::File::open(path).map_err(|e| format!("open {}: {e}", path.display()))?;
     genomics::fastq::read_fastq(BufReader::new(file)).map_err(|e| e.to_string())
 }
@@ -218,13 +218,13 @@ fn cmd_align_reads(flags: &HashMap<String, String>) -> Result<(), String> {
     // Load the reads (single file, or "mate1,mate2" for paired-end).
     let mut split = read_files.splitn(2, ',');
     let reads = load_reads(Path::new(split.next().expect("non-empty")))?;
-    let mate2 = match split.next() {
+    let pairs: Option<Vec<(FastqRecord, FastqRecord)>> = match split.next() {
         Some(p) => {
             let m2 = load_reads(Path::new(p))?;
             if m2.len() != reads.len() {
                 return Err(format!("mate files differ in length: {} vs {}", reads.len(), m2.len()));
             }
-            Some(m2)
+            Some(reads.iter().cloned().zip(m2).collect())
         }
         None => None,
     };
@@ -254,14 +254,12 @@ fn cmd_align_reads(flags: &HashMap<String, String>) -> Result<(), String> {
         ..RunConfig::default()
     };
     let runner = Runner::new(&index, align_params, config).map_err(|e| e.to_string())?;
-    let (output, inserted) = match (&mate2, two_pass) {
-        (Some(m2), _) => {
+    let (output, inserted) = match (&pairs, two_pass) {
+        (Some(pairs), _) => {
             if two_pass {
                 eprintln!("note: --twopassMode is single-end only in star-sim; running one pass");
             }
-            let pairs: Vec<(genomics::FastqRecord, genomics::FastqRecord)> =
-                reads.iter().cloned().zip(m2.iter().cloned()).collect();
-            (runner.run_pairs(&pairs, annotation.as_ref(), None, None).map_err(|e| e.to_string())?, 0)
+            (runner.run_pairs(pairs, annotation.as_ref(), None, None).map_err(|e| e.to_string())?, 0)
         }
         (None, true) => runner.run_two_pass(&reads, annotation.as_ref(), 3).map_err(|e| e.to_string())?,
         (None, false) => {
@@ -269,36 +267,17 @@ fn cmd_align_reads(flags: &HashMap<String, String>) -> Result<(), String> {
         }
     };
 
-    // Aligned.out.sam — re-align per read for record emission pairing (records are
-    // kept in run order; mapped-only, so walk reads and records together).
+    // Aligned.out.sam, from the records the run kept (in two-pass mode: pass 2's,
+    // aligned against the augmented index like everything else written below).
     let sam_path = PathBuf::from(format!("{prefix}Aligned.out.sam"));
-    {
-        let mut w = fs::File::create(&sam_path).map_err(|e| e.to_string())?;
-        let cl = std::env::args().collect::<Vec<_>>().join(" ");
-        w.write_all(sam_header(index.genome(), &cl).as_bytes()).map_err(|e| e.to_string())?;
-        // Emit via fresh per-read alignment (records in `output.alignments` lack
-        // per-read pairing for unmapped reads).
-        let aligner = star_aligner::align::Aligner::new(
-            &index,
-            runner_params_for_output(flags)?,
-        );
-        match &mate2 {
-            Some(m2) => {
-                for (r1, r2) in reads.iter().zip(m2) {
-                    let outcome = aligner.align_pair(r1, r2);
-                    let (l1, l2) = star_aligner::sam::sam_pair_records(r1, r2, &outcome);
-                    writeln!(w, "{l1}").map_err(|e| e.to_string())?;
-                    writeln!(w, "{l2}").map_err(|e| e.to_string())?;
-                }
-            }
-            None => {
-                for read in &reads {
-                    let outcome = aligner.align_read(read);
-                    writeln!(w, "{}", sam_record(read, &outcome)).map_err(|e| e.to_string())?;
-                }
-            }
-        }
+    let cl = std::env::args().collect::<Vec<_>>().join(" ");
+    let kept = output.alignments.as_deref().unwrap_or(&[]);
+    let body = match &pairs {
+        Some(pairs) => sam_run_pair_body(pairs, kept),
+        None => sam_run_body(&reads, kept),
     }
+    .map_err(|e| e.to_string())?;
+    fs::write(&sam_path, sam_header(index.genome(), &cl) + &body).map_err(|e| e.to_string())?;
 
     // Log.progress.out + Log.final.out.
     let progress_path = PathBuf::from(format!("{prefix}Log.progress.out"));
@@ -326,13 +305,4 @@ fn cmd_align_reads(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     println!("outputs written with prefix {prefix:?}");
     Ok(())
-}
-
-/// The align params used for SAM emission must match the run's.
-fn runner_params_for_output(flags: &HashMap<String, String>) -> Result<AlignParams, String> {
-    let mut p = AlignParams::default();
-    if let Some(v) = flags.get("outFilterMultimapNmax") {
-        p.out_filter_multimap_nmax = v.parse().map_err(|_| format!("bad --outFilterMultimapNmax {v}"))?;
-    }
-    Ok(p)
 }

@@ -22,6 +22,7 @@
 use crate::align::CigarOp;
 use crate::genome::{count_mismatches, mismatch_mask, Packed2, PackedGenome, BASES_PER_WORD};
 use crate::params::AlignParams;
+use crate::seed::Seed;
 use crate::sjdb::{SpliceClass, SpliceJunctionDb};
 use crate::stitch::Chain;
 
@@ -79,13 +80,10 @@ impl WindowAlignment {
     }
 }
 
-/// Extend `chain` over `read_codes`, producing the scored alignment.
-///
-/// Returns `None` for chains that violate the substitution-only invariants (callers
-/// filter these; they can only arise from pathological seed sets). Convenience
-/// wrapper that packs the read; the hot path keeps reads packed and calls
-/// [`extend_chain_into`] with a pooled slot.
-pub fn extend_chain(
+/// [`extend_chain_into`] over unpacked `read_codes` into a fresh slot; `None` for
+/// chains that violate the substitution-only invariants.
+#[cfg(test)]
+pub(crate) fn extend_chain(
     chain: &Chain,
     read_codes: &[u8],
     genome: &PackedGenome,
@@ -220,8 +218,10 @@ fn best_ext_back(
     (best_ext, best_mm)
 }
 
-/// Extend `chain` into a caller-provided (typically pooled) alignment slot. `out`
-/// must be reset; on `false` its contents are unspecified. Allocation-free except
+/// Extend `chain` over the packed `read` into a caller-provided (typically pooled)
+/// alignment slot. `out` must be reset; on `false` — chains that violate the
+/// substitution-only invariants, which only pathological seed sets produce — its
+/// contents are unspecified. Allocation-free except
 /// for CIGAR/junction growth beyond `out`'s retained capacity. Bit-identical to
 /// [`extend_chain_scalar`] by construction (and by the property suites).
 pub(crate) fn extend_chain_into(
@@ -295,8 +295,8 @@ pub(crate) fn extend_chain_into(
             if intron_len as u64 > params.max_intron_len {
                 return false;
             }
-            let (split, mm, class) =
-                best_split(read, seq, genome, sjdb, a, b, read_gap, intron_len, m_run - 1);
+            let gap = SpliceGap { a, b, read_gap, intron_len, max_left_shift: m_run - 1 };
+            let (split, mm, class) = best_split(read, genome, sjdb, &gap);
             mismatches += mm;
             aligned += read_gap as u32;
             m_run += split;
@@ -352,6 +352,21 @@ pub(crate) fn extend_chain_into(
 /// Bound on how far a splice split may shift into the flanking seeds.
 const MAX_SJ_SHIFT: i64 = 8;
 
+/// An intron-spanning gap between two chained seeds, as the split search sees it.
+#[derive(Clone, Copy)]
+struct SpliceGap<'a> {
+    /// Seed left of the gap.
+    a: &'a Seed,
+    /// Seed right of the gap.
+    b: &'a Seed,
+    /// Read bases between the seeds.
+    read_gap: usize,
+    /// Genome gap minus read gap.
+    intron_len: usize,
+    /// M run accumulated left of the gap: how far a split may shift into `a`.
+    max_left_shift: i64,
+}
+
 /// Choose where to split the `read_gap` bases around an intron between seeds `a` and
 /// `b`: `split` bases align after `a`, the rest before `b`. Minimizes mismatches;
 /// ties resolve toward the split whose junction is annotated, then canonical —
@@ -367,18 +382,14 @@ const MAX_SJ_SHIFT: i64 = 8;
 /// seeds match exactly under their original placement, so the mismatch count remains
 /// directly comparable with the gap-only search. Each candidate's window mismatches
 /// are two popcount segment counts (before/after the junction).
-#[allow(clippy::too_many_arguments)]
 fn best_split(
     read: &Packed2,
-    seq: &Packed2,
     genome: &PackedGenome,
     sjdb: &SpliceJunctionDb,
-    a: &crate::seed::Seed,
-    b: &crate::seed::Seed,
-    read_gap: usize,
-    intron_len: usize,
-    max_left_shift: i64,
+    gap: &SpliceGap<'_>,
 ) -> (i64, u32, SpliceClass) {
+    let SpliceGap { a, b, read_gap, intron_len, max_left_shift } = *gap;
+    let seq = genome.seq();
     let class_rank = |c: SpliceClass| match c {
         SpliceClass::Annotated => 0u8,
         SpliceClass::Canonical => 1,
@@ -527,9 +538,8 @@ pub fn extend_chain_scalar(
             if intron_len as u64 > params.max_intron_len {
                 return None;
             }
-            let (split, mm, class) = best_split_scalar(
-                read_codes, genome, sjdb, a, b, read_gap, intron_len, m_run - 1,
-            );
+            let gap = SpliceGap { a, b, read_gap, intron_len, max_left_shift: m_run - 1 };
+            let (split, mm, class) = best_split_scalar(read_codes, genome, sjdb, &gap);
             mismatches += mm;
             aligned += read_gap as u32;
             m_run += split;
@@ -597,17 +607,13 @@ pub fn extend_chain_scalar(
 }
 
 /// Per-base splice-split search, the oracle half of [`best_split`].
-#[allow(clippy::too_many_arguments)]
 fn best_split_scalar(
     read_codes: &[u8],
     genome: &PackedGenome,
     sjdb: &SpliceJunctionDb,
-    a: &crate::seed::Seed,
-    b: &crate::seed::Seed,
-    read_gap: usize,
-    intron_len: usize,
-    max_left_shift: i64,
+    gap: &SpliceGap<'_>,
 ) -> (i64, u32, SpliceClass) {
+    let SpliceGap { a, b, read_gap, intron_len, max_left_shift } = *gap;
     let class_rank = |c: SpliceClass| match c {
         SpliceClass::Annotated => 0u8,
         SpliceClass::Canonical => 1,

@@ -229,10 +229,11 @@ impl PackedGenome {
 
     /// Reassemble from raw parts (used by index deserialization).
     pub(crate) fn from_parts(seq: Packed2, spans: Vec<ContigSpan>) -> Result<PackedGenome, StarError> {
-        let total: u64 = spans.iter().map(|s| s.len).sum();
-        if total != seq.len() as u64 {
+        // Span lengths come from an untrusted blob: a sum that overflows is corrupt.
+        let total = spans.iter().try_fold(0u64, |sum, s| sum.checked_add(s.len));
+        if total != Some(seq.len() as u64) {
             return Err(StarError::CorruptIndex(format!(
-                "span table covers {total} bases but genome has {}",
+                "span table covers {total:?} bases but genome has {}",
                 seq.len()
             )));
         }

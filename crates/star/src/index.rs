@@ -233,18 +233,14 @@ impl StarIndex {
         }
         let assembly_name = r.string()?;
         let release = r.u32()?;
-        let glen = r.u64()? as usize;
-        let n_words = glen.div_ceil(crate::genome::BASES_PER_WORD);
-        // Guard the allocation: the words must actually fit in the blob.
-        if n_words.checked_mul(8).is_none_or(|b| b > r.remaining()) {
-            return Err(StarError::CorruptIndex(format!("genome length {glen} implausible")));
-        }
-        let mut words = Vec::with_capacity(n_words);
-        for _ in 0..n_words {
-            words.push(r.u64()?);
-        }
+        // Every length below comes straight from the blob: each is checked against
+        // the bytes actually left before anything is allocated for it.
+        let glen = usize::try_from(r.u64()?).map_err(|_| implausible("genome length"))?;
+        let n_words = glen.div_ceil(crate::genome::BASES_PER_WORD) as u64;
+        let words = r.array(n_words, "genome length", u64::from_le_bytes)?;
         let seq = Packed2::from_words(words, glen)?;
-        let n_spans = r.u32()? as usize;
+        let n_spans = r.u32()?;
+        let n_spans = r.count(n_spans.into(), MIN_SPAN_BYTES, "span count")?;
         let mut spans = Vec::with_capacity(n_spans);
         for _ in 0..n_spans {
             let name = r.string()?;
@@ -254,27 +250,19 @@ impl StarIndex {
             spans.push(ContigSpan { name, kind, start, len });
         }
         let genome = PackedGenome::from_parts(seq, spans)?;
-        let sa_len = r.u64()? as usize;
-        let mut sa_raw = Vec::with_capacity(sa_len);
-        for _ in 0..sa_len {
-            sa_raw.push(r.u32()?);
-        }
+        let sa_len = r.u64()?;
+        let sa_raw = r.array(sa_len, "suffix array length", u32::from_le_bytes)?;
         let sa = SuffixArray::from_raw(sa_raw, genome.len())?;
         let k = r.u32()? as usize;
         if k == 0 || k > 13 {
             return Err(StarError::CorruptIndex(format!("prefix depth {k}")));
         }
-        let buckets = 1usize << (2 * k);
-        let mut starts = Vec::with_capacity(buckets);
-        for _ in 0..buckets {
-            starts.push(r.u32()?);
-        }
-        let mut ends = Vec::with_capacity(buckets);
-        for _ in 0..buckets {
-            ends.push(r.u32()?);
-        }
+        let buckets = 1u64 << (2 * k);
+        let starts = r.array(buckets, "prefix depth", u32::from_le_bytes)?;
+        let ends = r.array(buckets, "prefix depth", u32::from_le_bytes)?;
         let prefix = PrefixTable::from_raw(starts, ends, k, sa.len())?;
-        let n_j = r.u64()? as usize;
+        let n_j = r.u64()?;
+        let n_j = r.count(n_j, 16, "junction count")?;
         let mut pairs = Vec::with_capacity(n_j);
         for _ in 0..n_j {
             let s = r.u64()?;
@@ -301,6 +289,13 @@ impl StarIndex {
 }
 
 const MAGIC: &[u8] = b"STARIDX\0";
+/// Fewest bytes a serialized span takes: empty name, kind, start, length.
+const MIN_SPAN_BYTES: usize = 4 + 4 + 8 + 8;
+
+fn implausible(what: &str) -> StarError {
+    StarError::CorruptIndex(format!("{what} implausible for the blob size"))
+}
+
 /// Version 2: the genome section holds 2-bit packed words, not byte-per-base
 /// codes, and the prefix table's bucket order follows LSB-first k-mer values.
 const VERSION: u32 = 2;
@@ -346,12 +341,20 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], StarError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(StarError::CorruptIndex("unexpected end of blob".into()));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
+        let end = self.pos.checked_add(n).filter(|&end| end <= self.bytes.len());
+        let end = end.ok_or_else(|| StarError::CorruptIndex("unexpected end of blob".into()))?;
+        let s = &self.bytes[self.pos..end];
+        self.pos = end;
         Ok(s)
+    }
+
+    /// An element count read from the blob, accepted only if `n` elements of at
+    /// least `min_bytes` each can still follow.
+    fn count(&self, n: u64, min_bytes: usize, what: &str) -> Result<usize, StarError> {
+        usize::try_from(n)
+            .ok()
+            .filter(|n| n.checked_mul(min_bytes).is_some_and(|b| b <= self.remaining()))
+            .ok_or_else(|| implausible(what))
     }
 
     fn u32(&mut self) -> Result<u32, StarError> {
@@ -360,6 +363,18 @@ impl<'a> Reader<'a> {
 
     fn u64(&mut self) -> Result<u64, StarError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+    }
+
+    /// `n` little-endian `W`-byte values (`decode` is `u32::from_le_bytes` or
+    /// `u64::from_le_bytes`): one bounds check, one pass.
+    fn array<const W: usize, T>(
+        &mut self,
+        n: u64,
+        what: &str,
+        decode: fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, StarError> {
+        let bytes = self.take(self.count(n, W, what)? * W)?;
+        Ok(bytes.chunks_exact(W).map(|c| decode(c.try_into().expect("W bytes"))).collect())
     }
 
     fn string(&mut self) -> Result<String, StarError> {

@@ -13,6 +13,7 @@
 use crate::genome::{common_prefix_len, Packed2};
 use crate::hashseed::HashSeedIndex;
 use crate::index::StarIndex;
+use crate::params::AlignParams;
 use crate::prefix::PrefixTable;
 use crate::sa::SaInterval;
 
@@ -42,17 +43,40 @@ impl Mmp {
 /// scaffold-duplicated genome inflates.
 const DIRECT_EXTEND_MAX_INTERVAL: u32 = 16;
 
-/// Find the MMP of `pattern[from..]` against the index. Convenience wrapper that
-/// packs the pattern; the hot path keeps reads packed and calls
-/// [`mmp_search_packed`] directly.
-pub fn mmp_search(index: &StarIndex, pattern: &[u8], from: usize) -> Mmp {
-    mmp_search_with(index, &[], pattern, from)
+/// Where an MMP search may start: the index plus the runtime-only acceleration
+/// layers above its base prefix table. Built once per [`crate::Aligner`]
+/// ([`SeedLayers::for_params`]) and borrowed down through seed collection into
+/// [`mmp_search_packed`]; the fields are public so benches and experiments can pick
+/// layers by hand. No combination changes a search result.
+#[derive(Clone, Copy, Debug)]
+pub struct SeedLayers<'i> {
+    /// The index: genome, suffix array and the serialized base prefix table.
+    pub index: &'i StarIndex,
+    /// Deeper prefix tables ([`PrefixTable::deepen`]), deepest first.
+    pub deep: &'i [PrefixTable],
+    /// SNAP-style fixed `s`-mer hash table, tried before every prefix table.
+    pub hash: Option<&'i HashSeedIndex>,
 }
 
-/// [`mmp_search`] with optional deeper runtime-only prefix tables
-/// ([`PrefixTable::deepen`], deepest first).
-pub fn mmp_search_with(index: &StarIndex, deep: &[PrefixTable], pattern: &[u8], from: usize) -> Mmp {
-    mmp_search_packed(index, deep, None, &Packed2::from_codes(pattern), from)
+impl<'i> SeedLayers<'i> {
+    /// The serialized index alone: no deep tables, no hash table.
+    pub fn base(index: &'i StarIndex) -> SeedLayers<'i> {
+        SeedLayers { index, deep: &[], hash: None }
+    }
+
+    /// The layers an aligner with `params` searches through: the index's cached deep
+    /// prefix tables, plus its hash table when [`AlignParams::use_hash_seed`] is set.
+    pub fn for_params(index: &'i StarIndex, params: &AlignParams) -> SeedLayers<'i> {
+        let hash = params.use_hash_seed.then(|| index.hash_seed(params.hash_seed_len));
+        SeedLayers { index, deep: index.deep_prefix(), hash }
+    }
+}
+
+/// Find the MMP of `pattern[from..]` against the index's base layers. Convenience
+/// form that packs the pattern; the hot path keeps reads packed and calls
+/// [`mmp_search_packed`] directly.
+pub fn mmp_search(index: &StarIndex, pattern: &[u8], from: usize) -> Mmp {
+    mmp_search_packed(&SeedLayers::base(index), &Packed2::from_codes(pattern), from)
 }
 
 /// The full MMP search over a packed query.
@@ -63,13 +87,8 @@ pub fn mmp_search_with(index: &StarIndex, deep: &[PrefixTable], pattern: &[u8], 
 /// whichever layer starts the search: a depth-`d` bucket *is* the interval that
 /// refinement from the root reaches at depth `d` (and an empty bucket means the MMP
 /// is shorter than `d`, which the shallower layers resolve exactly).
-pub fn mmp_search_packed(
-    index: &StarIndex,
-    deep: &[PrefixTable],
-    hash: Option<&HashSeedIndex>,
-    q: &Packed2,
-    from: usize,
-) -> Mmp {
+pub fn mmp_search_packed(layers: &SeedLayers<'_>, q: &Packed2, from: usize) -> Mmp {
+    let SeedLayers { index, deep, hash } = *layers;
     let seq = index.genome().seq();
     let sa = index.sa();
     let remaining = q.len() - from;
@@ -300,7 +319,8 @@ mod tests {
                 }
             };
             let plain = mmp_search(&idx, q.codes(), 0);
-            let fast = mmp_search_with(&idx, &deep, q.codes(), 0);
+            let layers = SeedLayers { deep: &deep, ..SeedLayers::base(&idx) };
+            let fast = mmp_search_packed(&layers, &Packed2::from_codes(q.codes()), 0);
             assert_eq!(plain, fast, "query {q}");
         }
     }
@@ -337,7 +357,8 @@ mod tests {
                 };
                 let packed = Packed2::from_codes(q.codes());
                 let plain = mmp_search(&idx, q.codes(), 0);
-                let hashed = mmp_search_packed(&idx, &[], Some(&hash), &packed, 0);
+                let layers = SeedLayers { hash: Some(&hash), ..SeedLayers::base(&idx) };
+                let hashed = mmp_search_packed(&layers, &packed, 0);
                 assert_eq!(plain, hashed, "s={s} query {q}");
             }
         }

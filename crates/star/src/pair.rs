@@ -8,8 +8,7 @@
 //! (`--outFilterMultimapNmax`-style accounting on fragments, the unit the paper's
 //! mapping-rate statistic uses for paired libraries).
 
-use crate::align::{Aligner, AlignmentRecord, MapClass, PhaseWork};
-use crate::extend::WindowAlignment;
+use crate::align::{genome_span, Aligner, AlignmentRecord, MapClass, PhaseWork};
 use crate::scratch::{with_thread_scratch, AlignScratch};
 use genomics::FastqRecord;
 
@@ -66,7 +65,6 @@ impl PairOutcome {
 /// One scored candidate pairing (pooled in [`AlignScratch`]).
 #[derive(Debug)]
 pub(crate) struct CandidatePair {
-    pub(crate) rc1: bool,
     pub(crate) i1: usize,
     pub(crate) i2: usize,
     pub(crate) score: i32,
@@ -74,15 +72,12 @@ pub(crate) struct CandidatePair {
 }
 
 impl<'i> Aligner<'i> {
-    /// Align a read pair (FR orientation).
+    /// Align a read pair (FR orientation, default insert window) on this thread's
+    /// scratch, read ids propagated into the records.
     pub fn align_pair(&self, r1: &FastqRecord, r2: &FastqRecord) -> PairOutcome {
-        self.align_pair_with(r1, r2, &PairParams::default())
-    }
-
-    /// Align a read pair with explicit insert-size bounds.
-    pub fn align_pair_with(&self, r1: &FastqRecord, r2: &FastqRecord, pp: &PairParams) -> PairOutcome {
-        let mut out =
-            with_thread_scratch(|scratch| self.align_pair_scratch(r1, r2, pp, scratch, true));
+        let mut out = with_thread_scratch(|scratch| {
+            self.align_pair_scratch(r1, r2, &PairParams::default(), scratch, true)
+        });
         if let Some(rec) = &mut out.rec1 {
             rec.read_id = r1.id.clone();
         }
@@ -92,21 +87,11 @@ impl<'i> Aligner<'i> {
         out
     }
 
-    /// Align a read pair without cloning ids into the records (the run driver
-    /// attaches ids only when records are kept). `materialize: false` skips
+    /// The hot path: align a pair with explicit insert-size bounds through
+    /// caller-provided scratch buffers, without cloning ids into the records (the
+    /// run driver attaches ids only to records it keeps). `materialize: false` skips
     /// building records entirely.
-    pub(crate) fn align_pair_lean(
-        &self,
-        r1: &FastqRecord,
-        r2: &FastqRecord,
-        pp: &PairParams,
-        materialize: bool,
-    ) -> PairOutcome {
-        with_thread_scratch(|scratch| self.align_pair_scratch(r1, r2, pp, scratch, materialize))
-    }
-
-    /// Pair alignment through caller-provided scratch buffers.
-    fn align_pair_scratch(
+    pub fn align_pair_scratch(
         &self,
         r1: &FastqRecord,
         r2: &FastqRecord,
@@ -140,7 +125,7 @@ impl<'i> Aligner<'i> {
                 // the outer distance is the fragment length.
                 let (fwd, rev) = if *rc1 { (wa2, wa1) } else { (wa1, wa2) };
                 let fwd_start = fwd.gstart;
-                let rev_end = rev.gstart + aligned_genome_span(rev);
+                let rev_end = rev.gstart + genome_span(&rev.cigar);
                 if rev_end <= fwd_start {
                     continue; // facing outward
                 }
@@ -148,13 +133,7 @@ impl<'i> Aligner<'i> {
                 if insert < pp.min_insert || insert > pp.max_insert {
                     continue;
                 }
-                pairs.push(CandidatePair {
-                    rc1: *rc1,
-                    i1,
-                    i2,
-                    score: wa1.score + wa2.score,
-                    insert,
-                });
+                pairs.push(CandidatePair { i1, i2, score: wa1.score + wa2.score, insert });
             }
         }
         let pairs_examined = pairs.len() as u32;
@@ -178,14 +157,6 @@ impl<'i> Aligner<'i> {
         if !self.passes_filters(wa1, r1.seq.len()) || !self.passes_filters(wa2, r2.seq.len()) {
             return PairOutcome::unmapped(pairs_examined, work);
         }
-        let class = if n_hits == 1 {
-            MapClass::Unique
-        } else if n_hits as usize <= self.params().out_filter_multimap_nmax {
-            MapClass::Multi(n_hits)
-        } else {
-            MapClass::TooMany(n_hits)
-        };
-        let _ = best.rc1;
         let (rec1, rec2) = if materialize {
             (
                 Some(self.record_for(*rc1, wa1, n_hits)),
@@ -195,7 +166,7 @@ impl<'i> Aligner<'i> {
             (None, None)
         };
         PairOutcome {
-            class,
+            class: self.class_for(n_hits),
             rec1,
             rec2,
             insert_size: Some(best.insert),
@@ -203,17 +174,6 @@ impl<'i> Aligner<'i> {
             work,
         }
     }
-}
-
-/// Genomic span covered by a window alignment (M + N bases).
-fn aligned_genome_span(wa: &WindowAlignment) -> u64 {
-    wa.cigar
-        .iter()
-        .map(|op| match op {
-            crate::align::CigarOp::M(n) | crate::align::CigarOp::N(n) => *n as u64,
-            crate::align::CigarOp::S(_) => 0,
-        })
-        .sum()
 }
 
 #[cfg(test)]
@@ -227,6 +187,11 @@ mod tests {
         Annotation, Assembly, EnsemblGenerator, EnsemblParams, LibraryType, ReadSimulator,
         Release, SimulatorParams,
     };
+
+    /// Is the pair mapped under an explicit insert window?
+    fn maps_within(aligner: &Aligner, r1: &FastqRecord, r2: &FastqRecord, pp: &PairParams) -> bool {
+        aligner.align_pair_scratch(r1, r2, pp, &mut AlignScratch::new(), false).is_mapped()
+    }
 
     fn setup() -> (Assembly, Annotation, StarIndex) {
         let g = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
@@ -283,7 +248,7 @@ mod tests {
         let pairs = sim.simulate_pairs(200, "TP");
         let mapped = pairs
             .iter()
-            .filter(|p| aligner.align_pair_with(&p.r1, &p.r2, &pp).is_mapped())
+            .filter(|p| maps_within(&aligner, &p.r1, &p.r2, &pp))
             .count();
         assert!(mapped as f64 / pairs.len() as f64 > 0.8, "mapped {mapped}/{}", pairs.len());
     }
@@ -343,7 +308,7 @@ mod tests {
         assert!(!aligner.align_pair(&r1, &r2).is_mapped());
         // But an explicit wider window accepts it.
         let wide = PairParams { min_insert: 50, max_insert: 10_000 };
-        assert!(aligner.align_pair_with(&r1, &r2, &wide).is_mapped());
+        assert!(maps_within(&aligner, &r1, &r2, &wide));
     }
 
     #[test]

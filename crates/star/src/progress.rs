@@ -29,15 +29,7 @@ pub struct ProgressStats {
 impl ProgressStats {
     /// New counters for a run over `total_reads` reads.
     pub fn new(total_reads: u64) -> ProgressStats {
-        ProgressStats {
-            total_reads,
-            started: Instant::now(),
-            processed: AtomicU64::new(0),
-            unique: AtomicU64::new(0),
-            multi: AtomicU64::new(0),
-            too_many: AtomicU64::new(0),
-            unmapped: AtomicU64::new(0),
-        }
+        ProgressStats::with_initial(total_reads, 0, 0, 0, 0, 0)
     }
 
     /// Counters seeded from a checkpoint: `processed`/class tallies start at the

@@ -83,41 +83,17 @@ impl GeneCounter {
         Ok(counter)
     }
 
-    /// Record one read's outcome. Only `Unique` reads are gene-counted (STAR
-    /// semantics); `Multi`/`TooMany` go to `N_multimapping`, `Unmapped` to
-    /// `N_unmapped`.
+    /// Record one read's outcome: a fragment with a single mate.
     pub fn record(&mut self, class: MapClass, primary: Option<&AlignmentRecord>) {
-        match class {
-            MapClass::Unmapped => self.n_unmapped += 1,
-            MapClass::Multi(_) | MapClass::TooMany(_) => self.n_multimapping += 1,
-            MapClass::Unique => {
-                let rec = primary.expect("unique reads carry a primary alignment");
-                let genes = self.overlapping_genes(rec);
-                // Resolve per strandedness column like STAR does (one read can be a
-                // feature hit in one column and noFeature in another).
-                for (col, strandedness) in
-                    [Strandedness::Unstranded, Strandedness::Forward, Strandedness::Reverse]
-                        .into_iter()
-                        .enumerate()
-                {
-                    let eligible: Vec<usize> = genes
-                        .iter()
-                        .copied()
-                        .filter(|&gi| strand_matches(strandedness, self.gene_strands[gi], rec.reverse))
-                        .collect();
-                    match eligible.len() {
-                        0 => self.n_no_feature[col] += 1,
-                        1 => self.counts[eligible[0]][col] += 1,
-                        _ => self.n_ambiguous[col] += 1,
-                    }
-                }
-            }
-        }
+        self.record_pair(class, primary, None);
     }
 
-    /// Record one read *pair* (fragment). Unique fragments count once for the union
-    /// of genes either mate overlaps; strandedness follows mate 1 (Illumina dUTP
-    /// convention as STAR counts it).
+    /// Record one fragment. Only `Unique` fragments are gene-counted (STAR
+    /// semantics); `Multi`/`TooMany` go to `N_multimapping`, `Unmapped` to
+    /// `N_unmapped`. A unique fragment counts once for the union of genes either mate
+    /// overlaps, resolved per strandedness column like STAR does (one fragment can
+    /// be a feature hit in one column and noFeature in another); strandedness
+    /// follows mate 1 (Illumina dUTP convention as STAR counts it).
     pub fn record_pair(
         &mut self,
         class: MapClass,
@@ -128,7 +104,7 @@ impl GeneCounter {
             MapClass::Unmapped => self.n_unmapped += 1,
             MapClass::Multi(_) | MapClass::TooMany(_) => self.n_multimapping += 1,
             MapClass::Unique => {
-                let rec1 = rec1.expect("unique pairs carry mate records");
+                let rec1 = rec1.expect("unique fragments carry a primary alignment");
                 let mut genes = self.overlapping_genes(rec1);
                 if let Some(r2) = rec2 {
                     genes.extend(self.overlapping_genes(r2));

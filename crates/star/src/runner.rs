@@ -8,6 +8,10 @@
 //! batches. A monitor that returns [`MonitorVerdict::Abort`] stops the run — exactly
 //! how the paper's pipeline kills STAR when `Log.progress.out` shows a sub-threshold
 //! mapping rate after the 10 % checkpoint.
+//!
+//! That loop exists once, as [`BatchDriver::drive`]: [`Runner`]'s single-end, resumed,
+//! paired and two-pass runs and `pseudo`'s runner differ only in the align function
+//! and the accounting closure they hand it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -16,14 +20,16 @@ use std::time::Instant;
 
 use rayon::prelude::*;
 
-use crate::align::{Aligner, AlignmentRecord, MapClass, PhaseWork};
+use crate::align::{AlignOutcome, Aligner, AlignmentRecord, MapClass, PhaseWork};
 use crate::checkpoint::AlignCheckpoint;
 use crate::index::StarIndex;
 use crate::junctions::{JunctionCollector, JunctionRow};
 use crate::logs::FinalLog;
+use crate::pair::{PairOutcome, PairParams};
 use crate::params::AlignParams;
 use crate::progress::{ProgressSnapshot, ProgressStats};
 use crate::quant::{GeneCounter, GeneCounts};
+use crate::scratch::with_thread_scratch;
 use crate::StarError;
 use genomics::{Annotation, FastqRecord};
 
@@ -183,6 +189,183 @@ pub fn shared_pool(threads: usize) -> Result<Arc<rayon::ThreadPool>, StarError> 
     Ok(pool)
 }
 
+/// The batch loop — cancel check, parallel batch, in-order accounting, snapshot,
+/// monitor — that every runner in the workspace shares: [`Runner::run`],
+/// [`Runner::run_resumed`], [`Runner::run_pairs`], [`Runner::run_two_pass`] and
+/// `pseudo`'s runner. This is the one place the paper's early stopping acts.
+pub struct BatchDriver<'a> {
+    /// Pool the batches are aligned on.
+    pub pool: &'a rayon::ThreadPool,
+    /// Fragments per batch between monitor checks.
+    pub batch_size: usize,
+    /// Consulted after every batch; `None` runs to completion.
+    pub monitor: Option<&'a dyn RunMonitor>,
+    /// Checked before every batch.
+    pub cancel: Option<&'a CancelToken>,
+}
+
+/// What one pass of the [`BatchDriver`] reports.
+#[derive(Debug)]
+pub struct Driven {
+    /// How the loop ended.
+    pub status: RunStatus,
+    /// Counters when it ended.
+    pub final_snapshot: ProgressSnapshot,
+    /// One snapshot per batch boundary.
+    pub history: Vec<ProgressSnapshot>,
+}
+
+impl BatchDriver<'_> {
+    /// Run the loop over `frags`, starting where `progress` stands: fresh counters
+    /// start at fragment 0, counters seeded from a checkpoint skip the fragments
+    /// already processed. `align` runs on the pool, once per fragment, in any
+    /// order; `account` then sees each fragment with its outcome on the calling
+    /// thread, in input order, and returns the class to count — so nothing a run
+    /// reports depends on the schedule. Monomorphised per caller: no `dyn` call or
+    /// allocation per fragment beyond the batch's outcome vector.
+    pub fn drive<F, O, A, R>(&self, frags: &[F], progress: &ProgressStats, align: A, mut account: R) -> Driven
+    where
+        F: Sync,
+        O: Send,
+        A: Fn(&F) -> O + Sync,
+        R: FnMut(&F, O) -> MapClass,
+    {
+        let skip = progress.snapshot().processed as usize;
+        let mut history = Vec::new();
+        let mut status = RunStatus::Completed;
+        for batch in frags[skip..].chunks(self.batch_size) {
+            if self.cancel.is_some_and(CancelToken::is_cancelled) {
+                status = RunStatus::Cancelled { processed_reads: progress.snapshot().processed };
+                break;
+            }
+            let outcomes: Vec<O> = self.pool.install(|| batch.par_iter().map(&align).collect());
+            for (frag, outcome) in batch.iter().zip(outcomes) {
+                progress.record(account(frag, outcome));
+            }
+            let snap = progress.snapshot();
+            history.push(snap);
+            if self.monitor.is_some_and(|m| m.on_progress(&snap) == MonitorVerdict::Abort) {
+                status = RunStatus::EarlyStopped { processed_reads: snap.processed };
+                break;
+            }
+        }
+        Driven { status, final_snapshot: progress.snapshot(), history }
+    }
+}
+
+/// A read pair as [`Runner::run_pairs`] takes it: split mate files zip into tuples,
+/// an interleaved dump is viewed two at a time (`reads.as_chunks::<2>()`) — neither
+/// copies a read.
+pub trait MatePair: Sync {
+    /// Mate 1 and mate 2.
+    fn mates(&self) -> (&FastqRecord, &FastqRecord);
+}
+
+impl MatePair for (FastqRecord, FastqRecord) {
+    fn mates(&self) -> (&FastqRecord, &FastqRecord) {
+        (&self.0, &self.1)
+    }
+}
+
+impl MatePair for [FastqRecord; 2] {
+    fn mates(&self) -> (&FastqRecord, &FastqRecord) {
+        (&self[0], &self[1])
+    }
+}
+
+/// What a run accumulates besides the progress counters: the sequential half of
+/// the batch loop for single reads and for pairs.
+struct Tally {
+    counter: Option<GeneCounter>,
+    junctions: Option<JunctionCollector>,
+    /// Kept records (`record_alignments`): mapped reads only, input order.
+    kept: Option<Vec<AlignmentRecord>>,
+    phase_work: PhaseWork,
+    started: Instant,
+}
+
+impl Tally {
+    /// Empty accumulators for `config`, or ones seeded from a checkpoint.
+    fn new(
+        config: &RunConfig,
+        annotation: Option<&Annotation>,
+        resume: Option<&AlignCheckpoint>,
+    ) -> Result<Tally, StarError> {
+        let counter = match (config.quant, annotation, resume.and_then(|c| c.gene_counts.as_ref())) {
+            (false, _, _) => None,
+            (true, None, _) => {
+                return Err(StarError::InvalidParams("quant mode requires an annotation".into()))
+            }
+            (true, Some(ann), Some(saved)) => Some(GeneCounter::restore(ann, saved)?),
+            (true, Some(ann), None) => Some(GeneCounter::new(ann)),
+        };
+        let mut junctions = config.collect_junctions.then(JunctionCollector::new);
+        if let (Some(collector), Some(rows)) =
+            (junctions.as_mut(), resume.and_then(|c| c.junctions.as_deref()))
+        {
+            collector.absorb_rows(rows);
+        }
+        Ok(Tally {
+            counter,
+            junctions,
+            kept: config.record_alignments.then(Vec::new),
+            phase_work: PhaseWork::default(),
+            started: Instant::now(),
+        })
+    }
+
+    /// Records are only materialized when a downstream consumer exists; pure
+    /// mapping-rate runs skip building them (and every allocation they imply).
+    fn wants_records(&self) -> bool {
+        self.counter.is_some() || self.junctions.is_some() || self.kept.is_some()
+    }
+
+    /// One mate's record: junction usage, then kept (with its read id attached
+    /// here, only now that it is known to be kept) when the fragment mapped.
+    fn mate(&mut self, class: MapClass, read: &FastqRecord, record: Option<AlignmentRecord>) {
+        if let Some(j) = self.junctions.as_mut() {
+            j.record(class, record.as_ref());
+        }
+        if let (Some(kept), Some(mut rec), true) = (self.kept.as_mut(), record, class.is_mapped()) {
+            rec.read_id = read.id.clone();
+            kept.push(rec);
+        }
+    }
+
+    fn single(&mut self, read: &FastqRecord, out: AlignOutcome) -> MapClass {
+        self.phase_work.add(&out.work);
+        if let Some(c) = self.counter.as_mut() {
+            c.record(out.class, out.primary.as_ref());
+        }
+        self.mate(out.class, read, out.primary);
+        out.class
+    }
+
+    fn pair(&mut self, (r1, r2): (&FastqRecord, &FastqRecord), out: PairOutcome) -> MapClass {
+        self.phase_work.add(&out.work);
+        if let Some(c) = self.counter.as_mut() {
+            c.record_pair(out.class, out.rec1.as_ref(), out.rec2.as_ref());
+        }
+        self.mate(out.class, r1, out.rec1);
+        self.mate(out.class, r2, out.rec2);
+        out.class
+    }
+
+    fn finish(self, driven: Driven) -> RunOutput {
+        RunOutput {
+            status: driven.status,
+            final_log: FinalLog::from_snapshot(&driven.final_snapshot),
+            final_snapshot: driven.final_snapshot,
+            history: driven.history,
+            gene_counts: self.counter.map(GeneCounter::finish),
+            junctions: self.junctions.map(JunctionCollector::finish),
+            alignments: self.kept,
+            phase_work: self.phase_work,
+            wall_secs: self.started.elapsed().as_secs_f64(),
+        }
+    }
+}
+
 /// The run driver, borrowing an index for its lifetime.
 pub struct Runner<'i> {
     index: &'i StarIndex,
@@ -205,6 +388,14 @@ impl<'i> Runner<'i> {
         &self.config
     }
 
+    fn driver<'a>(
+        &'a self,
+        monitor: Option<&'a dyn RunMonitor>,
+        cancel: Option<&'a CancelToken>,
+    ) -> BatchDriver<'a> {
+        BatchDriver { pool: &self.pool, batch_size: self.config.batch_size, monitor, cancel }
+    }
+
     /// Align all `reads`, consulting `monitor` between batches and `cancel` at batch
     /// boundaries. `annotation` is required when `quant` is enabled.
     pub fn run(
@@ -214,7 +405,7 @@ impl<'i> Runner<'i> {
         monitor: Option<&dyn RunMonitor>,
         cancel: Option<&CancelToken>,
     ) -> Result<RunOutput, StarError> {
-        self.run_impl(reads, annotation, monitor, cancel, None)
+        self.run_from(reads, annotation, None, self.driver(monitor, cancel))
     }
 
     /// Resume a run from a checkpoint taken at a cancellation: skip the
@@ -256,203 +447,64 @@ impl<'i> Runner<'i> {
                 "checkpoint junction state does not match the run configuration".into(),
             ));
         }
-        self.run_impl(reads, annotation, monitor, cancel, Some(checkpoint))
+        self.run_from(reads, annotation, Some(checkpoint), self.driver(monitor, cancel))
     }
 
-    fn run_impl(
+    fn run_from(
         &self,
         reads: &[FastqRecord],
         annotation: Option<&Annotation>,
-        monitor: Option<&dyn RunMonitor>,
-        cancel: Option<&CancelToken>,
         resume: Option<&AlignCheckpoint>,
+        driver: BatchDriver<'_>,
     ) -> Result<RunOutput, StarError> {
-        if self.config.quant && annotation.is_none() {
-            return Err(StarError::InvalidParams("quant mode requires an annotation".into()));
-        }
-        let started = Instant::now();
-        let skip = resume.map_or(0, |c| c.reads_processed as usize);
+        let mut tally = Tally::new(&self.config, annotation, resume)?;
+        let total = reads.len() as u64;
         let progress = match resume {
             Some(c) => ProgressStats::with_initial(
-                reads.len() as u64,
+                total,
                 c.reads_processed,
                 c.unique,
                 c.multi,
                 c.too_many,
                 c.unmapped,
             ),
-            None => ProgressStats::new(reads.len() as u64),
+            None => ProgressStats::new(total),
         };
         let aligner = Aligner::new(self.index, self.align_params.clone());
-        let mut counter = match (
-            annotation.filter(|_| self.config.quant),
-            resume.and_then(|c| c.gene_counts.as_ref()),
-        ) {
-            (Some(ann), Some(saved)) => Some(GeneCounter::restore(ann, saved)?),
-            (Some(ann), None) => Some(GeneCounter::new(ann)),
-            (None, _) => None,
-        };
-        let mut junction_collector =
-            self.config.collect_junctions.then(JunctionCollector::new);
-        if let (Some(collector), Some(rows)) =
-            (junction_collector.as_mut(), resume.and_then(|c| c.junctions.as_deref()))
-        {
-            collector.absorb_rows(rows);
-        }
-        let mut history = Vec::new();
-        let mut kept: Vec<AlignmentRecord> = Vec::new();
-        let mut phase_work = PhaseWork::default();
-        let mut status = RunStatus::Completed;
-        // Records are only materialized when a downstream consumer exists; pure
-        // mapping-rate runs skip building them (and every allocation they imply).
-        let want_record =
-            counter.is_some() || junction_collector.is_some() || self.config.record_alignments;
-
-        'batches: for batch in reads[skip..].chunks(self.config.batch_size) {
-            if let Some(tok) = cancel {
-                if tok.is_cancelled() {
-                    status = RunStatus::Cancelled { processed_reads: progress.snapshot().processed };
-                    break 'batches;
-                }
-            }
-            // Parallel alignment of the batch on the shared pool.
-            let outcomes: Vec<(MapClass, Option<AlignmentRecord>, PhaseWork)> =
-                self.pool.install(|| {
-                    batch
-                        .par_iter()
-                        .map(|read| {
-                            let out = aligner.align_read_lean(read, want_record);
-                            (out.class, out.primary, out.work)
-                        })
-                        .collect()
-                });
-            // Sequential accounting (cheap relative to alignment). Read ids are
-            // attached here, and only to records that are actually kept.
-            for ((class, primary, work), read) in outcomes.into_iter().zip(batch) {
-                progress.record(class);
-                phase_work.add(&work);
-                if let Some(c) = counter.as_mut() {
-                    c.record(class, primary.as_ref());
-                }
-                if let Some(j) = junction_collector.as_mut() {
-                    j.record(class, primary.as_ref());
-                }
-                if self.config.record_alignments {
-                    if let Some(mut rec) = primary {
-                        if class.is_mapped() {
-                            rec.read_id = read.id.clone();
-                            kept.push(rec);
-                        }
-                    }
-                }
-            }
-            let snap = progress.snapshot();
-            history.push(snap);
-            if let Some(m) = monitor {
-                if m.on_progress(&snap) == MonitorVerdict::Abort {
-                    status = RunStatus::EarlyStopped { processed_reads: snap.processed };
-                    break 'batches;
-                }
-            }
-        }
-
-        let final_snapshot = progress.snapshot();
-        Ok(RunOutput {
-            status,
-            final_log: FinalLog::from_snapshot(&final_snapshot),
-            final_snapshot,
-            history,
-            gene_counts: counter.map(GeneCounter::finish),
-            junctions: junction_collector.map(JunctionCollector::finish),
-            alignments: if self.config.record_alignments { Some(kept) } else { None },
-            phase_work,
-            wall_secs: started.elapsed().as_secs_f64(),
-        })
+        let materialize = tally.wants_records();
+        let driven = driver.drive(
+            reads,
+            &progress,
+            |read| with_thread_scratch(|s| aligner.align_seq_with(&read.seq, s, materialize)),
+            |read, out| tally.single(read, out),
+        );
+        Ok(tally.finish(driven))
     }
 
     /// Align read *pairs* (fragments are the progress/counting unit, matching how
     /// STAR reports paired libraries). Same batching, monitoring and cancellation
     /// semantics as [`Runner::run`].
-    pub fn run_pairs(
+    pub fn run_pairs<P: MatePair>(
         &self,
-        pairs: &[(FastqRecord, FastqRecord)],
+        pairs: &[P],
         annotation: Option<&Annotation>,
         monitor: Option<&dyn RunMonitor>,
         cancel: Option<&CancelToken>,
     ) -> Result<RunOutput, StarError> {
-        if self.config.quant && annotation.is_none() {
-            return Err(StarError::InvalidParams("quant mode requires an annotation".into()));
-        }
-        let started = Instant::now();
+        let mut tally = Tally::new(&self.config, annotation, None)?;
         let progress = ProgressStats::new(pairs.len() as u64);
         let aligner = Aligner::new(self.index, self.align_params.clone());
-        let mut counter = annotation.filter(|_| self.config.quant).map(GeneCounter::new);
-        let mut junction_collector = self.config.collect_junctions.then(JunctionCollector::new);
-        let mut history = Vec::new();
-        let mut kept: Vec<AlignmentRecord> = Vec::new();
-        let mut phase_work = PhaseWork::default();
-        let mut status = RunStatus::Completed;
-        let want_record =
-            counter.is_some() || junction_collector.is_some() || self.config.record_alignments;
-
-        'batches: for batch in pairs.chunks(self.config.batch_size) {
-            if let Some(tok) = cancel {
-                if tok.is_cancelled() {
-                    status = RunStatus::Cancelled { processed_reads: progress.snapshot().processed };
-                    break 'batches;
-                }
-            }
-            let outcomes: Vec<crate::pair::PairOutcome> = self.pool.install(|| {
-                batch
-                    .par_iter()
-                    .map(|(r1, r2)| {
-                        aligner.align_pair_lean(r1, r2, &crate::pair::PairParams::default(), want_record)
-                    })
-                    .collect()
-            });
-            for (out, (r1, r2)) in outcomes.into_iter().zip(batch) {
-                progress.record(out.class);
-                phase_work.add(&out.work);
-                if let Some(c) = counter.as_mut() {
-                    c.record_pair(out.class, out.rec1.as_ref(), out.rec2.as_ref());
-                }
-                if let Some(j) = junction_collector.as_mut() {
-                    j.record(out.class, out.rec1.as_ref());
-                    j.record(out.class, out.rec2.as_ref());
-                }
-                if self.config.record_alignments && out.class.is_mapped() {
-                    if let Some(mut rec) = out.rec1 {
-                        rec.read_id = r1.id.clone();
-                        kept.push(rec);
-                    }
-                    if let Some(mut rec) = out.rec2 {
-                        rec.read_id = r2.id.clone();
-                        kept.push(rec);
-                    }
-                }
-            }
-            let snap = progress.snapshot();
-            history.push(snap);
-            if let Some(m) = monitor {
-                if m.on_progress(&snap) == MonitorVerdict::Abort {
-                    status = RunStatus::EarlyStopped { processed_reads: snap.processed };
-                    break 'batches;
-                }
-            }
-        }
-
-        let final_snapshot = progress.snapshot();
-        Ok(RunOutput {
-            status,
-            final_log: FinalLog::from_snapshot(&final_snapshot),
-            final_snapshot,
-            history,
-            gene_counts: counter.map(GeneCounter::finish),
-            junctions: junction_collector.map(JunctionCollector::finish),
-            alignments: if self.config.record_alignments { Some(kept) } else { None },
-            phase_work,
-            wall_secs: started.elapsed().as_secs_f64(),
-        })
+        let (insert, materialize) = (PairParams::default(), tally.wants_records());
+        let driven = self.driver(monitor, cancel).drive(
+            pairs,
+            &progress,
+            |pair| {
+                let (r1, r2) = pair.mates();
+                with_thread_scratch(|s| aligner.align_pair_scratch(r1, r2, &insert, s, materialize))
+            },
+            |pair, out| tally.pair(pair.mates(), out),
+        );
+        Ok(tally.finish(driven))
     }
 
     /// A runner over `index` with this runner's (validated) alignment parameters, on
@@ -549,6 +601,69 @@ mod tests {
         .map(|r| r.fastq)
         .collect();
         (idx, ann, bulk, sc)
+    }
+
+    /// The driver alone, on a stub align function — no index, no reads: fragments
+    /// are numbers, "aligning" triples them, even ones "map". One case per exit.
+    #[test]
+    fn driver_completes_aborts_cancels_and_resumes() {
+        let pool = shared_pool(2).unwrap();
+        let frags: Vec<u32> = (0..25).collect();
+        let drive = |progress: ProgressStats,
+                     monitor: Option<&dyn RunMonitor>,
+                     cancel: Option<&CancelToken>| {
+            let mut seen = Vec::new();
+            let driver = BatchDriver { pool: &pool, batch_size: 10, monitor, cancel };
+            let driven = driver.drive(
+                &frags,
+                &progress,
+                |&n| n * 3,
+                |&n, tripled| {
+                    assert_eq!(tripled, n * 3, "each fragment meets its own outcome");
+                    seen.push(n);
+                    if n % 2 == 0 { MapClass::Unique } else { MapClass::Unmapped }
+                },
+            );
+            let boundaries: Vec<u64> = driven.history.iter().map(|s| s.processed).collect();
+            (driven, boundaries, seen)
+        };
+
+        // Completed: batches of 10, 10 and 5, accounted in input order.
+        let (whole, boundaries, seen) = drive(ProgressStats::new(25), None, None);
+        assert_eq!(whole.status, RunStatus::Completed);
+        assert_eq!(boundaries, [10, 20, 25]);
+        assert_eq!(seen, frags);
+        assert_eq!((whole.final_snapshot.unique, whole.final_snapshot.unmapped), (13, 12));
+
+        // Monitor abort at batch 2: nothing of batch 3 is aligned or accounted.
+        let abort_at_20 = |s: &ProgressSnapshot| {
+            if s.processed >= 20 { MonitorVerdict::Abort } else { MonitorVerdict::Continue }
+        };
+        let (stopped, boundaries, seen) = drive(ProgressStats::new(25), Some(&abort_at_20), None);
+        assert_eq!(stopped.status, RunStatus::EarlyStopped { processed_reads: 20 });
+        assert_eq!(boundaries, [10, 20]);
+        assert_eq!(seen.len(), 20);
+        assert_eq!(stopped.final_snapshot.processed, 20);
+
+        // Cancel before batch 2 (the token trips while batch 1 is being reported).
+        let token = CancelToken::new();
+        let trip = |_: &ProgressSnapshot| {
+            token.cancel();
+            MonitorVerdict::Continue
+        };
+        let (cancelled, boundaries, seen) = drive(ProgressStats::new(25), Some(&trip), Some(&token));
+        assert_eq!(cancelled.status, RunStatus::Cancelled { processed_reads: 10 });
+        assert_eq!(boundaries, [10]);
+        assert_eq!(seen, frags[..10]);
+
+        // Resume from an offset that is not a batch multiple: fragments 13.. only,
+        // batches re-cut from the offset, totals equal to the uninterrupted run's.
+        let at_13 = ProgressStats::with_initial(25, 13, 7, 0, 0, 6);
+        let (resumed, boundaries, seen) = drive(at_13, None, None);
+        assert_eq!(resumed.status, RunStatus::Completed);
+        assert_eq!(boundaries, [23, 25]);
+        assert_eq!(seen, frags[13..]);
+        assert_eq!((resumed.final_snapshot.unique, resumed.final_snapshot.unmapped), (13, 12));
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! `nM` mismatches). Unmapped reads emit flag-4 records like STAR's
 //! `--outSAMunmapped Within`.
 
-use crate::align::{cigar_string, AlignOutcome, AlignmentRecord, MapClass};
+use crate::align::{cigar_string, genome_span, AlignOutcome, AlignmentRecord};
 use crate::genome::PackedGenome;
 use crate::pair::PairOutcome;
+use crate::runner::MatePair;
 use crate::StarError;
 use genomics::FastqRecord;
 use std::collections::HashMap;
@@ -52,43 +53,43 @@ pub fn sam_header(genome: &PackedGenome, command_line: &str) -> String {
 /// (STAR's default `--outFilterMultimapNmax` behaviour), with the true hit count
 /// still visible in the `NH` tag of mapped records.
 pub fn sam_record(read: &FastqRecord, outcome: &AlignOutcome) -> String {
-    match (&outcome.class, &outcome.primary) {
-        (MapClass::Unique | MapClass::Multi(_), Some(rec)) => sam_mapped_record(read, rec),
-        _ => {
-            let qual_string: String =
-                read.qual.iter().map(|&q| (q.min(60) + 33) as char).collect();
-            let qual_field = if qual_string.is_empty() { "*".to_string() } else { qual_string };
-            format!(
-                "{}\t{}\t*\t0\t0\t*\t*\t0\t0\t{}\t{}\tuT:A:1",
-                read.id,
-                flags::UNMAPPED,
-                read.seq,
-                qual_field,
-            )
-        }
+    match outcome.primary.as_ref().filter(|_| outcome.is_mapped()) {
+        Some(rec) => sam_mapped_record(read, rec),
+        None => unmapped_line(read, flags::UNMAPPED),
     }
+}
+
+/// Phred+33 quality field (`*` when the read carries no qualities).
+fn qual_field(read: &FastqRecord) -> String {
+    if read.qual.is_empty() {
+        return "*".to_string();
+    }
+    read.qual.iter().map(|&q| (q.min(60) + 33) as char).collect()
+}
+
+/// SEQ field: SAM stores the sequence in reference orientation.
+fn seq_field(read: &FastqRecord, rec: &AlignmentRecord) -> String {
+    if rec.reverse { read.seq.reverse_complement().to_string() } else { read.seq.to_string() }
+}
+
+fn unmapped_line(read: &FastqRecord, flag: u16) -> String {
+    format!("{}\t{flag}\t*\t0\t0\t*\t*\t0\t0\t{}\t{}\tuT:A:1", read.id, read.seq, qual_field(read))
 }
 
 /// Render a mapped read's primary alignment as a SAM line (no trailing newline).
 /// The mapped arm of [`sam_record`], usable directly from the records a run
 /// keeps (`record_alignments`), where the outcome classification is implicit.
 pub fn sam_mapped_record(read: &FastqRecord, rec: &AlignmentRecord) -> String {
-    let qual_string: String = read.qual.iter().map(|&q| (q.min(60) + 33) as char).collect();
-    let qual_field = if qual_string.is_empty() { "*".to_string() } else { qual_string };
-    let flag = if rec.reverse { flags::REVERSE } else { 0 };
-    // SAM stores the sequence in reference orientation.
-    let seq =
-        if rec.reverse { read.seq.reverse_complement().to_string() } else { read.seq.to_string() };
     format!(
         "{}\t{}\t{}\t{}\t{}\t{}\t*\t0\t0\t{}\t{}\tNH:i:{}\tAS:i:{}\tnM:i:{}",
         read.id,
-        flag,
+        if rec.reverse { flags::REVERSE } else { 0 },
         rec.contig,
         rec.pos + 1, // SAM is 1-based
         rec.mapq,
         cigar_string(&rec.cigar),
-        seq,
-        qual_field,
+        seq_field(read, rec),
+        qual_field(read),
         rec.n_hits,
         rec.score,
         rec.mismatches,
@@ -105,50 +106,84 @@ pub fn sam_body(reads: &[FastqRecord], records: &[AlignmentRecord]) -> Result<St
     let by_id: HashMap<&str, &FastqRecord> = reads.iter().map(|r| (r.id.as_str(), r)).collect();
     let mut out = String::new();
     for rec in records {
-        let read = by_id.get(rec.read_id.as_str()).ok_or_else(|| {
-            StarError::InvalidParams(format!("alignment record for unknown read {:?}", rec.read_id))
-        })?;
+        let read = by_id.get(rec.read_id.as_str()).ok_or_else(|| unknown_read(rec))?;
         out.push_str(&sam_mapped_record(read, rec));
         out.push('\n');
     }
     Ok(out)
 }
 
-/// Render a mapped read pair as two SAM record lines.
+fn unknown_read(rec: &AlignmentRecord) -> StarError {
+    StarError::InvalidParams(format!("alignment record for unknown read {:?}", rec.read_id))
+}
+
+/// Render the whole `Aligned.out.sam` body of a single-end run from what that run
+/// kept: `reads` is its input and `kept` its `record_alignments` output (mapped
+/// reads only, input order), so walking the two together gives every read its line
+/// — the kept alignment, or a flag-4 record — without aligning anything twice.
+/// Byte-equal to `sam_record(read, &aligner.align_read(read))` per read. A kept
+/// record that matches no read in order is an error.
+pub fn sam_run_body(reads: &[FastqRecord], kept: &[AlignmentRecord]) -> Result<String, StarError> {
+    let mut kept = kept.iter().peekable();
+    let mut out = String::new();
+    for read in reads {
+        let line = match kept.next_if(|rec| rec.read_id == read.id) {
+            Some(rec) => sam_mapped_record(read, rec),
+            None => unmapped_line(read, flags::UNMAPPED),
+        };
+        out.push_str(&line);
+        out.push('\n');
+    }
+    kept.next().map_or(Ok(out), |rec| Err(unknown_read(rec)))
+}
+
+/// [`sam_run_body`] for a paired run: two lines per pair, from the mate records the
+/// run kept (both mates of every mapped pair, input order). Byte-equal to
+/// `sam_pair_records(r1, r2, &aligner.align_pair(r1, r2))` per pair.
+pub fn sam_run_pair_body<P: MatePair>(pairs: &[P], kept: &[AlignmentRecord]) -> Result<String, StarError> {
+    let (kept, odd) = kept.as_chunks::<2>();
+    if let Some(rec) = odd.first() {
+        return Err(unknown_read(rec));
+    }
+    let mut kept = kept.iter().peekable();
+    let mut out = String::new();
+    for pair in pairs {
+        let (r1, r2) = pair.mates();
+        let mates = kept.next_if(|[a, b]| a.read_id == r1.id && b.read_id == r2.id);
+        let (l1, l2) = pair_lines(r1, r2, mates.map(|[a, b]| (a, b)));
+        out.push_str(&l1);
+        out.push('\n');
+        out.push_str(&l2);
+        out.push('\n');
+    }
+    kept.next().map_or(Ok(out), |[rec, _]| Err(unknown_read(rec)))
+}
+
+/// Render a read pair's outcome as two SAM record lines.
 ///
 /// Unmapped pairs emit two flag-4 records (mate-unmapped set on both).
 pub fn sam_pair_records(r1: &FastqRecord, r2: &FastqRecord, outcome: &PairOutcome) -> (String, String) {
-    match (&outcome.rec1, &outcome.rec2) {
-        (Some(a), Some(b)) if outcome.is_mapped() => {
-            let tlen = outcome.insert_size.unwrap_or(0) as i64;
-            (
-                pair_line(r1, a, b, flags::FIRST, tlen),
-                pair_line(r2, b, a, flags::LAST, -tlen),
-            )
+    let mates = outcome.rec1.as_ref().zip(outcome.rec2.as_ref());
+    pair_lines(r1, r2, mates.filter(|_| outcome.is_mapped()))
+}
+
+fn pair_lines(
+    r1: &FastqRecord,
+    r2: &FastqRecord,
+    mates: Option<(&AlignmentRecord, &AlignmentRecord)>,
+) -> (String, String) {
+    match mates {
+        Some((a, b)) => {
+            (pair_line(r1, a, b, flags::FIRST), pair_line(r2, b, a, flags::LAST))
         }
-        _ => {
-            let unmapped = |read: &FastqRecord, which: u16| {
-                let qual: String = read.qual.iter().map(|&q| (q.min(60) + 33) as char).collect();
-                format!(
-                    "{}\t{}\t*\t0\t0\t*\t*\t0\t0\t{}\t{}\tuT:A:1",
-                    read.id,
-                    flags::PAIRED | flags::UNMAPPED | flags::MATE_UNMAPPED | which,
-                    read.seq,
-                    if qual.is_empty() { "*".to_string() } else { qual },
-                )
-            };
-            (unmapped(r1, flags::FIRST), unmapped(r2, flags::LAST))
+        None => {
+            let flag = flags::PAIRED | flags::UNMAPPED | flags::MATE_UNMAPPED;
+            (unmapped_line(r1, flag | flags::FIRST), unmapped_line(r2, flag | flags::LAST))
         }
     }
 }
 
-fn pair_line(
-    read: &FastqRecord,
-    rec: &AlignmentRecord,
-    mate: &AlignmentRecord,
-    which: u16,
-    tlen: i64,
-) -> String {
+fn pair_line(read: &FastqRecord, rec: &AlignmentRecord, mate: &AlignmentRecord, which: u16) -> String {
     let mut flag = flags::PAIRED | flags::PROPER_PAIR | which;
     if rec.reverse {
         flag |= flags::REVERSE;
@@ -156,11 +191,12 @@ fn pair_line(
     if mate.reverse {
         flag |= flags::MATE_REVERSE;
     }
-    let seq = if rec.reverse { read.seq.reverse_complement().to_string() } else { read.seq.to_string() };
-    let qual: String = read.qual.iter().map(|&q| (q.min(60) + 33) as char).collect();
     let rnext = if mate.contig == rec.contig { "=" } else { &*mate.contig };
-    // TLEN sign: positive for the leftmost mate.
-    let tlen = if rec.pos <= mate.pos { tlen.abs() } else { -tlen.abs() };
+    // TLEN: the outer fragment length, forward mate's start to reverse mate's end
+    // (what pairing accepted as the insert size); positive on the leftmost mate.
+    let (fwd, rev) = if rec.reverse { (mate, rec) } else { (rec, mate) };
+    let insert = (rev.pos + genome_span(&rev.cigar)).saturating_sub(fwd.pos) as i64;
+    let tlen = if rec.pos <= mate.pos { insert } else { -insert };
     format!(
         "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\tNH:i:{}\tAS:i:{}\tnM:i:{}",
         read.id,
@@ -172,8 +208,8 @@ fn pair_line(
         rnext,
         mate.pos + 1,
         tlen,
-        seq,
-        if qual.is_empty() { "*".to_string() } else { qual },
+        seq_field(read, rec),
+        qual_field(read),
         rec.n_hits,
         rec.score,
         rec.mismatches,

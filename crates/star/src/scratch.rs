@@ -61,6 +61,12 @@ pub(crate) struct ScratchCore {
 pub(crate) struct StitchScratch {
     /// Seeds re-sorted by genome position for window splitting.
     pub(crate) by_gpos: Vec<Seed>,
+    pub(crate) dp: WindowDp,
+}
+
+/// Per-window DP state (windows are slices of `by_gpos`, hence the separate struct).
+#[derive(Debug, Default)]
+pub(crate) struct WindowDp {
     /// Current window's seeds, sorted by (read_pos, gpos) for the DP.
     pub(crate) win: Vec<Seed>,
     pub(crate) best_cov: Vec<u32>,
@@ -118,6 +124,7 @@ impl CandSet {
     }
 
     /// Slot for the extender to fill in place; call [`CandSet::commit`] to keep it.
+    #[inline]
     pub(crate) fn slot(&mut self, is_rc: bool) -> &mut WindowAlignment {
         if self.len == self.pool.len() {
             self.pool.push((false, WindowAlignment::empty()));

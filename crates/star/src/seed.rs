@@ -18,11 +18,8 @@
 //! by the copy number.
 
 use crate::genome::Packed2;
-use crate::hashseed::HashSeedIndex;
-use crate::index::StarIndex;
-use crate::mmp::mmp_search_packed;
+use crate::mmp::{mmp_search_packed, SeedLayers};
 use crate::params::AlignParams;
-use crate::prefix::PrefixTable;
 
 /// One seed: an exact read↔genome match.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,59 +66,24 @@ pub struct SeedProbeScratch {
     fits: Vec<bool>,
 }
 
-/// Collect seeds for `read_codes` (already oriented; the caller runs this once per
-/// strand). Returns seeds sorted by `read_pos`. Convenience wrapper over
-/// [`collect_seeds_packed`] for callers without packed reads or reusable buffers.
-pub fn collect_seeds(index: &StarIndex, read_codes: &[u8], params: &AlignParams) -> Vec<Seed> {
-    let mut seeds = Vec::new();
-    collect_seeds_into(index, read_codes, params, &mut seeds);
-    seeds
-}
-
-/// Collect seeds into a caller-provided buffer (cleared first; capacity retained
-/// across reads so the steady state allocates nothing).
-pub fn collect_seeds_into(
-    index: &StarIndex,
-    read_codes: &[u8],
-    params: &AlignParams,
-    seeds: &mut Vec<Seed>,
-) {
-    collect_seeds_with(index, &[], read_codes, params, seeds);
-}
-
-/// [`collect_seeds_into`] accelerated by optional deeper prefix tables
-/// ([`PrefixTable::deepen`], deepest first); seeds are identical with or without
-/// them.
-pub fn collect_seeds_with(
-    index: &StarIndex,
-    deep: &[PrefixTable],
-    read_codes: &[u8],
-    params: &AlignParams,
-    seeds: &mut Vec<Seed>,
-) {
-    let q = Packed2::from_codes(read_codes);
-    let mut probe = SeedProbeScratch::default();
-    collect_seeds_packed(index, deep, None, &q, params, seeds, &mut probe);
-}
-
-/// The full seed collector over a packed read, with every acceleration layer:
-/// deeper prefix tables, an optional hash seeding index, and batched occurrence
-/// resolution through `probe`. Seeds are identical across all layer combinations.
-#[allow(clippy::too_many_arguments)]
+/// Collect seeds for one oriented, packed read (the caller runs this once per
+/// strand) into `seeds` (cleared first), sorted by `(read_pos, gpos)`. Occurrences
+/// are resolved in batches through `probe`; both buffers keep their capacity across
+/// reads so the steady state allocates nothing. Seeds are identical whichever
+/// `layers` start the MMP searches.
 pub fn collect_seeds_packed(
-    index: &StarIndex,
-    deep: &[PrefixTable],
-    hash: Option<&HashSeedIndex>,
+    layers: &SeedLayers<'_>,
     q: &Packed2,
     params: &AlignParams,
     seeds: &mut Vec<Seed>,
     probe: &mut SeedProbeScratch,
 ) {
+    let index = layers.index;
     seeds.clear();
     let mut from = 0usize;
     let genome = index.genome();
     while from < q.len() && seeds.len() < params.max_seeds_per_read {
-        let m = mmp_search_packed(index, deep, hash, q, from);
+        let m = mmp_search_packed(layers, q, from);
         if m.len == 0 {
             from += 1;
             continue;
@@ -177,6 +139,19 @@ pub fn collect_seeds_packed(
         from = m.start + m.len + 1;
     }
     seeds.sort_unstable_by_key(|s| (s.read_pos, s.gpos));
+}
+
+/// Seeds of unpacked `read_codes` through the index's base layers, on fresh buffers.
+#[cfg(test)]
+pub(crate) fn collect_seeds(
+    index: &crate::index::StarIndex,
+    read_codes: &[u8],
+    params: &AlignParams,
+) -> Vec<Seed> {
+    let mut seeds = Vec::new();
+    let q = Packed2::from_codes(read_codes);
+    collect_seeds_packed(&SeedLayers::base(index), &q, params, &mut seeds, &mut SeedProbeScratch::default());
+    seeds
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! scored by [`crate::extend`].
 
 use crate::params::AlignParams;
-use crate::scratch::{ChainPool, StitchScratch};
+use crate::scratch::{ChainPool, StitchScratch, WindowDp};
 use crate::seed::Seed;
 
 /// A collinear chain of seeds within one genomic window.
@@ -46,26 +46,17 @@ pub fn gap_compatible(a: &Seed, b: &Seed, max_intron: u64) -> bool {
     genome_gap >= read_gap && genome_gap - read_gap <= max_intron
 }
 
-/// Group seeds into windows and return the maximal chains of each window.
+/// Group seeds into windows and emit the maximal chains of each window into the
+/// pooled `out` (cleared first).
 ///
 /// Windows are built by sorting seeds by genome position and splitting where the gap
 /// between consecutive seeds exceeds `max_intron + read_len` (they could never be
 /// stitched). Within a window, a quadratic DP maximizes covered read bases; one chain
-/// is returned per DP *terminal* (a seed no better chain passes through), so
+/// is emitted per DP *terminal* (a seed no better chain passes through), so
 /// duplicated loci inside one window — e.g. a read hitting both a chromosome region
 /// and its scaffold copy — each produce their own candidate chain. Windows hold only
-/// a handful of seeds, so O(w²) is cheap.
-pub fn best_chains(seeds: &[Seed], read_len: usize, params: &AlignParams) -> Vec<Chain> {
-    let mut scratch = StitchScratch::default();
-    let mut pool = ChainPool::default();
-    best_chains_into(seeds, read_len, params, &mut scratch, &mut pool);
-    pool.chains.truncate(pool.len);
-    pool.chains
-}
-
-/// Allocation-free form of [`best_chains`]: windows and DP run on `scratch`'s
-/// buffers and chains are emitted into the pooled `out` (cleared first), so the
-/// steady state reuses every vector involved.
+/// a handful of seeds, so O(w²) is cheap. Allocation-free in the steady state:
+/// windowing and DP run on `scratch`'s buffers.
 pub(crate) fn best_chains_into(
     seeds: &[Seed],
     read_len: usize,
@@ -77,7 +68,7 @@ pub(crate) fn best_chains_into(
     if seeds.is_empty() {
         return;
     }
-    let StitchScratch { by_gpos, win, best_cov, prev, used_as_prev } = scratch;
+    let StitchScratch { by_gpos, dp } = scratch;
     by_gpos.clear();
     by_gpos.extend_from_slice(seeds);
     by_gpos.sort_unstable_by_key(|s| s.gpos);
@@ -86,25 +77,26 @@ pub(crate) fn best_chains_into(
     let mut win_start = 0usize;
     for i in 1..by_gpos.len() {
         if by_gpos[i].gpos.saturating_sub(by_gpos[i - 1].gend()) > split_gap {
-            chain_window(&by_gpos[win_start..i], params, win, best_cov, prev, used_as_prev, out);
+            chain_window(&by_gpos[win_start..i], params, dp, out);
             win_start = i;
         }
     }
-    chain_window(&by_gpos[win_start..], params, win, best_cov, prev, used_as_prev, out);
+    chain_window(&by_gpos[win_start..], params, dp, out);
+}
+
+/// [`best_chains_into`] on fresh buffers, returning owned chains.
+#[cfg(test)]
+pub(crate) fn best_chains(seeds: &[Seed], read_len: usize, params: &AlignParams) -> Vec<Chain> {
+    let mut pool = ChainPool::default();
+    best_chains_into(seeds, read_len, params, &mut StitchScratch::default(), &mut pool);
+    pool.chains.truncate(pool.len);
+    pool.chains
 }
 
 /// DP over one window: maximize covered read bases over gap-compatible chains and
 /// emit one chain per terminal (a seed no better chain passes through).
-#[allow(clippy::too_many_arguments)]
-fn chain_window(
-    window: &[Seed],
-    params: &AlignParams,
-    win: &mut Vec<Seed>,
-    best_cov: &mut Vec<u32>,
-    prev: &mut Vec<u32>,
-    used_as_prev: &mut Vec<bool>,
-    out: &mut ChainPool,
-) {
+fn chain_window(window: &[Seed], params: &AlignParams, dp: &mut WindowDp, out: &mut ChainPool) {
+    let WindowDp { win, best_cov, prev, used_as_prev } = dp;
     if window.is_empty() {
         return;
     }

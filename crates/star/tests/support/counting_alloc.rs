@@ -1,0 +1,69 @@
+//! Counting global allocator for the allocation-bound tests (`zero_alloc`,
+//! `hostile_index`, and `sra`'s `hostile_archive`, which includes this file by path).
+//!
+//! Wraps the system allocator; while a [`tracked`] closure runs it counts every
+//! `alloc`/`realloc` call and records the bytes requested. Tracking is process-wide,
+//! so a test binary that installs it holds a single `#[test]`. Each binary installs
+//! it itself: `#[global_allocator] static ALLOCATOR: CountingAlloc = CountingAlloc;`
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+
+pub struct CountingAlloc;
+
+static TRACKING: AtomicBool = AtomicBool::new(false);
+static CALLS: AtomicU64 = AtomicU64::new(0);
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+static TOTAL: AtomicUsize = AtomicUsize::new(0);
+
+fn note(bytes: usize) {
+    if TRACKING.load(Ordering::Relaxed) {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        LARGEST.fetch_max(bytes, Ordering::Relaxed);
+        TOTAL.fetch_add(bytes, Ordering::Relaxed);
+    }
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+/// What the allocator saw while a [`tracked`] closure ran.
+#[derive(Clone, Copy, Debug)]
+#[allow(dead_code)] // each including test reads the fields it bounds
+pub struct Allocations {
+    /// `alloc` + `realloc` calls.
+    pub calls: u64,
+    /// Largest single request, in bytes.
+    pub largest: usize,
+    /// Sum of all requests, in bytes.
+    pub total: usize,
+}
+
+/// Run `f` with tracking on and report what it asked the allocator for.
+pub fn tracked<R>(f: impl FnOnce() -> R) -> (R, Allocations) {
+    CALLS.store(0, Ordering::SeqCst);
+    LARGEST.store(0, Ordering::SeqCst);
+    TOTAL.store(0, Ordering::SeqCst);
+    TRACKING.store(true, Ordering::SeqCst);
+    let result = f();
+    TRACKING.store(false, Ordering::SeqCst);
+    let seen = Allocations {
+        calls: CALLS.load(Ordering::SeqCst),
+        largest: LARGEST.load(Ordering::SeqCst),
+        total: TOTAL.load(Ordering::SeqCst),
+    };
+    (result, seen)
+}

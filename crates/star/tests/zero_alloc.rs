@@ -1,44 +1,20 @@
 //! Steady-state allocation test for the per-read alignment hot path.
 //!
-//! A counting global allocator wraps the system allocator; after a warm-up pass
-//! grows the scratch buffers to their steady-state capacity, re-aligning the same
-//! reads must perform zero heap allocations. This is the property the pooled
+//! A counting global allocator (`support/counting_alloc.rs`) wraps the system
+//! allocator; after a warm-up pass grows the scratch buffers to their steady-state
+//! capacity, re-aligning the same reads must perform zero heap allocations. This is the property the pooled
 //! [`star_aligner::AlignScratch`] exists to provide — any regression that
 //! reintroduces a per-read `Vec`/`String` allocation fails this test.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::{tracked, CountingAlloc};
 use genomics::annotation::AnnotationParams;
 use genomics::{Annotation, EnsemblGenerator, EnsemblParams, LibraryType, ReadSimulator, Release, SimulatorParams};
 use star_aligner::align::Aligner;
 use star_aligner::index::{IndexParams, StarIndex};
 use star_aligner::{AlignParams, AlignScratch};
-
-struct CountingAlloc;
-
-static TRACKING: AtomicBool = AtomicBool::new(false);
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if TRACKING.load(Ordering::Relaxed) {
-            ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if TRACKING.load(Ordering::Relaxed) {
-            ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
@@ -72,14 +48,13 @@ fn steady_state_alignment_allocates_nothing() {
     assert!(warm_mapped > 200, "premise: most bulk reads map ({warm_mapped}/300)");
 
     // Steady state: the same workload must not touch the allocator.
-    ALLOC_CALLS.store(0, Ordering::SeqCst);
-    TRACKING.store(true, Ordering::SeqCst);
-    let mapped = reads
-        .iter()
-        .filter(|seq| aligner.align_seq_with(seq, &mut scratch, false).is_mapped())
-        .count();
-    TRACKING.store(false, Ordering::SeqCst);
-    let allocs = ALLOC_CALLS.load(Ordering::SeqCst);
+    let (mapped, seen) = tracked(|| {
+        reads
+            .iter()
+            .filter(|seq| aligner.align_seq_with(seq, &mut scratch, false).is_mapped())
+            .count()
+    });
+    let allocs = seen.calls;
 
     assert_eq!(mapped, warm_mapped, "tracked pass must reproduce the warm-up results");
     assert_eq!(allocs, 0, "steady-state alignment of 300 reads performed {allocs} heap allocations");

@@ -13,6 +13,8 @@ use genomics::{
     Annotation, Assembly, EnsemblGenerator, EnsemblParams, FastqRecord, LibraryType, ReadSimulator,
     Release, SimulatorParams,
 };
+use pseudo_aligner::pseudoalign::PseudoParams;
+use pseudo_aligner::{PseudoIndex, PseudoIndexParams, PseudoRunConfig, PseudoRunner};
 use sra_sim::accession::{CatalogParams, LibraryStrategy};
 use sra_sim::{FasterqDump, SraArchive, SraRepository};
 use star_aligner::align::AlignmentRecord;
@@ -230,6 +232,68 @@ fn runner_output_is_invariant_to_thread_count() {
     // that mapped in its first three batches.
     let kept_before_cut = (whole.history[2][2] + whole.history[2][3]) as usize;
     assert!(resumed.alignments.unwrap()[..] == whole.alignments.unwrap()[kept_before_cut..]);
+}
+
+/// The pseudoaligner runs the same batch loop (`BatchDriver`), so it owes the same
+/// invariance: status, final counters, history and every equivalence class.
+#[test]
+fn pseudo_runner_output_is_invariant_to_thread_count() {
+    let fx = fixture();
+    let index =
+        PseudoIndex::build(&fx.assembly, &fx.annotation, &PseudoIndexParams { k: 21 }).unwrap();
+    let run = |reads: &[FastqRecord], threads: usize, report_progress: bool| {
+        let config = PseudoRunConfig {
+            threads,
+            batch_size: 150,
+            report_progress,
+        };
+        let out = PseudoRunner::new(&index, PseudoParams::default(), config)
+            .unwrap()
+            .run(reads, Some(&paper_policy))
+            .unwrap();
+        let mut classes: Vec<(Vec<u32>, u64)> = out
+            .counts
+            .iter()
+            .map(|(set, n)| (set.to_vec(), n))
+            .collect();
+        classes.sort();
+        (
+            out.status,
+            counters(&out.final_snapshot),
+            out.history.iter().map(counters).collect::<Vec<_>>(),
+            classes,
+            out.counts.unmapped,
+        )
+    };
+
+    // Bulk reads run to completion: 1300 reads in 9 batches, the last one short.
+    let bulk = fx.reads(LibraryType::BulkPolyA, 3, 1_300);
+    let (status, last, history, classes, _) =
+        assert_invariant("pseudo bulk", |threads| run(&bulk, threads, true));
+    assert_eq!(status, RunStatus::Completed);
+    assert_eq!(history.len(), 9);
+    assert_eq!(history.last(), Some(&last));
+    assert!(classes.len() > 1, "bulk reads fall into several classes");
+
+    // Single-cell reads stop at the same batch boundary whatever the schedule...
+    let single_cell = fx.reads(LibraryType::SingleCell3Prime, 4, 1_500);
+    let (status, _, history, _, _) =
+        assert_invariant("pseudo early stop", |threads| run(&single_cell, threads, true));
+    assert_eq!(
+        status,
+        RunStatus::EarlyStopped {
+            processed_reads: 150
+        }
+    );
+    assert_eq!(history.len(), 1);
+
+    // ...and in stock-Salmon mode the same monitor is never consulted.
+    let (status, last, history, _, unmapped) =
+        assert_invariant("pseudo stock", |threads| run(&single_cell, threads, false));
+    assert_eq!(status, RunStatus::Completed);
+    assert!(history.is_empty());
+    assert_eq!(last[1], 1_500);
+    assert_eq!(unmapped, last[5]);
 }
 
 #[test]
