@@ -47,6 +47,15 @@ cargo build --release --offline --locked --manifest-path benchmarks/e2e/Cargo.to
 # then bench_compare benchmarks/baseline <fresh_dir>): wall-clock means from a
 # loaded CI box are not comparable to the pinned baseline.
 cargo build --release --offline -p atlas-bench --benches
+# Every criterion group named by a literal has a committed baseline, so a new group
+# cannot land unmeasured. (The cloud_campaign* / spot_recovery_* groups take their
+# names from a table; the --overhead gates below fail if their files are missing.)
+for group in $(grep -rhoE 'benchmark_group\("[A-Za-z0-9_]+"\)' crates/bench/benches | cut -d'"' -f2 | sort -u); do
+    if [ ! -f "benchmarks/baseline/BENCH_${group}.json" ]; then
+        echo "criterion group ${group} has no benchmarks/baseline/BENCH_${group}.json" >&2
+        exit 1
+    fi
+done
 cargo build --release --offline -p atlas-bench --bin bench_compare
 ./target/release/bench_compare benchmarks/baseline benchmarks/baseline
 # Monitor-overhead gate: the committed campaign baselines come from the

@@ -262,11 +262,13 @@ impl Resolution {
     ) -> Result<Vec<String>, AtlasError> {
         let dead: Vec<String> =
             dead_letters.iter().filter(|a| !self.is_completed(a)).cloned().collect();
-        debug_assert_eq!(
-            dead.iter().collect::<BTreeSet<_>>(),
-            self.dl_only.iter().collect::<BTreeSet<_>>(),
-            "maintained dead-letter set diverged from the queue's"
-        );
+        // An error, not a debug assertion: `done()` ended the run on `dl_only`'s
+        // count, so a divergence means a release campaign settled on a wrong one.
+        if !dead.iter().collect::<BTreeSet<_>>().into_iter().eq(&self.dl_only) {
+            return Err(AtlasError::Conservation(
+                "maintained dead-letter set diverged from the queue's".into(),
+            ));
+        }
         if let Some(a) = accessions.iter().find(|a| !self.is_completed(a) && !dead.contains(a)) {
             return Err(AtlasError::Conservation(format!(
                 "accession {a} neither completed nor dead-lettered"
@@ -619,6 +621,19 @@ mod tests {
         let ids = ["SRR1".to_string(), "SRR2".to_string()];
         assert!(r.conserve(&ids, &dlq).unwrap().is_empty());
         assert_eq!(r.completed().map(|(a, _)| a.as_str()).collect::<Vec<_>>(), ["SRR1", "SRR2"]);
+    }
+
+    #[test]
+    fn a_diverged_dead_letter_set_is_a_conservation_error() {
+        let mut r = Resolution::new(2);
+        r.complete("SRR1".into(), result("SRR1"));
+        let ids = ["SRR1".to_string(), "SRR2".to_string()];
+        // The queue dead-lettered SRR2 but the maintained set never absorbed it.
+        let dlq = vec!["SRR2".to_string()];
+        let err = r.conserve(&ids, &dlq).unwrap_err();
+        assert!(matches!(&err, AtlasError::Conservation(m) if m.contains("diverged")), "{err}");
+        r.absorb_dead_letters(&dlq);
+        assert_eq!(r.conserve(&ids, &dlq).unwrap(), dlq);
     }
 
     #[test]

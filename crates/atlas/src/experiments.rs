@@ -342,131 +342,6 @@ pub fn index_comparison(params: EnsemblParams) -> Result<IndexComparison, AtlasE
 }
 
 // ---------------------------------------------------------------------------
-// Hash-seeding tradeoff — the SNAP-style layer priced Fig. 3-style
-// ---------------------------------------------------------------------------
-
-/// One seed length's row in the hash-seeding index-size/speed tradeoff.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct HashTradeoffRow {
-    /// Fixed hash seed length `s`.
-    pub seed_len: usize,
-    /// Distinct `s`-mers in the genome (table entries).
-    pub distinct_seeds: usize,
-    /// Resident table bytes at ≤ 0.5 load.
-    pub table_bytes: usize,
-    /// Table bytes relative to the serialized release-111 index.
-    pub bytes_vs_index: f64,
-    /// Seed-collection nanoseconds per read with the hash layer enabled.
-    pub hash_ns_per_read: f64,
-    /// Speedup of the hash layer over the suffix-array path for this row.
-    pub speedup: f64,
-}
-
-/// The measured tradeoff plus its premises.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct HashTradeoffResult {
-    /// Seed-collection nanoseconds per read on the plain suffix-array path
-    /// (deep prefix tables only) — the common baseline for every row.
-    pub sa_ns_per_read: f64,
-    /// Serialized release-111 index bytes (the denominator of `bytes_vs_index`).
-    pub index_bytes: usize,
-    /// Reads timed per measurement.
-    pub n_reads: usize,
-    /// One row per seed length, ascending.
-    pub rows: Vec<HashTradeoffRow>,
-}
-
-/// Measure the index-size/speed frontier of the SNAP-style hash seeding layer:
-/// for each seed length `s`, the table's resident bytes against the
-/// seed-collection speedup it buys over the suffix-array path. Mirrors the
-/// paper's Fig. 3 pricing of index size against instance memory — the hash
-/// table is an *additional* footprint knob with the opposite sign (spend bytes,
-/// save time). Every configuration is differentially checked to produce
-/// identical seeds before it is timed.
-pub fn hash_seed_tradeoff(
-    params: EnsemblParams,
-    seed_lens: &[usize],
-) -> Result<HashTradeoffResult, AtlasError> {
-    use star_aligner::mmp::SeedLayers;
-    use star_aligner::seed::{collect_seeds_packed, Seed, SeedProbeScratch};
-    use star_aligner::{HashSeedIndex, Packed2};
-
-    let sub = Substrate::build(params)?;
-    let index = &sub.index_111;
-    let index_bytes = index.stats().total_bytes();
-    let mut sim = ReadSimulator::new(
-        &sub.asm_111,
-        &sub.annotation,
-        SimulatorParams::for_library(LibraryType::BulkPolyA),
-        17,
-    )
-    .map_err(star_aligner::StarError::Genomics)?;
-    let reads: Vec<Packed2> = sim
-        .simulate(512, "HT")
-        .into_iter()
-        .map(|r| Packed2::from_codes(r.fastq.seq.codes()))
-        .collect();
-    let align = AlignParams::default();
-    // The aligner's own layers; each cell swaps the hash table in or out.
-    let sa_layers = SeedLayers::for_params(index, &align);
-
-    // Min-of-rounds seed-collection time per read; machine-load spikes only
-    // ever slow a round down, so the minimum is the stable estimator.
-    let time_ns = |hash: Option<&HashSeedIndex>| -> f64 {
-        let layers = SeedLayers { hash, ..sa_layers };
-        let mut seeds = Vec::new();
-        let mut probe = SeedProbeScratch::default();
-        let mut best = f64::INFINITY;
-        for _ in 0..5 {
-            let started = Instant::now();
-            let mut total = 0usize;
-            for q in &reads {
-                collect_seeds_packed(&layers, q, &align, &mut seeds, &mut probe);
-                total += seeds.len();
-            }
-            assert!(total > 0, "premise: the workload must actually seed");
-            best = best.min(started.elapsed().as_secs_f64() * 1e9 / reads.len() as f64);
-        }
-        best
-    };
-
-    let collect_all = |hash: Option<&HashSeedIndex>| -> Vec<Vec<Seed>> {
-        let layers = SeedLayers { hash, ..sa_layers };
-        let mut seeds = Vec::new();
-        let mut probe = SeedProbeScratch::default();
-        reads
-            .iter()
-            .map(|q| {
-                collect_seeds_packed(&layers, q, &align, &mut seeds, &mut probe);
-                seeds.clone()
-            })
-            .collect()
-    };
-
-    let sa_seeds = collect_all(None);
-    let sa_ns_per_read = time_ns(None);
-    let mut rows = Vec::new();
-    for &s in seed_lens {
-        let hash = HashSeedIndex::build(index.sa(), index.genome().seq(), s);
-        assert_eq!(
-            collect_all(Some(&hash)),
-            sa_seeds,
-            "hash seeding (s={s}) must not change a single seed"
-        );
-        let hash_ns_per_read = time_ns(Some(&hash));
-        rows.push(HashTradeoffRow {
-            seed_len: s,
-            distinct_seeds: hash.distinct_seeds(),
-            table_bytes: hash.byte_size(),
-            bytes_vs_index: hash.byte_size() as f64 / index_bytes as f64,
-            hash_ns_per_read,
-            speedup: sa_ns_per_read / hash_ns_per_read,
-        });
-    }
-    Ok(HashTradeoffResult { sa_ns_per_read, index_bytes, n_reads: reads.len(), rows })
-}
-
-// ---------------------------------------------------------------------------
 // E3 / Fig. 4
 // ---------------------------------------------------------------------------
 

@@ -3,8 +3,8 @@
 
 use crate::analysis::CheckpointAnalysis;
 use crate::experiments::{
-    Fig3Result, Fig4Result, HashTradeoffResult, IndexComparison, PseudoStudyResult,
-    RightSizeComparison, SpotRecoveryArm, SpotRecoveryResult,
+    Fig3Result, Fig4Result, IndexComparison, PseudoStudyResult, RightSizeComparison,
+    SpotRecoveryArm, SpotRecoveryResult,
 };
 use crate::orchestrator::CampaignReport;
 use std::fmt::Write as _;
@@ -77,35 +77,6 @@ pub fn render_index_table(c: &IndexComparison) -> String {
     );
     let _ = writeln!(out, "{:<28} {:>14} {:>14}", "right-sized instance", c.instance_108, c.instance_111);
     let _ = writeln!(out, "size ratio 108/111: {:.2}  (paper: 85/29.5 = 2.88)", c.size_ratio);
-    out
-}
-
-/// Render the hash-seeding index-size/speed tradeoff table.
-pub fn render_hash_tradeoff(r: &HashTradeoffResult) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "Hash-seeding tradeoff — table bytes vs seed-collection speedup");
-    let _ = writeln!(
-        out,
-        "suffix-array path: {:.0} ns/read over {} reads; serialized index {} bytes",
-        r.sa_ns_per_read, r.n_reads, r.index_bytes
-    );
-    let _ = writeln!(
-        out,
-        "{:>3} {:>16} {:>14} {:>10} {:>12} {:>8}",
-        "s", "distinct s-mers", "table bytes", "vs index", "ns/read", "speedup"
-    );
-    for row in &r.rows {
-        let _ = writeln!(
-            out,
-            "{:>3} {:>16} {:>14} {:>9.2}x {:>12.0} {:>7.2}x",
-            row.seed_len,
-            row.distinct_seeds,
-            row.table_bytes,
-            row.bytes_vs_index,
-            row.hash_ns_per_read,
-            row.speedup
-        );
-    }
     out
 }
 

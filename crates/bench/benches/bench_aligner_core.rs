@@ -9,7 +9,7 @@ use genomics::{DnaSeq, LibraryType, ReadSimulator, SimulatorParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use star_aligner::align::Aligner;
-use star_aligner::mmp::{mmp_search, mmp_search_packed, SeedLayers};
+use star_aligner::mmp::{mmp_search_packed, SeedLayers};
 use star_aligner::sa::SuffixArray;
 use star_aligner::seed::{collect_seeds_packed, SeedProbeScratch};
 use star_aligner::{AlignParams, Packed2};
@@ -30,16 +30,20 @@ fn bench_suffix_array_build(c: &mut Criterion) {
 fn bench_mmp_search(c: &mut Criterion) {
     let sub = Substrate::build(ensembl_params(Scale::Test)).expect("substrate");
     let chrom = sub.asm_111.contig("1").expect("chromosome 1");
-    // Genomic 100-mers: every search runs to full depth.
-    let queries: Vec<Vec<u8>> =
-        (0..512).map(|i| chrom.seq.subseq(i * 97 % (chrom.len() - 100), i * 97 % (chrom.len() - 100) + 100).codes().to_vec()).collect();
+    // Genomic 100-mers: every search runs to full depth. Packed once outside the
+    // loop and started from the aligner's own layers, as the hot path does.
+    let queries: Vec<Packed2> = (0..512)
+        .map(|i| {
+            let at = i * 97 % (chrom.len() - 100);
+            Packed2::from_codes(chrom.seq.subseq(at, at + 100).codes())
+        })
+        .collect();
     let mut group = c.benchmark_group("mmp_search");
     group.throughput(Throughput::Elements(queries.len() as u64));
     for (label, index) in [("release_108", &sub.index_108), ("release_111", &sub.index_111)] {
         group.bench_with_input(BenchmarkId::from_parameter(label), index, |b, index| {
-            b.iter(|| {
-                queries.iter().map(|q| mmp_search(index, q, 0).len).sum::<usize>()
-            });
+            let layers = SeedLayers::full(index);
+            b.iter(|| queries.iter().map(|q| mmp_search_packed(&layers, q, 0).len).sum::<usize>());
         });
     }
     group.finish();
@@ -66,7 +70,7 @@ fn bench_seed_collection(c: &mut Criterion) {
     group.throughput(Throughput::Elements(reads.len() as u64));
     for (label, index) in [("release_108", &sub.index_108), ("release_111", &sub.index_111)] {
         group.bench_with_input(BenchmarkId::from_parameter(label), index, |b, index| {
-            let layers = SeedLayers::base(index);
+            let layers = SeedLayers::full(index);
             let mut seeds = Vec::new();
             let mut probe = SeedProbeScratch::default();
             b.iter(|| {
@@ -78,36 +82,6 @@ fn bench_seed_collection(c: &mut Criterion) {
                     })
                     .sum::<usize>()
             });
-        });
-    }
-    group.finish();
-}
-
-fn bench_hash_seed_lookup(c: &mut Criterion) {
-    // The SNAP-style layer's pitch: one hash probe replaces `s` rounds of
-    // suffix-array refinement at every seeding position. Same genomic 100-mers
-    // as the mmp_search group, packed once outside the loop (the hot path keeps
-    // reads packed), so the cells isolate the starting-layer cost alone.
-    let sub = Substrate::build(ensembl_params(Scale::Test)).expect("substrate");
-    let index = &sub.index_111;
-    let chrom = sub.asm_111.contig("1").expect("chromosome 1");
-    let queries: Vec<Packed2> = (0..512)
-        .map(|i| {
-            let at = i * 97 % (chrom.len() - 100);
-            Packed2::from_codes(chrom.seq.subseq(at, at + 100).codes())
-        })
-        .collect();
-    let sa_path = SeedLayers::base(index);
-    let hashed = SeedLayers { hash: Some(index.hash_seed(16)), ..sa_path };
-    // Premise outside the timed loop: the layers must agree on every MMP.
-    for q in &queries {
-        assert_eq!(mmp_search_packed(&hashed, q, 0).len, mmp_search_packed(&sa_path, q, 0).len);
-    }
-    let mut group = c.benchmark_group("hash_seed_lookup");
-    group.throughput(Throughput::Elements(queries.len() as u64));
-    for (label, layers) in [("sa_path", sa_path), ("hash_s16", hashed)] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &layers, |b, layers| {
-            b.iter(|| queries.iter().map(|q| mmp_search_packed(layers, q, 0).len).sum::<usize>());
         });
     }
     group.finish();
@@ -143,7 +117,6 @@ criterion_group!(
     bench_suffix_array_build,
     bench_mmp_search,
     bench_seed_collection,
-    bench_hash_seed_lookup,
     bench_align_by_read_class
 );
 criterion_main!(benches);

@@ -39,7 +39,7 @@ use telemetry::{MonitorConfig, SloConfig, SloRegistry};
 // these cells against each other at 2% tolerance, and a 30-accession campaign
 // (~40ms) is too short for even an interleaved min-of-rounds estimator to
 // resolve a 2% difference above scheduler noise. Campaign *scaling* is covered
-// by bench_fleet_campaign / bench_chaos_campaign; this bench prices observers.
+// by atlas-e2e's fleet_300k / fleet_chaos_100k workloads; this bench prices observers.
 const SIZES: [usize; 1] = [120];
 
 fn pipeline_fixture(sub: &Substrate, n_accessions: usize) -> (Arc<AtlasPipeline>, Vec<String>) {

@@ -10,9 +10,8 @@
 use atlas_bench::{ensembl_params, fig3_config, fig4_config, Scale};
 use atlas_pipeline::experiments::{
     checkpoint_analysis, cloud_campaign, fig3_genome_release, fig4_early_stopping,
-    hash_seed_tradeoff, index_comparison, pseudo_early_stopping, right_size_comparison,
-    spot_recovery, CampaignExperimentConfig, CheckpointAnalysisConfig, PseudoStudyConfig,
-    SpotRecoveryConfig,
+    index_comparison, pseudo_early_stopping, right_size_comparison, spot_recovery,
+    CampaignExperimentConfig, CheckpointAnalysisConfig, PseudoStudyConfig, SpotRecoveryConfig,
 };
 use atlas_pipeline::report;
 use sra_sim::accession::CatalogParams;
@@ -36,7 +35,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: experiments [--scale test|paper] <fig3|index-table|hash-tradeoff|fig4|checkpoint-analysis|cloud-campaign|right-size|spot-recovery|pseudo-early-stop|all>"
+                    "usage: experiments [--scale test|paper] <fig3|index-table|fig4|checkpoint-analysis|cloud-campaign|right-size|spot-recovery|pseudo-early-stop|all>"
                 );
                 return;
             }
@@ -51,7 +50,6 @@ fn main() {
         match cmd.as_str() {
             "fig3" => run_fig3(scale),
             "index-table" => run_index_table(scale),
-            "hash-tradeoff" => run_hash_tradeoff(scale),
             "fig4" => run_fig4(scale),
             "checkpoint-analysis" => run_checkpoint_analysis(scale),
             "cloud-campaign" => run_campaign(scale),
@@ -61,7 +59,6 @@ fn main() {
             "all" => {
                 run_fig3(scale);
                 run_index_table(scale);
-                run_hash_tradeoff(scale);
                 run_fig4(scale);
                 run_checkpoint_analysis(scale);
                 run_campaign(scale);
@@ -97,14 +94,6 @@ fn run_index_table(scale: Scale) {
     match index_comparison(ensembl_params(scale)) {
         Ok(c) => print!("{}", report::render_index_table(&c)),
         Err(e) => eprintln!("index-table failed: {e}"),
-    }
-}
-
-fn run_hash_tradeoff(scale: Scale) {
-    banner("Hash-seeding tradeoff — table bytes vs seed-collection speedup");
-    match hash_seed_tradeoff(ensembl_params(scale), &[12, 14, 16, 18, 20]) {
-        Ok(r) => print!("{}", report::render_hash_tradeoff(&r)),
-        Err(e) => eprintln!("hash-tradeoff failed: {e}"),
     }
 }
 

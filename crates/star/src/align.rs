@@ -246,8 +246,7 @@ fn mapq_for(n_hits: u32) -> u8 {
 
 /// The per-read aligner, borrowing an index.
 pub struct Aligner<'i> {
-    /// The index and the runtime-only seed-start layers cached on it (deep prefix
-    /// tables; the hash table when [`AlignParams::use_hash_seed`] is set). Never
+    /// The index and the runtime-only deep prefix tables cached on it. Never
     /// serialized, never change a search result.
     layers: SeedLayers<'i>,
     params: AlignParams,
@@ -261,7 +260,7 @@ impl<'i> Aligner<'i> {
         params.validate().expect("invalid alignment parameters");
         let contig_names =
             index.genome().spans().iter().map(|s| Arc::from(s.name.as_str())).collect();
-        Aligner { layers: SeedLayers::for_params(index, &params), params, contig_names }
+        Aligner { layers: SeedLayers::full(index), params, contig_names }
     }
 
     /// The parameters in use.

@@ -200,7 +200,7 @@ impl AlignCheckpoint {
             let mm = fields(lines.next(), 2, "multimapping")?;
             let unm = fields(lines.next(), 2, "unmapped")?;
             let genes = fields(lines.next(), 2, "genes")?;
-            let n_genes: usize = parse(&genes[1], "gene count")?;
+            let n_genes = row_count(&genes[1], &lines, "gene count")?;
             let mut gene_ids = Vec::with_capacity(n_genes);
             let mut counts = Vec::with_capacity(n_genes);
             for _ in 0..n_genes {
@@ -234,7 +234,7 @@ impl AlignCheckpoint {
             return Err(StarError::CorruptIndex("expected junctions line".into()));
         }
         if junctions[1] != "0" {
-            let n: usize = parse(&junctions[1], "junction count")?;
+            let n = row_count(&junctions[1], &lines, "junction count")?;
             let mut rows = Vec::with_capacity(n);
             for _ in 0..n {
                 let j = fields(lines.next(), 8, "junction row")?;
@@ -303,6 +303,20 @@ fn fields(line: Option<&str>, want: usize, what: &str) -> Result<Vec<String>, St
 
 fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, StarError> {
     s.parse().map_err(|_| StarError::CorruptIndex(format!("unparseable {what}: {s:?}")))
+}
+
+/// A row count as the blob states it, refused before anything is allocated on its
+/// say-so unless the body still has that many lines for the rows to come from (the
+/// checksum is no defence: whoever writes the count can recompute the trailer).
+fn row_count(s: &str, lines: &std::str::Lines<'_>, what: &str) -> Result<usize, StarError> {
+    let n: usize = parse(s, what)?;
+    let left = lines.clone().count();
+    if n > left {
+        return Err(StarError::CorruptIndex(format!(
+            "checkpoint {what} {n} exceeds the {left} lines that follow"
+        )));
+    }
+    Ok(n)
 }
 
 #[cfg(test)]

@@ -7,7 +7,6 @@
 //! instance initialization.
 
 use crate::genome::{ContigSpan, Packed2, PackedGenome};
-use crate::hashseed::HashSeedIndex;
 use crate::prefix::PrefixTable;
 use crate::sa::SuffixArray;
 use crate::sjdb::SpliceJunctionDb;
@@ -66,9 +65,6 @@ pub struct StarIndex {
     /// first use and cached for the index's lifetime. Not part of the on-disk
     /// format ([`StarIndex::serialize`] skips it) and excluded from [`IndexStats`].
     deep: std::sync::OnceLock<Vec<PrefixTable>>,
-    /// SNAP-style hash seeding table ([`crate::AlignParams::use_hash_seed`]),
-    /// built lazily for one seed length and cached. Runtime-only, like `deep`.
-    hash: std::sync::OnceLock<HashSeedIndex>,
     /// Assembly name recorded for provenance (e.g. `"GRCh38-sim"`).
     pub assembly_name: String,
     /// Ensembl release the source assembly came from.
@@ -101,7 +97,6 @@ impl StarIndex {
             prefix,
             sjdb,
             deep: std::sync::OnceLock::new(),
-            hash: std::sync::OnceLock::new(),
             assembly_name: assembly.name.clone(),
             release: assembly.release,
         })
@@ -134,18 +129,6 @@ impl StarIndex {
     pub fn deep_prefix(&self) -> &[PrefixTable] {
         self.deep
             .get_or_init(|| PrefixTable::deepen(&self.sa, &self.genome.unpack(), self.prefix.k()))
-    }
-
-    /// The SNAP-style hash seeding table for seed length `s`, built on first call
-    /// and cached for the index's lifetime. One table per index: every aligner
-    /// sharing the index must request the same `s` (enforced by assertion) — in
-    /// practice the length comes from one [`crate::AlignParams`] per run. Like the
-    /// deep prefix tables it is runtime-only and changes no search result
-    /// ([`HashSeedIndex`] module docs give the argument).
-    pub fn hash_seed(&self, s: usize) -> &HashSeedIndex {
-        let h = self.hash.get_or_init(|| HashSeedIndex::build(&self.sa, self.genome.seq(), s));
-        assert_eq!(h.seed_len(), s, "index hash-seed table already built for another length");
-        h
     }
 
     /// Clone this index with additional sjdb junctions (global coordinates) — the
@@ -281,7 +264,6 @@ impl StarIndex {
             prefix,
             sjdb: SpliceJunctionDb::from_raw(pairs),
             deep: std::sync::OnceLock::new(),
-            hash: std::sync::OnceLock::new(),
             assembly_name,
             release,
         })

@@ -12,10 +12,9 @@
 //! * [`index`] — [`index::StarIndex`]: everything above bundled, with byte-accurate
 //!   size accounting (the 85 GiB vs 29.5 GiB comparison of the paper's §III-A) and
 //!   (de)serialization.
-//! * [`mmp`] — Maximal Mappable Prefix search, STAR's seed-discovery primitive.
-//! * [`hashseed`] — optional SNAP-style fixed-length hash seeding table
-//!   ([`params::AlignParams::use_hash_seed`]): trades index memory for seed-lookup
-//!   speed without changing a single alignment.
+//! * [`mmp`] — Maximal Mappable Prefix search, STAR's seed-discovery primitive;
+//!   [`mmp::SeedLayers`] is the one ordered list of prefix tables a search may
+//!   start from.
 //! * [`seed`] / [`stitch`] / [`extend`] — seed collection, windowing/stitching into
 //!   collinear chains (introns allowed), and mismatch-scored extension to a full-read
 //!   alignment with soft clips.
@@ -63,7 +62,6 @@ pub mod checkpoint;
 pub mod error;
 pub mod extend;
 pub mod genome;
-pub mod hashseed;
 pub mod index;
 pub mod junctions;
 pub mod logs;
@@ -85,7 +83,6 @@ pub use align::{AlignOutcome, Aligner, AlignmentRecord, CigarOp, MapClass, Phase
 pub use checkpoint::AlignCheckpoint;
 pub use error::StarError;
 pub use genome::Packed2;
-pub use hashseed::HashSeedIndex;
 pub use index::{IndexParams, IndexStats, StarIndex};
 pub use pair::{PairOutcome, PairParams};
 pub use params::AlignParams;

@@ -2,18 +2,16 @@
 //!
 //! The MMP of a read position `p` is the longest read substring starting at `p` that
 //! occurs anywhere in the genome (Dobin et al. 2013, Fig. 1). It is found by interval
-//! refinement on the suffix array, accelerated by up to three O(1) starting layers,
-//! deepest first: an optional SNAP-style [`HashSeedIndex`] (fixed `s`-mer hash), the
-//! runtime-only deep prefix tables, and the serialized base prefix table. All layers
-//! address buckets by the LSB-first packed k-mer value, which a packed query yields
-//! with one [`Packed2::word_from`] and a mask — no per-base repacking. The search
-//! stops at the first base that empties the interval; small intervals finish with
-//! word-at-a-time direct extension (32 bases per compare).
+//! refinement on the suffix array, started from one ordered list of O(1) prefix
+//! tables ([`SeedLayers`]), deepest first: the runtime-only deep tables, then the
+//! serialized base table. Every table addresses buckets by the LSB-first packed
+//! k-mer value, which a packed query yields with one [`Packed2::word_from`] and a
+//! mask — no per-base repacking. The search stops at the first base that empties
+//! the interval; small intervals finish with word-at-a-time direct extension
+//! (32 bases per compare).
 
 use crate::genome::{common_prefix_len, Packed2};
-use crate::hashseed::HashSeedIndex;
 use crate::index::StarIndex;
-use crate::params::AlignParams;
 use crate::prefix::PrefixTable;
 use crate::sa::SaInterval;
 
@@ -43,105 +41,72 @@ impl Mmp {
 /// scaffold-duplicated genome inflates.
 const DIRECT_EXTEND_MAX_INTERVAL: u32 = 16;
 
-/// Where an MMP search may start: the index plus the runtime-only acceleration
-/// layers above its base prefix table. Built once per [`crate::Aligner`]
-/// ([`SeedLayers::for_params`]) and borrowed down through seed collection into
-/// [`mmp_search_packed`]; the fields are public so benches and experiments can pick
-/// layers by hand. No combination changes a search result.
+/// Where an MMP search may start: the index plus the runtime-only prefix tables
+/// deeper than its base table. Built once per [`crate::Aligner`]
+/// ([`SeedLayers::full`]) and borrowed down through seed collection into
+/// [`mmp_search_packed`]. No choice of tables changes a search result.
 #[derive(Clone, Copy, Debug)]
 pub struct SeedLayers<'i> {
     /// The index: genome, suffix array and the serialized base prefix table.
     pub index: &'i StarIndex,
     /// Deeper prefix tables ([`PrefixTable::deepen`]), deepest first.
     pub deep: &'i [PrefixTable],
-    /// SNAP-style fixed `s`-mer hash table, tried before every prefix table.
-    pub hash: Option<&'i HashSeedIndex>,
 }
 
 impl<'i> SeedLayers<'i> {
-    /// The serialized index alone: no deep tables, no hash table.
-    pub fn base(index: &'i StarIndex) -> SeedLayers<'i> {
-        SeedLayers { index, deep: &[], hash: None }
+    /// The serialized index alone, no deep tables: a start no aligner uses, kept as
+    /// the reference the deep tables are checked against.
+    #[cfg(test)]
+    pub(crate) fn base(index: &'i StarIndex) -> SeedLayers<'i> {
+        SeedLayers { index, deep: &[] }
     }
 
-    /// The layers an aligner with `params` searches through: the index's cached deep
-    /// prefix tables, plus its hash table when [`AlignParams::use_hash_seed`] is set.
-    pub fn for_params(index: &'i StarIndex, params: &AlignParams) -> SeedLayers<'i> {
-        let hash = params.use_hash_seed.then(|| index.hash_seed(params.hash_seed_len));
-        SeedLayers { index, deep: index.deep_prefix(), hash }
+    /// The layers an aligner searches through: the index with its cached deep
+    /// prefix tables ([`StarIndex::deep_prefix`]).
+    pub fn full(index: &'i StarIndex) -> SeedLayers<'i> {
+        SeedLayers { index, deep: index.deep_prefix() }
     }
 }
 
-/// Find the MMP of `pattern[from..]` against the index's base layers. Convenience
-/// form that packs the pattern; the hot path keeps reads packed and calls
-/// [`mmp_search_packed`] directly.
-pub fn mmp_search(index: &StarIndex, pattern: &[u8], from: usize) -> Mmp {
+/// The MMP of unpacked `pattern[from..]`, started from [`SeedLayers::base`].
+#[cfg(test)]
+pub(crate) fn mmp_search(index: &StarIndex, pattern: &[u8], from: usize) -> Mmp {
     mmp_search_packed(&SeedLayers::base(index), &Packed2::from_codes(pattern), from)
 }
 
 /// The full MMP search over a packed query.
 ///
-/// Starting layers are tried deepest-first: `hash` (fixed `s`-mer bucket), each
-/// table in `deep`, then the index's base prefix table; a layer is skipped when
-/// fewer than its depth bases remain or its bucket is empty. Results are identical
-/// whichever layer starts the search: a depth-`d` bucket *is* the interval that
-/// refinement from the root reaches at depth `d` (and an empty bucket means the MMP
-/// is shorter than `d`, which the shallower layers resolve exactly).
+/// Starting tables are tried deepest-first: each table in `deep`, then the index's
+/// base prefix table; a table is skipped when fewer than its depth bases remain or
+/// its bucket is empty. Results are identical whichever table starts the search: a
+/// depth-`d` bucket *is* the interval that refinement from the root reaches at
+/// depth `d` (and an empty bucket means the MMP is shorter than `d`, which the
+/// shallower tables resolve exactly).
 pub fn mmp_search_packed(layers: &SeedLayers<'_>, q: &Packed2, from: usize) -> Mmp {
-    let SeedLayers { index, deep, hash } = *layers;
+    let SeedLayers { index, deep } = *layers;
     let seq = index.genome().seq();
     let sa = index.sa();
     let remaining = q.len() - from;
     if remaining == 0 {
         return Mmp { start: from, len: 0, interval: SaInterval { lo: 0, hi: 0 } };
     }
-    // One unaligned fetch covers every layer's probe: depths are ≤ 31 bases.
+    // One unaligned fetch covers every table's probe: depths are ≤ 31 bases.
     let w = q.word_from(from);
 
-    let mut iv = SaInterval { lo: 0, hi: 0 };
+    // When no table hits (the query is shorter than every depth, or its prefix is
+    // absent), refinement from the root finds the exact stopping point.
+    let mut iv = sa.full();
     let mut depth = 0;
-    let mut hit = false;
-    if let Some(h) = hash {
-        let s = h.seed_len();
-        if remaining >= s {
-            let bucket = h.lookup_value(w & ((1u64 << (2 * s)) - 1));
+    for table in deep.iter().chain([index.prefix()]) {
+        let d = table.k();
+        if remaining >= d {
+            let bucket = table.lookup_value((w & ((1u64 << (2 * d)) - 1)) as usize);
             if !bucket.is_empty() {
                 iv = bucket;
-                depth = s;
-                hit = true;
+                depth = d;
+                break;
             }
         }
-    }
-    if !hit {
-        for layer in deep {
-            let d = layer.k();
-            if remaining >= d {
-                let bucket = layer.lookup_value((w & ((1u64 << (2 * d)) - 1)) as usize);
-                if !bucket.is_empty() {
-                    iv = bucket;
-                    depth = d;
-                    hit = true;
-                    break;
-                }
-            }
-        }
-    }
-    if !hit {
-        let k = index.prefix().k();
-        if remaining >= k {
-            let bucket = index.prefix().lookup_value((w & ((1u64 << (2 * k)) - 1)) as usize);
-            if !bucket.is_empty() {
-                iv = bucket;
-                depth = k;
-                hit = true;
-            }
-        }
-    }
-    if !hit {
-        // Either the query is shorter than every layer's depth, or its prefix is
-        // absent: refine from the root to find the exact stopping point.
-        iv = sa.full();
-        depth = 0;
     }
 
     let mut best = Mmp { start: from, len: depth, interval: iv };
@@ -322,45 +287,6 @@ mod tests {
             let layers = SeedLayers { deep: &deep, ..SeedLayers::base(&idx) };
             let fast = mmp_search_packed(&layers, &Packed2::from_codes(q.codes()), 0);
             assert_eq!(plain, fast, "query {q}");
-        }
-    }
-
-    #[test]
-    fn hash_layer_never_changes_results() {
-        use crate::hashseed::HashSeedIndex;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(4321);
-        let text_seq = DnaSeq::random(&mut rng, 5000);
-        let text = text_seq.to_string();
-        let idx = index_of(&text);
-        for s in [10usize, 16, 24] {
-            let hash = HashSeedIndex::build(idx.sa(), idx.genome().seq(), s);
-            for i in 0..300 {
-                let q = match i % 3 {
-                    0 => {
-                        let len = rng.gen_range(1..80usize);
-                        DnaSeq::random(&mut rng, len)
-                    }
-                    1 => {
-                        let st = rng.gen_range(0..text.len() - 80);
-                        text[st..st + rng.gen_range(1..80usize)].parse::<DnaSeq>().unwrap()
-                    }
-                    _ => {
-                        let st = rng.gen_range(0..text.len() - 80);
-                        let mut codes =
-                            text[st..st + 60].parse::<DnaSeq>().unwrap().codes().to_vec();
-                        let flip = rng.gen_range(0..codes.len());
-                        codes[flip] = (codes[flip] + rng.gen_range(1..4u8)) % 4;
-                        DnaSeq::from_codes(codes)
-                    }
-                };
-                let packed = Packed2::from_codes(q.codes());
-                let plain = mmp_search(&idx, q.codes(), 0);
-                let layers = SeedLayers { hash: Some(&hash), ..SeedLayers::base(&idx) };
-                let hashed = mmp_search_packed(&layers, &packed, 0);
-                assert_eq!(plain, hashed, "s={s} query {q}");
-            }
         }
     }
 

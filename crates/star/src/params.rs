@@ -39,18 +39,6 @@ pub struct AlignParams {
     pub noncanonical_splice_penalty: i32,
     /// Hard cap on seeds collected per read direction (guards pathological reads).
     pub max_seeds_per_read: usize,
-    /// Seed through a SNAP-style fixed-length hash table
-    /// ([`crate::hashseed::HashSeedIndex`]) before the prefix-table layers. Pure
-    /// speed/memory trade: alignments are identical either way (the table entry
-    /// *is* the interval suffix-array refinement would reach at the same depth).
-    /// The table is built lazily on first use and cached on the index.
-    #[serde(default)]
-    pub use_hash_seed: bool,
-    /// Fixed seed length `s` of the hash-seeding table (SNAP's seed size). Larger
-    /// `s` skips more refinement rounds per probe but stores more distinct seeds.
-    /// Only read when [`AlignParams::use_hash_seed`] is set.
-    #[serde(default = "default_hash_seed_len")]
-    pub hash_seed_len: usize,
     /// Measure wall-clock nanoseconds per alignment phase (seed/stitch/extend)
     /// into [`crate::align::PhaseWork`]'s `*_nanos` fields. Off by default: the
     /// measurement reads a monotonic clock, so it is machine-dependent and NOT
@@ -74,15 +62,9 @@ impl Default for AlignParams {
             canonical_splice_penalty: 1,
             noncanonical_splice_penalty: 8,
             max_seeds_per_read: 200,
-            use_hash_seed: false,
-            hash_seed_len: default_hash_seed_len(),
             measure_phase_nanos: false,
         }
     }
-}
-
-fn default_hash_seed_len() -> usize {
-    16
 }
 
 impl AlignParams {
@@ -101,12 +83,6 @@ impl AlignParams {
         }
         if self.max_seeds_per_read == 0 {
             return Err(StarError::InvalidParams("max_seeds_per_read must be positive".into()));
-        }
-        if self.use_hash_seed && !(8..=31).contains(&self.hash_seed_len) {
-            return Err(StarError::InvalidParams(format!(
-                "hash_seed_len {} outside 8..=31",
-                self.hash_seed_len
-            )));
         }
         Ok(())
     }
@@ -135,11 +111,5 @@ mod tests {
         let mut p = AlignParams::default();
         p.max_seeds_per_read = 0;
         assert!(p.validate().is_err());
-        let mut p = AlignParams::default();
-        p.use_hash_seed = true;
-        p.hash_seed_len = 40;
-        assert!(p.validate().is_err());
-        p.hash_seed_len = 16;
-        assert!(p.validate().is_ok());
     }
 }

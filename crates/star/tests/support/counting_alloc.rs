@@ -1,5 +1,6 @@
 //! Counting global allocator for the allocation-bound tests (`zero_alloc`,
-//! `hostile_index`, and `sra`'s `hostile_archive`, which includes this file by path).
+//! `hostile_index`, `hostile_checkpoint`, and `sra`'s `hostile_archive`, which
+//! includes this file by path).
 //!
 //! Wraps the system allocator; while a [`tracked`] closure runs it counts every
 //! `alloc`/`realloc` call and records the bytes requested. Tracking is process-wide,

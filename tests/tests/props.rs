@@ -251,37 +251,6 @@ mod align_props {
             prop_assert!(rec.score >= 95, "score {}", rec.score);
         }
 
-        /// The SNAP-style hash seeding layer is an acceleration, not a policy
-        /// change: on perfect, mutated, and reverse-complement reads, an
-        /// aligner with `use_hash_seed` must produce the exact same outcome —
-        /// class and full primary record (position, CIGAR, score, junctions) —
-        /// as the suffix-array path. (The MMP-level agreement is property-
-        /// tested in the star crate; this pins the end-to-end alignment.)
-        #[test]
-        fn hash_seeding_changes_no_alignment(
-            start in 0usize..19_000,
-            rc in any::<bool>(),
-            flips in prop::collection::vec((0usize..100, 1u8..4), 0..6),
-        ) {
-            let f = fixture();
-            let chrom = f.assembly.contig("1").unwrap();
-            prop_assume!(start + 100 <= chrom.len());
-            let mut codes = chrom.seq.subseq(start, start + 100).codes().to_vec();
-            for &(pos, delta) in &flips {
-                codes[pos] = (codes[pos] + delta) % 4;
-            }
-            let mut read = DnaSeq::from_codes(codes);
-            if rc {
-                read = read.reverse_complement();
-            }
-            let sa_out = Aligner::new(&f.index, AlignParams::default()).align_seq(&read);
-            let mut hash_params = AlignParams::default();
-            hash_params.use_hash_seed = true;
-            let hash_out = Aligner::new(&f.index, hash_params).align_seq(&read);
-            prop_assert_eq!(sa_out.class, hash_out.class);
-            prop_assert_eq!(sa_out.primary, hash_out.primary);
-        }
-
         #[test]
         fn alignment_is_deterministic(start in 0usize..10_000) {
             let f = fixture();
