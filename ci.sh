@@ -56,6 +56,13 @@ for group in $(grep -rhoE 'benchmark_group\("[A-Za-z0-9_]+"\)' crates/bench/benc
         exit 1
     fi
 done
+# The campaign addresses per-accession state by handle (`campaign::Acc`, the submit
+# index): a collection keyed by the accession's name must not grow back.
+if grep -nE 'BTree(Map|Set)<String|HashMap<String' crates/atlas/src/campaign.rs \
+    crates/atlas/src/campaign/state.rs crates/atlas/src/recovery.rs; then
+    echo "string-keyed per-accession state in the campaign: key it by campaign::Acc" >&2
+    exit 1
+fi
 cargo build --release --offline -p atlas-bench --bin bench_compare
 ./target/release/bench_compare benchmarks/baseline benchmarks/baseline
 # Monitor-overhead gate: the committed campaign baselines come from the

@@ -18,8 +18,15 @@
 //! invariant; [`Campaign::settle`] turns the final state into the report. A
 //! worker owns its in-flight [`Job`], so events carry only ids and are `Copy`.
 //!
+//! An accession is named by its [`Acc`] handle — its index in the submitted
+//! slice — from the moment it is sent to the queue: messages, jobs, the
+//! resolution and accounting tables and the checkpoint store are all addressed
+//! by it. The handle turns back into the submitted name ([`Campaign::name`])
+//! only where text leaves the campaign: event and span fields, the results key,
+//! the workload call and the report.
+//!
 //! Nothing here is per-tick or O(campaign size) inside the event loop. The run
-//! is a pure function of config + workload: [`crate::differential`] replays
+//! is a pure function of config + workload: `tests/tests/devent_diff.rs` replays
 //! seeded campaigns byte for byte, and `tests/tests/campaign_pins.rs` pins five
 //! of them to absolute digests — float operand order, fault-roll order,
 //! `schedule` order and recorder-call order in this file are all load-bearing.
@@ -44,8 +51,21 @@ use cloudsim::{Kernel, ObjectStore, ReclaimSource, SimDuration, SimTime, SqsQueu
 use deseq_norm::{CountsMatrix, NormalizedMatrix};
 use star_aligner::quant::Strandedness;
 use state::{Accounting, Fleet, Job, Observers, Resolution};
+use std::collections::HashMap;
 use std::sync::Arc;
 use telemetry::{JsonValue, RATE_BUCKETS, SECS_BUCKETS};
+
+/// An accession inside a campaign: its index in the slice handed to
+/// [`crate::Orchestrator::run`]. Handle order is submit order, so "in accession
+/// order" is an index walk.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Acc(pub u32);
+
+impl Acc {
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// The campaign event taxonomy.
 #[derive(Clone, Copy, Debug)]
@@ -69,7 +89,7 @@ pub(crate) struct Campaign<'a> {
     workload: &'a dyn CampaignWorkload,
     accessions: &'a [String],
     events: Kernel<Event>,
-    sqs: SqsQueue<String>,
+    sqs: SqsQueue<Acc>,
     /// Holds the index manifest instances GET at init and the uploaded results.
     store: ObjectStore,
     injector: FaultInjector,
@@ -89,12 +109,13 @@ impl<'a> Campaign<'a> {
         cfg: &'a CampaignConfig,
         accessions: &'a [String],
     ) -> Result<Campaign<'a>, AtlasError> {
-        let mut sqs: SqsQueue<String> = SqsQueue::new(cfg.visibility_timeout);
+        let n = reject_repeated_ids(accessions)?;
+        let mut sqs: SqsQueue<Acc> = SqsQueue::new(cfg.visibility_timeout);
         if let Some(max) = cfg.max_receive_count {
             sqs = sqs.with_max_receive_count(max);
         }
-        for a in accessions {
-            sqs.send(a.clone());
+        for i in 0..n {
+            sqs.send(Acc(i));
         }
         // The single pricing point for the bill, the SLO sketches and the ledger.
         let cost = if cfg.spot {
@@ -112,6 +133,9 @@ impl<'a> Campaign<'a> {
         store.put("index/manifest", Bytes::from_static(b"star-index manifest"));
         let mut events = Kernel::new();
         events.schedule(SimTime::ZERO, Event::ScaleTick);
+        // Per-accession accounts exist only when something will read them.
+        let ledger = cfg.slo.is_some();
+        let accounts = if ledger || cfg.recovery.is_some() { accessions.len() } else { 0 };
         Ok(Campaign {
             cfg,
             workload,
@@ -122,12 +146,17 @@ impl<'a> Campaign<'a> {
             injector,
             fleet: Fleet::new(cfg, &obs)?,
             resolution: Resolution::new(accessions.len()),
-            accounting: Accounting::new(cost, cfg.slo.is_some()),
+            accounting: Accounting::new(cost, ledger, accounts),
             recovery: cfg.recovery.map(|r| CheckpointStore::new(r.checkpoint_ttl_secs)),
             obs,
             timeline: Vec::new(),
             next_epoch: 1,
         })
+    }
+
+    /// The submitted name of `accession`.
+    fn name(&self, accession: Acc) -> &'a str {
+        &self.accessions[accession.index()]
     }
 
     /// Run until every accession is resolved (completed, or dead-lettered
@@ -296,11 +325,11 @@ impl<'a> Campaign<'a> {
             return Ok(());
         };
         // A receive can tip a message over its allowance into the DLQ.
-        for a in self.resolution.absorb_dead_letters(self.sqs.dead_letters()) {
+        for &a in self.resolution.absorb_dead_letters(self.sqs.dead_letters()) {
             self.obs.recorder.event(
                 now.as_secs(),
                 "dead_letter",
-                vec![("accession", JsonValue::from(a.as_str()))],
+                vec![("accession", JsonValue::from(self.name(a)))],
             );
             self.obs.recorder.counter_add("dead_letters", 1);
         }
@@ -319,27 +348,28 @@ impl<'a> Campaign<'a> {
         &mut self,
         now: SimTime,
         id: InstanceId,
-        accession: String,
+        accession: Acc,
         receipt: ReceiptHandle,
         receive_count: u32,
     ) -> Result<(), AtlasError> {
         let rec = &self.obs.recorder;
+        let name = self.name(accession);
         if receive_count > 1 {
             self.accounting.redeliveries += 1;
             rec.counter_add("redeliveries", 1);
         } else if let Some(wait) = self.sqs.queue_wait(receipt) {
             // First delivery: submit → first-receive latency.
-            self.obs.job_event(now, "queue_wait", &accession, id, &[("wait_secs", wait.as_secs())]);
+            self.obs.job_event(now, "queue_wait", name, id, &[("wait_secs", wait.as_secs())]);
             rec.observe("queue_wait_secs", SECS_BUCKETS, wait.as_secs());
             self.obs.slo_sample("slo_queue_wait_secs", wait.as_secs());
-            if let Some(account) = self.accounting.ledger_account(&accession) {
+            if let Some(account) = self.accounting.ledger_account(accession) {
                 account.queue_wait_secs = Some(wait.as_secs());
             }
         }
-        if self.resolution.is_completed(&accession) {
+        if self.resolution.is_completed(accession) {
             // A duplicate delivery of already-finished work: acknowledge and
             // poll again immediately.
-            self.obs.job_event(now, "duplicate_receive", &accession, id, &[]);
+            self.obs.job_event(now, "duplicate_receive", name, id, &[]);
             let _ = self
                 .injector
                 .with_retry(id.0, FaultOp::SqsDelete, &self.cfg.retry, || self.sqs.delete(receipt))
@@ -353,19 +383,19 @@ impl<'a> Campaign<'a> {
         // progress events exist and the log is byte-identical to a monitor-free
         // build.
         let (mut result, history) = if self.obs.monitor.is_some() {
-            self.workload.run_accession_with_history(&accession)?
+            self.workload.run_accession_with_history(name)?
         } else {
-            (self.workload.run_accession(&accession)?, Vec::new())
+            (self.workload.run_accession(name)?, Vec::new())
         };
         // Resume: a live checkpoint from a drained attempt lets this one skip
         // the already-aligned reads — the align stage shrinks by the
         // checkpointed offset. The star crate's differential test is what
         // entitles the model to treat the resumed output as identical.
-        let offset = self.recovery.as_ref().and_then(|r| r.get(&accession, now.as_secs()));
+        let offset = self.recovery.as_ref().and_then(|r| r.get(accession, now.as_secs()));
         let resumed_secs = offset.map_or(0.0, |o| o.min(result.stage_secs.align_secs));
         if resumed_secs > 0.0 {
             result.stage_secs.align_secs -= resumed_secs;
-            self.obs.job_event(now, "resume", &accession, id, &[("skipped_secs", resumed_secs)]);
+            self.obs.job_event(now, "resume", name, id, &[("skipped_secs", resumed_secs)]);
             rec.counter_add("checkpoint_resumes", 1);
         }
         let job = Box::new(Job {
@@ -378,7 +408,7 @@ impl<'a> Campaign<'a> {
             crash_offset_secs: 0.0,
         });
         self.next_epoch += 1;
-        self.obs.progress_events(id, &job, &history);
+        self.obs.progress_events(id, name, &job, &history);
         self.start_job(now, id, job);
         Ok(())
     }
@@ -391,7 +421,7 @@ impl<'a> Campaign<'a> {
         let duration = stages.total().max(0.001);
         // A failed or stale lease extension leaves the base visibility timeout
         // in force: the message may re-deliver mid-job and the duplicate
-        // completion is absorbed by the results map.
+        // completion is absorbed by `Resolution::is_completed`.
         let lease = SimDuration::from_secs(duration * cfg.lease_margin);
         let _ = self
             .injector
@@ -439,9 +469,10 @@ impl<'a> Campaign<'a> {
         // was received, `duration` sim-seconds ago.
         let window = (now.as_secs() - duration, now.as_secs());
         let parent = self.fleet.job_parent(id);
+        let name = self.name(job.accession);
         let upload = self.store.put_retrying(
-            &format!("results/{}", job.accession),
-            Bytes::from(job.accession.as_bytes().to_vec()),
+            &format!("results/{name}"),
+            Bytes::from(name.as_bytes().to_vec()),
             &mut self.injector,
             id.0,
             &cfg.retry,
@@ -450,24 +481,24 @@ impl<'a> Campaign<'a> {
             // Result upload exhausted its retries: the job's output is lost and
             // the message re-delivers after its lease expires, so another
             // worker redoes the work.
-            self.obs.job_spans(parent, id, &job, window, "upload_lost");
-            self.obs.job_event(now, "upload_lost", &job.accession, id, &[]);
-            self.accounting.waste(&job.accession, duration);
+            self.obs.job_spans(parent, id, name, &job, window, "upload_lost");
+            self.obs.job_event(now, "upload_lost", name, id, &[]);
+            self.accounting.waste(job.accession, duration);
             self.events.schedule(now + cfg.poll_interval, Event::Poll(id));
             return;
         };
         // The lease was sized with margin, so the delete should succeed; if it
         // went stale (duplicate delivery, missed extension) the message
-        // re-delivers and the duplicate is absorbed by the results map.
+        // re-delivers and the duplicate is absorbed by `Resolution::is_completed`.
         let deleted = self
             .injector
             .with_retry(id.0, FaultOp::SqsDelete, &cfg.retry, || self.sqs.delete(job.receipt));
-        if self.resolution.is_completed(&job.accession) {
-            self.obs.job_spans(parent, id, &job, window, "duplicate");
+        if self.resolution.is_completed(job.accession) {
+            self.obs.job_spans(parent, id, name, &job, window, "duplicate");
             self.accounting.duplicate_completions += 1;
-            self.accounting.waste(&job.accession, duration);
+            self.accounting.waste(job.accession, duration);
         } else {
-            self.obs.job_spans(parent, id, &job, window, "ok");
+            self.obs.job_spans(parent, id, name, &job, window, "ok");
             self.record_completion(now, job);
         }
         self.events.schedule(now + upload_secs + deleted.backoff, Event::Poll(id));
@@ -486,7 +517,7 @@ impl<'a> Campaign<'a> {
                 + result.stage_secs.prefix_secs(2)
                 + result.stage_secs.align_secs;
             let mut fields = vec![
-                ("accession", JsonValue::from(accession.as_str())),
+                ("accession", JsonValue::from(self.name(accession))),
                 ("mapping_rate", JsonValue::from(result.mapping_rate)),
             ];
             fields.extend(result.early_stop.decision_fields());
@@ -498,13 +529,13 @@ impl<'a> Campaign<'a> {
         self.obs.slo_sample("slo_turnaround_secs", now.as_secs());
         self.obs
             .slo_sample("slo_cost_per_accession_usd", duration * self.obs.usd_per_hour / 3600.0);
-        if let Some(account) = self.accounting.ledger_account(&accession) {
+        if let Some(account) = self.accounting.ledger_account(accession) {
             account.completed_at_secs = Some(now.as_secs());
         }
         if let Some(recovery) = &mut self.recovery {
-            recovery.remove(&accession);
+            recovery.remove(accession);
             if resumed_secs > 0.0 {
-                self.accounting.salvaged(&accession, resumed_secs);
+                self.accounting.salvaged(accession, resumed_secs);
             }
         }
         self.resolution.complete(accession, result);
@@ -516,15 +547,16 @@ impl<'a> Campaign<'a> {
         // epoch means the job already ended some other way.
         let Some(job) = self.fleet.finish(id, epoch, now) else { return };
         let wasted = job.crash_offset_secs;
+        let name = self.name(job.accession);
         self.obs.recorder.span_closed(
             "job",
             self.fleet.job_parent(id),
             now.as_secs() - wasted,
             now.as_secs(),
-            &[("accession", job.accession.clone()), ("outcome", "crashed".to_string())],
+            &[("accession", name.to_string()), ("outcome", "crashed".to_string())],
         );
-        self.obs.job_event(now, "worker_crash", &job.accession, id, &[("wasted_secs", wasted)]);
-        self.accounting.waste(&job.accession, wasted);
+        self.obs.job_event(now, "worker_crash", name, id, &[("wasted_secs", wasted)]);
+        self.accounting.waste(job.accession, wasted);
         self.events.schedule(now + self.cfg.poll_interval, Event::Poll(id));
     }
 
@@ -578,13 +610,13 @@ impl<'a> Campaign<'a> {
     /// lease lapse after the reclaim.
     fn drain_job(&mut self, now: SimTime, id: InstanceId, job: &Job) {
         let rec = &self.obs.recorder;
-        let accession = job.accession.as_str();
+        let (accession, name) = (job.accession, self.name(job.accession));
         rec.span_closed(
             "job",
             self.fleet.job_parent(id),
             job.started_secs,
             now.as_secs(),
-            &[("accession", job.accession.clone()), ("outcome", "drained".to_string())],
+            &[("accession", name.to_string()), ("outcome", "drained".to_string())],
         );
         let elapsed = now.as_secs() - job.started_secs;
         // Align-stage seconds this attempt completed before the notice;
@@ -596,13 +628,13 @@ impl<'a> Campaign<'a> {
             if self.injector.roll(id.0, FaultOp::CheckpointPut) {
                 // The checkpoint upload failed inside the notice window; the
                 // progress will be redone.
-                self.obs.job_event(now, "checkpoint_failed", accession, id, &[]);
+                self.obs.job_event(now, "checkpoint_failed", name, id, &[]);
             } else if let Some(store) = &mut self.recovery {
                 let offset = job.resumed_secs + align_done;
                 store.put(accession, offset, now.as_secs());
                 checkpointed = align_done;
                 self.accounting.checkpointed(accession, align_done);
-                self.obs.job_event(now, "checkpoint", accession, id, &[("offset_secs", offset)]);
+                self.obs.job_event(now, "checkpoint", name, id, &[("offset_secs", offset)]);
                 rec.counter_add("checkpoints_written", 1);
             }
         }
@@ -614,7 +646,7 @@ impl<'a> Campaign<'a> {
             "drain",
             vec![
                 ("instance", JsonValue::from(id.0)),
-                ("accession", JsonValue::from(accession)),
+                ("accession", JsonValue::from(name)),
                 ("handed_back", JsonValue::from(true)),
                 ("checkpointed_secs", JsonValue::from(checkpointed)),
             ],
@@ -653,17 +685,17 @@ impl<'a> Campaign<'a> {
         for inst in self.fleet.asg().instances() {
             self.accounting.cost.charge(inst, end);
         }
-        let (wasted_secs, salvaged_secs) = self.accounting.close(cfg.instance_type, cfg.spot);
+        let (wasted_secs, salvaged_secs) = self.accounting.close(cfg.instance_type, cfg.spot)?;
         let dead_lettered = self.resolution.conserve(self.accessions, self.sqs.dead_letters())?;
+        let dead_lettered = dead_lettered.into_iter().map(|a| self.name(a).to_string()).collect();
 
         let rec = &self.obs.recorder;
-        let completed: Vec<PipelineResult> =
-            self.resolution.completed().map(|(_, r)| r.clone()).collect();
+        let completed = self.resolution.results();
         let mut savings = SavingsSummary::default();
-        for r in &completed {
+        for r in completed {
             savings.add(&r.early_stop);
         }
-        let normalized = build_normalized(&completed);
+        let normalized = build_normalized(completed);
         if let Some(n) = &normalized {
             let attrs = n.span_attrs();
             rec.span_closed("deseq", self.obs.campaign_span, end.as_secs(), end.as_secs(), &attrs);
@@ -677,7 +709,7 @@ impl<'a> Campaign<'a> {
         rec.span_end(self.obs.campaign_span, end.as_secs());
         let (mean_fleet_size, busy_fraction) = self.fleet.utilization(end);
         Ok(CampaignReport {
-            completed,
+            completed: self.resolution.into_results(),
             makespan: end - SimTime::ZERO,
             cost: self.accounting.cost.report().clone(),
             instances_launched: self.fleet.asg().instances().len(),
@@ -714,7 +746,7 @@ impl<'a> Campaign<'a> {
         for s in &objectives {
             rec.gauge_set_at(at, &format!("slo_budget_remaining:{}", s.id), s.budget_remaining);
         }
-        let inputs = self.accounting.ledger_inputs(&self.resolution, at);
+        let inputs = self.accounting.ledger_inputs(&self.resolution, self.accessions, at);
         let (ledger, totals) =
             build_ledger(&inputs, self.obs.usd_per_hour, self.accounting.cost.report().total_usd);
         rec.gauge_set_at(at, "slo_ledger_compute_usd", totals.compute_usd);
@@ -729,6 +761,22 @@ impl<'a> Campaign<'a> {
         }
         Some(SloReport { objectives, ledger, totals })
     }
+}
+
+/// Handles are positions in `accessions`, so the list must fit a `u32` and name
+/// each accession once: a repeated id would be two messages racing for one
+/// results key, and the campaign could never resolve both. Returns the count.
+fn reject_repeated_ids(accessions: &[String]) -> Result<u32, AtlasError> {
+    let mut first_at = HashMap::with_capacity(accessions.len());
+    for (i, a) in accessions.iter().enumerate() {
+        if let Some(first) = first_at.insert(a.as_str(), i) {
+            return Err(AtlasError::InvalidParams(format!(
+                "accession {a} is submitted twice (positions {first} and {i})"
+            )));
+        }
+    }
+    u32::try_from(accessions.len())
+        .map_err(|_| AtlasError::InvalidParams("more accessions than u32 handles".into()))
 }
 
 /// DESeq2 step: assemble the counts matrix over accessions that produced counts

@@ -11,12 +11,18 @@
 //!   checkpointed second ends up salvaged or wasted, never both.
 //! * [`Observers`] — telemetry only ever *reads* the campaign; the SLO sketches
 //!   and the ledger price compute at the rate the bill is settled at.
+//!
+//! Per-accession state is the *accession table*: vectors addressed by the
+//! [`Acc`] handle (submit index) — a fate in [`Resolution`], an account in
+//! [`Accounting`] (allocated only when a ledger or the recovery layer reads it).
+//! Nothing here is keyed by an accession's name; names arrive as `&str` where a
+//! span or event attribute is built.
 
 #![warn(clippy::too_many_lines)]
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use super::Acc;
 use crate::ledger::CompletedAccession;
 use crate::orchestrator::CampaignConfig;
 use crate::pipeline::PipelineResult;
@@ -37,7 +43,7 @@ pub(super) struct Job {
     /// Unique per job start: tells a live assignment from a stale event.
     pub epoch: u64,
     /// The message body.
-    pub accession: String,
+    pub accession: Acc,
     pub receipt: ReceiptHandle,
     /// When the message was received.
     pub started_secs: f64,
@@ -196,43 +202,55 @@ fn record(series: &mut TimeSeries, now: SimTime, count: usize) {
     }
 }
 
-/// Which accessions are resolved, and how.
+/// How one accession stands.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Fate {
+    Pending,
+    /// Dead-lettered by the queue; an in-flight duplicate may still complete it.
+    DeadLettered,
+    Completed,
+}
+
+/// The accession table's resolution side: one [`Fate`] per submitted accession,
+/// addressed by handle, and the first completions in the order they landed.
 #[derive(Default)]
 pub(super) struct Resolution {
-    target: usize,
-    results: BTreeMap<String, PipelineResult>,
-    completion_order: Vec<String>,
-    /// Accessions currently resolved by dead-lettering alone (an in-flight
-    /// duplicate may still complete them, which moves them to `results`).
-    dl_only: BTreeSet<String>,
+    fates: Vec<Fate>,
+    /// `completed[i]` is the result of `completion_order[i]`.
+    completed: Vec<PipelineResult>,
+    completion_order: Vec<Acc>,
+    /// How many fates are `DeadLettered` right now.
+    dead_only: usize,
     /// How much of the queue's dead-letter list has been absorbed.
     dl_seen: usize,
 }
 
 impl Resolution {
     pub fn new(target: usize) -> Resolution {
-        Resolution { target, ..Resolution::default() }
+        Resolution { fates: vec![Fate::Pending; target], ..Resolution::default() }
     }
 
     /// Accessions completed or dead-lettered without completing. O(1).
     pub fn resolved(&self) -> usize {
-        self.results.len() + self.dl_only.len()
+        self.completed.len() + self.dead_only
     }
 
     pub fn done(&self) -> bool {
-        self.resolved() >= self.target
+        self.resolved() >= self.fates.len()
     }
 
-    pub fn is_completed(&self, accession: &str) -> bool {
-        self.results.contains_key(accession)
+    pub fn is_completed(&self, accession: Acc) -> bool {
+        self.fates[accession.index()] == Fate::Completed
     }
 
     /// Absorb the tail of the queue's dead-letter list; returns the new entries.
-    pub fn absorb_dead_letters<'q>(&mut self, all: &'q [String]) -> &'q [String] {
+    pub fn absorb_dead_letters<'q>(&mut self, all: &'q [Acc]) -> &'q [Acc] {
         let new = &all[self.dl_seen..];
         for a in new {
-            if !self.results.contains_key(a) {
-                self.dl_only.insert(a.clone());
+            let fate = &mut self.fates[a.index()];
+            if *fate == Fate::Pending {
+                *fate = Fate::DeadLettered;
+                self.dead_only += 1;
             }
         }
         self.dl_seen = all.len();
@@ -241,53 +259,65 @@ impl Resolution {
 
     /// Record a first completion (a dead-lettered accession re-resolves as
     /// completed).
-    pub fn complete(&mut self, accession: String, result: PipelineResult) {
-        self.dl_only.remove(&accession);
-        let prev = self.results.insert(accession.clone(), result);
-        debug_assert!(prev.is_none(), "duplicates are filtered by is_completed");
+    pub fn complete(&mut self, accession: Acc, result: PipelineResult) {
+        let fate = std::mem::replace(&mut self.fates[accession.index()], Fate::Completed);
+        debug_assert!(fate != Fate::Completed, "duplicates are filtered by is_completed");
+        if fate == Fate::DeadLettered {
+            self.dead_only -= 1;
+        }
+        self.completed.push(result);
         self.completion_order.push(accession);
     }
 
-    /// Results in completion order.
-    pub fn completed(&self) -> impl Iterator<Item = (&String, &PipelineResult)> {
-        self.completion_order.iter().map(|a| (a, &self.results[a]))
+    /// Results in completion order, each with the handle it belongs to.
+    pub fn completed(&self) -> impl Iterator<Item = (Acc, &PipelineResult)> {
+        self.completion_order.iter().copied().zip(&self.completed)
+    }
+
+    /// The results alone, in completion order.
+    pub fn results(&self) -> &[PipelineResult] {
+        &self.completed
+    }
+
+    /// What the report carries: [`Resolution::results`], moved out.
+    pub fn into_results(self) -> Vec<PipelineResult> {
+        self.completed
     }
 
     /// At-least-once accounting: every accession completed or dead-lettered.
-    /// Returns the dead-lettered ones, in the queue's dead-letter order.
-    pub fn conserve(
-        &self,
-        accessions: &[String],
-        dead_letters: &[String],
-    ) -> Result<Vec<String>, AtlasError> {
-        let dead: Vec<String> =
-            dead_letters.iter().filter(|a| !self.is_completed(a)).cloned().collect();
-        // An error, not a debug assertion: `done()` ended the run on `dl_only`'s
-        // count, so a divergence means a release campaign settled on a wrong one.
-        if !dead.iter().collect::<BTreeSet<_>>().into_iter().eq(&self.dl_only) {
+    /// Returns the dead-lettered ones, in the queue's dead-letter order
+    /// (`names[i]`, the submitted id of handle `i`, is for the error text).
+    pub fn conserve(&self, names: &[String], dead_letters: &[Acc]) -> Result<Vec<Acc>, AtlasError> {
+        let dead: Vec<Acc> =
+            dead_letters.iter().copied().filter(|&a| !self.is_completed(a)).collect();
+        // An error, not a debug assertion: `done()` ended the run on `dead_only`,
+        // so a divergence means a release campaign settled on a wrong count.
+        if dead.len() != self.dead_only
+            || dead.iter().any(|a| self.fates[a.index()] != Fate::DeadLettered)
+        {
             return Err(AtlasError::Conservation(
-                "maintained dead-letter set diverged from the queue's".into(),
+                "maintained dead-letter count diverged from the queue's list".into(),
             ));
         }
-        if let Some(a) = accessions.iter().find(|a| !self.is_completed(a) && !dead.contains(a)) {
+        if let Some(i) = self.fates.iter().position(|&f| f == Fate::Pending) {
             return Err(AtlasError::Conservation(format!(
-                "accession {a} neither completed nor dead-lettered"
+                "accession {} neither completed nor dead-lettered",
+                names[i]
             )));
         }
-        if self.results.len() + dead.len() != self.target {
+        if self.completed.len() + dead.len() != self.fates.len() {
             return Err(AtlasError::Conservation(format!(
                 "{} completed + {} dead-lettered != {} accessions",
-                self.results.len(),
+                self.completed.len(),
                 dead.len(),
-                self.target
+                self.fates.len()
             )));
         }
         Ok(dead)
     }
 }
 
-/// Per-accession side state. Entries exist only for accessions something was
-/// recorded about.
+/// One accession's books.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub(super) struct AccessionAccount {
     /// Submit → first delivery.
@@ -310,24 +340,31 @@ pub(super) struct Accounting {
     pub duplicate_completions: u64,
     wasted_secs: f64,
     salvaged_secs: f64,
+    /// Every second ever passed to [`Accounting::checkpointed`].
+    checkpointed_secs: f64,
     /// Whether an attribution ledger will read the per-accession accounts. The
     /// salvage accounts are kept regardless: settlement needs them.
     ledger: bool,
-    accounts: BTreeMap<String, AccessionAccount>,
+    /// The accession table's accounting side, addressed by handle. Empty when
+    /// neither a ledger nor the recovery layer will touch it.
+    accounts: Vec<AccessionAccount>,
 }
 
 impl Accounting {
-    pub fn new(cost: CostTracker, ledger: bool) -> Accounting {
-        Accounting { cost, ledger, ..Accounting::default() }
+    /// `accounts` is the number of accessions when a ledger or the recovery
+    /// layer is on, 0 otherwise.
+    pub fn new(cost: CostTracker, ledger: bool, accounts: usize) -> Accounting {
+        let accounts = vec![AccessionAccount::default(); accounts];
+        Accounting { cost, ledger, accounts, ..Accounting::default() }
     }
 
     /// `accession`'s account, when an attribution ledger will read it.
-    pub fn ledger_account(&mut self, accession: &str) -> Option<&mut AccessionAccount> {
-        self.ledger.then(|| self.accounts.entry(accession.to_string()).or_default())
+    pub fn ledger_account(&mut self, accession: Acc) -> Option<&mut AccessionAccount> {
+        self.ledger.then(|| &mut self.accounts[accession.index()])
     }
 
     /// `secs` of compute produced nothing durable for `accession`.
-    pub fn waste(&mut self, accession: &str, secs: f64) {
+    pub fn waste(&mut self, accession: Acc, secs: f64) {
         self.wasted_secs += secs;
         if let Some(a) = self.ledger_account(accession) {
             a.retry_waste_secs += secs;
@@ -336,42 +373,61 @@ impl Accounting {
 
     /// A drain checkpointed `secs` of align progress. They stay optimistically
     /// out of the waste pool until settlement.
-    pub fn checkpointed(&mut self, accession: &str, secs: f64) {
-        self.accounts.entry(accession.to_string()).or_default().pending_salvage_secs += secs;
+    pub fn checkpointed(&mut self, accession: Acc, secs: f64) {
+        self.checkpointed_secs += secs;
+        self.accounts[accession.index()].pending_salvage_secs += secs;
     }
 
     /// A completion resumed past `secs` of checkpointed progress: provably
     /// salvaged compute.
-    pub fn salvaged(&mut self, accession: &str, secs: f64) {
+    pub fn salvaged(&mut self, accession: Acc, secs: f64) {
         self.salvaged_secs += secs;
-        let a = self.accounts.entry(accession.to_string()).or_default();
+        let a = &mut self.accounts[accession.index()];
         a.salvaged_secs += secs;
         a.pending_salvage_secs = (a.pending_salvage_secs - secs).max(0.0);
     }
 
     /// Settlement: checkpointed progress no resumed attempt ever reused is lost
     /// compute after all, so every drained second is accounted exactly once
-    /// (salvaged or wasted) — reclassified in accession order. Labels the
-    /// wasted slice of the bill; returns `(wasted, salvaged)` seconds.
-    pub fn close(&mut self, itype: &InstanceType, spot: bool) -> (f64, f64) {
-        for a in self.accounts.values_mut().filter(|a| a.pending_salvage_secs > 0.0) {
+    /// (salvaged or wasted). The reclassification folds in handle order, i.e.
+    /// the order the accessions were submitted in — float addition makes that
+    /// order part of the result. Errs when the checkpointed seconds are not
+    /// `salvaged + lost`. Labels the wasted slice of the bill; returns
+    /// `(wasted, salvaged)` seconds.
+    pub fn close(&mut self, itype: &InstanceType, spot: bool) -> Result<(f64, f64), AtlasError> {
+        let mut lost_secs = 0.0;
+        for a in self.accounts.iter_mut().filter(|a| a.pending_salvage_secs > 0.0) {
             self.wasted_secs += a.pending_salvage_secs;
+            lost_secs += a.pending_salvage_secs;
             if self.ledger {
                 a.retry_waste_secs += a.pending_salvage_secs;
             }
         }
+        let residual = self.checkpointed_secs - (self.salvaged_secs + lost_secs);
+        if residual.abs() > 1e-9 * self.checkpointed_secs.max(1.0) {
+            return Err(AtlasError::Conservation(format!(
+                "{} s checkpointed != {} s salvaged + {lost_secs} s lost",
+                self.checkpointed_secs, self.salvaged_secs
+            )));
+        }
         self.cost.attribute_waste(itype, spot, self.wasted_secs);
-        (self.wasted_secs, self.salvaged_secs)
+        Ok((self.wasted_secs, self.salvaged_secs))
     }
 
-    /// What the attribution ledger needs about each completed accession.
-    pub fn ledger_inputs(&self, resolution: &Resolution, end_secs: f64) -> Vec<CompletedAccession> {
+    /// What the attribution ledger needs about each completed accession
+    /// (`names[i]` is the submitted id of handle `i`).
+    pub fn ledger_inputs(
+        &self,
+        resolution: &Resolution,
+        names: &[String],
+        end_secs: f64,
+    ) -> Vec<CompletedAccession> {
         resolution
             .completed()
             .map(|(accession, result)| {
-                let a = self.accounts.get(accession).copied().unwrap_or_default();
+                let a = self.accounts[accession.index()];
                 CompletedAccession {
-                    accession: accession.clone(),
+                    accession: names[accession.index()].clone(),
                     queue_wait_secs: a.queue_wait_secs.unwrap_or(0.0),
                     stage_secs: result.stage_secs,
                     ended_secs: a.completed_at_secs.unwrap_or(end_secs),
@@ -443,16 +499,17 @@ impl Observers {
         }
     }
 
-    /// Retroactively emit the span tree of one finished job: the `job` span
-    /// covering `[started, ended]`, its four pipeline-stage children, and the
-    /// align stage's seed/stitch/extend grandchildren (split by measured work
-    /// units). Only `outcome == "ok"` spans feed [`telemetry::summarize`]'s stage
-    /// statistics; duplicates and lost uploads are leaf spans — wasted,
-    /// undifferentiated time.
+    /// Retroactively emit the span tree of one finished job (`accession` is its
+    /// submitted name): the `job` span covering `[started, ended]`, its four
+    /// pipeline-stage children, and the align stage's seed/stitch/extend
+    /// grandchildren (split by measured work units). Only `outcome == "ok"`
+    /// spans feed [`telemetry::summarize`]'s stage statistics; duplicates and
+    /// lost uploads are leaf spans — wasted, undifferentiated time.
     pub fn job_spans(
         &self,
         parent: SpanId,
         instance: InstanceId,
+        accession: &str,
         job: &Job,
         (started, ended): (f64, f64),
         outcome: &str,
@@ -467,7 +524,7 @@ impl Observers {
             started,
             ended,
             &[
-                ("accession", job.accession.clone()),
+                ("accession", accession.to_string()),
                 ("instance", instance.0.to_string()),
                 ("outcome", outcome.to_string()),
                 ("strategy", format!("{:?}", result.strategy)),
@@ -499,6 +556,7 @@ impl Observers {
     pub fn progress_events(
         &self,
         instance: InstanceId,
+        accession: &str,
         job: &Job,
         history: &[star_aligner::ProgressSnapshot],
     ) {
@@ -515,7 +573,7 @@ impl Observers {
                 t,
                 "progress",
                 vec![
-                    ("accession", JsonValue::from(job.accession.as_str())),
+                    ("accession", JsonValue::from(accession)),
                     ("instance", JsonValue::from(instance.0)),
                     ("processed", JsonValue::from(snap.processed)),
                     ("total", JsonValue::from(snap.total_reads)),
@@ -532,6 +590,8 @@ mod tests {
     use super::*;
     use crate::workload::{CampaignWorkload, ModeledWorkload};
     const T0: SimTime = SimTime::ZERO;
+    const SRR1: Acc = Acc(0);
+    const SRR2: Acc = Acc(1);
 
     fn xlarge() -> &'static InstanceType {
         InstanceType::by_name("r6a.xlarge").unwrap()
@@ -552,7 +612,7 @@ mod tests {
         q.send(());
         Box::new(Job {
             epoch,
-            accession: "SRR1".into(),
+            accession: SRR1,
             receipt: q.receive(T0).expect("one message").1,
             started_secs: 0.0,
             result: result("SRR1"),
@@ -599,80 +659,146 @@ mod tests {
         assert_eq!(f.finish(id2, 3, T0).unwrap().epoch, 3);
     }
 
+    fn ids() -> [String; 2] {
+        ["SRR1".to_string(), "SRR2".to_string()]
+    }
+
     #[test]
     fn dead_letter_then_complete_resolves_once() {
         let mut r = Resolution::new(2);
-        let dlq = vec!["SRR1".to_string()];
+        let dlq = vec![SRR1];
         assert_eq!(r.absorb_dead_letters(&dlq), &dlq[..]);
         assert!(r.absorb_dead_letters(&dlq).is_empty(), "each dead letter is absorbed once");
         assert_eq!(r.resolved(), 1);
-        assert!(!r.is_completed("SRR1"));
+        assert!(!r.is_completed(SRR1));
         // An in-flight duplicate completes it after all.
-        r.complete("SRR1".into(), result("SRR1"));
-        assert!(r.is_completed("SRR1"));
+        r.complete(SRR1, result("SRR1"));
+        assert!(r.is_completed(SRR1));
         assert_eq!(r.resolved(), 1, "moved from dead-lettered to completed, not counted twice");
+        assert_eq!(r.dead_only, 0, "no longer resolved by dead-lettering alone");
         assert!(!r.done());
         // A dead letter for an already-completed accession resolves nothing new.
-        r.complete("SRR2".into(), result("SRR2"));
-        let dlq = vec!["SRR1".to_string(), "SRR2".to_string()];
+        r.complete(SRR2, result("SRR2"));
+        let dlq = vec![SRR1, SRR2];
         assert_eq!(r.absorb_dead_letters(&dlq), &dlq[1..]);
         assert_eq!(r.resolved(), 2);
+        assert_eq!(r.dead_only, 0);
         assert!(r.done());
-        let ids = ["SRR1".to_string(), "SRR2".to_string()];
-        assert!(r.conserve(&ids, &dlq).unwrap().is_empty());
-        assert_eq!(r.completed().map(|(a, _)| a.as_str()).collect::<Vec<_>>(), ["SRR1", "SRR2"]);
+        assert!(r.conserve(&ids(), &dlq).unwrap().is_empty());
+        assert_eq!(r.completed().map(|(a, _)| a).collect::<Vec<_>>(), [SRR1, SRR2]);
+        let names: Vec<String> = r.into_results().into_iter().map(|r| r.accession).collect();
+        assert_eq!(names, ids());
+    }
+
+    #[test]
+    fn a_duplicate_delivery_of_a_completed_handle_counts_once() {
+        let mut r = Resolution::new(2);
+        r.complete(SRR2, result("SRR2"));
+        // What `on_delivery` / `on_job_done` ask before touching the table again.
+        assert!(r.is_completed(SRR2) && !r.is_completed(SRR1));
+        assert_eq!(r.resolved(), 1);
+        assert!(!r.done(), "the other handle is still pending");
+        r.complete(SRR1, result("SRR1"));
+        assert!(r.done());
+        assert_eq!(r.completed().map(|(a, _)| a).collect::<Vec<_>>(), [SRR2, SRR1]);
+    }
+
+    #[test]
+    fn an_unresolved_slot_is_a_conservation_error() {
+        let mut r = Resolution::new(2);
+        r.complete(SRR1, result("SRR1"));
+        let err = r.conserve(&ids(), &[]).unwrap_err();
+        assert!(
+            matches!(&err, AtlasError::Conservation(m) if m.contains("SRR2 neither completed")),
+            "{err}"
+        );
     }
 
     #[test]
     fn a_diverged_dead_letter_set_is_a_conservation_error() {
         let mut r = Resolution::new(2);
-        r.complete("SRR1".into(), result("SRR1"));
-        let ids = ["SRR1".to_string(), "SRR2".to_string()];
-        // The queue dead-lettered SRR2 but the maintained set never absorbed it.
-        let dlq = vec!["SRR2".to_string()];
-        let err = r.conserve(&ids, &dlq).unwrap_err();
+        r.complete(SRR1, result("SRR1"));
+        // The queue dead-lettered SRR2 but the maintained count never absorbed it.
+        let dlq = vec![SRR2];
+        let err = r.conserve(&ids(), &dlq).unwrap_err();
         assert!(matches!(&err, AtlasError::Conservation(m) if m.contains("diverged")), "{err}");
         r.absorb_dead_letters(&dlq);
-        assert_eq!(r.conserve(&ids, &dlq).unwrap(), dlq);
+        assert_eq!(r.conserve(&ids(), &dlq).unwrap(), dlq);
+        // The count agrees but names a handle the queue never dead-lettered.
+        let err = r.conserve(&ids(), &[]).unwrap_err();
+        assert!(matches!(&err, AtlasError::Conservation(m) if m.contains("diverged")), "{err}");
     }
 
     #[test]
     fn waste_lands_in_the_total_and_one_account_exactly_once() {
-        let mut with_ledger = Accounting::new(CostTracker::on_demand(), true);
-        with_ledger.waste("SRR1", 10.0);
-        with_ledger.waste("SRR2", 5.0);
-        with_ledger.waste("SRR1", 2.5);
+        let mut with_ledger = Accounting::new(CostTracker::on_demand(), true, 2);
+        with_ledger.waste(SRR1, 10.0);
+        with_ledger.waste(SRR2, 5.0);
+        with_ledger.waste(SRR1, 2.5);
         assert_eq!(with_ledger.wasted_secs, 17.5);
-        assert_eq!(with_ledger.accounts["SRR1"].retry_waste_secs, 12.5);
-        assert_eq!(with_ledger.accounts["SRR2"].retry_waste_secs, 5.0);
+        assert_eq!(with_ledger.accounts[SRR1.index()].retry_waste_secs, 12.5);
+        assert_eq!(with_ledger.accounts[SRR2.index()].retry_waste_secs, 5.0);
         // Without a ledger to read them, no per-accession entries are made.
-        let mut bare = Accounting::new(CostTracker::on_demand(), false);
-        bare.waste("SRR1", 10.0);
-        assert!(bare.ledger_account("SRR1").is_none());
+        let mut bare = Accounting::new(CostTracker::on_demand(), false, 0);
+        bare.waste(SRR1, 10.0);
+        assert!(bare.ledger_account(SRR1).is_none());
         assert_eq!(bare.wasted_secs, 10.0);
         assert!(bare.accounts.is_empty());
     }
 
     #[test]
     fn unsalvaged_checkpoints_become_waste_in_accession_order() {
-        let mut a = Accounting::new(CostTracker::on_demand(), true);
+        const A: Acc = Acc(0);
+        const B: Acc = Acc(1);
+        const C: Acc = Acc(2);
+        const D: Acc = Acc(3);
+        let mut a = Accounting::new(CostTracker::on_demand(), true, 4);
         // Inserted out of order; float addition makes the fold order observable:
         // (1 + 1) + 1e16 keeps the 2, 1e16 + 1 + 1 loses it.
-        a.checkpointed("C", 1e16);
-        a.checkpointed("B", 1.0);
-        a.checkpointed("A", 1.0);
-        a.checkpointed("D", 40.0);
-        a.salvaged("D", 40.0);
-        assert_eq!(a.close(xlarge(), true), ((1.0 + 1.0) + 1e16, 40.0));
+        a.checkpointed(C, 1e16);
+        a.checkpointed(B, 1.0);
+        a.checkpointed(A, 1.0);
+        a.checkpointed(D, 40.0);
+        a.salvaged(D, 40.0);
+        assert_eq!(a.close(xlarge(), true).unwrap(), ((1.0 + 1.0) + 1e16, 40.0));
         assert_ne!(a.wasted_secs, (1e16 + 1.0) + 1.0, "premise: order is observable");
-        assert_eq!(a.accounts["D"].retry_waste_secs, 0.0, "fully salvaged: nothing lost");
-        assert_eq!(a.accounts["D"].salvaged_secs, 40.0);
-        assert_eq!(a.accounts["B"].retry_waste_secs, 1.0, "the ledger sees the reclassification");
+        assert_eq!(a.accounts[D.index()].retry_waste_secs, 0.0, "fully salvaged: nothing lost");
+        assert_eq!(a.accounts[D.index()].salvaged_secs, 40.0);
+        assert_eq!(
+            a.accounts[B.index()].retry_waste_secs,
+            1.0,
+            "the ledger sees the reclassification"
+        );
         // A partial resume leaves the remainder to be lost.
-        let mut p = Accounting::new(CostTracker::on_demand(), false);
-        p.checkpointed("A", 30.0);
-        p.salvaged("A", 10.0);
-        assert_eq!(p.close(xlarge(), true), (20.0, 10.0));
-        assert_eq!(p.accounts["A"].retry_waste_secs, 0.0, "no ledger, no per-accession waste");
+        let mut p = Accounting::new(CostTracker::on_demand(), false, 1);
+        p.checkpointed(A, 30.0);
+        p.salvaged(A, 10.0);
+        assert_eq!(p.close(xlarge(), true).unwrap(), (20.0, 10.0));
+        let untouched = p.accounts[A.index()].retry_waste_secs;
+        assert_eq!(untouched, 0.0, "no ledger, no per-accession waste");
+    }
+
+    #[test]
+    fn checkpointed_seconds_are_salvaged_or_lost() {
+        // Put / resume / expire, as `drain_job` and `record_completion` drive it:
+        // SRR1 drains twice and a resumed completion reuses both slices; SRR2's
+        // checkpoint expires, so its completion salvages nothing.
+        let mut a = Accounting::new(CostTracker::on_demand(), false, 2);
+        a.checkpointed(SRR1, 100.25);
+        a.checkpointed(SRR2, 61.5);
+        a.checkpointed(SRR1, 50.125);
+        a.salvaged(SRR1, 100.25 + 50.125);
+        assert_eq!(a.close(xlarge(), true).unwrap(), (61.5, 150.375));
+        // A second that is neither pending nor salvaged breaks the books.
+        let mut broken = Accounting::new(CostTracker::on_demand(), false, 1);
+        broken.checkpointed(SRR1, 30.0);
+        broken.accounts[SRR1.index()].pending_salvage_secs = 10.0;
+        let err = broken.close(xlarge(), true).unwrap_err();
+        assert!(matches!(&err, AtlasError::Conservation(m) if m.contains("checkpointed")), "{err}");
+        // So does salvaging more than was ever checkpointed.
+        let mut over = Accounting::new(CostTracker::on_demand(), false, 1);
+        over.checkpointed(SRR1, 30.0);
+        over.salvaged(SRR1, 45.0);
+        assert!(matches!(over.close(xlarge(), true), Err(AtlasError::Conservation(_))));
     }
 }

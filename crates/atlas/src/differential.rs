@@ -1,47 +1,13 @@
-//! Differential verification: the kernel engine against its own replay.
+//! The part of a campaign's event log every replay must reproduce.
 //!
-//! The discrete-event kernel is only trustworthy because this harness can
-//! prove, for any seeded campaign, that a second run on identical config +
-//! workload reproduces the first *byte for byte*: same completion order, same
-//! dead letters, same fault tallies, same makespan and cost down to the f64
-//! bit patterns (all folded into [`CampaignReport::summary_digest`]), same
-//! dispatched-event count, and the same telemetry event log. The legacy tick
-//! loop this harness originally compared against has been deleted; determinism
-//! is now pinned by replay, and the kernel's event semantics by the chaos and
-//! conservation suites. The chaos/differential tests drive this across
-//! fault-free, chaos-seeded, and fleet-scale modeled campaigns.
-//!
-//! Monitor-gated `progress`/`alert` lines are stripped from the log comparison —
+//! Determinism is pinned by replay (`tests/tests/devent_diff.rs`, through the
+//! test-support helper in `tests/lib.rs`) and by absolute digests
+//! (`tests/tests/campaign_pins.rs`); both compare logs through
+//! [`stripped_event_log`]. Monitor-gated `progress`/`alert` lines are stripped —
 //! they are observer output whose presence depends only on the monitor config
 //! (the pure-observer tests cover them); everything else must match exactly.
 
-use std::sync::Arc;
-
-use crate::orchestrator::{CampaignConfig, CampaignReport, Orchestrator};
-use crate::workload::CampaignWorkload;
-use crate::AtlasError;
-
-/// The same campaign run twice through the kernel engine.
-#[derive(Debug)]
-pub struct EngineComparison {
-    /// Report from the first run.
-    pub first: CampaignReport,
-    /// Report from the replay on identical config + workload.
-    pub replay: CampaignReport,
-}
-
-/// Run `accessions` through the kernel engine twice on identical config +
-/// workload, returning both reports for byte-level comparison.
-pub fn run_differential(
-    workload: Arc<dyn CampaignWorkload>,
-    config: &CampaignConfig,
-    accessions: &[String],
-) -> Result<EngineComparison, AtlasError> {
-    let first =
-        Orchestrator::with_workload(Arc::clone(&workload), config.clone())?.run(accessions)?;
-    let replay = Orchestrator::with_workload(workload, config.clone())?.run(accessions)?;
-    Ok(EngineComparison { first, replay })
-}
+use crate::orchestrator::CampaignReport;
 
 /// The structured event log with monitor-gated lines (`progress`, `alert`)
 /// removed — the part of the log every replay must reproduce byte for byte.
@@ -55,103 +21,4 @@ pub fn stripped_event_log(report: &CampaignReport) -> Option<String> {
             .collect::<Vec<_>>()
             .join("\n"),
     )
-}
-
-impl EngineComparison {
-    /// Differential attribution between the two runs: where the seconds and
-    /// dollars moved, per ledger category / accession / instance /
-    /// critical-path edge. For a true replay this is exactly empty
-    /// (`DiffReport::is_empty`); on divergence it is the root-cause table.
-    pub fn attribution(&self) -> telemetry::DiffReport {
-        telemetry::diff(
-            &self.first.run_profile("first"),
-            &self.replay.run_profile("replay"),
-        )
-    }
-
-    /// Check byte-for-byte equivalence. `Ok(())` when the runs agree;
-    /// otherwise every observed divergence, labeled, followed by the
-    /// [`Self::attribution`] waterfall so the failure says *where* the runs
-    /// drifted, not just that they did.
-    pub fn assert_equivalent(&self) -> Result<(), String> {
-        let mut diffs: Vec<String> = Vec::new();
-        let (l, k) = (&self.first, &self.replay);
-        if l.summary_digest() != k.summary_digest() {
-            diffs.push(format!(
-                "summary digest: first {:#018x} != replay {:#018x}",
-                l.summary_digest(),
-                k.summary_digest()
-            ));
-        }
-        let l_order: Vec<&str> = l.completed.iter().map(|r| r.accession.as_str()).collect();
-        let k_order: Vec<&str> = k.completed.iter().map(|r| r.accession.as_str()).collect();
-        if l_order != k_order {
-            diffs.push(format!(
-                "completion order diverges at index {}",
-                l_order.iter().zip(&k_order).position(|(a, b)| a != b).unwrap_or(l_order.len().min(k_order.len()))
-            ));
-        }
-        if l.dead_lettered != k.dead_lettered {
-            diffs.push(format!(
-                "dead letters: first {:?} != replay {:?}",
-                l.dead_lettered, k.dead_lettered
-            ));
-        }
-        if l.makespan.as_secs().to_bits() != k.makespan.as_secs().to_bits() {
-            diffs.push(format!(
-                "makespan: first {} != replay {}",
-                l.makespan.as_secs(),
-                k.makespan.as_secs()
-            ));
-        }
-        if l.cost.total_usd.to_bits() != k.cost.total_usd.to_bits() {
-            diffs.push(format!(
-                "total cost: first {} != replay {}",
-                l.cost.total_usd, k.cost.total_usd
-            ));
-        }
-        if l.sim_events != k.sim_events {
-            diffs.push(format!(
-                "dispatched events: first {} != replay {}",
-                l.sim_events, k.sim_events
-            ));
-        }
-        if l.instances_launched != k.instances_launched {
-            diffs.push(format!(
-                "instances launched: first {} != replay {}",
-                l.instances_launched, k.instances_launched
-            ));
-        }
-        if l.interruptions != k.interruptions {
-            diffs.push(format!(
-                "interruptions: first {} != replay {}",
-                l.interruptions, k.interruptions
-            ));
-        }
-        if l.fault_counters != k.fault_counters {
-            diffs.push("fault counters diverge".to_string());
-        }
-        if l.fleet_timeline != k.fleet_timeline {
-            diffs.push("fleet timelines diverge".to_string());
-        }
-        match (stripped_event_log(l), stripped_event_log(k)) {
-            (Some(a), Some(b)) if a != b => {
-                let at = a
-                    .lines()
-                    .zip(b.lines())
-                    .position(|(x, y)| x != y)
-                    .map(|i| format!("first divergent line {i}"))
-                    .unwrap_or_else(|| "lengths differ".to_string());
-                diffs.push(format!("stripped event logs differ ({at})"));
-            }
-            (Some(_), Some(_)) => {}
-            (None, None) => {}
-            _ => diffs.push("one run recorded telemetry, the other did not".to_string()),
-        }
-        if diffs.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("{}\n{}", diffs.join("; "), self.attribution().render_text()))
-        }
-    }
 }

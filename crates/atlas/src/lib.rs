@@ -17,8 +17,9 @@
 //! * [`analysis`] — the paper's progress-log analysis methodology: replay candidate
 //!   checkpoint policies over recorded `Log.progress.out` histories to find the
 //!   smallest safe checkpoint fraction (the data behind the 10 % rule).
-//! * [`recovery`] — graceful spot degradation: the checkpoint store and recovery
-//!   policy that let drained workers hand work back and successors resume it.
+//! * [`recovery`] — graceful spot degradation: the recovery policy (and, privately,
+//!   the checkpoint store) that lets drained workers hand work back and successors
+//!   resume it.
 //! * [`report`] — human-readable experiment tables.
 //! * [`experiments`] — the code that regenerates every figure/table of the paper
 //!   (Fig. 3, the §III-A configuration table, Fig. 4, the architecture campaign);
@@ -38,12 +39,11 @@ pub mod report;
 pub mod right_size;
 pub mod workload;
 
-pub use differential::{run_differential, EngineComparison};
 pub use early_stop::{EarlyStopAccounting, EarlyStopPolicy};
 pub use error::AtlasError;
 pub use ledger::{AccessionLedgerEntry, LedgerTotals, SloReport};
 pub use orchestrator::{CampaignConfig, CampaignReport, Orchestrator};
 pub use pipeline::{AtlasPipeline, PipelineConfig, PipelineResult, StageTimes};
-pub use recovery::{CheckpointStore, RecoveryConfig};
+pub use recovery::RecoveryConfig;
 pub use right_size::RightSizer;
 pub use workload::{CampaignWorkload, ModeledWorkload};

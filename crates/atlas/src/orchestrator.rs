@@ -23,8 +23,8 @@
 //!
 //! This module is the public face — [`CampaignConfig`], [`CampaignReport`] and
 //! the [`Orchestrator`] facade; the event-driven state machine that runs a
-//! campaign lives in `crate::campaign`, and [`crate::differential`] pins its
-//! determinism by replay.
+//! campaign lives in `crate::campaign`; `tests/tests/devent_diff.rs` pins its
+//! determinism by replay and `tests/tests/campaign_pins.rs` by absolute digests.
 
 use std::sync::Arc;
 
@@ -230,7 +230,7 @@ pub struct CampaignReport {
     /// Injected-fault tallies (all zero when `CampaignConfig::faults` is `None`).
     pub fault_counters: FaultCounters,
     /// Jobs that finished an accession some other worker had already completed
-    /// (at-least-once duplicates absorbed by the results map).
+    /// (at-least-once duplicates; only the first completion counts).
     pub duplicate_completions: u64,
     /// Instance-seconds spent on work that produced nothing durable: crashed
     /// jobs, duplicate completions, and results whose upload was lost. This is a
@@ -389,7 +389,9 @@ impl Orchestrator {
         Ok(Orchestrator { workload, config })
     }
 
-    /// Run the campaign over `accessions`.
+    /// Run the campaign over `accessions`. An id may appear once: the campaign
+    /// names each accession by its position in this slice, so a repeated id is
+    /// rejected with [`AtlasError::InvalidParams`] before anything is queued.
     pub fn run(&self, accessions: &[String]) -> Result<CampaignReport, AtlasError> {
         Campaign::new(&*self.workload, &self.config, accessions)?.run()
     }
@@ -621,10 +623,32 @@ mod tests {
         }
     }
 
-    // ——— Graceful spot degradation (notice → drain → checkpoint → resume) ———
-
     use crate::recovery::RecoveryConfig;
     use crate::workload::ModeledWorkload;
+
+    #[test]
+    fn a_repeated_accession_id_is_rejected_up_front() {
+        let t = InstanceType::by_name("r6a.xlarge").unwrap();
+        let orch = Orchestrator::with_workload(
+            ModeledWorkload::default().into_workload(),
+            CampaignConfig::new(t, 1 << 30),
+        )
+        .unwrap();
+        let mut ids = ModeledWorkload::accessions(21);
+        ids[17] = ids[3].clone();
+        match orch.run(&ids) {
+            Err(AtlasError::InvalidParams(msg)) => {
+                assert!(msg.contains(&ids[3]) && msg.contains("positions 3 and 17"), "{msg}");
+            }
+            other => panic!("expected InvalidParams, got {:?}", other.map(|r| r.sim_events)),
+        }
+        // Nothing submitted is not an error: an empty campaign, settled at t = 0.
+        let empty = orch.run(&[]).unwrap();
+        assert_eq!((empty.sim_events, empty.makespan.as_secs()), (0, 0.0));
+        assert!(empty.completed.is_empty() && empty.dead_lettered.is_empty());
+    }
+
+    // ——— Graceful spot degradation (notice → drain → checkpoint → resume) ———
 
     /// A fleet-scale config over the modeled workload: paper-sized index
     /// (~105 s init), modeled ~12-minute jobs dominated by the align stage, so

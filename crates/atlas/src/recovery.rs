@@ -18,9 +18,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::campaign::Acc;
 use crate::AtlasError;
-use bytes::Bytes;
-use cloudsim::ObjectStore;
 
 /// Recovery-layer knobs. The notice lead time and the checkpoint-write failure
 /// probability live in the fault plan ([`cloudsim::FaultPlan::spot_notice_secs`],
@@ -54,22 +53,18 @@ impl RecoveryConfig {
     }
 }
 
-/// The simulated-S3 checkpoint store.
+/// The simulated-S3 checkpoint store, keyed by accession handle.
 ///
-/// Checkpoint blobs live in a [`cloudsim::ObjectStore`] under
-/// `checkpoints/{accession}`; a side index carries the write timestamp for TTL
-/// enforcement and the align-offset for O(log n) lookup without re-parsing the
-/// blob. The engine stores the *modeled* checkpoint — the cumulative
-/// align-stage seconds completed — because at campaign scale the workload is
-/// modeled too; the byte-level `AlignCheckpoint` equivalence is proven once in
-/// the star crate and the engine only propagates its time consequence.
+/// The engine stores the *modeled* checkpoint — the cumulative align-stage
+/// seconds completed, and when it was written (for TTL enforcement) — because at
+/// campaign scale the workload is modeled too; the byte-level `AlignCheckpoint`
+/// equivalence is proven once in the star crate and the engine only propagates
+/// its time consequence.
 #[derive(Debug, Default)]
-pub struct CheckpointStore {
-    store: ObjectStore,
-    index: BTreeMap<String, CheckpointMeta>,
+pub(crate) struct CheckpointStore {
+    index: BTreeMap<Acc, CheckpointMeta>,
     /// Seconds a checkpoint stays usable; lookups and GC share it.
     ttl_secs: f64,
-    expired_total: u64,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -85,75 +80,45 @@ impl CheckpointStore {
         CheckpointStore { ttl_secs, ..CheckpointStore::default() }
     }
 
-    fn key(accession: &str) -> String {
-        format!("checkpoints/{accession}")
-    }
-
     /// Write (or overwrite) the checkpoint for an accession: cumulative
     /// align-stage seconds completed across its drained attempts.
-    pub fn put(&mut self, accession: &str, align_offset_secs: f64, now_secs: f64) {
-        // The blob is the offset's exact bit pattern: deterministic bytes, so
-        // repeated campaigns store identical objects.
-        let blob = format!("align_offset_bits\t{:016x}\n", align_offset_secs.to_bits());
-        self.store.put(&Self::key(accession), Bytes::from(blob.into_bytes()));
-        self.index.insert(
-            accession.to_string(),
-            CheckpointMeta { written_at_secs: now_secs, align_offset_secs },
-        );
+    pub fn put(&mut self, accession: Acc, align_offset_secs: f64, now_secs: f64) {
+        let meta = CheckpointMeta { written_at_secs: now_secs, align_offset_secs };
+        self.index.insert(accession, meta);
     }
 
     /// The stored align offset for an accession, if a live (non-expired)
     /// checkpoint exists. Lookups are TTL-aware even before a GC pass runs.
-    pub fn get(&self, accession: &str, now_secs: f64) -> Option<f64> {
-        let meta = self.index.get(accession)?;
-        if now_secs - meta.written_at_secs > self.ttl_secs {
-            return None;
-        }
-        debug_assert!(self.store.head(&Self::key(accession)).is_ok(), "index/object stores agree");
-        Some(meta.align_offset_secs)
+    pub fn get(&self, accession: Acc, now_secs: f64) -> Option<f64> {
+        let meta = self.index.get(&accession)?;
+        (now_secs - meta.written_at_secs <= self.ttl_secs).then_some(meta.align_offset_secs)
     }
 
     /// Drop an accession's checkpoint (consumed by a successful completion).
-    pub fn remove(&mut self, accession: &str) {
-        if self.index.remove(accession).is_some() {
-            self.store.delete(&Self::key(accession));
-        }
+    pub fn remove(&mut self, accession: Acc) {
+        self.index.remove(&accession);
     }
 
     /// Garbage-collect expired checkpoints; returns how many were collected.
     pub fn gc(&mut self, now_secs: f64) -> usize {
-        let expired: Vec<String> = self
-            .index
-            .iter()
-            .filter(|(_, m)| now_secs - m.written_at_secs > self.ttl_secs)
-            .map(|(a, _)| a.clone())
-            .collect();
-        for a in &expired {
-            self.remove(a);
-        }
-        self.expired_total += expired.len() as u64;
-        expired.len()
+        let before = self.index.len();
+        let ttl_secs = self.ttl_secs;
+        self.index.retain(|_, m| now_secs - m.written_at_secs <= ttl_secs);
+        before - self.index.len()
     }
 
     /// Live checkpoints currently stored.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.index.len()
-    }
-
-    /// True when no checkpoint is stored.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Checkpoints expired over the store's lifetime.
-    pub fn expired_total(&self) -> u64 {
-        self.expired_total
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    const SRR1: Acc = Acc(0);
+    const SRR2: Acc = Acc(1);
 
     #[test]
     fn default_config_validates_and_bad_ttls_do_not() {
@@ -167,34 +132,32 @@ mod tests {
     #[test]
     fn put_get_remove_roundtrip() {
         let mut s = CheckpointStore::new(3600.0);
-        assert!(s.is_empty());
-        s.put("SRR1", 42.5, 100.0);
-        assert_eq!(s.get("SRR1", 150.0), Some(42.5));
-        assert_eq!(s.get("SRR2", 150.0), None);
+        assert_eq!(s.len(), 0);
+        s.put(SRR1, 42.5, 100.0);
+        assert_eq!(s.get(SRR1, 150.0), Some(42.5));
+        assert_eq!(s.get(SRR2, 150.0), None);
         assert_eq!(s.len(), 1);
         // Overwrite refreshes both the offset and the TTL clock.
-        s.put("SRR1", 60.0, 200.0);
-        assert_eq!(s.get("SRR1", 250.0), Some(60.0));
-        s.remove("SRR1");
-        assert!(s.is_empty());
-        assert_eq!(s.get("SRR1", 250.0), None);
+        s.put(SRR1, 60.0, 200.0);
+        assert_eq!(s.get(SRR1, 250.0), Some(60.0));
+        s.remove(SRR1);
+        assert_eq!(s.len(), 0);
+        assert_eq!(s.get(SRR1, 250.0), None);
     }
 
     #[test]
     fn expired_checkpoints_are_invisible_and_collectable() {
         let mut s = CheckpointStore::new(600.0);
-        s.put("A", 10.0, 0.0);
-        s.put("B", 20.0, 500.0);
-        // TTL 600: at t=700, A (age 700) is expired, B (age 200) is live.
-        assert_eq!(s.get("A", 700.0), None, "expired before GC runs");
-        assert_eq!(s.get("B", 700.0), Some(20.0));
+        s.put(SRR1, 10.0, 0.0);
+        s.put(SRR2, 20.0, 500.0);
+        // TTL 600: at t=700, SRR1 (age 700) is expired, SRR2 (age 200) is live.
+        assert_eq!(s.get(SRR1, 700.0), None, "expired before GC runs");
+        assert_eq!(s.get(SRR2, 700.0), Some(20.0));
         assert_eq!(s.gc(700.0), 1);
         assert_eq!(s.len(), 1);
-        assert_eq!(s.expired_total(), 1);
         // GC is idempotent until more expire.
         assert_eq!(s.gc(700.0), 0);
         assert_eq!(s.gc(2000.0), 1);
-        assert!(s.is_empty());
-        assert_eq!(s.expired_total(), 2);
+        assert_eq!(s.len(), 0);
     }
 }

@@ -148,7 +148,8 @@ impl AlignCheckpoint {
     }
 
     /// Parse a serialized checkpoint, rejecting version mismatches, truncation,
-    /// checksum failures and internally inconsistent tallies.
+    /// checksum failures, lines beyond the declared rows and internally
+    /// inconsistent tallies.
     pub fn from_bytes(bytes: &[u8]) -> Result<AlignCheckpoint, StarError> {
         let text = std::str::from_utf8(bytes)
             .map_err(|_| StarError::CorruptIndex("checkpoint is not UTF-8".into()))?;
@@ -254,6 +255,9 @@ impl AlignCheckpoint {
                 });
             }
             ckpt.junctions = Some(rows);
+        }
+        if lines.next().is_some() {
+            return Err(StarError::CorruptIndex("trailing data after junction rows".into()));
         }
         ckpt.validate()?;
         Ok(ckpt)

@@ -104,6 +104,17 @@ fn hostile_blobs_get_a_typed_error_and_bounded_allocation() {
         }
     }
 
+    // Lines the declared counts do not cover, under a checksum that matches: one more
+    // well-formed junction row than `junctions\t<N>` announced, and an arbitrary line.
+    let last_row = text[..body_len].trim_end().rsplit('\n').next().unwrap();
+    assert!(last_row.starts_with("j\t"), "premise: the body ends with a junction row");
+    for extra in [last_row, "anything at all"] {
+        let bad = sealed(&[body, extra.as_bytes(), b"\n"].concat());
+        assert_rejected(&bad, bound, &format!("trailing {extra:?}"));
+        let err = AlignCheckpoint::from_bytes(&bad).unwrap_err();
+        assert!(err.to_string().contains("trailing data"), "trailing {extra:?}: {err}");
+    }
+
     // Truncated at, just before and just after every line boundary: the raw prefix,
     // and the prefix of the body sealed again. (Dropping only the final newline, of
     // the blob or of the body before sealing, leaves the same checkpoint: those two

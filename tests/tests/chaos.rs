@@ -143,15 +143,14 @@ fn chaos_campaigns_replay_bit_for_bit_and_diverge_across_seeds() {
 #[test]
 fn chaos_replay_agrees_on_every_observable() {
     // The digest-level replay test above is necessary but coarse; the replay
-    // harness in atlas_pipeline::differential compares the full observable
-    // surface — completion order, dead letters, fleet timelines, makespan and
+    // harness in `tests/lib.rs` compares the full observable surface —
+    // completion order, dead letters, fleet timelines, makespan and
     // cost bit patterns, stripped telemetry logs. Drive it from this suite's
     // hostile chaos config so the whole surface is pinned under faults, not
     // just on the tame devent_diff fixtures.
     let (pipeline, ids) = pipeline_fixture(10);
-    let cmp =
-        atlas_pipeline::run_differential(pipeline, &chaos_config(FaultPlan::chaos(7)), &ids)
-            .unwrap();
+    let cfg = chaos_config(FaultPlan::chaos(7));
+    let cmp = atlas_integration_tests::run_differential(pipeline, &cfg, &ids).unwrap();
     cmp.assert_equivalent().unwrap_or_else(|d| panic!("chaos replay diverged: {d}"));
     assert!(cmp.first.fault_counters.total_faults() > 0, "premise: chaos actually struck");
 }

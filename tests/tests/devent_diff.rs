@@ -15,10 +15,11 @@
 //! They also pin the chaos-suite guarantees (conservation, bit-exact replay)
 //! and the monitor pure-observer proof to the kernel path explicitly.
 
+use atlas_integration_tests::run_differential;
 use atlas_pipeline::experiments::Substrate;
 use atlas_pipeline::orchestrator::{CampaignConfig, Orchestrator};
 use atlas_pipeline::pipeline::{AtlasPipeline, PipelineConfig};
-use atlas_pipeline::{differential, run_differential, ModeledWorkload};
+use atlas_pipeline::{differential, ModeledWorkload};
 use cloudsim::faults::{FaultPlan, SpotBurst};
 use cloudsim::instance::InstanceType;
 use cloudsim::ScalingPolicy;

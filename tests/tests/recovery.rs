@@ -196,6 +196,60 @@ fn recovery_campaigns_replay_bit_for_bit_and_diverge_across_seeds() {
     assert_ne!(a1.summary_digest(), b.summary_digest(), "a different seed must diverge");
 }
 
+/// Handles are submit positions and names are only labels, so nothing may lean
+/// on the two orders agreeing (they do for every other campaign in the
+/// repository): ids submitted in *reverse* name order, under chaos, a reclaim
+/// storm and recovery, with a ledger reading every account.
+#[test]
+fn a_campaign_over_reverse_ordered_ids_conserves_and_replays() {
+    let mut ids = ModeledWorkload::accessions(240);
+    ids.reverse();
+    let mut cfg = modeled_config(true);
+    cfg.scaling.max_size = 24;
+    let spot_bursts = burst_plan(42).spot_bursts;
+    cfg.faults = Some(FaultPlan { spot_bursts, ..FaultPlan::chaos(42) });
+    cfg.max_receive_count = Some(2);
+    let cmp = atlas_integration_tests::run_differential(
+        ModeledWorkload::default().into_workload(),
+        &cfg,
+        &ids,
+    )
+    .unwrap();
+    cmp.assert_equivalent().unwrap_or_else(|d| panic!("replay diverged: {d}"));
+    let report = &cmp.first;
+    assert!(report.interruptions > 0 && report.salvaged_compute_secs > 0.0, "premise: drains");
+    assert!(report.dead_lettered.len() >= 2, "premise: a dead-letter order to check");
+
+    // Conserved: every id completed or dead-lettered, exactly once.
+    let mut resolved: Vec<&str> = report
+        .completed
+        .iter()
+        .map(|r| r.accession.as_str())
+        .chain(report.dead_lettered.iter().map(|s| s.as_str()))
+        .collect();
+    resolved.sort_unstable();
+    let mut expect: Vec<&str> = ids.iter().map(|s| s.as_str()).collect();
+    expect.sort_unstable();
+    assert_eq!(resolved, expect);
+    assert_eq!(report.slo.as_ref().unwrap().ledger.len(), report.completed.len());
+
+    // `dead_lettered` is the queue's dead-letter order (the order the log saw
+    // them), minus whatever an in-flight duplicate completed after all.
+    let log = &report.telemetry.as_ref().unwrap().event_log;
+    let logged: Vec<&str> = events_of(log, "dead_letter")
+        .iter()
+        .map(|l| {
+            let rest = &l[l.find("\"accession\":\"").expect("accession field") + 13..];
+            &rest[..rest.find('"').unwrap()]
+        })
+        .filter(|a| !report.completed.iter().any(|r| r.accession == *a))
+        .collect();
+    assert_eq!(logged, report.dead_lettered);
+    let mut by_name = report.dead_lettered.clone();
+    by_name.sort_unstable();
+    assert_ne!(by_name, report.dead_lettered, "premise: queue order is not name order here");
+}
+
 /// The recovery vocabulary is pinned at the export layer too: a fixed-seed
 /// recovery campaign's Perfetto trace and OpenMetrics exposition are
 /// byte-pinned like the base-campaign goldens (which this PR leaves untouched —

@@ -18,7 +18,7 @@
 //!   merging the per-group quantile sketches reproduces the whole-log sketch
 //!   exactly (and the true quantile within the sketch's relative-error bound).
 
-use atlas_pipeline::differential::run_differential;
+use atlas_integration_tests::run_differential;
 use atlas_pipeline::experiments::Substrate;
 use atlas_pipeline::orchestrator::{CampaignConfig, CampaignReport, Orchestrator};
 use atlas_pipeline::pipeline::{AtlasPipeline, PipelineConfig};
