@@ -65,6 +65,18 @@ if grep -nE 'BTree(Map|Set)<String|HashMap<String' crates/atlas/src/campaign.rs 
 fi
 cargo build --release --offline -p atlas-bench --bin bench_compare
 ./target/release/bench_compare benchmarks/baseline benchmarks/baseline
+# What the three --overhead steps below do and do not say. Each compares two
+# *committed* files under benchmarks/baseline/ and executes no code from this
+# tree: it checks the numbers captured when those files were last refreshed, not
+# this commit. And the base cell of each pair is 120 accessions of real alignment
+# with telemetry already on, so "within 2%" means "the monitor / the SLO engine /
+# recovery adds under 2% to a campaign whose time is alignment and whose recorder
+# is already running" — not that observing a campaign costs 2%. What observation
+# costs is atlas-e2e's observed_fleet_20k (20 000 modeled accessions, so nothing
+# but kernel and telemetry): telemetry.observer.overhead_frac there was 21-28
+# before the one-sample-path change (PR 20) and 7.3 after, the recorder alone
+# 2.9-3.0 (DESIGN.md "Live monitor" has the table).
+#
 # Monitor-overhead gate: the committed campaign baselines come from the
 # bench_cloud_campaign binary, which times all three variants in one process,
 # interleaved round-robin with a min-of-rounds estimator so machine-load drift

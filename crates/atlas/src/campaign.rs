@@ -53,7 +53,7 @@ use star_aligner::quant::Strandedness;
 use state::{Accounting, Fleet, Job, Observers, Resolution};
 use std::collections::HashMap;
 use std::sync::Arc;
-use telemetry::{JsonValue, RATE_BUCKETS, SECS_BUCKETS};
+use telemetry::{JsonValue, SloSignal, RATE_BUCKETS, SECS_BUCKETS};
 
 /// An accession inside a campaign: its index in the slice handed to
 /// [`crate::Orchestrator::run`]. Handle order is submit order, so "in accession
@@ -361,7 +361,7 @@ impl<'a> Campaign<'a> {
             // First delivery: submit → first-receive latency.
             self.obs.job_event(now, "queue_wait", name, id, &[("wait_secs", wait.as_secs())]);
             rec.observe("queue_wait_secs", SECS_BUCKETS, wait.as_secs());
-            self.obs.slo_sample("slo_queue_wait_secs", wait.as_secs());
+            self.obs.slo_sample(now, SloSignal::QueueWait, wait.as_secs());
             if let Some(account) = self.accounting.ledger_account(accession) {
                 account.queue_wait_secs = Some(wait.as_secs());
             }
@@ -511,6 +511,13 @@ impl<'a> Campaign<'a> {
         rec.counter_add("jobs_completed", 1);
         rec.observe("align_secs_per_accession", SECS_BUCKETS, result.stage_secs.align_secs);
         let duration = result.stage_secs.total();
+        // Campaigns submit everything at t=0, so the completion instant *is* the
+        // turnaround; the cost sample prices the successful attempt. Both precede
+        // the backdated `early_stop` event: what they set off belongs right
+        // after the job that caused it.
+        self.obs.slo_sample(now, SloSignal::AccessionTurnaround, now.as_secs());
+        let cost_usd = duration * self.obs.usd_per_hour / 3600.0;
+        self.obs.slo_sample(now, SloSignal::AccessionCost, cost_usd);
         if result.early_stopped() {
             // The decision landed at the end of the (cut short) align stage.
             let decided_at = now.as_secs() - duration
@@ -524,11 +531,6 @@ impl<'a> Campaign<'a> {
             rec.event(decided_at, "early_stop", fields);
             rec.observe("mapping_rate_at_stop", RATE_BUCKETS, result.mapping_rate);
         }
-        // Campaigns submit everything at t=0, so the completion instant *is* the
-        // turnaround; the cost sample prices the successful attempt.
-        self.obs.slo_sample("slo_turnaround_secs", now.as_secs());
-        self.obs
-            .slo_sample("slo_cost_per_accession_usd", duration * self.obs.usd_per_hour / 3600.0);
         if let Some(account) = self.accounting.ledger_account(accession) {
             account.completed_at_secs = Some(now.as_secs());
         }

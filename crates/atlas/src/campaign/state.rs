@@ -32,7 +32,7 @@ use cloudsim::cost::CostTracker;
 use cloudsim::instance::{Instance, InstanceId, InstanceType};
 use cloudsim::sqs::ReceiptHandle;
 use cloudsim::SimTime;
-use telemetry::{JsonValue, Monitor, Recorder, SpanId, TimeSeries};
+use telemetry::{JsonValue, Monitor, Recorder, SloSignal, SpanId, TimeSeries};
 
 /// One attempt at one accession, owned by the worker running it. The
 /// `JobDone` / `WorkerCrash` events only name `(instance, epoch)`; everything
@@ -462,12 +462,9 @@ impl Observers {
         // *is* a stream observer.
         let monitor =
             (cfg.telemetry && (cfg.monitor.is_some() || slo_alpha.is_some())).then(|| {
-                let mut mc = cfg.monitor.clone().unwrap_or_default();
-                if let Some(slo) = &cfg.slo {
-                    mc.slos = slo.registry.clone();
-                    mc.slos.cost_usd_per_hour = usd_per_hour;
-                }
-                let m = Monitor::new(mc);
+                let rules = cfg.monitor.clone().unwrap_or_default().rules;
+                let slos = cfg.slo.as_ref().map(|s| s.registry.slos.clone());
+                let m = Monitor::new(rules, slos.unwrap_or_default());
                 recorder.attach_observer(m.observer());
                 m
             });
@@ -492,10 +489,12 @@ impl Observers {
         self.recorder.event(now.as_secs(), kind, fields);
     }
 
-    /// Feed one SLO signal's sketch (nothing when the SLO engine is off).
-    pub fn slo_sample(&self, sketch: &str, value: f64) {
+    /// The one place an SLO sample is made (nothing when the SLO engine is
+    /// off): `signal`'s sketch takes it, and through the recorder's sample hook
+    /// so does every objective constraining `signal`.
+    pub fn slo_sample(&self, now: SimTime, signal: SloSignal, value: f64) {
         if let Some(alpha) = self.slo_alpha {
-            self.recorder.sketch_observe(sketch, alpha, value);
+            self.recorder.sketch_observe(now.as_secs(), signal.sketch_name(), alpha, value);
         }
     }
 

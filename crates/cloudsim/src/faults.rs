@@ -661,8 +661,10 @@ mod tests {
         assert!(log.contains("\"kind\":\"retry\""), "{log}");
         assert!(log.contains("\"kind\":\"retries_exhausted\""), "{log}");
         assert!(log.lines().all(|l| l.starts_with("{\"t\":42,")), "events use set_now time");
-        assert_eq!(rec.metrics().counter("faults_injected"), 4);
-        assert_eq!(rec.metrics().histogram("retry_backoff_secs").unwrap().count(), 3);
+        rec.read(|_, _, metrics| {
+            assert_eq!(metrics.counter("faults_injected"), 4);
+            assert_eq!(metrics.histogram("retry_backoff_secs").unwrap().count(), 3);
+        });
         // Decisions are identical with and without a recorder attached.
         let mut bare = FaultInjector::new(plan());
         let b: Retried<()> =

@@ -182,7 +182,7 @@ pub fn perfetto_trace(spans: &[SpanRecord], events: &[EventRecord]) -> String {
 
 /// [`perfetto_trace`] over everything a recorder captured.
 pub fn perfetto_trace_from(rec: &Recorder) -> String {
-    perfetto_trace(&rec.spans(), &rec.events())
+    rec.read(|spans, events, _| perfetto_trace(spans, events))
 }
 
 /// Export the metrics registry as OpenMetrics text exposition
@@ -225,9 +225,9 @@ pub fn openmetrics(metrics: &MetricsRegistry) -> String {
     out
 }
 
-/// [`openmetrics`] over a recorder's registry snapshot.
+/// [`openmetrics`] over a recorder's registry.
 pub fn openmetrics_from(rec: &Recorder) -> String {
-    openmetrics(&rec.metrics())
+    rec.read(|_, _, metrics| openmetrics(metrics))
 }
 
 /// Fold the span tree into collapsed-stack (flamegraph) lines: one
@@ -292,7 +292,7 @@ mod tests {
         r.event(2.5, "queue_wait", vec![("accession", JsonValue::from("SRR1")), ("instance", JsonValue::from(7u64))]);
         r.event(3.0, "scale_out", vec![("launch", JsonValue::from(2u64))]);
         r.counter_add("jobs_completed", 1);
-        r.gauge_set("fleet_active", 2.0);
+        r.gauge_set_at(3.0, "fleet_active", 2.0);
         r.observe("queue_wait_secs", &[1.0, 10.0], 0.5);
         r.observe("queue_wait_secs", &[1.0, 10.0], 3.5);
         r.span_end(inst, 12.0);
@@ -398,7 +398,7 @@ mod tests {
     #[test]
     fn collapsed_stacks_weight_self_time() {
         let r = sample_recorder();
-        let folded = collapsed_stacks(&r.spans());
+        let folded = r.read(|spans, _, _| collapsed_stacks(spans));
         // instance self time: 11s − 8s job = 3s; job self: 8s − 7s align = 1s.
         assert_eq!(
             folded,

@@ -205,9 +205,11 @@ pub fn fmt_f64(v: f64) -> String {
 /// NDJSON event logs, so the parser accepts full JSON (nested arrays/objects,
 /// escapes, exponent floats) even though the log emits only flat objects.
 /// Numbers without `.`/`e` parse to `Int`/`UInt` (matching what the writer
-/// emitted); everything else becomes `Num`.
+/// emitted); everything else becomes `Num`. Arrays and objects may nest 64
+/// deep; a deeper document is a [`ParseError`], so input from outside the
+/// program cannot run the recursive descent out of stack.
 pub fn parse(text: &str) -> Result<JsonValue, ParseError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -216,6 +218,10 @@ pub fn parse(text: &str) -> Result<JsonValue, ParseError> {
     }
     Ok(v)
 }
+
+/// How deep [`parse`] lets arrays and objects nest. The event log is flat
+/// objects, so its readers never come near this.
+const MAX_DEPTH: usize = 64;
 
 /// A JSON parse failure: what went wrong and the byte offset it went wrong at.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -237,6 +243,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -278,12 +286,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object, counting it against `MAX_DEPTH`.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, ParseError>,
+    ) -> Result<JsonValue, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<JsonValue, ParseError> {
@@ -535,6 +557,26 @@ mod tests {
         for bad in ["", "{", "{\"a\":}", "[1,]", "{\"a\":1}garbage", "nul", "\"open", "1.2.3"] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}1{}", "{\"a\":".repeat(n), "}".repeat(n));
+        for nest in [arrays, objects] {
+            assert!(parse(&nest(MAX_DEPTH)).is_ok());
+            // One past the bound, and a document that recursion could not survive.
+            for depth in [MAX_DEPTH + 1, 200_000] {
+                let err = parse(&nest(depth)).unwrap_err();
+                assert_eq!(err.message, "nesting deeper than 64");
+                // ... reported at the bracket that went too deep.
+                assert_eq!(err.offset, nest(MAX_DEPTH).find(['1', ']']).unwrap());
+            }
+        }
+        // Unclosed brackets are cut off at the same place, not at end of input.
+        assert_eq!(parse(&"[".repeat(200_000)).unwrap_err().message, "nesting deeper than 64");
+        // The bound is on depth, not on how many containers a document holds.
+        assert!(parse(&format!("[{}[]]", "[],".repeat(1000))).is_ok());
     }
 
     #[test]

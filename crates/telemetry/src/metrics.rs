@@ -149,25 +149,6 @@ impl Histogram {
         self.quantile(0.99)
     }
 
-    /// Merge another histogram into this one (parity with
-    /// [`QuantileSketch::merge`]). Both must have identical bucket bounds;
-    /// mismatched bounds panic — silently re-bucketing would corrupt quantiles.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert!(
-            self.bounds == other.bounds,
-            "cannot merge histograms with different bounds ({:?} vs {:?})",
-            self.bounds,
-            other.bounds
-        );
-        for (c, &o) in self.counts.iter_mut().zip(&other.counts) {
-            *c += o;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Serialize to the stable JSON shape (`bounds`, `counts`, `count`, `sum`,
     /// `min`, `max`).
     pub fn to_json(&self) -> JsonValue {
@@ -343,33 +324,6 @@ mod tests {
         for q in [0.0, 0.25, 0.5, 0.95, 0.99, 1.0] {
             assert_eq!(h.quantile(q), 0.0, "empty quantile({q}) must be 0.0");
         }
-    }
-
-    #[test]
-    fn merge_equals_single_histogram() {
-        let mut a = Histogram::new(&[1.0, 2.0, 4.0]);
-        let mut b = Histogram::new(&[1.0, 2.0, 4.0]);
-        let mut whole = Histogram::new(&[1.0, 2.0, 4.0]);
-        for (i, v) in [0.5, 1.5, 1.5, 3.0, 10.0, 0.1].iter().enumerate() {
-            if i % 2 == 0 {
-                a.observe(*v);
-            } else {
-                b.observe(*v);
-            }
-            whole.observe(*v);
-        }
-        a.merge(&b);
-        assert_eq!(a.to_json().render(), whole.to_json().render());
-        // Merging an empty histogram is a no-op.
-        a.merge(&Histogram::new(&[1.0, 2.0, 4.0]));
-        assert_eq!(a.to_json().render(), whole.to_json().render());
-    }
-
-    #[test]
-    #[should_panic(expected = "different bounds")]
-    fn merge_rejects_bounds_mismatch() {
-        let mut a = Histogram::new(&[1.0]);
-        a.merge(&Histogram::new(&[2.0]));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! mid-job rather than post-mortem; this module generalizes that idea to the whole
 //! campaign. A [`Monitor`] subscribes to a [`Recorder`](crate::Recorder) through
 //! the [`StreamObserver`] hook and evaluates [`AlertRule`]s against events, gauge
-//! samples, and closing spans as the simulator emits them. Fired [`AlertEvent`]s
+//! samples, and closing spans as the simulator emits them, and its [`Slo`]s
+//! against the samples the recorder's sketches take. Fired [`AlertEvent`]s
 //! are appended to the same NDJSON event log (kind `alert`) with a
 //! `latency_secs` field — how long the anomalous condition existed before the
 //! rule flagged it — so alert timeliness is itself measurable.
@@ -28,9 +29,9 @@
 use crate::events::EventRecord;
 use crate::json::JsonValue;
 use crate::recorder::StreamObserver;
-use crate::slo::{Slo, SloRegistry, SloSignal, SloState, SloStatus};
+use crate::slo::{Slo, SloState, SloStatus};
 use crate::span::SpanRecord;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 /// Comparison direction for thresholds and rates.
@@ -232,9 +233,6 @@ impl AlertRule {
 pub struct MonitorConfig {
     /// Rules, evaluated in order against every stream record.
     pub rules: Vec<AlertRule>,
-    /// Declarative SLOs ([`crate::slo`]) evaluated over the same stream with
-    /// multi-window burn-rate alerting. Empty registry = SLO engine off.
-    pub slos: SloRegistry,
 }
 
 impl MonitorConfig {
@@ -251,7 +249,6 @@ impl MonitorConfig {
                 AlertRule::fault_burst(300.0, 5),
                 AlertRule::early_stop_eligible(0.30, 0.10),
             ],
-            slos: SloRegistry::default(),
         }
     }
 }
@@ -313,11 +310,6 @@ struct MonitorState {
     slos: Vec<Slo>,
     /// Streaming evaluator state, parallel to `slos`.
     slo_states: Vec<SloState>,
-    /// Hourly rate pricing `SloSignal::AccessionCost` samples.
-    cost_usd_per_hour: f64,
-    /// Accessions already sampled — turnaround/cost sample exactly once per
-    /// accession, at its *first* successful completion.
-    seen_accessions: BTreeSet<String>,
 }
 
 /// The live monitor. Create it, attach [`Monitor::observer`] to a recorder, run
@@ -328,19 +320,19 @@ pub struct Monitor {
 }
 
 impl Monitor {
-    /// A monitor evaluating `config`'s rules.
-    pub fn new(config: MonitorConfig) -> Monitor {
-        let states = config.rules.iter().map(|_| RuleState::default()).collect();
-        let slo_states = config.slos.slos.iter().map(SloState::new).collect();
+    /// A monitor evaluating `rules` against the stream and each of `slos`
+    /// against the samples of its signal's sketch
+    /// ([`crate::SloSignal::sketch_name`]) with multi-window burn-rate alerting.
+    pub fn new(rules: Vec<AlertRule>, slos: Vec<Slo>) -> Monitor {
+        let states = rules.iter().map(|_| RuleState::default()).collect();
+        let slo_states = slos.iter().map(SloState::new).collect();
         Monitor {
             state: Arc::new(Mutex::new(MonitorState {
-                rules: config.rules,
+                rules,
                 states,
                 alerts: Vec::new(),
-                slos: config.slos.slos,
+                slos,
                 slo_states,
-                cost_usd_per_hour: config.slos.cost_usd_per_hour,
-                seen_accessions: BTreeSet::new(),
             })),
         }
     }
@@ -361,27 +353,6 @@ impl Monitor {
     pub fn slo_status(&self) -> Vec<SloStatus> {
         let st = self.state.lock().expect("monitor poisoned");
         st.slos.iter().zip(&st.slo_states).map(|(slo, state)| state.status(slo)).collect()
-    }
-}
-
-/// Route one SLO sample of `signal` through every matching objective; collects
-/// burn alerts into `fired` and clear/budget events into `extra`.
-fn slo_sample(
-    st: &mut MonitorState,
-    signal: SloSignal,
-    t: f64,
-    value: f64,
-    fired: &mut Vec<AlertEvent>,
-    extra: &mut Vec<EventRecord>,
-) {
-    let MonitorState { slos, slo_states, .. } = st;
-    for (slo, state) in slos.iter().zip(slo_states.iter_mut()) {
-        if slo.signal != signal {
-            continue;
-        }
-        let (alerts, events) = state.sample(slo, t, value);
-        fired.extend(alerts);
-        extra.extend(events);
     }
 }
 
@@ -445,15 +416,7 @@ impl StreamObserver for MonitorObserver {
                 _ => {}
             }
         }
-        let mut extra = Vec::new();
-        if !st.slos.is_empty() && event.kind == "queue_wait" {
-            if let Some(wait) = event_num(event, "wait_secs") {
-                slo_sample(&mut st, SloSignal::QueueWait, event.at_secs, wait, &mut fired, &mut extra);
-            }
-        }
-        let mut records = finish(&mut st, fired);
-        records.extend(extra);
-        records
+        finish(&mut st, fired)
     }
 
     fn on_span_close(&mut self, span: &SpanRecord) -> Vec<EventRecord> {
@@ -506,22 +469,7 @@ impl StreamObserver for MonitorObserver {
             };
             fired.extend(alert);
         }
-        let mut extra = Vec::new();
-        if !st.slos.is_empty() && span.name == "job" && span.attr("outcome") == Some("ok") {
-            if let Some(acc) = span.attr("accession").map(str::to_string) {
-                if st.seen_accessions.insert(acc) {
-                    // Batch campaigns submit everything at t = 0, so an
-                    // accession's turnaround *is* its first-completion time.
-                    let duration = span.duration_secs();
-                    let cost = duration * st.cost_usd_per_hour / 3600.0;
-                    slo_sample(&mut st, SloSignal::AccessionTurnaround, end, end, &mut fired, &mut extra);
-                    slo_sample(&mut st, SloSignal::AccessionCost, end, cost, &mut fired, &mut extra);
-                }
-            }
-        }
-        let mut records = finish(&mut st, fired);
-        records.extend(extra);
-        records
+        finish(&mut st, fired)
     }
 
     fn on_gauge(&mut self, at_secs: f64, name: &str, value: f64) -> Vec<EventRecord> {
@@ -539,6 +487,22 @@ impl StreamObserver for MonitorObserver {
             }
         }
         finish(&mut st, fired)
+    }
+
+    fn on_sample(&mut self, at_secs: f64, name: &str, value: f64) -> Vec<EventRecord> {
+        let mut st = self.state.lock().expect("monitor poisoned");
+        let (mut fired, mut extra) = (Vec::new(), Vec::new());
+        let MonitorState { slos, slo_states, .. } = &mut *st;
+        for (slo, state) in slos.iter().zip(slo_states.iter_mut()) {
+            if slo.signal.sketch_name() == name {
+                let (alerts, events) = state.sample(slo, at_secs, value);
+                fired.extend(alerts);
+                extra.extend(events);
+            }
+        }
+        let mut records = finish(&mut st, fired);
+        records.extend(extra);
+        records
     }
 }
 
@@ -663,6 +627,7 @@ fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::recorder::Recorder;
+    use crate::slo::{BurnRateRule, SloSignal, BURN_ALERT_RULE};
     use crate::span::SpanId;
 
     fn progress(rec: &Recorder, t: f64, accession: &str, fraction: f64, rate: f64) {
@@ -679,10 +644,7 @@ mod tests {
 
     #[test]
     fn threshold_rule_respects_guard_and_dedups_per_subject() {
-        let monitor = Monitor::new(MonitorConfig {
-            rules: vec![AlertRule::early_stop_eligible(0.30, 0.10)],
-            ..MonitorConfig::default()
-        });
+        let monitor = Monitor::new(vec![AlertRule::early_stop_eligible(0.30, 0.10)], Vec::new());
         let rec = Recorder::new();
         rec.attach_observer(monitor.observer());
         progress(&rec, 10.0, "SRR1", 0.05, 0.10); // guard: too early
@@ -700,13 +662,12 @@ mod tests {
         // The alerts are in the shared event log, after the events that fired them.
         let log = rec.events_ndjson();
         assert!(log.contains("\"kind\":\"alert\",\"rule\":\"early_stop_eligible\",\"subject\":\"SRR1\""), "{log}");
-        assert_eq!(rec.metrics().counter("alerts_fired"), 2);
+        assert_eq!(rec.read(|_, _, metrics| metrics.counter("alerts_fired")), 2);
     }
 
     #[test]
     fn fault_burst_counts_in_a_sliding_window() {
-        let monitor =
-            Monitor::new(MonitorConfig { rules: vec![AlertRule::fault_burst(100.0, 3)], ..MonitorConfig::default() });
+        let monitor = Monitor::new(vec![AlertRule::fault_burst(100.0, 3)], Vec::new());
         let rec = Recorder::new();
         rec.attach_observer(monitor.observer());
         for t in [0.0, 10.0, 200.0, 210.0] {
@@ -727,10 +688,7 @@ mod tests {
 
     #[test]
     fn backlog_growth_is_a_rate_over_a_window() {
-        let monitor = Monitor::new(MonitorConfig {
-            rules: vec![AlertRule::queue_backlog_growth(100.0, 0.5)],
-            ..MonitorConfig::default()
-        });
+        let monitor = Monitor::new(vec![AlertRule::queue_backlog_growth(100.0, 0.5)], Vec::new());
         let rec = Recorder::new();
         rec.attach_observer(monitor.observer());
         rec.gauge_set_at(0.0, "queue_pending", 50.0);
@@ -748,10 +706,7 @@ mod tests {
 
     #[test]
     fn straggler_rule_compares_subject_p99_to_fleet_median() {
-        let monitor = Monitor::new(MonitorConfig {
-            rules: vec![AlertRule::straggler_instances(3.0, 4)],
-            ..MonitorConfig::default()
-        });
+        let monitor = Monitor::new(vec![AlertRule::straggler_instances(3.0, 4)], Vec::new());
         let rec = Recorder::new();
         rec.attach_observer(monitor.observer());
         let mut t = 0.0;
@@ -780,7 +735,7 @@ mod tests {
     #[test]
     fn same_stream_fires_the_same_alerts() {
         let run = || {
-            let monitor = Monitor::new(MonitorConfig::standard());
+            let monitor = Monitor::new(MonitorConfig::standard().rules, Vec::new());
             let rec = Recorder::new();
             rec.attach_observer(monitor.observer());
             for i in 0..20 {
@@ -791,5 +746,69 @@ mod tests {
             rec.events_ndjson()
         };
         assert_eq!(run(), run());
+    }
+
+    /// One objective over the queue-wait sketch: budget 0.1, waits over 1 s are
+    /// bad, one 100 s / 10 s rule at 5x arming after three samples.
+    fn queue_wait_slo() -> Slo {
+        Slo {
+            id: "queue_wait".into(),
+            signal: SloSignal::QueueWait,
+            threshold: 1.0,
+            target: 0.9,
+            windows: vec![BurnRateRule {
+                long_secs: 100.0,
+                short_secs: 10.0,
+                factor: 5.0,
+                min_count: 3,
+            }],
+        }
+    }
+
+    #[test]
+    fn sketch_samples_alone_drive_the_burn_rate_engine() {
+        let monitor = Monitor::new(Vec::new(), vec![queue_wait_slo()]);
+        let rec = Recorder::new();
+        rec.attach_observer(monitor.observer());
+        let sketch = SloSignal::QueueWait.sketch_name();
+        // No events, no spans: six bad samples burn at 10x in both windows.
+        for t in 0..6 {
+            rec.sketch_observe(f64::from(t), sketch, 0.01, 2.0);
+        }
+        let alerts = monitor.alerts();
+        assert_eq!(alerts.len(), 1, "hysteresis: one alert for a sustained burn: {alerts:?}");
+        assert_eq!(alerts[0].rule, BURN_ALERT_RULE);
+        assert_eq!(alerts[0].subject, "queue_wait:100s");
+        assert_eq!(alerts[0].at_secs, 2.0, "arms at min_count = 3");
+        // Good samples pull the short window back under the factor: one clear.
+        for t in 6..30 {
+            rec.sketch_observe(f64::from(t), sketch, 0.01, 0.5);
+        }
+        assert_eq!(monitor.alerts().len(), 1);
+        let log = rec.events_ndjson();
+        assert_eq!(log.matches("\"kind\":\"slo_clear\"").count(), 1, "{log}");
+        let burn = log.find("\"rule\":\"slo_burn\"").expect("the alert is in the log");
+        assert!(burn < log.find("\"kind\":\"slo_clear\"").unwrap(), "{log}");
+        let status = &monitor.slo_status()[0];
+        assert_eq!((status.total, status.bad, status.burn_alerts), (30, 6, 1));
+        rec.read(|_, _, metrics| {
+            assert_eq!(metrics.counter("alerts_fired"), 1, "clears and budgets are not alerts");
+            assert_eq!(metrics.sketch(sketch).unwrap().count(), status.total);
+        });
+    }
+
+    #[test]
+    fn a_sample_for_an_unconstrained_sketch_is_ignored() {
+        let monitor = Monitor::new(Vec::new(), vec![queue_wait_slo()]);
+        let rec = Recorder::new();
+        rec.attach_observer(monitor.observer());
+        for t in 0..10 {
+            let name = SloSignal::AccessionCost.sketch_name();
+            rec.sketch_observe(f64::from(t), name, 0.01, 1e9);
+            rec.sketch_observe(f64::from(t), "job_secs", 0.01, 1e9);
+        }
+        assert_eq!(monitor.slo_status()[0].total, 0);
+        assert!(monitor.alerts().is_empty());
+        assert_eq!(rec.n_events(), 0);
     }
 }

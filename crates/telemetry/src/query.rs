@@ -529,6 +529,10 @@ mod tests {
         assert!(err.starts_with("line 2:"), "{err}");
         let err = Query::default().run("{\"kind\":\"no_time\"}\n").unwrap_err();
         assert!(err.contains("numeric \"t\""), "{err}");
+        // A line nested past the parser's bound is an error too, not a stack overflow.
+        let deep = format!("{{\"t\":1,\"kind\":\"a\",\"x\":{}\n", "[".repeat(200_000));
+        let err = Query::default().run(&deep).unwrap_err();
+        assert!(err.starts_with("line 1: nesting deeper than 64"), "{err}");
     }
 
     #[test]

@@ -41,6 +41,15 @@ pub trait StreamObserver: Send {
         let _ = (at_secs, name, value);
         Vec::new()
     }
+
+    /// Sketch `name` took the sample `value` through [`Recorder::sketch_observe`].
+    /// Whatever one sample causes is contiguous in the log: its alerts, then its
+    /// informational records (`slo_clear`, `slo_budget`), ahead of anything the
+    /// next sample causes — two samples made back to back never interleave.
+    fn on_sample(&mut self, at_secs: f64, name: &str, value: f64) -> Vec<EventRecord> {
+        let _ = (at_secs, name, value);
+        Vec::new()
+    }
 }
 
 #[derive(Debug, Default)]
@@ -265,18 +274,9 @@ impl Recorder {
         self.lock().metrics.counter_add(name, n);
     }
 
-    /// Set gauge `name`.
-    pub fn gauge_set(&self, name: &str, v: f64) {
-        if !self.enabled {
-            return;
-        }
-        self.lock().metrics.gauge_set(name, v);
-    }
-
     /// Set gauge `name` at simulated time `at_secs`, feeding observers the sample
-    /// (the registry itself keeps only the latest value, as with
-    /// [`Recorder::gauge_set`] — the timestamp exists for streaming rules like
-    /// rate-of-change over a window).
+    /// (the registry itself keeps only the latest value — the timestamp exists
+    /// for streaming rules like rate-of-change over a window).
     pub fn gauge_set_at(&self, at_secs: f64, name: &str, v: f64) {
         if !self.enabled {
             return;
@@ -293,18 +293,27 @@ impl Recorder {
         self.lock().metrics.observe(name, bounds, v);
     }
 
-    /// Record `v` into quantile sketch `name` (created with relative error bound
-    /// `alpha` on first touch).
-    pub fn sketch_observe(&self, name: &str, alpha: f64, v: f64) {
+    /// Record `v`, sampled at simulated time `at_secs`, into quantile sketch
+    /// `name` (created with relative error bound `alpha` on first touch), then
+    /// feed observers the same sample: what a sketch counted is exactly what a
+    /// streaming evaluator saw.
+    pub fn sketch_observe(&self, at_secs: f64, name: &str, alpha: f64, v: f64) {
         if !self.enabled {
             return;
         }
         self.lock().metrics.sketch_observe(name, alpha, v);
+        self.notify_observers(|obs| obs.on_sample(at_secs, name, v));
     }
 
-    /// Snapshot of every span recorded so far (emission order).
-    pub fn spans(&self) -> Vec<SpanRecord> {
-        self.lock().spans.clone()
+    /// Lend `f` everything recorded so far — spans and events in emission
+    /// order, and the metrics registry — under the state lock, without copying.
+    /// `f` must not call back into this recorder: the lock is not re-entrant.
+    pub fn read<R>(
+        &self,
+        f: impl FnOnce(&[SpanRecord], &[EventRecord], &MetricsRegistry) -> R,
+    ) -> R {
+        let inner = self.lock();
+        f(&inner.spans, &inner.events, &inner.metrics)
     }
 
     /// Number of spans recorded.
@@ -317,32 +326,26 @@ impl Recorder {
         self.lock().events.len()
     }
 
-    /// Snapshot of every event recorded so far (emission order).
-    pub fn events(&self) -> Vec<EventRecord> {
-        self.lock().events.clone()
-    }
-
     /// The whole event log as NDJSON (one line per event, trailing newline when
     /// non-empty). Byte-identical across same-seed runs.
     pub fn events_ndjson(&self) -> String {
-        let inner = self.lock();
-        let mut out = String::with_capacity(inner.events.len() * 96);
-        for e in &inner.events {
-            e.write_ndjson_into(&mut out);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Snapshot of the metrics registry.
-    pub fn metrics(&self) -> MetricsRegistry {
-        self.lock().metrics.clone()
+        ndjson(&self.lock().events)
     }
 
     /// The metrics registry serialized to its stable JSON shape.
     pub fn metrics_json(&self) -> String {
         self.lock().metrics.to_json().render()
     }
+}
+
+/// `events` as NDJSON, one line each.
+pub(crate) fn ndjson(events: &[EventRecord]) -> String {
+    let mut out = String::with_capacity(events.len() * 96);
+    for e in events {
+        e.write_ndjson_into(&mut out);
+        out.push('\n');
+    }
+    out
 }
 
 #[cfg(test)]
@@ -371,11 +374,12 @@ mod tests {
         let job = r.span_start_attrs("job", root, 1.0, &[("accession", "SRR1".to_string())]);
         r.span_end(job, 3.0);
         r.span_end(root, 4.0);
-        let spans = r.spans();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[1].parent, root.0);
-        assert_eq!(spans[1].end_secs, Some(3.0));
-        assert_eq!(spans[1].attr("accession"), Some("SRR1"));
+        r.read(|spans, _, _| {
+            assert_eq!(spans.len(), 2);
+            assert_eq!(spans[1].parent, root.0);
+            assert_eq!(spans[1].end_secs, Some(3.0));
+            assert_eq!(spans[1].attr("accession"), Some("SRR1"));
+        });
     }
 
     #[test]
@@ -384,7 +388,7 @@ mod tests {
         let s = r.span_start("instance", SpanId::NONE, 0.0);
         r.span_end(s, 5.0);
         r.span_end(s, 9.0);
-        assert_eq!(r.spans()[0].end_secs, Some(5.0));
+        assert_eq!(r.read(|spans, _, _| spans[0].end_secs), Some(5.0));
     }
 
     #[test]
@@ -395,7 +399,8 @@ mod tests {
         r.span_end(s, 9.0);
     }
 
-    /// Echoes every notification as an `alert` event naming what it saw.
+    /// Echoes every notification as an `alert` event naming what it saw; a
+    /// sample is echoed as an `alert` followed by an informational `slo_budget`.
     struct Echo;
     impl StreamObserver for Echo {
         fn on_event(&mut self, event: &EventRecord) -> Vec<EventRecord> {
@@ -422,6 +427,14 @@ mod tests {
                 ],
             }]
         }
+        fn on_sample(&mut self, at_secs: f64, name: &str, value: f64) -> Vec<EventRecord> {
+            let echo = |kind| EventRecord {
+                at_secs,
+                kind,
+                fields: vec![("saw", JsonValue::from(name)), ("value", JsonValue::from(value))],
+            };
+            vec![echo("alert"), echo("slo_budget")]
+        }
     }
 
     #[test]
@@ -433,16 +446,44 @@ mod tests {
         r.span_end(s, 3.0);
         r.span_end(s, 4.0); // double close: no second notification
         r.gauge_set_at(5.0, "queue_pending", 7.0);
-        r.gauge_set("fleet_active", 2.0); // untimestamped path: no notification
+        r.sketch_observe(6.0, "wait_secs", 0.01, 2.5);
         let log = r.events_ndjson();
+        // Returned records join the log without re-notifying: nothing echoes an echo.
         assert_eq!(
             log,
             "{\"t\":1,\"kind\":\"retry\"}\n\
              {\"t\":1,\"kind\":\"alert\",\"saw\":\"retry\"}\n\
              {\"t\":3,\"kind\":\"alert\",\"saw\":\"job\"}\n\
-             {\"t\":5,\"kind\":\"alert\",\"saw\":\"queue_pending\",\"value\":7}\n"
+             {\"t\":5,\"kind\":\"alert\",\"saw\":\"queue_pending\",\"value\":7}\n\
+             {\"t\":6,\"kind\":\"alert\",\"saw\":\"wait_secs\",\"value\":2.5}\n\
+             {\"t\":6,\"kind\":\"slo_budget\",\"saw\":\"wait_secs\",\"value\":2.5}\n"
         );
-        assert_eq!(r.metrics().counter("alerts_fired"), 3);
+        r.read(|_, _, metrics| {
+            assert_eq!(metrics.counter("alerts_fired"), 4, "slo_budget is not an alert");
+            assert_eq!(metrics.gauge("queue_pending"), Some(7.0));
+        });
+    }
+
+    /// Reports, instead of the sample, how many the sketch held when notified.
+    struct SketchCount(std::sync::Arc<Recorder>);
+    impl StreamObserver for SketchCount {
+        fn on_sample(&mut self, at_secs: f64, name: &str, _: f64) -> Vec<EventRecord> {
+            let held = self.0.read(|_, _, m| m.sketch(name).map_or(0, |s| s.count()));
+            vec![EventRecord { at_secs, kind: "held", fields: vec![("n", JsonValue::from(held))] }]
+        }
+    }
+
+    #[test]
+    fn on_sample_runs_after_the_sketch_took_the_sample() {
+        let r = std::sync::Arc::new(Recorder::new());
+        r.attach_observer(Box::new(SketchCount(std::sync::Arc::clone(&r))));
+        r.sketch_observe(1.0, "s", 0.01, 10.0);
+        r.sketch_observe(2.0, "s", 0.01, 20.0);
+        assert_eq!(
+            r.events_ndjson(),
+            "{\"t\":1,\"kind\":\"held\",\"n\":1}\n{\"t\":2,\"kind\":\"held\",\"n\":2}\n"
+        );
+        assert_eq!(r.read(|_, _, m| m.counter("alerts_fired")), 0);
     }
 
     #[test]
@@ -451,7 +492,9 @@ mod tests {
         r.attach_observer(Box::new(Echo));
         r.event(1.0, "retry", vec![]);
         r.gauge_set_at(2.0, "g", 1.0);
+        r.sketch_observe(3.0, "s", 0.01, 1.0);
         assert_eq!(r.n_events(), 0);
+        assert!(r.read(|_, _, metrics| metrics.sketch("s").is_none()));
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! pipeline stages) into fixed-bucket histograms, and reports the dominant stage
 //! per accession plus the fleet-level share of every stage.
 
+use crate::events::EventRecord;
 use crate::json::JsonValue;
-use crate::metrics::{Histogram, SECS_BUCKETS};
+use crate::metrics::{Histogram, MetricsRegistry, SECS_BUCKETS};
 use crate::recorder::Recorder;
 use crate::span::SpanRecord;
 use crate::SCHEMA_VERSION;
@@ -93,9 +94,16 @@ pub struct CampaignTelemetry {
 
 /// Summarize everything a [`Recorder`] captured into a [`CampaignTelemetry`].
 pub fn summarize(rec: &Recorder) -> CampaignTelemetry {
-    let spans = rec.spans();
+    rec.read(summarize_recorded)
+}
+
+fn summarize_recorded(
+    spans: &[SpanRecord],
+    events: &[EventRecord],
+    metrics: &MetricsRegistry,
+) -> CampaignTelemetry {
     let mut children: BTreeMap<u64, Vec<&SpanRecord>> = BTreeMap::new();
-    for s in &spans {
+    for s in spans {
         children.entry(s.parent).or_default().push(s);
     }
 
@@ -107,7 +115,7 @@ pub fn summarize(rec: &Recorder) -> CampaignTelemetry {
     let mut fleet_busy_secs = 0.0;
     let mut fleet_uptime_secs = 0.0;
 
-    for s in &spans {
+    for s in spans {
         match s.name.as_str() {
             "job" => fleet_busy_secs += s.duration_secs(),
             "instance" => fleet_uptime_secs += s.duration_secs(),
@@ -122,9 +130,7 @@ pub fn summarize(rec: &Recorder) -> CampaignTelemetry {
             continue;
         }
         let mut stages: Vec<&SpanRecord> = children.get(&job.id).cloned().unwrap_or_default();
-        stages.sort_by(|a, b| {
-            a.start_secs.partial_cmp(&b.start_secs).unwrap().then(a.id.cmp(&b.id))
-        });
+        stages.sort_by(|a, b| a.start_secs.total_cmp(&b.start_secs).then(a.id.cmp(&b.id)));
         if stages.is_empty() {
             continue;
         }
@@ -159,7 +165,7 @@ pub fn summarize(rec: &Recorder) -> CampaignTelemetry {
         .collect();
     let dominant_stage = stage_totals
         .iter()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+        .max_by(|a, b| a.1.total_cmp(b.1))
         .map(|(k, _)| k.clone())
         .unwrap_or_default();
     let dominant_accessions = dominated.get(&dominant_stage).copied().unwrap_or(0);
@@ -176,7 +182,6 @@ pub fn summarize(rec: &Recorder) -> CampaignTelemetry {
         })
         .collect();
 
-    let metrics = rec.metrics();
     let histogram_summaries = metrics
         .histograms()
         .map(|(name, h)| (name.to_string(), h.count(), h.p50(), h.p95(), h.p99()))
@@ -188,7 +193,7 @@ pub fn summarize(rec: &Recorder) -> CampaignTelemetry {
 
     CampaignTelemetry {
         n_spans: spans.len(),
-        n_events: rec.n_events(),
+        n_events: events.len(),
         stage_stats,
         critical_path: CriticalPath {
             per_accession,
@@ -198,12 +203,12 @@ pub fn summarize(rec: &Recorder) -> CampaignTelemetry {
             fleet_busy_secs,
             fleet_uptime_secs,
         },
-        event_log: rec.events_ndjson(),
-        metrics_json: rec.metrics_json(),
+        event_log: crate::recorder::ndjson(events),
+        metrics_json: metrics.to_json().render(),
         histogram_summaries,
         sketch_summaries,
-        perfetto_json: crate::export::perfetto_trace_from(rec),
-        openmetrics_text: crate::export::openmetrics_from(rec),
+        perfetto_json: crate::export::perfetto_trace(spans, events),
+        openmetrics_text: crate::export::openmetrics(metrics),
     }
 }
 
@@ -469,6 +474,27 @@ mod tests {
         assert!((align.total_secs - 9.0).abs() < 1e-12);
         // Both jobs still count as fleet busy time.
         assert!((t.critical_path.fleet_busy_secs - 14.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_stage_opened_at_nan_does_not_panic_the_walk() {
+        let r = Recorder::new();
+        let job = r.span_closed(
+            "job",
+            SpanId::NONE,
+            0.0,
+            10.0,
+            &[("accession", "SRR1".to_string()), ("outcome", "ok".to_string())],
+        );
+        // `span_start` takes any start; only `span_end` checks the interval, so a
+        // NaN-started stage can sit, open, beside a well-formed sibling.
+        r.span_start("align", job, f64::NAN);
+        r.span_closed("prefetch", job, 0.0, 1.0, &[]);
+        let t = summarize(&r);
+        assert_eq!(t.critical_path.per_accession.len(), 1);
+        assert_eq!(t.critical_path.per_accession[0].dominant_stage, "prefetch");
+        assert_eq!(t.critical_path.dominant_stage, "prefetch");
+        assert_eq!(t.stage_stats.len(), 2, "the open stage counts with zero duration");
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //! both windows burn at `>= factor`, and clears when the short window drops back
 //! below — firing/clearing hysteresis, so a sustained violation produces one
 //! `slo_burn` alert plus one `slo_clear` event, not a flood. Evaluation happens
-//! live inside [`crate::Monitor`] via the same [`crate::StreamObserver`] hook as
-//! the alert rules, so burn alerts land in the NDJSON event log in stream order
-//! with a detection-latency field, and integer-percent changes of the remaining
-//! budget are emitted as `slo_budget` events (rendered as Perfetto counter
-//! tracks).
+//! live inside [`crate::Monitor`], fed by [`crate::StreamObserver::on_sample`]
+//! every sample a signal's sketch takes, so burn alerts land in the NDJSON event
+//! log in stream order with a detection-latency field, and integer-percent
+//! changes of the remaining budget are emitted as `slo_budget` events (rendered
+//! as Perfetto counter tracks).
 //!
 //! Everything here is a pure function of the (deterministic) sample stream: no
 //! wall clock, no randomness — same seed, same alerts, same bytes.
@@ -34,8 +34,8 @@ pub const BURN_ALERT_RULE: &str = "slo_burn";
 
 /// Which campaign signal an objective constrains.
 ///
-/// All three are per-accession scalars sampled exactly once per accession by the
-/// monitor, in deterministic stream order.
+/// All three are per-accession scalars the campaign samples exactly once per
+/// accession, in deterministic stream order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SloSignal {
     /// Seconds from campaign start (batch submission) to the accession's first
@@ -49,8 +49,9 @@ pub enum SloSignal {
 }
 
 impl SloSignal {
-    /// The registry sketch fed by this signal (the engine streams the same
-    /// samples into a [`crate::sketch::QuantileSketch`] under this name).
+    /// The registry sketch this signal's samples go into
+    /// ([`crate::Recorder::sketch_observe`]); [`crate::Monitor`] feeds an
+    /// objective exactly the samples that sketch takes.
     pub fn sketch_name(self) -> &'static str {
         match self {
             SloSignal::AccessionTurnaround => "slo_turnaround_secs",
@@ -108,10 +109,6 @@ pub struct Slo {
 pub struct SloRegistry {
     /// Objectives, evaluated in order against every sample.
     pub slos: Vec<Slo>,
-    /// Hourly instance price used to turn job durations into
-    /// [`SloSignal::AccessionCost`] samples. The campaign engine injects the
-    /// configured instance's rate here before attaching the monitor.
-    pub cost_usd_per_hour: f64,
 }
 
 impl SloRegistry {
@@ -146,7 +143,6 @@ impl SloRegistry {
                     windows: vec![BurnRateRule::fast(), BurnRateRule::slow()],
                 },
             ],
-            cost_usd_per_hour: 0.0,
         }
     }
 
@@ -227,8 +223,9 @@ pub struct SloStatus {
 /// Streaming evaluator state for one [`Slo`].
 #[derive(Clone, Debug)]
 pub struct SloState {
-    /// `(t, was_bad)` samples inside the longest configured window.
-    samples: VecDeque<(f64, bool)>,
+    /// Samples inside the longest configured window: `(t, bad samples before
+    /// this one)`, so a window's bad count is one subtraction from `bad`.
+    samples: VecDeque<(f64, u64)>,
     /// Cumulative sample count.
     total: u64,
     /// Cumulative bad count.
@@ -256,12 +253,14 @@ impl SloState {
 
     /// Feed one sample at simulated time `t`. Returns burn alerts that fired
     /// plus `slo_clear`/`slo_budget` events to append to the log, in emission
-    /// order (alerts, clears, budget).
+    /// order (alerts, clears, budget). `t` must never decrease from one call to
+    /// the next (the kernel clock does not): eviction and the window counts
+    /// both take the kept samples to be in time order.
     pub fn sample(&mut self, slo: &Slo, t: f64, value: f64) -> (Vec<AlertEvent>, Vec<EventRecord>) {
         let is_bad = value > slo.threshold;
+        self.samples.push_back((t, self.bad));
         self.total += 1;
         self.bad += u64::from(is_bad);
-        self.samples.push_back((t, is_bad));
         let horizon = slo.windows.iter().map(|w| w.long_secs).fold(0.0, f64::max);
         while self.samples.front().is_some_and(|&(t0, _)| t0 < t - horizon) {
             self.samples.pop_front();
@@ -271,22 +270,8 @@ impl SloState {
         let mut alerts = Vec::new();
         let mut extra = Vec::new();
         for (i, w) in slo.windows.iter().enumerate() {
-            let mut long = (0u64, 0u64); // (total, bad)
-            let mut short = (0u64, 0u64);
-            let mut first_bad_short: Option<f64> = None;
-            for &(ts, b) in &self.samples {
-                if ts >= t - w.long_secs {
-                    long.0 += 1;
-                    long.1 += u64::from(b);
-                }
-                if ts >= t - w.short_secs {
-                    short.0 += 1;
-                    short.1 += u64::from(b);
-                    if b && first_bad_short.is_none() {
-                        first_bad_short = Some(ts);
-                    }
-                }
-            }
+            let long = self.window(t - w.long_secs);
+            let short = self.window(t - w.short_secs);
             let burn = |(n, b): (u64, u64)| {
                 if n == 0 {
                     0.0
@@ -299,13 +284,14 @@ impl SloState {
                 if long.0 >= w.min_count as u64 && burn_long >= w.factor && burn_short >= w.factor {
                     self.firing[i] = true;
                     self.fired += 1;
+                    let onset = self.first_bad_since(t - w.short_secs);
                     alerts.push(AlertEvent {
                         rule: BURN_ALERT_RULE.into(),
                         subject: format!("{}:{}s", slo.id, w.long_secs),
                         at_secs: t,
                         value: burn_short,
                         threshold: w.factor,
-                        latency_secs: first_bad_short.map_or(0.0, |t0| t - t0),
+                        latency_secs: onset.map_or(0.0, |t0| t - t0),
                     });
                 }
             } else if burn_short < w.factor {
@@ -336,6 +322,23 @@ impl SloState {
             });
         }
         (alerts, extra)
+    }
+
+    /// `(samples, bad samples)` among the kept samples at or after `from`.
+    fn window(&self, from: f64) -> (u64, u64) {
+        let first = self.samples.partition_point(|&(ts, _)| ts < from);
+        let bad = self.samples.get(first).map_or(0, |&(_, before)| self.bad - before);
+        ((self.samples.len() - first) as u64, bad)
+    }
+
+    /// When the first bad kept sample at or after `from` was taken.
+    fn first_bad_since(&self, from: f64) -> Option<f64> {
+        let first = self.samples.partition_point(|&(ts, _)| ts < from);
+        let before = self.samples.get(first)?.1;
+        // The bad counts never decrease, so the sample after which they first
+        // exceed `before` is the one that was bad.
+        let next = self.samples.partition_point(|&(_, b)| b <= before);
+        (self.bad > before).then(|| self.samples[next - 1].0)
     }
 
     /// Remaining error budget (see [`SloStatus::budget_remaining`]).

@@ -291,10 +291,7 @@ fn interruption_storm_alert_fires_during_the_burst() {
     let mut cfg = modeled_config(true);
     cfg.faults = Some(burst_plan(42));
     cfg.max_receive_count = Some(8);
-    cfg.monitor = Some(MonitorConfig {
-        rules: vec![telemetry::AlertRule::interruption_storm(900.0, 3)],
-        ..MonitorConfig::default()
-    });
+    cfg.monitor = Some(MonitorConfig { rules: vec![telemetry::AlertRule::interruption_storm(900.0, 3)] });
     let report = run_modeled(cfg, 20);
     assert!(report.interruptions >= 3, "premise: the storm must strike hard enough");
     let storms: Vec<_> =

@@ -82,7 +82,6 @@ fn slo_config(turnaround_secs: f64, queue_wait_secs: f64, cost_usd: f64) -> SloC
                     windows: windows(),
                 },
             ],
-            cost_usd_per_hour: 0.0, // the engine injects the billed rate
         },
         ..SloConfig::default()
     }
@@ -230,6 +229,16 @@ fn ledger_parts_refold_bit_exactly() {
     );
     assert!(totals.retry_waste_secs > 0.0);
     assert!(totals.idle_amortized_usd > 0.0, "init/idle time exists in every campaign");
+
+    // One sample path: whatever a signal's sketch took, its objective took —
+    // crashes, redeliveries and duplicate completions included.
+    let sketches = &report.telemetry.as_ref().unwrap().sketch_summaries;
+    for (status, objective) in slo.objectives.iter().zip(&healthy_slo().registry.slos) {
+        let sketch = objective.signal.sketch_name();
+        let count = sketches.iter().find(|s| s.0 == sketch).map(|s| s.1);
+        assert_eq!(Some(status.total), count, "{} vs sketch {sketch}", status.id);
+        assert_eq!(status.total, report.completed.len() as u64, "{}", status.id);
+    }
 }
 
 /// The sketches (and everything downstream of them) are deterministic: two runs

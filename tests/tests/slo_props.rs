@@ -6,11 +6,14 @@
 //!   equal), which is what makes per-shard sketches safely combinable;
 //! * the multi-window burn-rate evaluator — one alert per burn episode on
 //!   saturated error traffic, exactly one clear on recovery, and silence on
-//!   healthy streams.
+//!   healthy streams, and — on any stream the kernel clock could produce —
+//!   exactly what a plain double scan of the window computes.
 
 use proptest::prelude::*;
-use telemetry::slo::SloState;
-use telemetry::{BurnRateRule, QuantileSketch, Slo, SloSignal};
+use telemetry::slo::{SloState, BURN_ALERT_RULE};
+use telemetry::{
+    AlertEvent, BurnRateRule, EventRecord, JsonValue, QuantileSketch, Slo, SloSignal, SloStatus,
+};
 
 /// The exact sample quantile at the same rank convention the sketch uses
 /// (`floor(q · (n − 1))` into the sorted multiset).
@@ -37,8 +40,161 @@ fn turnaround_slo(windows: Vec<BurnRateRule>) -> Slo {
     }
 }
 
+/// The burn-rate evaluator as first written, kept as the reference for
+/// [`SloState`]: every sample re-walks the whole kept window once per rule to
+/// count both windows and find the short window's first bad sample.
+struct DoubleScan {
+    samples: Vec<(f64, bool)>,
+    total: u64,
+    bad: u64,
+    firing: Vec<bool>,
+    fired: u64,
+    last_budget_pct: Option<i64>,
+}
+
+impl DoubleScan {
+    fn new(slo: &Slo) -> DoubleScan {
+        DoubleScan {
+            samples: Vec::new(),
+            total: 0,
+            bad: 0,
+            firing: vec![false; slo.windows.len()],
+            fired: 0,
+            last_budget_pct: None,
+        }
+    }
+
+    fn budget_remaining(&self, slo: &Slo) -> f64 {
+        if self.total == 0 {
+            return 1.0;
+        }
+        1.0 - (self.bad as f64 / self.total as f64) / (1.0 - slo.target)
+    }
+
+    fn sample(&mut self, slo: &Slo, t: f64, value: f64) -> (Vec<AlertEvent>, Vec<EventRecord>) {
+        let is_bad = value > slo.threshold;
+        self.total += 1;
+        self.bad += u64::from(is_bad);
+        self.samples.push((t, is_bad));
+        let horizon = slo.windows.iter().map(|w| w.long_secs).fold(0.0, f64::max);
+        self.samples.retain(|&(t0, _)| t0 >= t - horizon);
+        let (mut alerts, mut extra) = (Vec::new(), Vec::new());
+        for (i, w) in slo.windows.iter().enumerate() {
+            let (mut long, mut short) = ((0u64, 0u64), (0u64, 0u64));
+            let mut first_bad_short = None;
+            for &(ts, b) in &self.samples {
+                if ts >= t - w.long_secs {
+                    long.0 += 1;
+                    long.1 += u64::from(b);
+                }
+                if ts >= t - w.short_secs {
+                    short.0 += 1;
+                    short.1 += u64::from(b);
+                    if b && first_bad_short.is_none() {
+                        first_bad_short = Some(ts);
+                    }
+                }
+            }
+            let burn = |(n, b): (u64, u64)| {
+                if n == 0 {
+                    0.0
+                } else {
+                    (b as f64 / n as f64) / (1.0 - slo.target)
+                }
+            };
+            let (burn_long, burn_short) = (burn(long), burn(short));
+            if !self.firing[i] {
+                if long.0 >= w.min_count as u64 && burn_long >= w.factor && burn_short >= w.factor {
+                    self.firing[i] = true;
+                    self.fired += 1;
+                    alerts.push(AlertEvent {
+                        rule: BURN_ALERT_RULE.into(),
+                        subject: format!("{}:{}s", slo.id, w.long_secs),
+                        at_secs: t,
+                        value: burn_short,
+                        threshold: w.factor,
+                        latency_secs: first_bad_short.map_or(0.0, |t0| t - t0),
+                    });
+                }
+            } else if burn_short < w.factor {
+                self.firing[i] = false;
+                extra.push(EventRecord {
+                    at_secs: t,
+                    kind: "slo_clear",
+                    fields: vec![
+                        ("slo", JsonValue::from(slo.id.as_str())),
+                        ("window_secs", JsonValue::from(w.long_secs)),
+                        ("burn", JsonValue::from(burn_short)),
+                    ],
+                });
+            }
+        }
+        let remaining = self.budget_remaining(slo);
+        let pct = (remaining * 100.0).floor() as i64;
+        if self.last_budget_pct != Some(pct) {
+            self.last_budget_pct = Some(pct);
+            extra.push(EventRecord {
+                at_secs: t,
+                kind: "slo_budget",
+                fields: vec![
+                    ("slo", JsonValue::from(slo.id.as_str())),
+                    ("remaining", JsonValue::from(remaining)),
+                ],
+            });
+        }
+        (alerts, extra)
+    }
+
+    fn status(&self, slo: &Slo) -> SloStatus {
+        let good = (self.total - self.bad) as f64;
+        SloStatus {
+            id: slo.id.clone(),
+            target: slo.target,
+            threshold: slo.threshold,
+            total: self.total,
+            bad: self.bad,
+            attained: if self.total == 0 { 1.0 } else { good / self.total as f64 },
+            budget_remaining: self.budget_remaining(slo),
+            burn_alerts: self.fired,
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The prefix-tally evaluator and the double scan agree on every alert,
+    /// event and status, on any non-decreasing sample stream: ties, bursts of
+    /// bad samples, and gaps long enough to empty a rule's windows of all but
+    /// the newest sample.
+    #[test]
+    fn prefix_tally_matches_the_double_scan(
+        stream in prop::collection::vec((0u8..8, 0.0f64..40.0, 0u8..3), 1..400),
+        factor in 0.5f64..8.0,
+    ) {
+        let slo = Slo {
+            target: 0.9,
+            windows: vec![
+                BurnRateRule { long_secs: 600.0, short_secs: 60.0, factor, min_count: 5 },
+                BurnRateRule { long_secs: 120.0, short_secs: 15.0, factor: 2.0 * factor, min_count: 1 },
+                BurnRateRule { long_secs: 3_000.0, short_secs: 600.0, factor: 1.0, min_count: 20 },
+            ],
+            ..turnaround_slo(Vec::new())
+        };
+        let (mut tally, mut scan) = (SloState::new(&slo), DoubleScan::new(&slo));
+        let (mut t, mut fired) = (0.0, 0usize);
+        for (gap, dt, badness) in stream {
+            // 0: a tie with the previous sample; 7: a gap past the longest
+            // window; otherwise an ordinary step.
+            t += match gap { 0 => 0.0, 7 => 3_000.0 + 100.0 * dt, _ => dt };
+            let value = if badness == 0 { 200.0 } else { 1.0 };
+            let got = tally.sample(&slo, t, value);
+            prop_assert_eq!(&got, &scan.sample(&slo, t, value), "at t = {}", t);
+            fired += got.0.len();
+            prop_assert_eq!(tally.status(&slo), scan.status(&slo));
+        }
+        prop_assert_eq!(fired as u64, tally.status(&slo).burn_alerts);
+    }
 
     /// Every estimated quantile is within relative error `alpha` of the exact
     /// sample quantile (the DDSketch guarantee the engine's percentiles rest on).

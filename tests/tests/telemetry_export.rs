@@ -117,10 +117,7 @@ fn fault_burst_alerts_fire_online() {
         ..FaultPlan::default()
     });
     cfg.max_receive_count = Some(6);
-    cfg.monitor = Some(MonitorConfig {
-        rules: vec![telemetry::AlertRule::fault_burst(300.0, 5)],
-        ..MonitorConfig::default()
-    });
+    cfg.monitor = Some(MonitorConfig { rules: vec![telemetry::AlertRule::fault_burst(300.0, 5)] });
     let report = run(&pipeline, &ids, cfg);
     assert!(report.fault_counters.total_faults() >= 5, "premise: chaos struck hard enough");
 
@@ -161,10 +158,7 @@ fn planted_straggler_instance_fires_exactly_one_alert() {
         catalog[0].spots *= 12;
     });
     let mut cfg = base_config();
-    cfg.monitor = Some(MonitorConfig {
-        rules: vec![telemetry::AlertRule::straggler_instances(3.0, 8)],
-        ..MonitorConfig::default()
-    });
+    cfg.monitor = Some(MonitorConfig { rules: vec![telemetry::AlertRule::straggler_instances(3.0, 8)] });
     let report = run(&pipeline, &ids, cfg);
     assert_eq!(report.completed.len(), 12);
 
@@ -193,10 +187,7 @@ fn planted_straggler_instance_fires_exactly_one_alert() {
 fn early_stop_eligible_alerts_precede_the_decision() {
     let (pipeline, ids) = fixture(8, 0.25);
     let mut cfg = base_config();
-    cfg.monitor = Some(MonitorConfig {
-        rules: vec![telemetry::AlertRule::early_stop_eligible(0.30, 0.10)],
-        ..MonitorConfig::default()
-    });
+    cfg.monitor = Some(MonitorConfig { rules: vec![telemetry::AlertRule::early_stop_eligible(0.30, 0.10)] });
     let report = run(&pipeline, &ids, cfg);
     let stopped: Vec<&str> = report
         .completed

@@ -72,7 +72,7 @@ proptest! {
             rec.span_end(id, now);
         }
 
-        let spans = rec.spans();
+        let spans = rec.read(|spans, _, _| spans.to_vec());
         let mut start_of = std::collections::BTreeMap::new();
         for (i, s) in spans.iter().enumerate() {
             // Ids are 1-based, dense, in emission order.

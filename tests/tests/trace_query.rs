@@ -87,7 +87,6 @@ fn ledger_slo() -> SloConfig {
                     min_count: 3,
                 }],
             }],
-            cost_usd_per_hour: 0.0,
         },
         ..SloConfig::default()
     }
