@@ -48,14 +48,15 @@ cargo build --release --offline --locked --manifest-path benchmarks/e2e/Cargo.to
 # loaded CI box are not comparable to the pinned baseline.
 cargo build --release --offline -p atlas-bench --benches
 # Every criterion group named by a literal has a committed baseline, so a new group
-# cannot land unmeasured. (The cloud_campaign* / spot_recovery_* groups take their
-# names from a table; the --overhead gates below fail if their files are missing.)
-for group in $(grep -rhoE 'benchmark_group\("[A-Za-z0-9_]+"\)' crates/bench/benches | cut -d'"' -f2 | sort -u); do
-    if [ ! -f "benchmarks/baseline/BENCH_${group}.json" ]; then
-        echo "criterion group ${group} has no benchmarks/baseline/BENCH_${group}.json" >&2
-        exit 1
-    fi
-done
+# cannot land unmeasured, and every committed baseline names such a group, so an
+# orphaned report cannot sit there unread.
+groups=$(grep -rhoE 'benchmark_group\("[A-Za-z0-9_]+"\)' crates/bench/benches | cut -d'"' -f2 | sort -u)
+baselines=$(ls benchmarks/baseline | sed -n 's/^BENCH_\(.*\)\.json$/\1/p' | sort -u)
+if [ "$groups" != "$baselines" ]; then
+    echo "criterion groups and benchmarks/baseline/BENCH_*.json differ (< group only, > baseline only):" >&2
+    diff <(echo "$groups") <(echo "$baselines") >&2 || true
+    exit 1
+fi
 # The campaign addresses per-accession state by handle (`campaign::Acc`, the submit
 # index): a collection keyed by the accession's name must not grow back.
 if grep -nE 'BTree(Map|Set)<String|HashMap<String' crates/atlas/src/campaign.rs \
@@ -65,37 +66,7 @@ if grep -nE 'BTree(Map|Set)<String|HashMap<String' crates/atlas/src/campaign.rs 
 fi
 cargo build --release --offline -p atlas-bench --bin bench_compare
 ./target/release/bench_compare benchmarks/baseline benchmarks/baseline
-# What the three --overhead steps below do and do not say. Each compares two
-# *committed* files under benchmarks/baseline/ and executes no code from this
-# tree: it checks the numbers captured when those files were last refreshed, not
-# this commit. And the base cell of each pair is 120 accessions of real alignment
-# with telemetry already on, so "within 2%" means "the monitor / the SLO engine /
-# recovery adds under 2% to a campaign whose time is alignment and whose recorder
-# is already running" — not that observing a campaign costs 2%. What observation
-# costs is atlas-e2e's observed_fleet_20k (20 000 modeled accessions, so nothing
-# but kernel and telemetry): telemetry.observer.overhead_frac there was 21-28
-# before the one-sample-path change (PR 20) and 7.3 after, the recorder alone
-# 2.9-3.0 (DESIGN.md "Live monitor" has the table).
-#
-# Monitor-overhead gate: the committed campaign baselines come from the
-# bench_cloud_campaign binary, which times all three variants in one process,
-# interleaved round-robin with a min-of-rounds estimator so machine-load drift
-# cancels (see its module doc). Watching the campaign (live alert rules +
-# streamed progress + rendered exports) must stay within 2% of running it
-# unobserved. Refresh all three files together — run the capture 2-3 times on an
-# idle box; BENCH_KEEP_MIN merges passes by keeping each cell's fastest run:
-# BENCH_ITERS=10 BENCH_BEST_OF=10 BENCH_KEEP_MIN=1 BENCH_JSON_DIR=benchmarks/baseline \
-#     cargo bench -p atlas-bench --bench bench_cloud_campaign
-./target/release/bench_compare --overhead benchmarks/baseline \
-    BENCH_cloud_campaign.json BENCH_cloud_campaign_monitor.json --tolerance 0.02
-# Same bound for the SLO engine: sketches, burn-rate evaluation, budget gauges
-# and the settlement-time attribution ledger together must stay within 2% of
-# the unobserved campaign.
-./target/release/bench_compare --overhead benchmarks/baseline \
-    BENCH_cloud_campaign.json BENCH_cloud_campaign_slo.json --tolerance 0.02
-# Recovery-overhead gate: arming graceful spot degradation (notice scheduling,
-# checkpoint-store GC, resume lookups) on a fault-free campaign must
-# stay within 2% of the recovery-off path. Captured by bench_spot_recovery with
-# the same interleaved protocol as the campaign baselines.
-./target/release/bench_compare --overhead benchmarks/baseline \
-    BENCH_spot_recovery_off.json BENCH_spot_recovery_on.json --tolerance 0.02
+# What observers and an armed-but-idle recovery layer cost, counted under the
+# counting allocator on three fixed-seed campaigns: exact for the seed, so the host's
+# wall-clock drift cannot blur it (wall-clock stays with atlas-e2e's observed_fleet_20k).
+cargo test -q --release --offline -p atlas-integration-tests --test observer_cost

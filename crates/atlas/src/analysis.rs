@@ -15,10 +15,12 @@
 //! and report the smallest checkpoint fraction with zero false stops — the
 //! data-driven justification for the paper's 10 %.
 
+use crate::early_stop::EarlyStopPolicy;
 use crate::pipeline::{AtlasPipeline, PipelineConfig};
 use crate::AtlasError;
 use serde::{Deserialize, Serialize};
 use star_aligner::progress::ProgressSnapshot;
+use star_aligner::runner::MonitorVerdict;
 
 /// One run's recorded progress history plus its final outcome.
 #[derive(Clone, Debug)]
@@ -44,19 +46,14 @@ pub struct Replay {
     pub stopped: bool,
 }
 
-/// Replay a `(check_fraction, min_rate)` policy over a recorded history.
-pub fn replay_policy(trace: &RunTrace, check_fraction: f64, min_rate: f64) -> Replay {
-    for snap in &trace.history {
-        if snap.processed_fraction() >= check_fraction {
-            if snap.mapped_fraction() < min_rate {
-                return Replay { stopped_at_fraction: snap.processed_fraction(), stopped: true };
-            }
-            // STAR's progress file keeps updating; the paper's rule decides at the
-            // first checkpoint at/after the fraction. One decision per run.
-            return Replay { stopped_at_fraction: 1.0, stopped: false };
-        }
+/// Replay `policy` over a recorded history the way the pipeline runs it: the
+/// driver consults [`EarlyStopPolicy::verdict`] after every batch, so the run
+/// stops at the first snapshot the policy aborts on.
+pub fn replay_policy(trace: &RunTrace, policy: &EarlyStopPolicy) -> Replay {
+    match trace.history.iter().find(|snap| policy.verdict(snap) == MonitorVerdict::Abort) {
+        Some(snap) => Replay { stopped_at_fraction: snap.processed_fraction(), stopped: true },
+        None => Replay { stopped_at_fraction: 1.0, stopped: false },
     }
-    Replay { stopped_at_fraction: 1.0, stopped: false }
 }
 
 /// Aggregated outcome of one candidate policy over all traces.
@@ -75,14 +72,15 @@ pub struct PolicyOutcome {
 }
 
 /// Replay a policy over every trace and aggregate.
-pub fn evaluate_policy(traces: &[RunTrace], check_fraction: f64, min_rate: f64) -> PolicyOutcome {
+pub fn evaluate_policy(traces: &[RunTrace], policy: &EarlyStopPolicy) -> PolicyOutcome {
+    let min_rate = policy.min_mapping_rate;
     let mut stopped = 0usize;
     let mut false_stops = 0usize;
     let mut total = 0.0f64;
     let mut spent = 0.0f64;
     for trace in traces {
         total += trace.full_secs;
-        let replay = replay_policy(trace, check_fraction, min_rate);
+        let replay = replay_policy(trace, policy);
         if replay.stopped {
             stopped += 1;
             spent += trace.full_secs * replay.stopped_at_fraction;
@@ -94,7 +92,7 @@ pub fn evaluate_policy(traces: &[RunTrace], check_fraction: f64, min_rate: f64) 
         }
     }
     PolicyOutcome {
-        check_fraction,
+        check_fraction: policy.check_fraction,
         min_rate,
         stopped,
         false_stops,
@@ -153,14 +151,21 @@ fn record_traces_impl(pipeline: &AtlasPipeline) -> Result<Vec<RunTrace>, AtlasEr
     Ok(traces)
 }
 
-/// Run the checkpoint-fraction analysis over a grid.
+/// Run the checkpoint-fraction analysis over a grid: each candidate is the shipped
+/// policy (its `min_reads_checked` floor included) with one fraction swapped in.
 pub fn analyze_checkpoints(
     traces: &[RunTrace],
     fractions: &[f64],
     min_rate: f64,
 ) -> CheckpointAnalysis {
-    let mut outcomes: Vec<PolicyOutcome> =
-        fractions.iter().map(|&f| evaluate_policy(traces, f, min_rate)).collect();
+    let base = EarlyStopPolicy::default();
+    let mut outcomes: Vec<PolicyOutcome> = fractions
+        .iter()
+        .map(|&f| {
+            let candidate = EarlyStopPolicy { check_fraction: f, min_mapping_rate: min_rate, ..base };
+            evaluate_policy(traces, &candidate)
+        })
+        .collect();
     outcomes.sort_by(|a, b| a.check_fraction.partial_cmp(&b.check_fraction).expect("finite"));
     CheckpointAnalysis { min_rate, outcomes, n_traces: traces.len() }
 }
@@ -201,15 +206,38 @@ mod tests {
         }
     }
 
+    /// A candidate policy with no read floor: the traces here are 1 000 reads long.
+    fn policy(check_fraction: f64, min_mapping_rate: f64) -> EarlyStopPolicy {
+        EarlyStopPolicy { check_fraction, min_mapping_rate, min_reads_checked: 0 }
+    }
+
     #[test]
     fn replay_stops_bad_runs_at_the_checkpoint() {
         let t = trace("sc", 0.15, 0.2, true);
-        let r = replay_policy(&t, 0.10, 0.30);
+        let r = replay_policy(&t, &policy(0.10, 0.30));
         assert!(r.stopped);
         assert!((r.stopped_at_fraction - 0.1).abs() < 1e-9);
         // Good run is never stopped.
         let g = trace("bulk", 0.9, 0.93, false);
-        assert!(!replay_policy(&g, 0.10, 0.30).stopped);
+        assert!(!replay_policy(&g, &policy(0.10, 0.30)).stopped);
+    }
+
+    #[test]
+    fn replay_keeps_deciding_after_the_checkpoint() {
+        // 0.31 on the checkpoint snapshot, 0.27 on the next: the pipeline's monitor
+        // is consulted after every batch, so the run dies at the later snapshot.
+        let t = RunTrace {
+            accession: "sagging".into(),
+            single_cell: false,
+            final_mapping_rate: 0.25,
+            history: vec![snap(100, 1000, 31), snap(200, 1000, 54), snap(1000, 1000, 250)],
+            full_secs: 100.0,
+        };
+        let r = replay_policy(&t, &policy(0.10, 0.30));
+        assert!(r.stopped);
+        assert!((r.stopped_at_fraction - 0.2).abs() < 1e-9);
+        // The shipped 200-read floor skips the first snapshot and decides on the same one.
+        assert_eq!(replay_policy(&t, &EarlyStopPolicy::default()), r);
     }
 
     #[test]
@@ -217,9 +245,9 @@ mod tests {
         // A run that starts at 20% mapped but finishes at 90%: a 10% checkpoint
         // wrongly kills it, a 50% checkpoint does not.
         let slow = trace("slow", 0.10, 0.90, false);
-        let early = replay_policy(&slow, 0.10, 0.30);
+        let early = replay_policy(&slow, &policy(0.10, 0.30));
         assert!(early.stopped, "interim rate at 10% is ~0.18 < 0.30");
-        let later = replay_policy(&slow, 0.60, 0.30);
+        let later = replay_policy(&slow, &policy(0.60, 0.30));
         assert!(!later.stopped, "interim rate at 60% is ~0.58");
     }
 
@@ -230,7 +258,7 @@ mod tests {
             trace("sc2", 0.18, 0.22, true),
             trace("bulk", 0.9, 0.93, false),
         ];
-        let o = evaluate_policy(&traces, 0.10, 0.30);
+        let o = evaluate_policy(&traces, &policy(0.10, 0.30));
         assert_eq!(o.stopped, 2);
         assert_eq!(o.false_stops, 0);
         // Two of three 100s runs stopped at 10%: saved 180 of 300 = 60%.

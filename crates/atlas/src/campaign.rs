@@ -55,6 +55,13 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use telemetry::{JsonValue, SloSignal, RATE_BUCKETS, SECS_BUCKETS};
 
+/// Base SQS visibility timeout, seconds (workers extend it per job).
+const VISIBILITY_TIMEOUT_SECS: f64 = 120.0;
+/// Visibility lease = expected job duration × this margin.
+const LEASE_MARGIN: f64 = 3.0;
+/// Safety stop for the simulated clock: thirty days.
+const MAX_SIM_SECS: f64 = 30.0 * 24.0 * 3600.0;
+
 /// An accession inside a campaign: its index in the slice handed to
 /// [`crate::Orchestrator::run`]. Handle order is submit order, so "in accession
 /// order" is an index walk.
@@ -110,7 +117,7 @@ impl<'a> Campaign<'a> {
         accessions: &'a [String],
     ) -> Result<Campaign<'a>, AtlasError> {
         let n = reject_repeated_ids(accessions)?;
-        let mut sqs: SqsQueue<Acc> = SqsQueue::new(cfg.visibility_timeout);
+        let mut sqs: SqsQueue<Acc> = SqsQueue::new(SimDuration::from_secs(VISIBILITY_TIMEOUT_SECS));
         if let Some(max) = cfg.max_receive_count {
             sqs = sqs.with_max_receive_count(max);
         }
@@ -188,10 +195,9 @@ impl<'a> Campaign<'a> {
                 "event queue drained before completion (simulation bug)".into(),
             )
         })?;
-        if now.as_secs() > self.cfg.max_sim_secs {
+        if now.as_secs() > MAX_SIM_SECS {
             return Err(AtlasError::InvalidParams(format!(
-                "campaign exceeded max_sim_secs ({}); likely stuck",
-                self.cfg.max_sim_secs
+                "campaign exceeded {MAX_SIM_SECS} simulated seconds; likely stuck"
             )));
         }
         // Generous: every accession can bounce a few times before we declare the
@@ -422,7 +428,7 @@ impl<'a> Campaign<'a> {
         // A failed or stale lease extension leaves the base visibility timeout
         // in force: the message may re-deliver mid-job and the duplicate
         // completion is absorbed by `Resolution::is_completed`.
-        let lease = SimDuration::from_secs(duration * cfg.lease_margin);
+        let lease = SimDuration::from_secs(duration * LEASE_MARGIN);
         let _ = self
             .injector
             .with_retry(serial, FaultOp::SqsExtend, &cfg.retry, || {

@@ -27,7 +27,6 @@
 
 pub mod analysis;
 mod campaign;
-pub mod differential;
 pub mod early_stop;
 pub mod error;
 pub mod experiments;

@@ -41,6 +41,11 @@ use cloudsim::{ScalingPolicy, SimDuration, SpotMarket};
 use deseq_norm::NormalizedMatrix;
 use telemetry::{AlertEvent, CampaignTelemetry, MonitorConfig};
 
+/// S3 download bandwidth at instance init, bytes/second.
+const INDEX_DOWNLOAD_BPS: f64 = 400e6;
+/// Shared-memory load rate after the download, bytes/second.
+const INDEX_LOAD_BPS: f64 = 1e9;
+
 /// Campaign configuration.
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
@@ -52,8 +57,6 @@ pub struct CampaignConfig {
     pub spot_market: SpotMarket,
     /// Fleet sizing policy.
     pub scaling: ScalingPolicy,
-    /// Base SQS visibility timeout (workers extend it per job).
-    pub visibility_timeout: SimDuration,
     /// Idle worker re-poll interval.
     pub poll_interval: SimDuration,
     /// ASG evaluation period.
@@ -61,14 +64,6 @@ pub struct CampaignConfig {
     /// Index size charged at instance init (bytes). Use the measured blob size, or a
     /// paper-scale override (85 GiB vs 29.5 GiB) for full-scale campaigns.
     pub index_bytes: u64,
-    /// S3 download bandwidth at init, bytes/second.
-    pub index_download_bps: f64,
-    /// Shared-memory load rate after download, bytes/second.
-    pub index_load_bps: f64,
-    /// Visibility lease = expected job duration × this margin.
-    pub lease_margin: f64,
-    /// Safety stop for the simulated clock.
-    pub max_sim_secs: f64,
     /// Deterministic fault plan for chaos campaigns (`None` = fault-free).
     pub faults: Option<FaultPlan>,
     /// Retry policy for S3/SQS calls made by workers.
@@ -110,14 +105,9 @@ impl CampaignConfig {
             spot: true,
             spot_market: SpotMarket::default(),
             scaling: ScalingPolicy::default(),
-            visibility_timeout: SimDuration::from_secs(120.0),
             poll_interval: SimDuration::from_secs(20.0),
             scale_tick: SimDuration::from_secs(60.0),
             index_bytes,
-            index_download_bps: 400e6,
-            index_load_bps: 1e9,
-            lease_margin: 3.0,
-            max_sim_secs: 30.0 * 24.0 * 3600.0,
             faults: None,
             retry: RetryPolicy::default(),
             max_receive_count: None,
@@ -130,25 +120,14 @@ impl CampaignConfig {
 
     /// Instance init seconds: index download + load into shared memory.
     pub fn init_secs(&self) -> f64 {
-        assert!(self.index_download_bps > 0.0 && self.index_load_bps > 0.0);
-        self.index_bytes as f64 / self.index_download_bps
-            + self.index_bytes as f64 / self.index_load_bps
+        self.index_bytes as f64 / INDEX_DOWNLOAD_BPS + self.index_bytes as f64 / INDEX_LOAD_BPS
     }
 
     /// Validate the configuration.
     pub fn validate(&self) -> Result<(), AtlasError> {
         self.scaling.validate().map_err(AtlasError::Cloud)?;
-        if self.lease_margin < 1.0 {
-            return Err(AtlasError::InvalidParams("lease_margin must be >= 1".into()));
-        }
-        if self.max_sim_secs <= 0.0 {
-            return Err(AtlasError::InvalidParams("max_sim_secs must be positive".into()));
-        }
-        // `init_secs` divides by both rates; a zero period re-fires at the same
-        // instant until the event budget runs out.
+        // A zero period re-fires at the same instant until the event budget runs out.
         let positive = [
-            ("index_download_bps", self.index_download_bps),
-            ("index_load_bps", self.index_load_bps),
             ("scale_tick", self.scale_tick.as_secs()),
             ("poll_interval", self.poll_interval.as_secs()),
         ];
@@ -597,19 +576,9 @@ mod tests {
     #[test]
     fn invalid_config_rejected() {
         let (pipeline, _, index_bytes) = setup(2, 0.0);
-        let mut cfg = config(index_bytes);
-        cfg.lease_margin = 0.5;
-        assert!(Orchestrator::new(Arc::clone(&pipeline), cfg).is_err());
-        let mut cfg = config(index_bytes);
-        cfg.max_sim_secs = 0.0;
-        assert!(Orchestrator::new(Arc::clone(&pipeline), cfg).is_err());
-        // Rates `init_secs` divides by, and periods that would re-fire at the
-        // same instant forever: typed errors up front, not a panic or a burned
-        // event budget inside the run.
-        let cases: [(&str, fn(&mut CampaignConfig)); 5] = [
-            ("index_download_bps", |c| c.index_download_bps = 0.0),
-            ("index_load_bps", |c| c.index_load_bps = 0.0),
-            ("index_load_bps", |c| c.index_load_bps = f64::NAN),
+        // Periods that would re-fire at the same instant forever: typed errors up
+        // front, not a burned event budget inside the run.
+        let cases: [(&str, fn(&mut CampaignConfig)); 2] = [
             ("scale_tick", |c| c.scale_tick = SimDuration::from_secs(0.0)),
             ("poll_interval", |c| c.poll_interval = SimDuration::from_secs(0.0)),
         ];

@@ -39,9 +39,6 @@ pub struct PipelineConfig {
     pub run_config: RunConfig,
     /// Early-stopping policy; `None` disables the optimization (the baseline).
     pub early_stop: Option<EarlyStopPolicy>,
-    /// Extra multiplier applied to measured alignment seconds when projecting the
-    /// cloud clock (1.0 = wall time as measured).
-    pub time_scale: f64,
     /// When set, the align stage charges `processed_reads × this` seconds instead
     /// of measured wall time, making campaign clocks bit-reproducible across runs
     /// (required by the chaos-replay tests). `None` charges measured wall time.
@@ -62,7 +59,6 @@ impl Default for PipelineConfig {
             align_params,
             run_config: RunConfig::default(),
             early_stop: Some(EarlyStopPolicy::default()),
-            time_scale: 1.0,
             align_secs_per_read: None,
         }
     }
@@ -75,7 +71,7 @@ pub struct StageTimes {
     pub prefetch_secs: f64,
     /// Stage 2: `fasterq-dump`.
     pub dump_secs: f64,
-    /// Stage 3: STAR alignment (modeled; see [`PipelineConfig::time_scale`]).
+    /// Stage 3: STAR alignment (modeled; see [`PipelineConfig::align_secs_per_read`]).
     pub align_secs: f64,
     /// Stage 4: counts collection + result upload.
     pub collect_secs: f64,
@@ -198,9 +194,6 @@ impl AtlasPipeline {
         if let Some(p) = &config.early_stop {
             p.validate()?;
         }
-        if config.time_scale <= 0.0 || !config.time_scale.is_finite() {
-            return Err(AtlasError::InvalidParams("time_scale must be positive and finite".into()));
-        }
         Ok(AtlasPipeline { repo, index, annotation, config })
     }
 
@@ -278,14 +271,13 @@ impl AtlasPipeline {
             }
         };
 
-        // Modeled alignment seconds: measured wall time, scaled for capped spots and
-        // any explicit time_scale.
+        // Modeled alignment seconds: measured wall time, scaled for capped spots.
         let spots_ratio = if n_spots == 0 { 1.0 } else { meta.spots as f64 / n_spots as f64 };
         let measured_secs = match self.config.align_secs_per_read {
             Some(per_read) => output.final_snapshot.processed as f64 * per_read,
             None => output.wall_secs,
         };
-        let align_secs = measured_secs * spots_ratio * self.config.time_scale;
+        let align_secs = measured_secs * spots_ratio;
         let early_stop = EarlyStopAccounting::from_run(&output, align_secs);
 
         // Stage 4: collect. Charged only for completed runs (aborted pipelines skip
@@ -461,32 +453,5 @@ mod tests {
     fn unknown_accession_errors() {
         let p = pipeline(true, None);
         assert!(p.run_accession("SRRNOPE").is_err());
-    }
-
-    #[test]
-    fn invalid_config_rejected() {
-        let p = pipeline(true, None);
-        let repo = Arc::new(SraRepository::new(
-            Arc::new(EnsemblGenerator::new(EnsemblParams::tiny()).unwrap().generate(Release::R111)),
-            Arc::new(Annotation::default()),
-            vec![],
-        ));
-        let mut config = PipelineConfig::default();
-        config.time_scale = 0.0;
-        assert!(AtlasPipeline::new(
-            repo,
-            Arc::new(p.index_for_tests()),
-            Arc::new(Annotation::default()),
-            config
-        )
-        .is_err());
-    }
-}
-
-#[cfg(test)]
-impl AtlasPipeline {
-    /// Test helper: clone the underlying index.
-    fn index_for_tests(&self) -> StarIndex {
-        (*self.index).clone()
     }
 }

@@ -37,7 +37,7 @@ fn bench_prefix_depth(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(reads.len() as u64));
     for k in [4usize, 6, 8, 10] {
-        let params = IndexParams { sa_index_nbases: Some(k), ..IndexParams::default() };
+        let params = IndexParams { sa_index_nbases: Some(k) };
         let index = StarIndex::build(&sub.asm_111, &sub.annotation, &params).expect("index");
         group.bench_with_input(BenchmarkId::from_parameter(k), &index, |b, index| {
             let runner = Runner::new(index, AlignParams::default(), run_config.clone()).expect("runner");

@@ -2,126 +2,97 @@
 //!
 //! ```text
 //! bench_compare <baseline_dir> <fresh_dir> [--tolerance 0.25]
-//! bench_compare --overhead <dir> <base.json> <with.json> [--tolerance 0.02]
-//! bench_compare --attribute <logA> <logB>
 //! ```
 //!
-//! Directory mode: every `BENCH_*.json` in the baseline directory (telemetry
-//! side-files excluded) must exist in the fresh directory, and every benchmark id
-//! in it must not be slower than `mean_secs * (1 + tolerance)`. Exit code 1 on any
-//! regression or missing report, 0 otherwise. The committed baseline lives in
-//! `benchmarks/baseline/` and was captured with the same pinned-seed fixtures the
-//! benches use (`BENCH_JSON_DIR=... cargo bench -p atlas-bench`), so a comparison
-//! is apples-to-apples on any machine as long as both sides ran on that machine.
+//! Every `BENCH_*.json` in the baseline directory must exist in the fresh
+//! directory, and every benchmark id in it must not be slower than
+//! `mean_secs * (1 + tolerance)`. Exit code 1 on any regression or missing id, 0
+//! otherwise; a directory or report that cannot be read is a usage error. The
+//! committed baseline lives in `benchmarks/baseline/` and was captured with the
+//! same pinned-seed fixtures the benches use
+//! (`BENCH_JSON_DIR=... cargo bench -p atlas-bench`), so a comparison is
+//! apples-to-apples on any machine as long as both sides ran on that machine.
+//! When a regression does fire on a campaign, `trace_query diff` over the two
+//! runs' saved event logs says which phases, accessions and instances moved.
 //!
-//! Overhead mode (`--overhead`): compare two named reports from the *same*
-//! directory — a feature-off base and a feature-on variant captured in the same
-//! bench run — id by id, against a tight tolerance. This is the monitor-overhead
-//! gate: `BENCH_cloud_campaign_monitor.json` must stay within 2% of
-//! `BENCH_cloud_campaign.json`.
-//!
-//! Attribution mode (`--attribute`): when a regression *does* fire, compare the
-//! two runs' saved NDJSON event logs (`cloud_atlas --log-out`, or any recorded
-//! campaign log) and print the `telemetry::diff` waterfall — which phases,
-//! accessions and instances moved — so a CI bench regression ships with a
-//! root-cause table instead of a bare ratio.
-//!
-//! The parser is deliberately hand-rolled for the shim's flat schema
-//! (`{"group":...,"results":[{"id","mean_secs","iters","throughput_per_sec"}]}`):
-//! the workspace carries no JSON-parsing dependency, and the shim's writer and
-//! this reader are pinned to the same format by the round-trip test in the shim.
+//! Reports (`{"group":...,"results":[{"id","mean_secs","iters","throughput_per_sec"}]}`)
+//! are read with `telemetry::json::parse`, the parser `trace_query` reads event
+//! logs with.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use telemetry::JsonValue;
+
 /// One benchmark entry: `(id, mean_secs)`.
 type Entry = (String, f64);
 
+const USAGE: &str = "\
+usage: bench_compare <baseline_dir> <fresh_dir> [--tolerance 0.25]
+       bench_compare --help
+
+every BENCH_*.json in <baseline_dir> must exist in <fresh_dir> and no
+benchmark id may be slower than mean*(1+tolerance)";
+
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
+    match run(std::env::args().skip(1)) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("bench_compare: {e}");
+            eprintln!("{USAGE}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Compare the two directories named by `args`. `Err` is a usage error: bad
+/// arguments, or input that cannot be read as a directory of reports.
+fn run(mut args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
     let mut positional: Vec<PathBuf> = Vec::new();
-    let mut tolerance = None::<f64>;
-    let mut overhead = false;
-    let mut attribute = false;
+    let mut tolerance = 0.25f64;
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--help" | "-h" => return help(),
+            "--help" | "-h" => {
+                println!("bench_compare: criterion-shim bench-regression gate");
+                println!("{USAGE}");
+                return Ok(ExitCode::SUCCESS);
+            }
             "--tolerance" => {
                 let v = args.next().unwrap_or_default();
-                match v.parse::<f64>() {
-                    Ok(t) if t >= 0.0 => tolerance = Some(t),
-                    _ => return usage(&format!("bad --tolerance value {v:?}")),
-                }
+                tolerance = match v.parse::<f64>() {
+                    Ok(t) if t.is_finite() && t >= 0.0 => t,
+                    _ => return Err(format!("bad --tolerance value {v:?}")),
+                };
             }
-            "--overhead" => overhead = true,
-            "--attribute" => attribute = true,
-            flag if flag.starts_with('-') => {
-                return usage(&format!("unknown flag {flag:?}"));
-            }
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
             _ => positional.push(PathBuf::from(a)),
         }
     }
-
-    if attribute {
-        let [log_a, log_b] = positional.as_slice() else {
-            return usage("--attribute needs <logA> <logB> (saved NDJSON event logs)");
-        };
-        return attribute_logs(log_a, log_b);
-    }
-
-    if overhead {
-        let [dir, base, with] = positional.as_slice() else {
-            return usage("--overhead needs <dir> <base.json> <with.json>");
-        };
-        return compare_overhead(dir, base, with, tolerance.unwrap_or(0.02));
-    }
-
-    let tolerance = tolerance.unwrap_or(0.25);
-    let (baseline, fresh) = match positional.as_slice() {
-        [b, f] => (b.clone(), f.clone()),
-        _ => return usage("missing directories"),
+    let [baseline, fresh] = positional.as_slice() else {
+        return Err("expected <baseline_dir> <fresh_dir>".into());
     };
 
-    let mut reports: Vec<PathBuf> = match std::fs::read_dir(&baseline) {
-        Ok(rd) => rd
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| {
-                let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
-                name.starts_with("BENCH_")
-                    && name.ends_with(".json")
-                    && !name.ends_with("_telemetry.json")
-            })
-            .collect(),
-        Err(e) => return usage(&format!("cannot read {}: {e}", baseline.display())),
-    };
+    let mut reports: Vec<PathBuf> = std::fs::read_dir(baseline)
+        .map_err(|e| format!("cannot read {}: {e}", baseline.display()))?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| {
+            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            name.starts_with("BENCH_") && name.ends_with(".json")
+        })
+        .collect();
     reports.sort();
     if reports.is_empty() {
-        eprintln!("bench_compare: no BENCH_*.json reports in {}", baseline.display());
-        return ExitCode::FAILURE;
+        return Err(format!("no BENCH_*.json reports in {}", baseline.display()));
     }
 
     let mut failures = 0usize;
     let mut table = String::new();
     for base_path in &reports {
-        let name = base_path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        let fresh_path = fresh.join(name);
-        let (group, base_entries) = match load_report(base_path) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("bench_compare: {}: {e}", base_path.display());
-                failures += 1;
-                continue;
-            }
-        };
-        let fresh_entries = match load_report(&fresh_path) {
-            Ok((_, entries)) => entries,
-            Err(e) => {
-                eprintln!("bench_compare: {}: {e} (bench not re-run?)", fresh_path.display());
-                failures += 1;
-                continue;
-            }
-        };
+        let fresh_path = fresh.join(base_path.file_name().unwrap_or_default());
+        let (group, base_entries) = load_report(base_path)?;
+        let (_, fresh_entries) =
+            load_report(&fresh_path).map_err(|e| format!("{e} (bench not re-run?)"))?;
         for (id, base_mean) in &base_entries {
             let Some((_, fresh_mean)) = fresh_entries.iter().find(|(fid, _)| fid == id) else {
                 eprintln!("bench_compare: {group}/{id}: missing from fresh report");
@@ -144,146 +115,43 @@ fn main() -> ExitCode {
         }
     }
     print!("{table}");
+    let percent = tolerance * 100.0;
     if failures > 0 {
-        eprintln!("bench_compare: {failures} regression(s)/missing entry(ies) beyond {tolerance:.0}% tolerance", tolerance = tolerance * 100.0);
-        ExitCode::FAILURE
+        eprintln!("bench_compare: {failures} regression(s)/missing entry(ies) beyond {percent:.0}% tolerance");
+        Ok(ExitCode::FAILURE)
     } else {
-        println!("bench_compare: all benchmarks within {:.0}% of baseline", tolerance * 100.0);
-        ExitCode::SUCCESS
+        println!("bench_compare: all benchmarks within {percent:.0}% of baseline");
+        Ok(ExitCode::SUCCESS)
     }
 }
 
-const USAGE: &str = "\
-usage: bench_compare <baseline_dir> <fresh_dir> [--tolerance 0.25]
-       bench_compare --overhead <dir> <base.json> <with.json> [--tolerance 0.02]
-       bench_compare --attribute <logA> <logB>
-       bench_compare --help
-
-modes:
-  directory  every BENCH_*.json in <baseline_dir> must exist in <fresh_dir>
-             and no benchmark id may be slower than mean*(1+tolerance)
-  --overhead compare two named reports from the same directory id-by-id
-             against a tight budget (the monitor/SLO 2% gates)
-  --attribute diff two saved NDJSON campaign event logs and print the
-             telemetry::diff attribution waterfall (root cause for a
-             regression the other modes only detect)";
-
-fn usage(err: &str) -> ExitCode {
-    eprintln!("bench_compare: {err}");
-    eprintln!("{USAGE}");
-    ExitCode::FAILURE
-}
-
-fn help() -> ExitCode {
-    println!("bench_compare: criterion-shim bench-regression gate");
-    println!("{USAGE}");
-    ExitCode::SUCCESS
-}
-
-/// Attribution mode: diff two saved event logs and print the waterfall.
-fn attribute_logs(log_a: &Path, log_b: &Path) -> ExitCode {
-    let load = |path: &Path| -> Result<telemetry::RunProfile, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        telemetry::RunProfile::from_event_log(&path.display().to_string(), &text)
-            .map_err(|e| format!("{}: {e}", path.display()))
-    };
-    let a = match load(log_a) {
-        Ok(p) => p,
-        Err(e) => return usage(&e),
-    };
-    let b = match load(log_b) {
-        Ok(p) => p,
-        Err(e) => return usage(&e),
-    };
-    print!("{}", telemetry::diff(&a, &b).render_text());
-    ExitCode::SUCCESS
-}
-
-/// Overhead mode: `with` must match `base` id-for-id within `tolerance`, both
-/// loaded from the same directory (so both means came from the same machine and
-/// the same bench invocation).
-fn compare_overhead(dir: &Path, base: &Path, with: &Path, tolerance: f64) -> ExitCode {
-    let (base_group, base_entries) = match load_report(&dir.join(base)) {
-        Ok(r) => r,
-        Err(e) => return usage(&format!("{}: {e}", dir.join(base).display())),
-    };
-    let (with_group, with_entries) = match load_report(&dir.join(with)) {
-        Ok(r) => r,
-        Err(e) => return usage(&format!("{}: {e}", dir.join(with).display())),
-    };
-    let mut failures = 0usize;
-    for (id, base_mean) in &base_entries {
-        let Some((_, with_mean)) = with_entries.iter().find(|(wid, _)| wid == id) else {
-            eprintln!("bench_compare: {with_group}/{id}: missing from {}", with.display());
-            failures += 1;
-            continue;
-        };
-        let overhead = with_mean / base_mean - 1.0;
-        let verdict = if overhead > tolerance {
-            failures += 1;
-            "TOO SLOW"
-        } else {
-            "ok"
-        };
-        println!(
-            "{base_group}/{id} -> {with_group}/{id}: {base_mean:.6}s -> {with_mean:.6}s \
-             ({overhead:+.2}% overhead) {verdict}",
-            overhead = overhead * 100.0
-        );
-    }
-    if failures > 0 {
-        eprintln!(
-            "bench_compare: {failures} entry(ies) exceed {:.1}% overhead budget",
-            tolerance * 100.0
-        );
-        ExitCode::FAILURE
-    } else {
-        println!("bench_compare: overhead within {:.1}% budget", tolerance * 100.0);
-        ExitCode::SUCCESS
-    }
-}
-
-/// Parse one criterion-shim report: `{"group":"...","results":[...]}`.
+/// Read one criterion-shim report; errors carry the path.
 fn load_report(path: &Path) -> Result<(String, Vec<Entry>), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let group = extract_string(&text, "group").ok_or("missing \"group\" field")?;
-    let mut entries = Vec::new();
-    // Each result object starts with its "id" field; scan object by object.
-    let mut rest = text.as_str();
-    while let Some(obj_start) = rest.find("{\"id\":") {
-        let obj = &rest[obj_start..];
-        let end = obj.find('}').ok_or("unterminated result object")?;
-        let obj_text = &obj[..=end];
-        let id = extract_string(obj_text, "id").ok_or("result without id")?;
-        let mean = extract_number(obj_text, "mean_secs").ok_or("result without mean_secs")?;
-        if !(mean.is_finite() && mean >= 0.0) {
-            return Err(format!("{id}: bad mean_secs {mean}"));
+    std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| parse_report(&text))
+        .map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// `{"group":"...","results":[{"id":"...","mean_secs":...},...]}` → `(group, entries)`.
+fn parse_report(text: &str) -> Result<(String, Vec<Entry>), String> {
+    let doc = telemetry::json::parse(text).map_err(|e| e.to_string())?;
+    let group = doc.get("group").and_then(JsonValue::as_str).ok_or("no \"group\" string")?;
+    let Some(JsonValue::Arr(results)) = doc.get("results") else {
+        return Err("no \"results\" array".into());
+    };
+    let mut entries = Vec::with_capacity(results.len());
+    for result in results {
+        let id = result.get("id").and_then(JsonValue::as_str).ok_or("result without id")?;
+        // The parser already refused a literal past f64's range.
+        match result.get("mean_secs").and_then(JsonValue::as_f64) {
+            Some(mean) if mean >= 0.0 => entries.push((id.to_string(), mean)),
+            Some(mean) => return Err(format!("{id}: bad mean_secs {mean}")),
+            None => return Err(format!("{id}: no mean_secs number")),
         }
-        entries.push((id, mean));
-        rest = &obj[end..];
     }
     if entries.is_empty() {
         return Err("no results".into());
     }
-    Ok((group, entries))
-}
-
-/// Extract `"key":"value"` (shim output never escapes quotes in ids/groups).
-fn extract_string(text: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = text.find(&pat)? + pat.len();
-    let end = text[start..].find('"')?;
-    Some(text[start..start + end].to_string())
-}
-
-/// Extract `"key":<number>`.
-fn extract_number(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = text.find(&pat)? + pat.len();
-    let tail = &text[start..];
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
+    Ok((group.to_string(), entries))
 }

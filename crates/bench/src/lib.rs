@@ -5,7 +5,6 @@
 //! by the `experiments` binary's `--scale test` mode.
 
 use atlas_pipeline::experiments::{Fig3Config, Fig4Config};
-use atlas_pipeline::orchestrator::CampaignReport;
 use genomics::EnsemblParams;
 use sra_sim::accession::CatalogParams;
 
@@ -73,40 +72,6 @@ pub fn fig4_config(scale: Scale) -> Fig4Config {
             ..Fig4Config::default()
         },
     }
-}
-
-/// Write the telemetry summaries of representative campaign runs next to the
-/// criterion shim's `BENCH_<group>.json`, as `BENCH_<group>_telemetry.json`:
-/// one object keyed by variant id. Best effort, like the shim — a bench never
-/// fails on trajectory I/O, and nothing is written unless `BENCH_JSON_DIR` is
-/// set and at least one report carries telemetry.
-pub fn write_bench_telemetry(group: &str, variants: &[(&str, &CampaignReport)]) {
-    let Ok(dir) = std::env::var("BENCH_JSON_DIR") else { return };
-    if dir.is_empty() {
-        return;
-    }
-    let mut json = String::from("{");
-    let mut wrote = false;
-    for (id, report) in variants {
-        let Some(t) = &report.telemetry else { continue };
-        if wrote {
-            json.push(',');
-        }
-        json.push_str(&format!("{id:?}:"));
-        json.push_str(&t.to_json());
-        wrote = true;
-    }
-    json.push_str("}\n");
-    if !wrote {
-        return;
-    }
-    let slug: String = group
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
-        .collect();
-    let path = std::path::Path::new(&dir).join(format!("BENCH_{slug}_telemetry.json"));
-    let _ = std::fs::create_dir_all(&dir);
-    let _ = std::fs::write(path, json);
 }
 
 #[cfg(test)]

@@ -15,20 +15,15 @@ use genomics::{Annotation, Assembly};
 use serde::{Deserialize, Serialize};
 
 /// Parameters for index construction.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct IndexParams {
     /// Prefix-table depth; `None` selects automatically from the genome length
     /// (STAR's `--genomeSAindexNbases` default formula).
     pub sa_index_nbases: Option<usize>,
-    /// Upper bound for the automatic prefix depth.
-    pub sa_index_nbases_cap: usize,
 }
 
-impl Default for IndexParams {
-    fn default() -> Self {
-        IndexParams { sa_index_nbases: None, sa_index_nbases_cap: 11 }
-    }
-}
+/// Upper bound for the automatic prefix depth.
+const AUTO_DEPTH_CAP: usize = 11;
 
 /// Byte-accurate sizes of the index components.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -85,7 +80,7 @@ impl StarIndex {
         let sa = SuffixArray::build(&codes);
         let k = params
             .sa_index_nbases
-            .unwrap_or_else(|| PrefixTable::auto_k(genome.len(), params.sa_index_nbases_cap));
+            .unwrap_or_else(|| PrefixTable::auto_k(genome.len(), AUTO_DEPTH_CAP));
         if k > 13 {
             return Err(StarError::InvalidParams(format!("sa_index_nbases {k} > 13")));
         }

@@ -93,7 +93,7 @@ impl SuffixArray {
                 let r2 = if i + k < n { rank[i + k] as u64 } else { 0 };
                 *dst = (r1 << 32) | r2;
             });
-            sa.par_sort_unstable_by_key(|&i| key[i as usize]);
+            sa.sort_unstable_by_key(|&i| key[i as usize]);
             // Re-rank: equal keys share a rank. `next_rank` is swapped back in, not
             // reallocated, so the loop reuses two buffers for its whole life.
             let mut r = 1u32;

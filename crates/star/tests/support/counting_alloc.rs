@@ -1,6 +1,7 @@
-//! Counting global allocator for the allocation-bound tests (`zero_alloc`,
-//! `hostile_index`, `hostile_checkpoint`, and `sra`'s `hostile_archive`, which
-//! includes this file by path).
+//! Counting global allocator for the allocation-bound tests: `zero_alloc`,
+//! `hostile_index` and `hostile_checkpoint` here, and — including this file by
+//! path — `sra`'s `hostile_archive`, `telemetry`'s `hostile_json` and the
+//! integration suite's `observer_cost`.
 //!
 //! Wraps the system allocator; while a [`tracked`] closure runs it counts every
 //! `alloc`/`realloc` call and records the bytes requested. Tracking is process-wide,

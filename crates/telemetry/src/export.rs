@@ -61,8 +61,8 @@ pub fn perfetto_trace(spans: &[SpanRecord], events: &[EventRecord]) -> String {
     let pids = span_pids(spans);
     // Streamed straight into the output buffer: a campaign renders hundreds of
     // KB of trace JSON inside `summarize`, and materializing the equivalent
-    // `JsonValue` tree first costs an allocation per key — enough to blow the
-    // observer-overhead budget the `bench_compare --overhead` gates enforce.
+    // `JsonValue` tree first costs an allocation per key, which the allocator-call
+    // ceilings in `tests/tests/observer_cost.rs` would see.
     // Bytes are identical to what the tree render produced: strings go through
     // `escape_into`, field values through `JsonValue::write_into`.
     let mut out = String::with_capacity(176 * (spans.len() + events.len()) + 128);

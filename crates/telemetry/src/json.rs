@@ -205,7 +205,8 @@ pub fn fmt_f64(v: f64) -> String {
 /// NDJSON event logs, so the parser accepts full JSON (nested arrays/objects,
 /// escapes, exponent floats) even though the log emits only flat objects.
 /// Numbers without `.`/`e` parse to `Int`/`UInt` (matching what the writer
-/// emitted); everything else becomes `Num`. Arrays and objects may nest 64
+/// emitted); everything else becomes `Num`, and a literal that overflows `f64`
+/// is a [`ParseError`], not an infinity. Arrays and objects may nest 64
 /// deep; a deeper document is a [`ParseError`], so input from outside the
 /// program cannot run the recursive descent out of stack.
 pub fn parse(text: &str) -> Result<JsonValue, ParseError> {
@@ -443,7 +444,13 @@ impl<'a> Parser<'a> {
                 return Ok(JsonValue::UInt(v));
             }
         }
-        text.parse::<f64>().map(JsonValue::Num).map_err(|_| self.err("invalid number"))
+        match text.parse::<f64>() {
+            // A literal past f64's range parses to infinity, which the writer would
+            // re-render as `null` after every sum downstream had carried it.
+            Ok(v) if v.is_finite() => Ok(JsonValue::Num(v)),
+            Ok(_) => Err(self.err("number overflows f64")),
+            Err(_) => Err(self.err("invalid number")),
+        }
     }
 }
 
@@ -557,6 +564,16 @@ mod tests {
         for bad in ["", "{", "{\"a\":}", "[1,]", "{\"a\":1}garbage", "nul", "\"open", "1.2.3"] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn parse_rejects_numbers_past_f64_range() {
+        for bad in ["1e99999999999999999999", "-1e999", "[1e309]", &"9".repeat(400)] {
+            assert_eq!(parse(bad).unwrap_err().message, "number overflows f64", "{bad:?}");
+        }
+        // The largest finite double, and an integer too wide for u64, still parse.
+        assert_eq!(parse("1.7976931348623157e308").unwrap(), JsonValue::Num(f64::MAX));
+        assert_eq!(parse("99999999999999999999999").unwrap(), JsonValue::Num(1e23));
     }
 
     #[test]

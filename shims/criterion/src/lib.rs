@@ -70,14 +70,6 @@ impl Bencher {
         }
         self.elapsed = start.elapsed();
     }
-
-    /// Mirror of criterion's `iter_custom`: the routine receives the iteration
-    /// count and returns the total elapsed time it measured itself. Benches that
-    /// must control measurement structure (e.g. interleaving variants to cancel
-    /// machine-load drift) time their own runs and report the result here.
-    pub fn iter_custom<F: FnMut(u64) -> Duration>(&mut self, mut routine: F) {
-        self.elapsed = routine(self.iters);
-    }
 }
 
 /// A named collection of benchmarks sharing configuration.
@@ -140,18 +132,15 @@ impl BenchmarkGroup<'_> {
 
     fn run(&mut self, id: &str, mut f: impl FnMut(&mut Bencher)) {
         // `BENCH_ITERS` forces the iteration count, overriding both the
-        // group's `sample_size` and the driver cap. Baseline captures for the
-        // overhead gates use it: single-shot 10-iter means on millisecond
-        // campaigns carry several percent of scheduler noise, more than the
-        // 2% budget the gate enforces.
+        // group's `sample_size` and the driver cap: single-shot 10-iter means
+        // on millisecond cells carry several percent of scheduler noise.
         let iters = match std::env::var("BENCH_ITERS").ok().and_then(|s| s.parse::<u64>().ok()) {
             Some(n) => n.max(1),
             None => self.sample_size.clamp(1, self.criterion.max_iters),
         };
         // `BENCH_BEST_OF=k` repeats the whole sample k times and keeps the
         // fastest mean. Background load only ever slows a run down, so the
-        // minimum is the noise-robust estimate of the true cost — the right
-        // statistic when capturing baselines for the tight overhead gates.
+        // minimum is the noise-robust estimate of the true cost.
         let best_of = std::env::var("BENCH_BEST_OF")
             .ok()
             .and_then(|s| s.parse::<u32>().ok())

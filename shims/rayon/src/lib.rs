@@ -3,8 +3,8 @@
 //! Exposes the parallel-iterator surface this workspace uses — `par_iter` /
 //! `par_iter_mut` over slices (and, by deref, `Vec`s), `into_par_iter` over unsigned
 //! integer ranges, `.map`, `.enumerate`, `.for_each`, `.collect` into `Vec<T>` and
-//! `Result<Vec<T>, E>`, `ThreadPoolBuilder` / `ThreadPool::install`,
-//! `par_sort_unstable_by*` — on a real, std-only work-sharing pool.
+//! `Result<Vec<T>, E>`, `ThreadPoolBuilder` / `ThreadPool::install` — on a real,
+//! std-only work-sharing pool.
 //!
 //! # Protocol
 //!
@@ -34,9 +34,6 @@
 //! global pool of `available_parallelism()` threads. A panic in a closure stops
 //! further claims, is re-raised on the caller once every participant has left the
 //! job, and leaves the pool usable.
-//!
-//! Not parallel: `par_sort_unstable_by*` sort on the calling thread (their one user
-//! is the prefix-doubling suffix-array oracle).
 //!
 //! Beyond rayon's API: [`workers_spawned`], a process-wide diagnostic counter that
 //! tests use to show that repeated runs reuse threads.
@@ -692,30 +689,11 @@ impl<'data, T: Send + 'data> IntoParallelRefMutIterator<'data> for [T] {
     }
 }
 
-/// Sort methods on mutable slices. They sort on the calling thread.
-pub trait ParallelSliceMut<T> {
-    /// Unstable sort by key.
-    fn par_sort_unstable_by_key<K: Ord, F: FnMut(&T) -> K>(&mut self, f: F);
-
-    /// Unstable sort by comparator.
-    fn par_sort_unstable_by<F: FnMut(&T, &T) -> std::cmp::Ordering>(&mut self, f: F);
-}
-
-impl<T> ParallelSliceMut<T> for [T] {
-    fn par_sort_unstable_by_key<K: Ord, F: FnMut(&T) -> K>(&mut self, f: F) {
-        self.sort_unstable_by_key(f);
-    }
-
-    fn par_sort_unstable_by<F: FnMut(&T, &T) -> std::cmp::Ordering>(&mut self, f: F) {
-        self.sort_unstable_by(f);
-    }
-}
-
 pub mod prelude {
     //! The traits, mirroring `rayon::prelude`.
     pub use crate::{
         FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator,
-        IntoParallelRefMutIterator, ParallelIterator, ParallelSliceMut,
+        IntoParallelRefMutIterator, ParallelIterator,
     };
 }
 
@@ -741,13 +719,10 @@ mod tests {
     }
 
     #[test]
-    fn par_iter_mut_and_sort() {
+    fn par_iter_mut_updates_in_place() {
         let mut v = vec![3u32, 1, 2];
         v.par_iter_mut().for_each(|x| *x *= 10);
-        v.par_sort_unstable_by_key(|&x| std::cmp::Reverse(x));
-        assert_eq!(v, vec![30, 20, 10]);
-        v.par_sort_unstable_by(|a, b| a.cmp(b));
-        assert_eq!(v, vec![10, 20, 30]);
+        assert_eq!(v, vec![30, 10, 20]);
     }
 
     #[test]

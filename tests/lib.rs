@@ -16,8 +16,22 @@
 
 use std::sync::Arc;
 
-use atlas_pipeline::differential::stripped_event_log;
 use atlas_pipeline::{AtlasError, CampaignConfig, CampaignReport, CampaignWorkload, Orchestrator};
+
+/// The structured event log with monitor-gated lines (`progress`, `alert`)
+/// removed — the part of the log every replay must reproduce byte for byte
+/// (those lines are observer output whose presence depends only on the monitor
+/// config; the pure-observer tests cover them). `None` when telemetry was off.
+pub fn stripped_event_log(report: &CampaignReport) -> Option<String> {
+    let t = report.telemetry.as_ref()?;
+    Some(
+        t.event_log
+            .lines()
+            .filter(|l| !l.contains("\"kind\":\"progress\"") && !l.contains("\"kind\":\"alert\""))
+            .collect::<Vec<_>>()
+            .join("\n"),
+    )
+}
 
 /// The same campaign run twice through the kernel engine.
 #[derive(Debug)]

@@ -12,7 +12,7 @@
 //! re-capture with `cargo test --test campaign_pins -- --nocapture` (each case
 //! prints its current row) and say why in the commit.
 
-use atlas_pipeline::differential::stripped_event_log;
+use atlas_integration_tests::stripped_event_log;
 use atlas_pipeline::orchestrator::{CampaignConfig, Orchestrator};
 use atlas_pipeline::{ModeledWorkload, RecoveryConfig};
 use cloudsim::faults::{FaultPlan, SpotBurst};

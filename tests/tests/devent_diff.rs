@@ -15,11 +15,11 @@
 //! They also pin the chaos-suite guarantees (conservation, bit-exact replay)
 //! and the monitor pure-observer proof to the kernel path explicitly.
 
-use atlas_integration_tests::run_differential;
+use atlas_integration_tests::{run_differential, stripped_event_log};
 use atlas_pipeline::experiments::Substrate;
 use atlas_pipeline::orchestrator::{CampaignConfig, Orchestrator};
 use atlas_pipeline::pipeline::{AtlasPipeline, PipelineConfig};
-use atlas_pipeline::{differential, ModeledWorkload};
+use atlas_pipeline::ModeledWorkload;
 use cloudsim::faults::{FaultPlan, SpotBurst};
 use cloudsim::instance::InstanceType;
 use cloudsim::ScalingPolicy;
@@ -156,8 +156,8 @@ fn kernel_engine_replays_bit_for_bit_and_conserves_under_chaos() {
     assert_eq!(a1.summary_digest(), a2.summary_digest(), "same seed must replay identically");
     assert_eq!(a1.sim_events, a2.sim_events);
     assert_eq!(
-        differential::stripped_event_log(&a1),
-        differential::stripped_event_log(&a2),
+        stripped_event_log(&a1),
+        stripped_event_log(&a2),
         "replayed event logs must match byte for byte"
     );
 
@@ -192,7 +192,7 @@ fn monitor_is_a_pure_observer_on_the_kernel_engine() {
     let on_log = &on.telemetry.as_ref().unwrap().event_log;
     assert!(on_log.contains("\"kind\":\"progress\""), "monitor-on campaigns stream progress");
     assert_eq!(
-        differential::stripped_event_log(&on).unwrap(),
+        stripped_event_log(&on).unwrap(),
         off_log.lines().collect::<Vec<_>>().join("\n"),
         "monitor-on log is the off log plus monitor records"
     );
