@@ -9,7 +9,7 @@ use genomics::{DnaSeq, LibraryType, ReadSimulator, SimulatorParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use star_aligner::align::Aligner;
-use star_aligner::mmp::{mmp_search_packed, SeedLayers};
+use star_aligner::mmp::{mmp_search_packed, SearchCost, SeedLayers};
 use star_aligner::sa::SuffixArray;
 use star_aligner::seed::{collect_seeds_packed, SeedProbeScratch};
 use star_aligner::{AlignParams, Packed2};
@@ -43,7 +43,8 @@ fn bench_mmp_search(c: &mut Criterion) {
     for (label, index) in [("release_108", &sub.index_108), ("release_111", &sub.index_111)] {
         group.bench_with_input(BenchmarkId::from_parameter(label), index, |b, index| {
             let layers = SeedLayers::full(index);
-            b.iter(|| queries.iter().map(|q| mmp_search_packed(&layers, q, 0).len).sum::<usize>());
+            let mut cost = SearchCost::default();
+            b.iter(|| queries.iter().map(|q| mmp_search_packed(&layers, q, 0, &mut cost).len).sum::<usize>());
         });
     }
     group.finish();

@@ -116,6 +116,11 @@ pub struct PhaseWork {
     pub stitch_units: u64,
     /// Chain extensions attempted.
     pub extend_units: u64,
+    /// Dependent index loads the seed phase made ([`crate::mmp::SearchCost::probes`]):
+    /// a cost counter, exact for a read like the units, but not one of them — it is
+    /// left out of [`PhaseWork::total`] and [`PhaseWork::fractions`], so no modeled
+    /// span moves with it.
+    pub seed_probes: u64,
     /// Measured wall-clock nanoseconds in the seed phase. Zero unless
     /// [`crate::AlignParams::measure_phase_nanos`] is on; machine-dependent and
     /// NOT deterministic, so nothing modeled may read it.
@@ -132,6 +137,7 @@ impl PhaseWork {
         self.seed_units += other.seed_units;
         self.stitch_units += other.stitch_units;
         self.extend_units += other.extend_units;
+        self.seed_probes += other.seed_probes;
         self.seed_nanos += other.seed_nanos;
         self.stitch_nanos += other.stitch_nanos;
         self.extend_nanos += other.extend_nanos;
@@ -313,6 +319,7 @@ impl<'i> Aligner<'i> {
             collect_seeds_packed(&self.layers, read, &self.params, seeds, probe);
             timer.stop(t, &mut work.seed_nanos);
             work.seed_units += seeds.len() as u64;
+            work.seed_probes += probe.cost().probes;
             let t = timer.start();
             best_chains_into(seeds, read_len, &self.params, stitch, chains);
             timer.stop(t, &mut work.stitch_nanos);

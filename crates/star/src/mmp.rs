@@ -34,6 +34,24 @@ impl Mmp {
     }
 }
 
+/// What MMP searches cost, counted rather than timed: a pure function of the index
+/// and the queries, so it repeats exactly across runs, hosts and thread counts.
+/// `probes` is the proxy for dependent cache misses — every load whose address the
+/// previous one decided.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SearchCost {
+    /// Searches run.
+    pub searches: u64,
+    /// Prefix-table lookups, plus binary-search steps inside
+    /// [`crate::sa::SuffixArray::refine`] (one suffix-array load and one genome load
+    /// each), plus suffixes compared by direct extension.
+    pub probes: u64,
+    /// Suffixes in the searches' starting intervals, summed.
+    pub start_suffixes: u64,
+    /// The widest starting interval of any search.
+    pub widest_start: u32,
+}
+
 /// Once the live interval is at most this many suffixes, the search switches from
 /// binary-search refinement (O(log |iv|) probes per base) to direct per-suffix prefix
 /// extension (O(|iv| + remaining/32) contiguous compares). Same result, and the cost
@@ -71,7 +89,8 @@ impl<'i> SeedLayers<'i> {
 /// The MMP of unpacked `pattern[from..]`, started from [`SeedLayers::base`].
 #[cfg(test)]
 pub(crate) fn mmp_search(index: &StarIndex, pattern: &[u8], from: usize) -> Mmp {
-    mmp_search_packed(&SeedLayers::base(index), &Packed2::from_codes(pattern), from)
+    let q = Packed2::from_codes(pattern);
+    mmp_search_packed(&SeedLayers::base(index), &q, from, &mut SearchCost::default())
 }
 
 /// The full MMP search over a packed query.
@@ -81,8 +100,13 @@ pub(crate) fn mmp_search(index: &StarIndex, pattern: &[u8], from: usize) -> Mmp 
 /// its bucket is empty. Results are identical whichever table starts the search: a
 /// depth-`d` bucket *is* the interval that refinement from the root reaches at
 /// depth `d` (and an empty bucket means the MMP is shorter than `d`, which the
-/// shallower tables resolve exactly).
-pub fn mmp_search_packed(layers: &SeedLayers<'_>, q: &Packed2, from: usize) -> Mmp {
+/// shallower tables resolve exactly). What the search cost is added to `cost`.
+pub fn mmp_search_packed(
+    layers: &SeedLayers<'_>,
+    q: &Packed2,
+    from: usize,
+    cost: &mut SearchCost,
+) -> Mmp {
     let SeedLayers { index, deep } = *layers;
     let seq = index.genome().seq();
     let sa = index.sa();
@@ -100,6 +124,7 @@ pub fn mmp_search_packed(layers: &SeedLayers<'_>, q: &Packed2, from: usize) -> M
     for table in deep.iter().chain([index.prefix()]) {
         let d = table.k();
         if remaining >= d {
+            cost.probes += 1;
             let bucket = table.lookup_value((w & ((1u64 << (2 * d)) - 1)) as usize);
             if !bucket.is_empty() {
                 iv = bucket;
@@ -109,12 +134,17 @@ pub fn mmp_search_packed(layers: &SeedLayers<'_>, q: &Packed2, from: usize) -> M
         }
     }
 
+    cost.searches += 1;
+    cost.start_suffixes += u64::from(iv.size());
+    cost.widest_start = cost.widest_start.max(iv.size());
+
     let mut best = Mmp { start: from, len: depth, interval: iv };
     while depth < remaining {
         if iv.size() <= DIRECT_EXTEND_MAX_INTERVAL {
+            cost.probes += u64::from(iv.size());
             return direct_extend(seq, sa, q, from, depth, iv);
         }
-        let next = sa.refine(seq, iv, depth, q.get(from + depth));
+        let next = sa.refine(seq, iv, depth, q.get(from + depth), &mut cost.probes);
         if next.is_empty() {
             break;
         }
@@ -285,7 +315,12 @@ mod tests {
             };
             let plain = mmp_search(&idx, q.codes(), 0);
             let layers = SeedLayers { deep: &deep, ..SeedLayers::base(&idx) };
-            let fast = mmp_search_packed(&layers, &Packed2::from_codes(q.codes()), 0);
+            let fast = mmp_search_packed(
+                &layers,
+                &Packed2::from_codes(q.codes()),
+                0,
+                &mut SearchCost::default(),
+            );
             assert_eq!(plain, fast, "query {q}");
         }
     }

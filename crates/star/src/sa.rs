@@ -169,8 +169,16 @@ impl SuffixArray {
     /// sub-interval whose suffixes continue with base code `c` at offset `depth`.
     ///
     /// Suffixes too short to have a base at `depth` sort at the front of the interval
-    /// and are excluded. Two binary searches, O(log |iv|).
-    pub fn refine(&self, seq: &Packed2, iv: SaInterval, depth: usize, c: u8) -> SaInterval {
+    /// and are excluded. Two binary searches, O(log |iv|); every step of either — one
+    /// suffix-array load and the genome load it addresses — is added to `probes`.
+    pub fn refine(
+        &self,
+        seq: &Packed2,
+        iv: SaInterval,
+        depth: usize,
+        c: u8,
+        probes: &mut u64,
+    ) -> SaInterval {
         // Rank of the character at `depth` for the suffix in a slot: end-of-text
         // (suffix too short) ranks below every base.
         let n = seq.len();
@@ -184,9 +192,9 @@ impl SuffixArray {
         };
         let target = c as i16;
         // Lower bound: first slot with char >= target.
-        let lo = lower_bound(iv.lo, iv.hi, |s| char_at(s) >= target);
+        let lo = lower_bound(iv.lo, iv.hi, |s| char_at(s) >= target, probes);
         // Upper bound: first slot with char > target.
-        let hi = lower_bound(lo, iv.hi, |s| char_at(s) > target);
+        let hi = lower_bound(lo, iv.hi, |s| char_at(s) > target, probes);
         SaInterval { lo, hi }
     }
 
@@ -195,7 +203,7 @@ impl SuffixArray {
     pub fn find(&self, seq: &Packed2, pattern: &[u8]) -> SaInterval {
         let mut iv = self.full();
         for (depth, &c) in pattern.iter().enumerate() {
-            iv = self.refine(seq, iv, depth, c);
+            iv = self.refine(seq, iv, depth, c, &mut 0);
             if iv.is_empty() {
                 break;
             }
@@ -368,10 +376,12 @@ fn bucket_tails(bucket: &[u32]) -> Vec<u32> {
     tails
 }
 
-/// First slot in `[lo, hi)` satisfying monotone predicate `pred` (or `hi`).
-fn lower_bound(lo: u32, hi: u32, pred: impl Fn(u32) -> bool) -> u32 {
+/// First slot in `[lo, hi)` satisfying monotone predicate `pred` (or `hi`); `evals`
+/// grows by the number of slots `pred` was asked about.
+fn lower_bound(lo: u32, hi: u32, pred: impl Fn(u32) -> bool, evals: &mut u64) -> u32 {
     let (mut lo, mut hi) = (lo, hi);
     while lo < hi {
+        *evals += 1;
         let mid = lo + (hi - lo) / 2;
         if pred(mid) {
             hi = mid;

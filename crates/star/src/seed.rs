@@ -18,7 +18,7 @@
 //! by the copy number.
 
 use crate::genome::Packed2;
-use crate::mmp::{mmp_search_packed, SeedLayers};
+use crate::mmp::{mmp_search_packed, SearchCost, SeedLayers};
 use crate::params::AlignParams;
 
 /// One seed: an exact read↔genome match.
@@ -64,6 +64,15 @@ pub struct SeedProbeScratch {
     order: Vec<u32>,
     /// Per-slot verdict of the contig-boundary check.
     fits: Vec<bool>,
+    /// What the MMP searches of the last [`collect_seeds_packed`] call cost.
+    cost: SearchCost,
+}
+
+impl SeedProbeScratch {
+    /// What the MMP searches of the last [`collect_seeds_packed`] call cost.
+    pub fn cost(&self) -> SearchCost {
+        self.cost
+    }
 }
 
 /// Collect seeds for one oriented, packed read (the caller runs this once per
@@ -80,10 +89,11 @@ pub fn collect_seeds_packed(
 ) {
     let index = layers.index;
     seeds.clear();
+    probe.cost = SearchCost::default();
     let mut from = 0usize;
     let genome = index.genome();
     while from < q.len() && seeds.len() < params.max_seeds_per_read {
-        let m = mmp_search_packed(layers, q, from);
+        let m = mmp_search_packed(layers, q, from, &mut probe.cost);
         if m.len == 0 {
             from += 1;
             continue;
@@ -102,7 +112,7 @@ pub fn collect_seeds_packed(
                 // Batched resolution: one contiguous SA read, one position-sorted
                 // sweep over the span table, then a slot-order push — byte-identical
                 // truncation semantics to checking each slot in turn.
-                let SeedProbeScratch { gpos, order, fits } = probe;
+                let SeedProbeScratch { gpos, order, fits, .. } = probe;
                 gpos.clear();
                 gpos.extend(
                     index.sa().positions()[m.interval.lo as usize..m.interval.hi as usize]
