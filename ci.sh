@@ -34,6 +34,16 @@ cargo test -q --release --offline -p atlas-integration-tests --test campaign_pin
 # nothing a run reports depends on the thread count or the schedule.
 cargo test -q --release --offline -p rayon
 cargo test -q --release --offline -p atlas-integration-tests --test thread_invariance
+# What seeding costs in dependent index loads, counted per read on fixed-seed reads
+# (`PhaseWork::seed_probes`): exact for the seed and equal at 1, 2 and 8 threads, so it
+# gates the seed phase where wall-clock cannot. No MMP search may start at the root of
+# the suffix array: the test checks the widest starting interval, the grep that the
+# whole-array interval is named in `mmp.rs` by test code only (the refinement oracle).
+cargo test -q --release --offline -p star-aligner --test seed_cost
+if sed '/#\[cfg(test)\]/,$d' crates/star/src/mmp.rs | grep -n 'sa\.full()'; then
+    echo "crates/star/src/mmp.rs: a search starts from sa.full() outside #[cfg(test)]" >&2
+    exit 1
+fi
 cargo clippy --offline -- -D warnings
 # The detached benchmark crate (benchmarks/e2e) is a client of the public API and
 # is not a workspace member, so nothing above compiles it: build it, read-only.

@@ -252,8 +252,7 @@ fn mapq_for(n_hits: u32) -> u8 {
 
 /// The per-read aligner, borrowing an index.
 pub struct Aligner<'i> {
-    /// The index and the runtime-only deep prefix tables cached on it. Never
-    /// serialized, never change a search result.
+    /// The index and the ladder of prefix tables every seed search starts from.
     layers: SeedLayers<'i>,
     params: AlignParams,
     /// Interned contig names, indexed like `genome().spans()`.
@@ -276,7 +275,7 @@ impl<'i> Aligner<'i> {
 
     /// The index in use.
     pub fn index(&self) -> &'i StarIndex {
-        self.layers.index
+        self.layers.index()
     }
 
     /// Align a FASTQ record (read id propagated into the record).
@@ -306,7 +305,7 @@ impl<'i> Aligner<'i> {
         if read_len == 0 {
             return work;
         }
-        let index = self.layers.index;
+        let index = self.layers.index();
         let genome = index.genome();
         let ScratchCore { rc, fwd, rcp, seeds, probe, stitch, chains } = core;
         rc.clear();
@@ -346,7 +345,7 @@ impl<'i> Aligner<'i> {
 
     /// Build the public record for a candidate (contig-local coordinates).
     pub(crate) fn record_for(&self, is_rc: bool, wa: &WindowAlignment, n_hits: u32) -> AlignmentRecord {
-        let genome = self.layers.index.genome();
+        let genome = self.layers.index().genome();
         let (contig_idx, local) = genome.to_local(wa.gstart);
         let span = &genome.spans()[contig_idx];
         AlignmentRecord {

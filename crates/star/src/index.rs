@@ -13,6 +13,7 @@ use crate::sjdb::SpliceJunctionDb;
 use crate::StarError;
 use genomics::{Annotation, Assembly};
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
 
 /// Parameters for index construction.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -52,18 +53,34 @@ impl IndexStats {
 /// The complete alignment index for one assembly.
 #[derive(Clone, Debug)]
 pub struct StarIndex {
-    genome: PackedGenome,
-    sa: SuffixArray,
-    prefix: PrefixTable,
+    /// Everything but the junctions: immutable once built, so an index derived by
+    /// [`StarIndex::with_extra_junctions`] shares it instead of copying it.
+    shared: Arc<Shared>,
     sjdb: SpliceJunctionDb,
-    /// Deeper runtime-only prefix tables for the seed hot path, built lazily on
-    /// first use and cached for the index's lifetime. Not part of the on-disk
-    /// format ([`StarIndex::serialize`] skips it) and excluded from [`IndexStats`].
-    deep: std::sync::OnceLock<Vec<PrefixTable>>,
     /// Assembly name recorded for provenance (e.g. `"GRCh38-sim"`).
     pub assembly_name: String,
     /// Ensembl release the source assembly came from.
     pub release: u32,
+}
+
+#[derive(Debug)]
+struct Shared {
+    genome: PackedGenome,
+    sa: SuffixArray,
+    /// The serialized base prefix table (depth `k`) first, then the depths
+    /// `k-1, …, 1` derived from it ([`PrefixTable::ladder`]).
+    prefix: Vec<PrefixTable>,
+    /// Deeper runtime-only prefix tables for the seed hot path, built lazily on
+    /// first use and cached for the index's lifetime. Not part of the on-disk
+    /// format ([`StarIndex::serialize`] skips it) and excluded from [`IndexStats`].
+    deep: OnceLock<Vec<PrefixTable>>,
+}
+
+impl Shared {
+    fn new(genome: PackedGenome, sa: SuffixArray, base: PrefixTable) -> Arc<Shared> {
+        let prefix = base.ladder(&sa, genome.seq());
+        Arc::new(Shared { genome, sa, prefix, deep: OnceLock::new() })
+    }
 }
 
 impl StarIndex {
@@ -84,14 +101,11 @@ impl StarIndex {
         if k > 13 {
             return Err(StarError::InvalidParams(format!("sa_index_nbases {k} > 13")));
         }
-        let prefix = PrefixTable::build(&sa, &codes, k);
+        let base = PrefixTable::build(&sa, &codes, k);
         let sjdb = SpliceJunctionDb::from_annotation(annotation, &genome);
         Ok(StarIndex {
-            genome,
-            sa,
-            prefix,
+            shared: Shared::new(genome, sa, base),
             sjdb,
-            deep: std::sync::OnceLock::new(),
             assembly_name: assembly.name.clone(),
             release: assembly.release,
         })
@@ -99,17 +113,22 @@ impl StarIndex {
 
     /// The packed genome.
     pub fn genome(&self) -> &PackedGenome {
-        &self.genome
+        &self.shared.genome
     }
 
     /// The suffix array.
     pub fn sa(&self) -> &SuffixArray {
-        &self.sa
+        &self.shared.sa
     }
 
-    /// The prefix lookup table.
+    /// The base prefix lookup table: the one depth that is serialized.
     pub fn prefix(&self) -> &PrefixTable {
-        &self.prefix
+        &self.shared.prefix[0]
+    }
+
+    /// The base prefix table and every depth below it, deepest first: `k, k-1, …, 1`.
+    pub fn prefix_ladder(&self) -> &[PrefixTable] {
+        &self.shared.prefix
     }
 
     /// The splice-junction database.
@@ -117,17 +136,27 @@ impl StarIndex {
         &self.sjdb
     }
 
-    /// Deeper runtime-only prefix tables for the seed hot path (deepest first;
-    /// empty when the genome is too small to warrant one). Built on first call and
-    /// cached, so sharing one index across runs pays the construction cost once.
-    /// Search results are identical with or without them ([`PrefixTable::deepen`]).
+    /// Deeper runtime-only prefix tables for the seed hot path (deepest first, down
+    /// to `k+1`; empty when the genome is too small to warrant one). Built on first
+    /// call and cached, so sharing one index across runs pays the construction cost
+    /// once. Search results are identical with or without them
+    /// ([`PrefixTable::deepen`]).
     pub fn deep_prefix(&self) -> &[PrefixTable] {
-        self.deep
-            .get_or_init(|| PrefixTable::deepen(&self.sa, &self.genome.unpack(), self.prefix.k()))
+        let Shared { genome, sa, prefix, deep } = &*self.shared;
+        deep.get_or_init(|| PrefixTable::deepen(sa, &genome.unpack(), prefix[0].k()))
     }
 
-    /// Clone this index with additional sjdb junctions (global coordinates) — the
-    /// second-pass index of `--twopassMode Basic`.
+    /// Resident bytes of the prefix tables that are not in the serialized index and
+    /// so not in [`IndexStats`]: every rung of the search ladder but the base table.
+    /// Builds the deep tables if no aligner has yet.
+    pub fn runtime_table_bytes(&self) -> usize {
+        let rungs = self.deep_prefix().iter().chain(&self.shared.prefix[1..]);
+        rungs.map(PrefixTable::byte_size).sum()
+    }
+
+    /// This index with additional sjdb junctions (global coordinates) — the
+    /// second-pass index of `--twopassMode Basic`. Genome, suffix array and prefix
+    /// tables are shared with `self`, not copied: it costs its junction database.
     pub fn with_extra_junctions(&self, junctions: impl IntoIterator<Item = (u64, u64)>) -> StarIndex {
         let mut out = self.clone();
         for (s, e) in junctions {
@@ -139,12 +168,12 @@ impl StarIndex {
     /// Component sizes (the paper's index-size comparison).
     pub fn stats(&self) -> IndexStats {
         IndexStats {
-            genome_bytes: self.genome.packed_byte_size(),
-            sa_bytes: self.sa.byte_size(),
-            prefix_bytes: self.prefix.byte_size(),
+            genome_bytes: self.genome().packed_byte_size(),
+            sa_bytes: self.sa().byte_size(),
+            prefix_bytes: self.prefix().byte_size(),
             sjdb_bytes: self.sjdb.byte_size(),
-            genome_len: self.genome.len(),
-            n_contigs: self.genome.spans().len(),
+            genome_len: self.genome().len(),
+            n_contigs: self.genome().spans().len(),
         }
     }
 
@@ -155,31 +184,32 @@ impl StarIndex {
     /// old byte-per-base blob, and deserialization is a straight word copy), span
     /// table, SA, prefix table, sjdb.
     pub fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.genome.len() * 5 + 1024);
+        let (genome, sa) = (self.genome(), self.sa());
+        let mut out = Vec::with_capacity(genome.len() * 5 + 1024);
         out.extend_from_slice(MAGIC);
         push_u32(&mut out, VERSION);
         push_str(&mut out, &self.assembly_name);
         push_u32(&mut out, self.release);
         // Genome: 2-bit packed words.
-        push_u64(&mut out, self.genome.len() as u64);
-        for &w in self.genome.seq().words() {
+        push_u64(&mut out, genome.len() as u64);
+        for &w in genome.seq().words() {
             push_u64(&mut out, w);
         }
         // Span table.
-        push_u32(&mut out, self.genome.spans().len() as u32);
-        for s in self.genome.spans() {
+        push_u32(&mut out, genome.spans().len() as u32);
+        for s in genome.spans() {
             push_str(&mut out, &s.name);
             push_u32(&mut out, contig_kind_code(s.kind));
             push_u64(&mut out, s.start);
             push_u64(&mut out, s.len);
         }
         // Suffix array.
-        push_u64(&mut out, self.sa.len() as u64);
-        for &p in self.sa.positions() {
+        push_u64(&mut out, sa.len() as u64);
+        for &p in sa.positions() {
             push_u32(&mut out, p);
         }
         // Prefix table.
-        let (starts, ends, k) = self.prefix.raw();
+        let (starts, ends, k) = self.prefix().raw();
         push_u32(&mut out, k as u32);
         for &v in starts {
             push_u32(&mut out, v);
@@ -254,11 +284,8 @@ impl StarIndex {
             return Err(StarError::CorruptIndex(format!("{} trailing bytes", bytes.len() - r.pos)));
         }
         Ok(StarIndex {
-            genome,
-            sa,
-            prefix,
+            shared: Shared::new(genome, sa, prefix),
             sjdb: SpliceJunctionDb::from_raw(pairs),
-            deep: std::sync::OnceLock::new(),
             assembly_name,
             release,
         })
@@ -412,6 +439,33 @@ mod tests {
         }
         let ratio = totals[0] as f64 / totals[1] as f64;
         assert!(ratio > 2.0, "r108 index must be much larger, ratio {ratio}");
+    }
+
+    #[test]
+    fn a_second_pass_index_shares_everything_but_its_junctions() {
+        let idx = small_index();
+        let n_junctions = idx.sjdb().sorted().len();
+        // Derived before the deep tables exist: whichever index asks first builds
+        // them for both.
+        let second = idx.with_extra_junctions([(100, 900)]);
+        assert!(Arc::ptr_eq(&idx.shared, &second.shared));
+        assert!(!second.deep_prefix().is_empty());
+        assert!(std::ptr::eq(idx.deep_prefix(), second.deep_prefix()), "deep tables built twice");
+        assert!(second.sjdb().contains(100, 900) && !idx.sjdb().contains(100, 900));
+        assert_eq!((idx.sjdb().sorted().len(), second.sjdb().sorted().len()), (n_junctions, n_junctions + 1));
+    }
+
+    #[test]
+    fn runtime_table_bytes_counts_every_rung_but_the_base() {
+        let idx = small_index();
+        let k = idx.prefix().k();
+        assert!(idx.prefix_ladder().iter().map(|t| t.k()).eq((1..=k).rev()));
+        let below: usize = idx.prefix_ladder()[1..].iter().map(PrefixTable::byte_size).sum();
+        let above: usize = idx.deep_prefix().iter().map(PrefixTable::byte_size).sum();
+        assert_eq!(idx.runtime_table_bytes(), below + above);
+        // Derived rungs: 4^(k-1) + … + 4 buckets against the base table's 4^k.
+        assert!(3 * below < idx.stats().prefix_bytes);
+        assert_eq!(idx.stats().prefix_bytes, idx.prefix().byte_size(), "the serialized size is the base table's");
     }
 
     #[test]

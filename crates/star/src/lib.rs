@@ -5,16 +5,17 @@
 //!
 //! * [`genome`] — the concatenated, contig-boundary-aware reference ("Genome" file).
 //! * [`sa`] — an uncompressed suffix array over the concatenated genome, STAR's
-//!   central index structure, built with prefix doubling (rayon-parallel sort).
-//! * [`prefix`] — the k-mer prefix lookup table (`genomeSAindexNbases` analog) that
-//!   seeds suffix-array searches.
+//!   central index structure, built in linear time with SA-IS.
+//! * [`prefix`] — the k-mer prefix lookup tables (`genomeSAindexNbases` analog), one
+//!   per prefix length like STAR's `SAindex`, that every suffix-array search starts
+//!   from.
 //! * [`sjdb`] — the annotated splice-junction database used for spliced stitching.
 //! * [`index`] — [`index::StarIndex`]: everything above bundled, with byte-accurate
 //!   size accounting (the 85 GiB vs 29.5 GiB comparison of the paper's §III-A) and
 //!   (de)serialization.
 //! * [`mmp`] — Maximal Mappable Prefix search, STAR's seed-discovery primitive;
-//!   [`mmp::SeedLayers`] is the one ordered list of prefix tables a search may
-//!   start from.
+//!   [`mmp::SeedLayers`] is the ladder of prefix tables, one per depth, that a
+//!   search starts from.
 //! * [`seed`] / [`stitch`] / [`extend`] — seed collection, windowing/stitching into
 //!   collinear chains (introns allowed), and mismatch-scored extension to a full-read
 //!   alignment with soft clips.

@@ -1,14 +1,16 @@
 //! Maximal Mappable Prefix (MMP) search — STAR's seed-discovery primitive.
 //!
 //! The MMP of a read position `p` is the longest read substring starting at `p` that
-//! occurs anywhere in the genome (Dobin et al. 2013, Fig. 1). It is found by interval
-//! refinement on the suffix array, started from one ordered list of O(1) prefix
-//! tables ([`SeedLayers`]), deepest first: the runtime-only deep tables, then the
-//! serialized base table. Every table addresses buckets by the LSB-first packed
-//! k-mer value, which a packed query yields with one [`Packed2::word_from`] and a
-//! mask — no per-base repacking. The search stops at the first base that empties
+//! occurs anywhere in the genome (Dobin et al. 2013, Fig. 1). A search starts from a
+//! ladder of O(1) prefix tables, one per depth `top, top−1, …, 1` ([`SeedLayers`]),
+//! probed deepest first — like STAR's `SAindex`, never from the root of the suffix
+//! array. Every table addresses buckets by the LSB-first packed k-mer value, which a
+//! packed query yields with one [`Packed2::word_from`] and a mask — no per-base
+//! repacking. If the deepest table the query can address has its prefix, interval
+//! refinement on the suffix array takes over, stopping at the first base that empties
 //! the interval; small intervals finish with word-at-a-time direct extension
-//! (32 bases per compare).
+//! (32 bases per compare). If it does not, the first shallower table that has it *is*
+//! the answer, and neither the suffix array nor the genome is read at all.
 
 use crate::genome::{common_prefix_len, Packed2};
 use crate::index::StarIndex;
@@ -21,7 +23,7 @@ pub struct Mmp {
     /// Start offset within the query pattern.
     pub start: usize,
     /// Matched prefix length (0 when even the first base is absent — impossible for
-    /// ACGT queries on a non-empty genome, but kept total).
+    /// ACGT queries on a genome that uses all four bases, but kept total).
     pub len: usize,
     /// Suffix-array interval of all genome occurrences of the matched prefix.
     pub interval: SaInterval,
@@ -59,48 +61,54 @@ pub struct SearchCost {
 /// scaffold-duplicated genome inflates.
 const DIRECT_EXTEND_MAX_INTERVAL: u32 = 16;
 
-/// Where an MMP search may start: the index plus the runtime-only prefix tables
-/// deeper than its base table. Built once per [`crate::Aligner`]
+/// Where an MMP search may start: the ladder of prefix tables over one index, one per
+/// depth `top, …, 1` — the runtime-only tables deeper than the index's base table,
+/// then [`StarIndex::prefix_ladder`]. Built once per [`crate::Aligner`]
 /// ([`SeedLayers::full`]) and borrowed down through seed collection into
-/// [`mmp_search_packed`]. No choice of tables changes a search result.
+/// [`mmp_search_packed`]. No choice of `top` changes a search result.
 #[derive(Clone, Copy, Debug)]
 pub struct SeedLayers<'i> {
-    /// The index: genome, suffix array and the serialized base prefix table.
-    pub index: &'i StarIndex,
-    /// Deeper prefix tables ([`PrefixTable::deepen`]), deepest first.
-    pub deep: &'i [PrefixTable],
+    // Private so that no ladder with a missing depth can be made: a search reads an
+    // empty bucket at depth `d+1` beside a full one at depth `d` as "the MMP is `d`
+    // bases", which is only true of adjacent depths.
+    index: &'i StarIndex,
+    deep: &'i [PrefixTable],
 }
 
 impl<'i> SeedLayers<'i> {
-    /// The serialized index alone, no deep tables: a start no aligner uses, kept as
-    /// the reference the deep tables are checked against.
-    #[cfg(test)]
-    pub(crate) fn base(index: &'i StarIndex) -> SeedLayers<'i> {
-        SeedLayers { index, deep: &[] }
+    /// The index's own ladder under `deep`, which must hold the depths
+    /// `k + deep.len(), …, k + 1` above the base table's `k`, deepest first
+    /// ([`PrefixTable::deepen`], or a tail of it).
+    pub fn new(index: &'i StarIndex, deep: &'i [PrefixTable]) -> SeedLayers<'i> {
+        let rungs = deep.iter().chain(index.prefix_ladder());
+        let top = index.prefix().k() + deep.len();
+        assert!(rungs.map(|t| t.k()).eq((1..=top).rev()), "prefix ladder skips a depth");
+        SeedLayers { index, deep }
     }
 
     /// The layers an aligner searches through: the index with its cached deep
     /// prefix tables ([`StarIndex::deep_prefix`]).
     pub fn full(index: &'i StarIndex) -> SeedLayers<'i> {
-        SeedLayers { index, deep: index.deep_prefix() }
+        SeedLayers::new(index, index.deep_prefix())
+    }
+
+    /// The index: genome, suffix array, and the ladder from its base table down.
+    pub fn index(&self) -> &'i StarIndex {
+        self.index
     }
 }
 
-/// The MMP of unpacked `pattern[from..]`, started from [`SeedLayers::base`].
-#[cfg(test)]
-pub(crate) fn mmp_search(index: &StarIndex, pattern: &[u8], from: usize) -> Mmp {
-    let q = Packed2::from_codes(pattern);
-    mmp_search_packed(&SeedLayers::base(index), &q, from, &mut SearchCost::default())
-}
-
-/// The full MMP search over a packed query.
+/// The full MMP search over a packed query; what it cost is added to `cost`.
 ///
-/// Starting tables are tried deepest-first: each table in `deep`, then the index's
-/// base prefix table; a table is skipped when fewer than its depth bases remain or
-/// its bucket is empty. Results are identical whichever table starts the search: a
-/// depth-`d` bucket *is* the interval that refinement from the root reaches at
-/// depth `d` (and an empty bucket means the MMP is shorter than `d`, which the
-/// shallower tables resolve exactly). What the search cost is added to `cost`.
+/// The ladder is probed deepest first, from the deepest table the remaining query
+/// can address. A depth-`d` bucket *is* the interval that refinement from the root
+/// reaches at depth `d`, so whichever rung answers, the result is the same:
+///
+/// * the first rung probed has the prefix — refine from its bucket;
+/// * a rung has it after the rung above was probed and found empty — the MMP is
+///   exactly that rung's depth and its bucket the interval, with no suffix or genome
+///   base read (what extending every suffix of the bucket by zero bases would find);
+/// * no rung has it — the first base does not occur in the genome.
 pub fn mmp_search_packed(
     layers: &SeedLayers<'_>,
     q: &Packed2,
@@ -111,34 +119,35 @@ pub fn mmp_search_packed(
     let seq = index.genome().seq();
     let sa = index.sa();
     let remaining = q.len() - from;
-    if remaining == 0 {
-        return Mmp { start: from, len: 0, interval: SaInterval { lo: 0, hi: 0 } };
-    }
     // One unaligned fetch covers every table's probe: depths are ≤ 31 bases.
     let w = q.word_from(from);
-
-    // When no table hits (the query is shorter than every depth, or its prefix is
-    // absent), refinement from the root finds the exact stopping point.
-    let mut iv = sa.full();
-    let mut depth = 0;
-    for table in deep.iter().chain([index.prefix()]) {
-        let d = table.k();
-        if remaining >= d {
-            cost.probes += 1;
-            let bucket = table.lookup_value((w & ((1u64 << (2 * d)) - 1)) as usize);
-            if !bucket.is_empty() {
-                iv = bucket;
-                depth = d;
-                break;
-            }
-        }
-    }
-
     cost.searches += 1;
-    cost.start_suffixes += u64::from(iv.size());
-    cost.widest_start = cost.widest_start.max(iv.size());
 
-    let mut best = Mmp { start: from, len: depth, interval: iv };
+    let mut deeper_absent = false;
+    let mut start = None;
+    for table in deep.iter().chain(index.prefix_ladder()) {
+        let d = table.k();
+        if d > remaining {
+            continue;
+        }
+        cost.probes += 1;
+        let bucket = table.lookup_value((w & ((1u64 << (2 * d)) - 1)) as usize);
+        if bucket.is_empty() {
+            deeper_absent = true;
+            continue;
+        }
+        cost.start_suffixes += u64::from(bucket.size());
+        cost.widest_start = cost.widest_start.max(bucket.size());
+        if deeper_absent {
+            return Mmp { start: from, len: d, interval: bucket };
+        }
+        start = Some((d, bucket));
+        break;
+    }
+    let Some((mut depth, mut iv)) = start else {
+        return Mmp { start: from, len: 0, interval: SaInterval { lo: 0, hi: 0 } };
+    };
+
     while depth < remaining {
         if iv.size() <= DIRECT_EXTEND_MAX_INTERVAL {
             cost.probes += u64::from(iv.size());
@@ -150,24 +159,18 @@ pub fn mmp_search_packed(
         }
         iv = next;
         depth += 1;
-        best = Mmp { start: from, len: depth, interval: iv };
     }
-    // When a bucket path was taken, depth started positive with a non-empty
-    // interval, so `best` is always consistent. When refinement from the root dies
-    // at depth 0, report len 0 with an empty interval.
-    if best.len == 0 {
-        best.interval = SaInterval { lo: 0, hi: 0 };
-    }
-    best
+    Mmp { start: from, len: depth, interval: iv }
 }
 
 /// Finish an MMP search by extending every suffix of the (small) interval directly
 /// against the query, 32 bases per compare, and keeping the maximizers.
 ///
-/// All suffixes in `iv` share `query[from..from+depth]`. The suffixes matching the
-/// *longest* query prefix form a contiguous sub-interval (any suffix sorted between
-/// two suffixes sharing a prefix also shares it), so tracking the first/last
-/// maximizer reconstructs the exact interval binary refinement would have produced.
+/// All suffixes in `iv` share `query[from..from+depth]`, `depth ≥ 1`. The suffixes
+/// matching the *longest* query prefix form a contiguous sub-interval (any suffix
+/// sorted between two suffixes sharing a prefix also shares it), so tracking the
+/// first/last maximizer reconstructs the exact interval binary refinement would have
+/// produced.
 fn direct_extend(
     seq: &Packed2,
     sa: &crate::sa::SuffixArray,
@@ -176,7 +179,7 @@ fn direct_extend(
     depth: usize,
     iv: SaInterval,
 ) -> Mmp {
-    debug_assert!(!iv.is_empty());
+    debug_assert!(!iv.is_empty() && depth > 0);
     let tail_len = q.len() - from - depth;
     let mut best_ext = 0usize;
     let mut best_lo = iv.lo;
@@ -201,12 +204,46 @@ fn direct_extend(
     if best_ext == 0 {
         // No suffix continues the match: the MMP is exactly the shared prefix, and
         // every suffix of the interval carries it.
-        if depth == 0 {
-            return Mmp { start: from, len: 0, interval: SaInterval { lo: 0, hi: 0 } };
-        }
         return Mmp { start: from, len: depth, interval: iv };
     }
     Mmp { start: from, len: depth + best_ext, interval: SaInterval { lo: best_lo, hi: best_hi } }
+}
+
+#[cfg(test)]
+impl<'i> SeedLayers<'i> {
+    /// The serialized base table and the rungs below it, no deep tables: a start no
+    /// aligner uses, kept as the reference the deep tables are checked against.
+    pub(crate) fn base(index: &'i StarIndex) -> SeedLayers<'i> {
+        SeedLayers::new(index, &[])
+    }
+}
+
+/// The MMP of unpacked `pattern[from..]`, started from [`SeedLayers::base`].
+#[cfg(test)]
+pub(crate) fn mmp_search(index: &StarIndex, pattern: &[u8], from: usize) -> Mmp {
+    let q = Packed2::from_codes(pattern);
+    mmp_search_packed(&SeedLayers::base(index), &q, from, &mut SearchCost::default())
+}
+
+/// The oracle: the MMP of `q[from..]` by per-base interval refinement from the root
+/// of the suffix array — no table, no shortcut, no direct extension.
+#[cfg(test)]
+pub(crate) fn mmp_by_refinement(index: &StarIndex, q: &Packed2, from: usize) -> Mmp {
+    let (seq, sa) = (index.genome().seq(), index.sa());
+    let mut iv = sa.full();
+    let mut depth = 0;
+    while from + depth < q.len() {
+        let next = sa.refine(seq, iv, depth, q.get(from + depth), &mut 0);
+        if next.is_empty() {
+            break;
+        }
+        iv = next;
+        depth += 1;
+    }
+    if depth == 0 {
+        iv = SaInterval { lo: 0, hi: 0 };
+    }
+    Mmp { start: from, len: depth, interval: iv }
 }
 
 #[cfg(test)]
@@ -216,6 +253,10 @@ mod tests {
     use genomics::{Annotation, Assembly, AssemblyKind, Contig, ContigKind, DnaSeq};
 
     fn index_of(seq: &str) -> StarIndex {
+        index_with(seq, IndexParams::default())
+    }
+
+    fn index_with(seq: &str, params: IndexParams) -> StarIndex {
         let asm = Assembly {
             name: "T".into(),
             release: 1,
@@ -226,7 +267,7 @@ mod tests {
                 seq: seq.parse::<DnaSeq>().unwrap(),
             }],
         };
-        StarIndex::build(&asm, &Annotation::default(), &IndexParams::default()).unwrap()
+        StarIndex::build(&asm, &Annotation::default(), &params).unwrap()
     }
 
     /// Reference MMP: longest prefix of `q` occurring in `text`.
@@ -314,7 +355,7 @@ mod tests {
                 }
             };
             let plain = mmp_search(&idx, q.codes(), 0);
-            let layers = SeedLayers { deep: &deep, ..SeedLayers::base(&idx) };
+            let layers = SeedLayers::new(&idx, &deep);
             let fast = mmp_search_packed(
                 &layers,
                 &Packed2::from_codes(q.codes()),
@@ -323,6 +364,81 @@ mod tests {
             );
             assert_eq!(plain, fast, "query {q}");
         }
+    }
+
+    /// The ladder search — from the base table down, and with the deep tables on
+    /// top — against per-base refinement from the root, for every `(q, from)`.
+    fn assert_ladder_matches_refinement(idx: &StarIndex, queries: &[DnaSeq]) {
+        for q in queries {
+            let packed = Packed2::from_codes(q.codes());
+            for from in 0..=q.len() {
+                let want = mmp_by_refinement(idx, &packed, from);
+                for layers in [SeedLayers::base(idx), SeedLayers::full(idx)] {
+                    let got = mmp_search_packed(&layers, &packed, from, &mut SearchCost::default());
+                    assert_eq!(got, want, "query {q} from {from}, {} deep tables", layers.deep.len());
+                }
+            }
+        }
+    }
+
+    /// Queries of every length from one base up, so some are shorter than every
+    /// table but the last: random, poly-A, each single base, and — when the text
+    /// has room — genomic substrings with and without one flipped base.
+    fn probe_queries(text: &str, seed: u64) -> Vec<DnaSeq> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut queries: Vec<DnaSeq> = (1..=40).map(|len| DnaSeq::random(&mut rng, len)).collect();
+        queries.push(DnaSeq::from_codes(vec![0; 30]));
+        queries.extend((0..4u8).map(|c| DnaSeq::from_codes(vec![c])));
+        for len in 1..text.len().min(45) {
+            let s = rng.gen_range(0..=text.len() - len);
+            let genomic: DnaSeq = text[s..s + len].parse().unwrap();
+            let mut codes = genomic.codes().to_vec();
+            let flip = rng.gen_range(0..len);
+            codes[flip] = (codes[flip] + rng.gen_range(1..4u8)) % 4;
+            queries.extend([genomic, DnaSeq::from_codes(codes)]);
+        }
+        queries
+    }
+
+    #[test]
+    fn ladder_search_equals_root_refinement_everywhere() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let random = DnaSeq::random(&mut StdRng::seed_from_u64(5), 5000).to_string();
+        let texts = [
+            random.as_str(),
+            &"A".repeat(300),              // homopolymer
+            &"ACG".repeat(100),            // tandem repeats; T is absent from the genome
+            &"AC".repeat(150),
+            "ACG",                         // shorter than the base depth (k >= 4)
+            "TTTTGTTTTTTTTTTTTTTTCTTTTTT", // a lone C and G among the T runs
+        ];
+        for (i, text) in texts.into_iter().enumerate() {
+            let idx = index_of(text);
+            assert_ladder_matches_refinement(&idx, &probe_queries(text, i as u64));
+        }
+        assert!(!index_of(&random).deep_prefix().is_empty(), "the random text has deep tables");
+        // `prefix::tests::short_suffixes_do_not_leak_into_buckets`' text: its last
+        // k-1 suffixes sort between the bucket runs of the base table.
+        let idx = index_with("CACGTC", IndexParams { sa_index_nbases: Some(3) });
+        assert_ladder_matches_refinement(&idx, &probe_queries("CACGTC", 9));
+    }
+
+    #[test]
+    fn an_empty_rung_above_a_full_one_answers_without_reading_the_suffix_array() {
+        // "GGT" occurs once in the text and "GGTC" never: the base table (k = 4) has
+        // no bucket for the query's first four bases, the depth-3 rung has one.
+        let text = "ACGTACGGTTACGATCGGATCGATTACGGATC";
+        let idx = index_of(text);
+        assert_eq!(idx.prefix().k(), 4);
+        let q: DnaSeq = "GGTCCCCCCC".parse().unwrap();
+        let mut cost = SearchCost::default();
+        let m = mmp_search_packed(&SeedLayers::base(&idx), &Packed2::from_codes(q.codes()), 0, &mut cost);
+        assert_eq!((m.len, m.occurrences()), (3, 1));
+        assert_eq!(cost, SearchCost { searches: 1, probes: 2, start_suffixes: 1, widest_start: 1 });
+        assert_eq!(m, mmp_by_refinement(&idx, &Packed2::from_codes(q.codes()), 0));
     }
 
     #[test]

@@ -1,16 +1,31 @@
-//! k-mer prefix lookup table (`--genomeSAindexNbases` analog).
+//! Prefix lookup tables (`--genomeSAindexNbases` analog).
 //!
-//! STAR pre-resolves the first `k` bases of every suffix-array search through a dense
-//! 4^k-entry table, skipping the first `k` rounds of interval refinement. The table is
-//! part of the index and contributes to its size; `k` defaults to a `log4`-of-genome
+//! The model is STAR's `SAindex`, which stores the suffix-array interval of *every*
+//! prefix length `1..=genomeSAindexNbases` and, when a prefix is flagged absent, steps
+//! down one length: an MMP search never descends the suffix array from its root, and
+//! the step from "absent at depth d+1" to "present at depth d" *is* the answer. Here
+//! that is a contiguous ladder of dense 4^d-entry tables, one per depth
+//! `top, top−1, …, 1` ([`crate::mmp::SeedLayers`]). Only depth `k` — the base table —
+//! is part of the serialized index and its size; `k` defaults to a `log4`-of-genome
 //! shape like STAR's `min(14, log2(GenomeLength)/2 - 1)`, with a smaller cap suited to
-//! synthetic genomes.
+//! synthetic genomes. The depths below `k` are derived from the base table when an
+//! index is built or loaded ([`PrefixTable::ladder`], O(4^k)); the depths above it are
+//! built on first use by scanning the suffix array ([`PrefixTable::deepen`]).
 //!
-//! Suffixes shorter than `k` bases (the last `k-1` genome positions) sort in between
-//! bucket runs; each bucket therefore stores its exact `[start, end)` slot range
-//! rather than deriving the end from the next bucket's start.
+//! A depth-`d` bucket holds the suffixes of at least `d` bases that start with its
+//! `d`-mer. Shorter suffixes (the last `d-1` genome positions) sort in between bucket
+//! runs; each bucket therefore stores its exact `[start, end)` slot range rather than
+//! deriving the end from the next bucket's start.
 
+use crate::genome::Packed2;
 use crate::sa::{SaInterval, SuffixArray};
+
+/// Rungs [`PrefixTable::deepen`] builds above the base table. Measured, not assumed
+/// (EXPERIMENTS.md, "Ladder depth: the verdict"): with no rung above `k` seeding is
+/// 1.2–1.4× slower on both releases; a second one, `k+2`, quadruples the bytes of the
+/// first (128 MiB of release 108's resident set) and did not win nine of ten
+/// alternating pairs against `k+1` on either release.
+const DEEP_RUNGS: usize = 1;
 
 /// Dense k-mer → SA-interval table.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -78,8 +93,8 @@ impl PrefixTable {
     }
 
     /// SA interval of suffixes starting with the `k`-mer at the front of `pattern`.
-    /// Returns `None` when `pattern` is shorter than `k` (caller falls back to plain
-    /// refinement from depth 0).
+    /// Returns `None` when `pattern` is shorter than `k` (a shallower rung of the
+    /// ladder answers then).
     #[inline]
     pub fn lookup(&self, pattern: &[u8]) -> Option<SaInterval> {
         if pattern.len() < self.k {
@@ -100,26 +115,62 @@ impl PrefixTable {
         SaInterval { lo, hi: self.ends[m] }
     }
 
-    /// Build deeper companion tables for the alignment hot path, deepest first.
+    /// The rungs of the ladder below this (base) table, derived from it: returns
+    /// depths `k, k-1, …, 1`, this table first.
     ///
-    /// Seed search spends most of its time probing every suffix of the starting
-    /// `k`-mer bucket against the genome; a deeper table shrinks that starting
-    /// interval by `4^(d-k)` without changing any search result (the `d`-mer bucket
-    /// is exactly the interval refinement from depth `k` would reach at depth `d`).
-    /// Depths `k+2` and `k+1` are built when each fits within 4× the genome length
-    /// in buckets (≤ 13), bounding the tables at ~40 bytes per genome base combined.
-    /// The shallower layer matters on reverse-complement strands: their `k+2`-mers
-    /// are frequently absent from the genome, and falling all the way back to the
-    /// base bucket would pay the full per-suffix scan the deep table exists to skip.
-    /// These tables are runtime-only: rebuilt by [`crate::align::Aligner::new`] and
-    /// never serialized, so index files and their digests are unaffected.
+    /// A depth-`d` bucket is the union of the four depth-`d+1` buckets that share its
+    /// `d`-mer (LSB-first packing: its low `2d` bits) — contiguous in the suffix array,
+    /// so min start / max end — plus the one suffix with exactly `d` bases left, which
+    /// no deeper table can address and which sorts first among the suffixes starting
+    /// with its `d` bases. O(4^k) in all: no scan of the suffix array.
+    pub fn ladder(self, sa: &SuffixArray, seq: &Packed2) -> Vec<PrefixTable> {
+        let mut rungs = vec![self];
+        for d in (1..rungs[0].k).rev() {
+            let deeper = rungs.last().expect("starts non-empty");
+            let buckets = 1usize << (2 * d);
+            let mut starts = vec![u32::MAX; buckets];
+            let mut ends = vec![0u32; buckets];
+            for (m, (&s, &e)) in deeper.starts.iter().zip(&deeper.ends).enumerate() {
+                if s != u32::MAX {
+                    let parent = m & (buckets - 1);
+                    starts[parent] = starts[parent].min(s);
+                    ends[parent] = ends[parent].max(e);
+                }
+            }
+            if let Some(at) = seq.len().checked_sub(d) {
+                let tail: Vec<u8> = (at..seq.len()).map(|i| seq.get(i)).collect();
+                let bucket = sa.find(seq, &tail);
+                if !bucket.is_empty() {
+                    let m = kmer_value(&tail);
+                    debug_assert!(starts[m] == u32::MAX || (starts[m], ends[m]) == (bucket.lo + 1, bucket.hi));
+                    (starts[m], ends[m]) = (bucket.lo, bucket.hi);
+                }
+            }
+            rungs.push(PrefixTable { k: d, starts, ends });
+        }
+        rungs
+    }
+
+    /// The rungs of the ladder above the base table, deepest first: depths
+    /// `top, …, base_k + 1`, contiguous, each built by one scan of the suffix array.
+    ///
+    /// A `d`-mer bucket is exactly the interval that refinement from the root reaches
+    /// at depth `d`, so no rung changes a search result. What a deep rung buys is the
+    /// answer to "is this `d`-mer in the genome at all" in one load: the strand of a
+    /// read that does not map behaves like random sequence, and almost every search
+    /// on it ends at the first rung whose bucket is not empty. A depth is built while
+    /// it fits within 4× the genome length in buckets (≤ 13), up to
+    /// `base_k + DEEP_RUNGS`, bounding the tables at 32 bytes per genome base.
+    /// These tables are runtime-only: built on the first [`crate::align::Aligner::new`]
+    /// over an index and never serialized, so index files and their digests are
+    /// unaffected.
     pub fn deepen(sa: &SuffixArray, codes: &[u8], base_k: usize) -> Vec<PrefixTable> {
-        let max_d = (base_k + 2).min(13);
-        (base_k + 1..=max_d)
-            .rev()
-            .filter(|&d| (1usize << (2 * d)) <= 4 * codes.len())
+        let mut rungs: Vec<PrefixTable> = (base_k + 1..=(base_k + DEEP_RUNGS).min(13))
+            .take_while(|&d| (1usize << (2 * d)) <= 4 * codes.len())
             .map(|d| PrefixTable::build(sa, codes, d))
-            .collect()
+            .collect();
+        rungs.reverse();
+        rungs
     }
 
     /// Bytes of memory/disk the table occupies.
@@ -177,27 +228,43 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Every rung of the whole ladder over `codes` around a depth-`k` base table:
+    /// scanned above the base, derived below it, deepest first.
+    fn whole_ladder(sa: &SuffixArray, codes: &[u8], k: usize) -> Vec<PrefixTable> {
+        let mut rungs = PrefixTable::deepen(sa, codes, k);
+        rungs.extend(PrefixTable::build(sa, codes, k).ladder(sa, &Packed2::from_codes(codes)));
+        assert!(rungs.iter().map(|t| t.k()).eq((1..=rungs.len()).rev()), "contiguous down to depth 1");
+        rungs
+    }
+
+    /// Every bucket of every rung is the interval a from-scratch search finds.
+    fn assert_ladder_agrees_with_find(codes: &[u8], k: usize) {
+        let packed = Packed2::from_codes(codes);
+        let sa = SuffixArray::build(codes);
+        for table in whole_ladder(&sa, codes, k) {
+            let d = table.k();
+            for m in 0..(1usize << (2 * d)) {
+                // LSB-first decode, mirroring kmer_value's packing.
+                let pattern: Vec<u8> = (0..d).map(|i| ((m >> (2 * i)) & 0b11) as u8).collect();
+                let via_table = table.lookup(&pattern).unwrap();
+                assert_eq!(via_table, table.lookup_value(m), "depth {d}, value probe {m:#b}");
+                let via_find = sa.find(&packed, &pattern);
+                if via_find.is_empty() {
+                    assert!(via_table.is_empty(), "depth {d}, k-mer {m:#b}");
+                } else {
+                    assert_eq!(via_table, via_find, "depth {d}, k-mer {m:#b}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn lookup_agrees_with_sa_find_on_random_text() {
         let mut rng = StdRng::seed_from_u64(11);
         let s = DnaSeq::random(&mut rng, 2000);
-        let packed = Packed2::from_codes(s.codes());
         let sa = SuffixArray::build(s.codes());
-        let k = 4;
-        let table = PrefixTable::build(&sa, s.codes(), k);
-        // Every possible k-mer: the table interval must equal a from-scratch search.
-        for m in 0..(1usize << (2 * k)) {
-            // LSB-first decode, mirroring kmer_value's packing.
-            let pattern: Vec<u8> = (0..k).map(|i| ((m >> (2 * i)) & 0b11) as u8).collect();
-            let via_table = table.lookup(&pattern).unwrap();
-            assert_eq!(via_table, table.lookup_value(m), "value probe {m:#b}");
-            let via_find = sa.find(&packed, &pattern);
-            if via_find.is_empty() {
-                assert!(via_table.is_empty(), "k-mer {m:#b}");
-            } else {
-                assert_eq!(via_table, via_find, "k-mer {m:#b}");
-            }
-        }
+        assert_eq!(whole_ladder(&sa, s.codes(), 4).len(), 5, "one scanned rung above the base");
+        assert_ladder_agrees_with_find(s.codes(), 4);
     }
 
     #[test]
@@ -215,6 +282,23 @@ mod tests {
             } else {
                 assert_eq!(via_table, via_find, "{pat_str}");
             }
+        }
+        // The derived rungs must take those suffixes in: "TC" and "C" each sit alone
+        // in front of, or instead of, the deeper buckets their rung was folded from.
+        assert_ladder_agrees_with_find(s.codes(), 3);
+    }
+
+    #[test]
+    fn derived_rungs_agree_with_sa_find_on_degenerate_texts() {
+        // Homopolymer: every short suffix lands in the one non-empty bucket.
+        assert_ladder_agrees_with_find(&[0u8; 64], 4);
+        // Tandem repeat, and a base (T) the text never uses.
+        let tandem: Vec<u8> = [0u8, 1, 2].iter().copied().cycle().take(200).collect();
+        assert_ladder_agrees_with_find(&tandem, 5);
+        // Texts shorter than the base depth: the base table is empty, and the rungs
+        // at or below the text length hold only what `ladder` adds.
+        for text in ["ACG", "A", "TTTT"] {
+            assert_ladder_agrees_with_find(text.parse::<DnaSeq>().unwrap().codes(), 5);
         }
     }
 

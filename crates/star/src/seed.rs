@@ -2,8 +2,9 @@
 //!
 //! Reads are scanned left to right; each MMP that is long enough and not too
 //! repetitive contributes one seed per genome occurrence. The scan then restarts just
-//! past the base that terminated the MMP (STAR's serial MMP search). Seeds that would
-//! cross a contig boundary are discarded.
+//! past the base that terminated the MMP (STAR's serial MMP search) and ends once
+//! fewer than `min_seed_len` bases are left. Seeds that would cross a contig boundary
+//! are discarded.
 //!
 //! Occurrence resolution is batched per MMP: all suffix-array slots of the interval
 //! are read into scratch in one contiguous pass, the boundary check runs as a single
@@ -87,12 +88,14 @@ pub fn collect_seeds_packed(
     seeds: &mut Vec<Seed>,
     probe: &mut SeedProbeScratch,
 ) {
-    let index = layers.index;
+    let index = layers.index();
     seeds.clear();
     probe.cost = SearchCost::default();
     let mut from = 0usize;
     let genome = index.genome();
-    while from < q.len() && seeds.len() < params.max_seeds_per_read {
+    // An MMP is at most what is left of the read: once that is under `min_seed_len`
+    // neither this search nor any after it can yield a seed.
+    while from + params.min_seed_len.max(1) <= q.len() && seeds.len() < params.max_seeds_per_read {
         let m = mmp_search_packed(layers, q, from, &mut probe.cost);
         if m.len == 0 {
             from += 1;
@@ -309,35 +312,69 @@ mod tests {
             p.max_seeds_per_read = cap;
             p.min_seed_len = 10;
             let seeds = collect_seeds(&idx, read.codes(), &p);
-            // Reference: the pre-batching algorithm, written plainly.
-            let mut expect = Vec::new();
-            let mut from = 0usize;
-            while from < read.len() && expect.len() < cap {
-                let m = crate::mmp::mmp_search(&idx, read.codes(), from);
-                if m.len == 0 {
-                    from += 1;
-                    continue;
-                }
-                if m.len >= p.min_seed_len && m.occurrences() <= p.anchor_multimap_nmax {
-                    for slot in m.interval.lo..m.interval.hi {
-                        let gpos = idx.sa().suffix(slot) as u64;
-                        if idx.genome().fits_in_contig(gpos, m.len as u64) {
-                            expect.push(Seed {
-                                read_pos: m.start as u32,
-                                gpos,
-                                len: m.len as u32,
-                                interval_size: m.occurrences(),
-                            });
-                            if expect.len() >= cap {
-                                break;
-                            }
+            assert_eq!(seeds, plain_uncut_seeds(&idx, read.codes(), &p), "cap {cap}");
+        }
+    }
+
+    /// Reference: the pre-batching algorithm, written plainly — every MMP by per-base
+    /// refinement from the root of the suffix array, every read position visited to
+    /// the last base, every occurrence checked in slot order.
+    fn plain_uncut_seeds(idx: &StarIndex, read: &[u8], p: &AlignParams) -> Vec<Seed> {
+        let q = Packed2::from_codes(read);
+        let mut expect = Vec::new();
+        let mut from = 0usize;
+        while from < read.len() && expect.len() < p.max_seeds_per_read {
+            let m = crate::mmp::mmp_by_refinement(idx, &q, from);
+            if m.len == 0 {
+                from += 1;
+                continue;
+            }
+            if m.len >= p.min_seed_len && m.occurrences() <= p.anchor_multimap_nmax {
+                for slot in m.interval.lo..m.interval.hi {
+                    let gpos = idx.sa().suffix(slot) as u64;
+                    if idx.genome().fits_in_contig(gpos, m.len as u64) {
+                        expect.push(Seed {
+                            read_pos: m.start as u32,
+                            gpos,
+                            len: m.len as u32,
+                            interval_size: m.occurrences(),
+                        });
+                        if expect.len() >= p.max_seeds_per_read {
+                            break;
                         }
                     }
                 }
-                from = m.start + m.len + 1;
             }
-            expect.sort_unstable_by_key(|s| (s.read_pos, s.gpos));
-            assert_eq!(seeds, expect, "cap {cap}");
+            from = m.start + m.len + 1;
         }
+        expect.sort_unstable_by_key(|s| (s.read_pos, s.gpos));
+        expect
+    }
+
+    #[test]
+    fn ladder_shortcut_and_min_seed_cutoff_change_no_seed_on_release_108() {
+        use genomics::annotation::AnnotationParams;
+        use genomics::{EnsemblGenerator, EnsemblParams, LibraryType, ReadSimulator, Release, SimulatorParams};
+        let g = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
+        let asm_111 = g.generate(Release::R111);
+        let ann = Annotation::simulate(&asm_111, &g, &AnnotationParams::default()).unwrap();
+        let idx = StarIndex::build(&g.generate(Release::R108), &ann, &IndexParams::default()).unwrap();
+        let layers = SeedLayers::full(&idx);
+        let params = AlignParams::default();
+        let (mut seeds, mut probe) = (Vec::new(), SeedProbeScratch::default());
+        let mut seeded = 0;
+        for (library, seed) in [(LibraryType::BulkPolyA, 21), (LibraryType::SingleCell3Prime, 22)] {
+            let mut sim =
+                ReadSimulator::new(&asm_111, &ann, SimulatorParams::for_library(library), seed).unwrap();
+            for read in sim.simulate(250, "L") {
+                for seq in [read.fastq.seq.clone(), read.fastq.seq.reverse_complement()] {
+                    let q = Packed2::from_codes(seq.codes());
+                    collect_seeds_packed(&layers, &q, &params, &mut seeds, &mut probe);
+                    assert_eq!(seeds, plain_uncut_seeds(&idx, seq.codes(), &params), "read {seq}");
+                    seeded += usize::from(!seeds.is_empty());
+                }
+            }
+        }
+        assert!((200..800).contains(&seeded), "premise: seeded and seedless orientations both occur ({seeded}/1000)");
     }
 }

@@ -4,11 +4,12 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use genomics::annotation::AnnotationParams;
+use genomics::annotation::{AnnotationParams, Exon, Gene, Strand};
 use genomics::fasta::FastaRecord;
 use genomics::{Annotation, DnaSeq, FastqRecord};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use star_aligner::runner::{RunConfig, RunOutput, Runner};
 use star_aligner::sam::{sam_pair_records, sam_record};
 use star_aligner::{AlignParams, Aligner, StarIndex};
 
@@ -312,6 +313,36 @@ fn two_pass_sam_comes_from_the_second_pass() {
     let second_pass_index = first_pass_index.with_extra_junctions([(2000, 2600)]);
     assert!(body == rendered_per_read(&second_pass_index, &reads));
     assert!(body != rendered_per_read(&first_pass_index, &reads), "premise: the passes disagree");
+    // The second-pass index costs its junctions: genome, suffix array and prefix
+    // tables are the first pass's own (two-pass mode used to deep-copy all three), …
+    let (sa_1, sa_2) = (first_pass_index.sa().positions(), second_pass_index.sa().positions());
+    assert!(std::ptr::eq(sa_1, sa_2), "suffix array copied");
+    let (deep_1, deep_2) = (first_pass_index.deep_prefix(), second_pass_index.deep_prefix());
+    assert!(!deep_1.is_empty() && std::ptr::eq(deep_1, deep_2), "deep prefix tables rebuilt");
+    // … and two passes align and count exactly as one pass over a second-pass index
+    // that shares nothing with the first.
+    let gene = Gene {
+        id: "G".into(),
+        contig: "1".into(),
+        strand: Strand::Forward,
+        exons: vec![Exon { start: 1900, end: 2000 }, Exon { start: 2600, end: 2700 }],
+    };
+    let annotation = Annotation { genes: vec![gene] };
+    let config =
+        RunConfig { threads: 2, batch_size: 5, quant: true, record_alignments: true, collect_junctions: true };
+    let runner = Runner::new(&first_pass_index, AlignParams::default(), config.clone()).unwrap();
+    let (two_pass, inserted) = runner.run_two_pass(&reads, Some(&annotation), 3).unwrap();
+    assert_eq!(inserted, 1);
+    let unshared = load_index(&p("index")).with_extra_junctions([(2000, 2600)]);
+    assert!(!std::ptr::eq(unshared.sa().positions(), sa_1));
+    let one_pass = Runner::new(&unshared, AlignParams::default(), config)
+        .unwrap()
+        .run(&reads, Some(&annotation), None, None)
+        .unwrap();
+    assert_eq!(two_pass.alignments, one_pass.alignments);
+    let tsv = |out: &RunOutput| out.gene_counts.as_ref().unwrap().to_tsv();
+    assert_eq!(tsv(&two_pass), tsv(&one_pass));
+    assert!(tsv(&two_pass).contains("G\t6\t"), "premise: the spliced reads count for the gene: {}", tsv(&two_pass));
     // The SAM agrees with the SJ.out.tab written beside it.
     let sj = std::fs::read_to_string(p("tp_SJ.out.tab")).unwrap();
     assert!(sj.starts_with("1\t2001\t2600\t"), "{sj}");

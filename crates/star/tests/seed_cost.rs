@@ -15,6 +15,9 @@
 //! * **(B) committed ceilings:** total probes per cell. A regression fails with its
 //!   cell's name; an improvement of more than a tenth must lower the ceiling in the
 //!   PR that earns it (the `observer_cost` convention).
+//! * **(C) no search starts at the root of the suffix array:** the widest interval
+//!   any search starts from is no wider than the widest depth-1 bucket — the count of
+//!   the genome's most frequent base.
 //!
 //! `-- --nocapture` prints one line per cell, with the orientations that found no
 //! seed split out. What the counter cannot see: which of those loads actually miss —
@@ -35,12 +38,12 @@ use star_aligner::{AlignParams, Packed2};
 
 /// Committed probes per cell: `(release, reads, reads in the cell, total probes)`.
 const CEILINGS: [(&str, &str, usize, u64); 6] = [
-    ("r111", "bulk", 2_000, 205_550),
-    ("r111", "single_cell", 2_000, 362_803),
-    ("r111", "random", 1_000, 175_558),
-    ("r108", "bulk", 2_000, 738_852),
-    ("r108", "single_cell", 2_000, 1_825_006),
-    ("r108", "random", 1_000, 461_309),
+    ("r111", "bulk", 2_000, 93_842),
+    ("r111", "single_cell", 2_000, 145_786),
+    ("r111", "random", 1_000, 74_455),
+    ("r108", "bulk", 2_000, 258_234),
+    ("r108", "single_cell", 2_000, 193_721),
+    ("r108", "random", 1_000, 55_206),
 ];
 
 fn add(total: &mut SearchCost, one: SearchCost) {
@@ -132,6 +135,15 @@ fn seed_probes_are_exact_thread_invariant_and_within_their_ceilings() {
                 all.widest_start,
                 seedless.probes as f64 / n,
                 per(seedless.start_suffixes, seedless.searches),
+            );
+
+            // (C) Every search started inside the ladder.
+            let seq = index.genome().seq();
+            let widest_rung = (0..4u8).map(|c| index.sa().find(seq, &[c]).size()).max().unwrap();
+            assert!(
+                all.widest_start <= widest_rung && widest_rung < index.sa().len() as u32,
+                "{cell}: a search started from {} suffixes; the widest depth-1 bucket holds {widest_rung}",
+                all.widest_start
             );
 
             // (B) The committed cost of this cell.
