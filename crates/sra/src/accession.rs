@@ -97,7 +97,7 @@ impl AccessionMeta {
 }
 
 /// FNV-1a, used for stable id→seed derivation.
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= b as u64;

@@ -232,6 +232,7 @@ fn strategy_from_code(c: u8) -> Result<LibraryStrategy, SraError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accession::fnv1a;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -297,6 +298,20 @@ mod tests {
         let mut bad = arc.bytes().to_vec();
         bad[9] = 7;
         assert!(SraArchive::from_bytes(Bytes::from(bad)).is_err());
+    }
+
+    /// The container's bytes are a format other tools could hold on disk: field order,
+    /// widths, endianness and both 2-bit tails (99 bases pad the last byte, 100 fill it)
+    /// are pinned here, because every other test is a round trip a reordered field passes.
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        let single = SraArchive::encode("SRRPIN1", LibraryStrategy::SingleCell, &reads(12, 99, 23)).unwrap();
+        let mates = reads(12, 100, 24);
+        let pairs: Vec<(FastqRecord, FastqRecord)> =
+            mates.chunks(2).map(|w| (w[0].clone(), w[1].clone())).collect();
+        let paired = SraArchive::encode_paired("SRRPIN2", LibraryStrategy::RnaSeqBulk, &pairs).unwrap();
+        let seen = [&single, &paired].map(|arc| (arc.bytes().len(), fnv1a(&arc.bytes())));
+        assert_eq!(seen, [(345, 0xcc7f_bce7_75ff_14d6), (345, 0x00cd_a142_0acf_7305)], "{seen:#x?}");
     }
 
     #[test]
