@@ -18,7 +18,6 @@
 use crate::early_stop::EarlyStopPolicy;
 use crate::pipeline::{AtlasPipeline, PipelineConfig};
 use crate::AtlasError;
-use serde::{Deserialize, Serialize};
 use star_aligner::progress::ProgressSnapshot;
 use star_aligner::runner::MonitorVerdict;
 
@@ -57,7 +56,7 @@ pub fn replay_policy(trace: &RunTrace, policy: &EarlyStopPolicy) -> Replay {
 }
 
 /// Aggregated outcome of one candidate policy over all traces.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PolicyOutcome {
     /// Checkpoint fraction evaluated.
     pub check_fraction: f64,
@@ -101,7 +100,7 @@ pub fn evaluate_policy(traces: &[RunTrace], policy: &EarlyStopPolicy) -> PolicyO
 }
 
 /// Full analysis: a grid of checkpoint fractions at one threshold.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CheckpointAnalysis {
     /// The threshold analyzed (paper: 0.30).
     pub min_rate: f64,

@@ -42,7 +42,6 @@ use crate::pipeline::{PipelineResult, StageTimes};
 use crate::recovery::CheckpointStore;
 use crate::workload::CampaignWorkload;
 use crate::AtlasError;
-use bytes::Bytes;
 use cloudsim::cost::CostTracker;
 use cloudsim::faults::{FaultInjector, FaultOp};
 use cloudsim::instance::{InstanceId, InstanceState};
@@ -137,7 +136,7 @@ impl<'a> Campaign<'a> {
         // Small sentinel for the index manifest: instances GET it at init, so a
         // persistent S3 outage can fail a launch. The bulk index transfer time
         // itself is modeled by `init_secs`, not by moving real bytes.
-        store.put("index/manifest", Bytes::from_static(b"star-index manifest"));
+        store.put("index/manifest", Arc::from(&b"star-index manifest"[..]));
         let mut events = Kernel::new();
         events.schedule(SimTime::ZERO, Event::ScaleTick);
         // Per-accession accounts exist only when something will read them.
@@ -478,7 +477,7 @@ impl<'a> Campaign<'a> {
         let name = self.name(job.accession);
         let upload = self.store.put_retrying(
             &format!("results/{name}"),
-            Bytes::from(name.as_bytes().to_vec()),
+            Arc::from(name.as_bytes()),
             &mut self.injector,
             id.0,
             &cfg.retry,

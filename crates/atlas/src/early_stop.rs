@@ -8,12 +8,11 @@
 //! [`star_aligner::runner::RunMonitor`], and [`EarlyStopAccounting`] computes the
 //! time the abort saved — the yellow bars of Fig. 4.
 
-use serde::{Deserialize, Serialize};
 use star_aligner::progress::ProgressSnapshot;
 use star_aligner::runner::{MonitorVerdict, RunMonitor, RunOutput, RunStatus};
 
 /// The early-stopping rule.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct EarlyStopPolicy {
     /// Fraction of total reads that must be processed before deciding (paper: 0.10).
     pub check_fraction: f64,
@@ -61,7 +60,7 @@ impl RunMonitor for EarlyStopPolicy {
 }
 
 /// Time accounting for one (possibly early-stopped) run — one bar of Fig. 4.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EarlyStopAccounting {
     /// True when the run was aborted by the policy.
     pub stopped: bool,
@@ -117,7 +116,7 @@ impl EarlyStopAccounting {
 
 /// Aggregate over a campaign — the totals quoted in §III-B (38/1000 runs, 30.4 h of
 /// 155.8 h, 19.5 %).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SavingsSummary {
     /// Number of alignments run.
     pub runs: usize,

@@ -27,7 +27,6 @@ use genomics::{
     Annotation, Assembly, EnsemblGenerator, EnsemblParams, LibraryType, ReadSimulator, Release,
     SimulatorParams,
 };
-use serde::{Deserialize, Serialize};
 use sra_sim::accession::{CatalogParams, LibraryStrategy};
 use sra_sim::SraRepository;
 use star_aligner::index::{IndexParams, IndexStats, StarIndex};
@@ -135,7 +134,7 @@ impl Default for Fig3Config {
 }
 
 /// One file's row in Fig. 3.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig3File {
     /// File label.
     pub name: String,
@@ -165,7 +164,7 @@ impl Fig3File {
 }
 
 /// Fig. 3 result.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig3Result {
     /// Per-file rows.
     pub files: Vec<Fig3File>,
@@ -304,7 +303,7 @@ fn inverse_normal_cdf(p: f64) -> f64 {
 // ---------------------------------------------------------------------------
 
 /// §III-A configuration-table result.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct IndexComparison {
     /// Index stats, release 108.
     pub stats_108: IndexStats,
@@ -374,7 +373,7 @@ impl Default for Fig4Config {
 }
 
 /// One alignment's bar in Fig. 4.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig4Run {
     /// Accession id.
     pub accession: String,
@@ -392,7 +391,7 @@ pub struct Fig4Run {
 }
 
 /// Fig. 4 result.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig4Result {
     /// Per-run rows (catalog order).
     pub runs: Vec<Fig4Run>,
@@ -655,7 +654,7 @@ impl Default for PseudoStudyConfig {
 }
 
 /// Outcome of the pseudoaligner study: the same catalog pseudoaligned in both modes.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PseudoStudyResult {
     /// Savings with progress reporting enabled (the paper's recommendation).
     pub with_progress: SavingsSummary,
@@ -775,7 +774,7 @@ impl Default for SpotRecoveryConfig {
 }
 
 /// One arm (recovery on or off) of the spot-recovery study.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SpotRecoveryArm {
     /// Was checkpoint/resume armed?
     pub recovery: bool,
@@ -802,7 +801,7 @@ pub struct SpotRecoveryArm {
 }
 
 /// The spot-recovery study result: both arms under the identical storm.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SpotRecoveryResult {
     /// Checkpoint/resume armed.
     pub with_recovery: SpotRecoveryArm,

@@ -162,7 +162,7 @@ impl CampaignConfig {
 }
 
 /// One sample of campaign telemetry (taken at every scale tick).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FleetSample {
     /// Simulated time of the sample.
     pub at_secs: f64,
@@ -171,8 +171,6 @@ pub struct FleetSample {
     /// Undeleted messages (visible + in flight).
     pub pending_messages: usize,
 }
-
-use serde::{Deserialize, Serialize};
 
 /// Campaign outcome.
 #[derive(Debug)]

@@ -17,7 +17,6 @@ use std::sync::Arc;
 use crate::early_stop::{EarlyStopAccounting, EarlyStopPolicy};
 use crate::AtlasError;
 use genomics::Annotation;
-use serde::{Deserialize, Serialize};
 use sra_sim::accession::{LibraryLayout, LibraryStrategy};
 use sra_sim::fasterq_dump::DumpModel;
 use sra_sim::prefetch::NetworkModel;
@@ -65,7 +64,7 @@ impl Default for PipelineConfig {
 }
 
 /// Modeled duration of each pipeline stage, in seconds.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StageTimes {
     /// Stage 1: `prefetch`.
     pub prefetch_secs: f64,
@@ -193,6 +192,13 @@ impl AtlasPipeline {
         config.run_config.validate()?;
         if let Some(p) = &config.early_stop {
             p.validate()?;
+        }
+        config.network.validate().map_err(|e| AtlasError::InvalidParams(format!("network: {e}")))?;
+        config.dump.validate().map_err(|e| AtlasError::InvalidParams(format!("dump: {e}")))?;
+        if let Some(secs) = config.align_secs_per_read.filter(|s| !(s.is_finite() && *s >= 0.0)) {
+            return Err(AtlasError::InvalidParams(format!(
+                "align_secs_per_read must be finite and non-negative, got {secs}"
+            )));
         }
         Ok(AtlasPipeline { repo, index, annotation, config })
     }
@@ -447,6 +453,41 @@ mod tests {
         assert!(r.gene_counts.is_some());
         // Progress counted fragments, not individual mates.
         assert_eq!(r.early_stop.total_reads, meta.spots.min(800), "spots (fragments) are the unit");
+    }
+
+    #[test]
+    fn new_refuses_models_that_would_panic_mid_campaign() {
+        let good = pipeline(true, None);
+        let refused = |field: &str, edit: &dyn Fn(&mut PipelineConfig)| {
+            let mut config = good.config().clone();
+            edit(&mut config);
+            let made = AtlasPipeline::new(
+                good.repository_arc(),
+                good.index_arc(),
+                good.annotation_arc(),
+                config.clone(),
+            );
+            match made {
+                Err(AtlasError::InvalidParams(m)) => assert!(m.contains(field), "{field}: {m}"),
+                other => panic!("{field}: {config:?} gave {:?}", other.map(|_| ())),
+            }
+        };
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            refused("bandwidth_bytes_per_sec", &|c| c.network.bandwidth_bytes_per_sec = bad);
+            refused("bytes_per_sec_per_thread", &|c| c.dump.bytes_per_sec_per_thread = bad);
+            if bad != 0.0 {
+                refused("latency_secs", &|c| c.network.latency_secs = bad);
+                refused("align_secs_per_read", &|c| c.align_secs_per_read = Some(bad));
+            }
+        }
+        refused("threads", &|c| c.dump.threads = 0);
+        // Zero latency and a free align stage are models, not mistakes.
+        let mut config = good.config().clone();
+        config.network.latency_secs = 0.0;
+        config.align_secs_per_read = Some(0.0);
+        let free =
+            AtlasPipeline::new(good.repository_arc(), good.index_arc(), good.annotation_arc(), config);
+        assert!(free.is_ok());
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! cheapest catalog type that fits it with working headroom.
 
 use cloudsim::instance::InstanceType;
-use serde::{Deserialize, Serialize};
 
 /// Chooses instance types for a given index footprint.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RightSizer {
     /// Index size in GiB as loaded into shared memory.
     pub index_gib: f64,

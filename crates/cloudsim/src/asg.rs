@@ -15,14 +15,13 @@
 use crate::instance::{Instance, InstanceId, InstanceState, InstanceType};
 use crate::time::SimTime;
 use crate::CloudError;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use telemetry::{JsonValue, Recorder};
 
 /// Scaling policy parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ScalingPolicy {
     /// Minimum instances.
     pub min_size: u32,

@@ -8,11 +8,10 @@
 use crate::instance::Instance;
 use crate::spot::SpotMarket;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Aggregated cost report.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CostReport {
     /// USD per instance type.
     pub by_type: BTreeMap<String, f64>,

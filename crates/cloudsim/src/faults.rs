@@ -16,13 +16,12 @@
 use crate::retry::RetryPolicy;
 use crate::time::{SimDuration, SimTime};
 use crate::CloudError;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 use telemetry::{JsonValue, Recorder};
 
 /// Operations that can fail transiently under a [`FaultPlan`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultOp {
     /// S3 GET (index manifest download, result fetch).
     S3Get,
@@ -73,7 +72,7 @@ impl FaultOp {
 
 /// A window of elevated spot-interruption pressure (capacity crunch), layered on
 /// top of [`crate::SpotMarket`]'s base Poisson process.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SpotBurst {
     /// Window start, simulated seconds.
     pub start_secs: f64,
@@ -84,7 +83,7 @@ pub struct SpotBurst {
 }
 
 /// Declarative description of a chaos campaign's faults.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Seed addressing the entire fault schedule.
     pub seed: u64,
@@ -199,7 +198,7 @@ impl FaultPlan {
 }
 
 /// One injected fault, for the replayable event trace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultEvent {
     /// Instance the fault struck (launch serial).
     pub instance_serial: u64,
@@ -239,7 +238,7 @@ fn unit(seed: u64, serial: u64, stream: u64, counter: u64) -> f64 {
 ///
 /// Filled in by [`FaultInjector`] and quoted by campaign reports so a chaos
 /// run documents exactly how much adversity it survived.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultCounters {
     /// Transient S3 GET failures injected.
     pub s3_get_faults: u64,

@@ -8,10 +8,9 @@
 
 use crate::time::SimTime;
 use crate::CloudError;
-use serde::{Deserialize, Serialize};
 
 /// An EC2 instance type with its resources and price.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct InstanceType {
     /// API name, e.g. `"r6a.4xlarge"`.
     pub name: &'static str,
@@ -64,7 +63,7 @@ pub const INSTANCE_CATALOG: &[InstanceType] = &[
 ];
 
 /// Unique id of a launched instance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InstanceId(pub u64);
 
 impl std::fmt::Display for InstanceId {
@@ -74,7 +73,7 @@ impl std::fmt::Display for InstanceId {
 }
 
 /// Lifecycle state of an instance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InstanceState {
     /// Booting + running init (index download & load into shared memory).
     Initializing,

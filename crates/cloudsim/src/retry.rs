@@ -7,12 +7,11 @@
 
 use crate::time::SimDuration;
 use crate::CloudError;
-use serde::{Deserialize, Serialize};
 
 /// Capped exponential backoff: attempt `k` (1-based) sleeps
 /// `min(base * multiplier^(k-1), cap) * (1 - jitter * u)` seconds, with `u` uniform
 /// in `[0, 1)` supplied by the caller.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts, including the first (must be >= 1).
     pub max_attempts: u32,

@@ -9,12 +9,11 @@ use crate::faults::{FaultInjector, FaultOp};
 use crate::retry::RetryPolicy;
 use crate::time::SimDuration;
 use crate::CloudError;
-use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Transfer cost model for the store.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TransferModel {
     /// Sustained throughput in bytes/second.
     pub bandwidth_bytes_per_sec: f64,
@@ -40,7 +39,7 @@ impl TransferModel {
 /// The object store: key → bytes, with transfer accounting.
 #[derive(Debug, Default)]
 pub struct ObjectStore {
-    objects: BTreeMap<String, Bytes>,
+    objects: BTreeMap<String, Arc<[u8]>>,
     transfer: TransferModel,
     bytes_in: u64,
     bytes_out: u64,
@@ -58,7 +57,7 @@ impl ObjectStore {
     }
 
     /// Upload an object; returns the modeled transfer duration.
-    pub fn put(&mut self, key: &str, data: Bytes) -> SimDuration {
+    pub fn put(&mut self, key: &str, data: Arc<[u8]>) -> SimDuration {
         let d = self.transfer.transfer_time(data.len() as u64);
         self.bytes_in += data.len() as u64;
         self.objects.insert(key.to_string(), data);
@@ -66,7 +65,7 @@ impl ObjectStore {
     }
 
     /// Download an object; returns the data and the modeled transfer duration.
-    pub fn get(&mut self, key: &str) -> Result<(Bytes, SimDuration), CloudError> {
+    pub fn get(&mut self, key: &str) -> Result<(Arc<[u8]>, SimDuration), CloudError> {
         let data =
             self.objects.get(key).cloned().ok_or_else(|| CloudError::NoSuchKey(key.to_string()))?;
         self.bytes_out += data.len() as u64;
@@ -117,7 +116,7 @@ impl ObjectStore {
         faults: &mut FaultInjector,
         serial: u64,
         retry: &RetryPolicy,
-    ) -> Result<(Bytes, SimDuration), CloudError> {
+    ) -> Result<(Arc<[u8]>, SimDuration), CloudError> {
         let latency = self.transfer.latency_secs;
         let r = faults.with_retry(serial, FaultOp::S3Get, retry, || self.get(key));
         let overhead =
@@ -140,7 +139,7 @@ impl ObjectStore {
     pub fn put_retrying(
         &mut self,
         key: &str,
-        data: Bytes,
+        data: Arc<[u8]>,
         faults: &mut FaultInjector,
         serial: u64,
         retry: &RetryPolicy,
@@ -175,7 +174,7 @@ mod tests {
             bandwidth_bytes_per_sec: 100.0,
             latency_secs: 1.0,
         });
-        let d_up = s.put("bucket/index.bin", Bytes::from(vec![1u8; 500]));
+        let d_up = s.put("bucket/index.bin", Arc::from(vec![1u8; 500]));
         assert!((d_up.as_secs() - 6.0).abs() < 1e-9);
         let (data, d_down) = s.get("bucket/index.bin").unwrap();
         assert_eq!(data.len(), 500);
@@ -193,9 +192,9 @@ mod tests {
     #[test]
     fn list_filters_by_prefix_sorted() {
         let mut s = ObjectStore::new();
-        s.put("results/SRR2", Bytes::from_static(b"x"));
-        s.put("results/SRR1", Bytes::from_static(b"y"));
-        s.put("index/r111", Bytes::from_static(b"z"));
+        s.put("results/SRR2", Arc::from(&b"x"[..]));
+        s.put("results/SRR1", Arc::from(&b"y"[..]));
+        s.put("index/r111", Arc::from(&b"z"[..]));
         assert_eq!(s.list("results/"), vec!["results/SRR1".to_string(), "results/SRR2".to_string()]);
         assert_eq!(s.list("").len(), 3);
     }
@@ -203,7 +202,7 @@ mod tests {
     #[test]
     fn delete_is_idempotent() {
         let mut s = ObjectStore::new();
-        s.put("k", Bytes::from_static(b"v"));
+        s.put("k", Arc::from(&b"v"[..]));
         s.delete("k");
         s.delete("k");
         assert!(s.is_empty());
@@ -212,7 +211,7 @@ mod tests {
     #[test]
     fn head_does_not_count_traffic() {
         let mut s = ObjectStore::new();
-        s.put("k", Bytes::from(vec![0u8; 100]));
+        s.put("k", Arc::from(vec![0u8; 100]));
         let (in0, out0) = s.traffic();
         assert_eq!(s.head("k").unwrap(), 100);
         assert_eq!(s.traffic(), (in0, out0));
@@ -225,7 +224,7 @@ mod tests {
             bandwidth_bytes_per_sec: 100.0,
             latency_secs: 1.0,
         });
-        s.put("k", Bytes::from(vec![0u8; 100]));
+        s.put("k", Arc::from(vec![0u8; 100]));
         // Always-failing S3 GET exhausts the policy.
         let mut inj = FaultInjector::new(FaultPlan { s3_get_fail: 1.0, seed: 1, ..FaultPlan::default() });
         let policy = RetryPolicy::default();
@@ -237,15 +236,15 @@ mod tests {
         let (data, d) = s.get_retrying("k", &mut clean, 0, &policy).unwrap();
         assert_eq!(data.len(), 100);
         assert!((d.as_secs() - 2.0).abs() < 1e-9, "one attempt, no overhead: {d}");
-        let d_up = s.put_retrying("k2", Bytes::from(vec![0u8; 100]), &mut clean, 0, &policy).unwrap();
+        let d_up = s.put_retrying("k2", Arc::from(vec![0u8; 100]), &mut clean, 0, &policy).unwrap();
         assert!((d_up.as_secs() - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn overwrite_replaces_content() {
         let mut s = ObjectStore::new();
-        s.put("k", Bytes::from_static(b"old"));
-        s.put("k", Bytes::from_static(b"newer"));
+        s.put("k", Arc::from(&b"old"[..]));
+        s.put("k", Arc::from(&b"newer"[..]));
         assert_eq!(s.head("k").unwrap(), 5);
         assert_eq!(s.len(), 1);
     }

@@ -8,10 +8,9 @@
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Spot market parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SpotMarket {
     /// Spot price as a fraction of on-demand (AWS spot typically 0.3–0.4 for r6a).
     pub price_factor: f64,
@@ -41,7 +40,7 @@ pub fn exponential_hours(seed: u64, stream: u64, rate_per_hour: f64) -> f64 {
 /// fault-plan [`crate::faults::SpotBurst`] window. Both flow through the same
 /// schedule ([`crate::faults::FaultInjector::reclaim_schedule`]) so interruption
 /// *notices* cannot diverge between the two sources.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReclaimSource {
     /// Base spot-market interruption ([`SpotMarket::sample_interruption`]).
     Market,
@@ -63,7 +62,7 @@ impl ReclaimSource {
 /// back, tagged with the process that sampled it. AWS precedes the reclaim with
 /// a two-minute interruption notice; the simulation derives the notice instant
 /// from `at` minus the plan's notice lead time.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Reclaim {
     /// When the instance is reclaimed.
     pub at: SimTime,

@@ -33,12 +33,11 @@
 
 use crate::time::{SimDuration, SimTime};
 use crate::CloudError;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// Receipt handle returned by [`SqsQueue::receive`]; required to delete or extend.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ReceiptHandle(u64);
 
 /// A message with its delivery metadata.

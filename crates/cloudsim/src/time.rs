@@ -4,16 +4,15 @@
 //! ordering (no NaNs by construction: all arithmetic goes through checked
 //! constructors that assert finiteness).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// An instant on the simulation clock (seconds since start).
-#[derive(Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimTime(f64);
 
 /// A span of simulated time in seconds (non-negative).
-#[derive(Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimDuration(f64);
 
 impl SimTime {

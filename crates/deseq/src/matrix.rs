@@ -1,9 +1,7 @@
 //! Gene × sample counts matrix.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense counts matrix: rows are genes, columns are samples.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CountsMatrix {
     gene_ids: Vec<String>,
     sample_ids: Vec<String>,

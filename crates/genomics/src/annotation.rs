@@ -13,10 +13,9 @@ use crate::seq::DnaSeq;
 use crate::GenomicsError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Transcription strand.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Strand {
     Forward,
     Reverse,
@@ -33,7 +32,7 @@ impl Strand {
 }
 
 /// One exon: a half-open genomic interval `[start, end)` on the gene's contig.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Exon {
     pub start: usize,
     pub end: usize,
@@ -52,7 +51,7 @@ impl Exon {
 }
 
 /// A gene: ordered, non-overlapping exons on one strand of one contig.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Gene {
     /// Stable identifier, e.g. `"ENSGSIM0000012"`.
     pub id: String,
@@ -132,7 +131,7 @@ impl Gene {
 }
 
 /// A full gene annotation for an assembly.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Annotation {
     /// All genes, in generation order (stable ids `ENSGSIM{serial:07}`).
     pub genes: Vec<Gene>,

@@ -25,10 +25,9 @@ use crate::seq::{Base, DnaSeq};
 use crate::GenomicsError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The Ensembl releases the paper discusses (§III-A).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Release {
     R108,
     R109,
@@ -67,7 +66,7 @@ impl Release {
 /// Defaults are calibrated so that the release-108 : release-111 toplevel size ratio is
 /// ≈2.9 (paper: 85 GiB vs 29.5 GiB index) and genic reads gain roughly an order of
 /// magnitude more candidate alignment loci on release 108.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct EnsemblParams {
     /// Master seed; every derived RNG is a pure function of this.
     pub seed: u64,

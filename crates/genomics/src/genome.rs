@@ -15,10 +15,9 @@
 
 use crate::fasta::FastaRecord;
 use crate::seq::DnaSeq;
-use serde::{Deserialize, Serialize};
 
 /// What kind of contig a sequence is within the assembly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ContigKind {
     /// A fully assembled chromosome.
     Chromosome,
@@ -52,7 +51,7 @@ impl Contig {
 }
 
 /// Which published sequence set an [`Assembly`] value represents.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AssemblyKind {
     /// Chromosomes + unlocalized + unplaced scaffolds (what the Atlas pipeline needs).
     Toplevel,

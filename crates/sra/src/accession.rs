@@ -13,10 +13,9 @@
 use crate::SraError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Library strategy recorded in SRA metadata (the subset we model).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LibraryStrategy {
     /// Bulk poly-A RNA-seq.
     RnaSeqBulk,
@@ -25,7 +24,7 @@ pub enum LibraryStrategy {
 }
 
 /// Library layout recorded in SRA metadata.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LibraryLayout {
     /// One read per spot.
     Single,
@@ -48,7 +47,7 @@ const TISSUES: &[&str] =
     &["lung", "liver", "brain", "heart", "kidney", "muscle", "skin", "blood", "colon", "breast"];
 
 /// Metadata for one SRA accession.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AccessionMeta {
     /// Accession id, e.g. `"SRR1000042"`.
     pub id: String,
@@ -107,7 +106,7 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Parameters of the synthetic workload catalog.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CatalogParams {
     /// Seed for metadata generation.
     pub seed: u64,

@@ -5,10 +5,13 @@
 //! also column-compresses qualities; one byte preserves the size *shape*: packed
 //! archives re-expand ~8× when dumped to FASTQ, which is what makes `fasterq-dump` a
 //! real pipeline stage worth modeling).
+//!
+//! The codec is by hand and needs no cursor: `encode*` pushes little-endian fields
+//! into the `Vec<u8>` the archive then owns, and the header is a fixed
+//! [`HEADER_SIZE`] bytes, so `from_bytes` reads it at constant offsets.
 
 use crate::accession::{LibraryLayout, LibraryStrategy};
 use crate::SraError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use genomics::{DnaSeq, FastqRecord};
 
 /// Magic bytes opening every archive.
@@ -16,6 +19,9 @@ pub const MAGIC: &[u8; 8] = b"SRALITE2";
 /// Fixed header size in bytes (magic + strategy + layout + reads + read_len + id
 /// length slot).
 pub const HEADER_SIZE: usize = 8 + 1 + 1 + 8 + 4 + 4;
+/// Longest accession id, in bytes, an archive can carry: `encode*` refuses a longer
+/// one and `from_bytes` refuses a header that claims one.
+pub const MAX_ID_LEN: usize = 256;
 
 /// A decoded-on-demand SRA archive.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -29,7 +35,7 @@ pub struct SraArchive {
     /// Read length (uniform; the simulators emit fixed-length reads).
     pub read_len: u32,
     /// The encoded payload.
-    blob: Bytes,
+    blob: Vec<u8>,
 }
 
 impl SraArchive {
@@ -39,7 +45,7 @@ impl SraArchive {
         strategy: LibraryStrategy,
         reads: &[FastqRecord],
     ) -> Result<SraArchive, SraError> {
-        Self::encode_with_layout(accession, strategy, LibraryLayout::Single, reads)
+        Self::encode_with_layout(accession, strategy, LibraryLayout::Single, reads.iter())
     }
 
     /// Encode paired-end reads: mates are stored interleaved (r1, r2 per spot).
@@ -48,92 +54,89 @@ impl SraArchive {
         strategy: LibraryStrategy,
         pairs: &[(FastqRecord, FastqRecord)],
     ) -> Result<SraArchive, SraError> {
-        let mut flat = Vec::with_capacity(pairs.len() * 2);
-        for (r1, r2) in pairs {
-            flat.push(r1.clone());
-            flat.push(r2.clone());
-        }
-        Self::encode_with_layout(accession, strategy, LibraryLayout::Paired, &flat)
+        let mates = pairs.iter().flat_map(|(r1, r2)| [r1, r2]);
+        Self::encode_with_layout(accession, strategy, LibraryLayout::Paired, mates)
     }
 
-    fn encode_with_layout(
+    fn encode_with_layout<'a>(
         accession: &str,
         strategy: LibraryStrategy,
         layout: LibraryLayout,
-        reads: &[FastqRecord],
+        reads: impl Iterator<Item = &'a FastqRecord> + Clone,
     ) -> Result<SraArchive, SraError> {
-        let read_len = reads.first().map_or(0, |r| r.seq.len() as u32);
-        if reads.iter().any(|r| r.seq.len() as u32 != read_len) {
+        if accession.len() > MAX_ID_LEN {
+            return Err(SraError::InvalidParams(format!(
+                "accession id is {} bytes, an archive holds at most {MAX_ID_LEN}",
+                accession.len()
+            )));
+        }
+        let read_len = reads.clone().next().map_or(0, |r| r.seq.len() as u32);
+        if reads.clone().any(|r| r.seq.len() as u32 != read_len) {
             return Err(SraError::InvalidParams("reads must have uniform length".into()));
         }
+        let n_reads = reads.clone().count();
         let packed_per_read = (read_len as usize).div_ceil(4);
-        let mut buf =
-            BytesMut::with_capacity(HEADER_SIZE + accession.len() + reads.len() * (packed_per_read + 1));
-        buf.put_slice(MAGIC);
-        buf.put_u8(strategy_code(strategy));
-        buf.put_u8(match layout {
+        let mut blob =
+            Vec::with_capacity(HEADER_SIZE + accession.len() + n_reads * (packed_per_read + 1));
+        blob.extend_from_slice(MAGIC);
+        blob.push(strategy_code(strategy));
+        blob.push(match layout {
             LibraryLayout::Single => 0,
             LibraryLayout::Paired => 1,
         });
-        buf.put_u64_le(reads.len() as u64);
-        buf.put_u32_le(read_len);
-        buf.put_u32_le(accession.len() as u32);
-        buf.put_slice(accession.as_bytes());
+        blob.extend_from_slice(&(n_reads as u64).to_le_bytes());
+        blob.extend_from_slice(&read_len.to_le_bytes());
+        blob.extend_from_slice(&(accession.len() as u32).to_le_bytes());
+        blob.extend_from_slice(accession.as_bytes());
         for r in reads {
             // 2-bit pack.
             let mut word = 0u8;
             for (i, &code) in r.seq.codes().iter().enumerate() {
                 word |= code << ((i % 4) * 2);
                 if i % 4 == 3 {
-                    buf.put_u8(word);
+                    blob.push(word);
                     word = 0;
                 }
             }
             if !(read_len as usize).is_multiple_of(4) {
-                buf.put_u8(word);
+                blob.push(word);
             }
             // Representative quality: the mean Phred rounded.
-            buf.put_u8(r.mean_quality().round() as u8);
+            blob.push(r.mean_quality().round() as u8);
         }
-        Ok(SraArchive {
-            accession: accession.to_string(),
-            strategy,
-            layout,
-            read_len,
-            blob: buf.freeze(),
-        })
+        Ok(SraArchive { accession: accession.to_string(), strategy, layout, read_len, blob })
     }
 
     /// Wrap raw bytes (e.g. fetched from the object store), validating the header.
-    pub fn from_bytes(blob: Bytes) -> Result<SraArchive, SraError> {
-        let mut b = blob.clone();
-        if b.remaining() < HEADER_SIZE {
+    pub fn from_bytes(blob: Vec<u8>) -> Result<SraArchive, SraError> {
+        let Some((header, rest)) = blob.split_first_chunk::<HEADER_SIZE>() else {
             return Err(SraError::CorruptArchive("truncated header".into()));
-        }
-        let mut magic = [0u8; 8];
-        b.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
+        };
+        if &header[..8] != MAGIC {
             return Err(SraError::CorruptArchive("bad magic".into()));
         }
-        let strategy = strategy_from_code(b.get_u8())?;
-        let layout = match b.get_u8() {
+        let strategy = strategy_from_code(header[8])?;
+        let layout = match header[9] {
             0 => LibraryLayout::Single,
             1 => LibraryLayout::Paired,
             other => return Err(SraError::CorruptArchive(format!("layout code {other}"))),
         };
-        let n_reads = b.get_u64_le();
-        let read_len = b.get_u32_le();
-        let id_len = b.get_u32_le() as usize;
-        if id_len > 256 || b.remaining() < id_len {
+        let n_reads = u64::from_le_bytes(header[10..18].try_into().expect("8 header bytes"));
+        let read_len = u32::from_le_bytes(header[18..22].try_into().expect("4 header bytes"));
+        let id_len =
+            u32::from_le_bytes(header[22..26].try_into().expect("4 header bytes")) as usize;
+        if id_len > MAX_ID_LEN || rest.len() < id_len {
             return Err(SraError::CorruptArchive("bad id length".into()));
         }
-        let accession = String::from_utf8(b.copy_to_bytes(id_len).to_vec())
-            .map_err(|_| SraError::CorruptArchive("non-utf8 accession".into()))?;
+        let (id, payload) = rest.split_at(id_len);
+        let accession = std::str::from_utf8(id)
+            .map_err(|_| SraError::CorruptArchive("non-utf8 accession".into()))?
+            .to_string();
         let per_read = (read_len as usize).div_ceil(4) + 1;
-        if n_reads.checked_mul(per_read as u64) != Some(b.remaining() as u64) {
+        if n_reads.checked_mul(per_read as u64) != Some(payload.len() as u64) {
             return Err(SraError::CorruptArchive(format!(
                 "payload is {} bytes, not {n_reads} reads of {per_read}",
-                b.remaining()
+                payload.len()
             )));
         }
         if layout == LibraryLayout::Paired && !n_reads.is_multiple_of(2) {
@@ -168,8 +171,8 @@ impl SraArchive {
     }
 
     /// The raw bytes (for storing in the object store).
-    pub fn bytes(&self) -> Bytes {
-        self.blob.clone()
+    pub fn bytes(&self) -> &[u8] {
+        &self.blob
     }
 
     /// Decode the read at flat index `i` (0-based; paired archives interleave mates).
@@ -279,25 +282,25 @@ mod tests {
     fn from_bytes_validates_and_round_trips() {
         let rs = reads(10, 100, 2);
         let arc = SraArchive::encode("SRRY", LibraryStrategy::SingleCell, &rs).unwrap();
-        let again = SraArchive::from_bytes(arc.bytes()).unwrap();
+        let again = SraArchive::from_bytes(arc.bytes().to_vec()).unwrap();
         assert_eq!(again, arc);
         assert_eq!(again.strategy, LibraryStrategy::SingleCell);
 
         // Corrupt magic.
         let mut bad = arc.bytes().to_vec();
         bad[0] = b'X';
-        assert!(SraArchive::from_bytes(Bytes::from(bad)).is_err());
+        assert!(SraArchive::from_bytes(bad).is_err());
         // Truncated payload.
-        let bad = arc.bytes().slice(0..arc.bytes().len() - 3);
+        let bad = arc.bytes()[..arc.bytes().len() - 3].to_vec();
         assert!(SraArchive::from_bytes(bad).is_err());
         // Bad strategy code.
         let mut bad = arc.bytes().to_vec();
         bad[8] = 9;
-        assert!(SraArchive::from_bytes(Bytes::from(bad)).is_err());
+        assert!(SraArchive::from_bytes(bad).is_err());
         // Bad layout code.
         let mut bad = arc.bytes().to_vec();
         bad[9] = 7;
-        assert!(SraArchive::from_bytes(Bytes::from(bad)).is_err());
+        assert!(SraArchive::from_bytes(bad).is_err());
     }
 
     /// The container's bytes are a format other tools could hold on disk: field order,
@@ -312,6 +315,31 @@ mod tests {
         let paired = SraArchive::encode_paired("SRRPIN2", LibraryStrategy::RnaSeqBulk, &pairs).unwrap();
         let seen = [&single, &paired].map(|arc| (arc.bytes().len(), fnv1a(&arc.bytes())));
         assert_eq!(seen, [(345, 0xcc7f_bce7_75ff_14d6), (345, 0x00cd_a142_0acf_7305)], "{seen:#x?}");
+    }
+
+    #[test]
+    fn encode_refuses_the_ids_from_bytes_refuses() {
+        let rs = reads(4, 99, 6);
+        let pairs = [(rs[0].clone(), rs[1].clone()), (rs[2].clone(), rs[3].clone())];
+        for id_len in [0, 1, MAX_ID_LEN, MAX_ID_LEN + 1, 70_000] {
+            let id = "A".repeat(id_len);
+            let both = [
+                SraArchive::encode(&id, LibraryStrategy::RnaSeqBulk, &rs),
+                SraArchive::encode_paired(&id, LibraryStrategy::SingleCell, &pairs),
+            ];
+            for encoded in both {
+                match encoded {
+                    Ok(arc) => {
+                        assert!(id_len <= MAX_ID_LEN, "id of {id_len} bytes encoded");
+                        assert_eq!(SraArchive::from_bytes(arc.bytes().to_vec()).unwrap(), arc);
+                    }
+                    Err(e) => {
+                        assert!(id_len > MAX_ID_LEN, "id of {id_len} bytes refused: {e}");
+                        assert!(matches!(e, SraError::InvalidParams(_)), "{e}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -349,7 +377,7 @@ mod tests {
         let single = SraArchive::encode("S", LibraryStrategy::RnaSeqBulk, &rs).unwrap();
         assert!(single.decode_pair(0).is_err());
         // Round trip through bytes keeps layout.
-        let again = SraArchive::from_bytes(arc.bytes()).unwrap();
+        let again = SraArchive::from_bytes(arc.bytes().to_vec()).unwrap();
         assert_eq!(again.layout, LibraryLayout::Paired);
         assert_eq!(again.spots(), 20);
     }

@@ -10,10 +10,9 @@ use crate::archive::SraArchive;
 use crate::SraError;
 use genomics::FastqRecord;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Conversion throughput model.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DumpModel {
     /// FASTQ bytes produced per second per thread.
     pub bytes_per_sec_per_thread: f64,
@@ -25,6 +24,23 @@ impl Default for DumpModel {
     /// ~80 MB/s/thread with 4 threads, the ballpark of fasterq-dump on gp3 EBS.
     fn default() -> Self {
         DumpModel { bytes_per_sec_per_thread: 80e6, threads: 4 }
+    }
+}
+
+impl DumpModel {
+    /// Check that every dump gets a finite duration: a finite, positive per-thread
+    /// rate and at least one thread.
+    pub fn validate(&self) -> Result<(), SraError> {
+        let rate = self.bytes_per_sec_per_thread;
+        if !(rate.is_finite() && rate > 0.0) {
+            return Err(SraError::InvalidParams(format!(
+                "bytes_per_sec_per_thread must be finite and positive, got {rate}"
+            )));
+        }
+        if self.threads == 0 {
+            return Err(SraError::InvalidParams("dump threads must be positive".into()));
+        }
+        Ok(())
     }
 }
 
@@ -80,9 +96,7 @@ impl FasterqDump {
 
     /// Convert `archive` to FASTQ records.
     pub fn run(&self, archive: &SraArchive) -> Result<FasterqOutput, SraError> {
-        if self.model.threads == 0 {
-            return Err(SraError::InvalidParams("dump threads must be positive".into()));
-        }
+        self.model.validate()?;
         let n_reads = archive.n_reads();
         // Parallel decode on rayon's global pool (archive records are fixed-size, so
         // indexes are independent; `model.threads` only scales the modeled time).

@@ -7,10 +7,9 @@
 
 use crate::repository::SraRepository;
 use crate::{SraArchive, SraError};
-use serde::{Deserialize, Serialize};
 
 /// Simple network cost model.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct NetworkModel {
     /// Sustained throughput in bytes/second.
     pub bandwidth_bytes_per_sec: f64,
@@ -26,6 +25,24 @@ impl Default for NetworkModel {
 }
 
 impl NetworkModel {
+    /// Check that every transfer gets a finite, non-negative duration: a finite,
+    /// positive bandwidth and a finite, non-negative latency.
+    pub fn validate(&self) -> Result<(), SraError> {
+        let rate = self.bandwidth_bytes_per_sec;
+        if !(rate.is_finite() && rate > 0.0) {
+            return Err(SraError::InvalidParams(format!(
+                "bandwidth_bytes_per_sec must be finite and positive, got {rate}"
+            )));
+        }
+        if !(self.latency_secs.is_finite() && self.latency_secs >= 0.0) {
+            return Err(SraError::InvalidParams(format!(
+                "latency_secs must be finite and non-negative, got {}",
+                self.latency_secs
+            )));
+        }
+        Ok(())
+    }
+
     /// Modeled seconds to move `bytes`.
     pub fn transfer_secs(&self, bytes: u64) -> f64 {
         assert!(self.bandwidth_bytes_per_sec > 0.0, "bandwidth must be positive");

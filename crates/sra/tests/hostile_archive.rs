@@ -6,7 +6,6 @@
 #[path = "../../star/tests/support/counting_alloc.rs"]
 mod counting_alloc;
 
-use bytes::Bytes;
 use counting_alloc::{tracked, CountingAlloc};
 use genomics::{DnaSeq, FastqRecord};
 use rand::rngs::StdRng;
@@ -29,9 +28,9 @@ const ID_LEN: (&str, usize, usize) = ("accession length", 22, 4);
 const ERROR_TEXT: usize = 256;
 
 fn assert_rejected(blob: &[u8], what: &str) {
-    let (result, seen) = tracked(|| SraArchive::from_bytes(Bytes::copy_from_slice(blob)).map(|_| ()));
+    let (result, seen) = tracked(|| SraArchive::from_bytes(blob.to_vec()).map(|_| ()));
     assert!(matches!(result, Err(SraError::CorruptArchive(_))), "{what}: {result:?}");
-    // One copy of the input (the `Bytes` under test) plus the message.
+    // One copy of the input (the `Vec` under test) plus the message.
     assert!(seen.largest <= blob.len() + ERROR_TEXT, "{what}: one allocation of {} bytes", seen.largest);
     assert!(seen.total <= blob.len() + 2 * ERROR_TEXT, "{what}: {} bytes allocated in all", seen.total);
 }
@@ -47,7 +46,7 @@ fn hostile_archives_get_a_typed_error_and_bounded_allocation() {
     let archive = SraArchive::encode_paired("SRRH", LibraryStrategy::RnaSeqBulk, &pairs).unwrap();
     let blob = archive.bytes().to_vec();
     let payload_at = HEADER_SIZE + "SRRH".len();
-    assert_eq!(SraArchive::from_bytes(archive.bytes()).unwrap(), archive, "premise: the pristine archive loads");
+    assert_eq!(SraArchive::from_bytes(archive.bytes().to_vec()).unwrap(), archive, "premise: the pristine archive loads");
 
     // Every length field inflated: to its type's maximum, to u32::MAX, and to one
     // more than the bytes that follow it. (`read count × bytes per read` used to be
@@ -98,7 +97,7 @@ fn hostile_archives_get_a_typed_error_and_bounded_allocation() {
     // archive, and must decode without panicking.
     let mut flipped = blob.clone();
     flipped[payload_at + 3] ^= 0x10;
-    let other = SraArchive::from_bytes(Bytes::from(flipped)).unwrap();
+    let other = SraArchive::from_bytes(flipped).unwrap();
     assert_eq!(other.decode_all().unwrap().len(), 40);
     assert_ne!(other, archive);
 }

@@ -12,11 +12,10 @@ use crate::sa::SuffixArray;
 use crate::sjdb::SpliceJunctionDb;
 use crate::StarError;
 use genomics::{Annotation, Assembly};
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
 /// Parameters for index construction.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct IndexParams {
     /// Prefix-table depth; `None` selects automatically from the genome length
     /// (STAR's `--genomeSAindexNbases` default formula).
@@ -27,7 +26,7 @@ pub struct IndexParams {
 const AUTO_DEPTH_CAP: usize = 11;
 
 /// Byte-accurate sizes of the index components.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IndexStats {
     /// 2-bit packed genome bytes (STAR `Genome` file).
     pub genome_bytes: usize,

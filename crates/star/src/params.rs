@@ -2,12 +2,11 @@
 //! reproduction exercises).
 
 use crate::StarError;
-use serde::{Deserialize, Serialize};
 
 /// Per-read alignment parameters.
 ///
 /// Field names keep STAR's vocabulary so the mapping to the real tool is obvious.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AlignParams {
     /// Minimum seed (MMP) length to be usable as an anchor.
     pub min_seed_len: usize,

@@ -1,7 +1,6 @@
 //! Minimal deterministic JSON construction.
 //!
-//! The vendored `serde` shim is a no-op (its derives expand to marker impls), so
-//! telemetry hand-rolls its JSON. Values are built as an explicit tree and written
+//! The workspace links no serializer, so telemetry hand-rolls its JSON. Values are built as an explicit tree and written
 //! with a stable field order; floats use Rust's shortest-roundtrip `{}` formatting.
 //! The result: serializing the same telemetry twice yields the same bytes, which is
 //! what makes fixed-seed event logs byte-comparable.

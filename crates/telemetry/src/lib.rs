@@ -24,8 +24,8 @@
 //!   `cloudsim` uses it directly).
 //!
 //! **Determinism contract.** All timestamps are *simulated* seconds — nothing in
-//! this crate reads a wall clock, and the vendored `serde` shim is a no-op, so all
-//! JSON is hand-rolled via [`json::JsonValue`] with a stable field order. Given a
+//! this crate reads a wall clock or links a serializer: all JSON is hand-rolled via
+//! [`json::JsonValue`] with a stable field order. Given a
 //! fixed campaign seed, the serialized event log and every histogram quantile are
 //! byte-identical across runs (`tests/tests/telemetry.rs` proves it).
 

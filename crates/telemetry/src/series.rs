@@ -7,13 +7,11 @@
 //! simulated seconds so the series stays usable from any crate without a dependency
 //! on `cloudsim`'s `SimTime`; `cloudsim` re-exports this type for compatibility.
 
-use serde::{Deserialize, Serialize};
-
 /// An append-only series of timestamped gauge samples.
 ///
 /// Samples must be appended in non-decreasing time order; the value is treated as a
 /// step function (it holds from its sample time until the next sample).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TimeSeries {
     samples: Vec<(f64, f64)>,
 }

@@ -96,7 +96,7 @@ fn index_round_trips_through_object_store() {
     // worker aligns identically — the instance-initialization path of Fig. 2.
     let mut store = cloudsim::ObjectStore::new();
     let blob = index.serialize();
-    let up = store.put("indices/r111.star", bytes::Bytes::from(blob));
+    let up = store.put("indices/r111.star", blob.into());
     assert!(up.as_secs() > 0.0);
     let (downloaded, down) = store.get("indices/r111.star").unwrap();
     assert!(down.as_secs() > 0.0);

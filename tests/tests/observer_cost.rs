@@ -55,9 +55,9 @@ struct Tier {
 }
 
 const TIERS: [Tier; 3] = [
-    Tier { name: "telemetry off", recorder: false, monitor_and_slo: false, calls: 113_124, bytes: 20_207_972, spans: 0, events: 0 },
-    Tier { name: "recorder only", recorder: true, monitor_and_slo: false, calls: 493_047, bytes: 68_669_363, spans: 64_065, events: 18_260 },
-    Tier { name: "monitor + SLO", recorder: true, monitor_and_slo: true, calls: 860_007, bytes: 115_062_114, spans: 64_065, events: 57_034 },
+    Tier { name: "telemetry off", recorder: false, monitor_and_slo: false, calls: 105_125, bytes: 19_862_060, spans: 0, events: 0 },
+    Tier { name: "recorder only", recorder: true, monitor_and_slo: false, calls: 485_048, bytes: 68_323_451, spans: 64_065, events: 18_260 },
+    Tier { name: "monitor + SLO", recorder: true, monitor_and_slo: true, calls: 852_008, bytes: 114_716_202, spans: 64_065, events: 57_034 },
 ];
 /// Events the kernel dispatches for `SIZES[2]` accessions, in every tier.
 const SIM_EVENTS: u64 = 24_107;

@@ -120,7 +120,7 @@ proptest! {
             &reads,
         )
         .unwrap();
-        let again = sra_sim::SraArchive::from_bytes(archive.bytes()).unwrap();
+        let again = sra_sim::SraArchive::from_bytes(archive.bytes().to_vec()).unwrap();
         let decoded = again.decode_all().unwrap();
         prop_assert_eq!(decoded.len(), reads.len());
         for (d, r) in decoded.iter().zip(&reads) {

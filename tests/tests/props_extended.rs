@@ -181,7 +181,7 @@ proptest! {
         )
         .unwrap();
         prop_assert_eq!(arc.spots(), n_pairs as u64);
-        let round = sra_sim::SraArchive::from_bytes(arc.bytes()).unwrap();
+        let round = sra_sim::SraArchive::from_bytes(arc.bytes().to_vec()).unwrap();
         let back = round.decode_all_pairs().unwrap();
         for ((o1, o2), (d1, d2)) in pairs.iter().zip(&back) {
             prop_assert_eq!(&o1.seq, &d1.seq);
