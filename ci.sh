@@ -5,11 +5,10 @@ cd "$(dirname "$0")"
 
 cargo build --release --offline
 cargo test -q --release --offline --no-fail-fast
-# Telemetry schema is a published contract: pin it against the committed golden
-# explicitly so drift fails loudly even when the suite above is filtered.
-cargo test -q --release --offline -p telemetry schema_matches_golden
-# Same contract for the standard-format exporters: the fixed-seed mini-campaign's
-# Perfetto trace and OpenMetrics exposition are byte-pinned in tests/golden/.
+# What telemetry serializes is a published contract, pinned by running the
+# serializers: the fixed-seed mini-campaign's Perfetto trace, OpenMetrics exposition
+# and `telemetry.json` summary are byte-pinned in tests/golden/, explicitly so drift
+# fails loudly even when the suite above is filtered.
 cargo test -q --release --offline -p atlas-integration-tests --test telemetry_export \
     perfetto_and_openmetrics_exports_match_goldens
 # The trace-query layer's text rendering (group-by tables and the chaos diff
@@ -69,6 +68,22 @@ if [ "$groups" != "$baselines" ]; then
     diff <(echo "$groups") <(echo "$baselines") >&2 || true
     exit 1
 fi
+# Goldens and tests, both ways like groups and baselines: every file under
+# tests/golden/ is named by a test (an orphan pins nothing), and every golden a test
+# names — `assert_matches_golden("<file>", ..)` or a local `golden("<file>", ..)` —
+# is committed, so a first run cannot pass by writing its own expectation.
+for golden in $(ls tests/golden); do
+    if ! grep -rqF "\"$golden\"" --include='*.rs' tests crates; then
+        echo "tests/golden/$golden: no *.rs under tests/ or crates/ names it" >&2
+        exit 1
+    fi
+done
+for golden in $(grep -rhoE 'golden\("[A-Za-z0-9_.]+"' --include='*.rs' tests crates | cut -d'"' -f2 | sort -u); do
+    if [ ! -f "tests/golden/$golden" ]; then
+        echo "a test names the golden $golden, which is not under tests/golden/" >&2
+        exit 1
+    fi
+done
 # A shim is a directory under shims/ and a `path = "shims/<name>"` line in
 # [workspace.dependencies], both or neither, and it runs code: the `serde`,
 # `serde_derive` and `bytes` stand-ins (derives that expanded to nothing, a second

@@ -746,7 +746,9 @@ impl<'a> Campaign<'a> {
     /// dollars. Pure observer: computed from quantities the campaign already
     /// tracked.
     fn slo_report(&self, end: SimTime) -> Option<SloReport> {
-        self.obs.slo_alpha?;
+        if !self.obs.slo_on {
+            return None;
+        }
         let rec = &self.obs.recorder;
         let at = end.as_secs();
         let objectives = self.obs.monitor.as_ref().map(|m| m.slo_status()).unwrap_or_default();

@@ -32,6 +32,7 @@ use cloudsim::cost::CostTracker;
 use cloudsim::instance::{Instance, InstanceId, InstanceType};
 use cloudsim::sqs::ReceiptHandle;
 use cloudsim::SimTime;
+use telemetry::slo::SLO_SKETCH_ALPHA;
 use telemetry::{JsonValue, Monitor, Recorder, SloSignal, SpanId, TimeSeries};
 
 /// One attempt at one accession, owned by the worker running it. The
@@ -445,8 +446,8 @@ pub(super) struct Observers {
     pub recorder: Arc<Recorder>,
     pub monitor: Option<Monitor>,
     pub campaign_span: SpanId,
-    /// Relative error of the SLO sketches; `None` when the SLO engine is off.
-    pub slo_alpha: Option<f64>,
+    /// The SLO engine is on: samples are taken and the ledger is settled.
+    pub slo_on: bool,
     /// The hourly rate the settle-time bill uses. SLO cost samples and ledger
     /// dollars are priced with it, so they agree with the cost report to the bit.
     pub usd_per_hour: f64,
@@ -455,21 +456,20 @@ pub(super) struct Observers {
 impl Observers {
     pub fn new(cfg: &CampaignConfig, usd_per_hour: f64) -> Observers {
         let recorder = Arc::new(if cfg.telemetry { Recorder::new() } else { Recorder::disabled() });
-        let slo_alpha = cfg.slo.as_ref().map(|s| s.sketch_alpha);
+        let slo_on = cfg.slo.is_some();
         // The monitor watches the stream through the recorder's observer hook;
         // with telemetry off there is no stream, so no monitor either. An SLO
         // config attaches one even without alert rules: the burn-rate evaluator
         // *is* a stream observer.
-        let monitor =
-            (cfg.telemetry && (cfg.monitor.is_some() || slo_alpha.is_some())).then(|| {
-                let rules = cfg.monitor.clone().unwrap_or_default().rules;
-                let slos = cfg.slo.as_ref().map(|s| s.registry.slos.clone());
-                let m = Monitor::new(rules, slos.unwrap_or_default());
-                recorder.attach_observer(m.observer());
-                m
-            });
+        let monitor = (cfg.telemetry && (cfg.monitor.is_some() || slo_on)).then(|| {
+            let rules = cfg.monitor.clone().unwrap_or_default().rules;
+            let slos = cfg.slo.as_ref().map(|s| s.registry.slos.clone());
+            let m = Monitor::new(rules, slos.unwrap_or_default());
+            recorder.attach_observer(m.observer());
+            m
+        });
         let campaign_span = recorder.span_start("campaign", SpanId::NONE, 0.0);
-        Observers { recorder, monitor, campaign_span, slo_alpha, usd_per_hour }
+        Observers { recorder, monitor, campaign_span, slo_on, usd_per_hour }
     }
 
     /// Log `kind` about `accession` on `instance`, plus event-specific seconds.
@@ -493,8 +493,9 @@ impl Observers {
     /// off): `signal`'s sketch takes it, and through the recorder's sample hook
     /// so does every objective constraining `signal`.
     pub fn slo_sample(&self, now: SimTime, signal: SloSignal, value: f64) {
-        if let Some(alpha) = self.slo_alpha {
-            self.recorder.sketch_observe(now.as_secs(), signal.sketch_name(), alpha, value);
+        if self.slo_on {
+            let name = signal.sketch_name();
+            self.recorder.sketch_observe(now.as_secs(), name, SLO_SKETCH_ALPHA, value);
         }
     }
 

@@ -141,13 +141,11 @@ impl CampaignConfig {
         if self.max_receive_count == Some(0) {
             return Err(AtlasError::InvalidParams("max_receive_count must be >= 1".into()));
         }
+        if let Some(monitor) = &self.monitor {
+            monitor.validate().map_err(AtlasError::InvalidParams)?;
+        }
         if let Some(slo) = &self.slo {
             slo.registry.validate().map_err(AtlasError::InvalidParams)?;
-            if !(slo.sketch_alpha > 0.0 && slo.sketch_alpha < 1.0) {
-                return Err(AtlasError::InvalidParams(
-                    "slo.sketch_alpha must be in (0, 1)".into(),
-                ));
-            }
             if !self.telemetry {
                 return Err(AtlasError::InvalidParams(
                     "slo requires telemetry (the SLO engine observes the telemetry stream)".into(),
@@ -613,6 +611,51 @@ mod tests {
         let empty = orch.run(&[]).unwrap();
         assert_eq!((empty.sim_events, empty.makespan.as_secs()), (0, 0.0));
         assert!(empty.completed.is_empty() && empty.dead_lettered.is_empty());
+    }
+
+    #[test]
+    fn a_monitor_rule_that_would_panic_or_leak_is_rejected_up_front() {
+        use telemetry::{AlertRule, MonitorConfig};
+        // A negative window used to evict the sample it had just taken and panic on
+        // the campaign's first `queue_pending` sample; a NaN window never evicts, so
+        // it grew for the whole campaign. The rest: minimum counts of 0, non-finite bounds.
+        let bad = [
+            AlertRule::queue_backlog_growth(-1.0, 0.02),
+            AlertRule::queue_backlog_growth(f64::NAN, 0.02),
+            AlertRule::queue_backlog_growth(0.0, 0.02),
+            AlertRule::queue_backlog_growth(600.0, f64::NAN),
+            AlertRule::fault_burst(-300.0, 5),
+            AlertRule::fault_burst(300.0, 0),
+            AlertRule::interruption_storm(f64::INFINITY, 3),
+            AlertRule::interruption_storm(900.0, 0),
+            AlertRule::straggler_instances(f64::NAN, 8),
+            AlertRule::straggler_instances(3.0, 0),
+            AlertRule::early_stop_eligible(f64::NAN, 0.10),
+            AlertRule::early_stop_eligible(0.30, f64::INFINITY),
+        ];
+        let config = |rules: Vec<AlertRule>| {
+            let mut cfg = CampaignConfig::new(InstanceType::by_name("r6a.xlarge").unwrap(), 1 << 30);
+            cfg.telemetry = true;
+            cfg.monitor = Some(MonitorConfig { rules });
+            cfg
+        };
+        let workload = ModeledWorkload::default().into_workload();
+        for rule in bad {
+            // Behind a good rule: every rule is checked, not the first.
+            let rules = vec![AlertRule::fault_burst(300.0, 5), rule.clone()];
+            match Orchestrator::with_workload(Arc::clone(&workload), config(rules)) {
+                Err(AtlasError::InvalidParams(msg)) => assert!(msg.contains("monitor rule"), "{msg}"),
+                Err(other) => panic!("{rule:?}: expected InvalidParams, got {other:?}"),
+                Ok(orch) => {
+                    // What accepting it costs, before saying that it was accepted.
+                    let _ = orch.run(&ModeledWorkload::accessions(8));
+                    panic!("{rule:?} was accepted");
+                }
+            }
+        }
+        let mut rules = MonitorConfig::standard().rules;
+        rules.push(AlertRule::interruption_storm(900.0, 3));
+        Orchestrator::with_workload(workload, config(rules)).unwrap();
     }
 
     // ——— Graceful spot degradation (notice → drain → checkpoint → resume) ———

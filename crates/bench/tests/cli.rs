@@ -1,5 +1,5 @@
-//! `bench_compare` on input it cannot use: every case exits non-zero with the
-//! reason and the usage text on stderr, and none panics.
+//! `bench_compare` and `trace_query` on input they cannot use: every case exits
+//! non-zero with the reason and the usage text on stderr, and none panics.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -8,6 +8,10 @@ const REPORT: &str = "{\"group\":\"g\",\"results\":[{\"id\":\"a\",\"mean_secs\":
 
 fn bench_compare() -> Command {
     Command::new(env!("CARGO_BIN_EXE_bench_compare"))
+}
+
+fn trace_query() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_trace_query"))
 }
 
 /// A scratch directory of this test process, emptied first.
@@ -24,15 +28,21 @@ fn dir_with_report(tag: &str, report: &str) -> PathBuf {
     dir
 }
 
-/// Run `bench_compare` with `args`; it must fail as a usage error whose reason
-/// mentions `reason`.
-fn assert_usage_error(args: &[&str], reason: &str) {
-    let out = bench_compare().args(args).output().expect("binary runs");
+/// Run `binary` with `args`; it must fail as a usage error: exit code 1, and on
+/// stderr `reason`, the `usage` line and no panic.
+fn assert_usage_error_of(mut binary: Command, usage: &str, args: &[&str], reason: &str) {
+    let out = binary.args(args).output().expect("binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
     assert!(stderr.contains(reason), "{args:?}: expected {reason:?} in: {stderr}");
-    assert!(stderr.contains("usage: bench_compare <baseline_dir> <fresh_dir>"), "{args:?}: {stderr}");
+    assert!(stderr.contains(usage), "{args:?}: {stderr}");
     assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+}
+
+/// `bench_compare` with `args` must fail as a usage error mentioning `reason`.
+fn assert_usage_error(args: &[&str], reason: &str) {
+    let usage = "usage: bench_compare <baseline_dir> <fresh_dir>";
+    assert_usage_error_of(bench_compare(), usage, args, reason);
 }
 
 fn s(path: &Path) -> &str {
@@ -93,4 +103,55 @@ fn a_slower_or_missing_id_fails_without_the_usage_text() {
     for dir in [base, slower, renamed] {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+#[test]
+fn trace_query_on_unusable_input_is_a_usage_error_not_a_panic() {
+    let dir = scratch_dir("trace-query");
+    let log = dir.join("log.ndjson");
+    std::fs::write(&log, "{\"t\":1,\"kind\":\"retry\"}\n{\"t\":2.5,\"kind\":\"retry\"}\n").unwrap();
+    let ok = trace_query().args(["query", s(&log), "--until", "inf"]).output().unwrap();
+    assert!(ok.status.success(), "premise: a two-line log queries clean");
+    assert!(String::from_utf8_lossy(&ok.stdout).contains("2 matched of 2 events"), "{ok:?}");
+
+    let fails = |args: &[&str], reason: &str| {
+        assert_usage_error_of(trace_query(), "usage: trace_query query <log.ndjson>", args, reason);
+    };
+    fails(&[], "missing subcommand");
+    fails(&["frobnicate"], "unknown subcommand \"frobnicate\"");
+    fails(&["query"], "query needs a <log.ndjson> path");
+    fails(&["query", "--json"], "query needs a <log.ndjson> path");
+    fails(&["diff", s(&log)], "diff needs <logA.ndjson> <logB.ndjson>");
+
+    let missing = dir.join("no-such-log.ndjson");
+    fails(&["query", s(&missing)], "no-such-log.ndjson: ");
+    fails(&["diff", s(&log), s(&missing)], "no-such-log.ndjson: ");
+    fails(&["query", s(&dir)], &format!("{}: ", s(&dir)));
+    let binary = dir.join("binary.ndjson");
+    std::fs::write(&binary, b"{\"t\":1,\"kind\":\"\xff\xfe\"}\n").unwrap();
+    fails(&["query", s(&binary)], "valid UTF-8");
+    fails(&["diff", s(&binary), s(&log)], "valid UTF-8");
+    // A malformed line is named by its number, in both subcommands.
+    let torn = dir.join("torn.ndjson");
+    std::fs::write(&torn, "{\"t\":1,\"kind\":\"retry\"}\n\n{\"t\":2,\"kind\":\"ret").unwrap();
+    fails(&["query", s(&torn)], "torn.ndjson: line 3: ");
+    fails(&["diff", s(&log), s(&torn)], "line 3");
+    let untimed = dir.join("untimed.ndjson");
+    std::fs::write(&untimed, "{\"kind\":\"retry\"}\n").unwrap();
+    fails(&["query", s(&untimed)], "line 1: event without numeric \"t\"");
+
+    for agg in ["median:wait_secs", "sum:", "sum", ""] {
+        fails(&["query", s(&log), "--agg", agg], "aggregate");
+    }
+    for flag in ["--kind", "--where", "--since", "--until", "--group-by", "--agg"] {
+        fails(&["query", s(&log), flag], &format!("{flag} needs a value"));
+    }
+    fails(&["query", s(&log), "--where", "nokey"], "expected field=value");
+    fails(&["query", s(&log), "--frobnicate"], "unknown query argument \"--frobnicate\"");
+    // NaN compares false with everything: as a bound it would switch the filter off.
+    for (flag, value) in [("--since", "nan"), ("--until", "NaN"), ("--since", "soon"), ("--until", "")] {
+        fails(&["query", s(&log), flag, value], &format!("bad {flag} value {value:?}"));
+    }
+
+    let _ = std::fs::remove_dir_all(dir);
 }

@@ -4,22 +4,29 @@
 //! integration suite's `observer_cost`.
 //!
 //! Wraps the system allocator; while a [`tracked`] closure runs it counts every
-//! `alloc`/`realloc` call and records the bytes requested. Tracking is process-wide,
-//! so a test binary that installs it holds a single `#[test]`. Each binary installs
-//! it itself: `#[global_allocator] static ALLOCATOR: CountingAlloc = CountingAlloc;`
+//! `alloc`/`realloc` call made by the closure's own thread and records the bytes
+//! requested. Another thread's requests are not the closure's: libtest's main thread
+//! is still allocating when a test starts, which moved `observer_cost`'s first cell by
+//! 3-4 calls in about one run in ten. The counters are process-wide, so a test binary
+//! that installs it holds a single `#[test]`. Each binary installs it itself:
+//! `#[global_allocator] static ALLOCATOR: CountingAlloc = CountingAlloc;`
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 pub struct CountingAlloc;
 
-static TRACKING: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Const-initialised and without a destructor: reading it never allocates.
+    static TRACKING: Cell<bool> = const { Cell::new(false) };
+}
 static CALLS: AtomicU64 = AtomicU64::new(0);
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
 static TOTAL: AtomicUsize = AtomicUsize::new(0);
 
 fn note(bytes: usize) {
-    if TRACKING.load(Ordering::Relaxed) {
+    if TRACKING.try_with(Cell::get).unwrap_or(false) {
         CALLS.fetch_add(1, Ordering::Relaxed);
         LARGEST.fetch_max(bytes, Ordering::Relaxed);
         TOTAL.fetch_add(bytes, Ordering::Relaxed);
@@ -59,9 +66,9 @@ pub fn tracked<R>(f: impl FnOnce() -> R) -> (R, Allocations) {
     CALLS.store(0, Ordering::SeqCst);
     LARGEST.store(0, Ordering::SeqCst);
     TOTAL.store(0, Ordering::SeqCst);
-    TRACKING.store(true, Ordering::SeqCst);
+    TRACKING.with(|t| t.set(true));
     let result = f();
-    TRACKING.store(false, Ordering::SeqCst);
+    TRACKING.with(|t| t.set(false));
     let seen = Allocations {
         calls: CALLS.load(Ordering::SeqCst),
         largest: LARGEST.load(Ordering::SeqCst),

@@ -23,6 +23,11 @@ pub struct EventRecord {
 }
 
 impl EventRecord {
+    /// The value of field `name` (the first, if an emitter repeated it).
+    pub fn field(&self, name: &str) -> Option<&JsonValue> {
+        self.fields.iter().find(|(k, _)| *k == name).map(|(_, v)| v)
+    }
+
     /// Serialize as one NDJSON line (no trailing newline).
     pub fn ndjson_line(&self) -> String {
         let mut out = String::new();

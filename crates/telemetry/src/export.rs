@@ -125,10 +125,8 @@ pub fn perfetto_trace(spans: &[SpanRecord], events: &[EventRecord]) -> String {
         // track per objective showing the remaining error budget over time.
         if e.kind == "slo_budget" {
             let slo = e
-                .fields
-                .iter()
-                .find(|(k, _)| *k == "slo")
-                .map(|(_, v)| match v {
+                .field("slo")
+                .map(|v| match v {
                     JsonValue::Str(s) => s.clone(),
                     other => other.render(),
                 })
@@ -140,8 +138,8 @@ pub fn perfetto_trace(spans: &[SpanRecord], events: &[EventRecord]) -> String {
                 ",\"cat\":\"slo\",\"ph\":\"C\",\"ts\":{},\"pid\":0,\"tid\":0,\"args\":{{\"remaining\":",
                 micros(e.at_secs)
             );
-            match e.fields.iter().find(|(k, _)| *k == "remaining") {
-                Some((_, v)) => v.write_into(&mut out),
+            match e.field("remaining") {
+                Some(v) => v.write_into(&mut out),
                 None => out.push('0'),
             }
             out.push_str("}}");

@@ -1,148 +1,62 @@
-//! Live campaign monitor: declarative alert rules evaluated over the streaming
+//! Live campaign monitor: five alert rules evaluated over the streaming
 //! telemetry feed *while the simulated campaign runs*.
 //!
 //! The paper's Fig. 4 saving exists because STAR's `Log.progress.out` is watched
-//! mid-job rather than post-mortem; this module generalizes that idea to the whole
-//! campaign. A [`Monitor`] subscribes to a [`Recorder`](crate::Recorder) through
-//! the [`StreamObserver`] hook and evaluates [`AlertRule`]s against events, gauge
-//! samples, and closing spans as the simulator emits them, and its [`Slo`]s
-//! against the samples the recorder's sketches take. Fired [`AlertEvent`]s
-//! are appended to the same NDJSON event log (kind `alert`) with a
-//! `latency_secs` field — how long the anomalous condition existed before the
-//! rule flagged it — so alert timeliness is itself measurable.
+//! mid-job rather than post-mortem; this module does the same for the campaign.
+//! A [`Monitor`] subscribes to a [`Recorder`](crate::Recorder) as a
+//! [`StreamObserver`] and offers every event, gauge sample and closing span to
+//! its [`AlertRule`]s as the simulator emits them, and every sketch sample to its
+//! [`Slo`]s. Fired [`AlertEvent`]s are appended to the same NDJSON event log (kind
+//! `alert`) with a `latency_secs` field — how long the condition existed before
+//! the rule flagged it — so alert timeliness is itself measurable.
 //!
-//! Three rule families cover the stock alerts:
-//!
-//! * **threshold** — a scalar signal crossed a fixed bound (an accession's
-//!   mapping rate fell below the early-stop floor; a windowed event count
-//!   reached burst size);
-//! * **rate-of-change** — a gauge's growth rate over a sliding window crossed a
-//!   bound (SQS backlog growing instead of draining);
-//! * **quantile-vs-fleet** — one subject's quantile diverged from the fleet's
-//!   (an instance whose job p99 exceeds a multiple of the fleet median —
-//!   a straggler).
+//! There is no rule language: a rule is one of the five [`AlertRule`]
+//! constructors, which say what each reads off the stream and when it fires. A
+//! windowed rule (backlog growth, the two bursts) repeats at most once per window
+//! length; a per-subject rule (stragglers, early stop) reports each instance or
+//! accession at most once, so a sustained condition cannot flood the log.
 //!
 //! The monitor is a pure function of the (deterministic) stream: same seed, same
-//! alerts, same bytes. Alerts dedup per `(rule, subject)` under a cooldown so a
-//! sustained condition cannot flood the log.
+//! alerts, same bytes.
 
 use crate::events::EventRecord;
 use crate::json::JsonValue;
 use crate::recorder::StreamObserver;
 use crate::slo::{Slo, SloState, SloStatus};
 use crate::span::SpanRecord;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
 
-/// Comparison direction for thresholds and rates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Cmp {
-    /// Fires when the signal is strictly greater than the bound.
-    Gt,
-    /// Fires when the signal is greater than or equal to the bound.
-    Ge,
-    /// Fires when the signal is strictly less than the bound.
-    Lt,
-}
-
-impl Cmp {
-    fn holds(self, value: f64, bound: f64) -> bool {
-        match self {
-            Cmp::Gt => value > bound,
-            Cmp::Ge => value >= bound,
-            Cmp::Lt => value < bound,
-        }
-    }
-}
-
-/// What a rule listens to on the stream.
+/// One of the five alert rules. Made only by the constructors below; their two
+/// numbers each are everything a rule lets a caller set.
 #[derive(Clone, Debug)]
-pub enum Signal {
-    /// Samples of a named gauge (via `Recorder::gauge_set_at`).
-    Gauge(String),
-    /// A numeric field of events of one kind.
-    EventField {
-        /// Event kind to match.
-        kind: String,
-        /// Field carrying the signal value.
-        field: String,
-    },
-    /// The number of events of one kind inside a sliding window ending now.
-    EventCount {
-        /// Event kind to match.
-        kind: String,
-        /// Sliding-window length, simulated seconds.
-        window_secs: f64,
-    },
-    /// Durations of closing spans with this name (e.g. `job`).
-    SpanDuration {
-        /// Span name to match.
-        name: String,
-    },
-}
+pub struct AlertRule(Rule);
 
-/// When a rule fires, given its signal's current value.
+/// A rule's parameters and exactly the state evaluating it needs (empty until
+/// a [`Monitor`] runs the rule).
 #[derive(Clone, Debug)]
-pub enum Condition {
-    /// The value crossed a fixed bound.
-    Threshold {
-        /// Comparison direction.
-        cmp: Cmp,
-        /// The bound.
-        value: f64,
-    },
-    /// The signal's rate of change over a sliding window crossed a bound.
-    RateOfChange {
-        /// Sliding-window length, simulated seconds (needs ≥ 2 samples inside).
-        window_secs: f64,
-        /// Comparison direction for the rate.
-        cmp: Cmp,
-        /// Rate bound, signal units per simulated second.
-        per_sec: f64,
-    },
-    /// The subject's quantile diverged from the fleet's: fires when
-    /// `quantile(subject, subject_q) > factor * quantile(fleet, fleet_q)`.
-    QuantileVsFleet {
-        /// Quantile taken over the subject's own samples.
-        subject_q: f64,
-        /// Quantile taken over all samples (the fleet).
-        fleet_q: f64,
-        /// Divergence factor.
+enum Rule {
+    Straggler {
         factor: f64,
-        /// Minimum fleet samples before the rule arms.
         min_samples: usize,
+        /// Job durations, sorted: all of them, and each instance's.
+        fleet: Vec<f64>,
+        per_instance: BTreeMap<String, Vec<f64>>,
+        /// Instances already reported.
+        flagged: BTreeSet<String>,
     },
-}
-
-/// Numeric pre-condition on another field/attr of the same record: the rule only
-/// evaluates when `field cmp value` holds (e.g. "enough of the input processed").
-#[derive(Clone, Debug)]
-pub struct Guard {
-    /// Field (event) or attribute (span) name holding the guard value.
-    pub field: String,
-    /// Comparison direction.
-    pub cmp: Cmp,
-    /// Guard bound.
-    pub value: f64,
-}
-
-/// One declarative alert rule.
-#[derive(Clone, Debug)]
-pub struct AlertRule {
-    /// Rule id, stamped into fired alerts.
-    pub id: String,
-    /// What the rule listens to.
-    pub signal: Signal,
-    /// When it fires.
-    pub condition: Condition,
-    /// Field/attr naming the alert subject; alerts dedup per `(rule, subject)`.
-    /// `None` keys everything under the signal's own name.
-    pub subject_field: Option<String>,
-    /// Optional numeric pre-condition on the same record.
-    pub guard: Option<Guard>,
-    /// Minimum simulated seconds between repeat alerts for one subject
-    /// (`f64::INFINITY` = at most once per subject).
-    pub cooldown_secs: f64,
+    BacklogGrowth {
+        per_sec: f64,
+        window: Window,
+    },
+    FaultBurst(Burst),
+    InterruptionStorm(Burst),
+    EarlyStop {
+        min_rate: f64,
+        check_fraction: f64,
+        /// Accessions already reported.
+        flagged: BTreeSet<String>,
+    },
 }
 
 impl AlertRule {
@@ -150,46 +64,26 @@ impl AlertRule {
     /// `factor` × the fleet median, once the fleet has `min_samples` finished
     /// jobs. Fires per instance, at most once.
     pub fn straggler_instances(factor: f64, min_samples: usize) -> AlertRule {
-        AlertRule {
-            id: "straggler_instance".into(),
-            signal: Signal::SpanDuration { name: "job".into() },
-            condition: Condition::QuantileVsFleet {
-                subject_q: 0.99,
-                fleet_q: 0.5,
-                factor,
-                min_samples,
-            },
-            subject_field: Some("instance".into()),
-            guard: None,
-            cooldown_secs: f64::INFINITY,
-        }
+        AlertRule(Rule::Straggler {
+            factor,
+            min_samples,
+            fleet: Vec::new(),
+            per_instance: BTreeMap::new(),
+            flagged: BTreeSet::new(),
+        })
     }
 
     /// SQS backlog growth: the `queue_pending` gauge grows at ≥ `per_sec`
     /// messages/second over a `window_secs` window (a healthy campaign drains).
     pub fn queue_backlog_growth(window_secs: f64, per_sec: f64) -> AlertRule {
-        AlertRule {
-            id: "queue_backlog_growth".into(),
-            signal: Signal::Gauge("queue_pending".into()),
-            condition: Condition::RateOfChange { window_secs, cmp: Cmp::Ge, per_sec },
-            subject_field: None,
-            guard: None,
-            cooldown_secs: window_secs,
-        }
+        AlertRule(Rule::BacklogGrowth { per_sec, window: Window::new(window_secs) })
     }
 
     /// Fault burst: ≥ `min_count` `fault_injected` events (any op) inside a
     /// `window_secs` window — the fault layer has gone from background noise to a
     /// storm.
     pub fn fault_burst(window_secs: f64, min_count: usize) -> AlertRule {
-        AlertRule {
-            id: "fault_burst".into(),
-            signal: Signal::EventCount { kind: "fault_injected".into(), window_secs },
-            condition: Condition::Threshold { cmp: Cmp::Ge, value: min_count as f64 },
-            subject_field: None,
-            guard: None,
-            cooldown_secs: window_secs,
-        }
+        AlertRule(Rule::FaultBurst(Burst { min_count, window: Window::new(window_secs) }))
     }
 
     /// Interruption storm: ≥ `min_count` `spot_interruption` events inside a
@@ -198,33 +92,34 @@ impl AlertRule {
     /// drain/checkpoint traffic. Not part of [`MonitorConfig::standard`]:
     /// recovery campaigns opt in alongside [`crate::SloRegistry`] budgets.
     pub fn interruption_storm(window_secs: f64, min_count: usize) -> AlertRule {
-        AlertRule {
-            id: "interruption_storm".into(),
-            signal: Signal::EventCount { kind: "spot_interruption".into(), window_secs },
-            condition: Condition::Threshold { cmp: Cmp::Ge, value: min_count as f64 },
-            subject_field: None,
-            guard: None,
-            cooldown_secs: window_secs,
-        }
+        AlertRule(Rule::InterruptionStorm(Burst { min_count, window: Window::new(window_secs) }))
     }
 
     /// Early-stop-eligible accession: the streamed mapping rate sits below
     /// `min_rate` once at least `check_fraction` of reads are processed — the
     /// same signal `early_stop.rs` acts on, flagged from the live stream before
-    /// the policy's decision lands in the log.
+    /// the policy's decision lands in the log. Fires per accession, at most once.
     pub fn early_stop_eligible(min_rate: f64, check_fraction: f64) -> AlertRule {
-        AlertRule {
-            id: "early_stop_eligible".into(),
-            signal: Signal::EventField { kind: "progress".into(), field: "mapping_rate".into() },
-            condition: Condition::Threshold { cmp: Cmp::Lt, value: min_rate },
-            subject_field: Some("accession".into()),
-            guard: Some(Guard {
-                field: "processed_fraction".into(),
-                cmp: Cmp::Ge,
-                value: check_fraction,
-            }),
-            cooldown_secs: f64::INFINITY,
-        }
+        AlertRule(Rule::EarlyStop { min_rate, check_fraction, flagged: BTreeSet::new() })
+    }
+
+    /// What [`MonitorConfig::validate`] checks of one rule.
+    fn validate(&self) -> Result<(), String> {
+        let window = |w: &Window| w.secs.is_finite() && w.secs > 0.0;
+        let ok = match &self.0 {
+            Rule::Straggler { factor, min_samples, .. } => factor.is_finite() && *min_samples >= 1,
+            Rule::BacklogGrowth { per_sec, window: w } => window(w) && per_sec.is_finite(),
+            Rule::FaultBurst(b) | Rule::InterruptionStorm(b) => {
+                window(&b.window) && b.min_count >= 1
+            }
+            Rule::EarlyStop { min_rate, check_fraction, .. } => {
+                min_rate.is_finite() && check_fraction.is_finite()
+            }
+        };
+        let rule = &self.0;
+        ok.then_some(()).ok_or_else(|| {
+            format!("monitor rule {rule:?}: windows must be > 0, counts >= 1, every number finite")
+        })
     }
 }
 
@@ -250,6 +145,12 @@ impl MonitorConfig {
                 AlertRule::early_stop_eligible(0.30, 0.10),
             ],
         }
+    }
+
+    /// Every window finite and > 0 (a negative one keeps one sample, a NaN one
+    /// every sample), every minimum count ≥ 1, every other parameter finite.
+    pub fn validate(&self) -> Result<(), String> {
+        self.rules.iter().try_for_each(AlertRule::validate)
     }
 }
 
@@ -287,24 +188,160 @@ impl AlertEvent {
     }
 }
 
-/// Per-rule streaming state.
-#[derive(Debug, Default)]
-struct RuleState {
-    /// Sliding windows of `(t, value)` samples, per subject (rate-of-change and
-    /// event-count signals).
-    windows: BTreeMap<String, VecDeque<(f64, f64)>>,
-    /// All observed samples, sorted (quantile-vs-fleet).
-    fleet: Vec<f64>,
-    /// Per-subject observed samples, sorted (quantile-vs-fleet).
-    per_subject: BTreeMap<String, Vec<f64>>,
-    /// Last firing time per subject (cooldown bookkeeping).
-    last_fired: BTreeMap<String, f64>,
+/// A sliding window of `(t, value)` samples that fires at most once per window
+/// length.
+#[derive(Clone, Debug)]
+struct Window {
+    secs: f64,
+    samples: VecDeque<(f64, f64)>,
+    last_fired: Option<f64>,
+}
+
+impl Window {
+    fn new(secs: f64) -> Window {
+        Window { secs, samples: VecDeque::new(), last_fired: None }
+    }
+
+    /// Take the sample `(t, value)`, drop what has aged out, and return the
+    /// oldest sample still inside (the new one, if it is alone).
+    fn push(&mut self, t: f64, value: f64) -> (f64, f64) {
+        self.samples.push_back((t, value));
+        while self.samples.len() > 1 && self.samples[0].0 < t - self.secs {
+            self.samples.pop_front();
+        }
+        self.samples[0]
+    }
+
+    /// True, and the cooldown restarts, unless the window fired less than its
+    /// own length ago.
+    fn may_fire(&mut self, t: f64) -> bool {
+        if self.last_fired.is_some_and(|last| t - last < self.secs) {
+            return false;
+        }
+        self.last_fired = Some(t);
+        true
+    }
+}
+
+/// What the fault-burst and interruption-storm rules share: events of one kind
+/// counted in a window.
+#[derive(Clone, Debug)]
+struct Burst {
+    min_count: usize,
+    window: Window,
+}
+
+impl Burst {
+    /// Count `event` if it is a `kind`; the alert is reported under `id`.
+    fn count(&mut self, id: &str, kind: &str, event: &EventRecord) -> Option<AlertEvent> {
+        if event.kind != kind {
+            return None;
+        }
+        let t = event.at_secs;
+        let (onset, _) = self.window.push(t, 1.0);
+        let count = self.window.samples.len();
+        (count >= self.min_count && self.window.may_fire(t)).then(|| AlertEvent {
+            rule: id.into(),
+            subject: kind.into(),
+            at_secs: t,
+            value: count as f64,
+            threshold: self.min_count as f64,
+            latency_secs: t - onset,
+        })
+    }
+}
+
+impl Rule {
+    fn on_event(&mut self, event: &EventRecord) -> Option<AlertEvent> {
+        match self {
+            Rule::FaultBurst(b) => b.count("fault_burst", "fault_injected", event),
+            Rule::InterruptionStorm(b) => b.count("interruption_storm", "spot_interruption", event),
+            Rule::EarlyStop { min_rate, check_fraction, flagged } if event.kind == "progress" => {
+                let processed = event.field("processed_fraction")?.as_f64()?;
+                let rate = event.field("mapping_rate")?.as_f64()?;
+                let eligible = processed >= *check_fraction && rate < *min_rate;
+                if !eligible {
+                    return None;
+                }
+                // Every snapshot lands here: the accession is copied only when reported.
+                let accession = event.field("accession")?.as_str()?;
+                if flagged.contains(accession) {
+                    return None;
+                }
+                flagged.insert(accession.to_string());
+                Some(AlertEvent {
+                    rule: "early_stop_eligible".into(),
+                    subject: accession.into(),
+                    at_secs: event.at_secs,
+                    value: rate,
+                    threshold: *min_rate,
+                    latency_secs: 0.0,
+                })
+            }
+            _ => None,
+        }
+    }
+
+    fn on_span_close(&mut self, span: &SpanRecord) -> Option<AlertEvent> {
+        let Rule::Straggler { factor, min_samples, fleet, per_instance, flagged } = self else {
+            return None;
+        };
+        let end = span.end_secs?;
+        if span.name != "job" {
+            return None;
+        }
+        // Crashed and drained attempts close a `job` span that names no instance:
+        // they pool under the span's name.
+        let instance = span.attr("instance").unwrap_or("job");
+        let duration = span.duration_secs();
+        insert_sorted(fleet, duration);
+        // The key is copied for an instance's first job only.
+        if !per_instance.contains_key(instance) {
+            per_instance.insert(instance.to_string(), Vec::new());
+        }
+        let durations = per_instance.get_mut(instance)?;
+        insert_sorted(durations, duration);
+        if fleet.len() < *min_samples || flagged.contains(instance) {
+            return None;
+        }
+        let bound = *factor * quantile_sorted(fleet, 0.5);
+        let p99 = quantile_sorted(durations, 0.99);
+        (p99 > bound).then(|| {
+            flagged.insert(instance.to_string());
+            AlertEvent {
+                rule: "straggler_instance".into(),
+                subject: instance.into(),
+                at_secs: end,
+                value: p99,
+                threshold: bound,
+                latency_secs: end - span.start_secs,
+            }
+        })
+    }
+
+    fn on_gauge(&mut self, t: f64, name: &str, value: f64) -> Option<AlertEvent> {
+        let Rule::BacklogGrowth { per_sec, window } = self else { return None };
+        if name != "queue_pending" {
+            return None;
+        }
+        let (t0, v0) = window.push(t, value);
+        // `t > t0`: the oldest sample inside is not the one just taken.
+        let rate = (value - v0) / (t - t0);
+        (t > t0 && rate >= *per_sec && window.may_fire(t)).then(|| AlertEvent {
+            rule: "queue_backlog_growth".into(),
+            subject: name.into(),
+            at_secs: t,
+            value: rate,
+            threshold: *per_sec,
+            latency_secs: t - t0,
+        })
+    }
 }
 
 #[derive(Debug, Default)]
 struct MonitorState {
-    rules: Vec<AlertRule>,
-    states: Vec<RuleState>,
+    /// Rules under evaluation, in configuration order.
+    rules: Vec<Rule>,
     alerts: Vec<AlertEvent>,
     /// Objectives under evaluation (empty = SLO engine off).
     slos: Vec<Slo>,
@@ -320,16 +357,14 @@ pub struct Monitor {
 }
 
 impl Monitor {
-    /// A monitor evaluating `rules` against the stream and each of `slos`
-    /// against the samples of its signal's sketch
-    /// ([`crate::SloSignal::sketch_name`]) with multi-window burn-rate alerting.
+    /// A monitor evaluating `rules` (as given: [`MonitorConfig::validate`] is the
+    /// check) against the stream and each of `slos` against the samples of its
+    /// signal's sketch ([`crate::SloSignal::sketch_name`]) with burn-rate alerting.
     pub fn new(rules: Vec<AlertRule>, slos: Vec<Slo>) -> Monitor {
-        let states = rules.iter().map(|_| RuleState::default()).collect();
         let slo_states = slos.iter().map(SloState::new).collect();
         Monitor {
             state: Arc::new(Mutex::new(MonitorState {
-                rules,
-                states,
+                rules: rules.into_iter().map(|rule| rule.0).collect(),
                 alerts: Vec::new(),
                 slos,
                 slo_states,
@@ -341,7 +376,7 @@ impl Monitor {
     /// The handle and the observer share state, so alerts fired during the run
     /// stay readable here afterwards.
     pub fn observer(&self) -> Box<dyn StreamObserver> {
-        Box::new(MonitorObserver { state: Arc::clone(&self.state) })
+        Box::new(self.clone())
     }
 
     /// Every alert fired so far, in firing order.
@@ -354,139 +389,26 @@ impl Monitor {
         let st = self.state.lock().expect("monitor poisoned");
         st.slos.iter().zip(&st.slo_states).map(|(slo, state)| state.status(slo)).collect()
     }
-}
 
-struct MonitorObserver {
-    state: Arc<Mutex<MonitorState>>,
-}
-
-impl StreamObserver for MonitorObserver {
-    fn on_event(&mut self, event: &EventRecord) -> Vec<EventRecord> {
+    /// Offer one stream record to every rule, in configuration order.
+    fn offer(&self, record: impl Fn(&mut Rule) -> Option<AlertEvent>) -> Vec<EventRecord> {
         let mut st = self.state.lock().expect("monitor poisoned");
-        let mut fired = Vec::new();
-        // Split-borrow rules alongside their states: this loop runs for every
-        // record the campaign emits, so it must not clone rule configs.
-        let MonitorState { rules, states, .. } = &mut *st;
-        for (rule, state) in rules.iter().zip(states.iter_mut()) {
-            match &rule.signal {
-                Signal::EventField { kind, field } if *kind == event.kind => {
-                    if !guard_holds(&rule.guard, |f| event_num(event, f)) {
-                        continue;
-                    }
-                    let Some(value) = event_num(event, field) else { continue };
-                    // Threshold rules only need a subject when they fire; skip
-                    // the subject-string allocation on the quiet path (progress
-                    // floods hit this for every snapshot).
-                    if let Condition::Threshold { cmp, value: bound } = rule.condition {
-                        if !cmp.holds(value, bound) {
-                            continue;
-                        }
-                    }
-                    let subject = subject_of(rule, |f| event_str(event, f), kind);
-                    if let Some(alert) =
-                        eval_scalar(rule, state, &subject, event.at_secs, value, 0.0)
-                    {
-                        fired.push(alert);
-                    }
-                }
-                Signal::EventCount { kind, window_secs } if *kind == event.kind => {
-                    if !guard_holds(&rule.guard, |f| event_num(event, f)) {
-                        continue;
-                    }
-                    let subject = subject_of(rule, |f| event_str(event, f), kind);
-                    let t = event.at_secs;
-                    let window_secs = *window_secs;
-                    let window = state.windows.entry(subject.clone()).or_default();
-                    window.push_back((t, 1.0));
-                    while window.front().is_some_and(|&(t0, _)| t0 < t - window_secs) {
-                        window.pop_front();
-                    }
-                    let count = window.len() as f64;
-                    let onset = window.front().map_or(t, |&(t0, _)| t0);
-                    if let Condition::Threshold { cmp, value } = rule.condition {
-                        if cmp.holds(count, value) {
-                            if let Some(alert) =
-                                fire(rule, state, &subject, t, count, value, t - onset)
-                            {
-                                fired.push(alert);
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
+        let fired = st.rules.iter_mut().filter_map(record).collect();
         finish(&mut st, fired)
+    }
+}
+
+impl StreamObserver for Monitor {
+    fn on_event(&mut self, event: &EventRecord) -> Vec<EventRecord> {
+        self.offer(|rule| rule.on_event(event))
     }
 
     fn on_span_close(&mut self, span: &SpanRecord) -> Vec<EventRecord> {
-        let mut st = self.state.lock().expect("monitor poisoned");
-        let mut fired = Vec::new();
-        let Some(end) = span.end_secs else { return Vec::new() };
-        let MonitorState { rules, states, .. } = &mut *st;
-        for (rule, state) in rules.iter().zip(states.iter_mut()) {
-            let Signal::SpanDuration { name } = &rule.signal else { continue };
-            if *name != span.name {
-                continue;
-            }
-            if !guard_holds(&rule.guard, |f| span.attr(f).and_then(|v| v.parse().ok())) {
-                continue;
-            }
-            let subject =
-                subject_of(rule, |f| span.attr(f).map(str::to_string), name);
-            let duration = span.duration_secs();
-            let alert = match rule.condition {
-                Condition::QuantileVsFleet { subject_q, fleet_q, factor, min_samples } => {
-                    insert_sorted(&mut state.fleet, duration);
-                    insert_sorted(
-                        state.per_subject.entry(subject.clone()).or_default(),
-                        duration,
-                    );
-                    if state.fleet.len() < min_samples {
-                        None
-                    } else {
-                        let bound = factor * quantile_sorted(&state.fleet, fleet_q);
-                        let subject_quantile =
-                            quantile_sorted(&state.per_subject[&subject], subject_q);
-                        if subject_quantile > bound {
-                            fire(
-                                rule,
-                                state,
-                                &subject,
-                                end,
-                                subject_quantile,
-                                bound,
-                                end - span.start_secs,
-                            )
-                        } else {
-                            None
-                        }
-                    }
-                }
-                // Threshold/rate conditions see the duration as a plain scalar
-                // sample whose condition existed since the span started.
-                _ => eval_scalar(rule, state, &subject, end, duration, duration),
-            };
-            fired.extend(alert);
-        }
-        finish(&mut st, fired)
+        self.offer(|rule| rule.on_span_close(span))
     }
 
     fn on_gauge(&mut self, at_secs: f64, name: &str, value: f64) -> Vec<EventRecord> {
-        let mut st = self.state.lock().expect("monitor poisoned");
-        let mut fired = Vec::new();
-        let MonitorState { rules, states, .. } = &mut *st;
-        for (rule, state) in rules.iter().zip(states.iter_mut()) {
-            let Signal::Gauge(gauge) = &rule.signal else { continue };
-            if gauge != name {
-                continue;
-            }
-            let subject = subject_of(rule, |_| None, name);
-            if let Some(alert) = eval_scalar(rule, state, &subject, at_secs, value, 0.0) {
-                fired.push(alert);
-            }
-        }
-        finish(&mut st, fired)
+        self.offer(|rule| rule.on_gauge(at_secs, name, value))
     }
 
     fn on_sample(&mut self, at_secs: f64, name: &str, value: f64) -> Vec<EventRecord> {
@@ -511,105 +433,6 @@ fn finish(st: &mut MonitorState, fired: Vec<AlertEvent>) -> Vec<EventRecord> {
     let records = fired.iter().map(AlertEvent::to_event_record).collect();
     st.alerts.extend(fired);
     records
-}
-
-/// Evaluate a threshold or rate-of-change condition on one scalar sample.
-/// `onset_latency` is how long the condition already existed for threshold
-/// firings (0 for point samples, the span duration for span closings).
-fn eval_scalar(
-    rule: &AlertRule,
-    state: &mut RuleState,
-    subject: &str,
-    t: f64,
-    value: f64,
-    onset_latency: f64,
-) -> Option<AlertEvent> {
-    match rule.condition {
-        Condition::Threshold { cmp, value: bound } => {
-            if cmp.holds(value, bound) {
-                fire(rule, state, subject, t, value, bound, onset_latency)
-            } else {
-                None
-            }
-        }
-        Condition::RateOfChange { window_secs, cmp, per_sec } => {
-            let window = state.windows.entry(subject.to_string()).or_default();
-            window.push_back((t, value));
-            while window.front().is_some_and(|&(t0, _)| t0 < t - window_secs) {
-                window.pop_front();
-            }
-            let &(t0, v0) = window.front().expect("just pushed");
-            if window.len() >= 2 && t > t0 {
-                let rate = (value - v0) / (t - t0);
-                if cmp.holds(rate, per_sec) {
-                    return fire(rule, state, subject, t, rate, per_sec, t - t0);
-                }
-            }
-            None
-        }
-        Condition::QuantileVsFleet { .. } => None, // only meaningful on spans
-    }
-}
-
-/// Apply the cooldown and emit the alert.
-fn fire(
-    rule: &AlertRule,
-    state: &mut RuleState,
-    subject: &str,
-    t: f64,
-    value: f64,
-    threshold: f64,
-    latency_secs: f64,
-) -> Option<AlertEvent> {
-    if let Some(&last) = state.last_fired.get(subject) {
-        if t - last < rule.cooldown_secs {
-            return None;
-        }
-    }
-    state.last_fired.insert(subject.to_string(), t);
-    Some(AlertEvent {
-        rule: rule.id.clone(),
-        subject: subject.to_string(),
-        at_secs: t,
-        value,
-        threshold,
-        latency_secs,
-    })
-}
-
-fn guard_holds(guard: &Option<Guard>, lookup: impl Fn(&str) -> Option<f64>) -> bool {
-    match guard {
-        None => true,
-        Some(g) => lookup(&g.field).is_some_and(|v| g.cmp.holds(v, g.value)),
-    }
-}
-
-fn subject_of(
-    rule: &AlertRule,
-    lookup: impl Fn(&str) -> Option<String>,
-    fallback: &str,
-) -> String {
-    rule.subject_field
-        .as_deref()
-        .and_then(lookup)
-        .unwrap_or_else(|| fallback.to_string())
-}
-
-fn event_num(event: &EventRecord, field: &str) -> Option<f64> {
-    event.fields.iter().find(|(k, _)| *k == field).and_then(|(_, v)| match v {
-        JsonValue::Num(n) => Some(*n),
-        JsonValue::Int(n) => Some(*n as f64),
-        JsonValue::UInt(n) => Some(*n as f64),
-        JsonValue::Str(s) => s.parse().ok(),
-        _ => None,
-    })
-}
-
-fn event_str(event: &EventRecord, field: &str) -> Option<String> {
-    event.fields.iter().find(|(k, _)| *k == field).map(|(_, v)| match v {
-        JsonValue::Str(s) => s.clone(),
-        other => other.render(),
-    })
 }
 
 fn insert_sorted(v: &mut Vec<f64>, x: f64) {
@@ -730,6 +553,27 @@ mod tests {
         assert_eq!(alerts[0].threshold, 30.0); // 3 × fleet median 10
         assert_eq!(alerts[0].latency_secs, 50.0); // flagged the moment the job closed
         assert!(alerts[0].at_secs < t, "alert fired online, before the stream ended");
+    }
+
+    #[test]
+    fn job_spans_that_name_no_instance_pool_under_the_span_name() {
+        // What a crashed or drained attempt closes. No campaign pin reaches this.
+        let monitor = Monitor::new(vec![AlertRule::straggler_instances(3.0, 3)], Vec::new());
+        let rec = Recorder::new();
+        rec.attach_observer(monitor.observer());
+        for (t, dur, instance) in
+            [(0.0, 10.0, Some("1")), (20.0, 10.0, Some("2")), (40.0, 90.0, None)]
+        {
+            let mut attrs = vec![("accession", format!("SRR{t}"))];
+            attrs.extend(instance.map(|i| ("instance", i.to_string())));
+            rec.span_closed("job", SpanId::NONE, t, t + dur, &attrs);
+        }
+        let alerts = monitor.alerts();
+        assert_eq!(alerts.len(), 1, "{alerts:?}");
+        assert_eq!(
+            (alerts[0].subject.as_str(), alerts[0].value, alerts[0].threshold),
+            ("job", 90.0, 30.0)
+        );
     }
 
     #[test]

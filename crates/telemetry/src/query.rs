@@ -26,8 +26,9 @@ use crate::sketch::QuantileSketch;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Relative-error bound for query-time percentile sketches. Matches the SLO
-/// engine's default so grouped quantiles are comparable with live SLO ones.
+/// Relative-error bound for query-time percentile sketches. Equal to the SLO
+/// engine's [`crate::slo::SLO_SKETCH_ALPHA`], so grouped quantiles are comparable
+/// with live SLO ones.
 pub const QUERY_SKETCH_ALPHA: f64 = 0.01;
 
 /// One aggregate over a group's events.
@@ -127,16 +128,8 @@ impl Query {
                         .ok_or_else(|| format!("bad --where {spec:?}: expected field=value"))?;
                     q.where_eq.push((k.to_string(), v.to_string()));
                 }
-                "--since" => {
-                    let v = need("--since")?;
-                    q.since =
-                        Some(v.parse().map_err(|_| format!("bad --since value {v:?}"))?);
-                }
-                "--until" => {
-                    let v = need("--until")?;
-                    q.until =
-                        Some(v.parse().map_err(|_| format!("bad --until value {v:?}"))?);
-                }
+                "--since" => q.since = Some(parse_time("--since", &need("--since")?)?),
+                "--until" => q.until = Some(parse_time("--until", &need("--until")?)?),
                 "--group-by" => {
                     q.group_by.extend(need("--group-by")?.split(',').map(str::to_string));
                 }
@@ -201,6 +194,16 @@ impl Query {
         }
         self.where_eq.iter().all(|(field, want)| field_text(event, field) == *want)
     }
+}
+
+/// A `--since` / `--until` bound: any float but NaN, against which every
+/// comparison is false and the filter silently off.
+fn parse_time(flag: &str, value: &str) -> Result<f64, String> {
+    value
+        .parse()
+        .ok()
+        .filter(|t: &f64| !t.is_nan())
+        .ok_or_else(|| format!("bad {flag} value {value:?}"))
 }
 
 /// A field's canonical text form: strings unquoted, numbers via the writer's
@@ -542,6 +545,8 @@ mod tests {
             vec!["--agg", "sum:"],
             vec!["--where", "nokey"],
             vec!["--since", "soon"],
+            vec!["--since", "nan"],
+            vec!["--until", "NaN"],
             vec!["--frobnicate"],
             vec!["--kind"],
         ] {

@@ -273,7 +273,7 @@ impl CampaignTelemetry {
     }
 
     /// Serialize the summary (not the raw event log) to the stable JSON document
-    /// shape pinned by `golden/telemetry_schema.json`.
+    /// byte-pinned by `tests/golden/campaign_telemetry.json`.
     pub fn to_json(&self) -> String {
         let stages = JsonValue::Arr(
             self.stage_stats

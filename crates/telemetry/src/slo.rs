@@ -182,20 +182,15 @@ impl SloRegistry {
     }
 }
 
+/// Relative error bound of the per-signal quantile sketches the SLO engine
+/// streams its samples into (the same bound as [`crate::query::QUERY_SKETCH_ALPHA`]).
+pub const SLO_SKETCH_ALPHA: f64 = 0.01;
+
 /// Opt-in SLO engine configuration carried by the campaign config.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SloConfig {
     /// The objectives to evaluate.
     pub registry: SloRegistry,
-    /// Relative error bound for the per-signal quantile sketches the engine
-    /// streams samples into.
-    pub sketch_alpha: f64,
-}
-
-impl Default for SloConfig {
-    fn default() -> SloConfig {
-        SloConfig { registry: SloRegistry::default(), sketch_alpha: 0.01 }
-    }
 }
 
 /// End-of-campaign summary of one objective.

@@ -105,10 +105,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     config.monitor = Some(MonitorConfig::standard());
     // Evaluate SLOs over the same stream (turnaround p95, queue-wait p99,
     // cost-per-accession cap) and build the per-accession attribution ledger.
-    config.slo = Some(SloConfig {
-        registry: SloRegistry::standard(4.0 * 3600.0, 3600.0, 0.25),
-        ..SloConfig::default()
-    });
+    config.slo = Some(SloConfig { registry: SloRegistry::standard(4.0 * 3600.0, 3600.0, 0.25) });
 
     let orchestrator = Orchestrator::new(pipeline, config)?;
     let ids: Vec<String> = {

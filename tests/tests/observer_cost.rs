@@ -26,7 +26,7 @@
 //! (`telemetry.observer.overhead_frac`, `telemetry.recorder.overhead_frac`) and
 //! `fleet_chaos_100k`.
 //!
-//! One `#[test]`: the allocator's tracking is process-wide.
+//! One `#[test]`: the allocator's counters are process-wide.
 
 #[path = "../../crates/star/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -57,7 +57,7 @@ struct Tier {
 const TIERS: [Tier; 3] = [
     Tier { name: "telemetry off", recorder: false, monitor_and_slo: false, calls: 105_125, bytes: 19_862_060, spans: 0, events: 0 },
     Tier { name: "recorder only", recorder: true, monitor_and_slo: false, calls: 485_048, bytes: 68_323_451, spans: 64_065, events: 18_260 },
-    Tier { name: "monitor + SLO", recorder: true, monitor_and_slo: true, calls: 852_008, bytes: 114_716_202, spans: 64_065, events: 57_034 },
+    Tier { name: "monitor + SLO", recorder: true, monitor_and_slo: true, calls: 818_278, bytes: 114_429_724, spans: 64_065, events: 57_034 },
 ];
 /// Events the kernel dispatches for `SIZES[2]` accessions, in every tier.
 const SIM_EVENTS: u64 = 24_107;
@@ -74,10 +74,7 @@ fn config(tier: &Tier, recovery: bool) -> CampaignConfig {
     cfg.telemetry = tier.recorder;
     if tier.monitor_and_slo {
         cfg.monitor = Some(MonitorConfig::standard());
-        cfg.slo = Some(SloConfig {
-            registry: SloRegistry::standard(4.0 * 3600.0, 3600.0, 0.25),
-            ..SloConfig::default()
-        });
+        cfg.slo = Some(SloConfig { registry: SloRegistry::standard(4.0 * 3600.0, 3600.0, 0.25) });
     }
     if recovery {
         cfg.recovery = Some(RecoveryConfig::default());

@@ -78,8 +78,9 @@ fn assert_matches_golden(name: &str, actual: &str) {
     assert_eq!(actual, golden, "{name} drifted; rerun with UPDATE_GOLDEN=1 if intended");
 }
 
-/// CI gate: the fixed-seed mini-campaign's Perfetto trace and OpenMetrics
-/// exposition are byte-pinned, like the telemetry schema golden.
+/// CI gate: the fixed-seed mini-campaign's Perfetto trace, OpenMetrics
+/// exposition and `telemetry.json` summary (`CampaignTelemetry::to_json`, the
+/// document README tells users to save) are byte-pinned: the serializers run.
 #[test]
 fn perfetto_and_openmetrics_exports_match_goldens() {
     let (pipeline, ids) = fixture(6, 0.0);
@@ -93,6 +94,8 @@ fn perfetto_and_openmetrics_exports_match_goldens() {
     assert!(t1.openmetrics_text.ends_with("# EOF\n"));
     assert_matches_golden("campaign_perfetto.json", &t1.perfetto_json);
     assert_matches_golden("campaign_openmetrics.txt", &t1.openmetrics_text);
+    assert_eq!(t1.to_json(), t2.to_json(), "telemetry.json must replay byte-identically");
+    assert_matches_golden("campaign_telemetry.json", &t1.to_json());
 }
 
 /// A seeded fault storm must trip the fault-burst rule while the campaign is
