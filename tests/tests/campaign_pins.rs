@@ -8,12 +8,15 @@
 //! that claims "behaviour unchanged" must leave all five byte-identical.
 //!
 //! A row is `(summary_digest, sim_events, FNV-1a of the stripped event log,
-//! FNV-1a of the OpenMetrics exposition)`. On an intended behaviour change,
+//! FNV-1a of the OpenMetrics exposition)`. The stripped log drops `progress` and
+//! `alert` lines, so the two campaigns that run the live monitor also pin the
+//! *whole* log and the alert count: where an `alert`, `progress`, `slo_budget` or
+//! `slo_clear` line lands is behaviour too. On an intended behaviour change,
 //! re-capture with `cargo test --test campaign_pins -- --nocapture` (each case
-//! prints its current row) and say why in the commit.
+//! prints its current rows) and say why in the commit.
 
 use atlas_integration_tests::stripped_event_log;
-use atlas_pipeline::orchestrator::{CampaignConfig, Orchestrator};
+use atlas_pipeline::orchestrator::{CampaignConfig, CampaignReport, Orchestrator};
 use atlas_pipeline::{ModeledWorkload, RecoveryConfig};
 use cloudsim::faults::{FaultPlan, SpotBurst};
 use cloudsim::instance::InstanceType;
@@ -38,18 +41,26 @@ fn base_config(max_fleet: u32, interruptions_per_hour: f64) -> CampaignConfig {
     cfg
 }
 
-fn pin_of(cfg: CampaignConfig, n: usize) -> Pin {
+fn run(cfg: CampaignConfig, n: usize) -> CampaignReport {
     let ids = ModeledWorkload::accessions(n);
     let report = Orchestrator::with_workload(ModeledWorkload::default().into_workload(), cfg)
         .unwrap()
         .run(&ids)
         .unwrap();
     assert_eq!(report.completed.len() + report.dead_lettered.len(), n, "conservation");
+    report
+}
+
+fn pin_of(cfg: CampaignConfig, n: usize) -> Pin {
+    pin(&run(cfg, n))
+}
+
+fn pin(report: &CampaignReport) -> Pin {
     let telemetry = report.telemetry.as_ref().expect("pins run with telemetry on");
     (
         report.summary_digest(),
         report.sim_events,
-        fnv1a(&stripped_event_log(&report).unwrap()),
+        fnv1a(&stripped_event_log(report).unwrap()),
         fnv1a(&telemetry.openmetrics_text),
     )
 }
@@ -57,6 +68,14 @@ fn pin_of(cfg: CampaignConfig, n: usize) -> Pin {
 fn check(name: &str, got: Pin, want: Pin) {
     println!("{name}: (0x{:016x}, {}, 0x{:016x}, 0x{:016x})", got.0, got.1, got.2, got.3);
     assert_eq!(got, want, "{name}: campaign behaviour moved (digest, events, log, openmetrics)");
+}
+
+/// `(FNV-1a of the whole event log, alerts reported)`.
+fn check_full_log(name: &str, report: &CampaignReport, want: (u64, usize)) {
+    let log = &report.telemetry.as_ref().expect("pins run with telemetry on").event_log;
+    let got = (fnv1a(log), report.alerts.len());
+    println!("{name} full log: (0x{:016x}, {})", got.0, got.1);
+    assert_eq!(got, want, "{name}: the whole event log or the alert count moved");
 }
 
 #[test]
@@ -99,11 +118,13 @@ fn recovery_under_reclaims_and_a_burst() {
     cfg.max_receive_count = Some(8);
     cfg.recovery = Some(RecoveryConfig::default());
     cfg.slo = Some(SloConfig::default());
+    let report = run(cfg, 80);
     check(
         "recovery_under_reclaims_and_a_burst",
-        pin_of(cfg, 80),
+        pin(&report),
         (0x1efc4a17b4da9929, 3593, 0xe2cc0331ceabcf79, 0x41bf5a929ec7bd52),
     );
+    check_full_log("recovery_under_reclaims_and_a_burst", &report, (0x1b73e1a92c40ffef, 0));
 }
 
 #[test]
@@ -125,9 +146,11 @@ fn observed_campaign_with_monitor_and_slos() {
     let mut cfg = base_config(32, 2.0);
     cfg.monitor = Some(MonitorConfig::standard());
     cfg.slo = Some(SloConfig::default());
+    let report = run(cfg, 500);
     check(
         "observed_campaign_with_monitor_and_slos",
-        pin_of(cfg, 500),
+        pin(&report),
         (0x585d585a49c471f0, 5495, 0xfa9545c494e7c587, 0xc6c3561bcaf89f68),
     );
+    check_full_log("observed_campaign_with_monitor_and_slos", &report, (0x63eb4f73dc5807fb, 137));
 }
