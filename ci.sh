@@ -44,6 +44,9 @@ if sed '/#\[cfg(test)\]/,$d' crates/star/src/mmp.rs | grep -n 'sa\.full()'; then
     exit 1
 fi
 cargo clippy --offline -- -D warnings
+# Doc links are checked: a link to a deleted, renamed or private item, or an
+# ambiguous one, fails here instead of rendering as plain text.
+RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --offline --workspace
 # The detached benchmark crate (benchmarks/e2e) is a client of the public API and
 # is not a workspace member, so nothing above compiles it: build it, read-only.
 # `--locked` fails when a crate needs something its committed Cargo.lock does not

@@ -382,12 +382,12 @@ impl<'a> Campaign<'a> {
             self.events.schedule(now, Event::Poll(id));
             return Ok(());
         }
-        // With a monitor attached the job also reports live progress, like
-        // STAR's `Log.progress.out`: snapshots from the real alignment,
+        // When the recorder runs the monitor the job also reports live progress,
+        // like STAR's `Log.progress.out`: snapshots from the real alignment,
         // timestamped inside the modeled align window. Without a monitor no
         // progress events exist and the log is byte-identical to a monitor-free
         // build.
-        let (mut result, history) = if self.obs.monitor.is_some() {
+        let (mut result, history) = if self.obs.monitored {
             self.workload.run_accession_with_history(name)?
         } else {
             (self.workload.run_accession(name)?, Vec::new())
@@ -734,7 +734,7 @@ impl<'a> Campaign<'a> {
             wasted_compute_secs: wasted_secs,
             salvaged_compute_secs: salvaged_secs,
             telemetry: cfg.telemetry.then(|| telemetry::summarize(rec)),
-            alerts: self.obs.monitor.map(|m| m.alerts()).unwrap_or_default(),
+            alerts: rec.alerts(),
             sim_events: self.events.stats().dispatched,
             slo,
         })
@@ -751,7 +751,7 @@ impl<'a> Campaign<'a> {
         }
         let rec = &self.obs.recorder;
         let at = end.as_secs();
-        let objectives = self.obs.monitor.as_ref().map(|m| m.slo_status()).unwrap_or_default();
+        let objectives = rec.slo_status();
         for s in &objectives {
             rec.gauge_set_at(at, &format!("slo_budget_remaining:{}", s.id), s.budget_remaining);
         }

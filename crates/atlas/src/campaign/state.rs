@@ -33,7 +33,7 @@ use cloudsim::instance::{Instance, InstanceId, InstanceType};
 use cloudsim::sqs::ReceiptHandle;
 use cloudsim::SimTime;
 use telemetry::slo::SLO_SKETCH_ALPHA;
-use telemetry::{JsonValue, Monitor, Recorder, SloSignal, SpanId, TimeSeries};
+use telemetry::{JsonValue, Recorder, SloSignal, SpanId, TimeSeries};
 
 /// One attempt at one accession, owned by the worker running it. The
 /// `JobDone` / `WorkerCrash` events only name `(instance, epoch)`; everything
@@ -444,7 +444,8 @@ impl Accounting {
 /// never read any of it, so a disabled recorder changes nothing.
 pub(super) struct Observers {
     pub recorder: Arc<Recorder>,
-    pub monitor: Option<Monitor>,
+    /// The recorder runs the live monitor, so jobs stream `progress` for it.
+    pub monitored: bool,
     pub campaign_span: SpanId,
     /// The SLO engine is on: samples are taken and the ledger is settled.
     pub slo_on: bool,
@@ -455,21 +456,22 @@ pub(super) struct Observers {
 
 impl Observers {
     pub fn new(cfg: &CampaignConfig, usd_per_hour: f64) -> Observers {
-        let recorder = Arc::new(if cfg.telemetry { Recorder::new() } else { Recorder::disabled() });
         let slo_on = cfg.slo.is_some();
-        // The monitor watches the stream through the recorder's observer hook;
-        // with telemetry off there is no stream, so no monitor either. An SLO
-        // config attaches one even without alert rules: the burn-rate evaluator
-        // *is* a stream observer.
-        let monitor = (cfg.telemetry && (cfg.monitor.is_some() || slo_on)).then(|| {
+        // With telemetry off there is no stream, so no monitor either. An SLO
+        // config runs one even without alert rules: the burn-rate evaluator reads
+        // the stream too.
+        let monitored = cfg.telemetry && (cfg.monitor.is_some() || slo_on);
+        let recorder = Arc::new(if monitored {
             let rules = cfg.monitor.clone().unwrap_or_default().rules;
             let slos = cfg.slo.as_ref().map(|s| s.registry.slos.clone());
-            let m = Monitor::new(rules, slos.unwrap_or_default());
-            recorder.attach_observer(m.observer());
-            m
+            Recorder::monitored(rules, slos.unwrap_or_default())
+        } else if cfg.telemetry {
+            Recorder::new()
+        } else {
+            Recorder::disabled()
         });
         let campaign_span = recorder.span_start("campaign", SpanId::NONE, 0.0);
-        Observers { recorder, monitor, campaign_span, slo_on, usd_per_hour }
+        Observers { recorder, monitored, campaign_span, slo_on, usd_per_hour }
     }
 
     /// Log `kind` about `accession` on `instance`, plus event-specific seconds.
@@ -589,6 +591,7 @@ impl Observers {
 mod tests {
     use super::*;
     use crate::workload::{CampaignWorkload, ModeledWorkload};
+    use telemetry::{AlertRule, MonitorConfig, SloConfig};
     const T0: SimTime = SimTime::ZERO;
     const SRR1: Acc = Acc(0);
     const SRR2: Acc = Acc(1);
@@ -657,6 +660,21 @@ mod tests {
         let id2 = f.launch(T0);
         f.start_job(id2, T0, job(3));
         assert_eq!(f.finish(id2, 3, T0).unwrap().epoch, 3);
+    }
+
+    #[test]
+    fn a_disabled_recorder_given_rules_records_and_fires_nothing() {
+        let mut cfg = CampaignConfig::new(xlarge(), 1 << 20);
+        cfg.telemetry = false;
+        cfg.monitor = Some(MonitorConfig { rules: vec![AlertRule::fault_burst(60.0, 1)] });
+        cfg.slo = Some(SloConfig::default());
+        let obs = Observers::new(&cfg, 1.0);
+        let rec = &obs.recorder;
+        assert!(!rec.is_enabled());
+        rec.event(1.0, "fault_injected", vec![]);
+        obs.slo_sample(SimTime::from_secs(2.0), SloSignal::QueueWait, 1e9);
+        assert_eq!((rec.n_events(), rec.alerts().len(), rec.slo_status().len()), (0, 0, 0));
+        assert!(rec.read(|_, _, m| m.sketch(SloSignal::QueueWait.sketch_name()).is_none()));
     }
 
     fn ids() -> [String; 2] {

@@ -83,18 +83,19 @@ pub fn read_gtf<R: BufRead>(reader: R) -> Result<Annotation, GenomicsError> {
     Ok(Annotation { genes: out })
 }
 
-/// Extract a quoted GTF attribute value, e.g. `gene_id "X";` → `X`.
+/// Extract a quoted GTF attribute value, e.g. `gene_id "X";` → `X`. The name
+/// must be `key` itself: `gene_id_version "1";` is skipped when looking for
+/// `gene_id`.
 fn parse_attribute(attributes: &str, key: &str) -> Option<String> {
-    for field in attributes.split(';') {
-        let field = field.trim();
-        if let Some(rest) = field.strip_prefix(key) {
-            let rest = rest.trim_start();
-            let rest = rest.strip_prefix('"')?;
-            let end = rest.find('"')?;
-            return Some(rest[..end].to_string());
+    attributes.split(';').find_map(|field| {
+        let rest = field.trim().strip_prefix(key)?;
+        if !rest.starts_with(|c: char| c.is_whitespace() || c == '"') {
+            return None;
         }
-    }
-    None
+        let rest = rest.trim_start().strip_prefix('"')?;
+        let end = rest.find('"')?;
+        Some(rest[..end].to_string())
+    })
 }
 
 #[cfg(test)]
@@ -174,6 +175,13 @@ mod tests {
         assert_eq!(parse_attribute("foo \"y\";gene_id    \"Z\"", "gene_id").as_deref(), Some("Z"));
         assert_eq!(parse_attribute("foo \"y\";", "gene_id"), None);
         assert_eq!(parse_attribute("gene_id X;", "gene_id"), None, "unquoted values rejected");
+        assert_eq!(
+            parse_attribute("gene_id_version \"1\"; gene_id \"G1\";", "gene_id").as_deref(),
+            Some("G1"),
+            "a longer name that starts with the key is skipped, not the end of the search"
+        );
+        assert_eq!(parse_attribute("gene_id_version \"1\";", "gene_id"), None);
+        assert_eq!(parse_attribute("gene_id\"X\";", "gene_id").as_deref(), Some("X"));
     }
 
     #[test]

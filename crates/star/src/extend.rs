@@ -11,7 +11,7 @@
 //!    soft-clipped.
 //! 3. **Scoring** — matched bases minus mismatch and splice penalties.
 //!
-//! The production path ([`extend_chain_into`]) is bit-parallel over the 2-bit packed
+//! The production path (`extend_chain_into`) is bit-parallel over the 2-bit packed
 //! read and genome: end extensions process mismatch runs via 32-base
 //! [`mismatch_mask`] words (the best prefix always ends a match run, because score
 //! strictly increases inside one), and gap/splice mismatch counting is popcount over
@@ -455,7 +455,7 @@ fn best_split(
 }
 
 /// The original per-base extension loop, frozen verbatim as the differential
-/// oracle for [`extend_chain_into`]'s bit-parallel path. Property tests assert
+/// oracle for `extend_chain_into`'s bit-parallel path. Property tests assert
 /// bit-equal [`WindowAlignment`]s (scores, CIGARs, junctions) between the two on
 /// random and adversarial inputs. Not used by the production pipeline.
 pub fn extend_chain_scalar(

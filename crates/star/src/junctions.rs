@@ -85,7 +85,7 @@ impl JunctionCollector {
 
     /// Merge previously-finished rows back in (checkpoint resume): counts add,
     /// overhangs take the max, and the class follows the merged rows — the same
-    /// combination [`JunctionStats::update`] applies read by read, so a resumed
+    /// combination `JunctionStats::update` applies read by read, so a resumed
     /// run finishes with the table an uninterrupted run would have produced.
     pub fn absorb_rows(&mut self, rows: &[JunctionRow]) {
         for row in rows {

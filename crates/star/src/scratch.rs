@@ -4,10 +4,10 @@
 //! buffer the seed → stitch → extend pipeline needs lives in an [`AlignScratch`]
 //! that is reused across reads. Vectors are cleared, never dropped, so their
 //! capacity (grown over the first few reads) is retained; pooled objects with
-//! interior vectors ([`ChainPool`], [`CandSet`]) keep dead slots alive beyond
+//! interior vectors (`ChainPool`, `CandSet`) keep dead slots alive beyond
 //! their live length for the same reason.
 //!
-//! Each OS thread owns one scratch through a thread-local ([`with_thread_scratch`]),
+//! Each OS thread owns one scratch through a thread-local (`with_thread_scratch`),
 //! so a [`crate::runner::Runner`]'s pool workers amortize their buffers across
 //! batches for the lifetime of the pool. Callers that want explicit control (e.g.
 //! allocation-counting tests) can hold their own [`AlignScratch`] and use

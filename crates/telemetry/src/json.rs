@@ -200,7 +200,7 @@ pub fn fmt_f64(v: f64) -> String {
 /// Parse a JSON document into a [`JsonValue`]. Rejects trailing garbage.
 ///
 /// This is the read side of the crate's hand-rolled serializer: the query
-/// engine ([`crate::query`]) and run differ ([`crate::diff`]) consume saved
+/// engine ([`crate::query`]) and run differ ([`mod@crate::diff`]) consume saved
 /// NDJSON event logs, so the parser accepts full JSON (nested arrays/objects,
 /// escapes, exponent floats) even though the log emits only flat objects.
 /// Numbers without `.`/`e` parse to `Int`/`UInt` (matching what the writer

@@ -9,17 +9,18 @@
 //!   (campaign → instance → job → stage → align sub-stage), a
 //!   [`metrics::MetricsRegistry`] of counters/gauges/fixed-bucket histograms, and a
 //!   structured NDJSON event log. A disabled recorder is a cheap no-op (one branch,
-//!   no lock).
+//!   no lock). [`Recorder::monitored`] makes one that owns the live monitor.
 //! * [`report::CampaignTelemetry`] — the analysis pass: per-stage p50/p95/p99,
 //!   a critical-path extractor over the span tree (which stage dominates each
 //!   accession, fleet-level utilization breakdown), rendered into campaign reports.
 //! * [`export`] — standard-format exporters: Chrome/Perfetto trace-event JSON
 //!   for the span tree, OpenMetrics text for the registry, collapsed-stack
 //!   (flamegraph) folds of the span tree.
-//! * [`monitor::Monitor`] — the live campaign monitor: five alert rules
-//!   (stragglers, backlog growth, fault bursts, interruption storms, early-stop
-//!   eligibility) evaluated against the stream *during* the simulated campaign
-//!   via [`recorder::StreamObserver`], emitting `alert` events into the same log.
+//! * [`monitor`] — the live campaign monitor: five [`AlertRule`]s (stragglers,
+//!   backlog growth, fault bursts, interruption storms, early-stop eligibility)
+//!   and the [`slo`] burn-rate objectives, evaluated by the recorder that owns
+//!   them against the stream *during* the simulated campaign, emitting `alert`
+//!   events into the same log.
 //! * [`series::TimeSeries`] — timestamped gauge series (the one metrics surface;
 //!   `cloudsim` uses it directly).
 //!
@@ -48,9 +49,9 @@ pub use events::EventRecord;
 pub use export::{collapsed_stacks, openmetrics, openmetrics_from, perfetto_trace, perfetto_trace_from};
 pub use json::JsonValue;
 pub use metrics::{Histogram, MetricsRegistry, RATE_BUCKETS, SECS_BUCKETS};
-pub use monitor::{AlertEvent, AlertRule, Monitor, MonitorConfig};
+pub use monitor::{AlertEvent, AlertRule, MonitorConfig};
 pub use query::{Agg, Query, QueryResult};
-pub use recorder::{Recorder, StreamObserver};
+pub use recorder::Recorder;
 pub use report::{summarize, AccessionPath, CampaignTelemetry, CriticalPath, StageStats};
 pub use series::TimeSeries;
 pub use sketch::QuantileSketch;

@@ -3,9 +3,10 @@
 //!
 //! The paper's Fig. 4 saving exists because STAR's `Log.progress.out` is watched
 //! mid-job rather than post-mortem; this module does the same for the campaign.
-//! A [`Monitor`] subscribes to a [`Recorder`](crate::Recorder) as a
-//! [`StreamObserver`] and offers every event, gauge sample and closing span to
-//! its [`AlertRule`]s as the simulator emits them, and every sketch sample to its
+//! The monitor is owned by the recorder that feeds it
+//! ([`Recorder::monitored`](crate::Recorder::monitored)): under the recorder's
+//! one lock, every event, gauge sample and closing span is offered to its
+//! [`AlertRule`]s as the simulator emits it, and every sketch sample to its
 //! [`Slo`]s. Fired [`AlertEvent`]s are appended to the same NDJSON event log (kind
 //! `alert`) with a `latency_secs` field — how long the condition existed before
 //! the rule flagged it — so alert timeliness is itself measurable.
@@ -21,11 +22,9 @@
 
 use crate::events::EventRecord;
 use crate::json::JsonValue;
-use crate::recorder::StreamObserver;
 use crate::slo::{Slo, SloState, SloStatus};
 use crate::span::SpanRecord;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::{Arc, Mutex};
 
 /// One of the five alert rules. Made only by the constructors below; their two
 /// numbers each are everything a rule lets a caller set.
@@ -173,18 +172,36 @@ pub struct AlertEvent {
 
 impl AlertEvent {
     /// Serialize as a stream event (kind `alert`, fixed field order).
-    pub fn to_event_record(&self) -> EventRecord {
+    pub fn into_event_record(self) -> EventRecord {
         EventRecord {
             at_secs: self.at_secs,
             kind: "alert",
             fields: vec![
-                ("rule", JsonValue::from(self.rule.as_str())),
-                ("subject", JsonValue::from(self.subject.as_str())),
+                ("rule", JsonValue::from(self.rule)),
+                ("subject", JsonValue::from(self.subject)),
                 ("value", JsonValue::from(self.value)),
                 ("threshold", JsonValue::from(self.threshold)),
                 ("latency_secs", JsonValue::from(self.latency_secs)),
             ],
         }
+    }
+
+    /// The alert an `alert` record holds (`None` for any other record): the log
+    /// is where fired alerts are kept.
+    pub(crate) fn from_event_record(record: &EventRecord) -> Option<AlertEvent> {
+        if record.kind != "alert" {
+            return None;
+        }
+        let text = |key| Some(record.field(key)?.as_str()?.to_string());
+        let num = |key| record.field(key)?.as_f64();
+        Some(AlertEvent {
+            rule: text("rule")?,
+            subject: text("subject")?,
+            at_secs: record.at_secs,
+            value: num("value")?,
+            threshold: num("threshold")?,
+            latency_secs: num("latency_secs")?,
+        })
     }
 }
 
@@ -338,101 +355,70 @@ impl Rule {
     }
 }
 
-#[derive(Debug, Default)]
-struct MonitorState {
+/// The live monitor: the rules and objectives under evaluation. Each hook
+/// returns the records to append to the log after its trigger; the log is also
+/// where fired alerts are kept.
+#[derive(Debug)]
+pub(crate) struct Monitor {
     /// Rules under evaluation, in configuration order.
-    rules: Vec<Rule>,
-    alerts: Vec<AlertEvent>,
-    /// Objectives under evaluation (empty = SLO engine off).
-    slos: Vec<Slo>,
-    /// Streaming evaluator state, parallel to `slos`.
-    slo_states: Vec<SloState>,
-}
-
-/// The live monitor. Create it, attach [`Monitor::observer`] to a recorder, run
-/// the campaign, then read [`Monitor::alerts`].
-#[derive(Clone, Debug)]
-pub struct Monitor {
-    state: Arc<Mutex<MonitorState>>,
+    rules: Box<[Rule]>,
+    /// Objectives under evaluation (empty = SLO engine off), each beside its
+    /// streaming evaluator state.
+    objectives: Box<[(Slo, SloState)]>,
 }
 
 impl Monitor {
-    /// A monitor evaluating `rules` (as given: [`MonitorConfig::validate`] is the
-    /// check) against the stream and each of `slos` against the samples of its
-    /// signal's sketch ([`crate::SloSignal::sketch_name`]) with burn-rate alerting.
-    pub fn new(rules: Vec<AlertRule>, slos: Vec<Slo>) -> Monitor {
-        let slo_states = slos.iter().map(SloState::new).collect();
+    /// A monitor evaluating `rules` against the stream and each of `slos`
+    /// against the samples of its signal's sketch.
+    pub(crate) fn new(rules: Vec<AlertRule>, slos: Vec<Slo>) -> Monitor {
+        let objective = |slo: Slo| {
+            let state = SloState::new(&slo);
+            (slo, state)
+        };
         Monitor {
-            state: Arc::new(Mutex::new(MonitorState {
-                rules: rules.into_iter().map(|rule| rule.0).collect(),
-                alerts: Vec::new(),
-                slos,
-                slo_states,
-            })),
+            rules: rules.into_iter().map(|rule| rule.0).collect(),
+            objectives: slos.into_iter().map(objective).collect(),
         }
     }
 
-    /// A [`StreamObserver`] feeding this monitor; attach it to the recorder.
-    /// The handle and the observer share state, so alerts fired during the run
-    /// stay readable here afterwards.
-    pub fn observer(&self) -> Box<dyn StreamObserver> {
-        Box::new(self.clone())
+    /// Status of every configured objective, in registry order.
+    pub(crate) fn slo_status(&self) -> Vec<SloStatus> {
+        self.objectives.iter().map(|(slo, state)| state.status(slo)).collect()
     }
 
-    /// Every alert fired so far, in firing order.
-    pub fn alerts(&self) -> Vec<AlertEvent> {
-        self.state.lock().expect("monitor poisoned").alerts.clone()
+    /// An event is about to be appended to the log.
+    pub(crate) fn on_event(&mut self, event: &EventRecord) -> Vec<EventRecord> {
+        let fired = self.rules.iter_mut().filter_map(|rule| rule.on_event(event));
+        fired.map(AlertEvent::into_event_record).collect()
     }
 
-    /// End-of-stream status of every configured objective, in registry order.
-    pub fn slo_status(&self) -> Vec<SloStatus> {
-        let st = self.state.lock().expect("monitor poisoned");
-        st.slos.iter().zip(&st.slo_states).map(|(slo, state)| state.status(slo)).collect()
+    /// A span was closed (first close only).
+    pub(crate) fn on_span_close(&mut self, span: &SpanRecord) -> Vec<EventRecord> {
+        let fired = self.rules.iter_mut().filter_map(|rule| rule.on_span_close(span));
+        fired.map(AlertEvent::into_event_record).collect()
     }
 
-    /// Offer one stream record to every rule, in configuration order.
-    fn offer(&self, record: impl Fn(&mut Rule) -> Option<AlertEvent>) -> Vec<EventRecord> {
-        let mut st = self.state.lock().expect("monitor poisoned");
-        let fired = st.rules.iter_mut().filter_map(record).collect();
-        finish(&mut st, fired)
-    }
-}
-
-impl StreamObserver for Monitor {
-    fn on_event(&mut self, event: &EventRecord) -> Vec<EventRecord> {
-        self.offer(|rule| rule.on_event(event))
+    /// Gauge `name` was set to `value`.
+    pub(crate) fn on_gauge(&mut self, at_secs: f64, name: &str, value: f64) -> Vec<EventRecord> {
+        let fired = self.rules.iter_mut().filter_map(|rule| rule.on_gauge(at_secs, name, value));
+        fired.map(AlertEvent::into_event_record).collect()
     }
 
-    fn on_span_close(&mut self, span: &SpanRecord) -> Vec<EventRecord> {
-        self.offer(|rule| rule.on_span_close(span))
-    }
-
-    fn on_gauge(&mut self, at_secs: f64, name: &str, value: f64) -> Vec<EventRecord> {
-        self.offer(|rule| rule.on_gauge(at_secs, name, value))
-    }
-
-    fn on_sample(&mut self, at_secs: f64, name: &str, value: f64) -> Vec<EventRecord> {
-        let mut st = self.state.lock().expect("monitor poisoned");
-        let (mut fired, mut extra) = (Vec::new(), Vec::new());
-        let MonitorState { slos, slo_states, .. } = &mut *st;
-        for (slo, state) in slos.iter().zip(slo_states.iter_mut()) {
+    /// Sketch `name` took the sample `value`. Whatever one sample causes is
+    /// contiguous: its alerts, then its informational records (`slo_clear`,
+    /// `slo_budget`).
+    pub(crate) fn on_sample(&mut self, at_secs: f64, name: &str, value: f64) -> Vec<EventRecord> {
+        let (mut records, mut extra) = (Vec::new(), Vec::new());
+        for (slo, state) in self.objectives.iter_mut() {
             if slo.signal.sketch_name() == name {
                 let (alerts, events) = state.sample(slo, at_secs, value);
-                fired.extend(alerts);
+                records.extend(alerts.into_iter().map(AlertEvent::into_event_record));
                 extra.extend(events);
             }
         }
-        let mut records = finish(&mut st, fired);
         records.extend(extra);
         records
     }
-}
-
-/// Record fired alerts into monitor state and convert them for the event log.
-fn finish(st: &mut MonitorState, fired: Vec<AlertEvent>) -> Vec<EventRecord> {
-    let records = fired.iter().map(AlertEvent::to_event_record).collect();
-    st.alerts.extend(fired);
-    records
 }
 
 fn insert_sorted(v: &mut Vec<f64>, x: f64) {
@@ -467,15 +453,13 @@ mod tests {
 
     #[test]
     fn threshold_rule_respects_guard_and_dedups_per_subject() {
-        let monitor = Monitor::new(vec![AlertRule::early_stop_eligible(0.30, 0.10)], Vec::new());
-        let rec = Recorder::new();
-        rec.attach_observer(monitor.observer());
+        let rec = Recorder::monitored(vec![AlertRule::early_stop_eligible(0.30, 0.10)], Vec::new());
         progress(&rec, 10.0, "SRR1", 0.05, 0.10); // guard: too early
         progress(&rec, 20.0, "SRR1", 0.12, 0.10); // fires
         progress(&rec, 30.0, "SRR1", 0.20, 0.08); // deduped (infinite cooldown)
         progress(&rec, 40.0, "SRR2", 0.15, 0.90); // healthy: no fire
         progress(&rec, 50.0, "SRR3", 0.15, 0.05); // distinct subject fires
-        let alerts = monitor.alerts();
+        let alerts = rec.alerts();
         assert_eq!(alerts.len(), 2);
         assert_eq!(alerts[0].rule, "early_stop_eligible");
         assert_eq!(alerts[0].subject, "SRR1");
@@ -490,15 +474,13 @@ mod tests {
 
     #[test]
     fn fault_burst_counts_in_a_sliding_window() {
-        let monitor = Monitor::new(vec![AlertRule::fault_burst(100.0, 3)], Vec::new());
-        let rec = Recorder::new();
-        rec.attach_observer(monitor.observer());
+        let rec = Recorder::monitored(vec![AlertRule::fault_burst(100.0, 3)], Vec::new());
         for t in [0.0, 10.0, 200.0, 210.0] {
             rec.event(t, "fault_injected", vec![("op", JsonValue::from("s3_get"))]);
         }
-        assert!(monitor.alerts().is_empty(), "sparse faults must not alert");
+        assert!(rec.alerts().is_empty(), "sparse faults must not alert");
         rec.event(220.0, "fault_injected", vec![("op", JsonValue::from("s3_get"))]);
-        let alerts = monitor.alerts();
+        let alerts = rec.alerts();
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].rule, "fault_burst");
         assert_eq!(alerts[0].at_secs, 220.0);
@@ -506,20 +488,19 @@ mod tests {
         assert_eq!(alerts[0].latency_secs, 20.0); // storm onset at 200
         // Cooldown suppresses immediate re-fire.
         rec.event(221.0, "fault_injected", vec![]);
-        assert_eq!(monitor.alerts().len(), 1);
+        assert_eq!(rec.alerts().len(), 1);
     }
 
     #[test]
     fn backlog_growth_is_a_rate_over_a_window() {
-        let monitor = Monitor::new(vec![AlertRule::queue_backlog_growth(100.0, 0.5)], Vec::new());
-        let rec = Recorder::new();
-        rec.attach_observer(monitor.observer());
+        let rules = vec![AlertRule::queue_backlog_growth(100.0, 0.5)];
+        let rec = Recorder::monitored(rules, Vec::new());
         rec.gauge_set_at(0.0, "queue_pending", 50.0);
         rec.gauge_set_at(50.0, "queue_pending", 40.0); // draining: fine
         rec.gauge_set_at(100.0, "queue_pending", 80.0); // +30 over (0,100): 0.3/s — window front is t=0
-        assert!(monitor.alerts().is_empty());
+        assert!(rec.alerts().is_empty());
         rec.gauge_set_at(150.0, "queue_pending", 140.0); // window [50,150]: +100/100s = 1.0/s
-        let alerts = monitor.alerts();
+        let alerts = rec.alerts();
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].rule, "queue_backlog_growth");
         assert_eq!(alerts[0].subject, "queue_pending");
@@ -529,9 +510,7 @@ mod tests {
 
     #[test]
     fn straggler_rule_compares_subject_p99_to_fleet_median() {
-        let monitor = Monitor::new(vec![AlertRule::straggler_instances(3.0, 4)], Vec::new());
-        let rec = Recorder::new();
-        rec.attach_observer(monitor.observer());
+        let rec = Recorder::monitored(vec![AlertRule::straggler_instances(3.0, 4)], Vec::new());
         let mut t = 0.0;
         for (instance, dur) in
             [("1", 10.0), ("2", 11.0), ("1", 9.0), ("2", 10.0), ("3", 50.0)]
@@ -545,7 +524,7 @@ mod tests {
             );
             t += 100.0;
         }
-        let alerts = monitor.alerts();
+        let alerts = rec.alerts();
         assert_eq!(alerts.len(), 1, "{alerts:?}");
         assert_eq!(alerts[0].rule, "straggler_instance");
         assert_eq!(alerts[0].subject, "3");
@@ -558,9 +537,7 @@ mod tests {
     #[test]
     fn job_spans_that_name_no_instance_pool_under_the_span_name() {
         // What a crashed or drained attempt closes. No campaign pin reaches this.
-        let monitor = Monitor::new(vec![AlertRule::straggler_instances(3.0, 3)], Vec::new());
-        let rec = Recorder::new();
-        rec.attach_observer(monitor.observer());
+        let rec = Recorder::monitored(vec![AlertRule::straggler_instances(3.0, 3)], Vec::new());
         for (t, dur, instance) in
             [(0.0, 10.0, Some("1")), (20.0, 10.0, Some("2")), (40.0, 90.0, None)]
         {
@@ -568,7 +545,7 @@ mod tests {
             attrs.extend(instance.map(|i| ("instance", i.to_string())));
             rec.span_closed("job", SpanId::NONE, t, t + dur, &attrs);
         }
-        let alerts = monitor.alerts();
+        let alerts = rec.alerts();
         assert_eq!(alerts.len(), 1, "{alerts:?}");
         assert_eq!(
             (alerts[0].subject.as_str(), alerts[0].value, alerts[0].threshold),
@@ -579,9 +556,7 @@ mod tests {
     #[test]
     fn same_stream_fires_the_same_alerts() {
         let run = || {
-            let monitor = Monitor::new(MonitorConfig::standard().rules, Vec::new());
-            let rec = Recorder::new();
-            rec.attach_observer(monitor.observer());
+            let rec = Recorder::monitored(MonitorConfig::standard().rules, Vec::new());
             for i in 0..20 {
                 let t = i as f64 * 30.0;
                 rec.event(t, "fault_injected", vec![("op", JsonValue::from("s3_get"))]);
@@ -611,15 +586,13 @@ mod tests {
 
     #[test]
     fn sketch_samples_alone_drive_the_burn_rate_engine() {
-        let monitor = Monitor::new(Vec::new(), vec![queue_wait_slo()]);
-        let rec = Recorder::new();
-        rec.attach_observer(monitor.observer());
+        let rec = Recorder::monitored(Vec::new(), vec![queue_wait_slo()]);
         let sketch = SloSignal::QueueWait.sketch_name();
         // No events, no spans: six bad samples burn at 10x in both windows.
         for t in 0..6 {
             rec.sketch_observe(f64::from(t), sketch, 0.01, 2.0);
         }
-        let alerts = monitor.alerts();
+        let alerts = rec.alerts();
         assert_eq!(alerts.len(), 1, "hysteresis: one alert for a sustained burn: {alerts:?}");
         assert_eq!(alerts[0].rule, BURN_ALERT_RULE);
         assert_eq!(alerts[0].subject, "queue_wait:100s");
@@ -628,12 +601,12 @@ mod tests {
         for t in 6..30 {
             rec.sketch_observe(f64::from(t), sketch, 0.01, 0.5);
         }
-        assert_eq!(monitor.alerts().len(), 1);
+        assert_eq!(rec.alerts().len(), 1);
         let log = rec.events_ndjson();
         assert_eq!(log.matches("\"kind\":\"slo_clear\"").count(), 1, "{log}");
         let burn = log.find("\"rule\":\"slo_burn\"").expect("the alert is in the log");
         assert!(burn < log.find("\"kind\":\"slo_clear\"").unwrap(), "{log}");
-        let status = &monitor.slo_status()[0];
+        let status = &rec.slo_status()[0];
         assert_eq!((status.total, status.bad, status.burn_alerts), (30, 6, 1));
         rec.read(|_, _, metrics| {
             assert_eq!(metrics.counter("alerts_fired"), 1, "clears and budgets are not alerts");
@@ -643,16 +616,14 @@ mod tests {
 
     #[test]
     fn a_sample_for_an_unconstrained_sketch_is_ignored() {
-        let monitor = Monitor::new(Vec::new(), vec![queue_wait_slo()]);
-        let rec = Recorder::new();
-        rec.attach_observer(monitor.observer());
+        let rec = Recorder::monitored(Vec::new(), vec![queue_wait_slo()]);
         for t in 0..10 {
             let name = SloSignal::AccessionCost.sketch_name();
             rec.sketch_observe(f64::from(t), name, 0.01, 1e9);
             rec.sketch_observe(f64::from(t), "job_secs", 0.01, 1e9);
         }
-        assert_eq!(monitor.slo_status()[0].total, 0);
-        assert!(monitor.alerts().is_empty());
+        assert_eq!(rec.slo_status()[0].total, 0);
+        assert!(rec.alerts().is_empty());
         assert_eq!(rec.n_events(), 0);
     }
 }

@@ -5,78 +5,52 @@
 //! public method first checks the `enabled` flag, so a disabled recorder costs a
 //! single branch — no lock, no allocation — which is the "cheap no-op path" the
 //! hot simulator loop relies on.
+//!
+//! A recorder made with [`Recorder::monitored`] owns the live
+//! [monitor](crate::monitor): under the same lock, every event, closing span,
+//! gauge sample and sketch sample is offered to it as the simulator emits it,
+//! and what it fires is appended to the log right after its trigger.
 
 use crate::events::EventRecord;
 use crate::json::JsonValue;
 use crate::metrics::MetricsRegistry;
+use crate::monitor::{AlertEvent, AlertRule, Monitor};
+use crate::slo::{Slo, SloStatus};
 use crate::span::{SpanId, SpanRecord};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-
-/// A streaming subscriber to the telemetry feed (the live-monitor hook).
-///
-/// Observers are notified outside the recorder's state lock; records they fire
-/// on are appended to the log after their trigger (observers read the stream,
-/// never the log). Whatever events an observer returns — alert records, in
-/// practice — are appended to the same event log (and counted in the
-/// `alerts_fired` counter) but do **not** re-notify observers, so an observer
-/// cannot trigger itself. Observers see the stream in the simulator's
-/// deterministic emission order; a pure-function observer therefore produces the
-/// same alerts on every same-seed run.
-pub trait StreamObserver: Send {
-    /// An event was appended to the log.
-    fn on_event(&mut self, event: &EventRecord) -> Vec<EventRecord> {
-        let _ = event;
-        Vec::new()
-    }
-
-    /// A span was closed (first close only; retroactive `span_closed` included).
-    fn on_span_close(&mut self, span: &SpanRecord) -> Vec<EventRecord> {
-        let _ = span;
-        Vec::new()
-    }
-
-    /// A gauge was set through [`Recorder::gauge_set_at`].
-    fn on_gauge(&mut self, at_secs: f64, name: &str, value: f64) -> Vec<EventRecord> {
-        let _ = (at_secs, name, value);
-        Vec::new()
-    }
-
-    /// Sketch `name` took the sample `value` through [`Recorder::sketch_observe`].
-    /// Whatever one sample causes is contiguous in the log: its alerts, then its
-    /// informational records (`slo_clear`, `slo_budget`), ahead of anything the
-    /// next sample causes — two samples made back to back never interleave.
-    fn on_sample(&mut self, at_secs: f64, name: &str, value: f64) -> Vec<EventRecord> {
-        let _ = (at_secs, name, value);
-        Vec::new()
-    }
-}
 
 #[derive(Debug, Default)]
 struct Inner {
     spans: Vec<SpanRecord>,
     events: Vec<EventRecord>,
     metrics: MetricsRegistry,
+    monitor: Option<Monitor>,
+}
+
+impl Inner {
+    /// Append what the monitor fired, right after its trigger. Only `alert`
+    /// records count in `alerts_fired`: `slo_budget` and `slo_clear` are
+    /// informational. The monitor never sees these records, so it cannot
+    /// trigger itself.
+    fn append_fired(&mut self, fired: Vec<EventRecord>) {
+        for record in fired {
+            if record.kind == "alert" {
+                self.metrics.counter_add("alerts_fired", 1);
+            }
+            self.events.push(record);
+        }
+    }
 }
 
 /// Deterministic sim-time telemetry recorder.
 pub struct Recorder {
     enabled: bool,
     inner: Mutex<Inner>,
-    /// Separate lock so observer callbacks run outside the state lock (they may
-    /// re-enter the recorder only through the returned alert records, which the
-    /// notifier appends itself).
-    observers: Mutex<Vec<Box<dyn StreamObserver>>>,
-    /// Fast path: skip the observer lock entirely while nothing is attached.
-    observed: AtomicBool,
 }
 
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Recorder")
-            .field("enabled", &self.enabled)
-            .field("observed", &self.observed.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
+        f.debug_struct("Recorder").field("enabled", &self.enabled).finish_non_exhaustive()
     }
 }
 
@@ -89,78 +63,33 @@ impl Default for Recorder {
 impl Recorder {
     /// An enabled recorder.
     pub fn new() -> Recorder {
-        Recorder {
-            enabled: true,
-            inner: Mutex::new(Inner::default()),
-            observers: Mutex::new(Vec::new()),
-            observed: AtomicBool::new(false),
-        }
+        Recorder { enabled: true, inner: Mutex::new(Inner::default()) }
     }
 
     /// A disabled recorder: every operation is a branch-and-return no-op, spans
     /// come back as [`SpanId::NONE`].
     pub fn disabled() -> Recorder {
-        Recorder {
-            enabled: false,
-            inner: Mutex::new(Inner::default()),
-            observers: Mutex::new(Vec::new()),
-            observed: AtomicBool::new(false),
-        }
+        Recorder { enabled: false, ..Recorder::new() }
     }
 
-    /// Subscribe a streaming observer. No-op on a disabled recorder.
-    pub fn attach_observer(&self, observer: Box<dyn StreamObserver>) {
-        if !self.enabled {
-            return;
-        }
-        self.observers.lock().expect("telemetry observers poisoned").push(observer);
-        self.observed.store(true, Ordering::Release);
+    /// An enabled recorder that runs the live monitor: `rules` (as given:
+    /// [`MonitorConfig::validate`](crate::MonitorConfig::validate) is the check)
+    /// against the stream, and each of `slos` against the samples of its signal's
+    /// sketch ([`crate::SloSignal::sketch_name`]) with burn-rate alerting.
+    pub fn monitored(rules: Vec<AlertRule>, slos: Vec<Slo>) -> Recorder {
+        let inner = Inner { monitor: Some(Monitor::new(rules, slos)), ..Inner::default() };
+        Recorder { enabled: true, inner: Mutex::new(inner) }
     }
 
-    /// Run `notify` over every observer and append whatever events they return.
-    /// Returned records bypass observer notification (no self-triggering). Only
-    /// records of kind `alert` bump the `alerts_fired` counter — observers also
-    /// emit informational records (`slo_budget`, `slo_clear`) that are not
-    /// alerts.
-    fn notify_observers(
-        &self,
-        notify: impl FnMut(&mut dyn StreamObserver) -> Vec<EventRecord>,
-    ) {
-        let alerts = self.collect_observer_records(notify);
-        if alerts.is_empty() {
-            return;
-        }
-        let mut inner = self.lock();
-        Self::append_observer_records(&mut inner, alerts);
+    /// Every alert the monitor fired so far, in firing order: the log's `alert`
+    /// records (none without a monitor).
+    pub fn alerts(&self) -> Vec<AlertEvent> {
+        self.lock().events.iter().filter_map(AlertEvent::from_event_record).collect()
     }
 
-    /// Run `notify` over every observer and collect whatever records they
-    /// return, without touching the log. Empty (no allocation) when nothing is
-    /// observing or nothing fired.
-    fn collect_observer_records(
-        &self,
-        mut notify: impl FnMut(&mut dyn StreamObserver) -> Vec<EventRecord>,
-    ) -> Vec<EventRecord> {
-        if !self.observed.load(Ordering::Acquire) {
-            return Vec::new();
-        }
-        let mut observers = self.observers.lock().expect("telemetry observers poisoned");
-        let mut alerts: Vec<EventRecord> = Vec::new();
-        for obs in observers.iter_mut() {
-            alerts.extend(notify(obs.as_mut()));
-        }
-        alerts
-    }
-
-    /// Append observer-returned records to the log under an already-held inner
-    /// lock. Bypasses observer notification (no self-triggering).
-    fn append_observer_records(inner: &mut Inner, alerts: Vec<EventRecord>) {
-        for alert in alerts {
-            if alert.kind == "alert" {
-                inner.metrics.counter_add("alerts_fired", 1);
-            }
-            inner.events.push(alert);
-        }
+    /// Status of every objective the monitor evaluates, in registry order.
+    pub fn slo_status(&self) -> Vec<SloStatus> {
+        self.lock().monitor.as_ref().map_or_else(Vec::new, Monitor::slo_status)
     }
 
     /// True when this recorder captures anything.
@@ -208,27 +137,22 @@ impl Recorder {
         if !self.enabled || id.is_none() {
             return;
         }
-        let observed = self.observed.load(Ordering::Acquire);
-        let closed = {
-            let mut inner = self.lock();
-            let span = &mut inner.spans[(id.0 - 1) as usize];
-            assert!(
-                at_secs >= span.start_secs,
-                "span '{}' would end at {at_secs} before its start {}",
-                span.name,
-                span.start_secs
-            );
-            if span.end_secs.is_none() {
-                span.end_secs = Some(at_secs);
-                // The clone exists only to hand observers a view outside the
-                // recorder lock; skip it entirely on unobserved runs.
-                observed.then(|| span.clone())
-            } else {
-                None
-            }
-        };
-        if let Some(span) = closed {
-            self.notify_observers(|obs| obs.on_span_close(&span));
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        let span = &mut inner.spans[(id.0 - 1) as usize];
+        assert!(
+            at_secs >= span.start_secs,
+            "span '{}' would end at {at_secs} before its start {}",
+            span.name,
+            span.start_secs
+        );
+        if span.end_secs.is_some() {
+            return;
+        }
+        span.end_secs = Some(at_secs);
+        if let Some(monitor) = &mut inner.monitor {
+            let fired = monitor.on_span_close(span);
+            inner.append_fired(fired);
         }
     }
 
@@ -256,14 +180,10 @@ impl Recorder {
             return;
         }
         let record = EventRecord { at_secs, kind, fields };
-        // Observers see the record before it lands in the log (they read the
-        // stream, not the log), and their alerts are appended after it — same
-        // cause-before-effect log order as before, without deep-cloning every
-        // record on the hot path.
-        let fired = self.collect_observer_records(|obs| obs.on_event(&record));
         let mut inner = self.lock();
+        let fired = inner.monitor.as_mut().map(|m| m.on_event(&record)).unwrap_or_default();
         inner.events.push(record);
-        Self::append_observer_records(&mut inner, fired);
+        inner.append_fired(fired);
     }
 
     /// Add `n` to counter `name`.
@@ -274,15 +194,19 @@ impl Recorder {
         self.lock().metrics.counter_add(name, n);
     }
 
-    /// Set gauge `name` at simulated time `at_secs`, feeding observers the sample
-    /// (the registry itself keeps only the latest value — the timestamp exists
-    /// for streaming rules like rate-of-change over a window).
+    /// Set gauge `name` at simulated time `at_secs`, then offer the monitor the
+    /// sample (the registry itself keeps only the latest value — the timestamp
+    /// exists for streaming rules like rate-of-change over a window).
     pub fn gauge_set_at(&self, at_secs: f64, name: &str, v: f64) {
         if !self.enabled {
             return;
         }
-        self.lock().metrics.gauge_set(name, v);
-        self.notify_observers(|obs| obs.on_gauge(at_secs, name, v));
+        let mut inner = self.lock();
+        inner.metrics.gauge_set(name, v);
+        if let Some(monitor) = &mut inner.monitor {
+            let fired = monitor.on_gauge(at_secs, name, v);
+            inner.append_fired(fired);
+        }
     }
 
     /// Record `v` into histogram `name` (created with `bounds` on first touch).
@@ -295,14 +219,18 @@ impl Recorder {
 
     /// Record `v`, sampled at simulated time `at_secs`, into quantile sketch
     /// `name` (created with relative error bound `alpha` on first touch), then
-    /// feed observers the same sample: what a sketch counted is exactly what a
-    /// streaming evaluator saw.
+    /// offer the monitor the same sample: what a sketch counted is exactly what
+    /// an objective saw.
     pub fn sketch_observe(&self, at_secs: f64, name: &str, alpha: f64, v: f64) {
         if !self.enabled {
             return;
         }
-        self.lock().metrics.sketch_observe(name, alpha, v);
-        self.notify_observers(|obs| obs.on_sample(at_secs, name, v));
+        let mut inner = self.lock();
+        inner.metrics.sketch_observe(name, alpha, v);
+        if let Some(monitor) = &mut inner.monitor {
+            let fired = monitor.on_sample(at_secs, name, v);
+            inner.append_fired(fired);
+        }
     }
 
     /// Lend `f` everything recorded so far — spans and events in emission
@@ -351,6 +279,7 @@ pub(crate) fn ndjson(events: &[EventRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slo::{BurnRateRule, SloSignal};
 
     #[test]
     fn disabled_recorder_is_inert() {
@@ -399,102 +328,98 @@ mod tests {
         r.span_end(s, 9.0);
     }
 
-    /// Echoes every notification as an `alert` event naming what it saw; a
-    /// sample is echoed as an `alert` followed by an informational `slo_budget`.
-    struct Echo;
-    impl StreamObserver for Echo {
-        fn on_event(&mut self, event: &EventRecord) -> Vec<EventRecord> {
-            vec![EventRecord {
-                at_secs: event.at_secs,
-                kind: "alert".into(),
-                fields: vec![("saw", JsonValue::from(event.kind))],
-            }]
-        }
-        fn on_span_close(&mut self, span: &SpanRecord) -> Vec<EventRecord> {
-            vec![EventRecord {
-                at_secs: span.end_secs.unwrap_or(span.start_secs),
-                kind: "alert".into(),
-                fields: vec![("saw".into(), JsonValue::from(span.name.as_str()))],
-            }]
-        }
-        fn on_gauge(&mut self, at_secs: f64, name: &str, value: f64) -> Vec<EventRecord> {
-            vec![EventRecord {
-                at_secs,
-                kind: "alert".into(),
-                fields: vec![
-                    ("saw".into(), JsonValue::from(name)),
-                    ("value".into(), JsonValue::from(value)),
-                ],
-            }]
-        }
-        fn on_sample(&mut self, at_secs: f64, name: &str, value: f64) -> Vec<EventRecord> {
-            let echo = |kind| EventRecord {
-                at_secs,
-                kind,
-                fields: vec![("saw", JsonValue::from(name)), ("value", JsonValue::from(value))],
-            };
-            vec![echo("alert"), echo("slo_budget")]
-        }
+    /// Fires on every fault, on a job span once two have closed, on any
+    /// non-shrinking backlog, and on every bad queue-wait sample.
+    fn hair_trigger() -> Recorder {
+        let wait = Slo {
+            id: "wait".into(),
+            signal: SloSignal::QueueWait,
+            threshold: 1.0,
+            target: 0.9,
+            windows: vec![BurnRateRule {
+                long_secs: 100.0,
+                short_secs: 10.0,
+                factor: 1.0,
+                min_count: 1,
+            }],
+        };
+        Recorder::monitored(
+            vec![
+                AlertRule::fault_burst(0.5, 1),
+                AlertRule::straggler_instances(0.0, 2),
+                AlertRule::queue_backlog_growth(100.0, 0.0),
+            ],
+            vec![wait],
+        )
+    }
+
+    /// `kind` (and `rule`, for alerts) of every logged record, in log order.
+    fn kinds(r: &Recorder) -> Vec<String> {
+        r.read(|_, events, _| {
+            events
+                .iter()
+                .map(|e| match e.field("rule").and_then(JsonValue::as_str) {
+                    Some(rule) => format!("{}:{rule}", e.kind),
+                    None => e.kind.to_string(),
+                })
+                .collect()
+        })
     }
 
     #[test]
-    fn observers_see_the_stream_and_their_alerts_join_the_log() {
-        let r = Recorder::new();
-        r.attach_observer(Box::new(Echo));
-        r.event(1.0, "retry", vec![]);
-        let s = r.span_start("job", SpanId::NONE, 2.0);
-        r.span_end(s, 3.0);
-        r.span_end(s, 4.0); // double close: no second notification
-        r.gauge_set_at(5.0, "queue_pending", 7.0);
-        r.sketch_observe(6.0, "wait_secs", 0.01, 2.5);
-        let log = r.events_ndjson();
-        // Returned records join the log without re-notifying: nothing echoes an echo.
+    fn the_monitors_records_follow_their_trigger_and_only_alerts_count() {
+        let r = hair_trigger();
+        r.event(1.0, "fault_injected", vec![]);
+        let a = r.span_start_attrs("job", SpanId::NONE, 2.0, &[("instance", "7".to_string())]);
+        r.span_end(a, 3.0);
+        // A second close offers nothing: were it offered, the fleet would hold two
+        // jobs and instance 7 would be flagged.
+        r.span_end(a, 4.0);
+        assert_eq!(r.alerts().len(), 1, "only the fault burst: {:?}", r.alerts());
+        r.span_closed("job", SpanId::NONE, 5.0, 6.0, &[("instance", "8".to_string())]);
+        r.gauge_set_at(7.0, "queue_pending", 1.0);
+        r.gauge_set_at(8.0, "queue_pending", 1.0);
+        r.sketch_observe(9.0, SloSignal::QueueWait.sketch_name(), 0.01, 2.0);
+        r.event(10.0, "fault_injected", vec![]);
         assert_eq!(
-            log,
-            "{\"t\":1,\"kind\":\"retry\"}\n\
-             {\"t\":1,\"kind\":\"alert\",\"saw\":\"retry\"}\n\
-             {\"t\":3,\"kind\":\"alert\",\"saw\":\"job\"}\n\
-             {\"t\":5,\"kind\":\"alert\",\"saw\":\"queue_pending\",\"value\":7}\n\
-             {\"t\":6,\"kind\":\"alert\",\"saw\":\"wait_secs\",\"value\":2.5}\n\
-             {\"t\":6,\"kind\":\"slo_budget\",\"saw\":\"wait_secs\",\"value\":2.5}\n"
+            kinds(&r),
+            [
+                "fault_injected",
+                "alert:fault_burst",
+                "alert:straggler_instance",
+                "alert:queue_backlog_growth",
+                "alert:slo_burn",
+                "slo_budget",
+                "fault_injected",
+                "alert:fault_burst",
+            ]
         );
+        let fired: Vec<_> = r.alerts().into_iter().map(|a| (a.rule, a.at_secs)).collect();
+        assert_eq!(fired[1], ("straggler_instance".to_string(), 6.0));
         r.read(|_, _, metrics| {
-            assert_eq!(metrics.counter("alerts_fired"), 4, "slo_budget is not an alert");
-            assert_eq!(metrics.gauge("queue_pending"), Some(7.0));
+            assert_eq!(metrics.counter("alerts_fired"), 5, "slo_budget is not an alert");
+            assert_eq!(metrics.gauge("queue_pending"), Some(1.0));
         });
     }
 
-    /// Reports, instead of the sample, how many the sketch held when notified.
-    struct SketchCount(std::sync::Arc<Recorder>);
-    impl StreamObserver for SketchCount {
-        fn on_sample(&mut self, at_secs: f64, name: &str, _: f64) -> Vec<EventRecord> {
-            let held = self.0.read(|_, _, m| m.sketch(name).map_or(0, |s| s.count()));
-            vec![EventRecord { at_secs, kind: "held", fields: vec![("n", JsonValue::from(held))] }]
+    #[test]
+    fn an_objective_sees_a_sample_only_after_its_sketch_counted_it() {
+        let r = hair_trigger();
+        let name = SloSignal::QueueWait.sketch_name();
+        for (t, wait) in [(1.0, 0.5), (2.0, 3.0), (3.0, 0.0)] {
+            r.sketch_observe(t, name, 0.01, wait);
+            let counted = r.read(|_, _, m| m.sketch(name).map_or(0, |s| s.count()));
+            assert_eq!(r.slo_status()[0].total, counted);
         }
-    }
-
-    #[test]
-    fn on_sample_runs_after_the_sketch_took_the_sample() {
-        let r = std::sync::Arc::new(Recorder::new());
-        r.attach_observer(Box::new(SketchCount(std::sync::Arc::clone(&r))));
-        r.sketch_observe(1.0, "s", 0.01, 10.0);
-        r.sketch_observe(2.0, "s", 0.01, 20.0);
-        assert_eq!(
-            r.events_ndjson(),
-            "{\"t\":1,\"kind\":\"held\",\"n\":1}\n{\"t\":2,\"kind\":\"held\",\"n\":2}\n"
-        );
-        assert_eq!(r.read(|_, _, m| m.counter("alerts_fired")), 0);
-    }
-
-    #[test]
-    fn observers_on_disabled_recorder_never_fire() {
-        let r = Recorder::disabled();
-        r.attach_observer(Box::new(Echo));
-        r.event(1.0, "retry", vec![]);
-        r.gauge_set_at(2.0, "g", 1.0);
-        r.sketch_observe(3.0, "s", 0.01, 1.0);
-        assert_eq!(r.n_events(), 0);
-        assert!(r.read(|_, _, metrics| metrics.sketch("s").is_none()));
+        // The sketch rejects a negative sample by panicking, before the objective
+        // is offered it.
+        let rejected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            r.sketch_observe(4.0, name, 0.01, -1.0);
+        }));
+        assert!(rejected.is_err());
+        r.inner.clear_poison();
+        assert_eq!(r.slo_status()[0].total, 3);
+        assert_eq!(r.read(|_, _, m| m.sketch(name).map_or(0, |s| s.count())), 3);
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! both windows burn at `>= factor`, and clears when the short window drops back
 //! below — firing/clearing hysteresis, so a sustained violation produces one
 //! `slo_burn` alert plus one `slo_clear` event, not a flood. Evaluation happens
-//! live inside [`crate::Monitor`], fed by [`crate::StreamObserver::on_sample`]
-//! every sample a signal's sketch takes, so burn alerts land in the NDJSON event
-//! log in stream order with a detection-latency field, and integer-percent
+//! live inside the monitor a [`crate::Recorder::monitored`] owns: every sample
+//! [`crate::Recorder::sketch_observe`] puts into a signal's sketch is then offered
+//! to that signal's objectives, so burn alerts land in the NDJSON event log in
+//! stream order with a detection-latency field, and integer-percent
 //! changes of the remaining budget are emitted as `slo_budget` events (rendered
 //! as Perfetto counter tracks).
 //!
@@ -50,7 +51,7 @@ pub enum SloSignal {
 
 impl SloSignal {
     /// The registry sketch this signal's samples go into
-    /// ([`crate::Recorder::sketch_observe`]); [`crate::Monitor`] feeds an
+    /// ([`crate::Recorder::sketch_observe`]); a monitored recorder feeds an
     /// objective exactly the samples that sketch takes.
     pub fn sketch_name(self) -> &'static str {
         match self {

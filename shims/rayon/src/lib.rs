@@ -9,7 +9,7 @@
 //! # Protocol
 //!
 //! A pool of `n` threads owns `n - 1` persistent OS workers; the thread that makes a
-//! parallel call is the `n`-th. A call over `len` indices becomes one [`Job`] on the
+//! parallel call is the `n`-th. A call over `len` indices becomes one `Job` on the
 //! caller's stack. The caller publishes a pointer to it under the pool mutex, wakes
 //! the workers, and then claims chunks itself; every participant takes the next
 //! `chunk` indices from one atomic counter until none are left (items differ in cost,

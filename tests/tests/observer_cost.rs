@@ -57,7 +57,7 @@ struct Tier {
 const TIERS: [Tier; 3] = [
     Tier { name: "telemetry off", recorder: false, monitor_and_slo: false, calls: 105_125, bytes: 19_862_060, spans: 0, events: 0 },
     Tier { name: "recorder only", recorder: true, monitor_and_slo: false, calls: 485_048, bytes: 68_323_451, spans: 64_065, events: 18_260 },
-    Tier { name: "monitor + SLO", recorder: true, monitor_and_slo: true, calls: 818_278, bytes: 114_429_724, spans: 64_065, events: 57_034 },
+    Tier { name: "monitor + SLO", recorder: true, monitor_and_slo: true, calls: 652_960, bytes: 109_599_817, spans: 64_065, events: 57_034 },
 ];
 /// Events the kernel dispatches for `SIZES[2]` accessions, in every tier.
 const SIM_EVENTS: u64 = 24_107;
