@@ -115,3 +115,5 @@ cargo build --release --offline -p atlas-bench --bin bench_compare
 # counting allocator on three fixed-seed campaigns: exact for the seed, so the host's
 # wall-clock drift cannot blur it (wall-clock stays with atlas-e2e's observed_fleet_20k).
 cargo test -q --release --offline -p atlas-integration-tests --test observer_cost
+# The SRA read path, counted the same way: fetch allocates per accession, never per read; the dump three times per read.
+cargo test -q --release --offline -p sra-sim --test read_path_alloc

@@ -13,7 +13,7 @@ pub const PHRED_OFFSET: u8 = 33;
 pub const MAX_PHRED: u8 = 40;
 
 /// One FASTQ record.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FastqRecord {
     /// Read identifier (text after `@`, up to end of line).
     pub id: String,

@@ -14,8 +14,8 @@
 //! Every read carries its ground-truth [`ReadOrigin`] so tests can score the aligner.
 
 use crate::annotation::{Annotation, Gene};
-use crate::fastq::FastqRecord;
-use crate::genome::Assembly;
+use crate::fastq::{FastqRecord, MAX_PHRED};
+use crate::genome::{Assembly, ContigKind};
 use crate::seq::{Base, DnaSeq};
 use crate::GenomicsError;
 use rand::rngs::StdRng;
@@ -170,8 +170,33 @@ pub struct PairedRead {
     pub fragment_len: usize,
 }
 
-/// Illumina TruSeq-like adapter used for [`JunkClass::Adapter`] reads.
-const ADAPTER: &str = "AGATCGGAAGAGCACACGTCTGAACTCCAGTCA";
+/// Illumina TruSeq-like adapter used for [`JunkClass::Adapter`] reads, as base codes.
+const ADAPTER: [u8; 33] = {
+    let ascii = b"AGATCGGAAGAGCACACGTCTGAACTCCAGTCA";
+    let mut codes = [0; 33];
+    let mut i = 0;
+    while i < codes.len() {
+        codes[i] = match ascii[i] {
+            b'A' => 0,
+            b'C' => 1,
+            b'G' => 2,
+            _ => 3,
+        };
+        i += 1;
+    }
+    codes
+};
+
+/// Where a read or fragment came from, by index: what the generator core returns,
+/// turned into a [`ReadOrigin`] only for a caller that keeps one.
+#[derive(Clone, Copy)]
+enum Source {
+    /// `offset` into `transcripts[transcript]`.
+    Transcript { transcript: usize, offset: usize },
+    /// `pos` on `assembly.contigs[contig]`.
+    Genomic { contig: usize, pos: usize },
+    Junk(JunkClass),
+}
 
 /// A seeded read simulator bound to one assembly + annotation.
 pub struct ReadSimulator<'a> {
@@ -182,6 +207,12 @@ pub struct ReadSimulator<'a> {
     /// transcript is long enough to yield a full-length read.
     transcripts: Vec<(&'a Gene, DnaSeq, f64)>,
     total_weight: f64,
+    /// Chromosomes longer than a read, as (contig index, cumulative length): a
+    /// genomic read picks one weighted by length.
+    read_chroms: Vec<(usize, usize)>,
+    /// Contig indexes of the chromosomes longer than two reads: a genomic fragment
+    /// picks one uniformly.
+    fragment_chroms: Vec<usize>,
 }
 
 impl<'a> ReadSimulator<'a> {
@@ -210,7 +241,32 @@ impl<'a> ReadSimulator<'a> {
                 "no transcript is long enough for the requested read length".into(),
             ));
         }
-        Ok(ReadSimulator { assembly, params, rng, transcripts, total_weight: cum })
+        // Scaffolds are excluded: reads come from the cell, and the cell transcribes
+        // chromosomal loci.
+        let chromosomes_longer_than = |len: usize| {
+            assembly
+                .contigs
+                .iter()
+                .enumerate()
+                .filter(move |(_, c)| c.kind == ContigKind::Chromosome && c.len() > len)
+        };
+        let mut end = 0;
+        let read_chroms = chromosomes_longer_than(params.read_len)
+            .map(|(i, c)| {
+                end += c.len();
+                (i, end)
+            })
+            .collect();
+        let fragment_chroms = chromosomes_longer_than(2 * params.read_len).map(|(i, _)| i).collect();
+        Ok(ReadSimulator {
+            assembly,
+            params,
+            rng,
+            transcripts,
+            total_weight: cum,
+            read_chroms,
+            fragment_chroms,
+        })
     }
 
     /// The parameters in use.
@@ -218,9 +274,32 @@ impl<'a> ReadSimulator<'a> {
         &self.params
     }
 
+    /// The Phred score every base of a simulated record carries.
+    pub fn quality(&self) -> u8 {
+        self.params.base_quality.min(MAX_PHRED)
+    }
+
     /// Simulate `n` reads with ids `"{prefix}.{i}"`.
     pub fn simulate(&mut self, n: usize, prefix: &str) -> Vec<SimulatedRead> {
-        (0..n).map(|i| self.one_read(format!("{prefix}.{}", i + 1))).collect()
+        (0..n)
+            .map(|i| {
+                let mut codes = Vec::with_capacity(self.params.read_len);
+                let source = self.read_into(&mut codes);
+                let id = format!("{prefix}.{}", i + 1);
+                SimulatedRead { fastq: self.record(id, codes), origin: self.origin(source) }
+            })
+            .collect()
+    }
+
+    /// The reads [`ReadSimulator::simulate`] makes, as base codes only: each read is
+    /// handed to `sink` and then overwritten by the next, so no id, quality or origin
+    /// is built and nothing is allocated per read.
+    pub fn simulate_codes(&mut self, n: usize, mut sink: impl FnMut(&[u8])) {
+        let mut codes = Vec::with_capacity(self.params.read_len);
+        for _ in 0..n {
+            self.read_into(&mut codes);
+            sink(&codes);
+        }
     }
 
     /// Simulate `n` read *pairs* in Illumina FR orientation: R1 is the fragment's 5'
@@ -228,39 +307,127 @@ impl<'a> ReadSimulator<'a> {
     /// lengths are Gaussian (`fragment_mean`, `fragment_sd`), clamped to
     /// `[read_len, source length]`. Junk fragments produce junk on both mates.
     pub fn simulate_pairs(&mut self, n: usize, prefix: &str) -> Vec<PairedRead> {
-        (0..n).map(|i| self.one_pair(format!("{prefix}.{}", i + 1))).collect()
+        (0..n)
+            .map(|i| {
+                let mut m1 = Vec::with_capacity(self.params.read_len);
+                let mut m2 = Vec::with_capacity(self.params.read_len);
+                let (source, fragment_len) = self.pair_into(&mut m1, &mut m2);
+                PairedRead {
+                    r1: self.record(format!("{prefix}.{}/1", i + 1), m1),
+                    r2: self.record(format!("{prefix}.{}/2", i + 1), m2),
+                    origin: self.origin(source),
+                    fragment_len,
+                }
+            })
+            .collect()
     }
 
-    fn one_pair(&mut self, id: String) -> PairedRead {
-        let p = self.params.clone();
-        let roll: f64 = self.rng.gen();
-        let (fragment, origin) = if roll < p.exonic_fraction && !self.transcripts.is_empty() {
-            self.transcript_fragment()
-        } else if roll < p.exonic_fraction + p.genomic_fraction {
-            self.genomic_fragment()
-        } else {
-            // Junk pair: two independent junk reads of one class.
-            let (s1, origin) = self.junk_read();
-            let (s2, _) = self.junk_read();
-            let r1 = FastqRecord::with_uniform_quality(format!("{id}/1"), s1, p.base_quality);
-            let r2 = FastqRecord::with_uniform_quality(format!("{id}/2"), s2, p.base_quality);
-            return PairedRead { r1, r2, origin, fragment_len: 0 };
+    /// The pairs [`ReadSimulator::simulate_pairs`] makes, as the base codes of both
+    /// mates, like [`ReadSimulator::simulate_codes`].
+    pub fn simulate_pair_codes(&mut self, n: usize, mut sink: impl FnMut(&[u8], &[u8])) {
+        let mut m1 = Vec::with_capacity(self.params.read_len);
+        let mut m2 = Vec::with_capacity(self.params.read_len);
+        for _ in 0..n {
+            self.pair_into(&mut m1, &mut m2);
+            sink(&m1, &m2);
+        }
+    }
+
+    fn record(&self, id: String, codes: Vec<u8>) -> FastqRecord {
+        FastqRecord::with_uniform_quality(id, DnaSeq::from_codes(codes), self.params.base_quality)
+    }
+
+    fn origin(&self, source: Source) -> ReadOrigin {
+        match source {
+            Source::Transcript { transcript, offset } => ReadOrigin::Transcript {
+                gene_id: self.transcripts[transcript].0.id.clone(),
+                offset,
+            },
+            Source::Genomic { contig, pos } => {
+                ReadOrigin::Genomic { contig: self.assembly.contigs[contig].name.clone(), pos }
+            }
+            Source::Junk(class) => ReadOrigin::Junk(class),
+        }
+    }
+
+    /// The `len` bases at `source`; `None` for junk, which has no reference.
+    fn source_codes(&self, source: Source, len: usize) -> Option<&[u8]> {
+        let (seq, at) = match source {
+            Source::Transcript { transcript, offset } => (&self.transcripts[transcript].1, offset),
+            Source::Genomic { contig, pos } => (&self.assembly.contigs[contig].seq, pos),
+            Source::Junk(_) => return None,
         };
-        let flen = fragment.len();
-        let mut m1 = fragment.subseq(0, p.read_len);
-        let mut m2 = fragment.subseq(flen - p.read_len, flen).reverse_complement();
-        apply_errors(&mut m1, p.error_rate, &mut self.rng);
-        apply_errors(&mut m2, p.error_rate, &mut self.rng);
+        Some(&seq.codes()[at..at + len])
+    }
+
+    /// The generator core of one read: writes its `read_len` codes into `codes`
+    /// (cleared first), substitution errors and strand included.
+    fn read_into(&mut self, codes: &mut Vec<u8>) -> Source {
+        codes.clear();
+        let p = &self.params;
+        let (exonic, genomic, read_len) = (p.exonic_fraction, p.genomic_fraction, p.read_len);
+        let roll: f64 = self.rng.gen();
+        let source = if roll < exonic && !self.transcripts.is_empty() {
+            let (transcript, offset, _) = self.transcript_window(false);
+            Source::Transcript { transcript, offset }
+        } else if roll < exonic + genomic {
+            match self.genomic_read() {
+                Some(source) => source,
+                None => Source::Junk(self.junk_read(codes)),
+            }
+        } else {
+            Source::Junk(self.junk_read(codes))
+        };
+        if let Some(bases) = self.source_codes(source, read_len) {
+            codes.extend_from_slice(bases);
+        }
+        apply_errors(codes, self.params.error_rate, &mut self.rng);
+        // Reads come off either strand of the cDNA.
+        if self.rng.gen_bool(0.5) {
+            codes.reverse();
+            complement(codes);
+        }
+        source
+    }
+
+    /// The generator core of one pair: writes both mates into `m1` and `m2` (cleared
+    /// first) and returns the fragment's source and length.
+    fn pair_into(&mut self, m1: &mut Vec<u8>, m2: &mut Vec<u8>) -> (Source, usize) {
+        m1.clear();
+        m2.clear();
+        let p = &self.params;
+        let (exonic, genomic, read_len) = (p.exonic_fraction, p.genomic_fraction, p.read_len);
+        let roll: f64 = self.rng.gen();
+        let (source, flen) = if roll < exonic && !self.transcripts.is_empty() {
+            let (transcript, offset, flen) = self.transcript_window(true);
+            (Source::Transcript { transcript, offset }, flen)
+        } else if roll < exonic + genomic {
+            match self.genomic_fragment() {
+                Some(fragment) => fragment,
+                // No chromosome to cut from: one junk read is the whole fragment.
+                None => (Source::Junk(self.junk_read(m1)), read_len),
+            }
+        } else {
+            // Junk pair: two independent junk reads; the first one's class names it.
+            let class = self.junk_read(m1);
+            self.junk_read(m2);
+            return (Source::Junk(class), 0);
+        };
+        match self.source_codes(source, flen) {
+            Some(fragment) => {
+                m1.extend_from_slice(&fragment[..read_len]);
+                m2.extend(fragment[flen - read_len..].iter().rev());
+            }
+            None => m2.extend(m1.iter().rev()),
+        }
+        complement(m2);
+        apply_errors(m1, self.params.error_rate, &mut self.rng);
+        apply_errors(m2, self.params.error_rate, &mut self.rng);
         // The fragment itself comes off either strand of the cDNA: swap mates.
         if self.rng.gen_bool(0.5) {
-            std::mem::swap(&mut m1, &mut m2);
+            std::mem::swap(m1, m2);
         }
-        PairedRead {
-            r1: FastqRecord::with_uniform_quality(format!("{id}/1"), m1, p.base_quality),
-            r2: FastqRecord::with_uniform_quality(format!("{id}/2"), m2, p.base_quality),
-            origin,
-            fragment_len: flen,
-        }
+        (source, flen)
     }
 
     /// Draw a fragment length (Gaussian, clamped to `[read_len, cap]`).
@@ -273,133 +440,64 @@ impl<'a> ReadSimulator<'a> {
         (len.max(p.read_len as i64) as usize).min(cap)
     }
 
-    fn transcript_fragment(&mut self) -> (DnaSeq, ReadOrigin) {
+    /// A transcript by expression weight (binary search on the cumulative weights)
+    /// and a window on it, `read_len` long or, for a fragment, of a drawn length:
+    /// `(transcript, start, length)`.
+    fn transcript_window(&mut self, fragment: bool) -> (usize, usize, usize) {
         let x: f64 = self.rng.gen::<f64>() * self.total_weight;
         let idx = self.transcripts.partition_point(|&(_, _, cum)| cum < x).min(self.transcripts.len() - 1);
         let t_len = self.transcripts[idx].1.len();
-        let flen = self.fragment_len(t_len);
-        let max_start = t_len - flen;
+        let len = if fragment { self.fragment_len(t_len) } else { self.params.read_len };
+        let max_start = t_len - len;
         let lo = match self.params.three_prime_bias {
             Some(window) if t_len > window => t_len.saturating_sub(window).min(max_start),
             _ => 0,
         };
         let start = if max_start > lo { self.rng.gen_range(lo..=max_start) } else { lo.min(max_start) };
-        let (gene, t, _) = &self.transcripts[idx];
-        (
-            t.subseq(start, start + flen),
-            ReadOrigin::Transcript { gene_id: gene.id.clone(), offset: start },
-        )
+        (idx, start, len)
     }
 
-    fn genomic_fragment(&mut self) -> (DnaSeq, ReadOrigin) {
+    /// A read-length window on a chromosome picked by length; `None` when no
+    /// chromosome is longer than a read.
+    fn genomic_read(&mut self) -> Option<Source> {
+        let &(_, total) = self.read_chroms.last()?;
+        let x = self.rng.gen_range(0..total);
+        let (contig, _) = self.read_chroms[self.read_chroms.partition_point(|&(_, end)| end <= x)];
+        let pos = self.rng.gen_range(0..self.assembly.contigs[contig].len() - self.params.read_len);
+        Some(Source::Genomic { contig, pos })
+    }
+
+    /// A fragment of drawn length on a uniformly picked chromosome; `None` when no
+    /// chromosome is longer than two reads.
+    fn genomic_fragment(&mut self) -> Option<(Source, usize)> {
+        if self.fragment_chroms.is_empty() {
+            return None;
+        }
+        let contig = self.fragment_chroms[self.rng.gen_range(0..self.fragment_chroms.len())];
+        let chrom_len = self.assembly.contigs[contig].len();
+        let flen = self.fragment_len(chrom_len);
+        // A fragment as long as its chromosome has one place to start, and no draw.
+        let pos = if flen == chrom_len { 0 } else { self.rng.gen_range(0..chrom_len - flen) };
+        Some((Source::Genomic { contig, pos }, flen))
+    }
+
+    /// Append one `read_len` junk read to `codes` and return its class.
+    fn junk_read(&mut self, codes: &mut Vec<u8>) -> JunkClass {
         let read_len = self.params.read_len;
-        let chroms: Vec<usize> = self
-            .assembly
-            .contigs
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.kind == crate::ContigKind::Chromosome && c.len() > 2 * read_len)
-            .map(|(i, _)| i)
-            .collect();
-        if chroms.is_empty() {
-            let (s, o) = self.junk_read();
-            return (s, o);
-        }
-        let ci = chroms[self.rng.gen_range(0..chroms.len())];
-        let chrom = &self.assembly.contigs[ci];
-        let flen = self.fragment_len(chrom.len());
-        let pos = self.rng.gen_range(0..chrom.len() - flen);
-        (
-            chrom.seq.subseq(pos, pos + flen),
-            ReadOrigin::Genomic { contig: chrom.name.clone(), pos },
-        )
-    }
-
-    fn one_read(&mut self, id: String) -> SimulatedRead {
-        let p = self.params.clone();
-        let roll: f64 = self.rng.gen();
-        let (mut seq, origin) = if roll < p.exonic_fraction && !self.transcripts.is_empty() {
-            self.transcript_read()
-        } else if roll < p.exonic_fraction + p.genomic_fraction {
-            self.genomic_read()
-        } else {
-            self.junk_read()
-        };
-        apply_errors(&mut seq, p.error_rate, &mut self.rng);
-        // Reads come off either strand of the cDNA.
-        if self.rng.gen_bool(0.5) {
-            seq = seq.reverse_complement();
-        }
-        SimulatedRead { fastq: FastqRecord::with_uniform_quality(id, seq, p.base_quality), origin }
-    }
-
-    fn transcript_read(&mut self) -> (DnaSeq, ReadOrigin) {
-        let p = &self.params;
-        // Weighted gene choice via binary search on cumulative weights.
-        let x: f64 = self.rng.gen::<f64>() * self.total_weight;
-        let idx = self.transcripts.partition_point(|&(_, _, cum)| cum < x).min(self.transcripts.len() - 1);
-        let (gene, t, _) = &self.transcripts[idx];
-        let max_start = t.len() - p.read_len;
-        let lo = match p.three_prime_bias {
-            Some(window) if t.len() > window => t.len().saturating_sub(window).min(max_start),
-            _ => 0,
-        };
-        let start = if max_start > lo { self.rng.gen_range(lo..=max_start) } else { lo.min(max_start) };
-        (
-            t.subseq(start, start + p.read_len),
-            ReadOrigin::Transcript { gene_id: gene.id.clone(), offset: start },
-        )
-    }
-
-    fn genomic_read(&mut self) -> (DnaSeq, ReadOrigin) {
-        let p = &self.params;
-        // Sample a chromosome weighted by length (scaffolds excluded: reads come from
-        // the cell, and the cell transcribes chromosomal loci).
-        let chroms: Vec<_> = self.assembly.chromosomes().filter(|c| c.len() > p.read_len).collect();
-        if chroms.is_empty() {
-            return self.junk_read();
-        }
-        let total: usize = chroms.iter().map(|c| c.len()).sum();
-        let mut x = self.rng.gen_range(0..total);
-        let mut chosen = chroms[0];
-        for c in &chroms {
-            if x < c.len() {
-                chosen = c;
-                break;
-            }
-            x -= c.len();
-        }
-        let pos = self.rng.gen_range(0..chosen.len() - p.read_len);
-        (
-            chosen.seq.subseq(pos, pos + p.read_len),
-            ReadOrigin::Genomic { contig: chosen.name.clone(), pos },
-        )
-    }
-
-    fn junk_read(&mut self) -> (DnaSeq, ReadOrigin) {
-        let p = self.params.clone();
         let x: f64 = self.rng.gen();
         let mut acc = 0.0;
         let mut class = JunkClass::Random;
-        for &(c, w) in &p.junk_mix {
+        for &(c, w) in &self.params.junk_mix {
             acc += w;
             if x < acc {
                 class = c;
                 break;
             }
         }
-        let seq = match class {
-            JunkClass::PolyA => DnaSeq::from_codes(vec![Base::A.code(); p.read_len]),
-            JunkClass::Adapter => {
-                // Adapter fragment tiled to read length.
-                let adapter: DnaSeq = ADAPTER.parse().expect("static adapter parses");
-                let mut s = DnaSeq::with_capacity(p.read_len);
-                while s.len() < p.read_len {
-                    let take = (p.read_len - s.len()).min(adapter.len());
-                    s.extend_from(&adapter.subseq(0, take));
-                }
-                s
-            }
+        match class {
+            JunkClass::PolyA => codes.resize(codes.len() + read_len, Base::A.code()),
+            // Adapter fragment tiled to read length.
+            JunkClass::Adapter => codes.extend(ADAPTER.iter().cycle().take(read_len)),
             JunkClass::LowComplexity => {
                 // Random dinucleotide repeated, e.g. CACACA...
                 let a = Base::random(&mut self.rng);
@@ -407,30 +505,29 @@ impl<'a> ReadSimulator<'a> {
                 while b == a {
                     b = Base::random(&mut self.rng);
                 }
-                let mut s = DnaSeq::with_capacity(p.read_len);
-                for i in 0..p.read_len {
-                    s.push(if i % 2 == 0 { a } else { b });
-                }
-                s
+                codes.extend((0..read_len).map(|i| (if i % 2 == 0 { a } else { b }).code()));
             }
-            JunkClass::Random => DnaSeq::random(&mut self.rng, p.read_len),
-        };
-        (seq, ReadOrigin::Junk(class))
+            JunkClass::Random => codes.extend((0..read_len).map(|_| Base::random(&mut self.rng).code())),
+        }
+        class
     }
 }
 
 /// In-place i.i.d. substitution errors.
-fn apply_errors<R: Rng + ?Sized>(seq: &mut DnaSeq, rate: f64, rng: &mut R) {
+fn apply_errors<R: Rng + ?Sized>(codes: &mut [u8], rate: f64, rng: &mut R) {
     if rate <= 0.0 {
         return;
     }
-    let mut codes = seq.codes().to_vec();
-    for c in codes.iter_mut() {
+    for c in codes {
         if rng.gen_bool(rate) {
             *c = (*c + rng.gen_range(1..4u8)) % 4;
         }
     }
-    *seq = DnaSeq::from_codes(codes);
+}
+
+/// Watson–Crick complement of every code, in place.
+fn complement(codes: &mut [u8]) {
+    codes.iter_mut().for_each(|c| *c = 3 - *c);
 }
 
 /// Sample exp(N(mu, sigma²)) via Box–Muller (avoids a rand_distr dependency).
@@ -647,6 +744,74 @@ mod tests {
         for (x, y) in r1.iter().zip(&r2) {
             assert_eq!(x.fastq, y.fastq);
             assert_eq!(x.origin, y.origin);
+        }
+    }
+
+    #[test]
+    fn code_streams_are_the_records_bases() {
+        let (a, ann) = setup();
+        for library in [LibraryType::BulkPolyA, LibraryType::SingleCell3Prime] {
+            let p = SimulatorParams::for_library(library);
+            let reads = ReadSimulator::new(&a, &ann, p.clone(), 13).unwrap().simulate(300, "C");
+            let mut codes = Vec::new();
+            let mut sim = ReadSimulator::new(&a, &ann, p.clone(), 13).unwrap();
+            sim.simulate_codes(300, |read| codes.push(read.to_vec()));
+            assert!(reads.iter().map(|r| r.fastq.seq.codes()).eq(codes.iter().map(Vec::as_slice)));
+            assert!(reads.iter().all(|r| r.fastq.qual.iter().all(|&q| q == sim.quality())));
+
+            let pairs = ReadSimulator::new(&a, &ann, p.clone(), 14).unwrap().simulate_pairs(300, "C");
+            let mut mates = Vec::new();
+            let mut sim = ReadSimulator::new(&a, &ann, p, 14).unwrap();
+            sim.simulate_pair_codes(300, |r1, r2| mates.push((r1.to_vec(), r2.to_vec())));
+            let expected = pairs.iter().map(|p| (p.r1.seq.codes().to_vec(), p.r2.seq.codes().to_vec()));
+            assert!(expected.eq(mates));
+        }
+    }
+
+    /// One chromosome of `len` random bases and no genes, for genomic-only simulation.
+    fn one_chromosome(len: usize) -> (Assembly, Annotation) {
+        let seq = DnaSeq::random(&mut StdRng::seed_from_u64(len as u64), len);
+        let contig = crate::Contig { name: "1".into(), kind: ContigKind::Chromosome, seq };
+        let assembly =
+            Assembly { name: "one".into(), release: 111, kind: crate::AssemblyKind::Toplevel, contigs: vec![contig] };
+        (assembly, Annotation { genes: Vec::new() })
+    }
+
+    fn genomic_pairs(assembly: &Assembly, annotation: &Annotation) -> Vec<PairedRead> {
+        let mut p = SimulatorParams::for_library(LibraryType::BulkPolyA);
+        p.exonic_fraction = 0.0;
+        p.genomic_fraction = 1.0;
+        p.error_rate = 0.0;
+        ReadSimulator::new(assembly, annotation, p, 5).unwrap().simulate_pairs(200, "SHORT")
+    }
+
+    /// A 260-bp chromosome: fragment lengths (mean 250, sd 40) clamp to 260 often,
+    /// and such a fragment used to draw its start from an empty range and panic.
+    #[test]
+    fn a_fragment_as_long_as_its_chromosome_starts_at_zero() {
+        let (a, ann) = one_chromosome(260);
+        let chrom = &a.contigs[0].seq;
+        let pairs = genomic_pairs(&a, &ann);
+        assert!(pairs.iter().any(|pair| pair.fragment_len == 260), "premise: a fragment spans the chromosome");
+        for pair in &pairs {
+            let ReadOrigin::Genomic { pos, .. } = pair.origin else { panic!("genomic only") };
+            assert!(pair.fragment_len < 260 || pos == 0, "fragment of 260 at {pos}");
+            let fragment = chrom.subseq(pos, pos + pair.fragment_len);
+            let m5 = fragment.subseq(0, 100);
+            let m3 = fragment.subseq(pair.fragment_len - 100, pair.fragment_len).reverse_complement();
+            assert!((pair.r1.seq == m5 && pair.r2.seq == m3) || (pair.r1.seq == m3 && pair.r2.seq == m5));
+        }
+    }
+
+    /// With no chromosome longer than two reads, a genomic fragment is one junk read
+    /// and the mates are it and its reverse complement.
+    #[test]
+    fn without_a_long_enough_chromosome_a_fragment_is_one_junk_read() {
+        let (a, ann) = one_chromosome(150);
+        for pair in genomic_pairs(&a, &ann) {
+            assert!(matches!(pair.origin, ReadOrigin::Junk(_)), "{:?}", pair.origin);
+            assert_eq!(pair.fragment_len, 100);
+            assert_eq!(pair.r2.seq, pair.r1.seq.reverse_complement());
         }
     }
 

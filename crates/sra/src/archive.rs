@@ -6,9 +6,12 @@
 //! archives re-expand ~8× when dumped to FASTQ, which is what makes `fasterq-dump` a
 //! real pipeline stage worth modeling).
 //!
-//! The codec is by hand and needs no cursor: `encode*` pushes little-endian fields
-//! into the `Vec<u8>` the archive then owns, and the header is a fixed
-//! [`HEADER_SIZE`] bytes, so `from_bytes` reads it at constant offsets.
+//! The codec is by hand and needs no cursor. One writer (`ArchiveWriter`, behind
+//! `encode*` and `SraRepository::fetch`) pushes little-endian fields into the
+//! `Vec<u8>` the archive then owns; the header is a fixed [`HEADER_SIZE`] bytes, so
+//! `from_bytes` reads it at constant offsets. One decoder (`record`, behind
+//! `decode_read` and `FasterqDump::run`) unpacks a read through a byte → four-codes
+//! table.
 
 use crate::accession::{LibraryLayout, LibraryStrategy};
 use crate::SraError;
@@ -64,47 +67,16 @@ impl SraArchive {
         layout: LibraryLayout,
         reads: impl Iterator<Item = &'a FastqRecord> + Clone,
     ) -> Result<SraArchive, SraError> {
-        if accession.len() > MAX_ID_LEN {
-            return Err(SraError::InvalidParams(format!(
-                "accession id is {} bytes, an archive holds at most {MAX_ID_LEN}",
-                accession.len()
-            )));
-        }
-        let read_len = reads.clone().next().map_or(0, |r| r.seq.len() as u32);
-        if reads.clone().any(|r| r.seq.len() as u32 != read_len) {
+        let read_len = reads.clone().next().map_or(0, |r| r.seq.len());
+        let mut writer =
+            ArchiveWriter::new(accession, strategy, layout, read_len, reads.clone().count())?;
+        if reads.clone().any(|r| r.seq.len() != read_len) {
             return Err(SraError::InvalidParams("reads must have uniform length".into()));
         }
-        let n_reads = reads.clone().count();
-        let packed_per_read = (read_len as usize).div_ceil(4);
-        let mut blob =
-            Vec::with_capacity(HEADER_SIZE + accession.len() + n_reads * (packed_per_read + 1));
-        blob.extend_from_slice(MAGIC);
-        blob.push(strategy_code(strategy));
-        blob.push(match layout {
-            LibraryLayout::Single => 0,
-            LibraryLayout::Paired => 1,
-        });
-        blob.extend_from_slice(&(n_reads as u64).to_le_bytes());
-        blob.extend_from_slice(&read_len.to_le_bytes());
-        blob.extend_from_slice(&(accession.len() as u32).to_le_bytes());
-        blob.extend_from_slice(accession.as_bytes());
         for r in reads {
-            // 2-bit pack.
-            let mut word = 0u8;
-            for (i, &code) in r.seq.codes().iter().enumerate() {
-                word |= code << ((i % 4) * 2);
-                if i % 4 == 3 {
-                    blob.push(word);
-                    word = 0;
-                }
-            }
-            if !(read_len as usize).is_multiple_of(4) {
-                blob.push(word);
-            }
-            // Representative quality: the mean Phred rounded.
-            blob.push(r.mean_quality().round() as u8);
+            writer.push(r.seq.codes(), quality_byte(&r.qual));
         }
-        Ok(SraArchive { accession: accession.to_string(), strategy, layout, read_len, blob })
+        Ok(writer.finish())
     }
 
     /// Wrap raw bytes (e.g. fetched from the object store), validating the header.
@@ -153,11 +125,15 @@ impl SraArchive {
         }
     }
 
+    /// Bytes one read occupies in the payload: its packed bases, then its quality.
+    fn bytes_per_read(&self) -> usize {
+        (self.read_len as usize).div_ceil(4) + 1
+    }
+
     /// Total reads stored (mates count individually).
     pub fn n_reads(&self) -> u64 {
-        let per_read = (self.read_len as usize).div_ceil(4) + 1;
         let payload = self.blob.len() - HEADER_SIZE - self.accession.len();
-        (payload / per_read) as u64
+        (payload / self.bytes_per_read()) as u64
     }
 
     /// Number of spots stored (single: reads; paired: mate pairs).
@@ -180,22 +156,58 @@ impl SraArchive {
         if i >= self.n_reads() {
             return Err(SraError::CorruptArchive(format!("read index {i} out of range")));
         }
-        let per_read = (self.read_len as usize).div_ceil(4) + 1;
-        let payload_start = HEADER_SIZE + self.accession.len();
-        let off = payload_start + i as usize * per_read;
-        let packed = &self.blob[off..off + per_read - 1];
-        let qual = self.blob[off + per_read - 1];
-        let mut codes = Vec::with_capacity(self.read_len as usize);
-        for j in 0..self.read_len as usize {
-            codes.push((packed[j / 4] >> ((j % 4) * 2)) & 0b11);
+        Ok(self.record(i))
+    }
+
+    /// The read at flat index `i < n_reads()`: the one decoder behind
+    /// [`SraArchive::decode_read`] and [`crate::FasterqDump::run`]. It cannot fail,
+    /// because every archive was checked whole when it was made (`from_bytes` or the
+    /// writer). It makes three allocations — id, bases, qualities — each exactly sized.
+    pub(crate) fn record(&self, i: u64) -> FastqRecord {
+        let read_len = self.read_len as usize;
+        let per_read = self.bytes_per_read();
+        let at = HEADER_SIZE + self.accession.len() + i as usize * per_read;
+        let (packed, quality) = (&self.blob[at..at + per_read - 1], self.blob[at + per_read - 1]);
+        let (whole, tail) = packed.split_at(read_len / 4);
+        let mut codes = Vec::with_capacity(read_len);
+        for &byte in whole {
+            codes.extend_from_slice(&UNPACK[byte as usize]);
         }
-        let id = match self.layout {
-            LibraryLayout::Single => format!("{}.{}", self.accession, i + 1),
-            LibraryLayout::Paired => {
-                format!("{}.{}/{}", self.accession, i / 2 + 1, i % 2 + 1)
-            }
+        if let Some(&byte) = tail.first() {
+            codes.extend_from_slice(&UNPACK[byte as usize][..read_len % 4]);
+        }
+        FastqRecord::with_uniform_quality(self.read_id(i), DnaSeq::from_codes(codes), quality)
+    }
+
+    /// `{accession}.{spot}` for a single-end read, `{accession}.{spot}/{mate}` for a
+    /// mate; spots and mates count from 1.
+    fn read_id(&self, i: u64) -> String {
+        let (spot, mate) = match self.layout {
+            LibraryLayout::Single => (i + 1, None),
+            LibraryLayout::Paired => (i / 2 + 1, Some(i % 2 + 1)),
         };
-        Ok(FastqRecord::with_uniform_quality(id, DnaSeq::from_codes(codes), qual))
+        let mut digits = [0u8; 20];
+        let mut first = digits.len();
+        let mut rest = spot;
+        loop {
+            first -= 1;
+            digits[first] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        let digits = &digits[first..];
+        let mate_len = if mate.is_some() { 2 } else { 0 };
+        let mut id = String::with_capacity(self.accession.len() + 1 + digits.len() + mate_len);
+        id.push_str(&self.accession);
+        id.push('.');
+        digits.iter().for_each(|&d| id.push(d as char));
+        if let Some(mate) = mate {
+            id.push('/');
+            id.push((b'0' + mate as u8) as char);
+        }
+        id
     }
 
     /// Decode the mate pair at spot `i` (paired archives only).
@@ -208,7 +220,7 @@ impl SraArchive {
 
     /// Decode every read (see [`crate::fasterq_dump`] for the parallel tool model).
     pub fn decode_all(&self) -> Result<Vec<FastqRecord>, SraError> {
-        (0..self.n_reads()).map(|i| self.decode_read(i)).collect()
+        Ok((0..self.n_reads()).map(|i| self.record(i)).collect())
     }
 
     /// Decode every mate pair (paired archives only).
@@ -216,6 +228,97 @@ impl SraArchive {
         (0..self.spots()).map(|i| self.decode_pair(i)).collect()
     }
 }
+
+/// Writes an archive read by read: the one encoder behind [`SraArchive::encode`],
+/// [`SraArchive::encode_paired`] and [`crate::SraRepository::fetch`], which packs
+/// simulated bases straight in without building a record.
+pub(crate) struct ArchiveWriter {
+    archive: SraArchive,
+    reads_left: usize,
+}
+
+impl ArchiveWriter {
+    /// Write the header of an archive of `n_reads` reads of `read_len` bases. An
+    /// archive without reads records a read length of 0.
+    pub(crate) fn new(
+        accession: &str,
+        strategy: LibraryStrategy,
+        layout: LibraryLayout,
+        read_len: usize,
+        n_reads: usize,
+    ) -> Result<ArchiveWriter, SraError> {
+        if accession.len() > MAX_ID_LEN {
+            return Err(SraError::InvalidParams(format!(
+                "accession id is {} bytes, an archive holds at most {MAX_ID_LEN}",
+                accession.len()
+            )));
+        }
+        let read_len = u32::try_from(if n_reads == 0 { 0 } else { read_len })
+            .map_err(|_| SraError::InvalidParams(format!("reads of {read_len} bases")))?;
+        let payload = n_reads * ((read_len as usize).div_ceil(4) + 1);
+        let mut blob = Vec::with_capacity(HEADER_SIZE + accession.len() + payload);
+        blob.extend_from_slice(MAGIC);
+        blob.push(strategy_code(strategy));
+        blob.push(match layout {
+            LibraryLayout::Single => 0,
+            LibraryLayout::Paired => 1,
+        });
+        blob.extend_from_slice(&(n_reads as u64).to_le_bytes());
+        blob.extend_from_slice(&read_len.to_le_bytes());
+        blob.extend_from_slice(&(accession.len() as u32).to_le_bytes());
+        blob.extend_from_slice(accession.as_bytes());
+        let archive = SraArchive { accession: accession.to_string(), strategy, layout, read_len, blob };
+        Ok(ArchiveWriter { archive, reads_left: n_reads })
+    }
+
+    /// Append one read: its base codes packed four to a byte, the first base in the
+    /// low bits and a short tail zero-padded, then its representative quality.
+    pub(crate) fn push(&mut self, codes: &[u8], quality: u8) {
+        assert!(
+            self.reads_left > 0 && codes.len() == self.archive.read_len as usize,
+            "read of {} bases pushed to an archive of {}-base reads with {} to go",
+            codes.len(),
+            self.archive.read_len,
+            self.reads_left
+        );
+        self.reads_left -= 1;
+        let blob = &mut self.archive.blob;
+        let (whole, tail) = codes.as_chunks::<4>();
+        blob.extend(whole.iter().map(|&[a, b, c, d]| a | b << 2 | c << 4 | d << 6));
+        if !tail.is_empty() {
+            blob.push(tail.iter().rev().fold(0, |byte, &code| byte << 2 | code));
+        }
+        blob.push(quality);
+    }
+
+    /// The archive, once every read the header counts is written.
+    pub(crate) fn finish(self) -> SraArchive {
+        assert_eq!(self.reads_left, 0, "archive finished short of its header's read count");
+        self.archive
+    }
+}
+
+/// A record's representative quality: its mean Phred score, rounded. A sum of `u8`s
+/// is exact in `f64`, so this is bit-equal to `FastqRecord::mean_quality().round()`.
+fn quality_byte(qual: &[u8]) -> u8 {
+    if qual.is_empty() {
+        return 0;
+    }
+    let sum: u64 = qual.iter().map(|&q| q as u64).sum();
+    (sum as f64 / qual.len() as f64).round() as u8
+}
+
+/// Each byte's four base codes, first base in the low bits.
+const UNPACK: [[u8; 4]; 256] = {
+    let mut table = [[0; 4]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let b = byte as u8;
+        table[byte] = [b & 3, b >> 2 & 3, b >> 4 & 3, b >> 6];
+        byte += 1;
+    }
+    table
+};
 
 fn strategy_code(s: LibraryStrategy) -> u8 {
     match s {

@@ -10,8 +10,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::accession::AccessionMeta;
-use crate::archive::SraArchive;
+use crate::accession::{AccessionMeta, LibraryLayout};
+use crate::archive::{ArchiveWriter, SraArchive};
 use crate::SraError;
 use genomics::{Annotation, Assembly, ReadSimulator, SimulatorParams};
 
@@ -70,29 +70,32 @@ impl SraRepository {
         v
     }
 
-    /// Materialize an accession's archive (the repository side of `prefetch`).
+    /// Materialize an accession's archive (the repository side of `prefetch`). Every
+    /// fetch simulates every read, and packs its bases straight into the archive.
     pub fn fetch(&self, id: &str) -> Result<SraArchive, SraError> {
         let meta = self.meta(id)?;
-        let n = self.spot_cap.map_or(meta.spots, |cap| meta.spots.min(cap));
+        let spots = self.spot_cap.map_or(meta.spots, |cap| meta.spots.min(cap)) as usize;
         let mut params = SimulatorParams::for_library(meta.strategy.library_type());
         params.read_len = meta.read_len as usize;
         let mut sim =
             ReadSimulator::new(&self.assembly, &self.annotation, params, meta.content_seed())?;
+        let quality = sim.quality();
+        let n_reads = spots * meta.reads_per_spot() as usize;
+        let mut archive = ArchiveWriter::new(
+            &meta.id,
+            meta.strategy,
+            meta.layout,
+            meta.read_len as usize,
+            n_reads,
+        )?;
         match meta.layout {
-            crate::accession::LibraryLayout::Single => {
-                let reads: Vec<genomics::FastqRecord> =
-                    sim.simulate(n as usize, &meta.id).into_iter().map(|r| r.fastq).collect();
-                SraArchive::encode(&meta.id, meta.strategy, &reads)
-            }
-            crate::accession::LibraryLayout::Paired => {
-                let pairs: Vec<(genomics::FastqRecord, genomics::FastqRecord)> = sim
-                    .simulate_pairs(n as usize, &meta.id)
-                    .into_iter()
-                    .map(|p| (p.r1, p.r2))
-                    .collect();
-                SraArchive::encode_paired(&meta.id, meta.strategy, &pairs)
-            }
+            LibraryLayout::Single => sim.simulate_codes(spots, |read| archive.push(read, quality)),
+            LibraryLayout::Paired => sim.simulate_pair_codes(spots, |r1, r2| {
+                archive.push(r1, quality);
+                archive.push(r2, quality);
+            }),
         }
+        Ok(archive.finish())
     }
 }
 
