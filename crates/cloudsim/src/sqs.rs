@@ -35,6 +35,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::CloudError;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, DefaultHasher};
 
 /// Receipt handle returned by [`SqsQueue::receive`]; required to delete or extend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -72,8 +73,11 @@ pub struct SqsQueue<M> {
     /// due, so a lease extension simply strands the old entry.
     expiries: BinaryHeap<Reverse<(SimTime, usize)>>,
     /// Live receipt → message index. Lookup-only: never iterated, so the map's
-    /// internal order cannot influence anything observable.
-    receipts: HashMap<u64, usize>,
+    /// internal order cannot influence anything observable. Fixed-key hashing
+    /// makes its allocations repeat too: with a per-process random key, where
+    /// removals leave tombstones — and so when the table regrows — varied from
+    /// run to run.
+    receipts: HashMap<u64, usize, BuildHasherDefault<DefaultHasher>>,
     default_visibility: SimDuration,
     next_receipt: u64,
     /// Deliveries allowed before a message dead-letters (None = unbounded).
@@ -91,7 +95,7 @@ impl<M: Clone> SqsQueue<M> {
             messages: Vec::new(),
             visible: VecDeque::new(),
             expiries: BinaryHeap::new(),
-            receipts: HashMap::new(),
+            receipts: HashMap::default(),
             default_visibility,
             next_receipt: 1,
             max_receive_count: None,

@@ -2,9 +2,11 @@
 //!
 //! Three fixed-seed `ModeledWorkload` campaigns (2 000 / 4 000 / 8 000 accessions,
 //! nothing but kernel and telemetry) run under the shared counting allocator with
-//! telemetry off, with the recorder only, and with the live monitor + SLO engine,
-//! each once with recovery off and once with recovery armed on a spot market that
-//! never reclaims. Every number below is exact for the seed — identical across
+//! telemetry off, with the recorder only, with the live monitor + SLO engine, and
+//! with telemetry off under `FaultPlan::chaos` (so the fault rolls, retries,
+//! crashes and redeliveries are billed too), each once with recovery off and once
+//! with recovery armed on a spot market that never reclaims. Every number below
+//! is exact for the seed — identical across
 //! runs and across debug and release — so this is the merge gate the host's
 //! 0.78–1.35× wall-clock drift cannot blur:
 //!
@@ -34,7 +36,7 @@ mod counting_alloc;
 use atlas_pipeline::orchestrator::{CampaignConfig, Orchestrator};
 use atlas_pipeline::{ModeledWorkload, RecoveryConfig};
 use cloudsim::instance::InstanceType;
-use cloudsim::{ScalingPolicy, SimDuration, SpotMarket};
+use cloudsim::{FaultPlan, ScalingPolicy, SimDuration, SpotMarket};
 use counting_alloc::{tracked, CountingAlloc};
 use telemetry::{MonitorConfig, SloConfig, SloRegistry};
 
@@ -43,24 +45,27 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 const SIZES: [usize; 3] = [2_000, 4_000, 8_000];
 
-/// One observer tier and what a campaign of `SIZES[2]` accessions costs under it.
+/// One observer tier (and fault plan) and what a campaign of `SIZES[2]`
+/// accessions costs under it.
 struct Tier {
     name: &'static str,
     recorder: bool,
     monitor_and_slo: bool,
+    /// Run `FaultPlan::chaos`: the fault rolls, retries and redeliveries are billed too.
+    chaos: bool,
     calls: u64,
     bytes: usize,
+    sim_events: u64,
     spans: usize,
     events: usize,
 }
 
-const TIERS: [Tier; 3] = [
-    Tier { name: "telemetry off", recorder: false, monitor_and_slo: false, calls: 105_125, bytes: 19_862_060, spans: 0, events: 0 },
-    Tier { name: "recorder only", recorder: true, monitor_and_slo: false, calls: 485_048, bytes: 68_323_451, spans: 64_065, events: 18_260 },
-    Tier { name: "monitor + SLO", recorder: true, monitor_and_slo: true, calls: 652_960, bytes: 109_599_817, spans: 64_065, events: 57_034 },
+const TIERS: [Tier; 4] = [
+    Tier { name: "telemetry off", recorder: false, monitor_and_slo: false, chaos: false, calls: 105_125, bytes: 19_862_060, sim_events: 24_107, spans: 0, events: 0 },
+    Tier { name: "recorder only", recorder: true, monitor_and_slo: false, chaos: false, calls: 485_048, bytes: 68_323_451, sim_events: 24_107, spans: 64_065, events: 18_260 },
+    Tier { name: "monitor + SLO", recorder: true, monitor_and_slo: true, chaos: false, calls: 652_960, bytes: 109_599_817, sim_events: 24_107, spans: 64_065, events: 57_034 },
+    Tier { name: "chaos, off", recorder: false, monitor_and_slo: false, chaos: true, calls: 128_674, bytes: 22_560_988, sim_events: 28_032, spans: 0, events: 0 },
 ];
-/// Events the kernel dispatches for `SIZES[2]` accessions, in every tier.
-const SIM_EVENTS: u64 = 24_107;
 
 fn config(tier: &Tier, recovery: bool) -> CampaignConfig {
     let t = InstanceType::by_name("r6a.xlarge").unwrap();
@@ -75,6 +80,9 @@ fn config(tier: &Tier, recovery: bool) -> CampaignConfig {
     if tier.monitor_and_slo {
         cfg.monitor = Some(MonitorConfig::standard());
         cfg.slo = Some(SloConfig { registry: SloRegistry::standard(4.0 * 3600.0, 3600.0, 0.25) });
+    }
+    if tier.chaos {
+        cfg.faults = Some(FaultPlan::chaos(2024));
     }
     if recovery {
         cfg.recovery = Some(RecoveryConfig::default());
@@ -109,7 +117,7 @@ fn measure(tier: &Tier, n: usize, recovery: bool) -> Cell {
     orch.run(&ModeledWorkload::accessions(100)).unwrap();
     let ids = ModeledWorkload::accessions(n);
     let (report, seen) = tracked(|| orch.run(&ids).unwrap());
-    assert_eq!(report.completed.len(), n);
+    assert_eq!(report.completed.len() + report.dead_lettered.len(), n);
     assert_eq!((report.interruptions, report.salvaged_compute_secs), (0, 0.0));
     let (spans, events, log_bytes) =
         report.telemetry.as_ref().map_or((0, 0, 0), |t| (t.n_spans, t.n_events, t.event_log.len()));
@@ -166,7 +174,7 @@ fn observer_cost_is_exact_bounded_and_does_not_grow_with_the_campaign() {
         let (small, large) = (&off_cells[0], &off_cells[2]);
         assert_eq!(
             (large.outcome.sim_events, large.outcome.spans, large.outcome.events),
-            (SIM_EVENTS, want.spans, want.events),
+            (want.sim_events, want.spans, want.events),
             "{name}: sim_events, spans, events"
         );
         assert!(
