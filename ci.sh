@@ -109,6 +109,11 @@ if grep -nE 'BTree(Map|Set)<String|HashMap<String' crates/atlas/src/campaign.rs 
     echo "string-keyed per-accession state in the campaign: key it by campaign::Acc" >&2
     exit 1
 fi
+# The store's name-keyed map sits in cloudsim, out of the grep above: the campaign stores the index manifest and nothing per accession.
+if grep -nE '\bstore\.(put|delete)' crates/atlas/src/campaign.rs | grep -vF 'store.put("index/manifest",'; then
+    echo "crates/atlas/src/campaign.rs writes to its ObjectStore beyond the index manifest" >&2
+    exit 1
+fi
 cargo build --release --offline -p atlas-bench --bin bench_compare
 ./target/release/bench_compare benchmarks/baseline benchmarks/baseline
 # What observers and an armed-but-idle recovery layer cost, counted under the

@@ -96,7 +96,8 @@ pub(crate) struct Campaign<'a> {
     accessions: &'a [String],
     events: Kernel<Event>,
     sqs: SqsQueue<Acc>,
-    /// Holds the index manifest instances GET at init and the uploaded results.
+    /// Holds the index manifest instances GET at init: its one object. Result
+    /// uploads are charged against it and not kept.
     store: ObjectStore,
     injector: FaultInjector,
     fleet: Fleet,
@@ -215,14 +216,12 @@ impl<'a> Campaign<'a> {
         let pending = self.sqs.pending_count();
         let decision = self.fleet.asg().evaluate(pending);
         if decision.launch > 0 {
-            rec.event(
-                now.as_secs(),
-                "scale_out",
+            self.obs.event(now.as_secs(), "scale_out", || {
                 vec![
                     ("launch", JsonValue::from(decision.launch as u64)),
                     ("pending", JsonValue::from(pending)),
-                ],
-            );
+                ]
+            });
         }
         for _ in 0..decision.launch {
             self.launch_instance(now);
@@ -230,14 +229,9 @@ impl<'a> Campaign<'a> {
         for id in decision.terminate {
             // Never scale-in a busy worker; it finishes its job first.
             if !self.fleet.is_busy(id) && self.fleet.retire(id, now) {
-                rec.event(
-                    now.as_secs(),
-                    "scale_in",
-                    vec![
-                        ("instance", JsonValue::from(id.0)),
-                        ("pending", JsonValue::from(pending)),
-                    ],
-                );
+                self.obs.event(now.as_secs(), "scale_in", || {
+                    vec![("instance", JsonValue::from(id.0)), ("pending", JsonValue::from(pending))]
+                });
             }
         }
         let active = self.fleet.asg().active_count();
@@ -273,11 +267,9 @@ impl<'a> Campaign<'a> {
             }
             Err(_) => {
                 self.fleet.retire(id, now);
-                self.obs.recorder.event(
-                    now.as_secs(),
-                    "instance_init_failed",
-                    vec![("instance", JsonValue::from(id.0))],
-                );
+                self.obs.event(now.as_secs(), "instance_init_failed", || {
+                    vec![("instance", JsonValue::from(id.0))]
+                });
             }
         }
         if cfg.spot {
@@ -304,8 +296,7 @@ impl<'a> Campaign<'a> {
             return Ok(());
         }
         inst.mark_running().map_err(AtlasError::Cloud)?;
-        let fields = vec![("instance", JsonValue::from(id.0))];
-        self.obs.recorder.event(now.as_secs(), "instance_ready", fields);
+        self.obs.event(now.as_secs(), "instance_ready", || vec![("instance", JsonValue::from(id.0))]);
         self.events.schedule(now, Event::Poll(id));
         Ok(())
     }
@@ -331,11 +322,10 @@ impl<'a> Campaign<'a> {
         };
         // A receive can tip a message over its allowance into the DLQ.
         for &a in self.resolution.absorb_dead_letters(self.sqs.dead_letters()) {
-            self.obs.recorder.event(
-                now.as_secs(),
-                "dead_letter",
-                vec![("accession", JsonValue::from(self.name(a)))],
-            );
+            let name = self.name(a);
+            self.obs.event(now.as_secs(), "dead_letter", || {
+                vec![("accession", JsonValue::from(name))]
+            });
             self.obs.recorder.counter_add("dead_letters", 1);
         }
         let Some((accession, receipt, count)) = msg else {
@@ -475,9 +465,11 @@ impl<'a> Campaign<'a> {
         let window = (now.as_secs() - duration, now.as_secs());
         let parent = self.fleet.job_parent(id);
         let name = self.name(job.accession);
-        let upload = self.store.put_retrying(
-            &format!("results/{name}"),
-            Arc::from(name.as_bytes()),
+        // Nothing reads a result back from the store (the report carries it), so
+        // the upload is modeled — transfer, retries, backoff — and not kept.
+        let upload = self.store.upload_retrying(
+            format_args!("results/{name}"),
+            name.len() as u64,
             &mut self.injector,
             id.0,
             &cfg.retry,
@@ -528,12 +520,15 @@ impl<'a> Campaign<'a> {
             let decided_at = now.as_secs() - duration
                 + result.stage_secs.prefix_secs(2)
                 + result.stage_secs.align_secs;
-            let mut fields = vec![
-                ("accession", JsonValue::from(self.name(accession))),
-                ("mapping_rate", JsonValue::from(result.mapping_rate)),
-            ];
-            fields.extend(result.early_stop.decision_fields());
-            rec.event(decided_at, "early_stop", fields);
+            let name = self.name(accession);
+            self.obs.event(decided_at, "early_stop", || {
+                let mut fields = vec![
+                    ("accession", JsonValue::from(name)),
+                    ("mapping_rate", JsonValue::from(result.mapping_rate)),
+                ];
+                fields.extend(result.early_stop.decision_fields());
+                fields
+            });
             rec.observe("mapping_rate_at_stop", RATE_BUCKETS, result.mapping_rate);
         }
         if let Some(account) = self.accounting.ledger_account(accession) {
@@ -555,13 +550,8 @@ impl<'a> Campaign<'a> {
         let Some(job) = self.fleet.finish(id, epoch, now) else { return };
         let wasted = job.crash_offset_secs;
         let name = self.name(job.accession);
-        self.obs.recorder.span_closed(
-            "job",
-            self.fleet.job_parent(id),
-            now.as_secs() - wasted,
-            now.as_secs(),
-            &[("accession", name.to_string()), ("outcome", "crashed".to_string())],
-        );
+        let window = (now.as_secs() - wasted, now.as_secs());
+        self.obs.lost_job_span(self.fleet.job_parent(id), name, window, "crashed");
         self.obs.job_event(now, "worker_crash", name, id, &[("wasted_secs", wasted)]);
         self.accounting.waste(job.accession, wasted);
         self.events.schedule(now + self.cfg.poll_interval, Event::Poll(id));
@@ -585,27 +575,20 @@ impl<'a> Campaign<'a> {
             return Ok(());
         }
         inst.mark_draining().map_err(AtlasError::Cloud)?;
-        self.obs.recorder.event(
-            now.as_secs(),
-            "spot_notice",
+        self.obs.event(now.as_secs(), "spot_notice", || {
             vec![
                 ("instance", JsonValue::from(id.0)),
                 ("source", JsonValue::from(source.name())),
                 ("lead_secs", JsonValue::from(reclaim_at.as_secs() - now.as_secs())),
-            ],
-        );
+            ]
+        });
         self.obs.recorder.counter_add("spot_notices", 1);
         match self.fleet.go_idle(id, now) {
             Some(job) => self.drain_job(now, id, &job),
             None => {
-                self.obs.recorder.event(
-                    now.as_secs(),
-                    "drain",
-                    vec![
-                        ("instance", JsonValue::from(id.0)),
-                        ("handed_back", JsonValue::from(false)),
-                    ],
-                );
+                self.obs.event(now.as_secs(), "drain", || {
+                    vec![("instance", JsonValue::from(id.0)), ("handed_back", JsonValue::from(false))]
+                });
                 self.obs.recorder.counter_add("drains", 1);
             }
         }
@@ -618,13 +601,8 @@ impl<'a> Campaign<'a> {
     fn drain_job(&mut self, now: SimTime, id: InstanceId, job: &Job) {
         let rec = &self.obs.recorder;
         let (accession, name) = (job.accession, self.name(job.accession));
-        rec.span_closed(
-            "job",
-            self.fleet.job_parent(id),
-            job.started_secs,
-            now.as_secs(),
-            &[("accession", name.to_string()), ("outcome", "drained".to_string())],
-        );
+        let window = (job.started_secs, now.as_secs());
+        self.obs.lost_job_span(self.fleet.job_parent(id), name, window, "drained");
         let elapsed = now.as_secs() - job.started_secs;
         // Align-stage seconds this attempt completed before the notice;
         // pre-align stages are not resumable.
@@ -636,9 +614,9 @@ impl<'a> Campaign<'a> {
                 // The checkpoint upload failed inside the notice window; the
                 // progress will be redone.
                 self.obs.job_event(now, "checkpoint_failed", name, id, &[]);
-            } else if let Some(store) = &mut self.recovery {
+            } else if let Some(checkpoints) = &mut self.recovery {
                 let offset = job.resumed_secs + align_done;
-                store.put(accession, offset, now.as_secs());
+                checkpoints.put(accession, offset, now.as_secs());
                 checkpointed = align_done;
                 self.accounting.checkpointed(accession, align_done);
                 self.obs.job_event(now, "checkpoint", name, id, &[("offset_secs", offset)]);
@@ -648,16 +626,14 @@ impl<'a> Campaign<'a> {
         // Checkpointed seconds stay out of the waste pool for now; settlement
         // reclassifies whatever no resumed attempt reuses.
         self.accounting.waste(accession, (elapsed - checkpointed).max(0.0));
-        rec.event(
-            now.as_secs(),
-            "drain",
+        self.obs.event(now.as_secs(), "drain", || {
             vec![
                 ("instance", JsonValue::from(id.0)),
                 ("accession", JsonValue::from(name)),
                 ("handed_back", JsonValue::from(true)),
                 ("checkpointed_secs", JsonValue::from(checkpointed)),
-            ],
-        );
+            ]
+        });
         rec.counter_add("drains", 1);
         // The receipt is invalidated, so the message re-delivers immediately. A
         // stale receipt (the broker already re-delivered) is fine.
@@ -672,11 +648,9 @@ impl<'a> Campaign<'a> {
         self.accounting.interruptions += 1;
         // A reclaim samples utilization even when the worker was idle.
         self.fleet.sample(now);
-        self.obs.recorder.event(
-            now.as_secs(),
-            "spot_interruption",
-            vec![("instance", JsonValue::from(id.0)), ("was_busy", JsonValue::from(was_busy))],
-        );
+        self.obs.event(now.as_secs(), "spot_interruption", || {
+            vec![("instance", JsonValue::from(id.0)), ("was_busy", JsonValue::from(was_busy))]
+        });
         self.obs.recorder.counter_add("spot_interruptions", 1);
     }
 

@@ -3,7 +3,7 @@
 //!
 //! * [`Fleet`] — a terminated instance has no job and no open span;
 //!   `busy_count` equals the number of workers holding a job; both utilization
-//!   series are sampled at every change.
+//!   integrals take a sample at every change.
 //! * [`Resolution`] — an accession is resolved exactly once: completed, or
 //!   dead-lettered without (yet) completing.
 //! * [`Accounting`] — every wasted second lands in the campaign total and (when
@@ -33,7 +33,7 @@ use cloudsim::instance::{Instance, InstanceId, InstanceType};
 use cloudsim::sqs::ReceiptHandle;
 use cloudsim::SimTime;
 use telemetry::slo::SLO_SKETCH_ALPHA;
-use telemetry::{JsonValue, Recorder, SloSignal, SpanId, TimeSeries};
+use telemetry::{JsonValue, Recorder, SloSignal, SpanId};
 
 /// One attempt at one accession, owned by the worker running it. The
 /// `JobDone` / `WorkerCrash` events only name `(instance, epoch)`; everything
@@ -72,8 +72,8 @@ pub(super) struct Fleet {
     asg: AutoScalingGroup,
     workers: Vec<Worker>,
     busy_count: usize,
-    fleet_series: TimeSeries,
-    busy_series: TimeSeries,
+    fleet_size: StepIntegral,
+    busy: StepIntegral,
     recorder: Arc<Recorder>,
     campaign_span: SpanId,
 }
@@ -87,8 +87,8 @@ impl Fleet {
             asg,
             workers: Vec::new(),
             busy_count: 0,
-            fleet_series: TimeSeries::new(),
-            busy_series: TimeSeries::new(),
+            fleet_size: StepIntegral::default(),
+            busy: StepIntegral::default(),
             recorder: Arc::clone(&obs.recorder),
             campaign_span: obs.campaign_span,
         })
@@ -123,19 +123,23 @@ impl Fleet {
     /// Launch one instance and open its span.
     pub fn launch(&mut self, now: SimTime) -> InstanceId {
         let id = self.asg.launch(now);
-        record(&mut self.fleet_series, now, self.asg.active_count());
+        self.fleet_size.record(now, self.asg.active_count());
         debug_assert_eq!(id.0 as usize, self.workers.len() + 1, "serials are dense instance ids");
-        let inst = &self.asg.instances()[self.workers.len()];
-        let span = self.recorder.span_start_attrs(
-            "instance",
-            self.campaign_span,
-            now.as_secs(),
-            &[
-                ("instance", id.0.to_string()),
-                ("itype", inst.itype.name.to_string()),
-                ("spot", inst.spot.to_string()),
-            ],
-        );
+        let span = if self.recorder.is_enabled() {
+            let inst = &self.asg.instances()[self.workers.len()];
+            self.recorder.span_start_attrs(
+                "instance",
+                self.campaign_span,
+                now.as_secs(),
+                &[
+                    ("instance", id.0.to_string()),
+                    ("itype", inst.itype.name.to_string()),
+                    ("spot", inst.spot.to_string()),
+                ],
+            )
+        } else {
+            SpanId::NONE
+        };
         self.workers.push(Worker { job: None, span });
         id
     }
@@ -147,7 +151,7 @@ impl Fleet {
             return false;
         }
         self.go_idle(id, now);
-        record(&mut self.fleet_series, now, self.asg.active_count());
+        self.fleet_size.record(now, self.asg.active_count());
         self.recorder.span_end(self.job_parent(id), now.as_secs());
         true
     }
@@ -157,7 +161,7 @@ impl Fleet {
         debug_assert!(slot.is_none(), "a worker runs one job at a time");
         *slot = Some(job);
         self.busy_count += 1;
-        record(&mut self.busy_series, now, self.busy_count);
+        self.busy.record(now, self.busy_count);
     }
 
     /// Take the worker's job away (finished, crashed, drained or reclaimed).
@@ -165,7 +169,7 @@ impl Fleet {
     pub fn go_idle(&mut self, id: InstanceId, now: SimTime) -> Option<Box<Job>> {
         let job = self.worker(id).job.take()?;
         self.busy_count -= 1;
-        record(&mut self.busy_series, now, self.busy_count);
+        self.busy.record(now, self.busy_count);
         Some(job)
     }
 
@@ -178,28 +182,73 @@ impl Fleet {
         self.go_idle(id, now)
     }
 
-    /// Sample both utilization series.
+    /// Sample both utilization step functions.
     pub fn sample(&mut self, now: SimTime) {
-        record(&mut self.fleet_series, now, self.asg.active_count());
-        record(&mut self.busy_series, now, self.busy_count);
+        self.fleet_size.record(now, self.asg.active_count());
+        self.busy.record(now, self.busy_count);
     }
 
     /// `(mean_fleet_size, busy_fraction)` over `[first launch, end]`.
     pub fn utilization(&self, end: SimTime) -> (f64, f64) {
-        let fleet_secs = self.fleet_series.integral_until(end.as_secs());
-        let busy_secs = self.busy_series.integral_until(end.as_secs());
+        let fleet_secs = self.fleet_size.integral_until(end);
+        let busy_secs = self.busy.integral_until(end);
         let busy_fraction = if fleet_secs > 0.0 { busy_secs / fleet_secs } else { 0.0 };
-        (self.fleet_series.time_weighted_mean(end.as_secs()), busy_fraction)
+        (self.fleet_size.mean_until(end), busy_fraction)
     }
 }
 
-/// Append a utilization sample unless it repeats the last one exactly: a
-/// same-instant, same-value step is zero-width and contributes nothing to the
-/// series' integrals.
-fn record(series: &mut TimeSeries, now: SimTime, count: usize) {
-    let sample = (now.as_secs(), count as f64);
-    if series.samples().last() != Some(&sample) {
-        series.record(sample.0, sample.1);
+/// A step function (a count that holds from one sample to the next) folded into
+/// its integral as the samples arrive, instead of kept as a series and
+/// integrated at settle. It performs [`telemetry::TimeSeries::integral_until`]'s
+/// float operations in the same order, so the integral and the mean are
+/// bit-identical to the series'. Valid for an `end` no earlier than the last
+/// sample — the campaign's clock is monotone and settle samples at `end`.
+#[derive(Default)]
+struct StepIntegral {
+    first_secs: Option<f64>,
+    /// The last sample, `(at, value)`.
+    last: Option<(f64, f64)>,
+    /// Integral over `[first sample, last sample]`.
+    closed: f64,
+}
+
+impl StepIntegral {
+    /// Take a sample unless it repeats the last one exactly: a same-instant,
+    /// same-value step is zero-width and adds nothing.
+    fn record(&mut self, now: SimTime, count: usize) {
+        let sample = (now.as_secs(), count as f64);
+        match self.last {
+            Some(last) if last == sample => return,
+            Some((t0, v0)) => {
+                assert!(sample.0 >= t0, "samples must be time-ordered: {} < {t0}", sample.0);
+                if sample.0 > t0 {
+                    self.closed += v0 * (sample.0 - t0);
+                }
+            }
+            None => self.first_secs = Some(sample.0),
+        }
+        self.last = Some(sample);
+    }
+
+    /// Integral over `[first sample, end]`.
+    fn integral_until(&self, end: SimTime) -> f64 {
+        let end = end.as_secs();
+        debug_assert!(!matches!(self.last, Some((t, _)) if end < t), "end precedes a sample");
+        match self.last {
+            Some((t_last, v_last)) if end > t_last => self.closed + v_last * (end - t_last),
+            _ => self.closed,
+        }
+    }
+
+    /// Time-weighted mean over `[first sample, end]` (0 for no samples or a
+    /// zero-length span).
+    fn mean_until(&self, end: SimTime) -> f64 {
+        let Some(t0) = self.first_secs else { return 0.0 };
+        let span = end.as_secs() - t0;
+        if span <= 0.0 {
+            return 0.0;
+        }
+        self.integral_until(end) / span
     }
 }
 
@@ -227,8 +276,14 @@ pub(super) struct Resolution {
 }
 
 impl Resolution {
+    /// Sized once, at submit, for `target` first completions.
     pub fn new(target: usize) -> Resolution {
-        Resolution { fates: vec![Fate::Pending; target], ..Resolution::default() }
+        Resolution {
+            fates: vec![Fate::Pending; target],
+            completed: Vec::with_capacity(target),
+            completion_order: Vec::with_capacity(target),
+            ..Resolution::default()
+        }
     }
 
     /// Accessions completed or dead-lettered without completing. O(1).
@@ -474,6 +529,19 @@ impl Observers {
         Observers { recorder, monitored, campaign_span, slo_on, usd_per_hour }
     }
 
+    /// Log `kind` at `at_secs`. `fields` is called only for a recorder that
+    /// records: a disabled one would drop them unread.
+    pub fn event(
+        &self,
+        at_secs: f64,
+        kind: &'static str,
+        fields: impl FnOnce() -> Vec<(&'static str, JsonValue)>,
+    ) {
+        if self.recorder.is_enabled() {
+            self.recorder.event(at_secs, kind, fields());
+        }
+    }
+
     /// Log `kind` about `accession` on `instance`, plus event-specific seconds.
     pub fn job_event(
         &self,
@@ -483,12 +551,29 @@ impl Observers {
         instance: InstanceId,
         extra: &[(&'static str, f64)],
     ) {
-        let mut fields = vec![
-            ("accession", JsonValue::from(accession)),
-            ("instance", JsonValue::from(instance.0)),
-        ];
-        fields.extend(extra.iter().map(|&(k, v)| (k, JsonValue::from(v))));
-        self.recorder.event(now.as_secs(), kind, fields);
+        self.event(now.as_secs(), kind, || {
+            let mut fields = vec![
+                ("accession", JsonValue::from(accession)),
+                ("instance", JsonValue::from(instance.0)),
+            ];
+            fields.extend(extra.iter().map(|&(k, v)| (k, JsonValue::from(v))));
+            fields
+        });
+    }
+
+    /// Close the `job` span of an attempt that ended with no result
+    /// (`outcome` is `crashed` or `drained`).
+    pub fn lost_job_span(
+        &self,
+        parent: SpanId,
+        accession: &str,
+        (started, ended): (f64, f64),
+        outcome: &str,
+    ) {
+        if self.recorder.is_enabled() {
+            let attrs = [("accession", accession.to_string()), ("outcome", outcome.to_string())];
+            self.recorder.span_closed("job", parent, started, ended, &attrs);
+        }
     }
 
     /// The one place an SLO sample is made (nothing when the SLO engine is
@@ -675,6 +760,35 @@ mod tests {
         obs.slo_sample(SimTime::from_secs(2.0), SloSignal::QueueWait, 1e9);
         assert_eq!((rec.n_events(), rec.alerts().len(), rec.slo_status().len()), (0, 0, 0));
         assert!(rec.read(|_, _, m| m.sketch(SloSignal::QueueWait.sketch_name()).is_none()));
+    }
+
+    #[test]
+    fn step_integrals_equal_the_series_they_replace_to_the_bit() {
+        // The series the fleet used to keep, deduplicated the same way and
+        // integrated at `end`, is the reference: both results must agree bit for
+        // bit on streams with repeats, same-instant steps and irregular gaps.
+        let mut state = 0x5EED_u64;
+        let mut draw = |m: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        for _ in 0..200 {
+            let (mut integral, mut series) = (StepIntegral::default(), telemetry::TimeSeries::new());
+            let mut t = draw(50) as f64 * 0.37;
+            for _ in 0..draw(40) {
+                t += [0.0, 0.1, 1.0 / 3.0, 7.25][draw(4) as usize];
+                let count = draw(6) as usize;
+                integral.record(SimTime::from_secs(t), count);
+                if series.samples().last() != Some(&(t, count as f64)) {
+                    series.record(t, count as f64);
+                }
+            }
+            for end in [t, t + 0.7, t + 1e6] {
+                let end_t = SimTime::from_secs(end);
+                assert_eq!(integral.integral_until(end_t).to_bits(), series.integral_until(end).to_bits());
+                assert_eq!(integral.mean_until(end_t).to_bits(), series.time_weighted_mean(end).to_bits());
+            }
+        }
     }
 
     fn ids() -> [String; 2] {

@@ -134,6 +134,7 @@ impl CampaignConfig {
         if let Some((name, _)) = positive.iter().find(|(_, v)| !(v.is_finite() && *v > 0.0)) {
             return Err(AtlasError::InvalidParams(format!("{name} must be finite and positive")));
         }
+        self.spot_market.validate().map_err(AtlasError::Cloud)?;
         if let Some(plan) = &self.faults {
             plan.validate().map_err(AtlasError::Cloud)?;
         }
@@ -656,6 +657,59 @@ mod tests {
         let mut rules = MonitorConfig::standard().rules;
         rules.push(AlertRule::interruption_storm(900.0, 3));
         Orchestrator::with_workload(workload, config(rules)).unwrap();
+    }
+
+    #[test]
+    fn a_nan_spot_rate_price_or_burst_is_rejected_up_front() {
+        use cloudsim::faults::SpotBurst;
+        use cloudsim::CloudError;
+        // A NaN rate passed validation and panicked the interruption sampler at
+        // the first launch; NaN burst bounds silently disabled the window; a NaN
+        // price factor priced every spot hour at NaN.
+        let burst = SpotBurst { start_secs: 3600.0, duration_secs: 3600.0, rate_per_hour: 6.0 };
+        let market = SpotMarket { price_factor: 0.35, interruptions_per_hour: 2.0, seed: 12 };
+        let with_burst = |b: SpotBurst| Some(FaultPlan { spot_bursts: vec![b], ..FaultPlan::chaos(13) });
+        let config = |market: SpotMarket, faults: Option<FaultPlan>| {
+            let mut cfg = CampaignConfig::new(InstanceType::by_name("r6a.xlarge").unwrap(), 1 << 30);
+            (cfg.spot_market, cfg.faults) = (market, faults);
+            cfg
+        };
+        let workload = ModeledWorkload::default().into_workload();
+        let bad = [
+            config(SpotMarket { interruptions_per_hour: f64::NAN, ..market }, None),
+            config(SpotMarket { interruptions_per_hour: f64::INFINITY, ..market }, None),
+            config(SpotMarket { interruptions_per_hour: -2.0, ..market }, None),
+            config(SpotMarket { price_factor: f64::NAN, ..market }, None),
+            config(SpotMarket { price_factor: -0.35, ..market }, None),
+            config(market, with_burst(SpotBurst { rate_per_hour: f64::NAN, ..burst })),
+            config(market, with_burst(SpotBurst { start_secs: f64::NAN, ..burst })),
+            config(market, with_burst(SpotBurst { duration_secs: f64::NAN, ..burst })),
+            config(market, with_burst(SpotBurst { duration_secs: f64::INFINITY, ..burst })),
+        ];
+        for cfg in bad {
+            let case = format!("{:?} {:?}", cfg.spot_market, cfg.faults.as_ref().map(|p| &p.spot_bursts));
+            match Orchestrator::with_workload(Arc::clone(&workload), cfg) {
+                Err(AtlasError::Cloud(CloudError::InvalidParams(_))) => {}
+                Err(other) => panic!("{case}: expected InvalidParams, got {other:?}"),
+                Ok(orch) => {
+                    let _ = orch.run(&ModeledWorkload::accessions(8));
+                    panic!("{case} was accepted");
+                }
+            }
+        }
+        // The market and burst shapes the suites and the benchmark run (each
+        // suite also builds its own through `with_workload(..).unwrap()`).
+        let good = [
+            config(SpotMarket::default(), None),
+            config(market, with_burst(burst)),
+            config(SpotMarket { price_factor: 0.3, interruptions_per_hour: 600.0, seed: 5 }, None),
+            config(SpotMarket { interruptions_per_hour: 1200.0, ..market }, Some(FaultPlan::chaos(11))),
+            config(market, with_burst(SpotBurst { start_secs: 0.0, duration_secs: 400.0, rate_per_hour: 400.0 })),
+            config(SpotMarket { price_factor: 0.0, interruptions_per_hour: 0.0, seed: 0 }, None),
+        ];
+        for cfg in good {
+            Orchestrator::with_workload(Arc::clone(&workload), cfg).unwrap();
+        }
     }
 
     // ——— Graceful spot degradation (notice → drain → checkpoint → resume) ———

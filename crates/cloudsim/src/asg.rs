@@ -99,9 +99,13 @@ impl AutoScalingGroup {
         })
     }
 
-    /// Attach a telemetry recorder: launches emit `instance_launch` events.
+    /// Attach a telemetry recorder: launches emit `instance_launch` events. A
+    /// disabled recorder is not kept: it would drop every event, so nothing is
+    /// built for it.
     pub fn attach_recorder(&mut self, recorder: Arc<Recorder>) {
-        self.recorder = Some(recorder);
+        if recorder.is_enabled() {
+            self.recorder = Some(recorder);
+        }
     }
 
     /// The policy in force.
@@ -313,5 +317,19 @@ mod tests {
         assert!(inst.spot);
         assert_eq!(inst.itype.name, "r6a.4xlarge");
         assert_eq!(inst.launched_at, SimTime::from_secs(7.0));
+    }
+
+    #[test]
+    fn launches_are_logged_to_an_enabled_recorder_only() {
+        let rec = Arc::new(Recorder::new());
+        let mut g = group();
+        g.attach_recorder(Arc::clone(&rec));
+        g.launch(SimTime::from_secs(3.0));
+        let log = rec.events_ndjson();
+        let want = "{\"t\":3,\"kind\":\"instance_launch\",\"instance\":1,\"itype\":\"r6a.4xlarge\"";
+        assert!(log.starts_with(want), "{log}");
+        let mut quiet = group();
+        quiet.attach_recorder(Arc::new(Recorder::disabled()));
+        assert!(quiet.recorder.is_none(), "a recorder that records nothing is not kept");
     }
 }

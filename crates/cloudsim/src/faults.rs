@@ -174,9 +174,12 @@ impl FaultPlan {
             ));
         }
         for b in &self.spot_bursts {
-            if b.start_secs < 0.0 || b.duration_secs <= 0.0 || b.rate_per_hour <= 0.0 {
+            // Written so a NaN fails: it would silently disable the window, or
+            // panic the interruption sampler mid-campaign.
+            let finite = [b.start_secs, b.duration_secs, b.rate_per_hour].iter().all(|v| v.is_finite());
+            if !(finite && b.start_secs >= 0.0 && b.duration_secs > 0.0 && b.rate_per_hour > 0.0) {
                 return Err(CloudError::InvalidParams(
-                    "spot bursts need start >= 0, duration > 0, rate > 0".into(),
+                    "spot bursts need finite start >= 0, duration > 0, rate > 0".into(),
                 ));
             }
         }
@@ -327,9 +330,12 @@ impl FaultInjector {
     }
 
     /// Attach a telemetry recorder: injected faults, retries, and exhaustions are
-    /// emitted as structured events from now on.
+    /// emitted as structured events from now on. A disabled recorder is not kept:
+    /// it would drop every event, so nothing is built for it.
     pub fn attach_recorder(&mut self, recorder: Arc<Recorder>) {
-        self.recorder = Some(recorder);
+        if recorder.is_enabled() {
+            self.recorder = Some(recorder);
+        }
     }
 
     /// Advance the sim clock used to timestamp emitted events.
@@ -338,11 +344,15 @@ impl FaultInjector {
     }
 
     /// Emit a structured event at the injector's current sim time (no-op without an
-    /// attached recorder). Service models (S3, SQS wrappers) reuse this so their
-    /// events share the injector's clock.
-    pub fn emit(&self, kind: &'static str, fields: Vec<(&'static str, JsonValue)>) {
+    /// attached recorder, and then `fields` is never called). Service models (S3,
+    /// SQS wrappers) reuse this so their events share the injector's clock.
+    pub fn emit(
+        &self,
+        kind: &'static str,
+        fields: impl FnOnce() -> Vec<(&'static str, JsonValue)>,
+    ) {
         if let Some(rec) = &self.recorder {
-            rec.event(self.now_secs, kind, fields);
+            rec.event(self.now_secs, kind, fields());
         }
     }
 
@@ -368,10 +378,12 @@ impl FaultInjector {
     /// `(plan.seed, serial, op, attempt counter)`.
     pub fn roll(&mut self, serial: u64, op: FaultOp) -> bool {
         let p = self.plan.probability(op);
-        let counter = self.bump(serial, op);
+        // An op the plan cannot inject keeps no counter: a counter is read only by
+        // later rolls of its own `(serial, op)`, and the plan never changes.
         if p <= 0.0 {
             return false;
         }
+        let counter = self.bump(serial, op);
         let hit = unit(self.plan.seed, serial, op.tag(), counter) < p;
         if hit {
             self.tallies.count(op);
@@ -418,14 +430,13 @@ impl FaultInjector {
                 self.tallies.retry_attempts += 1;
                 if attempt == policy.max_attempts {
                     self.tallies.retries_exhausted += 1;
-                    self.emit(
-                        "retries_exhausted",
+                    self.emit("retries_exhausted", || {
                         vec![
                             ("op", JsonValue::from(op.name())),
                             ("instance", JsonValue::from(serial)),
                             ("attempts", JsonValue::from(attempt)),
-                        ],
-                    );
+                        ]
+                    });
                     return Retried {
                         outcome: Err(CloudError::RetriesExhausted(format!(
                             "{op:?} on instance {serial} after {attempt} attempts"
@@ -710,6 +721,63 @@ mod tests {
             ..FaultPlan::default()
         };
         assert!(bad.validate().is_err());
+        let ok = SpotBurst { start_secs: 0.0, duration_secs: 60.0, rate_per_hour: 1.0 };
+        for nan in [
+            SpotBurst { start_secs: f64::NAN, ..ok },
+            SpotBurst { duration_secs: f64::NAN, ..ok },
+            SpotBurst { rate_per_hour: f64::NAN, ..ok },
+            SpotBurst { duration_secs: f64::INFINITY, ..ok },
+        ] {
+            let bad = FaultPlan { spot_bursts: vec![nan], ..FaultPlan::default() };
+            assert!(matches!(bad.validate(), Err(CloudError::InvalidParams(_))), "{nan:?}");
+        }
+        assert!(FaultPlan { spot_bursts: vec![ok], ..FaultPlan::default() }.validate().is_ok());
+    }
+
+    #[test]
+    fn an_impossible_fault_leaves_no_trace() {
+        // `a` rolls only the ops the plan can inject; `b` interleaves any number of
+        // rolls and retried calls of p = 0 ops, on the same serial and on others.
+        // Neither the p > 0 decisions nor the trace nor the tallies may move.
+        let plan = FaultPlan {
+            seed: 5,
+            s3_get_fail: 0.4,
+            worker_crash_per_job: 0.3,
+            ..FaultPlan::default()
+        };
+        let impossible =
+            [FaultOp::S3Put, FaultOp::SqsReceive, FaultOp::SqsDelete, FaultOp::CheckpointPut];
+        let policy = RetryPolicy::default();
+        let mut a = FaultInjector::new(plan.clone());
+        let mut b = FaultInjector::new(plan);
+        for i in 0..600u64 {
+            let serial = i % 7;
+            let noise = mix64(i);
+            for k in 0..noise % 5 {
+                let op = impossible[((noise >> (8 * k)) % 4) as usize];
+                let other = serial + 1 + (noise >> 40) % 3;
+                if k % 2 == 0 {
+                    assert!(!b.roll(if k % 4 == 0 { serial } else { other }, op));
+                } else {
+                    let s = if k % 3 == 0 { serial } else { other };
+                    let r = b.with_retry(s, op, &policy, || Ok(k));
+                    assert_eq!((r.outcome.unwrap(), r.attempts, r.backoff), (k, 1, SimDuration::ZERO));
+                }
+            }
+            if i % 2 == 0 {
+                let crash = FaultOp::WorkerCrash;
+                assert_eq!(a.roll(serial, crash), b.roll(serial, crash), "roll {i}");
+            } else {
+                let ra = a.with_retry(serial, FaultOp::S3Get, &policy, || Ok(()));
+                let rb = b.with_retry(serial, FaultOp::S3Get, &policy, || Ok(()));
+                let seen = |r: &Retried<()>| (r.outcome.is_ok(), r.attempts, r.backoff);
+                assert_eq!(seen(&ra), seen(&rb), "retried call {i}");
+            }
+        }
+        assert!(!a.trace().is_empty(), "premise: the p > 0 ops fault");
+        assert_eq!(a.trace(), b.trace());
+        assert_eq!(a.tallies(), b.tallies());
+        assert!(b.counters.keys().all(|(_, op)| !impossible.contains(op)), "no counter for p = 0");
     }
 
     #[test]

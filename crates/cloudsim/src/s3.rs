@@ -10,7 +10,9 @@ use crate::retry::RetryPolicy;
 use crate::time::SimDuration;
 use crate::CloudError;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
+use telemetry::JsonValue;
 
 /// Transfer cost model for the store.
 #[derive(Clone, Copy, Debug)]
@@ -58,10 +60,15 @@ impl ObjectStore {
 
     /// Upload an object; returns the modeled transfer duration.
     pub fn put(&mut self, key: &str, data: Arc<[u8]>) -> SimDuration {
-        let d = self.transfer.transfer_time(data.len() as u64);
-        self.bytes_in += data.len() as u64;
+        let d = self.charge_upload(data.len() as u64);
         self.objects.insert(key.to_string(), data);
         d
+    }
+
+    /// Count `bytes` uploaded; returns their modeled transfer duration.
+    fn charge_upload(&mut self, bytes: u64) -> SimDuration {
+        self.bytes_in += bytes;
+        self.transfer.transfer_time(bytes)
     }
 
     /// Download an object; returns the data and the modeled transfer duration.
@@ -122,43 +129,44 @@ impl ObjectStore {
         let overhead =
             SimDuration::from_secs((r.attempts - 1) as f64 * latency) + r.backoff;
         if r.outcome.is_ok() {
-            faults.emit(
-                "s3_get",
+            faults.emit("s3_get", || {
                 vec![
-                    ("key", telemetry::JsonValue::from(key)),
-                    ("instance", telemetry::JsonValue::from(serial)),
-                    ("attempts", telemetry::JsonValue::from(r.attempts)),
-                ],
-            );
+                    ("key", JsonValue::from(key)),
+                    ("instance", JsonValue::from(serial)),
+                    ("attempts", JsonValue::from(r.attempts)),
+                ]
+            });
         }
         r.outcome.map(|(data, d)| (data, d + overhead))
     }
 
-    /// [`Self::put`] driven through a fault injector and retry policy; see
-    /// [`Self::get_retrying`] for the duration accounting.
-    pub fn put_retrying(
+    /// A PUT of `bytes` bytes under `key` that nothing reads back (a campaign's
+    /// per-accession results), driven through a fault injector and retry policy;
+    /// see [`Self::get_retrying`] for the duration accounting. Charged like
+    /// [`Self::put`] — transfer time and traffic — but the store keeps no copy, so
+    /// write-only outputs do not grow it. `key` is formatted only for the `s3_put`
+    /// event of an attached recorder.
+    pub fn upload_retrying(
         &mut self,
-        key: &str,
-        data: Arc<[u8]>,
+        key: fmt::Arguments<'_>,
+        bytes: u64,
         faults: &mut FaultInjector,
         serial: u64,
         retry: &RetryPolicy,
     ) -> Result<SimDuration, CloudError> {
         let latency = self.transfer.latency_secs;
-        let bytes = data.len() as u64;
-        let r = faults.with_retry(serial, FaultOp::S3Put, retry, || Ok(self.put(key, data.clone())));
+        let r = faults.with_retry(serial, FaultOp::S3Put, retry, || Ok(self.charge_upload(bytes)));
         let overhead =
             SimDuration::from_secs((r.attempts - 1) as f64 * latency) + r.backoff;
         if r.outcome.is_ok() {
-            faults.emit(
-                "s3_put",
+            faults.emit("s3_put", || {
                 vec![
-                    ("key", telemetry::JsonValue::from(key)),
-                    ("instance", telemetry::JsonValue::from(serial)),
-                    ("attempts", telemetry::JsonValue::from(r.attempts)),
-                    ("bytes", telemetry::JsonValue::from(bytes)),
-                ],
-            );
+                    ("key", JsonValue::from(key.to_string())),
+                    ("instance", JsonValue::from(serial)),
+                    ("attempts", JsonValue::from(r.attempts)),
+                    ("bytes", JsonValue::from(bytes)),
+                ]
+            });
         }
         r.outcome.map(|d| d + overhead)
     }
@@ -236,8 +244,56 @@ mod tests {
         let (data, d) = s.get_retrying("k", &mut clean, 0, &policy).unwrap();
         assert_eq!(data.len(), 100);
         assert!((d.as_secs() - 2.0).abs() < 1e-9, "one attempt, no overhead: {d}");
-        let d_up = s.put_retrying("k2", Arc::from(vec![0u8; 100]), &mut clean, 0, &policy).unwrap();
+        let traffic = s.traffic();
+        let d_up = s.upload_retrying(format_args!("k2"), 100, &mut clean, 0, &policy).unwrap();
         assert!((d_up.as_secs() - 2.0).abs() < 1e-9);
+        assert_eq!(s.traffic(), (traffic.0 + 100, traffic.1), "the upload is counted");
+        assert!(s.head("k2").is_err(), "and not kept");
+        // Always-failing S3 PUT: every attempt's latency and backoff is charged to
+        // nothing, and the call errs.
+        let mut inj = FaultInjector::new(FaultPlan { s3_put_fail: 1.0, seed: 1, ..FaultPlan::default() });
+        let err = s.upload_retrying(format_args!("k3"), 100, &mut inj, 0, &policy).unwrap_err();
+        assert!(matches!(err, CloudError::RetriesExhausted(_)));
+        assert_eq!(s.traffic(), (traffic.0 + 100, traffic.1), "a failed upload moves nothing");
+        assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn an_upload_is_a_put_without_the_copy() {
+        // Same duration, traffic and s3_put event as a retained put of the same
+        // bytes; the event's key is formatted only for an enabled recorder.
+        use crate::faults::FaultPlan;
+        use telemetry::Recorder;
+        let policy = RetryPolicy::default();
+        let (mut kept, mut uploads) = (ObjectStore::new(), ObjectStore::new());
+        let rec = Arc::new(Recorder::new());
+        let mut inj = FaultInjector::new(FaultPlan::default());
+        inj.attach_recorder(Arc::clone(&rec));
+        for serial in 0..8 {
+            let name = format!("SRR{serial}");
+            let bytes = name.len() as u64;
+            let d = uploads.upload_retrying(format_args!("results/{name}"), bytes, &mut inj, serial, &policy);
+            assert_eq!(d.unwrap(), kept.put(&format!("results/{name}"), Arc::from(name.as_bytes())));
+        }
+        assert_eq!(uploads.traffic(), kept.traffic());
+        assert!(uploads.is_empty());
+        let log = rec.events_ndjson();
+        let put = "\"kind\":\"s3_put\",\"key\":\"results/SRR7\",\"instance\":7,\"attempts\":1,\"bytes\":4";
+        assert!(log.contains(put), "{log}");
+        // A disabled recorder is never kept, so nothing is formatted for it.
+        let mut quiet = FaultInjector::new(FaultPlan::default());
+        quiet.attach_recorder(Arc::new(Recorder::disabled()));
+        let d = uploads.upload_retrying(format_args!("{}", Unformattable), 1, &mut quiet, 0, &policy);
+        assert!(d.is_ok());
+    }
+
+    /// A key that fails the test if anything formats it.
+    struct Unformattable;
+
+    impl fmt::Display for Unformattable {
+        fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
+            panic!("formatted a key for a recorder that records nothing")
+        }
     }
 
     #[test]

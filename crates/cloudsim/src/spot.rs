@@ -6,6 +6,7 @@
 //! memoryless interruption process (exponential inter-arrival per instance).
 
 use crate::time::{SimDuration, SimTime};
+use crate::CloudError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -71,6 +72,22 @@ pub struct Reclaim {
 }
 
 impl SpotMarket {
+    /// Validate the market: a NaN or infinite price factor would price every
+    /// spot hour at NaN, and a NaN rate passes the `<= 0` "disabled" check only
+    /// to panic the sampler at the first launch.
+    pub fn validate(&self) -> Result<(), CloudError> {
+        let knobs = [
+            ("price_factor", self.price_factor),
+            ("interruptions_per_hour", self.interruptions_per_hour),
+        ];
+        if let Some((name, _)) = knobs.iter().find(|(_, v)| !(v.is_finite() && *v >= 0.0)) {
+            return Err(CloudError::InvalidParams(format!(
+                "spot market {name} must be finite and >= 0"
+            )));
+        }
+        Ok(())
+    }
+
     /// Spot USD/hour for an instance type.
     pub fn hourly_price(&self, on_demand_hourly_usd: f64) -> f64 {
         on_demand_hourly_usd * self.price_factor
@@ -96,6 +113,22 @@ mod tests {
     fn spot_price_is_discounted() {
         let m = SpotMarket { price_factor: 0.35, ..SpotMarket::default() };
         assert!((m.hourly_price(1.0) - 0.35).abs() < 1e-12);
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_and_negative_knobs() {
+        let ok = SpotMarket::default();
+        assert!(ok.validate().is_ok());
+        for bad in [
+            SpotMarket { price_factor: f64::NAN, ..ok },
+            SpotMarket { price_factor: f64::INFINITY, ..ok },
+            SpotMarket { price_factor: -0.1, ..ok },
+            SpotMarket { interruptions_per_hour: f64::NAN, ..ok },
+            SpotMarket { interruptions_per_hour: f64::INFINITY, ..ok },
+            SpotMarket { interruptions_per_hour: -1.0, ..ok },
+        ] {
+            assert!(matches!(bad.validate(), Err(CloudError::InvalidParams(_))), "{bad:?}");
+        }
     }
 
     #[test]

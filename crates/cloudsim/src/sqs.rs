@@ -86,6 +86,8 @@ pub struct SqsQueue<M> {
     dead_letters: Vec<M>,
     /// Undeleted messages (maintained counter; answers `pending_count` in O(1)).
     live: usize,
+    /// `reconcile`'s batch of due expiries, kept so a reconciliation reuses it.
+    due: Vec<(usize, SimTime)>,
 }
 
 impl<M: Clone> SqsQueue<M> {
@@ -101,6 +103,7 @@ impl<M: Clone> SqsQueue<M> {
             max_receive_count: None,
             dead_letters: Vec::new(),
             live: 0,
+            due: Vec::new(),
         }
     }
 
@@ -329,7 +332,8 @@ impl<M: Clone> SqsQueue<M> {
         if self.expiries.peek().is_none_or(|&Reverse((t, _))| t > now) {
             return;
         }
-        let mut due: Vec<(usize, SimTime)> = Vec::new();
+        let mut due = std::mem::take(&mut self.due);
+        due.clear();
         while let Some(&Reverse((t, idx))) = self.expiries.peek() {
             if t > now {
                 break;
@@ -340,7 +344,7 @@ impl<M: Clone> SqsQueue<M> {
         // Index order, then schedule order within an index (only the entry
         // matching the live lease validates; the rest are stranded).
         due.sort_unstable_by_key(|&(idx, t)| (idx, t));
-        for (idx, t) in due {
+        for &(idx, t) in &due {
             let msg = &mut self.messages[idx];
             if msg.deleted || msg.invisible_until != Some(t) {
                 continue; // stranded entry: superseded lease or finished message
@@ -355,6 +359,7 @@ impl<M: Clone> SqsQueue<M> {
                 self.visible.push_back(idx);
             }
         }
+        self.due = due;
     }
 }
 #[cfg(test)]
