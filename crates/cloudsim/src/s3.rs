@@ -249,8 +249,7 @@ mod tests {
         assert!((d_up.as_secs() - 2.0).abs() < 1e-9);
         assert_eq!(s.traffic(), (traffic.0 + 100, traffic.1), "the upload is counted");
         assert!(s.head("k2").is_err(), "and not kept");
-        // Always-failing S3 PUT: every attempt's latency and backoff is charged to
-        // nothing, and the call errs.
+        // Always-failing S3 PUT: the call errs and no attempt counts as traffic.
         let mut inj = FaultInjector::new(FaultPlan { s3_put_fail: 1.0, seed: 1, ..FaultPlan::default() });
         let err = s.upload_retrying(format_args!("k3"), 100, &mut inj, 0, &policy).unwrap_err();
         assert!(matches!(err, CloudError::RetriesExhausted(_)));

@@ -76,7 +76,8 @@ pub struct SqsQueue<M> {
     /// internal order cannot influence anything observable. Fixed-key hashing
     /// makes its allocations repeat too: with a per-process random key, where
     /// removals leave tombstones — and so when the table regrows — varied from
-    /// run to run.
+    /// run to run. The keys are receipts the queue itself issues, so nothing
+    /// outside can craft them to collide.
     receipts: HashMap<u64, usize, BuildHasherDefault<DefaultHasher>>,
     default_visibility: SimDuration,
     next_receipt: u64,

@@ -6,9 +6,8 @@
 //! with telemetry off under `FaultPlan::chaos` (so the fault rolls, retries,
 //! crashes and redeliveries are billed too), each once with recovery off and once
 //! with recovery armed on a spot market that never reclaims. Every number below
-//! is exact for the seed — identical across
-//! runs and across debug and release — so this is the merge gate the host's
-//! 0.78–1.35× wall-clock drift cannot blur:
+//! is exact for the seed — identical across runs and across debug and release —
+//! so this is the merge gate the host's 0.78–1.35× wall-clock drift cannot blur:
 //!
 //! * **(A) armed-but-idle recovery is invisible:** same digest, `sim_events`,
 //!   makespan and cost bits, span / event counts and event-log bytes as recovery
