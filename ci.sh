@@ -55,26 +55,15 @@ RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --offline --workspace
 # benchmarks/e2e.
 cargo build --release --offline --locked --manifest-path benchmarks/e2e/Cargo.toml
 
-# Benches must keep compiling (they are not covered by `cargo test`), and the
-# bench-regression comparator must accept the committed baseline against itself.
-# Full bench runs stay manual (BENCH_JSON_DIR=... cargo bench -p atlas-bench,
-# then bench_compare benchmarks/baseline <fresh_dir>): wall-clock means from a
-# loaded CI box are not comparable to the pinned baseline.
-cargo build --release --offline -p atlas-bench --benches
-# Every criterion group named by a literal has a committed baseline, so a new group
-# cannot land unmeasured, and every committed baseline names such a group, so an
-# orphaned report cannot sit there unread.
-groups=$(grep -rhoE 'benchmark_group\("[A-Za-z0-9_]+"\)' crates/bench/benches | cut -d'"' -f2 | sort -u)
-baselines=$(ls benchmarks/baseline | sed -n 's/^BENCH_\(.*\)\.json$/\1/p' | sort -u)
-if [ "$groups" != "$baselines" ]; then
-    echo "criterion groups and benchmarks/baseline/BENCH_*.json differ (< group only, > baseline only):" >&2
-    diff <(echo "$groups") <(echo "$baselines") >&2 || true
+# One timing instrument (atlas-e2e); every other performance gate is an exact counter, so no second harness grows back.
+if [ "$(ls benchmarks)" != "e2e" ] || grep -rl --include=Cargo.toml '^\[\[bench\]\]' Cargo.toml crates shims tests examples; then
+    echo "benchmarks/ holds more than e2e, or a crate declares a [[bench]] target" >&2
     exit 1
 fi
-# Goldens and tests, both ways like groups and baselines: every file under
-# tests/golden/ is named by a test (an orphan pins nothing), and every golden a test
-# names — `assert_matches_golden("<file>", ..)` or a local `golden("<file>", ..)` —
-# is committed, so a first run cannot pass by writing its own expectation.
+# Goldens and tests, both ways: every file under tests/golden/ is named by a test
+# (an orphan pins nothing), and every golden a test names —
+# `assert_matches_golden("<file>", ..)` or a local `golden("<file>", ..)` — is
+# committed, so a first run cannot pass by writing its own expectation.
 for golden in $(ls tests/golden); do
     if ! grep -rqF "\"$golden\"" --include='*.rs' tests crates; then
         echo "tests/golden/$golden: no *.rs under tests/ or crates/ names it" >&2
@@ -114,8 +103,6 @@ if grep -nE '\bstore\.(put|delete)' crates/atlas/src/campaign.rs | grep -vF 'sto
     echo "crates/atlas/src/campaign.rs writes to its ObjectStore beyond the index manifest" >&2
     exit 1
 fi
-cargo build --release --offline -p atlas-bench --bin bench_compare
-./target/release/bench_compare benchmarks/baseline benchmarks/baseline
 # What observers and an armed-but-idle recovery layer cost, counted under the
 # counting allocator on three fixed-seed campaigns: exact for the seed, so the host's
 # wall-clock drift cannot blur it (wall-clock stays with atlas-e2e's observed_fleet_20k).

@@ -1,13 +1,11 @@
-//! `bench_compare` and `trace_query` on input they cannot use: every case exits
+//! `experiments` and `trace_query` on input they cannot use: every case exits
 //! non-zero with the reason and the usage text on stderr, and none panics.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-const REPORT: &str = "{\"group\":\"g\",\"results\":[{\"id\":\"a\",\"mean_secs\":0.001000000,\"iters\":10}]}\n";
-
-fn bench_compare() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_bench_compare"))
+fn experiments() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_experiments"))
 }
 
 fn trace_query() -> Command {
@@ -16,33 +14,22 @@ fn trace_query() -> Command {
 
 /// A scratch directory of this test process, emptied first.
 fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("bench-compare-{tag}-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("atlas-bench-cli-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
 
-fn dir_with_report(tag: &str, report: &str) -> PathBuf {
-    let dir = scratch_dir(tag);
-    std::fs::write(dir.join("BENCH_g.json"), report).unwrap();
-    dir
-}
-
-/// Run `binary` with `args`; it must fail as a usage error: exit code 1, and on
-/// stderr `reason`, the `usage` line and no panic.
-fn assert_usage_error_of(mut binary: Command, usage: &str, args: &[&str], reason: &str) {
+/// Run `binary` with `args`; it must fail as a usage error: exit code `code`, and
+/// on stderr `reason`, the `usage` line and no panic. Returns its stdout.
+fn assert_usage_error_of(mut binary: Command, code: i32, usage: &str, args: &[&str], reason: &str) -> Vec<u8> {
     let out = binary.args(args).output().expect("binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
     assert!(stderr.contains(reason), "{args:?}: expected {reason:?} in: {stderr}");
     assert!(stderr.contains(usage), "{args:?}: {stderr}");
     assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-}
-
-/// `bench_compare` with `args` must fail as a usage error mentioning `reason`.
-fn assert_usage_error(args: &[&str], reason: &str) {
-    let usage = "usage: bench_compare <baseline_dir> <fresh_dir>";
-    assert_usage_error_of(bench_compare(), usage, args, reason);
+    out.stdout
 }
 
 fn s(path: &Path) -> &str {
@@ -50,59 +37,23 @@ fn s(path: &Path) -> &str {
 }
 
 #[test]
-fn unusable_input_is_a_usage_error_not_a_panic() {
-    let good = dir_with_report("good", REPORT);
-    let ok = bench_compare().args([s(&good), s(&good)]).output().unwrap();
-    assert!(ok.status.success(), "premise: a report compares clean against itself");
+fn experiments_on_bad_usage_exits_2_before_running_anything() {
+    let usage = "usage: experiments [--scale test|paper] <fig3|";
+    // Every argument is checked before the first experiment starts: `fig3` ahead of
+    // a bad word prints no banner (at paper scale it would run for minutes).
+    let fails = |args: &[&str], reason: &str| {
+        let stdout = assert_usage_error_of(experiments(), 2, usage, args, reason);
+        assert!(stdout.is_empty(), "{args:?}: {}", String::from_utf8_lossy(&stdout));
+    };
+    fails(&["fig3", "frobnicate"], "unknown experiment \"frobnicate\"");
+    fails(&["--scale", "huge", "fig3"], "unknown scale \"huge\"; use test|paper");
+    fails(&["--scale", ""], "unknown scale \"\"");
+    fails(&["fig3", "--scale"], "--scale needs a value");
 
-    let missing = good.join("no-such-dir");
-    assert_usage_error(&[s(&missing), s(&good)], "cannot read");
-    let empty = scratch_dir("empty");
-    assert_usage_error(&[s(&empty), s(&good)], "no BENCH_*.json reports");
-    assert_usage_error(&[s(&good), s(&empty)], "bench not re-run?");
-    assert_usage_error(&[s(&good)], "expected <baseline_dir> <fresh_dir>");
-
-    let truncated = dir_with_report("truncated", &REPORT[..REPORT.len() / 2]);
-    assert_usage_error(&[s(&truncated), s(&good)], "BENCH_g.json: ");
-    assert_usage_error(&[s(&good), s(&truncated)], "BENCH_g.json: ");
-    let overflowing = dir_with_report("overflow", &REPORT.replace("0.001000000", "1e999"));
-    assert_usage_error(&[s(&overflowing), s(&good)], "number overflows f64");
-    let negative = dir_with_report("negative", &REPORT.replace("0.001000000", "-1"));
-    assert_usage_error(&[s(&negative), s(&good)], "bad mean_secs");
-    let no_results = dir_with_report("noresults", "{\"group\":\"g\",\"results\":[]}");
-    assert_usage_error(&[s(&no_results), s(&good)], "no results");
-
-    for bad in ["nan", "inf", "-0.5", "", "2%"] {
-        assert_usage_error(&[s(&good), s(&good), "--tolerance", bad], "bad --tolerance value");
-    }
-    // The two modes this comparator used to have are gone, not silently accepted.
-    for mode in ["overhead", "attribute"] {
-        let flag = format!("--{mode}");
-        assert_usage_error(&[&flag, s(&good), s(&good)], &format!("unknown flag {flag:?}"));
-    }
-
-    for dir in [good, empty, truncated, overflowing, negative, no_results] {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-}
-
-#[test]
-fn a_slower_or_missing_id_fails_without_the_usage_text() {
-    let base = dir_with_report("base", REPORT);
-    let slower = dir_with_report("slower", &REPORT.replace("0.001000000", "0.002000000"));
-    let renamed = dir_with_report("renamed", &REPORT.replace("\"a\"", "\"b\""));
-    for (fresh, reason) in [(&slower, "REGRESSION"), (&renamed, "missing from fresh report")] {
-        let out = bench_compare().args([s(&base), s(fresh)]).output().unwrap();
-        let text = format!("{}{}", String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
-        assert_eq!(out.status.code(), Some(1), "{text}");
-        assert!(text.contains(reason) && !text.contains("usage:"), "{text}");
-    }
-    // Inside the tolerance it passes.
-    let out = bench_compare().args([s(&base), s(&slower), "--tolerance", "1.5"]).output().unwrap();
-    assert!(out.status.success());
-    for dir in [base, slower, renamed] {
-        let _ = std::fs::remove_dir_all(dir);
-    }
+    let help = experiments().arg("--help").output().expect("binary runs");
+    let stdout = String::from_utf8_lossy(&help.stdout);
+    assert_eq!(help.status.code(), Some(0), "{help:?}");
+    assert!(stdout.starts_with(usage) && help.stderr.is_empty(), "{help:?}");
 }
 
 #[test]
@@ -115,7 +66,7 @@ fn trace_query_on_unusable_input_is_a_usage_error_not_a_panic() {
     assert!(String::from_utf8_lossy(&ok.stdout).contains("2 matched of 2 events"), "{ok:?}");
 
     let fails = |args: &[&str], reason: &str| {
-        assert_usage_error_of(trace_query(), "usage: trace_query query <log.ndjson>", args, reason);
+        assert_usage_error_of(trace_query(), 1, "usage: trace_query query <log.ndjson>", args, reason);
     };
     fails(&[], "missing subcommand");
     fails(&["frobnicate"], "unknown subcommand \"frobnicate\"");

@@ -14,7 +14,10 @@
 //!   `collect_seeds_packed`.
 //! * **(B) committed ceilings:** total probes per cell. A regression fails with its
 //!   cell's name; an improvement of more than a tenth must lower the ceiling in the
-//!   PR that earns it (the `observer_cost` convention).
+//!   PR that earns it (the `observer_cost` convention). Five more cells hold (B)
+//!   alone: the r111 bulk reads at base prefix-table depths `k` (`IndexParams::
+//!   sa_index_nbases`, star-sim's `--genomeSAindexNbases`) from two below the
+//!   automatic depth to two above it.
 //! * **(C) no search starts at the root of the suffix array:** the widest interval
 //!   any search starts from is no wider than the widest depth-1 bucket — the count of
 //!   the genome's most frequent base.
@@ -36,14 +39,19 @@ use star_aligner::runner::{RunConfig, Runner};
 use star_aligner::seed::{collect_seeds_packed, SeedProbeScratch};
 use star_aligner::{AlignParams, Packed2};
 
-/// Committed probes per cell: `(release, reads, reads in the cell, total probes)`.
-const CEILINGS: [(&str, &str, usize, u64); 6] = [
+/// Committed probes per cell: `(index, reads, reads in the cell, total probes)`.
+const CEILINGS: [(&str, &str, usize, u64); 11] = [
     ("r111", "bulk", 2_000, 93_842),
     ("r111", "single_cell", 2_000, 145_786),
     ("r111", "random", 1_000, 74_455),
     ("r108", "bulk", 2_000, 258_234),
     ("r108", "single_cell", 2_000, 193_721),
     ("r108", "random", 1_000, 55_206),
+    ("r111 k=4", "bulk", 2_000, 512_706),
+    ("r111 k=5", "bulk", 2_000, 268_202),
+    ("r111 k=6", "bulk", 2_000, 93_842),
+    ("r111 k=7", "bulk", 2_000, 57_179),
+    ("r111 k=8", "bulk", 2_000, 57_179),
 ];
 
 fn add(total: &mut SearchCost, one: SearchCost) {
@@ -99,6 +107,11 @@ fn seed_probes_are_exact_thread_invariant_and_within_their_ceilings() {
 
     let mut cells = CEILINGS.iter();
     let mut outside = Vec::new();
+    let mut check_ceiling = |cell: &str, probes: u64, ceiling: u64| {
+        if probes > ceiling || probes * 10 < ceiling * 9 {
+            outside.push(format!("{cell}: {probes} probes, committed {ceiling}"));
+        }
+    };
     for (release, label) in [(Release::R111, "r111"), (Release::R108, "r108")] {
         let index =
             StarIndex::build(&generator.generate(release), &annotation, &IndexParams::default()).unwrap();
@@ -147,11 +160,24 @@ fn seed_probes_are_exact_thread_invariant_and_within_their_ceilings() {
             );
 
             // (B) The committed cost of this cell.
-            if all.probes > ceiling || all.probes * 10 < ceiling * 9 {
-                outside.push(format!("{cell}: {} probes, committed {ceiling}", all.probes));
-            }
+            check_ceiling(&cell, all.probes, ceiling);
         }
     }
+
+    // (B) alone: the bulk reads on r111 indexes of other base-table depths.
+    let (_, bulk) = &reads[0];
+    let index_at = |k| StarIndex::build(&asm_111, &annotation, &IndexParams { sa_index_nbases: k }).unwrap();
+    let auto = index_at(None).prefix().k();
+    for k in auto - 2..=auto + 2 {
+        let &(want_index, want_kind, want_reads, ceiling) = cells.next().unwrap();
+        let label = format!("r111 k={k}");
+        assert_eq!((want_index, want_kind, want_reads), (label.as_str(), "bulk", bulk.len()));
+        let (all, _) = seed_all(&index_at(Some(k)), bulk);
+        let per_read = all.probes as f64 / bulk.len() as f64;
+        println!("{label} bulk: {} probes / {} reads = {per_read:.1} per read", all.probes, bulk.len());
+        check_ceiling(&format!("{label} bulk"), all.probes, ceiling);
+    }
+    assert!(cells.next().is_none(), "a committed cell was not run");
     assert!(
         outside.is_empty(),
         "a cell fails above its ceiling, and below 0.9x of it so the ceiling follows an improvement: {outside:#?}"

@@ -1,10 +1,10 @@
 //! Hostile-input test for `telemetry::json::parse` (ROADMAP 8), the parser behind
-//! `trace_query`, `RunProfile::from_event_log` and `bench_compare`: an event-log
-//! line as the recorder writes it and a committed bench report, each truncated at
-//! every byte, with every bit flipped, and with every byte replaced by each
-//! structural byte. The parser must answer with a value or a typed `ParseError`
-//! — never a panic — must not hand back a non-finite number, and must not ask the
-//! allocator for more than a small multiple of the input.
+//! `trace_query` and `RunProfile::from_event_log`: an event-log line as the
+//! recorder writes it and a nested timing report, each truncated at every byte,
+//! with every bit flipped, and with every byte replaced by each structural byte.
+//! The parser must answer with a value or a typed `ParseError` — never a panic —
+//! must not hand back a non-finite number, and must not ask the allocator for more
+//! than a small multiple of the input.
 
 #[path = "../../star/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -19,6 +19,17 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// Bytes that mean something to the grammar, plus a digit that can push an
 /// exponent out of range, a space and a NUL.
 const STRUCTURAL: &[u8] = b"{}[],:\"\\eE.-+9 \0";
+
+/// A timing report as saved to a file: an array of objects, nine-digit decimals
+/// and a trailing newline (400 bytes).
+const REPORT: &str = concat!(
+    r#"{"group":"mmp_search","results":["#,
+    r#"{"id":"release_108","mean_secs":0.000051607,"iters":10,"throughput_per_sec":9921230.853},"#,
+    r#"{"id":"release_108_rc","mean_secs":0.000010061,"iters":10,"throughput_per_sec":50891091.077},"#,
+    r#"{"id":"release_111","mean_secs":0.000033857,"iters":10,"throughput_per_sec":15122382.011},"#,
+    r#"{"id":"release_111_rc","mean_secs":0.000022565,"iters":10,"throughput_per_sec":22690006.647}"#,
+    "]}\n",
+);
 
 /// Every container slot costs at least two input bytes (`1,`) and at most 56
 /// bytes (an object field: `String` + `JsonValue`); `Vec` doubling can hold twice
@@ -79,10 +90,10 @@ fn hostile_json_gets_a_typed_error_and_bounded_allocation() {
     );
     let line = rec.events_ndjson();
     let line = line.trim_end();
-    let report = include_str!("../../../benchmarks/baseline/BENCH_mmp_search.json").trim_end();
+    let report = REPORT.trim_end();
 
     let mut cases = 0usize;
-    for (name, text) in [("event-log line", line), ("bench report", report)] {
+    for (name, text) in [("event-log line", line), ("timing report", report)] {
         let bytes = text.as_bytes();
         assert!(check(bytes, name), "premise: the pristine {name} parses");
 
