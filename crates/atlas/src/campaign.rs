@@ -46,7 +46,7 @@ use cloudsim::cost::CostTracker;
 use cloudsim::faults::{FaultInjector, FaultOp};
 use cloudsim::instance::{InstanceId, InstanceState};
 use cloudsim::sqs::ReceiptHandle;
-use cloudsim::{Kernel, ObjectStore, ReclaimSource, SimDuration, SimTime, SqsQueue};
+use cloudsim::{s3, Kernel, ReclaimSource, SimDuration, SimTime, SqsQueue};
 use deseq_norm::{CountsMatrix, NormalizedMatrix};
 use star_aligner::quant::Strandedness;
 use state::{Accounting, Fleet, Job, Observers, Resolution};
@@ -96,9 +96,6 @@ pub(crate) struct Campaign<'a> {
     accessions: &'a [String],
     events: Kernel<Event>,
     sqs: SqsQueue<Acc>,
-    /// Holds the index manifest instances GET at init: its one object. Result
-    /// uploads are charged against it and not kept.
-    store: ObjectStore,
     injector: FaultInjector,
     fleet: Fleet,
     resolution: Resolution,
@@ -133,11 +130,6 @@ impl<'a> Campaign<'a> {
         let obs = Observers::new(cfg, cost.hourly_rate(cfg.instance_type, cfg.spot));
         let mut injector = FaultInjector::new(cfg.faults.clone().unwrap_or_default());
         injector.attach_recorder(Arc::clone(&obs.recorder));
-        let mut store = ObjectStore::new();
-        // Small sentinel for the index manifest: instances GET it at init, so a
-        // persistent S3 outage can fail a launch. The bulk index transfer time
-        // itself is modeled by `init_secs`, not by moving real bytes.
-        store.put("index/manifest", Arc::from(&b"star-index manifest"[..]));
         let mut events = Kernel::new();
         events.schedule(SimTime::ZERO, Event::ScaleTick);
         // Per-accession accounts exist only when something will read them.
@@ -149,7 +141,6 @@ impl<'a> Campaign<'a> {
             accessions,
             events,
             sqs,
-            store,
             injector,
             fleet: Fleet::new(cfg, &obs)?,
             resolution: Resolution::new(accessions.len()),
@@ -202,7 +193,7 @@ impl<'a> Campaign<'a> {
         }
         // Generous: every accession can bounce a few times before we declare the
         // simulation wedged (chaos campaigns bounce more than most).
-        if self.events.stats().dispatched > 10_000 + 400 * self.accessions.len() as u64 + 200_000 {
+        if self.events.dispatched() > 10_000 + 400 * self.accessions.len() as u64 + 200_000 {
             return Err(AtlasError::InvalidParams("event budget exceeded (simulation bug)".into()));
         }
         self.injector.set_now(now.as_secs());
@@ -258,10 +249,12 @@ impl<'a> Campaign<'a> {
     fn launch_instance(&mut self, now: SimTime) {
         let cfg = self.cfg;
         let id = self.fleet.launch(now);
-        // Init starts with the manifest GET; a persistent S3 failure kills the
-        // launch and the ASG replaces the instance at a later tick.
-        match self.store.get_retrying("index/manifest", &mut self.injector, id.0, &cfg.retry) {
-            Ok((_, d)) => {
+        // Init starts with the GET of a small index manifest, so a persistent S3
+        // failure kills the launch and the ASG replaces the instance at a later
+        // tick. The bulk index transfer time itself is modeled by `init_secs`.
+        let manifest = b"star-index manifest".len() as u64;
+        match s3::get_retrying("index/manifest", manifest, &mut self.injector, id.0, &cfg.retry) {
+            Ok(d) => {
                 let init = SimDuration::from_secs(cfg.init_secs());
                 self.events.schedule(now + init + d, Event::InstanceReady(id));
             }
@@ -465,9 +458,9 @@ impl<'a> Campaign<'a> {
         let window = (now.as_secs() - duration, now.as_secs());
         let parent = self.fleet.job_parent(id);
         let name = self.name(job.accession);
-        // Nothing reads a result back from the store (the report carries it), so
-        // the upload is modeled — transfer, retries, backoff — and not kept.
-        let upload = self.store.upload_retrying(
+        // Nothing reads a result back from S3 (the report carries it), so the
+        // upload is modeled — transfer, retries, backoff — and not kept.
+        let upload = s3::upload_retrying(
             format_args!("results/{name}"),
             name.len() as u64,
             &mut self.injector,
@@ -709,7 +702,7 @@ impl<'a> Campaign<'a> {
             salvaged_compute_secs: salvaged_secs,
             telemetry: cfg.telemetry.then(|| telemetry::summarize(rec)),
             alerts: rec.alerts(),
-            sim_events: self.events.stats().dispatched,
+            sim_events: self.events.dispatched(),
             slo,
         })
     }

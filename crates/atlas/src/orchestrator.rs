@@ -589,6 +589,61 @@ mod tests {
         }
     }
 
+    #[test]
+    fn every_f64_knob_rejects_nan_infinity_and_negative_at_submit() {
+        use cloudsim::{CloudError, SpotBurst};
+        // A NaN spot rate and an infinite retry delay each passed validation once
+        // and panicked mid-campaign; this covers the whole class.
+        fn plan(c: &mut CampaignConfig) -> &mut FaultPlan {
+            c.faults.get_or_insert_with(FaultPlan::default)
+        }
+        fn burst(c: &mut CampaignConfig) -> &mut SpotBurst {
+            let ok = SpotBurst { start_secs: 0.0, duration_secs: 60.0, rate_per_hour: 1.0 };
+            plan(c).spot_bursts = vec![ok];
+            &mut plan(c).spot_bursts[0]
+        }
+        type Set = fn(&mut CampaignConfig, f64);
+        let knobs: [(&str, Set); 19] = [
+            ("spot_market.price_factor", |c, v| c.spot_market.price_factor = v),
+            ("spot_market.interruptions_per_hour", |c, v| c.spot_market.interruptions_per_hour = v),
+            ("retry.base_delay_secs", |c, v| c.retry.base_delay_secs = v),
+            ("retry.max_delay_secs", |c, v| c.retry.max_delay_secs = v),
+            ("retry.multiplier", |c, v| c.retry.multiplier = v),
+            ("retry.jitter", |c, v| c.retry.jitter = v),
+            ("faults.s3_get_fail", |c, v| plan(c).s3_get_fail = v),
+            ("faults.s3_put_fail", |c, v| plan(c).s3_put_fail = v),
+            ("faults.sqs_receive_fail", |c, v| plan(c).sqs_receive_fail = v),
+            ("faults.sqs_delete_fail", |c, v| plan(c).sqs_delete_fail = v),
+            ("faults.sqs_extend_fail", |c, v| plan(c).sqs_extend_fail = v),
+            ("faults.duplicate_delivery", |c, v| plan(c).duplicate_delivery = v),
+            ("faults.worker_crash_per_job", |c, v| plan(c).worker_crash_per_job = v),
+            ("faults.checkpoint_write_fail", |c, v| plan(c).checkpoint_write_fail = v),
+            ("faults.spot_notice_secs", |c, v| plan(c).spot_notice_secs = v),
+            ("spot_burst.start_secs", |c, v| burst(c).start_secs = v),
+            ("spot_burst.duration_secs", |c, v| burst(c).duration_secs = v),
+            ("spot_burst.rate_per_hour", |c, v| burst(c).rate_per_hour = v),
+            ("recovery.checkpoint_ttl_secs", |c, v| {
+                c.recovery = Some(RecoveryConfig { checkpoint_ttl_secs: v })
+            }),
+        ];
+        let workload = ModeledWorkload::default().into_workload();
+        let config = || CampaignConfig::new(InstanceType::by_name("r6a.xlarge").unwrap(), 1 << 30);
+        for (name, set) in knobs {
+            // The knob's own valid value submits, so the rejections below are its.
+            let mut cfg = config();
+            set(&mut cfg, 1.0);
+            Orchestrator::with_workload(Arc::clone(&workload), cfg).unwrap();
+            for v in [f64::NAN, f64::INFINITY, -1.0] {
+                let mut cfg = config();
+                set(&mut cfg, v);
+                match Orchestrator::with_workload(Arc::clone(&workload), cfg) {
+                    Err(AtlasError::InvalidParams(_) | AtlasError::Cloud(CloudError::InvalidParams(_))) => {}
+                    other => panic!("{name} = {v}: expected InvalidParams, got {:?}", other.map(|_| ())),
+                }
+            }
+        }
+    }
+
     use crate::recovery::RecoveryConfig;
     use crate::workload::ModeledWorkload;
 

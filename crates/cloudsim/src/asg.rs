@@ -108,16 +108,6 @@ impl AutoScalingGroup {
         }
     }
 
-    /// The policy in force.
-    pub fn policy(&self) -> &ScalingPolicy {
-        &self.policy
-    }
-
-    /// The instance type the group launches.
-    pub fn instance_type(&self) -> &'static InstanceType {
-        self.itype
-    }
-
     /// All instances ever launched (including terminated), for cost accounting.
     pub fn instances(&self) -> &[Instance] {
         &self.instances

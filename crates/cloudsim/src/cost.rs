@@ -8,23 +8,16 @@
 use crate::instance::Instance;
 use crate::spot::SpotMarket;
 use crate::time::SimTime;
-use std::collections::BTreeMap;
 
 /// Aggregated cost report.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CostReport {
-    /// USD per instance type.
-    pub by_type: BTreeMap<String, f64>,
-    /// Total instance-hours per type.
-    pub hours_by_type: BTreeMap<String, f64>,
     /// Total USD.
     pub total_usd: f64,
     /// Total instance-hours.
     pub total_hours: f64,
-    /// Instance-hours spent on work that was thrown away (crashed jobs, duplicate
-    /// completions, results whose upload failed). Subset of `total_hours`.
-    pub wasted_hours: f64,
-    /// USD attributed to that wasted work. Subset of `total_usd`.
+    /// USD spent on work that was thrown away (crashed jobs, duplicate
+    /// completions, results whose upload failed). Subset of `total_usd`.
     pub wasted_usd: f64,
 }
 
@@ -79,11 +72,8 @@ impl CostTracker {
         let secs = instance.billable_secs(now);
         let hourly = self.hourly_rate(instance.itype, instance.spot);
         let usd = hourly * secs / 3600.0;
-        let hours = secs / 3600.0;
-        *self.report.by_type.entry(instance.itype.name.to_string()).or_default() += usd;
-        *self.report.hours_by_type.entry(instance.itype.name.to_string()).or_default() += hours;
         self.report.total_usd += usd;
-        self.report.total_hours += hours;
+        self.report.total_hours += secs / 3600.0;
     }
 
     /// Attribute `secs` of one instance-type's time as wasted work (redone after a
@@ -92,7 +82,6 @@ impl CostTracker {
     /// it labels a slice of it.
     pub fn attribute_waste(&mut self, itype: &crate::instance::InstanceType, spot: bool, secs: f64) {
         let hourly = self.hourly_rate(itype, spot);
-        self.report.wasted_hours += secs / 3600.0;
         self.report.wasted_usd += hourly * secs / 3600.0;
     }
 
@@ -121,7 +110,6 @@ mod tests {
         let r = c.report();
         assert!((r.total_usd - 2.0 * 1.0896).abs() < 1e-9);
         assert!((r.total_hours - 2.0).abs() < 1e-12);
-        assert!((r.by_type["r6a.4xlarge"] - r.total_usd).abs() < 1e-12);
     }
 
     #[test]
@@ -156,7 +144,6 @@ mod tests {
         let t = InstanceType::by_name("r6a.4xlarge").unwrap();
         c.attribute_waste(t, true, 1800.0);
         let r = c.report();
-        assert!((r.wasted_hours - 0.5).abs() < 1e-12);
         assert!((r.wasted_usd - 0.5 * 1.0896 * 0.5).abs() < 1e-9);
         assert!((r.total_usd - 2.0 * 0.5 * 1.0896).abs() < 1e-9, "totals unchanged by waste");
         assert!((r.wasted_fraction() - 0.25).abs() < 1e-9);
@@ -175,7 +162,7 @@ mod tests {
     }
 
     #[test]
-    fn multiple_types_accumulate_separately() {
+    fn multiple_types_sum_at_their_own_rates() {
         let mut c = CostTracker::on_demand();
         c.charge(&instance(false, 1.0), SimTime::ZERO + crate::SimDuration::from_hours(1.0));
         let t2 = InstanceType::by_name("m6a.2xlarge").unwrap();
@@ -183,7 +170,6 @@ mod tests {
         i2.terminate(SimTime::from_secs(3600.0));
         c.charge(&i2, SimTime::from_secs(1e6));
         let r = c.report();
-        assert_eq!(r.by_type.len(), 2);
         assert!((r.total_usd - (1.0896 + 0.4147)).abs() < 1e-9);
         assert!((r.total_hours - 2.0).abs() < 1e-12);
     }

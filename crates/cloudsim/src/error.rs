@@ -5,8 +5,6 @@ use std::fmt;
 /// Errors from simulated cloud operations.
 #[derive(Debug)]
 pub enum CloudError {
-    /// Object key not present in the store.
-    NoSuchKey(String),
     /// Unknown instance type name.
     UnknownInstanceType(String),
     /// Operation on an instance in the wrong state.
@@ -24,7 +22,6 @@ pub enum CloudError {
 impl fmt::Display for CloudError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CloudError::NoSuchKey(k) => write!(f, "no such key: {k}"),
             CloudError::UnknownInstanceType(t) => write!(f, "unknown instance type: {t}"),
             CloudError::InvalidState(m) => write!(f, "invalid state: {m}"),
             CloudError::InvalidParams(m) => write!(f, "invalid parameters: {m}"),
@@ -43,7 +40,7 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        assert!(CloudError::NoSuchKey("s3://x/y".into()).to_string().contains("s3://x/y"));
+        assert!(CloudError::StaleReceipt("receipt-7".into()).to_string().contains("receipt-7"));
         assert!(CloudError::UnknownInstanceType("z9.mega".into()).to_string().contains("z9.mega"));
     }
 }

@@ -42,11 +42,6 @@ impl InstanceType {
                     .expect("catalog prices are finite")
             })
     }
-
-    /// USD cost of running this type for `secs` seconds at the on-demand price.
-    pub fn on_demand_cost(&self, secs: f64) -> f64 {
-        self.on_demand_hourly_usd * secs / 3600.0
-    }
 }
 
 /// Built-in instance catalog (subset of eu-central-1, 2024 ballpark prices).
@@ -229,13 +224,6 @@ mod tests {
         let t = InstanceType::by_name("r6a.xlarge").unwrap();
         let i = Instance::launch(InstanceId(2), t, false, SimTime::from_secs(0.0));
         assert_eq!(i.billable_secs(SimTime::from_secs(1800.0)), 1800.0);
-    }
-
-    #[test]
-    fn on_demand_cost_is_hourly_rate() {
-        let t = InstanceType::by_name("r6a.4xlarge").unwrap();
-        assert!((t.on_demand_cost(3600.0) - 1.0896).abs() < 1e-9);
-        assert!((t.on_demand_cost(1800.0) - 0.5448).abs() < 1e-9);
     }
 
     #[test]

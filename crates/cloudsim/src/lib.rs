@@ -15,7 +15,7 @@
 //!   retry machinery the paper's architecture silently assumes).
 //! * [`sqs`] — the work queue: visibility timeouts, at-least-once redelivery —
 //!   exactly the property that makes the architecture resilient to spot reclaims.
-//! * [`s3`] — the object store holding the pre-built index and pipeline results.
+//! * [`s3`] — the transfer-cost model of the index-manifest GET and result PUTs.
 //! * [`asg`] — AutoScalingGroup sizing instances from queue backlog.
 //! * [`cost`] — instance-seconds × price accounting (the "minimize cloud costs"
 //!   goal the paper optimizes for).
@@ -37,12 +37,11 @@ pub mod time;
 
 pub use asg::{AutoScalingGroup, ScalingPolicy};
 pub use cost::CostTracker;
-pub use devent::{Kernel, KernelStats, TimerId};
+pub use devent::Kernel;
 pub use error::CloudError;
-pub use faults::{FaultCounters, FaultEvent, FaultInjector, FaultOp, FaultPlan, SpotBurst};
+pub use faults::{FaultCounters, FaultInjector, FaultOp, FaultPlan, SpotBurst};
 pub use instance::{Instance, InstanceId, InstanceState, InstanceType, INSTANCE_CATALOG};
 pub use retry::RetryPolicy;
-pub use s3::ObjectStore;
 pub use spot::{Reclaim, ReclaimSource, SpotMarket};
 pub use sqs::SqsQueue;
 pub use time::{SimDuration, SimTime};

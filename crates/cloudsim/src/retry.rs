@@ -55,11 +55,14 @@ impl RetryPolicy {
         if self.max_attempts == 0 {
             return Err(CloudError::InvalidParams("retry max_attempts must be >= 1".into()));
         }
-        if self.base_delay_secs < 0.0 || self.max_delay_secs < 0.0 {
-            return Err(CloudError::InvalidParams("retry delays must be non-negative".into()));
+        // Written so a NaN fails; an infinite delay or multiplier would pass a plain
+        // bound and then panic the backoff histogram at the first retry.
+        let delays = [self.base_delay_secs, self.max_delay_secs];
+        if !delays.iter().all(|d| d.is_finite() && *d >= 0.0) {
+            return Err(CloudError::InvalidParams("retry delays must be finite and >= 0".into()));
         }
-        if self.multiplier < 1.0 {
-            return Err(CloudError::InvalidParams("retry multiplier must be >= 1".into()));
+        if !(self.multiplier.is_finite() && self.multiplier >= 1.0) {
+            return Err(CloudError::InvalidParams("retry multiplier must be finite and >= 1".into()));
         }
         if !(0.0..=1.0).contains(&self.jitter) {
             return Err(CloudError::InvalidParams("retry jitter must be in [0, 1]".into()));
@@ -97,16 +100,6 @@ impl RetryPolicy {
         }
         bounds
     }
-
-    /// Total backoff if every one of `max_attempts` attempts fails (zero jitter) —
-    /// an upper bound used for lease sizing.
-    pub fn worst_case_backoff(&self) -> SimDuration {
-        let mut total = 0.0;
-        for attempt in 1..self.max_attempts {
-            total += self.backoff_after(attempt, 0.0).as_secs();
-        }
-        SimDuration::from_secs(total)
-    }
 }
 
 #[cfg(test)]
@@ -131,15 +124,6 @@ mod tests {
         assert!(jittered < full);
         assert!(jittered > full * 0.5 - 1e-9, "jitter removes at most `jitter` fraction");
         assert_eq!(p.backoff_after(2, 0.25), p.backoff_after(2, 0.25));
-    }
-
-    #[test]
-    fn worst_case_bounds_the_sum() {
-        let p = RetryPolicy { jitter: 0.0, ..RetryPolicy::default() };
-        let wc = p.worst_case_backoff().as_secs();
-        assert!((wc - (0.2 + 0.4 + 0.8)).abs() < 1e-12);
-        let none = RetryPolicy::none();
-        assert_eq!(none.worst_case_backoff().as_secs(), 0.0);
     }
 
     #[test]
@@ -168,5 +152,19 @@ mod tests {
         assert!(bad.validate().is_err());
         let bad = RetryPolicy { base_delay_secs: -1.0, ..RetryPolicy::default() };
         assert!(bad.validate().is_err());
+        // Non-finite values: an infinite delay or multiplier used to validate and
+        // then panic the backoff histogram at the first retry.
+        let ok = RetryPolicy::default();
+        for bad in [
+            RetryPolicy { base_delay_secs: f64::INFINITY, ..ok },
+            RetryPolicy { base_delay_secs: f64::NAN, ..ok },
+            RetryPolicy { max_delay_secs: f64::INFINITY, ..ok },
+            RetryPolicy { max_delay_secs: f64::NAN, ..ok },
+            RetryPolicy { multiplier: f64::INFINITY, ..ok },
+            RetryPolicy { multiplier: f64::NAN, ..ok },
+            RetryPolicy { jitter: f64::NAN, ..ok },
+        ] {
+            assert!(matches!(bad.validate(), Err(CloudError::InvalidParams(_))), "{bad:?}");
+        }
     }
 }

@@ -55,8 +55,6 @@ struct StoredMessage<M> {
     deleted: bool,
     /// True while the message's index sits in the visible deque.
     queued: bool,
-    /// When the message was sent.
-    sent_at: SimTime,
     /// When it was first delivered, once delivered.
     first_received_at: Option<SimTime>,
 }
@@ -75,7 +73,7 @@ pub struct SqsQueue<M> {
     /// Live receipt → message index. Lookup-only: never iterated, so the map's
     /// internal order cannot influence anything observable. Fixed-key hashing
     /// makes its allocations repeat too: with a per-process random key, where
-    /// removals leave tombstones — and so when the table regrows — varied from
+    /// removals leave deleted slots — and so when the table regrows — varied from
     /// run to run. The keys are receipts the queue itself issues, so nothing
     /// outside can craft them to collide.
     receipts: HashMap<u64, usize, BuildHasherDefault<DefaultHasher>>,
@@ -118,12 +116,6 @@ impl<M: Clone> SqsQueue<M> {
 
     /// Send a message at campaign start (`t = 0`).
     pub fn send(&mut self, body: M) {
-        self.send_at(body, SimTime::ZERO);
-    }
-
-    /// Send a message at time `now`, timestamping it so queue wait
-    /// (send → first receive) can be measured.
-    pub fn send_at(&mut self, body: M, now: SimTime) {
         let idx = self.messages.len();
         self.messages.push(StoredMessage {
             body,
@@ -132,7 +124,6 @@ impl<M: Clone> SqsQueue<M> {
             current_receipt: None,
             deleted: false,
             queued: true,
-            sent_at: now,
             first_received_at: None,
         });
         self.visible.push_back(idx);
@@ -253,29 +244,12 @@ impl<M: Clone> SqsQueue<M> {
         self.live
     }
 
-    /// The earliest scheduled visibility expiry still in force, if any — the next
-    /// instant the visible set can grow without a new send. Event-driven callers
-    /// use this to schedule their wake-up instead of polling blind.
-    pub fn next_visible_at(&mut self) -> Option<SimTime> {
-        while let Some(&Reverse((t, idx))) = self.expiries.peek() {
-            let msg = &self.messages[idx];
-            if !msg.deleted && msg.invisible_until == Some(t) {
-                return Some(t);
-            }
-            // Stranded entry (lease extended, message deleted, or already
-            // reconciled): discard and keep looking.
-            self.expiries.pop();
-        }
-        None
-    }
-
     /// Queue wait of the message currently held under `receipt`: the interval from
-    /// send to *first* delivery (at-least-once redeliveries don't reset it).
-    /// `None` for a stale receipt.
+    /// send (`t = 0`) to *first* delivery (at-least-once redeliveries don't reset
+    /// it). `None` for a stale receipt.
     pub fn queue_wait(&self, receipt: ReceiptHandle) -> Option<SimDuration> {
         let idx = self.receipts.get(&receipt.0).copied()?;
-        let m = &self.messages[idx];
-        m.first_received_at.map(|t| t - m.sent_at)
+        self.messages[idx].first_received_at.map(|t| t - SimTime::ZERO)
     }
 
     /// Bodies that were dead-lettered, in DLQ arrival order.
@@ -486,18 +460,14 @@ mod tests {
     #[test]
     fn queue_wait_spans_send_to_first_receive_only() {
         let mut q = queue();
-        q.send_at("a".into(), t(2.0));
-        let (_, r1, _) = q.receive(t(7.5)).unwrap();
+        q.send("a".into());
+        let (_, r1, _) = q.receive(t(5.5)).unwrap();
         assert_eq!(q.queue_wait(r1), Some(SimDuration::from_secs(5.5)));
         // Redelivery after timeout: wait still measures to the *first* receive.
         let (_, r2, c2) = q.receive(t(40.0)).unwrap();
         assert_eq!(c2, 2);
         assert_eq!(q.queue_wait(r2), Some(SimDuration::from_secs(5.5)));
         assert_eq!(q.queue_wait(r1), None, "stale receipt has no wait");
-        // Plain `send` stamps t = 0.
-        q.send("b".into());
-        let (_, r3, _) = q.receive(t(41.0)).unwrap();
-        assert_eq!(q.queue_wait(r3), Some(SimDuration::from_secs(41.0)));
     }
 
     #[test]
@@ -565,24 +535,6 @@ mod tests {
         assert_eq!(q.pending_count(), 1);
         let (_, _, c) = q.receive(t(56.0)).unwrap();
         assert_eq!(c, 2, "extended lease expired, message redelivered");
-    }
-
-    #[test]
-    fn next_visible_at_tracks_the_earliest_live_lease() {
-        let mut q = queue();
-        assert_eq!(q.next_visible_at(), None);
-        q.send("a".into());
-        q.send("b".into());
-        assert_eq!(q.next_visible_at(), None, "visible messages have no expiry");
-        let (_, ra, _) = q.receive(t(0.0)).unwrap();
-        let (_, rb, _) = q.receive(t(2.0)).unwrap();
-        assert_eq!(q.next_visible_at(), Some(t(30.0)));
-        // Extending the earlier lease strands its entry; the next live one wins.
-        q.change_visibility(ra, t(3.0), SimDuration::from_secs(100.0)).unwrap();
-        assert_eq!(q.next_visible_at(), Some(t(32.0)));
-        // Deleting the other leaves only the extended lease.
-        q.delete(rb).unwrap();
-        assert_eq!(q.next_visible_at(), Some(t(103.0)));
     }
 
     #[test]

@@ -97,8 +97,8 @@ impl StarIndex {
         let k = params
             .sa_index_nbases
             .unwrap_or_else(|| PrefixTable::auto_k(genome.len(), AUTO_DEPTH_CAP));
-        if k > 13 {
-            return Err(StarError::InvalidParams(format!("sa_index_nbases {k} > 13")));
+        if k == 0 || k > 13 {
+            return Err(StarError::InvalidParams(format!("sa_index_nbases {k} not in 1..=13")));
         }
         let base = PrefixTable::build(&sa, &codes, k);
         let sjdb = SpliceJunctionDb::from_annotation(annotation, &genome);

@@ -352,17 +352,28 @@ fn two_pass_sam_comes_from_the_second_pass() {
 
 #[test]
 fn cli_rejects_bad_usage() {
+    // A usage error exits 2, a failed run 1; a panic (101) passes neither.
+    let fails_with = |cmd: &mut Command, code: i32| {
+        let out = cmd.output().unwrap();
+        assert_eq!(out.status.code(), Some(code), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
     // No mode.
-    let out = star_sim().output().unwrap();
-    assert!(!out.status.success());
+    fails_with(&mut star_sim(), 2);
     // Unknown mode.
-    let out = star_sim().arg("frobnicate").output().unwrap();
-    assert!(!out.status.success());
+    fails_with(star_sim().arg("frobnicate"), 1);
     // Missing required flag.
-    let out = star_sim().args(["genomeGenerate", "--genomeDir", "/tmp/x"]).output().unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("genomeFastaFiles"));
+    let err = fails_with(star_sim().args(["genomeGenerate", "--genomeDir", "/tmp/x"]), 1);
+    assert!(err.contains("genomeFastaFiles"));
     // Flag without value.
-    let out = star_sim().args(["simulate", "--outDir"]).output().unwrap();
-    assert!(!out.status.success());
+    fails_with(star_sim().args(["simulate", "--outDir"]), 2);
+    // A prefix depth of 0 is an invalid parameter, not an assertion inside the build.
+    let dir = scratch_dir("bad-usage");
+    let fasta = path_str(&dir.join("genome.fa"));
+    std::fs::write(&fasta, ">1\nACGTACGTTGCAACGTAGCTAGCTAGGATCCA\n").unwrap();
+    let genome_dir = path_str(&dir.join("index"));
+    let args = ["genomeGenerate", "--genomeFastaFiles", &fasta, "--genomeDir", &genome_dir];
+    let err = fails_with(star_sim().args(args).args(["--genomeSAindexNbases", "0"]), 1);
+    assert!(err.contains("sa_index_nbases 0"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -21,8 +21,9 @@
 //!   and the [`slo`] burn-rate objectives, evaluated by the recorder that owns
 //!   them against the stream *during* the simulated campaign, emitting `alert`
 //!   events into the same log.
-//! * [`series::TimeSeries`] — timestamped gauge series (the one metrics surface;
-//!   `cloudsim` uses it directly).
+//! * [`series::TimeSeries`] — a timestamped gauge series with a step integral; no
+//!   campaign keeps one (they fold their samples as they arrive), so it serves as
+//!   the reference the campaign's integrals are tested against.
 //!
 //! **Determinism contract.** All timestamps are *simulated* seconds — nothing in
 //! this crate reads a wall clock or links a serializer: all JSON is hand-rolled via

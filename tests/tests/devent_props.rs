@@ -4,33 +4,30 @@
 //!
 //! 1. pops come out in `(time, sequence)` order — earliest first, equal
 //!    timestamps strictly FIFO in scheduling order;
-//! 2. the order is stable under arbitrary interleavings of schedule/pop/cancel
+//! 2. the order is stable under arbitrary interleavings of schedule/pop
 //!    (a heap rebalance can never reorder equal keys);
 //! 3. the clock is monotone: dispatch timestamps never decrease;
-//! 4. cancelled timers never fire, exactly-once accounting holds
-//!    (`scheduled == dispatched + cancelled + pending` at all times);
-//! 5. a recorded operation trace replayed into a fresh kernel reproduces the
-//!    trace byte for byte (the foundation of campaign replayability).
+//! 4. exactly-once accounting holds (`scheduled == dispatched + pending` at all
+//!    times).
+//!
+//! Whole campaigns replaying byte for byte is `devent_diff`'s and
+//! `campaign_pins`' job.
 
-use cloudsim::devent::TraceOp;
-use cloudsim::{Kernel, SimTime, TimerId};
+use cloudsim::{Kernel, SimTime};
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 /// Scripted kernel operation. Times are offsets added to `now` so schedules are
-/// always legal; indices are reduced modulo the live handle list.
+/// always legal.
 #[derive(Clone, Debug)]
 enum Op {
     Schedule(f64),
     Pop,
-    Cancel(usize),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => (0.0f64..100.0).prop_map(Op::Schedule),
         3 => Just(Op::Pop),
-        1 => (0usize..16).prop_map(Op::Cancel),
     ]
 }
 
@@ -58,41 +55,27 @@ proptest! {
         prop_assert_eq!(popped, expected);
     }
 
-    /// Invariants 1-4 under interleaved schedule/pop/cancel: the kernel agrees
-    /// with a brute-force model (a vector stably sorted per pop), never fires a
-    /// cancelled timer, keeps the clock monotone, and balances its books.
+    /// Invariants 1-4 under interleaved schedule/pop: the kernel agrees with a
+    /// brute-force model (a vector stably sorted per pop), keeps the clock
+    /// monotone, and balances its books.
     #[test]
     fn interleaved_ops_match_the_stable_model(
         ops in prop::collection::vec(op_strategy(), 0..200),
     ) {
         let mut k: Kernel<u64> = Kernel::new();
-        // Model: payload -> (time_bits, seq) for every live (unpopped,
-        // uncancelled) event, mirrored by hand.
+        // Model: (time_bits, payload) for every unpopped event, mirrored by hand;
+        // payloads count the schedules.
         let mut model: Vec<(u64, u64)> = Vec::new();
-        let mut handles: Vec<(TimerId, u64)> = Vec::new();
         let mut next_payload = 0u64;
         let mut last_at = f64::NEG_INFINITY;
-        let mut cancelled: Vec<u64> = Vec::new();
 
         for op in ops {
             match op {
                 Op::Schedule(dt) => {
                     let at = k.now() + cloudsim::SimDuration::from_secs(dt);
-                    let id = k.schedule(at, next_payload);
+                    k.schedule(at, next_payload);
                     model.push((at.as_secs().to_bits(), next_payload));
-                    handles.push((id, next_payload));
                     next_payload += 1;
-                }
-                Op::Cancel(i) => {
-                    if handles.is_empty() {
-                        continue;
-                    }
-                    let (id, payload) = handles.remove(i % handles.len());
-                    prop_assert!(k.cancel(id), "live handle must cancel");
-                    prop_assert!(!k.cancel(id), "second cancel must be stale");
-                    let pos = model.iter().position(|&(_, p)| p == payload).unwrap();
-                    model.remove(pos);
-                    cancelled.push(payload);
                 }
                 Op::Pop => {
                     // The model's next event: smallest time, earliest scheduled.
@@ -112,9 +95,6 @@ proptest! {
                             // Invariant 3: monotone clock.
                             prop_assert!(at.as_secs() >= last_at, "clock went backwards");
                             last_at = at.as_secs();
-                            // Invariant 4: cancelled timers never fire.
-                            prop_assert!(!cancelled.contains(&payload), "cancelled timer fired");
-                            handles.retain(|&(_, p)| p != payload);
                         }
                         (got, want) => {
                             prop_assert!(false, "kernel {:?} vs model {:?}", got.map(|g| g.1), want);
@@ -123,67 +103,8 @@ proptest! {
                 }
             }
             // Invariant 4: books balance after every operation.
-            let s = k.stats();
-            prop_assert_eq!(s.scheduled, s.dispatched + s.cancelled + k.len() as u64);
+            prop_assert_eq!(next_payload, k.dispatched() + k.len() as u64);
             prop_assert_eq!(k.len(), model.len());
         }
-    }
-
-    /// Invariant 5: replaying a recorded trace's schedule/cancel/pop operations
-    /// into a fresh kernel reproduces the trace byte for byte.
-    #[test]
-    fn recorded_trace_replays_byte_identically(
-        ops in prop::collection::vec(op_strategy(), 0..150),
-    ) {
-        // First run: record.
-        let mut k: Kernel<u64> = Kernel::new();
-        k.enable_trace();
-        let mut handles: Vec<TimerId> = Vec::new();
-        let mut payload = 0u64;
-        for op in &ops {
-            match op {
-                Op::Schedule(dt) => {
-                    let id = k.schedule(k.now() + cloudsim::SimDuration::from_secs(*dt), payload);
-                    payload += 1;
-                    handles.push(id);
-                }
-                Op::Cancel(i) => {
-                    if handles.is_empty() { continue; }
-                    let id = handles.remove(i % handles.len());
-                    k.cancel(id);
-                }
-                Op::Pop => {
-                    // Fired handles stay in the pool; cancelling one later is a
-                    // stale no-op that records nothing, which is fine — the
-                    // replay follows only the recorded (successful) operations.
-                    let _ = k.pop();
-                }
-            }
-        }
-        let recorded = k.trace_bytes();
-
-        // Replay: drive a fresh kernel with the *trace itself* (schedules at the
-        // recorded times, cancels by recorded seq, pops where recorded).
-        let mut r: Kernel<u64> = Kernel::new();
-        r.enable_trace();
-        let mut seq_map: HashMap<u64, TimerId> = HashMap::new();
-        for op in k.trace() {
-            match *op {
-                TraceOp::Schedule { at_bits, seq } => {
-                    let id = r.schedule(SimTime::from_secs(f64::from_bits(at_bits)), seq);
-                    prop_assert_eq!(id.seq(), seq, "sequence numbering must be deterministic");
-                    seq_map.insert(seq, id);
-                }
-                TraceOp::Cancel { seq } => {
-                    prop_assert!(r.cancel(seq_map[&seq]), "replayed cancel must hit a live timer");
-                }
-                TraceOp::Pop { at_bits, seq } => {
-                    let (at, p) = r.pop().expect("replayed pop must yield an event");
-                    prop_assert_eq!(at.as_secs().to_bits(), at_bits);
-                    prop_assert_eq!(p, seq, "replay popped a different event");
-                }
-            }
-        }
-        prop_assert_eq!(r.trace_bytes(), recorded, "replay must be byte-identical");
     }
 }
