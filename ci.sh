@@ -27,6 +27,10 @@ cargo test -q --release --offline -p atlas-integration-tests --test devent_diff
 # count, stripped-log and OpenMetrics hashes of five fixed campaigns) are what
 # catch a change that moves both sides of a replay together.
 cargo test -q --release --offline -p atlas-integration-tests --test campaign_pins
+# The oracles of the two structures every campaign event goes through: the queue
+# against its scan-based reference model (delivery order, receipt numbering,
+# dead-letter order) and the kernel's integer-keyed heap against a stable sort.
+cargo test -q --release --offline -p atlas-integration-tests --test sqs_props --test devent_props
 # `--runThreadN` is real threads: the vendored rayon shim is a persistent pool with
 # one lifetime-erasing `unsafe`, so its protocol tests (panic hand-back, concurrent
 # installs, nested calls, drop joins) gate every merge, and so does the proof that

@@ -16,7 +16,8 @@
 //!
 //! Handlers work over the sub-states in [`state`], each of which owns one
 //! invariant; [`Campaign::settle`] turns the final state into the report. A
-//! worker owns its in-flight [`Job`], so events carry only ids and are `Copy`.
+//! worker's in-flight [`Job`] sits in the fleet's job table, so events carry
+//! only ids and are `Copy`.
 //!
 //! An accession is named by its [`Acc`] handle — its index in the submitted
 //! slice — from the moment it is sent to the queue: messages, jobs, the
@@ -142,7 +143,7 @@ impl<'a> Campaign<'a> {
             events,
             sqs,
             injector,
-            fleet: Fleet::new(cfg, &obs)?,
+            fleet: Fleet::new(cfg, &obs, accessions.len())?,
             resolution: Resolution::new(accessions.len()),
             accounting: Accounting::new(cost, ledger, accounts),
             recovery: cfg.recovery.map(|r| CheckpointStore::new(r.checkpoint_ttl_secs)),
@@ -386,7 +387,7 @@ impl<'a> Campaign<'a> {
             self.obs.job_event(now, "resume", name, id, &[("skipped_secs", resumed_secs)]);
             rec.counter_add("checkpoint_resumes", 1);
         }
-        let job = Box::new(Job {
+        let job = Job {
             epoch: self.next_epoch,
             accession,
             receipt,
@@ -394,7 +395,7 @@ impl<'a> Campaign<'a> {
             result,
             resumed_secs,
             crash_offset_secs: 0.0,
-        });
+        };
         self.next_epoch += 1;
         self.obs.progress_events(id, name, &job, &history);
         self.start_job(now, id, job);
@@ -403,7 +404,7 @@ impl<'a> Campaign<'a> {
 
     /// Lease the message for the job's duration, roll the job-level faults, and
     /// hand the job to its worker.
-    fn start_job(&mut self, now: SimTime, id: InstanceId, mut job: Box<Job>) {
+    fn start_job(&mut self, now: SimTime, id: InstanceId, mut job: Job) {
         let (cfg, serial, epoch) = (self.cfg, id.0, job.epoch);
         let stages = job.result.stage_secs;
         let duration = stages.total().max(0.001);
@@ -495,9 +496,9 @@ impl<'a> Campaign<'a> {
     }
 
     /// First durable completion of `job.accession`.
-    fn record_completion(&mut self, now: SimTime, job: Box<Job>) {
+    fn record_completion(&mut self, now: SimTime, job: Job) {
         let rec = &self.obs.recorder;
-        let Job { accession, result, resumed_secs, .. } = *job;
+        let Job { accession, result, resumed_secs, .. } = job;
         rec.counter_add("jobs_completed", 1);
         rec.observe("align_secs_per_accession", SECS_BUCKETS, result.stage_secs.align_secs);
         let duration = result.stage_secs.total();

@@ -2,8 +2,9 @@
 //! running a campaign:
 //!
 //! * [`Fleet`] — a terminated instance has no job and no open span;
-//!   `busy_count` equals the number of workers holding a job; both utilization
-//!   integrals take a sample at every change.
+//!   `busy_count` equals the number of workers holding a job, and each of
+//!   them holds its own slot of the job table; both utilization integrals take
+//!   a sample at every change.
 //! * [`Resolution`] — an accession is resolved exactly once: completed, or
 //!   dead-lettered without (yet) completing.
 //! * [`Accounting`] — every wasted second lands in the campaign total and (when
@@ -35,10 +36,10 @@ use cloudsim::SimTime;
 use telemetry::slo::SLO_SKETCH_ALPHA;
 use telemetry::{JsonValue, Recorder, SloSignal, SpanId};
 
-/// One attempt at one accession, owned by the worker running it. The
-/// `JobDone` / `WorkerCrash` events only name `(instance, epoch)`; everything
-/// else they need is here, so a drain, crash or reclaim that takes the job away
-/// leaves those events with nothing to act on.
+/// One attempt at one accession, held for the worker running it in a slot of
+/// the fleet's job table. The `JobDone` / `WorkerCrash` events only name
+/// `(instance, epoch)`; everything else they need is here, so a drain, crash or
+/// reclaim that takes the job away leaves those events with nothing to act on.
 #[derive(Debug)]
 pub(super) struct Job {
     /// Unique per job start: tells a live assignment from a stale event.
@@ -61,7 +62,8 @@ pub(super) struct Job {
 /// (Initializing → Running → Draining → Terminated) lives in [`Instance`].
 #[derive(Debug)]
 struct Worker {
-    job: Option<Box<Job>>,
+    /// The worker's slot in [`Fleet`]'s job table, while it holds a job.
+    job: Option<u32>,
     /// The instance's telemetry span, open until it terminates.
     span: SpanId,
 }
@@ -71,6 +73,11 @@ struct Worker {
 pub(super) struct Fleet {
     asg: AutoScalingGroup,
     workers: Vec<Worker>,
+    /// The job table: one slot per job in flight. A freed slot goes on `free`
+    /// and is reused, so the table is as long as the most jobs ever held at
+    /// once (at most the fleet cap) and a delivery allocates nothing.
+    jobs: Vec<Option<Job>>,
+    free: Vec<u32>,
     busy_count: usize,
     fleet_size: StepIntegral,
     busy: StepIntegral,
@@ -79,13 +86,18 @@ pub(super) struct Fleet {
 }
 
 impl Fleet {
-    pub fn new(cfg: &CampaignConfig, obs: &Observers) -> Result<Fleet, AtlasError> {
+    /// A fleet for a campaign of `accessions`: the job table is sized for the
+    /// fleet cap, or for one job per accession when that is fewer.
+    pub fn new(cfg: &CampaignConfig, obs: &Observers, accessions: usize) -> Result<Fleet, AtlasError> {
         let mut asg = AutoScalingGroup::new(cfg.scaling, cfg.instance_type, cfg.spot)
             .map_err(AtlasError::Cloud)?;
         asg.attach_recorder(Arc::clone(&obs.recorder));
+        let slots = (cfg.scaling.max_size as usize).min(accessions);
         Ok(Fleet {
             asg,
             workers: Vec::new(),
+            jobs: Vec::with_capacity(slots),
+            free: Vec::with_capacity(slots),
             busy_count: 0,
             fleet_size: StepIntegral::default(),
             busy: StepIntegral::default(),
@@ -156,18 +168,29 @@ impl Fleet {
         true
     }
 
-    pub fn start_job(&mut self, id: InstanceId, now: SimTime, job: Box<Job>) {
-        let slot = &mut self.worker(id).job;
-        debug_assert!(slot.is_none(), "a worker runs one job at a time");
-        *slot = Some(job);
+    pub fn start_job(&mut self, id: InstanceId, now: SimTime, job: Job) {
+        debug_assert!(self.worker(id).job.is_none(), "a worker runs one job at a time");
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.jobs[slot as usize] = Some(job);
+                slot
+            }
+            None => {
+                self.jobs.push(Some(job));
+                u32::try_from(self.jobs.len() - 1).expect("one job per worker, within the u32 fleet cap")
+            }
+        };
+        self.worker(id).job = Some(slot);
         self.busy_count += 1;
         self.busy.record(now, self.busy_count);
     }
 
-    /// Take the worker's job away (finished, crashed, drained or reclaimed).
-    /// A no-op on an idle worker.
-    pub fn go_idle(&mut self, id: InstanceId, now: SimTime) -> Option<Box<Job>> {
-        let job = self.worker(id).job.take()?;
+    /// Take the worker's job away (finished, crashed, drained or reclaimed) and
+    /// free its slot. A no-op on an idle worker.
+    pub fn go_idle(&mut self, id: InstanceId, now: SimTime) -> Option<Job> {
+        let slot = self.worker(id).job.take()?;
+        let job = self.jobs[slot as usize].take().expect("a busy worker's slot holds its job");
+        self.free.push(slot);
         self.busy_count -= 1;
         self.busy.record(now, self.busy_count);
         Some(job)
@@ -175,8 +198,9 @@ impl Fleet {
 
     /// [`Fleet::go_idle`] for a `JobDone` / `WorkerCrash` event: only if the
     /// worker is still on the job the event was scheduled for.
-    pub fn finish(&mut self, id: InstanceId, epoch: u64, now: SimTime) -> Option<Box<Job>> {
-        if self.worker(id).job.as_ref()?.epoch != epoch {
+    pub fn finish(&mut self, id: InstanceId, epoch: u64, now: SimTime) -> Option<Job> {
+        let slot = self.worker(id).job?;
+        if self.jobs[slot as usize].as_ref()?.epoch != epoch {
             return None;
         }
         self.go_idle(id, now)
@@ -688,17 +712,17 @@ mod tests {
     fn fleet() -> Fleet {
         let mut cfg = CampaignConfig::new(xlarge(), 1 << 20);
         cfg.telemetry = false;
-        Fleet::new(&cfg, &Observers::new(&cfg, 0.0)).unwrap()
+        Fleet::new(&cfg, &Observers::new(&cfg, 0.0), 2).unwrap()
     }
 
     fn result(accession: &str) -> PipelineResult {
         ModeledWorkload::default().run_accession(accession).unwrap()
     }
 
-    fn job(epoch: u64) -> Box<Job> {
+    fn job(epoch: u64) -> Job {
         let mut q = cloudsim::SqsQueue::new(cloudsim::SimDuration::from_secs(30.0));
         q.send(());
-        Box::new(Job {
+        Job {
             epoch,
             accession: SRR1,
             receipt: q.receive(T0).expect("one message").1,
@@ -706,7 +730,7 @@ mod tests {
             result: result("SRR1"),
             resumed_secs: 0.0,
             crash_offset_secs: 0.0,
-        })
+        }
     }
 
     #[test]
@@ -745,6 +769,41 @@ mod tests {
         let id2 = f.launch(T0);
         f.start_job(id2, T0, job(3));
         assert_eq!(f.finish(id2, 3, T0).unwrap().epoch, 3);
+    }
+
+    #[test]
+    fn a_reused_slot_leaves_the_old_epoch_inert() {
+        let mut f = fleet();
+        let (a, b) = (f.launch(T0), f.launch(T0));
+        f.start_job(a, T0, job(1));
+        assert_eq!(f.go_idle(a, T0).unwrap().epoch, 1, "A drained or crashed");
+        // B takes the slot A freed.
+        f.start_job(b, T0, job(2));
+        assert_eq!(f.jobs.len(), 1, "the freed slot is reused");
+        assert!(f.finish(a, 1, T0).is_none(), "A's JobDone finds A idle");
+        assert!(f.finish(a, 2, T0).is_none(), "B's epoch is not A's job either");
+        assert!(f.is_busy(b) && !f.is_busy(a));
+        assert_eq!(f.busy_count, 1);
+        assert_eq!(f.finish(b, 2, T0).unwrap().epoch, 2);
+    }
+
+    #[test]
+    fn start_idle_cycles_reuse_the_job_table() {
+        let mut f = fleet();
+        let ids = [f.launch(T0), f.launch(T0)];
+        let mut epoch = 0;
+        for round in 0..50 {
+            for &id in &ids {
+                epoch += 1;
+                f.start_job(id, T0, job(epoch));
+            }
+            // Free in both orders so the free list is popped both ways.
+            let order = if round % 2 == 0 { [ids[0], ids[1]] } else { [ids[1], ids[0]] };
+            for id in order {
+                assert!(f.go_idle(id, T0).is_some());
+            }
+        }
+        assert_eq!((f.jobs.len(), f.free.len(), f.busy_count), (2, 2, 0));
     }
 
     #[test]

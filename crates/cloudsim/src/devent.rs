@@ -2,9 +2,12 @@
 //!
 //! [`Kernel`] is the scheduling heart fleet-scale campaigns run on: a binary heap
 //! of `(time, sequence)`-keyed timers with deterministic tie-breaking (earlier
-//! time first; equal times pop in scheduling order). There is no cancellation: a
-//! campaign absorbs an event that no longer applies when it pops (by the epoch the
-//! event carries), so the kernel only schedules and pops.
+//! time first; equal times pop in scheduling order). The key is two integers:
+//! the time's bit pattern ([`SimTime`] is finite, non-negative and never −0.0,
+//! so its bits order like its value) and the sequence number; `pop` turns the
+//! bits back into the time. There is no cancellation: a campaign absorbs an
+//! event that no longer applies when it pops (by the epoch the event carries),
+//! so the kernel only schedules and pops.
 //!
 //! Determinism contract:
 //!
@@ -20,7 +23,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 struct Entry<E> {
-    key: Reverse<(SimTime, u64)>,
+    /// `(time key, sequence)`, reversed so the max-heap pops the earliest.
+    key: Reverse<(u64, u64)>,
     payload: E,
 }
 
@@ -79,7 +83,7 @@ impl<E> Kernel<E> {
         assert!(at >= self.now, "scheduling into the past: {at:?} < {:?}", self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Entry { key: Reverse((at, seq)), payload });
+        self.heap.push(Entry { key: Reverse((at.to_key(), seq)), payload });
     }
 
     /// Schedule `payload` `delay` after now.
@@ -90,7 +94,7 @@ impl<E> Kernel<E> {
     /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let entry = self.heap.pop()?;
-        let Reverse((at, _)) = entry.key;
+        let at = SimTime::from_key(entry.key.0 .0);
         debug_assert!(at >= self.now, "kernel clock must be monotone");
         self.now = at;
         self.dispatched += 1;

@@ -14,15 +14,20 @@
 //! # Discrete-event internals
 //!
 //! This implementation is kernel-grade: nothing scans the message store. Visibility
-//! expiries are *scheduled events* on an internal min-heap keyed `(expiry, index)`;
-//! [`SqsQueue::receive`] drains only the entries that have actually come due,
-//! re-queueing them in message-index order (the same order the original lazy
-//! full-scan reconciliation produced, so delivery schedules are unchanged).
-//! Receipt lookups go through an index map instead of a linear search, and
-//! [`SqsQueue::pending_count`] is a maintained counter. All operations are
-//! O(log n) or better; a 10^6-message campaign costs the same per operation as a
-//! 30-message one. The map is lookup-only (never iterated), so hashing cannot
-//! perturb delivery order.
+//! expiries are *scheduled events* on an internal min-heap keyed `(expiry, index)`
+//! (the expiry as its bit pattern, see [`SimTime`]); [`SqsQueue::receive`] drains
+//! only the entries that have actually come due, re-queueing them in message-index
+//! order (the same order the original lazy full-scan reconciliation produced, so
+//! delivery schedules are unchanged). A lease change reaches the heap once: the
+//! receive and any extensions before the next reconciliation only mark the
+//! message, and the reconciliation pushes its lease as it stands then.
+//!
+//! A [`ReceiptHandle`] carries its message's index beside the receipt serial, so a
+//! receipt resolves with one comparison (`messages[index]` still holds that
+//! serial) and there is no receipt map. [`SqsQueue::pending_count`] is a
+//! maintained counter. All operations are O(log n) or better; a 10^6-message
+//! campaign costs the same per operation as a 30-message one, and nothing hashed
+//! can perturb delivery order.
 //!
 //! This implementation replaced an earlier full-scan queue after the property
 //! suites proved the two observationally identical, operation for operation;
@@ -34,12 +39,23 @@
 use crate::time::{SimDuration, SimTime};
 use crate::CloudError;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, DefaultHasher};
+use std::collections::{BinaryHeap, VecDeque};
+use std::fmt;
 
 /// Receipt handle returned by [`SqsQueue::receive`]; required to delete or extend.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct ReceiptHandle(u64);
+/// Opaque: a receipt serial, unique per delivery, and the message it was issued
+/// for. It prints as `ReceiptHandle(<serial>)`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ReceiptHandle {
+    serial: u64,
+    index: usize,
+}
+
+impl fmt::Debug for ReceiptHandle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "ReceiptHandle({})", self.serial)
+    }
+}
 
 /// A message with its delivery metadata.
 #[derive(Clone, Debug)]
@@ -49,12 +65,15 @@ struct StoredMessage<M> {
     receive_count: u32,
     /// In-flight until this time (None = visible).
     invisible_until: Option<SimTime>,
-    /// Receipt of the current in-flight delivery.
-    current_receipt: Option<ReceiptHandle>,
+    /// Serial of the current in-flight delivery's receipt.
+    current_receipt: Option<u64>,
     /// True once deleted.
     deleted: bool,
     /// True while the message's index sits in the visible deque.
     queued: bool,
+    /// True while the message's index sits in `unscheduled`: its lease changed
+    /// since the last reconciliation and has no expiry entry yet.
+    unscheduled: bool,
     /// When it was first delivered, once delivered.
     first_received_at: Option<SimTime>,
 }
@@ -66,17 +85,14 @@ pub struct SqsQueue<M> {
     messages: Vec<StoredMessage<M>>,
     /// Indices of (potentially) visible messages, FIFO.
     visible: VecDeque<usize>,
-    /// Scheduled visibility expiries `(when, message index)`. Entries are
-    /// validated against the message's current `invisible_until` when they come
-    /// due, so a lease extension simply strands the old entry.
-    expiries: BinaryHeap<Reverse<(SimTime, usize)>>,
-    /// Live receipt → message index. Lookup-only: never iterated, so the map's
-    /// internal order cannot influence anything observable. Fixed-key hashing
-    /// makes its allocations repeat too: with a per-process random key, where
-    /// removals leave deleted slots — and so when the table regrows — varied from
-    /// run to run. The keys are receipts the queue itself issues, so nothing
-    /// outside can craft them to collide.
-    receipts: HashMap<u64, usize, BuildHasherDefault<DefaultHasher>>,
+    /// Scheduled visibility expiries `(when as SimTime key, message index)`.
+    /// Entries are validated against the message's current `invisible_until`
+    /// when they come due, so a lease that changed after its entry was pushed
+    /// simply strands the entry.
+    expiries: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Messages whose lease changed since the last reconciliation, each once;
+    /// `reconcile` pushes their current leases before it pops anything.
+    unscheduled: Vec<usize>,
     default_visibility: SimDuration,
     next_receipt: u64,
     /// Deliveries allowed before a message dead-letters (None = unbounded).
@@ -85,8 +101,9 @@ pub struct SqsQueue<M> {
     dead_letters: Vec<M>,
     /// Undeleted messages (maintained counter; answers `pending_count` in O(1)).
     live: usize,
-    /// `reconcile`'s batch of due expiries, kept so a reconciliation reuses it.
-    due: Vec<(usize, SimTime)>,
+    /// `reconcile`'s batch of due expiries `(index, when as key)`, kept so a
+    /// reconciliation reuses it.
+    due: Vec<(usize, u64)>,
 }
 
 impl<M: Clone> SqsQueue<M> {
@@ -96,7 +113,7 @@ impl<M: Clone> SqsQueue<M> {
             messages: Vec::new(),
             visible: VecDeque::new(),
             expiries: BinaryHeap::new(),
-            receipts: HashMap::default(),
+            unscheduled: Vec::new(),
             default_visibility,
             next_receipt: 1,
             max_receive_count: None,
@@ -124,6 +141,7 @@ impl<M: Clone> SqsQueue<M> {
             current_receipt: None,
             deleted: false,
             queued: true,
+            unscheduled: false,
             first_received_at: None,
         });
         self.visible.push_back(idx);
@@ -152,9 +170,7 @@ impl<M: Clone> SqsQueue<M> {
                     // Redrive: the message used up its deliveries; dead-letter it.
                     msg.deleted = true;
                     msg.invisible_until = None;
-                    if let Some(r) = msg.current_receipt.take() {
-                        self.receipts.remove(&r.0);
-                    }
+                    msg.current_receipt = None;
                     self.dead_letters.push(msg.body.clone());
                     self.live -= 1;
                     continue;
@@ -164,31 +180,40 @@ impl<M: Clone> SqsQueue<M> {
             if msg.first_received_at.is_none() {
                 msg.first_received_at = Some(now);
             }
-            let until = now + self.default_visibility;
-            msg.invisible_until = Some(until);
-            if let Some(old) = msg.current_receipt.take() {
-                // A duplicate delivery superseded: the first consumer's receipt
-                // goes stale the moment the message is delivered again.
-                self.receipts.remove(&old.0);
-            }
-            let receipt = ReceiptHandle(self.next_receipt);
+            // A duplicate delivery supersedes: the first consumer's receipt
+            // goes stale the moment the message is delivered again.
+            let receipt = ReceiptHandle { serial: self.next_receipt, index: idx };
             self.next_receipt += 1;
-            msg.current_receipt = Some(receipt);
+            msg.current_receipt = Some(receipt.serial);
             let body = msg.body.clone();
             let count = msg.receive_count;
-            self.receipts.insert(receipt.0, idx);
-            self.expiries.push(Reverse((until, idx)));
+            self.lease(idx, now + self.default_visibility);
             return Some((body, receipt, count));
         }
         None
     }
 
-    /// Look up a live receipt, or report it stale.
+    /// Hide message `idx` until `until`. Its expiry entry is pushed by the next
+    /// reconciliation, so leases changed again before then cost one entry.
+    fn lease(&mut self, idx: usize, until: SimTime) {
+        let msg = &mut self.messages[idx];
+        msg.invisible_until = Some(until);
+        if !msg.unscheduled {
+            msg.unscheduled = true;
+            self.unscheduled.push(idx);
+        }
+    }
+
+    /// The message `receipt` still holds, if it is live: the message has not been
+    /// delivered again, deleted, dead-lettered, released or expired since.
+    fn live_index(&self, receipt: ReceiptHandle) -> Option<usize> {
+        let msg = self.messages.get(receipt.index)?;
+        (msg.current_receipt == Some(receipt.serial)).then_some(receipt.index)
+    }
+
+    /// [`SqsQueue::live_index`], or report the receipt stale.
     fn receipt_index(&self, receipt: ReceiptHandle) -> Result<usize, CloudError> {
-        self.receipts
-            .get(&receipt.0)
-            .copied()
-            .ok_or_else(|| CloudError::StaleReceipt(format!("{receipt:?}")))
+        self.live_index(receipt).ok_or_else(|| CloudError::StaleReceipt(format!("{receipt:?}")))
     }
 
     /// Delete a message by receipt. Fails if the receipt is stale (the message timed
@@ -196,10 +221,9 @@ impl<M: Clone> SqsQueue<M> {
     pub fn delete(&mut self, receipt: ReceiptHandle) -> Result<(), CloudError> {
         let idx = self.receipt_index(receipt)?;
         let msg = &mut self.messages[idx];
-        debug_assert!(!msg.deleted && msg.current_receipt == Some(receipt));
+        debug_assert!(!msg.deleted);
         msg.deleted = true;
         msg.current_receipt = None;
-        self.receipts.remove(&receipt.0);
         self.live -= 1;
         Ok(())
     }
@@ -213,9 +237,7 @@ impl<M: Clone> SqsQueue<M> {
         timeout: SimDuration,
     ) -> Result<(), CloudError> {
         let idx = self.receipt_index(receipt)?;
-        let until = now + timeout;
-        self.messages[idx].invisible_until = Some(until);
-        self.expiries.push(Reverse((until, idx)));
+        self.lease(idx, now + timeout);
         Ok(())
     }
 
@@ -248,7 +270,7 @@ impl<M: Clone> SqsQueue<M> {
     /// send (`t = 0`) to *first* delivery (at-least-once redeliveries don't reset
     /// it). `None` for a stale receipt.
     pub fn queue_wait(&self, receipt: ReceiptHandle) -> Option<SimDuration> {
-        let idx = self.receipts.get(&receipt.0).copied()?;
+        let idx = self.live_index(receipt)?;
         self.messages[idx].first_received_at.map(|t| t - SimTime::ZERO)
     }
 
@@ -287,10 +309,9 @@ impl<M: Clone> SqsQueue<M> {
     pub fn release(&mut self, receipt: ReceiptHandle) -> Result<(), CloudError> {
         let idx = self.receipt_index(receipt)?;
         let msg = &mut self.messages[idx];
-        debug_assert!(!msg.deleted && msg.current_receipt == Some(receipt));
+        debug_assert!(!msg.deleted);
         msg.invisible_until = None;
         msg.current_receipt = None;
-        self.receipts.remove(&receipt.0);
         if !msg.queued {
             msg.queued = true;
             self.visible.push_back(idx);
@@ -303,14 +324,26 @@ impl<M: Clone> SqsQueue<M> {
     /// same reconciliation batch re-queue in message-index order — the order a
     /// full scan over the message store would produce, which is the delivery
     /// schedule the campaign digests were frozen against.
+    ///
+    /// Leases changed since the last call are pushed first, as they stand now. A
+    /// lease they replaced would only have stranded an entry, so leaving it
+    /// unpushed changes nothing.
     fn reconcile(&mut self, now: SimTime) {
-        if self.expiries.peek().is_none_or(|&Reverse((t, _))| t > now) {
+        for idx in self.unscheduled.drain(..) {
+            let msg = &mut self.messages[idx];
+            msg.unscheduled = false;
+            if let Some(until) = msg.invisible_until.filter(|_| !msg.deleted) {
+                self.expiries.push(Reverse((until.to_key(), idx)));
+            }
+        }
+        let now_key = now.to_key();
+        if self.expiries.peek().is_none_or(|&Reverse((t, _))| t > now_key) {
             return;
         }
         let mut due = std::mem::take(&mut self.due);
         due.clear();
         while let Some(&Reverse((t, idx))) = self.expiries.peek() {
-            if t > now {
+            if t > now_key {
                 break;
             }
             self.expiries.pop();
@@ -318,17 +351,15 @@ impl<M: Clone> SqsQueue<M> {
         }
         // Index order, then schedule order within an index (only the entry
         // matching the live lease validates; the rest are stranded).
-        due.sort_unstable_by_key(|&(idx, t)| (idx, t));
+        due.sort_unstable();
         for &(idx, t) in &due {
             let msg = &mut self.messages[idx];
-            if msg.deleted || msg.invisible_until != Some(t) {
+            if msg.deleted || msg.invisible_until != Some(SimTime::from_key(t)) {
                 continue; // stranded entry: superseded lease or finished message
             }
             // Expired: receipt becomes stale, message is visible again.
             msg.invisible_until = None;
-            if let Some(r) = msg.current_receipt.take() {
-                self.receipts.remove(&r.0);
-            }
+            msg.current_receipt = None;
             if !msg.queued {
                 msg.queued = true;
                 self.visible.push_back(idx);
@@ -535,6 +566,87 @@ mod tests {
         assert_eq!(q.pending_count(), 1);
         let (_, _, c) = q.receive(t(56.0)).unwrap();
         assert_eq!(c, 2, "extended lease expired, message redelivered");
+    }
+
+    #[test]
+    fn a_receipt_goes_stale_on_redelivery_delete_or_dead_letter() {
+        let mut q: SqsQueue<String> =
+            SqsQueue::new(SimDuration::from_secs(10.0)).with_max_receive_count(2);
+        q.send("a".into());
+        q.send("b".into());
+        // Redelivered after its lease expired.
+        let (_, a1, _) = q.receive(t(0.0)).unwrap();
+        let (_, b1, _) = q.receive(t(0.0)).unwrap();
+        let (m, a2, c) = q.receive(t(11.0)).unwrap();
+        assert_eq!((m.as_str(), c), ("a", 2));
+        assert!(q.change_visibility(a1, t(11.0), SimDuration::from_secs(5.0)).is_err());
+        assert_eq!(q.queue_wait(a1), None);
+        // Deleted.
+        q.delete(a2).unwrap();
+        assert!(q.force_visible(a2).is_err());
+        assert!(q.release(a2).is_err());
+        // Dead-lettered: `b` used both deliveries and its last lease expired.
+        let (_, b2, _) = q.receive(t(11.0)).unwrap();
+        assert!(q.receive(t(30.0)).is_none());
+        assert_eq!(q.dead_letters(), &["b".to_string()]);
+        for r in [b1, b2] {
+            assert!(q.delete(r).is_err() && q.queue_wait(r).is_none());
+        }
+    }
+
+    #[test]
+    fn a_receipt_cannot_act_on_another_message() {
+        let mut q = queue();
+        q.send("a".into());
+        q.send("b".into());
+        let (_, ra, _) = q.receive(t(0.0)).unwrap();
+        let (_, rb, _) = q.receive(t(0.0)).unwrap();
+        // `b`'s live serial presented for `a`'s slot, and a slot past the store.
+        let crossed = ReceiptHandle { serial: rb.serial, index: ra.index };
+        let outside = ReceiptHandle { serial: rb.serial, index: 7 };
+        for r in [crossed, outside] {
+            assert!(q.delete(r).is_err());
+            assert!(q.change_visibility(r, t(1.0), SimDuration::from_secs(1.0)).is_err());
+            assert!(q.force_visible(r).is_err() && q.release(r).is_err());
+            assert_eq!(q.queue_wait(r), None);
+        }
+        assert_eq!(q.pending_count(), 2);
+        q.delete(ra).unwrap();
+        assert!(q.delete(ra).is_err(), "a's receipt does not reach b");
+        q.delete(rb).unwrap();
+        assert_eq!(q.pending_count(), 0);
+    }
+
+    #[test]
+    fn a_receipt_prints_its_serial() {
+        let mut q = queue();
+        q.send("a".into());
+        q.send("b".into());
+        let _ = q.receive(t(0.0)).unwrap();
+        let (_, r, _) = q.receive(t(0.0)).unwrap();
+        assert_eq!(format!("{r:?}"), "ReceiptHandle(2)");
+        q.delete(r).unwrap();
+        let err = q.delete(r).unwrap_err();
+        assert!(err.to_string().contains("ReceiptHandle(2)"), "{err}");
+    }
+
+    #[test]
+    fn lease_changes_before_a_reconciliation_push_one_expiry() {
+        let mut q = queue();
+        q.send("a".into());
+        let (_, r, _) = q.receive(t(0.0)).unwrap();
+        q.change_visibility(r, t(0.0), SimDuration::from_secs(60.0)).unwrap();
+        q.change_visibility(r, t(1.0), SimDuration::from_secs(90.0)).unwrap();
+        assert_eq!((q.expiries.len(), q.unscheduled.len()), (0, 1));
+        assert_eq!(q.visible_count(t(2.0)), 0);
+        assert_eq!((q.expiries.len(), q.unscheduled.len()), (1, 0), "the live lease only");
+        assert!(q.receive(t(90.0)).is_none(), "leased to t=91");
+        assert_eq!(q.receive(t(91.0)).unwrap().2, 2);
+    }
+
+    #[test]
+    fn a_stored_message_stays_one_cache_line() {
+        assert_eq!(std::mem::size_of::<StoredMessage<u32>>(), 64);
     }
 
     #[test]

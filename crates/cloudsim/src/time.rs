@@ -2,7 +2,9 @@
 //!
 //! `SimTime` is seconds since simulation start as an `f64` wrapped with total
 //! ordering (no NaNs by construction: all arithmetic goes through checked
-//! constructors that assert finiteness).
+//! constructors that assert finiteness). The constructors also fold −0.0 into
+//! +0.0, so a time is a finite, non-negative `f64` with the sign bit clear and
+//! orders like its bit pattern, which is the key the event heaps compare.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -19,10 +21,22 @@ impl SimTime {
     /// Simulation start.
     pub const ZERO: SimTime = SimTime(0.0);
 
-    /// Construct from seconds. Panics on NaN/∞ or negative values.
+    /// Construct from seconds. Panics on NaN/∞ or negative values; −0.0 is
+    /// stored as +0.0.
     pub fn from_secs(secs: f64) -> SimTime {
         assert!(secs.is_finite() && secs >= 0.0, "invalid SimTime: {secs}");
-        SimTime(secs)
+        SimTime(secs + 0.0)
+    }
+
+    /// An integer key that orders exactly like the time: a finite `f64` with
+    /// the sign bit clear orders like its bits.
+    pub(crate) fn to_key(self) -> u64 {
+        self.0.to_bits()
+    }
+
+    /// The time [`SimTime::to_key`] was taken from.
+    pub(crate) fn from_key(key: u64) -> SimTime {
+        SimTime(f64::from_bits(key))
     }
 
     /// Seconds since simulation start.
@@ -45,10 +59,11 @@ impl SimDuration {
     /// Zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0.0);
 
-    /// Construct from seconds. Panics on NaN/∞ or negative values.
+    /// Construct from seconds. Panics on NaN/∞ or negative values; −0.0 is
+    /// stored as +0.0.
     pub fn from_secs(secs: f64) -> SimDuration {
         assert!(secs.is_finite() && secs >= 0.0, "invalid SimDuration: {secs}");
-        SimDuration(secs)
+        SimDuration(secs + 0.0)
     }
 
     /// Construct from hours.
@@ -176,6 +191,26 @@ mod tests {
         v.sort();
         assert_eq!(v[0], SimTime::ZERO);
         assert_eq!(v[2].as_secs(), 3.0);
+    }
+
+    #[test]
+    fn negative_zero_is_stored_as_positive_zero() {
+        assert_eq!(SimTime::from_secs(-0.0).as_secs().to_bits(), 0);
+        assert_eq!(SimDuration::from_secs(-0.0).as_secs().to_bits(), 0);
+        assert_eq!(SimTime::from_secs(-0.0).to_key(), SimTime::ZERO.to_key());
+    }
+
+    #[test]
+    fn keys_order_like_times_and_round_trip() {
+        let secs = [0.0, 1e-310, f64::MIN_POSITIVE, 1e-9, 0.5, 1.0, 120.0, 1e12, f64::MAX];
+        for w in secs.windows(2) {
+            let (a, b) = (SimTime::from_secs(w[0]), SimTime::from_secs(w[1]));
+            assert!(a < b && a.to_key() < b.to_key(), "{a:?} vs {b:?}");
+        }
+        for s in secs {
+            let t = SimTime::from_secs(s);
+            assert_eq!(SimTime::from_key(t.to_key()).as_secs().to_bits(), s.to_bits());
+        }
     }
 
     #[test]

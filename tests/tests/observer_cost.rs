@@ -59,18 +59,19 @@ struct Tier {
     events: usize,
 }
 
-/// With telemetry off, what remains per accession is two allocator calls per
+/// With telemetry off, what remains per accession is one allocator call per
 /// delivery attempt, and nothing per other event: the result's accession
-/// `String` (`ModeledWorkload::run_accession`) and the `Job` box the worker owns
-/// (`on_delivery`). The other ~750 calls of the "telemetry off" row do not grow
-/// with the campaign (743 / 751 / 747 at the three sizes): the submit-time tables,
-/// the kernel heap's and the queue's doublings, and the launches of a fleet
-/// capped at 64. The chaos row adds two calls per redelivered attempt.
+/// `String` (`ModeledWorkload::run_accession`); a job lives in a slot of the
+/// fleet's job table, not in a box, and the queue keeps no receipt map. The
+/// other ~600 calls of the "telemetry off" row do not grow with the campaign
+/// (593 / 601 / 597 at the three sizes): the submit-time tables, the kernel
+/// heap's and the queue's doublings, and the launches of a fleet capped at 64.
+/// The chaos row adds one call per redelivered attempt.
 const TIERS: [Tier; 4] = [
-    Tier { name: "telemetry off", recorder: false, monitor_and_slo: false, chaos: false, calls: 16_747, bytes: 8_160_858, sim_events: 24_107, spans: 0, events: 0 },
-    Tier { name: "recorder only", recorder: true, monitor_and_slo: false, chaos: false, calls: 453_265, bytes: 62_529_319, sim_events: 24_107, spans: 64_065, events: 18_260 },
-    Tier { name: "monitor + SLO", recorder: true, monitor_and_slo: true, chaos: false, calls: 621_177, bytes: 103_805_685, sim_events: 24_107, spans: 64_065, events: 57_034 },
-    Tier { name: "chaos, off", recorder: false, monitor_and_slo: false, chaos: true, calls: 18_681, bytes: 9_166_222, sim_events: 28_032, spans: 0, events: 0 },
+    Tier { name: "telemetry off", recorder: false, monitor_and_slo: false, chaos: false, calls: 8_597, bytes: 4_964_944, sim_events: 24_107, spans: 0, events: 0 },
+    Tier { name: "recorder only", recorder: true, monitor_and_slo: false, chaos: false, calls: 445_115, bytes: 59_333_405, sim_events: 24_107, spans: 64_065, events: 18_260 },
+    Tier { name: "monitor + SLO", recorder: true, monitor_and_slo: true, chaos: false, calls: 613_027, bytes: 100_609_771, sim_events: 24_107, spans: 64_065, events: 57_034 },
+    Tier { name: "chaos, off", recorder: false, monitor_and_slo: false, chaos: true, calls: 9_615, bytes: 5_416_416, sim_events: 28_032, spans: 0, events: 0 },
 ];
 
 fn config(tier: &Tier, recovery: bool) -> CampaignConfig {
