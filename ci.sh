@@ -31,11 +31,14 @@ cargo test -q --release --offline -p atlas-integration-tests --test campaign_pin
 # against its scan-based reference model (delivery order, receipt numbering,
 # dead-letter order) and the kernel's integer-keyed heap against a stable sort.
 cargo test -q --release --offline -p atlas-integration-tests --test sqs_props --test devent_props
-# `--runThreadN` is real threads: the vendored rayon shim is a persistent pool with
-# one lifetime-erasing `unsafe`, so its protocol tests (panic hand-back, concurrent
-# installs, nested calls, drop joins) gate every merge, and so does the proof that
-# nothing a run reports depends on the thread count or the schedule.
-cargo test -q --release --offline -p rayon
+# `--runThreadN` is real threads: `genomics::pool` is a persistent pool whose workers
+# borrow the caller's stack through a lifetime-erased job pointer. It holds every
+# `unsafe` line of the libraries (the other crates forbid `unsafe`, genomics denies
+# it outside `pool`, and clippy rejects a block without a `// SAFETY:` comment), so
+# its protocol tests (panic hand-back, concurrent callers, nested calls, each index
+# filled once) gate every merge, and so does the proof that nothing a run reports
+# depends on the thread count or the schedule.
+cargo test -q --release --offline -p genomics --lib pool::tests
 cargo test -q --release --offline -p atlas-integration-tests --test thread_invariance
 # What seeding costs in dependent index loads, counted per read on fixed-seed reads
 # (`PhaseWork::seed_probes`): exact for the seed and equal at 1, 2 and 8 threads, so it

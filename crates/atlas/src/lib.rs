@@ -25,6 +25,8 @@
 //!   (Fig. 3, the §III-A configuration table, Fig. 4, the architecture campaign);
 //!   see DESIGN.md's experiment index.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 mod campaign;
 pub mod early_stop;

@@ -23,6 +23,8 @@
 //! Nothing here sleeps or talks to a network: time advances only through the event
 //! queue, so campaigns over thousands of accessions simulate in milliseconds.
 
+#![forbid(unsafe_code)]
+
 pub mod asg;
 pub mod cost;
 pub mod devent;

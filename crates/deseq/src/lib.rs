@@ -9,6 +9,8 @@
 //! The full differential-expression machinery (dispersion shrinkage, Wald tests) is
 //! out of pipeline scope — the Atlas only stores normalized counts.
 
+#![forbid(unsafe_code)]
+
 pub mod matrix;
 pub mod normalize;
 

@@ -14,9 +14,16 @@
 //! * [`gtf`] — GTF text parser (inverse of [`Annotation::to_gtf`]).
 //! * [`simulate`] — RNA-seq read simulators for bulk poly-A and single-cell 3' libraries,
 //!   including the low-mappability read classes that trigger early stopping.
+//! * [`pool`] — the persistent thread pool behind `--runThreadN`, shared by the aligner,
+//!   the pseudoaligner and `fasterq-dump`. It holds every `unsafe` line of the
+//!   workspace's libraries: the other crates forbid `unsafe`, this one denies it
+//!   outside `pool`, and each block there carries a `// SAFETY:` argument.
 //!
 //! Everything is seeded and deterministic: the same seed always produces the same
 //! genome, annotation and reads, which the test-suite and the experiment harness rely on.
+
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod annotation;
 pub mod ensembl;
@@ -25,6 +32,8 @@ pub mod fasta;
 pub mod fastq;
 pub mod genome;
 pub mod gtf;
+#[allow(unsafe_code)]
+pub mod pool;
 pub mod seq;
 pub mod simulate;
 

@@ -23,6 +23,8 @@
 //!
 //! The `pseudo-early-stop` experiment in `atlas-bench` quantifies the difference.
 
+#![forbid(unsafe_code)]
+
 pub mod index;
 pub mod pseudoalign;
 pub mod quant;

@@ -13,10 +13,11 @@
 use crate::pseudoalign::{PseudoAligner, PseudoOutcome, PseudoParams};
 use crate::quant::EqClassCounts;
 use crate::PseudoIndex;
+use genomics::pool::Pool;
 use genomics::FastqRecord;
 use star_aligner::align::MapClass;
 use star_aligner::progress::{ProgressSnapshot, ProgressStats};
-use star_aligner::runner::{shared_pool, BatchDriver, RunMonitor, RunStatus};
+use star_aligner::runner::{BatchDriver, RunMonitor, RunStatus};
 use star_aligner::StarError;
 use std::sync::Arc;
 use std::time::Instant;
@@ -66,7 +67,7 @@ impl PseudoRunOutput {
 pub struct PseudoRunner<'i> {
     aligner: PseudoAligner<'i>,
     config: PseudoRunConfig,
-    pool: Arc<rayon::ThreadPool>,
+    pool: Arc<Pool>,
 }
 
 impl<'i> PseudoRunner<'i> {
@@ -80,7 +81,8 @@ impl<'i> PseudoRunner<'i> {
         if config.threads == 0 || config.batch_size == 0 {
             return Err(StarError::InvalidParams("threads and batch_size must be positive".into()));
         }
-        let pool = shared_pool(config.threads)?;
+        let pool = Pool::shared(config.threads)
+            .map_err(|e| StarError::InvalidParams(format!("thread pool: {e}")))?;
         Ok(PseudoRunner { aligner: PseudoAligner::new(index, params), config, pool })
     }
 

@@ -1,15 +1,16 @@
 //! `fasterq-dump` tool model — pipeline step 2.
 //!
 //! Converts an SRA-lite archive to FASTQ records. The decode itself is real (and
-//! rayon-parallel, like the multi-threaded real tool); the modeled duration charges
-//! the *output* volume against a per-thread throughput, matching the real tool's
-//! I/O-bound behaviour where FASTQ text dominates.
+//! parallel on a [`Pool`], like the multi-threaded real tool); the modeled duration
+//! charges the *output* volume against a per-thread throughput, matching the real
+//! tool's I/O-bound behaviour where FASTQ text dominates.
 
 use crate::accession::LibraryLayout;
 use crate::archive::SraArchive;
 use crate::SraError;
+use genomics::pool::Pool;
 use genomics::FastqRecord;
-use rayon::prelude::*;
+use std::sync::OnceLock;
 
 /// Conversion throughput model.
 #[derive(Clone, Copy, Debug)]
@@ -94,15 +95,26 @@ impl FasterqDump {
         FasterqDump { model }
     }
 
-    /// Convert `archive` to FASTQ records.
+    /// Convert `archive` to FASTQ records on the process-wide pool of
+    /// `available_parallelism()` threads.
     pub fn run(&self, archive: &SraArchive) -> Result<FasterqOutput, SraError> {
+        // Read once: `available_parallelism` reads cgroup files on every call, tens
+        // of microseconds, a few per cent of a small accession's decode.
+        static THREADS: OnceLock<usize> = OnceLock::new();
+        let threads = *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        let pool = Pool::shared(threads).map_err(|e| SraError::InvalidParams(format!("thread pool: {e}")))?;
+        self.run_on(archive, &pool)
+    }
+
+    /// Convert `archive` to FASTQ records on `pool`.
+    pub fn run_on(&self, archive: &SraArchive, pool: &Pool) -> Result<FasterqOutput, SraError> {
         self.model.validate()?;
-        // Parallel decode on the pool in force, each read written straight into its
-        // slot (archive records are fixed-size, so indexes are independent;
-        // `model.threads` only scales the modeled time).
+        // Parallel decode, each read written straight into its slot (archive records
+        // are fixed-size, so indexes are independent; `model.threads` only scales the
+        // modeled time).
         let mut reads = Vec::new();
         reads.resize_with(archive.n_reads() as usize, FastqRecord::default);
-        reads.par_iter_mut().enumerate().for_each(|(i, read)| *read = archive.record(i as u64));
+        pool.fill(&mut reads, |i| archive.record(i as u64));
         // Known undercount: 5 framing bytes per record where `write_fastq` writes 6
         // (the `@` is missing). Correcting it moves `campaign_perfetto.json`.
         let fastq_bytes: u64 = reads

@@ -18,6 +18,8 @@
 //! * [`fasterq_dump`] — the `fasterq-dump` tool model: parallel decode to FASTQ with
 //!   a throughput model.
 
+#![forbid(unsafe_code)]
+
 pub mod accession;
 pub mod archive;
 pub mod error;

@@ -40,8 +40,8 @@ fn fetch_allocates_per_accession_and_dump_three_times_per_read() {
         accession("SRRPAIR", LibraryStrategy::RnaSeqBulk, LibraryLayout::Paired),
     ];
     // A one-thread pool runs every parallel call on the caller, whose allocations are
-    // the ones counted (what `star_aligner::runner::shared_pool(1)` builds).
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+    // the ones counted.
+    let pool = genomics::pool::Pool::shared(1).unwrap();
     let dump = FasterqDump::default();
     for meta in &catalog {
         let mut fetch_calls = Vec::new();
@@ -49,7 +49,7 @@ fn fetch_allocates_per_accession_and_dump_three_times_per_read() {
             let repo = SraRepository::new(Arc::clone(&assembly), Arc::clone(&annotation), catalog.clone())
                 .with_spot_cap(cap);
             let (archive, fetched) = tracked(|| repo.fetch(&meta.id).unwrap());
-            let (out, dumped) = pool.install(|| tracked(|| dump.run(&archive).unwrap()));
+            let (out, dumped) = tracked(|| dump.run_on(&archive, &pool).unwrap());
             let reads = out.reads.len() as u64;
             println!(
                 "{} {:?} {:?}: {cap} spots  fetch {} calls  dump {} calls for {reads} reads",

@@ -58,6 +58,8 @@
 //! assert!(result.is_mapped());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod align;
 pub mod checkpoint;
 pub mod error;

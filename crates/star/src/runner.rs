@@ -1,24 +1,22 @@
 //! Multi-threaded alignment run driver (`--runThreadN` analog) with the cooperative
 //! cancellation hook that early stopping plugs into.
 //!
-//! Reads are processed in batches; each batch is aligned in parallel on a shared
-//! rayon pool (one per thread count, process-wide — repeated runs and two-pass mode
-//! reuse threads and their warm per-thread scratch buffers instead of spawning new
-//! ones), progress counters are updated, and a [`RunMonitor`] is consulted between
-//! batches. A monitor that returns [`MonitorVerdict::Abort`] stops the run — exactly
-//! how the paper's pipeline kills STAR when `Log.progress.out` shows a sub-threshold
-//! mapping rate after the 10 % checkpoint.
+//! Reads are processed in batches; each batch is aligned in parallel on the
+//! process-wide [`Pool`] for the run's thread count (repeated runs, two-pass mode and
+//! `pseudo`'s runner reuse its threads and their warm per-thread scratch buffers
+//! instead of spawning new ones), progress counters are updated, and a
+//! [`RunMonitor`] is consulted between batches. A monitor that returns
+//! [`MonitorVerdict::Abort`] stops the run — exactly how the paper's pipeline kills
+//! STAR when `Log.progress.out` shows a sub-threshold mapping rate after the 10 %
+//! checkpoint.
 //!
 //! That loop exists once, as [`BatchDriver::drive`]: [`Runner`]'s single-end, resumed,
 //! paired and two-pass runs and `pseudo`'s runner differ only in the align function
 //! and the accounting closure they hand it.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
-
-use rayon::prelude::*;
 
 use crate::align::{AlignOutcome, Aligner, AlignmentRecord, MapClass, PhaseWork};
 use crate::checkpoint::AlignCheckpoint;
@@ -31,6 +29,7 @@ use crate::progress::{ProgressSnapshot, ProgressStats};
 use crate::quant::{GeneCounter, GeneCounts};
 use crate::scratch::with_thread_scratch;
 use crate::StarError;
+use genomics::pool::Pool;
 use genomics::{Annotation, FastqRecord};
 
 /// What a [`RunMonitor`] tells the runner after each batch.
@@ -168,34 +167,13 @@ impl RunOutput {
     }
 }
 
-/// Process-wide rayon pool per thread count. Building a pool spawns OS threads —
-/// doing that once per [`Runner`] (let alone per run) wastes startup time and
-/// discards the per-thread alignment scratch the workers have warmed up; sharing
-/// keeps both across runners (this one and `pseudo`'s), runs and two-pass
-/// re-alignment.
-pub fn shared_pool(threads: usize) -> Result<Arc<rayon::ThreadPool>, StarError> {
-    static POOLS: OnceLock<Mutex<HashMap<usize, Arc<rayon::ThreadPool>>>> = OnceLock::new();
-    let mut pools =
-        POOLS.get_or_init(|| Mutex::new(HashMap::new())).lock().expect("pool registry poisoned");
-    if let Some(pool) = pools.get(&threads) {
-        return Ok(Arc::clone(pool));
-    }
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .map_err(|e| StarError::InvalidParams(format!("thread pool: {e}")))?;
-    let pool = Arc::new(pool);
-    pools.insert(threads, Arc::clone(&pool));
-    Ok(pool)
-}
-
 /// The batch loop — cancel check, parallel batch, in-order accounting, snapshot,
 /// monitor — that every runner in the workspace shares: [`Runner::run`],
 /// [`Runner::run_resumed`], [`Runner::run_pairs`], [`Runner::run_two_pass`] and
 /// `pseudo`'s runner. This is the one place the paper's early stopping acts.
 pub struct BatchDriver<'a> {
     /// Pool the batches are aligned on.
-    pub pool: &'a rayon::ThreadPool,
+    pub pool: &'a Pool,
     /// Fragments per batch between monitor checks.
     pub batch_size: usize,
     /// Consulted after every batch; `None` runs to completion.
@@ -222,7 +200,8 @@ impl BatchDriver<'_> {
     /// order; `account` then sees each fragment with its outcome on the calling
     /// thread, in input order, and returns the class to count — so nothing a run
     /// reports depends on the schedule. Monomorphised per caller: no `dyn` call or
-    /// allocation per fragment beyond the batch's outcome vector.
+    /// allocation per fragment, and one outcome buffer per call, reused by every
+    /// batch. A panic in `align` is re-raised here.
     pub fn drive<F, O, A, R>(&self, frags: &[F], progress: &ProgressStats, align: A, mut account: R) -> Driven
     where
         F: Sync,
@@ -233,13 +212,18 @@ impl BatchDriver<'_> {
         let skip = progress.snapshot().processed as usize;
         let mut history = Vec::new();
         let mut status = RunStatus::Completed;
-        for batch in frags[skip..].chunks(self.batch_size) {
+        let todo = &frags[skip..];
+        let mut slots: Vec<Option<O>> = Vec::new();
+        slots.resize_with(self.batch_size.min(todo.len()), || None);
+        for batch in todo.chunks(self.batch_size) {
             if self.cancel.is_some_and(CancelToken::is_cancelled) {
                 status = RunStatus::Cancelled { processed_reads: progress.snapshot().processed };
                 break;
             }
-            let outcomes: Vec<O> = self.pool.install(|| batch.par_iter().map(&align).collect());
-            for (frag, outcome) in batch.iter().zip(outcomes) {
+            let slots = &mut slots[..batch.len()];
+            self.pool.fill(slots, |i| Some(align(&batch[i])));
+            // `fill` wrote every slot, so `map_while` never stops early.
+            for (frag, outcome) in batch.iter().zip(slots.iter_mut().map_while(Option::take)) {
                 progress.record(account(frag, outcome));
             }
             let snap = progress.snapshot();
@@ -371,7 +355,7 @@ pub struct Runner<'i> {
     index: &'i StarIndex,
     align_params: AlignParams,
     config: RunConfig,
-    pool: Arc<rayon::ThreadPool>,
+    pool: Arc<Pool>,
 }
 
 impl<'i> Runner<'i> {
@@ -379,7 +363,8 @@ impl<'i> Runner<'i> {
     pub fn new(index: &'i StarIndex, align_params: AlignParams, config: RunConfig) -> Result<Runner<'i>, StarError> {
         align_params.validate()?;
         config.validate()?;
-        let pool = shared_pool(config.threads)?;
+        let pool = Pool::shared(config.threads)
+            .map_err(|e| StarError::InvalidParams(format!("thread pool: {e}")))?;
         Ok(Runner { index, align_params, config, pool })
     }
 
@@ -607,7 +592,7 @@ mod tests {
     /// are numbers, "aligning" triples them, even ones "map". One case per exit.
     #[test]
     fn driver_completes_aborts_cancels_and_resumes() {
-        let pool = shared_pool(2).unwrap();
+        let pool = Pool::shared(2).unwrap();
         let frags: Vec<u32> = (0..25).collect();
         let drive = |progress: ProgressStats,
                      monitor: Option<&dyn RunMonitor>,
@@ -664,6 +649,34 @@ mod tests {
         assert_eq!(boundaries, [23, 25]);
         assert_eq!(seen, frags[13..]);
         assert_eq!((resumed.final_snapshot.unique, resumed.final_snapshot.unmapped), (13, 12));
+    }
+
+    /// A panic in one fragment's `align` reaches the `drive` caller after the batches
+    /// before it were accounted, and the next `drive` on the same process-wide pool
+    /// runs to completion with every fragment meeting its own outcome.
+    #[test]
+    fn driver_reraises_an_align_panic_and_the_shared_pool_stays_usable() {
+        let pool = Pool::shared(2).unwrap();
+        let frags: Vec<u32> = (0..25).collect();
+        let driver = BatchDriver { pool: &pool, batch_size: 10, monitor: None, cancel: None };
+        let progress = ProgressStats::new(25);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let align = |&n: &u32| if n == 13 { panic!("fragment {n}") } else { n };
+            driver.drive(&frags, &progress, align, |_, _| MapClass::Unique)
+        }));
+        let payload = panicked.expect_err("the panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("fragment 13"));
+        assert_eq!(progress.snapshot().processed, 10, "nothing of the panicking batch is accounted");
+
+        let mut seen = Vec::new();
+        let driven = driver.drive(&frags, &ProgressStats::new(25), |&n| n * 3, |&n, tripled| {
+            assert_eq!(tripled, n * 3, "each fragment meets its own outcome");
+            seen.push(n);
+            MapClass::Unique
+        });
+        assert_eq!(driven.status, RunStatus::Completed);
+        assert_eq!(seen, frags);
+        assert_eq!(driven.final_snapshot.unique, 25);
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! primitive that the MMP seed search builds on.
 
 use crate::genome::Packed2;
-use rayon::prelude::*;
 
 /// An interval `[lo, hi)` of suffix-array slots.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,11 +87,11 @@ impl SuffixArray {
         let mut k = 1usize;
         loop {
             // Composite key: (rank[i], rank[i+k]); missing second half sorts first.
-            key.par_iter_mut().enumerate().for_each(|(i, dst)| {
+            for (i, dst) in key.iter_mut().enumerate() {
                 let r1 = rank[i] as u64;
                 let r2 = if i + k < n { rank[i + k] as u64 } else { 0 };
                 *dst = (r1 << 32) | r2;
-            });
+            }
             sa.sort_unstable_by_key(|&i| key[i as usize]);
             // Re-rank: equal keys share a rank. `next_rank` is swapped back in, not
             // reallocated, so the loop reuses two buffers for its whole life.

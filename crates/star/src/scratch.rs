@@ -190,8 +190,9 @@ thread_local! {
     static THREAD_SCRATCH: RefCell<AlignScratch> = RefCell::new(AlignScratch::new());
 }
 
-/// Run `f` with this thread's scratch. One scratch per OS thread: a runner's
-/// rayon workers therefore keep their buffers warm across batches.
+/// Run `f` with this thread's scratch. One scratch per OS thread: the workers of a
+/// runner's pool, which persist for the process, keep their buffers warm across
+/// batches and runs.
 pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut AlignScratch) -> R) -> R {
     THREAD_SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }

@@ -31,6 +31,8 @@
 //! fixed campaign seed, the serialized event log and every histogram quantile are
 //! byte-identical across runs (`tests/tests/telemetry.rs` proves it).
 
+#![forbid(unsafe_code)]
+
 pub mod diff;
 pub mod events;
 pub mod export;

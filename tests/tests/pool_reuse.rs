@@ -1,10 +1,11 @@
 //! Runs reuse pool threads instead of spawning new ones.
 //!
-//! One test on purpose: `rayon::workers_spawned` counts for the whole process, and
+//! One test on purpose: `workers_spawned` counts for the whole process, and
 //! each file under `tests/tests/` is a process of its own, so nothing else can move
 //! the counter between two readings.
 
 use genomics::annotation::AnnotationParams;
+use genomics::pool::workers_spawned;
 use genomics::{
     Annotation, EnsemblGenerator, EnsemblParams, FastqRecord, LibraryType, ReadSimulator, Release,
     SimulatorParams,
@@ -13,6 +14,8 @@ use pseudo_aligner::index::PseudoIndexParams;
 use pseudo_aligner::pseudoalign::PseudoParams;
 use pseudo_aligner::runner::{PseudoRunConfig, PseudoRunner};
 use pseudo_aligner::PseudoIndex;
+use sra_sim::accession::LibraryStrategy;
+use sra_sim::{FasterqDump, SraArchive};
 use star_aligner::index::{IndexParams, StarIndex};
 use star_aligner::runner::{RunConfig, Runner};
 use star_aligner::AlignParams;
@@ -43,6 +46,27 @@ fn runners_and_two_pass_mode_reuse_the_pool_workers() {
     .map(|r| r.fastq)
     .collect();
 
+    // The dump and a runner at the host's thread count share one pool.
+    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let start = workers_spawned();
+    let archive = SraArchive::encode("SRRPR", LibraryStrategy::RnaSeqBulk, &reads).unwrap();
+    FasterqDump::default().run(&archive).unwrap();
+    let host = RunConfig {
+        threads: available,
+        batch_size: 500,
+        quant: false,
+        ..RunConfig::default()
+    };
+    Runner::new(&index, AlignParams::default(), host)
+        .unwrap()
+        .run(&reads, None, None, None)
+        .unwrap();
+    assert_eq!(
+        workers_spawned(),
+        start + available - 1,
+        "the dump and the runner built one {available}-thread pool between them"
+    );
+
     const THREADS: usize = 3;
     let config = RunConfig {
         threads: THREADS,
@@ -50,14 +74,15 @@ fn runners_and_two_pass_mode_reuse_the_pool_workers() {
         quant: false,
         ..RunConfig::default()
     };
-    let before = rayon::workers_spawned();
+    let before = workers_spawned();
     let runner = Runner::new(&index, AlignParams::default(), config.clone()).unwrap();
     runner.run(&reads, None, None, None).unwrap();
-    let warm = rayon::workers_spawned();
+    let warm = workers_spawned();
+    let built = if available == THREADS { 0 } else { THREADS - 1 };
     assert_eq!(
         warm,
-        before + THREADS - 1,
-        "the first runner builds the 3-thread pool"
+        before + built,
+        "the first 3-thread runner builds the 3-thread pool"
     );
 
     // Two passes, each on a runner of its own.
@@ -67,7 +92,7 @@ fn runners_and_two_pass_mode_reuse_the_pool_workers() {
         "the second pass must have run on an augmented index"
     );
     assert_eq!(
-        rayon::workers_spawned(),
+        workers_spawned(),
         warm,
         "two-pass mode spawned threads"
     );
@@ -90,7 +115,7 @@ fn runners_and_two_pass_mode_reuse_the_pool_workers() {
             .unwrap();
     }
     assert_eq!(
-        rayon::workers_spawned(),
+        workers_spawned(),
         warm,
         "a later runner spawned threads"
     );

@@ -9,6 +9,7 @@
 
 use atlas_pipeline::{AtlasPipeline, PipelineConfig};
 use genomics::annotation::AnnotationParams;
+use genomics::pool::Pool;
 use genomics::{
     Annotation, Assembly, EnsemblGenerator, EnsemblParams, FastqRecord, LibraryType, ReadSimulator,
     Release, SimulatorParams,
@@ -22,9 +23,7 @@ use star_aligner::checkpoint::AlignCheckpoint;
 use star_aligner::index::{IndexParams, StarIndex};
 use star_aligner::junctions::JunctionRow;
 use star_aligner::quant::GeneCounts;
-use star_aligner::runner::{
-    shared_pool, CancelToken, MonitorVerdict, RunConfig, RunOutput, RunStatus, Runner,
-};
+use star_aligner::runner::{CancelToken, MonitorVerdict, RunConfig, RunOutput, RunStatus, Runner};
 use star_aligner::{AlignParams, ProgressSnapshot};
 use std::sync::Arc;
 
@@ -303,15 +302,13 @@ fn fasterq_dump_is_invariant_to_pool_size() {
     let archive = SraArchive::encode("SRRTI", LibraryStrategy::RnaSeqBulk, &reads).unwrap();
     let sequential = archive.decode_all().unwrap();
     assert_eq!(sequential.len(), reads.len());
-    // Outside any pool the decode runs on rayon's global pool...
+    // `run` decodes on the pool of `available_parallelism()` threads...
     let global = FasterqDump::default().run(&archive).unwrap();
     assert!(global.reads == sequential, "global pool");
-    // ...and inside one, on that pool.
+    // ...and `run_on` on the pool it is given.
     for threads in THREAD_COUNTS {
-        let pool = shared_pool(threads).unwrap();
-        let dumped = pool
-            .install(|| FasterqDump::default().run(&archive))
-            .unwrap();
+        let pool = Pool::shared(threads).unwrap();
+        let dumped = FasterqDump::default().run_on(&archive, &pool).unwrap();
         assert!(dumped.reads == sequential, "{threads} threads");
         assert_eq!(dumped.fastq_bytes, global.fastq_bytes);
     }
