@@ -35,10 +35,11 @@ cargo test -q --release --offline -p atlas-integration-tests --test sqs_props --
 # borrow the caller's stack through a lifetime-erased job pointer. It holds every
 # `unsafe` line of the libraries (the other crates forbid `unsafe`, genomics denies
 # it outside `pool`, and clippy rejects a block without a `// SAFETY:` comment), so
-# its protocol tests (panic hand-back, concurrent callers, nested calls, each index
-# filled once) gate every merge, and so does the proof that nothing a run reports
-# depends on the thread count or the schedule.
-cargo test -q --release --offline -p genomics --lib pool::tests
+# its protocol tests (panic hand-back, concurrent callers, nested calls) and the
+# crate's fill-as-a-map tests (each index filled once, every length and thread
+# count) gate every merge, and so does the proof that nothing a run reports depends
+# on the thread count or the schedule.
+cargo test -q --release --offline -p genomics --lib
 cargo test -q --release --offline -p atlas-integration-tests --test thread_invariance
 # What seeding costs in dependent index loads, counted per read on fixed-seed reads
 # (`PhaseWork::seed_probes`): exact for the seed and equal at 1, 2 and 8 threads, so it

@@ -352,25 +352,6 @@ mod tests {
         assert_eq!(one, [Some(caller)]);
     }
 
-    /// Each index is filled once (the slots count their writes) with its own value.
-    #[test]
-    fn every_length_and_thread_count_matches_sequential() {
-        for threads in [1, 2, 3, 8] {
-            let pool = pool(threads);
-            for len in [0usize, 1, 2, 3, 7, 8, 9, 63, 64, 65, 1_000, 8_193, 20_001] {
-                let writes: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-                let mut got = vec![usize::MAX; len];
-                pool.fill(&mut got, |i| {
-                    writes[i].fetch_add(1, Ordering::Relaxed);
-                    i * 3 + 1
-                });
-                let want: Vec<usize> = (0..len).map(|i| i * 3 + 1).collect();
-                assert_eq!(got, want, "threads {threads} len {len}");
-                assert!(writes.iter().all(|w| w.load(Ordering::Relaxed) == 1), "threads {threads} len {len}");
-            }
-        }
-    }
-
     /// Two items that each wait for the other: finishes only if two threads really
     /// run the job at the same time.
     #[test]
