@@ -51,6 +51,10 @@ if sed '/#\[cfg(test)\]/,$d' crates/star/src/mmp.rs | grep -n 'sa\.full()'; then
     echo "crates/star/src/mmp.rs: a search starts from sa.full() outside #[cfg(test)]" >&2
     exit 1
 fi
+# What the per-read path asks the allocator for, counted: steady-state alignment, and
+# alignment with a gene assignment, make no call; a whole quant-on run makes as many
+# for 4 000 reads as for 400 (gene counting builds no record and allocates nothing).
+cargo test -q --release --offline -p star-aligner --test zero_alloc
 cargo clippy --offline -- -D warnings
 # Doc links are checked: a link to a deleted, renamed or private item, or an
 # ambiguous one, fails here instead of rendering as plain text.

@@ -10,6 +10,7 @@ use crate::extend::{extend_chain_into, WindowAlignment};
 use crate::index::StarIndex;
 use crate::mmp::SeedLayers;
 use crate::params::AlignParams;
+use crate::quant::{Assignment, GeneModel, Placement};
 use crate::scratch::{with_thread_scratch, AlignScratch, CandSet, ScratchCore};
 use crate::seed::collect_seeds_packed;
 use crate::sjdb::SpliceClass;
@@ -227,6 +228,8 @@ pub struct AlignOutcome {
     pub candidates_examined: u32,
     /// Per-phase work units spent on this read.
     pub work: PhaseWork,
+    /// Where gene counting puts the read, when [`Emit::genes`] asked for it.
+    pub genes: Option<Assignment>,
 }
 
 impl AlignOutcome {
@@ -235,8 +238,39 @@ impl AlignOutcome {
         self.class.is_mapped()
     }
 
-    fn unmapped(candidates_examined: u32, work: PhaseWork) -> AlignOutcome {
-        AlignOutcome { class: MapClass::Unmapped, primary: None, candidates_examined, work }
+    fn unmapped(candidates_examined: u32, work: PhaseWork, emit: Emit<'_>) -> AlignOutcome {
+        AlignOutcome {
+            class: MapClass::Unmapped,
+            primary: None,
+            candidates_examined,
+            work,
+            genes: emit.unmapped(),
+        }
+    }
+}
+
+/// What an alignment call builds besides the class, candidate count and phase work
+/// it always reports. `false` and `true` convert to "nothing" and "records only".
+#[derive(Clone, Copy, Debug)]
+pub struct Emit<'g> {
+    /// Build the primary [`AlignmentRecord`] (both mates' for a pair): for junction
+    /// tallies, kept records, SAM.
+    pub records: bool,
+    /// Assign the read (or pair) to a gene against this model, from the best
+    /// alignment's parts, without building a record.
+    pub genes: Option<&'g GeneModel>,
+}
+
+impl From<bool> for Emit<'_> {
+    fn from(records: bool) -> Self {
+        Emit { records, genes: None }
+    }
+}
+
+impl Emit<'_> {
+    /// The gene assignment of a read or pair that did not map.
+    pub(crate) fn unmapped(&self) -> Option<Assignment> {
+        self.genes.map(|_| Assignment::Unmapped)
     }
 }
 
@@ -343,6 +377,18 @@ impl<'i> Aligner<'i> {
         work
     }
 
+    /// Interned contig names, in the index's order: the order a [`GeneModel`] for
+    /// this aligner is built with.
+    pub fn contig_names(&self) -> &[Arc<str>] {
+        &self.contig_names
+    }
+
+    /// A candidate as the gene model reads it (contig index, local start).
+    pub(crate) fn placement<'w>(&self, is_rc: bool, wa: &'w WindowAlignment) -> Placement<'w> {
+        let (contig, pos) = self.layers.index().genome().to_local(wa.gstart);
+        Placement { contig, pos, reverse: is_rc, cigar: &wa.cigar }
+    }
+
     /// Build the public record for a candidate (contig-local coordinates).
     pub(crate) fn record_for(&self, is_rc: bool, wa: &WindowAlignment, n_hits: u32) -> AlignmentRecord {
         let genome = self.layers.index().genome();
@@ -390,26 +436,28 @@ impl<'i> Aligner<'i> {
     }
 
     /// The hot path: align a bare sequence through caller-provided scratch buffers.
-    /// With `materialize: false` the [`AlignmentRecord`] is skipped (classification,
-    /// candidate counts, and phase work are still exact). The run driver calls this
-    /// on each worker's thread scratch and attaches read ids afterwards, only to
-    /// records it keeps; [`Aligner::align_seq`] and [`Aligner::align_read`] are the
-    /// two convenience forms.
-    pub fn align_seq_with(
+    /// `emit` says what to build beyond classification, candidate counts and phase
+    /// work, which are always exact: the [`AlignmentRecord`], the gene
+    /// [`Assignment`], both or neither (`false`). The run driver calls this on each
+    /// worker's thread scratch, assigns genes there, and attaches read ids
+    /// afterwards, only to records it keeps; [`Aligner::align_seq`] and
+    /// [`Aligner::align_read`] are the two convenience forms.
+    pub fn align_seq_with<'g>(
         &self,
         seq: &DnaSeq,
         scratch: &mut AlignScratch,
-        materialize: bool,
+        emit: impl Into<Emit<'g>>,
     ) -> AlignOutcome {
+        let emit = emit.into();
         let read_len = seq.len();
         if read_len == 0 {
-            return AlignOutcome::unmapped(0, PhaseWork::default());
+            return AlignOutcome::unmapped(0, PhaseWork::default(), emit);
         }
         let AlignScratch { core, cands, .. } = scratch;
         let work = self.candidates_into(seq, core, cands);
         let candidates_examined = cands.len() as u32;
         if cands.is_empty() {
-            return AlignOutcome::unmapped(candidates_examined, work);
+            return AlignOutcome::unmapped(candidates_examined, work, emit);
         }
 
         let best_score = cands.iter().map(|(_, wa)| wa.score).max().expect("non-empty");
@@ -420,15 +468,19 @@ impl<'i> Aligner<'i> {
 
         // Output filters (on the best alignment, like STAR).
         if !self.passes_filters(best_wa, read_len) {
-            return AlignOutcome::unmapped(candidates_examined, work);
+            return AlignOutcome::unmapped(candidates_examined, work, emit);
         }
 
         let n_hits = cands
             .iter()
             .filter(|(_, wa)| wa.score + self.params.multimap_score_range >= best_score)
             .count() as u32;
-        let primary = materialize.then(|| self.record_for(*best_rc, best_wa, n_hits));
-        AlignOutcome { class: self.class_for(n_hits), primary, candidates_examined, work }
+        let class = self.class_for(n_hits);
+        let primary = emit.records.then(|| self.record_for(*best_rc, best_wa, n_hits));
+        let genes = emit.genes.map(|model| {
+            Assignment::of(class, || model.columns(self.placement(*best_rc, best_wa), None))
+        });
+        AlignOutcome { class, primary, candidates_examined, work, genes }
     }
 }
 

@@ -82,7 +82,7 @@ pub mod seed;
 pub mod sjdb;
 pub mod stitch;
 
-pub use align::{AlignOutcome, Aligner, AlignmentRecord, CigarOp, MapClass, PhaseWork};
+pub use align::{AlignOutcome, Aligner, AlignmentRecord, CigarOp, Emit, MapClass, PhaseWork};
 pub use checkpoint::AlignCheckpoint;
 pub use error::StarError;
 pub use genome::Packed2;

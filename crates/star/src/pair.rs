@@ -8,7 +8,8 @@
 //! (`--outFilterMultimapNmax`-style accounting on fragments, the unit the paper's
 //! mapping-rate statistic uses for paired libraries).
 
-use crate::align::{genome_span, Aligner, AlignmentRecord, MapClass, PhaseWork};
+use crate::align::{genome_span, Aligner, AlignmentRecord, Emit, MapClass, PhaseWork};
+use crate::quant::Assignment;
 use crate::scratch::{with_thread_scratch, AlignScratch};
 use genomics::FastqRecord;
 
@@ -42,6 +43,8 @@ pub struct PairOutcome {
     pub pairs_examined: u32,
     /// Per-phase alignment work for both mates combined.
     pub work: PhaseWork,
+    /// Where gene counting puts the fragment, when [`Emit::genes`] asked for it.
+    pub genes: Option<Assignment>,
 }
 
 impl PairOutcome {
@@ -50,7 +53,7 @@ impl PairOutcome {
         self.class.is_mapped()
     }
 
-    fn unmapped(pairs_examined: u32, work: PhaseWork) -> PairOutcome {
+    fn unmapped(pairs_examined: u32, work: PhaseWork, emit: Emit<'_>) -> PairOutcome {
         PairOutcome {
             class: MapClass::Unmapped,
             rec1: None,
@@ -58,6 +61,7 @@ impl PairOutcome {
             insert_size: None,
             pairs_examined,
             work,
+            genes: emit.unmapped(),
         }
     }
 }
@@ -89,23 +93,25 @@ impl<'i> Aligner<'i> {
 
     /// The hot path: align a pair with explicit insert-size bounds through
     /// caller-provided scratch buffers, without cloning ids into the records (the
-    /// run driver attaches ids only to records it keeps). `materialize: false` skips
-    /// building records entirely.
-    pub fn align_pair_scratch(
+    /// run driver attaches ids only to records it keeps). `emit` says what to build,
+    /// as for [`Aligner::align_seq_with`]: both mates' records, the fragment's gene
+    /// assignment, both or neither.
+    pub fn align_pair_scratch<'g>(
         &self,
         r1: &FastqRecord,
         r2: &FastqRecord,
         pp: &PairParams,
         scratch: &mut AlignScratch,
-        materialize: bool,
+        emit: impl Into<Emit<'g>>,
     ) -> PairOutcome {
+        let emit = emit.into();
         let genome = self.index().genome();
         let AlignScratch { core, cands, cands2, pairs } = scratch;
         let mut work = self.candidates_into(&r1.seq, core, cands);
         let w2 = self.candidates_into(&r2.seq, core, cands2);
         work.add(&w2);
         if cands.is_empty() || cands2.is_empty() {
-            return PairOutcome::unmapped(0, work);
+            return PairOutcome::unmapped(0, work, emit);
         }
 
         // Enumerate proper pairings: opposite orientation, same contig, facing
@@ -138,7 +144,7 @@ impl<'i> Aligner<'i> {
         }
         let pairs_examined = pairs.len() as u32;
         if pairs.is_empty() {
-            return PairOutcome::unmapped(0, work);
+            return PairOutcome::unmapped(0, work, emit);
         }
 
         let best_score = pairs.iter().map(|p| p.score).max().expect("non-empty");
@@ -155,9 +161,10 @@ impl<'i> Aligner<'i> {
         let (_, wa2) = cands2.get(best.i2);
         // Both mates must pass the per-read filters.
         if !self.passes_filters(wa1, r1.seq.len()) || !self.passes_filters(wa2, r2.seq.len()) {
-            return PairOutcome::unmapped(pairs_examined, work);
+            return PairOutcome::unmapped(pairs_examined, work, emit);
         }
-        let (rec1, rec2) = if materialize {
+        let class = self.class_for(n_hits);
+        let (rec1, rec2) = if emit.records {
             (
                 Some(self.record_for(*rc1, wa1, n_hits)),
                 Some(self.record_for(!*rc1, wa2, n_hits)),
@@ -165,13 +172,19 @@ impl<'i> Aligner<'i> {
         } else {
             (None, None)
         };
+        let genes = emit.genes.map(|model| {
+            Assignment::of(class, || {
+                model.columns(self.placement(*rc1, wa1), Some(self.placement(!*rc1, wa2)))
+            })
+        });
         PairOutcome {
-            class: self.class_for(n_hits),
+            class,
             rec1,
             rec2,
             insert_size: Some(best.insert),
             pairs_examined,
             work,
+            genes,
         }
     }
 }

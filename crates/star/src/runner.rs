@@ -12,13 +12,16 @@
 //!
 //! That loop exists once, as [`BatchDriver::drive`]: [`Runner`]'s single-end, resumed,
 //! paired and two-pass runs and `pseudo`'s runner differ only in the align function
-//! and the accounting closure they hand it.
+//! and the accounting closure they hand it. Whatever is per read runs in the align
+//! function, on the pool — for [`Runner`] that includes assigning each fragment to
+//! its gene ([`crate::quant::GeneModel`]) — so the accounting closure only adds
+//! `Copy` results to counters in input order.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::align::{AlignOutcome, Aligner, AlignmentRecord, MapClass, PhaseWork};
+use crate::align::{AlignOutcome, Aligner, AlignmentRecord, Emit, MapClass, PhaseWork};
 use crate::checkpoint::AlignCheckpoint;
 use crate::index::StarIndex;
 use crate::junctions::{JunctionCollector, JunctionRow};
@@ -26,7 +29,7 @@ use crate::logs::FinalLog;
 use crate::pair::{PairOutcome, PairParams};
 use crate::params::AlignParams;
 use crate::progress::{ProgressSnapshot, ProgressStats};
-use crate::quant::{GeneCounter, GeneCounts};
+use crate::quant::{Assignment, GeneCounts, GeneModel};
 use crate::scratch::with_thread_scratch;
 use crate::StarError;
 use genomics::pool::Pool;
@@ -258,9 +261,12 @@ impl MatePair for [FastqRecord; 2] {
 }
 
 /// What a run accumulates besides the progress counters: the sequential half of
-/// the batch loop for single reads and for pairs.
+/// the batch loop for single reads and for pairs. Gene counting reaches it already
+/// resolved — the workers assign each fragment against the run's [`GeneModel`] — so
+/// here it is one counter increment per column.
 struct Tally {
-    counter: Option<GeneCounter>,
+    /// The gene table (`quant`), filled from each outcome's [`Assignment`].
+    counts: Option<GeneCounts>,
     junctions: Option<JunctionCollector>,
     /// Kept records (`record_alignments`): mapped reads only, input order.
     kept: Option<Vec<AlignmentRecord>>,
@@ -269,19 +275,27 @@ struct Tally {
 }
 
 impl Tally {
-    /// Empty accumulators for `config`, or ones seeded from a checkpoint.
+    /// Empty accumulators for `config`, or ones seeded from a checkpoint, and, when
+    /// `quant` is on, the gene model the workers assign fragments against (numbered
+    /// by `aligner`'s contigs).
     fn new(
         config: &RunConfig,
         annotation: Option<&Annotation>,
         resume: Option<&AlignCheckpoint>,
-    ) -> Result<Tally, StarError> {
-        let counter = match (config.quant, annotation, resume.and_then(|c| c.gene_counts.as_ref())) {
-            (false, _, _) => None,
+        aligner: &Aligner<'_>,
+    ) -> Result<(Tally, Option<GeneModel>), StarError> {
+        let (model, counts) = match (config.quant, annotation, resume.and_then(|c| c.gene_counts.as_ref())) {
+            (false, _, _) => (None, None),
             (true, None, _) => {
                 return Err(StarError::InvalidParams("quant mode requires an annotation".into()))
             }
-            (true, Some(ann), Some(saved)) => Some(GeneCounter::restore(ann, saved)?),
-            (true, Some(ann), None) => Some(GeneCounter::new(ann)),
+            (true, Some(ann), saved) => {
+                let counts = match saved {
+                    Some(saved) => GeneCounts::resumed(ann, saved)?,
+                    None => GeneCounts::new(ann),
+                };
+                (Some(GeneModel::new(ann, aligner.contig_names())), Some(counts))
+            }
         };
         let mut junctions = config.collect_junctions.then(JunctionCollector::new);
         if let (Some(collector), Some(rows)) =
@@ -289,19 +303,30 @@ impl Tally {
         {
             collector.absorb_rows(rows);
         }
-        Ok(Tally {
-            counter,
+        let tally = Tally {
+            counts,
             junctions,
             kept: config.record_alignments.then(Vec::new),
             phase_work: PhaseWork::default(),
             started: Instant::now(),
-        })
+        };
+        Ok((tally, model))
     }
 
-    /// Records are only materialized when a downstream consumer exists; pure
-    /// mapping-rate runs skip building them (and every allocation they imply).
-    fn wants_records(&self) -> bool {
-        self.counter.is_some() || self.junctions.is_some() || self.kept.is_some()
+    /// What the workers build for this run: records only when a consumer of
+    /// records exists — junction tallies or kept records — since gene counting reads
+    /// the alignment itself; and gene assignments when `model` is there. A quant-only
+    /// run builds no record, and so allocates nothing per read.
+    fn emit<'g>(&self, model: Option<&'g GeneModel>) -> Emit<'g> {
+        Emit { records: self.junctions.is_some() || self.kept.is_some(), genes: model }
+    }
+
+    /// Count a fragment's gene assignment: the one quant step left on the calling
+    /// thread. Outcomes carry one exactly when the run has a model, i.e. quant is on.
+    fn genes(&mut self, assignment: Option<Assignment>) {
+        if let (Some(counts), Some(assignment)) = (self.counts.as_mut(), assignment) {
+            counts.add(assignment);
+        }
     }
 
     /// One mate's record: junction usage, then kept (with its read id attached
@@ -318,18 +343,14 @@ impl Tally {
 
     fn single(&mut self, read: &FastqRecord, out: AlignOutcome) -> MapClass {
         self.phase_work.add(&out.work);
-        if let Some(c) = self.counter.as_mut() {
-            c.record(out.class, out.primary.as_ref());
-        }
+        self.genes(out.genes);
         self.mate(out.class, read, out.primary);
         out.class
     }
 
     fn pair(&mut self, (r1, r2): (&FastqRecord, &FastqRecord), out: PairOutcome) -> MapClass {
         self.phase_work.add(&out.work);
-        if let Some(c) = self.counter.as_mut() {
-            c.record_pair(out.class, out.rec1.as_ref(), out.rec2.as_ref());
-        }
+        self.genes(out.genes);
         self.mate(out.class, r1, out.rec1);
         self.mate(out.class, r2, out.rec2);
         out.class
@@ -341,7 +362,7 @@ impl Tally {
             final_log: FinalLog::from_snapshot(&driven.final_snapshot),
             final_snapshot: driven.final_snapshot,
             history: driven.history,
-            gene_counts: self.counter.map(GeneCounter::finish),
+            gene_counts: self.counts,
             junctions: self.junctions.map(JunctionCollector::finish),
             alignments: self.kept,
             phase_work: self.phase_work,
@@ -442,7 +463,8 @@ impl<'i> Runner<'i> {
         resume: Option<&AlignCheckpoint>,
         driver: BatchDriver<'_>,
     ) -> Result<RunOutput, StarError> {
-        let mut tally = Tally::new(&self.config, annotation, resume)?;
+        let aligner = Aligner::new(self.index, self.align_params.clone());
+        let (mut tally, model) = Tally::new(&self.config, annotation, resume, &aligner)?;
         let total = reads.len() as u64;
         let progress = match resume {
             Some(c) => ProgressStats::with_initial(
@@ -455,12 +477,11 @@ impl<'i> Runner<'i> {
             ),
             None => ProgressStats::new(total),
         };
-        let aligner = Aligner::new(self.index, self.align_params.clone());
-        let materialize = tally.wants_records();
+        let emit = tally.emit(model.as_ref());
         let driven = driver.drive(
             reads,
             &progress,
-            |read| with_thread_scratch(|s| aligner.align_seq_with(&read.seq, s, materialize)),
+            |read| with_thread_scratch(|s| aligner.align_seq_with(&read.seq, s, emit)),
             |read, out| tally.single(read, out),
         );
         Ok(tally.finish(driven))
@@ -476,16 +497,16 @@ impl<'i> Runner<'i> {
         monitor: Option<&dyn RunMonitor>,
         cancel: Option<&CancelToken>,
     ) -> Result<RunOutput, StarError> {
-        let mut tally = Tally::new(&self.config, annotation, None)?;
-        let progress = ProgressStats::new(pairs.len() as u64);
         let aligner = Aligner::new(self.index, self.align_params.clone());
-        let (insert, materialize) = (PairParams::default(), tally.wants_records());
+        let (mut tally, model) = Tally::new(&self.config, annotation, None, &aligner)?;
+        let progress = ProgressStats::new(pairs.len() as u64);
+        let (insert, emit) = (PairParams::default(), tally.emit(model.as_ref()));
         let driven = self.driver(monitor, cancel).drive(
             pairs,
             &progress,
             |pair| {
                 let (r1, r2) = pair.mates();
-                with_thread_scratch(|s| aligner.align_pair_scratch(r1, r2, &insert, s, materialize))
+                with_thread_scratch(|s| aligner.align_pair_scratch(r1, r2, &insert, s, emit))
             },
             |pair, out| tally.pair(pair.mates(), out),
         );
