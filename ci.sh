@@ -41,6 +41,10 @@ cargo test -q --release --offline -p atlas-integration-tests --test sqs_props --
 # on the thread count or the schedule.
 cargo test -q --release --offline -p genomics --lib
 cargo test -q --release --offline -p atlas-integration-tests --test thread_invariance
+# The shared batch loop (`BatchDriver::drive`) is where early stopping, spot cancellation,
+# checkpoint resume and panic hand-back happen: its tests run by name in both runners.
+cargo test -q --release --offline -p star-aligner --lib runner::
+cargo test -q --release --offline -p pseudo-aligner --lib runner::
 # What seeding costs in dependent index loads, counted per read on fixed-seed reads
 # (`PhaseWork::seed_probes`): exact for the seed and equal at 1, 2 and 8 threads, so it
 # gates the seed phase where wall-clock cannot. No MMP search may start at the root of

@@ -15,7 +15,6 @@
 //! | [`spot_recovery`]       | E7 — waste with vs without checkpoint/resume under a reclaim storm |
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::early_stop::{EarlyStopPolicy, SavingsSummary};
 use crate::orchestrator::{CampaignConfig, CampaignReport, Orchestrator};
@@ -226,9 +225,8 @@ pub fn fig3_genome_release(config: &Fig3Config) -> Result<Fig3Result, AtlasError
             (&sub.index_111, &mut row.secs_111, &mut row.rate_111),
         ] {
             let runner = Runner::new(index, align_params.clone(), run_config.clone())?;
-            let started = Instant::now();
             let out = runner.run(&reads_vec, None, None, None)?;
-            *secs = started.elapsed().as_secs_f64();
+            *secs = out.final_snapshot.elapsed_secs;
             *rate = out.mapped_fraction();
         }
         files.push(row);
@@ -704,9 +702,8 @@ pub fn pseudo_early_stopping(config: &PseudoStudyConfig) -> Result<PseudoStudyRe
                 pseudo_aligner::pseudoalign::PseudoParams::default(),
                 run_config,
             )?;
-            let started = Instant::now();
             let out = runner.run(&reads, Some(&config.policy))?;
-            let secs = started.elapsed().as_secs_f64()
+            let secs = out.final_snapshot.elapsed_secs
                 * (meta.spots as f64 / reads.len().max(1) as f64);
             let stopped = matches!(out.status, star_aligner::RunStatus::EarlyStopped { .. });
             let processed = out.final_snapshot.processed.max(1);

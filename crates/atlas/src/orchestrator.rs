@@ -39,6 +39,7 @@ use cloudsim::instance::InstanceType;
 use cloudsim::retry::RetryPolicy;
 use cloudsim::{ScalingPolicy, SimDuration, SpotMarket};
 use deseq_norm::NormalizedMatrix;
+use genomics::fnv;
 use telemetry::{AlertEvent, CampaignTelemetry, MonitorConfig};
 
 /// S3 download bandwidth at instance init, bytes/second.
@@ -246,13 +247,8 @@ impl CampaignReport {
     /// the same `FaultPlan` must produce identical digests (see the chaos
     /// determinism test); differing seeds almost surely differ.
     pub fn summary_digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = fnv::OFFSET;
+        let mut eat = |bytes: &[u8]| h = fnv::fnv1a(h, bytes);
         for r in &self.completed {
             eat(r.accession.as_bytes());
             eat(&[0xff]);

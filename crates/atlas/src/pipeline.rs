@@ -281,7 +281,7 @@ impl AtlasPipeline {
         let spots_ratio = if n_spots == 0 { 1.0 } else { meta.spots as f64 / n_spots as f64 };
         let measured_secs = match self.config.align_secs_per_read {
             Some(per_read) => output.final_snapshot.processed as f64 * per_read,
-            None => output.wall_secs,
+            None => output.final_snapshot.elapsed_secs,
         };
         let align_secs = measured_secs * spots_ratio;
         let early_stop = EarlyStopAccounting::from_run(&output, align_secs);
@@ -310,7 +310,7 @@ impl AtlasPipeline {
                 early_stop,
                 gene_counts: if completed { output.gene_counts } else { None },
                 reads_input: dump.reads.len() as u64,
-                measured_align_secs: output.wall_secs,
+                measured_align_secs: output.final_snapshot.elapsed_secs,
                 phase_work: output.phase_work,
                 dump_attrs: dump.span_attrs(),
             },

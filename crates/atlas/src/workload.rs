@@ -15,6 +15,7 @@ use std::sync::Arc;
 use crate::early_stop::EarlyStopAccounting;
 use crate::pipeline::{AtlasPipeline, PipelineResult, StageTimes};
 use crate::AtlasError;
+use genomics::fnv;
 use sra_sim::accession::LibraryStrategy;
 use star_aligner::{PhaseWork, ProgressSnapshot, RunStatus};
 
@@ -88,11 +89,7 @@ impl ModeledWorkload {
     /// A unit draw in `[0, 1)` from stream `stream` of this accession (SplitMix64,
     /// the same generator the fault injector uses).
     fn unit(&self, accession: &str, stream: u64) -> f64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ self.seed.rotate_left(17) ^ stream;
-        for &b in accession.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let h = fnv::fnv1a(fnv::OFFSET ^ self.seed.rotate_left(17) ^ stream, accession.as_bytes());
         let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

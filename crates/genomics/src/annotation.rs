@@ -74,11 +74,6 @@ impl Gene {
         self.exons.iter().map(Exon::len).sum()
     }
 
-    /// True if the genomic position falls inside any exon.
-    pub fn contains_exonic(&self, pos: usize) -> bool {
-        self.exons.iter().any(|e| pos >= e.start && pos < e.end)
-    }
-
     /// Extract the mature (spliced) transcript sequence from the assembly.
     ///
     /// Exons are concatenated in genomic order; for a reverse-strand gene the result

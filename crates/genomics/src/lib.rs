@@ -14,6 +14,7 @@
 //! * [`gtf`] — GTF text parser (inverse of [`Annotation::to_gtf`]).
 //! * [`simulate`] — RNA-seq read simulators for bulk poly-A and single-cell 3' libraries,
 //!   including the low-mappability read classes that trigger early stopping.
+//! * [`fnv`] — FNV-1a, the hash behind every stable seed, digest and checksum.
 //! * [`pool`] — the persistent thread pool behind `--runThreadN`, shared by the aligner,
 //!   the pseudoaligner and `fasterq-dump`. It holds every `unsafe` line of the
 //!   workspace's libraries: the other crates forbid `unsafe`, this one denies it
@@ -30,6 +31,7 @@ pub mod ensembl;
 pub mod error;
 pub mod fasta;
 pub mod fastq;
+pub mod fnv;
 pub mod genome;
 pub mod gtf;
 #[allow(unsafe_code)]

@@ -20,13 +20,6 @@ impl Base {
     /// All four bases in code order.
     pub const ALL: [Base; 4] = [Base::A, Base::C, Base::G, Base::T];
 
-    /// Construct from a 2-bit code. Panics if `code > 3` (programmer error).
-    #[inline]
-    pub fn from_code(code: u8) -> Base {
-        assert!(code < 4, "base code out of range: {code}");
-        Base(code)
-    }
-
     /// The 2-bit code of this base.
     #[inline]
     pub fn code(self) -> u8 {

@@ -6,9 +6,9 @@
 //! * `report_progress: false` (stock-Salmon mode) — the run exposes no interim
 //!   statistics; any [`RunMonitor`] passed in is **never consulted**, so the paper's
 //!   early-stopping policy cannot act and a hopeless run goes to completion.
-//! * `report_progress: true` (the paper's recommendation) — the runner maintains the
-//!   same [`ProgressStats`] as the STAR runner and consults the monitor between
-//!   batches; the unchanged `EarlyStopPolicy` works immediately.
+//! * `report_progress: true` (the paper's recommendation) — the runner keeps the
+//!   same [`ProgressSnapshot`] history as the STAR runner and consults the monitor
+//!   between batches; the unchanged `EarlyStopPolicy` works immediately.
 
 use crate::pseudoalign::{PseudoAligner, PseudoOutcome, PseudoParams};
 use crate::quant::EqClassCounts;
@@ -16,7 +16,7 @@ use crate::PseudoIndex;
 use genomics::pool::Pool;
 use genomics::FastqRecord;
 use star_aligner::align::MapClass;
-use star_aligner::progress::{ProgressSnapshot, ProgressStats};
+use star_aligner::progress::ProgressSnapshot;
 use star_aligner::runner::{BatchDriver, RunMonitor, RunStatus};
 use star_aligner::StarError;
 use std::sync::Arc;
@@ -52,8 +52,6 @@ pub struct PseudoRunOutput {
     pub history: Vec<ProgressSnapshot>,
     /// Equivalence-class counts for quantification.
     pub counts: EqClassCounts,
-    /// Wall-clock seconds.
-    pub wall_secs: f64,
 }
 
 impl PseudoRunOutput {
@@ -94,8 +92,7 @@ impl<'i> PseudoRunner<'i> {
         reads: &[FastqRecord],
         monitor: Option<&dyn RunMonitor>,
     ) -> Result<PseudoRunOutput, StarError> {
-        let started = Instant::now();
-        let progress = ProgressStats::new(reads.len() as u64);
+        let clock = Instant::now();
         let mut counts = EqClassCounts::new();
         // Stock-Salmon mode is the shared loop with nobody watching: no monitor,
         // and the snapshots it took are dropped (there is no progress file to tail).
@@ -108,7 +105,8 @@ impl<'i> PseudoRunner<'i> {
         };
         let driven = driver.drive(
             reads,
-            &progress,
+            ProgressSnapshot::new(reads.len() as u64),
+            clock,
             |read| self.aligner.pseudoalign(&read.seq),
             |_, out: PseudoOutcome| {
                 counts.record(&out.compatible);
@@ -126,7 +124,6 @@ impl<'i> PseudoRunner<'i> {
             final_snapshot: driven.final_snapshot,
             history: if report { driven.history } else { Vec::new() },
             counts,
-            wall_secs: started.elapsed().as_secs_f64(),
         })
     }
 }

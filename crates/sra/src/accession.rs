@@ -11,6 +11,7 @@
 //!   of runs carry 19.5 % of total STAR time in Fig. 4.
 
 use crate::SraError;
+use genomics::fnv;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -91,19 +92,15 @@ impl AccessionMeta {
 
     /// Deterministic per-accession RNG seed (stable hash of the id).
     pub fn content_seed(&self) -> u64 {
-        fnv1a(self.id.as_bytes())
+        fnv::fnv1a_with_prime(fnv::OFFSET, CONTENT_SEED_PRIME, self.id.as_bytes())
     }
 }
 
-/// FNV-1a, used for stable id→seed derivation.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
+/// The multiplier of [`AccessionMeta::content_seed`]'s FNV-1a: `0x1000_0000_01b3`,
+/// not FNV's `0x100_0000_01b3`. Every simulated read of an accession follows from
+/// its seed, and `tests/content_pin.rs` pins those reads, so it stays as it was
+/// (the archive byte pin hashes with it too).
+pub(crate) const CONTENT_SEED_PRIME: u64 = 0x1000_0000_01b3;
 
 /// Parameters of the synthetic workload catalog.
 #[derive(Clone, Debug)]

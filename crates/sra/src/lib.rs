@@ -13,7 +13,7 @@
 //! * [`repository`] — a deterministic repository: the same accession id always
 //!   yields the same reads, generated from the bound assembly/annotation with the
 //!   library type's simulator.
-//! * [`prefetch`] — the `prefetch` tool model: byte-accurate transfer-time accounting
+//! * [`prefetch`] — the `prefetch` time model: transfer seconds for a byte count
 //!   against a network model (no wall-clock sleeping; the cloud layer charges time).
 //! * [`fasterq_dump`] — the `fasterq-dump` tool model: parallel decode to FASTQ with
 //!   a throughput model.
@@ -31,5 +31,5 @@ pub use accession::{AccessionMeta, CatalogParams, LibraryStrategy};
 pub use archive::SraArchive;
 pub use error::SraError;
 pub use fasterq_dump::{FasterqDump, FasterqOutput};
-pub use prefetch::{NetworkModel, Prefetch, PrefetchOutput};
+pub use prefetch::NetworkModel;
 pub use repository::SraRepository;

@@ -1,12 +1,12 @@
-//! `prefetch` tool model — pipeline step 1.
+//! `prefetch` time model — pipeline step 1.
 //!
-//! Downloads an accession's `.sra` from the repository. The real tool's cost is
-//! network transfer; [`NetworkModel`] charges `latency + bytes/bandwidth` seconds of
-//! *modeled* time (nothing sleeps — the cloud simulator advances its own clock by the
-//! returned durations).
+//! The archive itself comes from [`crate::SraRepository::fetch`]. The real tool's
+//! cost is network transfer; [`NetworkModel`] charges `latency + bytes/bandwidth`
+//! seconds of *modeled* time (nothing sleeps — the cloud simulator advances its own
+//! clock by the returned durations). The pipeline charges the catalog size of the
+//! accession, so a spot-capped fetch still costs what the full download would.
 
-use crate::repository::SraRepository;
-use crate::{SraArchive, SraError};
+use crate::SraError;
 
 /// Simple network cost model.
 #[derive(Clone, Copy, Debug)]
@@ -50,42 +50,11 @@ impl NetworkModel {
     }
 }
 
-/// Result of a prefetch: the archive plus accounting.
-#[derive(Clone, Debug)]
-pub struct PrefetchOutput {
-    /// The downloaded archive.
-    pub archive: SraArchive,
-    /// Bytes transferred.
-    pub bytes: u64,
-    /// Modeled transfer time in seconds.
-    pub modeled_secs: f64,
-}
-
-/// The `prefetch` tool bound to a network model.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Prefetch {
-    /// Network cost model used for time accounting.
-    pub network: NetworkModel,
-}
-
-impl Prefetch {
-    /// Create with a given network model.
-    pub fn new(network: NetworkModel) -> Prefetch {
-        Prefetch { network }
-    }
-
-    /// Download `accession` from `repo`.
-    pub fn run(&self, repo: &SraRepository, accession: &str) -> Result<PrefetchOutput, SraError> {
-        let archive = repo.fetch(accession)?;
-        let bytes = archive.size_bytes();
-        Ok(PrefetchOutput { archive, bytes, modeled_secs: self.network.transfer_secs(bytes) })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::accession::CatalogParams;
+    use crate::SraRepository;
     use genomics::annotation::AnnotationParams;
     use genomics::{Annotation, EnsemblGenerator, EnsemblParams, Release};
     use std::sync::Arc;
@@ -112,33 +81,32 @@ mod tests {
     fn prefetch_returns_archive_with_accounting() {
         let r = repo();
         let id = r.ids()[0].clone();
-        let p = Prefetch::new(NetworkModel { bandwidth_bytes_per_sec: 1e6, latency_secs: 0.5 });
-        let out = p.run(&r, &id).unwrap();
-        assert_eq!(out.bytes, out.archive.size_bytes());
-        let expect = 0.5 + out.bytes as f64 / 1e6;
-        assert!((out.modeled_secs - expect).abs() < 1e-9);
-        assert_eq!(out.archive.accession, id);
+        let archive = r.fetch(&id).unwrap();
+        assert_eq!(archive.accession, id);
+        let n = NetworkModel { bandwidth_bytes_per_sec: 1e6, latency_secs: 0.5 };
+        let expect = 0.5 + archive.size_bytes() as f64 / 1e6;
+        assert!((n.transfer_secs(archive.size_bytes()) - expect).abs() < 1e-9);
     }
 
     #[test]
     fn bigger_accessions_cost_more_time() {
         let r = repo();
-        let p = Prefetch::default();
+        let n = NetworkModel::default();
         let mut costs: Vec<(u64, f64)> = r
             .ids()
             .iter()
             .map(|id| {
-                let out = p.run(&r, id).unwrap();
-                (out.bytes, out.modeled_secs)
+                let bytes = r.fetch(id).unwrap().size_bytes();
+                (bytes, n.transfer_secs(bytes))
             })
             .collect();
         costs.sort_by_key(|&(b, _)| b);
         assert!(costs.windows(2).all(|w| w[0].1 <= w[1].1));
+        assert!(costs[0].0 < costs[costs.len() - 1].0, "premise: the accessions differ in size");
     }
 
     #[test]
     fn unknown_accession_propagates() {
-        let r = repo();
-        assert!(Prefetch::default().run(&r, "SRRNOPE").is_err());
+        assert!(matches!(repo().fetch("SRRNOPE"), Err(SraError::UnknownAccession(_))));
     }
 }

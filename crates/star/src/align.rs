@@ -250,7 +250,7 @@ impl AlignOutcome {
 }
 
 /// What an alignment call builds besides the class, candidate count and phase work
-/// it always reports. `false` and `true` convert to "nothing" and "records only".
+/// it always reports.
 #[derive(Clone, Copy, Debug)]
 pub struct Emit<'g> {
     /// Build the primary [`AlignmentRecord`] (both mates' for a pair): for junction
@@ -259,12 +259,6 @@ pub struct Emit<'g> {
     /// Assign the read (or pair) to a gene against this model, from the best
     /// alignment's parts, without building a record.
     pub genes: Option<&'g GeneModel>,
-}
-
-impl From<bool> for Emit<'_> {
-    fn from(records: bool) -> Self {
-        Emit { records, genes: None }
-    }
 }
 
 impl Emit<'_> {
@@ -432,13 +426,14 @@ impl<'i> Aligner<'i> {
 
     /// Align a bare sequence (uses this thread's scratch buffers).
     pub fn align_seq(&self, seq: &DnaSeq) -> AlignOutcome {
-        with_thread_scratch(|scratch| self.align_seq_with(seq, scratch, true))
+        let emit = Emit { records: true, genes: None };
+        with_thread_scratch(|scratch| self.align_seq_with(seq, scratch, emit))
     }
 
     /// The hot path: align a bare sequence through caller-provided scratch buffers.
     /// `emit` says what to build beyond classification, candidate counts and phase
     /// work, which are always exact: the [`AlignmentRecord`], the gene
-    /// [`Assignment`], both or neither (`false`). The run driver calls this on each
+    /// [`Assignment`], both or neither. The run driver calls this on each
     /// worker's thread scratch, assigns genes there, and attaches read ids
     /// afterwards, only to records it keeps; [`Aligner::align_seq`] and
     /// [`Aligner::align_read`] are the two convenience forms.
@@ -446,9 +441,8 @@ impl<'i> Aligner<'i> {
         &self,
         seq: &DnaSeq,
         scratch: &mut AlignScratch,
-        emit: impl Into<Emit<'g>>,
+        emit: Emit<'g>,
     ) -> AlignOutcome {
-        let emit = emit.into();
         let read_len = seq.len();
         if read_len == 0 {
             return AlignOutcome::unmapped(0, PhaseWork::default(), emit);

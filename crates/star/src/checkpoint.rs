@@ -16,10 +16,12 @@
 //! resuming from garbage.
 
 use crate::junctions::JunctionRow;
+use crate::progress::ProgressSnapshot;
 use crate::quant::GeneCounts;
 use crate::runner::{RunOutput, RunStatus};
 use crate::sjdb::SpliceClass;
 use crate::StarError;
+use genomics::fnv;
 
 /// Serialization format version; bump on any layout change.
 const CHECKPOINT_VERSION: u32 = 1;
@@ -68,6 +70,20 @@ impl AlignCheckpoint {
         })
     }
 
+    /// The tally a run resumed from this checkpoint starts from, over an input of
+    /// `total_reads`: the interrupted run's counters, so every snapshot (and every
+    /// monitor decision made on one) sees cumulative progress, not just the tail.
+    pub fn progress(&self, total_reads: u64) -> ProgressSnapshot {
+        ProgressSnapshot {
+            processed: self.reads_processed,
+            unique: self.unique,
+            multi: self.multi,
+            too_many: self.too_many,
+            unmapped: self.unmapped,
+            ..ProgressSnapshot::new(total_reads)
+        }
+    }
+
     /// Internal consistency: every processed read sits in exactly one class
     /// bucket, and the quant table (when present) accounts for the same total.
     pub fn validate(&self) -> Result<(), StarError> {
@@ -79,11 +95,7 @@ impl AlignCheckpoint {
             )));
         }
         if let Some(gc) = &self.gene_counts {
-            let quant_total = gc.n_unmapped
-                + gc.n_multimapping
-                + gc.n_no_feature[0]
-                + gc.n_ambiguous[0]
-                + gc.counts.iter().map(|c| c[0]).sum::<u64>();
+            let quant_total = gc.total_recorded();
             if quant_total != self.reads_processed {
                 return Err(StarError::CorruptIndex(format!(
                     "checkpoint quant table accounts for {quant_total} of {} reads",
@@ -142,7 +154,7 @@ impl AlignCheckpoint {
             }
         }
         let mut bytes = body.into_bytes();
-        let sum = fnv1a(&bytes);
+        let sum = fnv::fnv1a(fnv::OFFSET, &bytes);
         bytes.extend_from_slice(format!("sum\t{sum:016x}\n").as_bytes());
         bytes
     }
@@ -162,7 +174,7 @@ impl AlignCheckpoint {
             .and_then(|h| u64::from_str_radix(h, 16).ok())
             .ok_or_else(|| StarError::CorruptIndex("unparseable checkpoint checksum".into()))?;
         let body = &bytes[..sum_at];
-        if fnv1a(body) != stored {
+        if fnv::fnv1a(fnv::OFFSET, body) != stored {
             return Err(StarError::CorruptIndex("checkpoint checksum mismatch".into()));
         }
 
@@ -282,16 +294,6 @@ fn splice_class_from_name(name: &str) -> Result<SpliceClass, StarError> {
     }
 }
 
-/// FNV-1a over the serialized body.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn fields(line: Option<&str>, want: usize, what: &str) -> Result<Vec<String>, StarError> {
     let line =
         line.ok_or_else(|| StarError::CorruptIndex(format!("checkpoint truncated at {what}")))?;
@@ -362,9 +364,15 @@ mod tests {
         }
     }
 
-    /// The tentpole differential proof: cancel mid-run, checkpoint, resume, and
-    /// get byte-identical SAM / quant / SJ / Log.final output versus a run that
-    /// was never interrupted.
+    /// The counters of a snapshot, without its wall-clock `elapsed_secs`.
+    fn counters(s: &ProgressSnapshot) -> [u64; 6] {
+        [s.total_reads, s.processed, s.unique, s.multi, s.too_many, s.unmapped]
+    }
+
+    /// The differential proof: cancel mid-run, checkpoint, resume, and get
+    /// byte-identical SAM / quant / SJ / Log.final output and the same progress
+    /// history versus a run that was never interrupted; an early-stop monitor
+    /// aborts the resumed run at the fragment where it aborts an uninterrupted one.
     #[test]
     fn checkpoint_resume_is_bit_identical_to_an_uninterrupted_run() {
         let (idx, ann, reads) = setup();
@@ -396,6 +404,13 @@ mod tests {
         let resumed = runner.run_resumed(&reads, Some(&ann), &restored, None, None).unwrap();
         assert_eq!(resumed.status, crate::runner::RunStatus::Completed);
 
+        // Log.progress.out: the resumed run's snapshots are the uninterrupted run's
+        // from the cut on, counter for counter.
+        let cut = ckpt.reads_processed as usize;
+        let tail: Vec<[u64; 6]> =
+            baseline.history.iter().filter(|s| s.processed > cut as u64).map(counters).collect();
+        assert_eq!(resumed.history.iter().map(counters).collect::<Vec<_>>(), tail, "history must match");
+
         // Log.final: canonical text (wall-clock rows excluded) is identical.
         assert_eq!(
             resumed.final_log.canonical_text(),
@@ -416,10 +431,26 @@ mod tests {
         );
         // SAM: the cancelled attempt's shard plus the resumed shard concatenate
         // to exactly the uninterrupted run's body.
-        let shard_a = sam::sam_body(&reads, cancelled.alignments.as_deref().unwrap()).unwrap();
-        let shard_b = sam::sam_body(&reads, resumed.alignments.as_deref().unwrap()).unwrap();
-        let whole = sam::sam_body(&reads, baseline.alignments.as_deref().unwrap()).unwrap();
+        let shard_a = sam::sam_run_body(&reads[..cut], cancelled.alignments.as_deref().unwrap()).unwrap();
+        let shard_b = sam::sam_run_body(&reads[cut..], resumed.alignments.as_deref().unwrap()).unwrap();
+        let whole = sam::sam_run_body(&reads, baseline.alignments.as_deref().unwrap()).unwrap();
         assert_eq!(format!("{shard_a}{shard_b}"), whole, "SAM shards must concatenate exactly");
+
+        // Early stopping on a resumed run: the monitor sees cumulative progress, so
+        // it aborts at the same fragment as on the uninterrupted run (1 000: the
+        // first boundary past 60 %, two batches after the cut).
+        let stop = |s: &ProgressSnapshot| {
+            if s.processed_fraction() >= 0.6 && s.mapped_fraction() >= 0.3 {
+                MonitorVerdict::Abort
+            } else {
+                MonitorVerdict::Continue
+            }
+        };
+        let stopped = runner.run(&reads, Some(&ann), Some(&stop), None).unwrap();
+        let resumed_stopped = runner.run_resumed(&reads, Some(&ann), &restored, Some(&stop), None).unwrap();
+        assert_eq!(stopped.status, crate::runner::RunStatus::EarlyStopped { processed_reads: 1000 });
+        assert_eq!(resumed_stopped.status, stopped.status, "a resumed run stops where an uninterrupted one does");
+        assert_eq!(counters(&resumed_stopped.final_snapshot), counters(&stopped.final_snapshot));
     }
 
     #[test]
@@ -449,7 +480,7 @@ mod tests {
         let body = String::from_utf8(bytes[..bytes.len() - 21].to_vec()).unwrap();
         let future = body.replace("star-ckpt\t1", "star-ckpt\t9");
         let mut blob = future.into_bytes();
-        let sum = fnv1a(&blob);
+        let sum = fnv::fnv1a(fnv::OFFSET, &blob);
         blob.extend_from_slice(format!("sum\t{sum:016x}\n").as_bytes());
         let err = AlignCheckpoint::from_bytes(&blob).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");

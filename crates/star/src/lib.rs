@@ -33,8 +33,9 @@
 //! # Simplifications relative to real STAR
 //!
 //! Substitution-only alignment (no indels — the simulators in `genomics` emit none),
-//! single-end reads, no 2-pass mode, and SAM-lite output records instead of BAM. None
-//! of these affect the evaluated claims; see DESIGN.md.
+//! paired-end reads aligned in FR orientation within one insert window ([`pair`]),
+//! a basic 2-pass mode ([`runner::Runner::run_two_pass`]), and SAM-lite output
+//! records instead of BAM. None of these affect the evaluated claims; see DESIGN.md.
 //!
 //! # Quick example
 //!
@@ -90,6 +91,6 @@ pub use index::{IndexParams, IndexStats, StarIndex};
 pub use pair::{PairOutcome, PairParams};
 pub use params::AlignParams;
 pub use junctions::{JunctionCollector, JunctionRow};
-pub use progress::{ProgressSnapshot, ProgressStats};
+pub use progress::ProgressSnapshot;
 pub use runner::{CancelToken, RunConfig, RunOutput, RunStatus, Runner};
 pub use scratch::AlignScratch;

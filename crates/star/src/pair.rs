@@ -80,7 +80,8 @@ impl<'i> Aligner<'i> {
     /// scratch, read ids propagated into the records.
     pub fn align_pair(&self, r1: &FastqRecord, r2: &FastqRecord) -> PairOutcome {
         let mut out = with_thread_scratch(|scratch| {
-            self.align_pair_scratch(r1, r2, &PairParams::default(), scratch, true)
+            let emit = Emit { records: true, genes: None };
+            self.align_pair_scratch(r1, r2, &PairParams::default(), scratch, emit)
         });
         if let Some(rec) = &mut out.rec1 {
             rec.read_id = r1.id.clone();
@@ -102,9 +103,8 @@ impl<'i> Aligner<'i> {
         r2: &FastqRecord,
         pp: &PairParams,
         scratch: &mut AlignScratch,
-        emit: impl Into<Emit<'g>>,
+        emit: Emit<'g>,
     ) -> PairOutcome {
-        let emit = emit.into();
         let genome = self.index().genome();
         let AlignScratch { core, cands, cands2, pairs } = scratch;
         let mut work = self.candidates_into(&r1.seq, core, cands);
@@ -203,7 +203,8 @@ mod tests {
 
     /// Is the pair mapped under an explicit insert window?
     fn maps_within(aligner: &Aligner, r1: &FastqRecord, r2: &FastqRecord, pp: &PairParams) -> bool {
-        aligner.align_pair_scratch(r1, r2, pp, &mut AlignScratch::new(), false).is_mapped()
+        let emit = Emit { records: false, genes: None };
+        aligner.align_pair_scratch(r1, r2, pp, &mut AlignScratch::new(), emit).is_mapped()
     }
 
     fn setup() -> (Assembly, Annotation, StarIndex) {

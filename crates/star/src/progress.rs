@@ -6,87 +6,11 @@
 //! tails this file and aborts the run when, after ≥10 % of reads, the mapped
 //! percentage sits below 30 %.
 //!
-//! [`ProgressStats`] is the thread-safe counterpart: alignment workers bump atomic
-//! counters and the run driver snapshots them between batches.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+//! [`ProgressSnapshot`] is both the running tally and each line of that stream: the
+//! run driver owns one, counts each fragment into it on the calling thread in input
+//! order ([`ProgressSnapshot::record`]), and copies it out at every batch boundary.
 
 use crate::align::MapClass;
-
-/// Shared, thread-safe progress counters for one alignment run.
-#[derive(Debug)]
-pub struct ProgressStats {
-    total_reads: u64,
-    started: Instant,
-    processed: AtomicU64,
-    unique: AtomicU64,
-    multi: AtomicU64,
-    too_many: AtomicU64,
-    unmapped: AtomicU64,
-}
-
-impl ProgressStats {
-    /// New counters for a run over `total_reads` reads.
-    pub fn new(total_reads: u64) -> ProgressStats {
-        ProgressStats::with_initial(total_reads, 0, 0, 0, 0, 0)
-    }
-
-    /// Counters seeded from a checkpoint: `processed`/class tallies start at the
-    /// interrupted run's values so snapshots (and the monitor decisions made on
-    /// them) see cumulative progress, not just the resumed tail.
-    pub fn with_initial(
-        total_reads: u64,
-        processed: u64,
-        unique: u64,
-        multi: u64,
-        too_many: u64,
-        unmapped: u64,
-    ) -> ProgressStats {
-        debug_assert_eq!(processed, unique + multi + too_many + unmapped);
-        ProgressStats {
-            total_reads,
-            started: Instant::now(),
-            processed: AtomicU64::new(processed),
-            unique: AtomicU64::new(unique),
-            multi: AtomicU64::new(multi),
-            too_many: AtomicU64::new(too_many),
-            unmapped: AtomicU64::new(unmapped),
-        }
-    }
-
-    /// Record one classified read. Relaxed ordering suffices: the counters are
-    /// independent monotonic tallies read only via snapshots.
-    pub fn record(&self, class: MapClass) {
-        self.processed.fetch_add(1, Ordering::Relaxed);
-        let counter = match class {
-            MapClass::Unique => &self.unique,
-            MapClass::Multi(_) => &self.multi,
-            MapClass::TooMany(_) => &self.too_many,
-            MapClass::Unmapped => &self.unmapped,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total reads the run was given.
-    pub fn total_reads(&self) -> u64 {
-        self.total_reads
-    }
-
-    /// A consistent-enough snapshot for progress decisions (counters are monotonic;
-    /// between-batch snapshots in the runner are exact).
-    pub fn snapshot(&self) -> ProgressSnapshot {
-        ProgressSnapshot {
-            total_reads: self.total_reads,
-            processed: self.processed.load(Ordering::Relaxed),
-            unique: self.unique.load(Ordering::Relaxed),
-            multi: self.multi.load(Ordering::Relaxed),
-            too_many: self.too_many.load(Ordering::Relaxed),
-            unmapped: self.unmapped.load(Ordering::Relaxed),
-            elapsed_secs: self.started.elapsed().as_secs_f64(),
-        }
-    }
-}
 
 /// A point-in-time view of run progress (one `Log.progress.out` line).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -108,6 +32,30 @@ pub struct ProgressSnapshot {
 }
 
 impl ProgressSnapshot {
+    /// The tally of a run over `total_reads` reads that has processed none yet.
+    pub fn new(total_reads: u64) -> ProgressSnapshot {
+        ProgressSnapshot {
+            total_reads,
+            processed: 0,
+            unique: 0,
+            multi: 0,
+            too_many: 0,
+            unmapped: 0,
+            elapsed_secs: 0.0,
+        }
+    }
+
+    /// Count one classified fragment.
+    pub fn record(&mut self, class: MapClass) {
+        self.processed += 1;
+        *match class {
+            MapClass::Unique => &mut self.unique,
+            MapClass::Multi(_) => &mut self.multi,
+            MapClass::TooMany(_) => &mut self.too_many,
+            MapClass::Unmapped => &mut self.unmapped,
+        } += 1;
+    }
+
     /// Fraction of input processed (0 when the input is empty).
     pub fn processed_fraction(&self) -> f64 {
         if self.total_reads == 0 {
@@ -151,7 +99,8 @@ impl ProgressSnapshot {
     }
 }
 
-fn pct(x: u64, of: u64) -> f64 {
+/// `x` as a percentage of `of` (0 when `of` is 0).
+pub(crate) fn pct(x: u64, of: u64) -> f64 {
     if of == 0 {
         0.0
     } else {
@@ -165,13 +114,12 @@ mod tests {
 
     #[test]
     fn records_classifications_into_buckets() {
-        let p = ProgressStats::new(10);
-        p.record(MapClass::Unique);
-        p.record(MapClass::Unique);
-        p.record(MapClass::Multi(3));
-        p.record(MapClass::TooMany(99));
-        p.record(MapClass::Unmapped);
-        let s = p.snapshot();
+        let mut s = ProgressSnapshot::new(10);
+        s.record(MapClass::Unique);
+        s.record(MapClass::Unique);
+        s.record(MapClass::Multi(3));
+        s.record(MapClass::TooMany(99));
+        s.record(MapClass::Unmapped);
         assert_eq!(s.processed, 5);
         assert_eq!(s.unique, 2);
         assert_eq!(s.multi, 1);
@@ -183,40 +131,18 @@ mod tests {
 
     #[test]
     fn empty_snapshot_has_zero_fractions() {
-        let s = ProgressStats::new(0).snapshot();
+        let s = ProgressSnapshot::new(0);
         assert_eq!(s.processed_fraction(), 0.0);
         assert_eq!(s.mapped_fraction(), 0.0);
         assert_eq!(s.reads_per_sec(), 0.0);
     }
 
     #[test]
-    fn concurrent_recording_is_lossless() {
-        use std::sync::Arc;
-        let p = Arc::new(ProgressStats::new(8000));
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let p = Arc::clone(&p);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..1000 {
-                    p.record(if i % 2 == 0 { MapClass::Unique } else { MapClass::Unmapped });
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let s = p.snapshot();
-        assert_eq!(s.processed, 8000);
-        assert_eq!(s.unique, 4000);
-        assert_eq!(s.unmapped, 4000);
-    }
-
-    #[test]
     fn log_line_contains_mapped_percent() {
-        let p = ProgressStats::new(4);
-        p.record(MapClass::Unique);
-        p.record(MapClass::Unmapped);
-        let line = p.snapshot().to_log_line();
+        let mut s = ProgressSnapshot::new(4);
+        s.record(MapClass::Unique);
+        s.record(MapClass::Unmapped);
+        let line = s.to_log_line();
         assert!(line.contains("Mapped:  50.00%"), "{line}");
     }
 }

@@ -13,16 +13,18 @@
 //!   [`GeneModel::columns`] reads a unique fragment from its alignment's parts
 //!   ([`Placement`]: contig index, local start, strand, CIGAR) and returns where each
 //!   strandedness column puts it. It is pure and allocates nothing, so the runner's
-//!   workers call it right after aligning, with no [`AlignmentRecord`] built.
+//!   workers call it right after aligning, with no [`crate::align::AlignmentRecord`]
+//!   built.
 //! * [`GeneCounts`] is the table. [`GeneCounts::add`] takes the fragment's
 //!   [`Assignment`], a `Copy` value, and increments one counter per column: that is
 //!   all that remains of quant on the run's sequential half.
 //!
-//! [`GeneCounter`] bundles the two for callers that hold [`AlignmentRecord`]s; its
-//! [`GeneCounter::record_pair`] goes through the same [`GeneModel::columns`], so there
-//! is one counting rule.
+//! That is the one counting path: a caller that wants gene counts either runs
+//! [`crate::runner::Runner`] with `quant` on, or aligns with
+//! [`crate::align::Emit::genes`] set and adds each outcome's [`Assignment`] to a
+//! [`GeneCounts`].
 
-use crate::align::{AlignmentRecord, CigarOp, MapClass};
+use crate::align::{CigarOp, MapClass};
 use crate::StarError;
 use genomics::annotation::{Annotation, Strand};
 
@@ -217,76 +219,6 @@ impl GeneModel {
     }
 }
 
-/// Gene counting over [`AlignmentRecord`]s: a [`GeneModel`] over the annotation's own
-/// contigs, and the table it fills.
-pub struct GeneCounter {
-    model: GeneModel,
-    /// The annotation's contigs in the model's order: how a record's contig name
-    /// finds its index.
-    contigs: Vec<String>,
-    counts: GeneCounts,
-}
-
-impl GeneCounter {
-    /// Build the counter's interval tables from an annotation.
-    pub fn new(annotation: &Annotation) -> GeneCounter {
-        let mut contigs: Vec<String> = Vec::new();
-        for gene in &annotation.genes {
-            if !contigs.contains(&gene.contig) {
-                contigs.push(gene.contig.clone());
-            }
-        }
-        GeneCounter {
-            model: GeneModel::new(annotation, &contigs),
-            contigs,
-            counts: GeneCounts::new(annotation),
-        }
-    }
-
-    /// Record one read's outcome: a fragment with a single mate.
-    pub fn record(&mut self, class: MapClass, primary: Option<&AlignmentRecord>) {
-        self.record_pair(class, primary, None);
-    }
-
-    /// Record one fragment. Only `Unique` fragments are gene-counted (STAR
-    /// semantics); `Multi`/`TooMany` go to `N_multimapping`, `Unmapped` to
-    /// `N_unmapped`; a unique fragment counts once, as [`GeneModel::columns`] resolves
-    /// the union of genes either mate overlaps.
-    pub fn record_pair(
-        &mut self,
-        class: MapClass,
-        rec1: Option<&AlignmentRecord>,
-        rec2: Option<&AlignmentRecord>,
-    ) {
-        // Invariant of the outcomes this takes: `Aligner::align_seq` and
-        // `Aligner::align_pair` materialize the primary record(s) for every class
-        // but `Unmapped`. A `Unique` class passed without mate 1's record has no
-        // aligned block to overlap an exon, so it is counted under `N_noFeature`.
-        let assignment = Assignment::of(class, || match rec1 {
-            Some(r1) => self.model.columns(self.placement(r1), rec2.map(|r2| self.placement(r2))),
-            None => [Column::None; 3],
-        });
-        self.counts.add(assignment);
-    }
-
-    /// A record as the model reads it. A contig that carries no gene gets an index
-    /// past the model's contigs, which overlaps nothing.
-    fn placement<'r>(&self, rec: &'r AlignmentRecord) -> Placement<'r> {
-        let contig = self.contigs.iter().position(|c| **c == *rec.contig).unwrap_or(self.contigs.len());
-        Placement { contig, pos: rec.pos, reverse: rec.reverse, cigar: &rec.cigar }
-    }
-
-    /// Total reads recorded so far.
-    pub fn total_recorded(&self) -> u64 {
-        self.counts.total_recorded()
-    }
-
-    /// Finish counting and produce the output table.
-    pub fn finish(self) -> GeneCounts {
-        self.counts
-    }
-}
-
 /// The ReadsPerGene.out.tab equivalent: the table a run fills, one
 /// [`Assignment`] per fragment, and returns.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -438,27 +370,35 @@ mod tests {
         }
     }
 
-    fn rec(contig: &str, pos: u64, cigar: Vec<CigarOp>, reverse: bool) -> AlignmentRecord {
-        AlignmentRecord {
-            read_id: "r".into(),
-            contig: contig.into(),
-            pos,
-            reverse,
-            cigar,
-            score: 100,
-            mismatches: 0,
-            n_hits: 1,
-            mapq: 255,
-            junctions: vec![],
+    /// The contigs the test annotation's genes sit on, in index order.
+    const CONTIGS: [&str; 2] = ["1", "2"];
+
+    /// One mate aligned on `contig` at `pos`.
+    fn at<'c>(contig: &str, pos: u64, cigar: &'c [CigarOp], reverse: bool) -> Placement<'c> {
+        let contig = CONTIGS.iter().position(|c| *c == contig).expect("a test contig");
+        Placement { contig, pos, reverse, cigar }
+    }
+
+    /// A fragment: its class and, when it aligned, mate 1 and mate 2.
+    type Fragment<'c> = (MapClass, Option<Placement<'c>>, Option<Placement<'c>>);
+
+    /// Count fragments the way a run does: the worker's [`Assignment::of`] over the
+    /// model's columns (what `Emit { genes: Some(model), .. }` computes), then
+    /// [`GeneCounts::add`] on the calling thread.
+    fn count(ann: &Annotation, fragments: &[Fragment<'_>]) -> GeneCounts {
+        let model = GeneModel::new(ann, &CONTIGS);
+        let mut counts = GeneCounts::new(ann);
+        for &(class, mate1, mate2) in fragments {
+            let columns = || model.columns(mate1.expect("unique fragments align"), mate2);
+            counts.add(Assignment::of(class, columns));
         }
+        counts
     }
 
     #[test]
     fn exonic_unique_read_counts_for_its_gene() {
-        let mut counter = GeneCounter::new(&annotation());
-        let r = rec("1", 120, vec![CigarOp::M(50)], false);
-        counter.record(MapClass::Unique, Some(&r));
-        let counts = counter.finish();
+        let cigar = [CigarOp::M(50)];
+        let counts = count(&annotation(), &[(MapClass::Unique, Some(at("1", 120, &cigar, false)), None)]);
         assert_eq!(counts.count("G1", Strandedness::Unstranded), Some(1));
         // Forward gene, forward read: column 3 counts, column 4 goes noFeature.
         assert_eq!(counts.count("G1", Strandedness::Forward), Some(1));
@@ -468,42 +408,34 @@ mod tests {
 
     #[test]
     fn spliced_read_counts_via_both_exons() {
-        let mut counter = GeneCounter::new(&annotation());
         // 50M 200N 50M starting at 150: blocks [150,200) and [400,450) — both G1 exons.
-        let r = rec("1", 150, vec![CigarOp::M(50), CigarOp::N(200), CigarOp::M(50)], false);
-        counter.record(MapClass::Unique, Some(&r));
-        let counts = counter.finish();
+        let cigar = [CigarOp::M(50), CigarOp::N(200), CigarOp::M(50)];
+        let counts = count(&annotation(), &[(MapClass::Unique, Some(at("1", 150, &cigar, false)), None)]);
         assert_eq!(counts.count("G1", Strandedness::Unstranded), Some(1));
     }
 
     #[test]
     fn intergenic_read_goes_no_feature() {
-        let mut counter = GeneCounter::new(&annotation());
-        let r = rec("1", 700, vec![CigarOp::M(100)], false);
-        counter.record(MapClass::Unique, Some(&r));
-        let counts = counter.finish();
+        let cigar = [CigarOp::M(100)];
+        let counts = count(&annotation(), &[(MapClass::Unique, Some(at("1", 700, &cigar, false)), None)]);
         assert_eq!(counts.n_no_feature, [1, 1, 1]);
         assert_eq!(counts.total_counted(Strandedness::Unstranded), 0);
     }
 
     #[test]
     fn intronic_read_is_no_feature() {
-        let mut counter = GeneCounter::new(&annotation());
         // Inside G1's intron [200,400).
-        let r = rec("1", 250, vec![CigarOp::M(100)], false);
-        counter.record(MapClass::Unique, Some(&r));
-        let counts = counter.finish();
+        let cigar = [CigarOp::M(100)];
+        let counts = count(&annotation(), &[(MapClass::Unique, Some(at("1", 250, &cigar, false)), None)]);
         assert_eq!(counts.count("G1", Strandedness::Unstranded), Some(0));
         assert_eq!(counts.n_no_feature[0], 1);
     }
 
     #[test]
     fn reverse_strand_gene_uses_reverse_column() {
-        let mut counter = GeneCounter::new(&annotation());
         // Forward read over reverse-strand gene G2.
-        let r = rec("1", 1050, vec![CigarOp::M(100)], false);
-        counter.record(MapClass::Unique, Some(&r));
-        let counts = counter.finish();
+        let cigar = [CigarOp::M(100)];
+        let counts = count(&annotation(), &[(MapClass::Unique, Some(at("1", 1050, &cigar, false)), None)]);
         assert_eq!(counts.count("G2", Strandedness::Unstranded), Some(1));
         assert_eq!(counts.count("G2", Strandedness::Forward), Some(0));
         assert_eq!(counts.count("G2", Strandedness::Reverse), Some(1));
@@ -518,21 +450,23 @@ mod tests {
             strand: Strand::Forward,
             exons: vec![Exon { start: 150, end: 250 }],
         });
-        let mut counter = GeneCounter::new(&ann);
-        let r = rec("1", 160, vec![CigarOp::M(30)], false);
-        counter.record(MapClass::Unique, Some(&r));
-        let counts = counter.finish();
+        let cigar = [CigarOp::M(30)];
+        let counts = count(&ann, &[(MapClass::Unique, Some(at("1", 160, &cigar, false)), None)]);
         assert_eq!(counts.n_ambiguous[0], 1);
         assert_eq!(counts.count("G1", Strandedness::Unstranded), Some(0));
     }
 
     #[test]
     fn multimappers_and_unmapped_go_to_header_rows() {
-        let mut counter = GeneCounter::new(&annotation());
-        counter.record(MapClass::Multi(3), Some(&rec("1", 120, vec![CigarOp::M(50)], false)));
-        counter.record(MapClass::TooMany(50), None);
-        counter.record(MapClass::Unmapped, None);
-        let counts = counter.finish();
+        let cigar = [CigarOp::M(50)];
+        let counts = count(
+            &annotation(),
+            &[
+                (MapClass::Multi(3), Some(at("1", 120, &cigar, false)), None),
+                (MapClass::TooMany(50), None, None),
+                (MapClass::Unmapped, None, None),
+            ],
+        );
         assert_eq!(counts.n_multimapping, 2);
         assert_eq!(counts.n_unmapped, 1);
         assert_eq!(counts.total_counted(Strandedness::Unstranded), 0);
@@ -540,23 +474,19 @@ mod tests {
 
     #[test]
     fn soft_clips_do_not_cover_genome() {
-        let mut counter = GeneCounter::new(&annotation());
         // Block [195, 205): 5 bases in exon1 [100,200) — overlap counts; but clips
         // before pos don't extend coverage backwards.
-        let r = rec("1", 195, vec![CigarOp::S(20), CigarOp::M(10)], false);
-        counter.record(MapClass::Unique, Some(&r));
-        let counts = counter.finish();
+        let cigar = [CigarOp::S(20), CigarOp::M(10)];
+        let counts = count(&annotation(), &[(MapClass::Unique, Some(at("1", 195, &cigar, false)), None)]);
         assert_eq!(counts.count("G1", Strandedness::Unstranded), Some(1));
     }
 
     #[test]
     fn pair_counts_fragment_once_via_either_mate() {
-        let mut counter = GeneCounter::new(&annotation());
         // Mate 1 in G1's first exon, mate 2 (reverse) in its second exon.
-        let r1 = rec("1", 120, vec![CigarOp::M(50)], false);
-        let r2 = rec("1", 420, vec![CigarOp::M(50)], true);
-        counter.record_pair(MapClass::Unique, Some(&r1), Some(&r2));
-        let counts = counter.finish();
+        let cigar = [CigarOp::M(50)];
+        let (m1, m2) = (at("1", 120, &cigar, false), at("1", 420, &cigar, true));
+        let counts = count(&annotation(), &[(MapClass::Unique, Some(m1), Some(m2))]);
         assert_eq!(counts.count("G1", Strandedness::Unstranded), Some(1), "one fragment, one count");
         // Strandedness follows mate 1 (forward): column 3.
         assert_eq!(counts.count("G1", Strandedness::Forward), Some(1));
@@ -564,21 +494,21 @@ mod tests {
 
     #[test]
     fn pair_with_mates_in_different_genes_is_ambiguous() {
-        let mut counter = GeneCounter::new(&annotation());
-        let r1 = rec("1", 120, vec![CigarOp::M(50)], false); // G1
-        let r2 = rec("1", 1_050, vec![CigarOp::M(50)], true); // G2
-        counter.record_pair(MapClass::Unique, Some(&r1), Some(&r2));
-        let counts = counter.finish();
+        let cigar = [CigarOp::M(50)];
+        let (m1, m2) = (at("1", 120, &cigar, false), at("1", 1_050, &cigar, true)); // G1, G2
+        let counts = count(&annotation(), &[(MapClass::Unique, Some(m1), Some(m2))]);
         assert_eq!(counts.n_ambiguous[0], 1);
         assert_eq!(counts.total_counted(Strandedness::Unstranded), 0);
     }
 
     #[test]
     fn tsv_has_header_rows_then_genes() {
-        let mut counter = GeneCounter::new(&annotation());
-        counter.record(MapClass::Unique, Some(&rec("1", 120, vec![CigarOp::M(50)], false)));
-        counter.record(MapClass::Unmapped, None);
-        let tsv = counter.finish().to_tsv();
+        let cigar = [CigarOp::M(50)];
+        let counts = count(
+            &annotation(),
+            &[(MapClass::Unique, Some(at("1", 120, &cigar, false)), None), (MapClass::Unmapped, None, None)],
+        );
+        let tsv = counts.to_tsv();
         let lines: Vec<&str> = tsv.lines().collect();
         assert!(lines[0].starts_with("N_unmapped\t1"));
         assert!(lines[1].starts_with("N_multimapping\t0"));
@@ -680,7 +610,7 @@ mod tests {
     /// The bounded scan and the streamed distinct-gene rule, against the naive rule,
     /// on random annotations: genes overlapping on both strands, exons up to 400 b,
     /// contigs without genes, single mates and pairs whose mates land anywhere. The
-    /// record-based counter must count each fragment where the naive rule puts it.
+    /// table a run fills must count each fragment where the naive rule puts it.
     #[test]
     fn columns_match_the_naive_rule_on_random_annotations() {
         let mut rng = StdRng::seed_from_u64(0x9e11);
@@ -689,7 +619,7 @@ mod tests {
         for _ in 0..300 {
             let ann = random_annotation(&mut rng, &contigs);
             let model = GeneModel::new(&ann, &contigs);
-            let mut counter = GeneCounter::new(&ann);
+            let mut counted = GeneCounts::new(&ann);
             let mut expected = GeneCounts::new(&ann);
             for _ in 0..40 {
                 let (cigar1, cigar2) = (random_cigar(&mut rng), random_cigar(&mut rng));
@@ -699,12 +629,7 @@ mod tests {
                 let want = naive_columns(&ann, &contigs, &mates);
                 assert_eq!(model.columns(mate1, mate2), want, "{ann:?}\n{mates:?}");
 
-                let to_record = |m: &Placement| {
-                    let contig = contigs.get(m.contig).copied().unwrap_or("missing");
-                    rec(contig, m.pos, m.cigar.to_vec(), m.reverse)
-                };
-                let recs: Vec<AlignmentRecord> = mates.iter().map(to_record).collect();
-                counter.record_pair(MapClass::Unique, Some(&recs[0]), recs.get(1));
+                counted.add(Assignment::of(MapClass::Unique, || model.columns(mate1, mate2)));
                 expected.add(Assignment::Unique(want));
 
                 ambiguous += want.contains(&Column::Ambiguous) as u32;
@@ -714,7 +639,7 @@ mod tests {
                     split += (matches!(alone(*a), Column::Gene(_)) && alone(*a) != alone(*b)) as u32;
                 }
             }
-            assert_eq!(counter.finish(), expected);
+            assert_eq!(counted, expected);
         }
         // The draws reach every outcome the rule has.
         assert!(ambiguous > 200 && gene_hits > 200 && split > 20, "{ambiguous} {gene_hits} {split}");
@@ -738,11 +663,16 @@ mod tests {
 
     #[test]
     fn total_recorded_is_consistent() {
-        let mut counter = GeneCounter::new(&annotation());
-        counter.record(MapClass::Unique, Some(&rec("1", 120, vec![CigarOp::M(50)], false)));
-        counter.record(MapClass::Unique, Some(&rec("1", 700, vec![CigarOp::M(50)], false)));
-        counter.record(MapClass::Multi(2), None);
-        counter.record(MapClass::Unmapped, None);
-        assert_eq!(counter.total_recorded(), 4);
+        let cigar = [CigarOp::M(50)];
+        let counts = count(
+            &annotation(),
+            &[
+                (MapClass::Unique, Some(at("1", 120, &cigar, false)), None),
+                (MapClass::Unique, Some(at("1", 700, &cigar, false)), None),
+                (MapClass::Multi(2), None, None),
+                (MapClass::Unmapped, None, None),
+            ],
+        );
+        assert_eq!(counts.total_recorded(), 4);
     }
 }

@@ -4,7 +4,7 @@
 //! Reads are processed in batches; each batch is aligned in parallel on the
 //! process-wide [`Pool`] for the run's thread count (repeated runs, two-pass mode and
 //! `pseudo`'s runner reuse its threads and their warm per-thread scratch buffers
-//! instead of spawning new ones), progress counters are updated, and a
+//! instead of spawning new ones), the run's progress tally is updated, and a
 //! [`RunMonitor`] is consulted between batches. A monitor that returns
 //! [`MonitorVerdict::Abort`] stops the run — exactly how the paper's pipeline kills
 //! STAR when `Log.progress.out` shows a sub-threshold mapping rate after the 10 %
@@ -15,7 +15,10 @@
 //! and the accounting closure they hand it. Whatever is per read runs in the align
 //! function, on the pool — for [`Runner`] that includes assigning each fragment to
 //! its gene ([`crate::quant::GeneModel`]) — so the accounting closure only adds
-//! `Copy` results to counters in input order.
+//! `Copy` results to counters in input order. Every tally a run keeps is a plain
+//! value owned by the calling thread: the [`ProgressSnapshot`] the loop counts into,
+//! and the gene, junction and phase-work tables of [`Runner`]'s accounting. The one
+//! value shared between threads is the [`CancelToken`]'s flag.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -28,7 +31,7 @@ use crate::junctions::{JunctionCollector, JunctionRow};
 use crate::logs::FinalLog;
 use crate::pair::{PairOutcome, PairParams};
 use crate::params::AlignParams;
-use crate::progress::{ProgressSnapshot, ProgressStats};
+use crate::progress::ProgressSnapshot;
 use crate::quant::{Assignment, GeneCounts, GeneModel};
 use crate::scratch::with_thread_scratch;
 use crate::StarError;
@@ -159,8 +162,6 @@ pub struct RunOutput {
     pub alignments: Option<Vec<AlignmentRecord>>,
     /// Aggregate per-phase alignment work (seed/stitch/extend unit counts).
     pub phase_work: PhaseWork,
-    /// Wall-clock seconds.
-    pub wall_secs: f64,
 }
 
 impl RunOutput {
@@ -190,37 +191,44 @@ pub struct BatchDriver<'a> {
 pub struct Driven {
     /// How the loop ended.
     pub status: RunStatus,
-    /// Counters when it ended.
+    /// The tally when it ended: the start snapshot plus every fragment accounted.
     pub final_snapshot: ProgressSnapshot,
     /// One snapshot per batch boundary.
     pub history: Vec<ProgressSnapshot>,
 }
 
 impl BatchDriver<'_> {
-    /// Run the loop over `frags`, starting where `progress` stands: fresh counters
-    /// start at fragment 0, counters seeded from a checkpoint skip the fragments
-    /// already processed. `align` runs on the pool, once per fragment, in any
-    /// order; `account` then sees each fragment with its outcome on the calling
-    /// thread, in input order, and returns the class to count — so nothing a run
-    /// reports depends on the schedule. Monomorphised per caller: no `dyn` call or
-    /// allocation per fragment, and one outcome buffer per call, reused by every
-    /// batch. A panic in `align` is re-raised here.
-    pub fn drive<F, O, A, R>(&self, frags: &[F], progress: &ProgressStats, align: A, mut account: R) -> Driven
+    /// Run the loop over `frags`, counting into `progress`: a fresh
+    /// [`ProgressSnapshot::new`] starts at fragment 0, one built from a checkpoint
+    /// skips the fragments it has already processed. Every snapshot's `elapsed_secs`
+    /// is read from `clock`, the instant the run began. `align` runs on the pool,
+    /// once per fragment, in any order; `account` then sees each fragment with its
+    /// outcome on the calling thread, in input order, and returns the class to count
+    /// — so nothing a run reports depends on the schedule. Monomorphised per caller:
+    /// no `dyn` call or allocation per fragment, and one outcome buffer per call,
+    /// reused by every batch. A panic in `align` is re-raised here.
+    pub fn drive<F, O, A, R>(
+        &self,
+        frags: &[F],
+        mut progress: ProgressSnapshot,
+        clock: Instant,
+        align: A,
+        mut account: R,
+    ) -> Driven
     where
         F: Sync,
         O: Send,
         A: Fn(&F) -> O + Sync,
         R: FnMut(&F, O) -> MapClass,
     {
-        let skip = progress.snapshot().processed as usize;
         let mut history = Vec::new();
         let mut status = RunStatus::Completed;
-        let todo = &frags[skip..];
+        let todo = &frags[progress.processed as usize..];
         let mut slots: Vec<Option<O>> = Vec::new();
         slots.resize_with(self.batch_size.min(todo.len()), || None);
         for batch in todo.chunks(self.batch_size) {
             if self.cancel.is_some_and(CancelToken::is_cancelled) {
-                status = RunStatus::Cancelled { processed_reads: progress.snapshot().processed };
+                status = RunStatus::Cancelled { processed_reads: progress.processed };
                 break;
             }
             let slots = &mut slots[..batch.len()];
@@ -229,14 +237,15 @@ impl BatchDriver<'_> {
             for (frag, outcome) in batch.iter().zip(slots.iter_mut().map_while(Option::take)) {
                 progress.record(account(frag, outcome));
             }
-            let snap = progress.snapshot();
-            history.push(snap);
-            if self.monitor.is_some_and(|m| m.on_progress(&snap) == MonitorVerdict::Abort) {
-                status = RunStatus::EarlyStopped { processed_reads: snap.processed };
+            progress.elapsed_secs = clock.elapsed().as_secs_f64();
+            history.push(progress);
+            if self.monitor.is_some_and(|m| m.on_progress(&progress) == MonitorVerdict::Abort) {
+                status = RunStatus::EarlyStopped { processed_reads: progress.processed };
                 break;
             }
         }
-        Driven { status, final_snapshot: progress.snapshot(), history }
+        progress.elapsed_secs = clock.elapsed().as_secs_f64();
+        Driven { status, final_snapshot: progress, history }
     }
 }
 
@@ -271,7 +280,6 @@ struct Tally {
     /// Kept records (`record_alignments`): mapped reads only, input order.
     kept: Option<Vec<AlignmentRecord>>,
     phase_work: PhaseWork,
-    started: Instant,
 }
 
 impl Tally {
@@ -308,7 +316,6 @@ impl Tally {
             junctions,
             kept: config.record_alignments.then(Vec::new),
             phase_work: PhaseWork::default(),
-            started: Instant::now(),
         };
         Ok((tally, model))
     }
@@ -359,14 +366,13 @@ impl Tally {
     fn finish(self, driven: Driven) -> RunOutput {
         RunOutput {
             status: driven.status,
-            final_log: FinalLog::from_snapshot(&driven.final_snapshot),
+            final_log: FinalLog(driven.final_snapshot),
             final_snapshot: driven.final_snapshot,
             history: driven.history,
             gene_counts: self.counts,
             junctions: self.junctions.map(JunctionCollector::finish),
             alignments: self.kept,
             phase_work: self.phase_work,
-            wall_secs: self.started.elapsed().as_secs_f64(),
         }
     }
 }
@@ -411,7 +417,8 @@ impl<'i> Runner<'i> {
         monitor: Option<&dyn RunMonitor>,
         cancel: Option<&CancelToken>,
     ) -> Result<RunOutput, StarError> {
-        self.run_from(reads, annotation, None, self.driver(monitor, cancel))
+        let clock = Instant::now();
+        self.run_from(reads, annotation, None, clock, self.driver(monitor, cancel))
     }
 
     /// Resume a run from a checkpoint taken at a cancellation: skip the
@@ -435,6 +442,7 @@ impl<'i> Runner<'i> {
         monitor: Option<&dyn RunMonitor>,
         cancel: Option<&CancelToken>,
     ) -> Result<RunOutput, StarError> {
+        let clock = Instant::now();
         checkpoint.validate()?;
         if checkpoint.reads_processed as usize > reads.len() {
             return Err(StarError::InvalidParams(format!(
@@ -453,7 +461,7 @@ impl<'i> Runner<'i> {
                 "checkpoint junction state does not match the run configuration".into(),
             ));
         }
-        self.run_from(reads, annotation, Some(checkpoint), self.driver(monitor, cancel))
+        self.run_from(reads, annotation, Some(checkpoint), clock, self.driver(monitor, cancel))
     }
 
     fn run_from(
@@ -461,26 +469,18 @@ impl<'i> Runner<'i> {
         reads: &[FastqRecord],
         annotation: Option<&Annotation>,
         resume: Option<&AlignCheckpoint>,
+        clock: Instant,
         driver: BatchDriver<'_>,
     ) -> Result<RunOutput, StarError> {
         let aligner = Aligner::new(self.index, self.align_params.clone());
         let (mut tally, model) = Tally::new(&self.config, annotation, resume, &aligner)?;
         let total = reads.len() as u64;
-        let progress = match resume {
-            Some(c) => ProgressStats::with_initial(
-                total,
-                c.reads_processed,
-                c.unique,
-                c.multi,
-                c.too_many,
-                c.unmapped,
-            ),
-            None => ProgressStats::new(total),
-        };
+        let start = resume.map_or(ProgressSnapshot::new(total), |c| c.progress(total));
         let emit = tally.emit(model.as_ref());
         let driven = driver.drive(
             reads,
-            &progress,
+            start,
+            clock,
             |read| with_thread_scratch(|s| aligner.align_seq_with(&read.seq, s, emit)),
             |read, out| tally.single(read, out),
         );
@@ -497,13 +497,14 @@ impl<'i> Runner<'i> {
         monitor: Option<&dyn RunMonitor>,
         cancel: Option<&CancelToken>,
     ) -> Result<RunOutput, StarError> {
+        let clock = Instant::now();
         let aligner = Aligner::new(self.index, self.align_params.clone());
         let (mut tally, model) = Tally::new(&self.config, annotation, None, &aligner)?;
-        let progress = ProgressStats::new(pairs.len() as u64);
         let (insert, emit) = (PairParams::default(), tally.emit(model.as_ref()));
         let driven = self.driver(monitor, cancel).drive(
             pairs,
-            &progress,
+            ProgressSnapshot::new(pairs.len() as u64),
+            clock,
             |pair| {
                 let (r1, r2) = pair.mates();
                 with_thread_scratch(|s| aligner.align_pair_scratch(r1, r2, &insert, s, emit))
@@ -615,14 +616,15 @@ mod tests {
     fn driver_completes_aborts_cancels_and_resumes() {
         let pool = Pool::shared(2).unwrap();
         let frags: Vec<u32> = (0..25).collect();
-        let drive = |progress: ProgressStats,
+        let drive = |progress: ProgressSnapshot,
                      monitor: Option<&dyn RunMonitor>,
                      cancel: Option<&CancelToken>| {
             let mut seen = Vec::new();
             let driver = BatchDriver { pool: &pool, batch_size: 10, monitor, cancel };
             let driven = driver.drive(
                 &frags,
-                &progress,
+                progress,
+                Instant::now(),
                 |&n| n * 3,
                 |&n, tripled| {
                     assert_eq!(tripled, n * 3, "each fragment meets its own outcome");
@@ -635,7 +637,7 @@ mod tests {
         };
 
         // Completed: batches of 10, 10 and 5, accounted in input order.
-        let (whole, boundaries, seen) = drive(ProgressStats::new(25), None, None);
+        let (whole, boundaries, seen) = drive(ProgressSnapshot::new(25), None, None);
         assert_eq!(whole.status, RunStatus::Completed);
         assert_eq!(boundaries, [10, 20, 25]);
         assert_eq!(seen, frags);
@@ -645,7 +647,7 @@ mod tests {
         let abort_at_20 = |s: &ProgressSnapshot| {
             if s.processed >= 20 { MonitorVerdict::Abort } else { MonitorVerdict::Continue }
         };
-        let (stopped, boundaries, seen) = drive(ProgressStats::new(25), Some(&abort_at_20), None);
+        let (stopped, boundaries, seen) = drive(ProgressSnapshot::new(25), Some(&abort_at_20), None);
         assert_eq!(stopped.status, RunStatus::EarlyStopped { processed_reads: 20 });
         assert_eq!(boundaries, [10, 20]);
         assert_eq!(seen.len(), 20);
@@ -657,14 +659,14 @@ mod tests {
             token.cancel();
             MonitorVerdict::Continue
         };
-        let (cancelled, boundaries, seen) = drive(ProgressStats::new(25), Some(&trip), Some(&token));
+        let (cancelled, boundaries, seen) = drive(ProgressSnapshot::new(25), Some(&trip), Some(&token));
         assert_eq!(cancelled.status, RunStatus::Cancelled { processed_reads: 10 });
         assert_eq!(boundaries, [10]);
         assert_eq!(seen, frags[..10]);
 
         // Resume from an offset that is not a batch multiple: fragments 13.. only,
         // batches re-cut from the offset, totals equal to the uninterrupted run's.
-        let at_13 = ProgressStats::with_initial(25, 13, 7, 0, 0, 6);
+        let at_13 = ProgressSnapshot { processed: 13, unique: 7, unmapped: 6, ..ProgressSnapshot::new(25) };
         let (resumed, boundaries, seen) = drive(at_13, None, None);
         assert_eq!(resumed.status, RunStatus::Completed);
         assert_eq!(boundaries, [23, 25]);
@@ -680,21 +682,30 @@ mod tests {
         let pool = Pool::shared(2).unwrap();
         let frags: Vec<u32> = (0..25).collect();
         let driver = BatchDriver { pool: &pool, batch_size: 10, monitor: None, cancel: None };
-        let progress = ProgressStats::new(25);
+        let mut accounted = 0;
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let align = |&n: &u32| if n == 13 { panic!("fragment {n}") } else { n };
-            driver.drive(&frags, &progress, align, |_, _| MapClass::Unique)
+            driver.drive(&frags, ProgressSnapshot::new(25), Instant::now(), align, |_, _| {
+                accounted += 1;
+                MapClass::Unique
+            })
         }));
         let payload = panicked.expect_err("the panic must reach the caller");
         assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("fragment 13"));
-        assert_eq!(progress.snapshot().processed, 10, "nothing of the panicking batch is accounted");
+        assert_eq!(accounted, 10, "nothing of the panicking batch is accounted");
 
         let mut seen = Vec::new();
-        let driven = driver.drive(&frags, &ProgressStats::new(25), |&n| n * 3, |&n, tripled| {
-            assert_eq!(tripled, n * 3, "each fragment meets its own outcome");
-            seen.push(n);
-            MapClass::Unique
-        });
+        let driven = driver.drive(
+            &frags,
+            ProgressSnapshot::new(25),
+            Instant::now(),
+            |&n| n * 3,
+            |&n, tripled| {
+                assert_eq!(tripled, n * 3, "each fragment meets its own outcome");
+                seen.push(n);
+                MapClass::Unique
+            },
+        );
         assert_eq!(driven.status, RunStatus::Completed);
         assert_eq!(seen, frags);
         assert_eq!(driven.final_snapshot.unique, 25);

@@ -12,7 +12,6 @@ use crate::pair::PairOutcome;
 use crate::runner::MatePair;
 use crate::StarError;
 use genomics::FastqRecord;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// SAM flag bits.
@@ -96,23 +95,6 @@ pub fn sam_mapped_record(read: &FastqRecord, rec: &AlignmentRecord) -> String {
     )
 }
 
-/// Render the SAM body for the alignment records a run kept
-/// (`record_alignments`; mapped reads only, input order). Each record's read is
-/// looked up by id in `reads`; an unknown id is an error rather than a silent
-/// skip. Shards from a checkpointed run concatenate to exactly the body an
-/// uninterrupted run produces — the property the spot-recovery differential
-/// test pins down.
-pub fn sam_body(reads: &[FastqRecord], records: &[AlignmentRecord]) -> Result<String, StarError> {
-    let by_id: HashMap<&str, &FastqRecord> = reads.iter().map(|r| (r.id.as_str(), r)).collect();
-    let mut out = String::new();
-    for rec in records {
-        let read = by_id.get(rec.read_id.as_str()).ok_or_else(|| unknown_read(rec))?;
-        out.push_str(&sam_mapped_record(read, rec));
-        out.push('\n');
-    }
-    Ok(out)
-}
-
 fn unknown_read(rec: &AlignmentRecord) -> StarError {
     StarError::InvalidParams(format!("alignment record for unknown read {:?}", rec.read_id))
 }
@@ -122,7 +104,9 @@ fn unknown_read(rec: &AlignmentRecord) -> StarError {
 /// reads only, input order), so walking the two together gives every read its line
 /// — the kept alignment, or a flag-4 record — without aligning anything twice.
 /// Byte-equal to `sam_record(read, &aligner.align_read(read))` per read. A kept
-/// record that matches no read in order is an error.
+/// record that matches no read in order is an error. A checkpointed run renders in
+/// shards: the interrupted attempt's body over `reads[..cut]` and the resumed one's
+/// over `reads[cut..]` concatenate to the uninterrupted run's body.
 pub fn sam_run_body(reads: &[FastqRecord], kept: &[AlignmentRecord]) -> Result<String, StarError> {
     let mut kept = kept.iter().peekable();
     let mut out = String::new();

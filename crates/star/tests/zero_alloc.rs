@@ -48,7 +48,7 @@ fn steady_state_alignment_allocates_nothing() {
     for _ in 0..2 {
         warm_mapped = reads
             .iter()
-            .filter(|seq| aligner.align_seq_with(seq, &mut scratch, false).is_mapped())
+            .filter(|seq| aligner.align_seq_with(seq, &mut scratch, Emit { records: false, genes: None }).is_mapped())
             .count();
     }
     assert!(warm_mapped > 200, "premise: most bulk reads map ({warm_mapped}/300)");
@@ -57,7 +57,7 @@ fn steady_state_alignment_allocates_nothing() {
     let (mapped, seen) = tracked(|| {
         reads
             .iter()
-            .filter(|seq| aligner.align_seq_with(seq, &mut scratch, false).is_mapped())
+            .filter(|seq| aligner.align_seq_with(seq, &mut scratch, Emit { records: false, genes: None }).is_mapped())
             .count()
     });
     let allocs = seen.calls;

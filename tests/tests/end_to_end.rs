@@ -5,7 +5,7 @@
 use genomics::annotation::AnnotationParams;
 use genomics::{Annotation, EnsemblGenerator, EnsemblParams, Release};
 use sra_sim::accession::{CatalogParams, LibraryStrategy};
-use sra_sim::{FasterqDump, Prefetch, SraRepository};
+use sra_sim::{FasterqDump, NetworkModel, SraRepository};
 use star_aligner::index::{IndexParams, StarIndex};
 use star_aligner::quant::Strandedness;
 use star_aligner::runner::{RunConfig, Runner};
@@ -34,7 +34,7 @@ fn full_pipeline_produces_normalizable_counts() {
     .unwrap();
     let repo = SraRepository::new(Arc::clone(&assembly), Arc::clone(&annotation), catalog);
 
-    let prefetch = Prefetch::default();
+    let network = NetworkModel::default();
     let dumper = FasterqDump::default();
     let run_config = RunConfig { threads: 2, quant: true, ..RunConfig::default() };
     let runner = Runner::new(&index, AlignParams::default(), run_config).unwrap();
@@ -44,11 +44,11 @@ fn full_pipeline_produces_normalizable_counts() {
     let mut gene_ids: Option<Vec<String>> = None;
     for id in repo.ids() {
         // Stage 1: prefetch.
-        let fetched = prefetch.run(&repo, &id).unwrap();
-        assert!(fetched.modeled_secs > 0.0);
+        let fetched = repo.fetch(&id).unwrap();
+        assert!(network.transfer_secs(fetched.size_bytes()) > 0.0);
         // Stage 2: fasterq-dump.
-        let dumped = dumper.run(&fetched.archive).unwrap();
-        assert_eq!(dumped.reads.len() as u64, fetched.archive.spots());
+        let dumped = dumper.run(&fetched).unwrap();
+        assert_eq!(dumped.reads.len() as u64, fetched.spots());
         // Stage 3: STAR + GeneCounts.
         let output = runner.run(&dumped.reads, Some(&annotation), None, None).unwrap();
         assert!(output.mapped_fraction() > 0.7, "bulk accession must map well: {id}");

@@ -6,12 +6,12 @@
 use genomics::annotation::AnnotationParams;
 use genomics::simulate::{JunkClass, ReadOrigin};
 use genomics::{
-    Annotation, EnsemblGenerator, EnsemblParams, LibraryType, ReadSimulator, Release,
-    SimulatorParams,
+    Annotation, EnsemblGenerator, EnsemblParams, FastqRecord, LibraryType, ReadSimulator,
+    Release, SimulatorParams,
 };
 use star_aligner::align::{Aligner, CigarOp};
 use star_aligner::index::{IndexParams, StarIndex};
-use star_aligner::AlignParams;
+use star_aligner::{AlignParams, RunConfig, Runner};
 
 struct Fixture {
     assembly: genomics::Assembly,
@@ -151,16 +151,16 @@ fn transcript_reads_count_for_their_gene() {
     params.error_rate = 0.0;
     let mut sim = ReadSimulator::new(&f.assembly, &f.annotation, params, 44).unwrap();
     let reads = sim.simulate(500, "TC");
-    let aligner = Aligner::new(&f.index, AlignParams::default());
-    let mut counter = star_aligner::quant::GeneCounter::new(&f.annotation);
-    let mut truth: Vec<String> = Vec::new();
-    for read in &reads {
-        let ReadOrigin::Transcript { gene_id, .. } = &read.origin else { panic!("exonic only") };
-        truth.push(gene_id.clone());
-        let out = aligner.align_read(&read.fastq);
-        counter.record(out.class, out.primary.as_ref());
-    }
-    let counts = counter.finish();
+    let (truth, fastq): (Vec<String>, Vec<FastqRecord>) = reads
+        .iter()
+        .map(|read| {
+            let ReadOrigin::Transcript { gene_id, .. } = &read.origin else { panic!("exonic only") };
+            (gene_id.clone(), read.fastq.clone())
+        })
+        .unzip();
+    let runner = Runner::new(&f.index, AlignParams::default(), RunConfig { quant: true, ..RunConfig::default() })
+        .unwrap();
+    let counts = runner.run(&fastq, Some(&f.annotation), None, None).unwrap().gene_counts.unwrap();
     // Aggregate: the counted total must be close to the number of unique exonic
     // reads, and the most-counted gene must be among the true top genes.
     let counted = counts.total_counted(star_aligner::quant::Strandedness::Unstranded);
