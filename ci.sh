@@ -117,6 +117,11 @@ if grep -nE 'BTree(Map|Set)<String|HashMap<String' crates/atlas/src/campaign.rs 
     echo "string-keyed per-accession state in the campaign: key it by campaign::Acc" >&2
     exit 1
 fi
+# The campaign holds what it reads (`AccessionRun`, `Completion`), not what the pipeline produces.
+if grep -n 'PipelineResult' crates/atlas/src/campaign.rs crates/atlas/src/campaign/state.rs; then
+    echo "the campaign names PipelineResult: hold an AccessionRun or a Completion instead" >&2
+    exit 1
+fi
 # What observers and an armed-but-idle recovery layer cost, counted under the
 # counting allocator on three fixed-seed campaigns: exact for the seed, so the host's
 # wall-clock drift cannot blur it (wall-clock stays with atlas-e2e's observed_fleet_20k).

@@ -38,8 +38,8 @@ mod state;
 
 use crate::early_stop::SavingsSummary;
 use crate::ledger::{build_ledger, SloReport};
-use crate::orchestrator::{CampaignConfig, CampaignReport, FleetSample};
-use crate::pipeline::{PipelineResult, StageTimes};
+use crate::orchestrator::{CampaignConfig, CampaignReport, Completion, FleetSample};
+use crate::pipeline::StageTimes;
 use crate::recovery::CheckpointStore;
 use crate::workload::CampaignWorkload;
 use crate::AtlasError;
@@ -49,7 +49,7 @@ use cloudsim::instance::{InstanceId, InstanceState};
 use cloudsim::sqs::ReceiptHandle;
 use cloudsim::{s3, Kernel, ReclaimSource, SimDuration, SimTime, SqsQueue};
 use deseq_norm::{CountsMatrix, NormalizedMatrix};
-use star_aligner::quant::Strandedness;
+use star_aligner::quant::{GeneCounts, Strandedness};
 use state::{Accounting, Fleet, Job, Observers, Resolution};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -371,7 +371,7 @@ impl<'a> Campaign<'a> {
         // timestamped inside the modeled align window. Without a monitor no
         // progress events exist and the log is byte-identical to a monitor-free
         // build.
-        let (mut result, history) = if self.obs.monitored {
+        let (mut run, history) = if self.obs.monitored {
             self.workload.run_accession_with_history(name)?
         } else {
             (self.workload.run_accession(name)?, Vec::new())
@@ -381,9 +381,9 @@ impl<'a> Campaign<'a> {
         // checkpointed offset. The star crate's differential test is what
         // entitles the model to treat the resumed output as identical.
         let offset = self.recovery.as_ref().and_then(|r| r.get(accession, now.as_secs()));
-        let resumed_secs = offset.map_or(0.0, |o| o.min(result.stage_secs.align_secs));
+        let resumed_secs = offset.map_or(0.0, |o| o.min(run.stage_secs.align_secs));
         if resumed_secs > 0.0 {
-            result.stage_secs.align_secs -= resumed_secs;
+            run.stage_secs.align_secs -= resumed_secs;
             self.obs.job_event(now, "resume", name, id, &[("skipped_secs", resumed_secs)]);
             rec.counter_add("checkpoint_resumes", 1);
         }
@@ -392,7 +392,7 @@ impl<'a> Campaign<'a> {
             accession,
             receipt,
             started_secs: now.as_secs(),
-            result,
+            run,
             resumed_secs,
             crash_offset_secs: 0.0,
         };
@@ -406,7 +406,7 @@ impl<'a> Campaign<'a> {
     /// hand the job to its worker.
     fn start_job(&mut self, now: SimTime, id: InstanceId, mut job: Job) {
         let (cfg, serial, epoch) = (self.cfg, id.0, job.epoch);
-        let stages = job.result.stage_secs;
+        let stages = job.run.stage_secs;
         let duration = stages.total().max(0.001);
         // A failed or stale lease extension leaves the base visibility timeout
         // in force: the message may re-deliver mid-job and the duplicate
@@ -453,7 +453,7 @@ impl<'a> Campaign<'a> {
         // expires otherwise).
         let Some(job) = self.fleet.finish(id, epoch, now) else { return };
         let cfg = self.cfg;
-        let duration = job.result.stage_secs.total();
+        let duration = job.run.stage_secs.total();
         // Job spans are emitted retroactively: the job started when the message
         // was received, `duration` sim-seconds ago.
         let window = (now.as_secs() - duration, now.as_secs());
@@ -498,10 +498,10 @@ impl<'a> Campaign<'a> {
     /// First durable completion of `job.accession`.
     fn record_completion(&mut self, now: SimTime, job: Job) {
         let rec = &self.obs.recorder;
-        let Job { accession, result, resumed_secs, .. } = job;
+        let Job { accession, run, resumed_secs, .. } = job;
         rec.counter_add("jobs_completed", 1);
-        rec.observe("align_secs_per_accession", SECS_BUCKETS, result.stage_secs.align_secs);
-        let duration = result.stage_secs.total();
+        rec.observe("align_secs_per_accession", SECS_BUCKETS, run.stage_secs.align_secs);
+        let duration = run.stage_secs.total();
         // Campaigns submit everything at t=0, so the completion instant *is* the
         // turnaround; the cost sample prices the successful attempt. Both precede
         // the backdated `early_stop` event: what they set off belongs right
@@ -509,21 +509,20 @@ impl<'a> Campaign<'a> {
         self.obs.slo_sample(now, SloSignal::AccessionTurnaround, now.as_secs());
         let cost_usd = duration * self.obs.usd_per_hour / 3600.0;
         self.obs.slo_sample(now, SloSignal::AccessionCost, cost_usd);
-        if result.early_stopped() {
+        let name = self.name(accession);
+        if run.early_stopped() {
             // The decision landed at the end of the (cut short) align stage.
-            let decided_at = now.as_secs() - duration
-                + result.stage_secs.prefix_secs(2)
-                + result.stage_secs.align_secs;
-            let name = self.name(accession);
+            let decided_at =
+                now.as_secs() - duration + run.stage_secs.prefix_secs(2) + run.stage_secs.align_secs;
             self.obs.event(decided_at, "early_stop", || {
                 let mut fields = vec![
                     ("accession", JsonValue::from(name)),
-                    ("mapping_rate", JsonValue::from(result.mapping_rate)),
+                    ("mapping_rate", JsonValue::from(run.mapping_rate)),
                 ];
-                fields.extend(result.early_stop.decision_fields());
+                fields.extend(run.early_stop.decision_fields());
                 fields
             });
-            rec.observe("mapping_rate_at_stop", RATE_BUCKETS, result.mapping_rate);
+            rec.observe("mapping_rate_at_stop", RATE_BUCKETS, run.mapping_rate);
         }
         if let Some(account) = self.accounting.ledger_account(accession) {
             account.completed_at_secs = Some(now.as_secs());
@@ -534,7 +533,7 @@ impl<'a> Campaign<'a> {
                 self.accounting.salvaged(accession, resumed_secs);
             }
         }
-        self.resolution.complete(accession, result);
+        self.resolution.complete(accession, name, run);
     }
 
     fn on_worker_crash(&mut self, now: SimTime, id: InstanceId, epoch: u64) {
@@ -600,7 +599,7 @@ impl<'a> Campaign<'a> {
         let elapsed = now.as_secs() - job.started_secs;
         // Align-stage seconds this attempt completed before the notice;
         // pre-align stages are not resumable.
-        let stages = &job.result.stage_secs;
+        let stages = &job.run.stage_secs;
         let align_done = (elapsed - stages.prefix_secs(2)).clamp(0.0, stages.align_secs);
         let mut checkpointed = 0.0f64;
         if !self.resolution.is_completed(accession) && align_done > 0.0 {
@@ -665,12 +664,11 @@ impl<'a> Campaign<'a> {
         let dead_lettered = dead_lettered.into_iter().map(|a| self.name(a).to_string()).collect();
 
         let rec = &self.obs.recorder;
-        let completed = self.resolution.results();
         let mut savings = SavingsSummary::default();
-        for r in completed {
-            savings.add(&r.early_stop);
+        for c in self.resolution.results() {
+            savings.add(&c.early_stop);
         }
-        let normalized = build_normalized(completed);
+        let normalized = build_normalized(self.resolution.gene_counts());
         if let Some(n) = &normalized {
             let attrs = n.span_attrs();
             rec.span_closed("deseq", self.obs.campaign_span, end.as_secs(), end.as_secs(), &attrs);
@@ -723,7 +721,7 @@ impl<'a> Campaign<'a> {
         for s in &objectives {
             rec.gauge_set_at(at, &format!("slo_budget_remaining:{}", s.id), s.budget_remaining);
         }
-        let inputs = self.accounting.ledger_inputs(&self.resolution, self.accessions, at);
+        let inputs = self.accounting.ledger_inputs(&self.resolution, at);
         let (ledger, totals) =
             build_ledger(&inputs, self.obs.usd_per_hour, self.accounting.cost.report().total_usd);
         rec.gauge_set_at(at, "slo_ledger_compute_usd", totals.compute_usd);
@@ -756,13 +754,15 @@ fn reject_repeated_ids(accessions: &[String]) -> Result<u32, AtlasError> {
         .map_err(|_| AtlasError::InvalidParams("more accessions than u32 handles".into()))
 }
 
-/// DESeq2 step: assemble the counts matrix over accessions that produced counts
-/// and normalize it. Returns `None` when there is nothing usable.
-fn build_normalized(results: &[PipelineResult]) -> Option<NormalizedMatrix> {
-    let with_counts: Vec<(&PipelineResult, _)> =
-        results.iter().filter_map(|r| Some((r, r.gene_counts.as_ref()?))).collect();
+/// DESeq2 step: assemble the counts matrix over the completions that produced
+/// counts, in completion order, and normalize it. Returns `None` when there is
+/// nothing usable.
+fn build_normalized<'r>(
+    counts: impl Iterator<Item = (&'r Completion, &'r GeneCounts)>,
+) -> Option<NormalizedMatrix> {
+    let with_counts: Vec<_> = counts.collect();
     let gene_ids = with_counts.first()?.1.gene_ids.clone();
-    let sample_ids: Vec<String> = with_counts.iter().map(|(r, _)| r.accession.clone()).collect();
+    let sample_ids: Vec<String> = with_counts.iter().map(|(c, _)| c.accession.clone()).collect();
     let mut matrix = CountsMatrix::zeros(gene_ids.clone(), sample_ids);
     for (j, (_, gc)) in with_counts.iter().enumerate() {
         for (g, id) in gene_ids.iter().enumerate() {

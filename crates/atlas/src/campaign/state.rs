@@ -6,7 +6,8 @@
 //!   them holds its own slot of the job table; both utilization integrals take
 //!   a sample at every change.
 //! * [`Resolution`] — an accession is resolved exactly once: completed, or
-//!   dead-lettered without (yet) completing.
+//!   dead-lettered without (yet) completing; a first completion keeps a
+//!   [`Completion`], and gene counts only when the run produced them.
 //! * [`Accounting`] — every wasted second lands in the campaign total and (when
 //!   a ledger will read it) in exactly one accession's account; every
 //!   checkpointed second ends up salvaged or wasted, never both.
@@ -25,14 +26,15 @@ use std::sync::Arc;
 
 use super::Acc;
 use crate::ledger::CompletedAccession;
-use crate::orchestrator::CampaignConfig;
-use crate::pipeline::PipelineResult;
+use crate::orchestrator::{CampaignConfig, Completion};
+use crate::workload::AccessionRun;
 use crate::AtlasError;
 use cloudsim::asg::AutoScalingGroup;
 use cloudsim::cost::CostTracker;
 use cloudsim::instance::{Instance, InstanceId, InstanceType};
 use cloudsim::sqs::ReceiptHandle;
 use cloudsim::SimTime;
+use star_aligner::quant::GeneCounts;
 use telemetry::slo::SLO_SKETCH_ALPHA;
 use telemetry::{JsonValue, Recorder, SloSignal, SpanId};
 
@@ -49,8 +51,8 @@ pub(super) struct Job {
     pub receipt: ReceiptHandle,
     /// When the message was received.
     pub started_secs: f64,
-    /// The attempt's outcome (align stage already shortened on resume).
-    pub result: PipelineResult,
+    /// The attempt's run (align stage already shortened on resume).
+    pub run: AccessionRun,
     /// Align-stage seconds skipped by resuming from a checkpoint.
     pub resumed_secs: f64,
     /// Seconds into the attempt at which its scheduled `WorkerCrash` strikes
@@ -290,9 +292,12 @@ enum Fate {
 #[derive(Default)]
 pub(super) struct Resolution {
     fates: Vec<Fate>,
-    /// `completed[i]` is the result of `completion_order[i]`.
-    completed: Vec<PipelineResult>,
+    /// `completed[i]` is the first completion of `completion_order[i]`.
+    completed: Vec<Completion>,
     completion_order: Vec<Acc>,
+    /// `(i, counts)`: the gene counts of `completed[i]`, for the completions
+    /// whose run produced counts, in completion order.
+    gene_counts: Vec<(usize, GeneCounts)>,
     /// How many fates are `DeadLettered` right now.
     dead_only: usize,
     /// How much of the queue's dead-letter list has been absorbed.
@@ -337,30 +342,46 @@ impl Resolution {
         new
     }
 
-    /// Record a first completion (a dead-lettered accession re-resolves as
-    /// completed).
-    pub fn complete(&mut self, accession: Acc, result: PipelineResult) {
+    /// Record the first completion of `accession`, submitted as `name` (a
+    /// dead-lettered accession re-resolves as completed). The only place a
+    /// campaign copies a name: once per accession, never per delivery.
+    pub fn complete(&mut self, accession: Acc, name: &str, run: AccessionRun) {
         let fate = std::mem::replace(&mut self.fates[accession.index()], Fate::Completed);
         debug_assert!(fate != Fate::Completed, "duplicates are filtered by is_completed");
         if fate == Fate::DeadLettered {
             self.dead_only -= 1;
         }
-        self.completed.push(result);
+        if let Some(counts) = run.products.and_then(|p| p.gene_counts) {
+            self.gene_counts.push((self.completed.len(), counts));
+        }
+        self.completed.push(Completion {
+            accession: name.to_string(),
+            stage_secs: run.stage_secs,
+            mapping_rate: run.mapping_rate,
+            status: run.status,
+            early_stop: run.early_stop,
+        });
         self.completion_order.push(accession);
     }
 
-    /// Results in completion order, each with the handle it belongs to.
-    pub fn completed(&self) -> impl Iterator<Item = (Acc, &PipelineResult)> {
+    /// Completions in completion order, each with the handle it belongs to.
+    pub fn completed(&self) -> impl Iterator<Item = (Acc, &Completion)> {
         self.completion_order.iter().copied().zip(&self.completed)
     }
 
-    /// The results alone, in completion order.
-    pub fn results(&self) -> &[PipelineResult] {
+    /// The completions alone, in completion order.
+    pub fn results(&self) -> &[Completion] {
         &self.completed
     }
 
+    /// `(completion, counts)` for each completion whose run produced gene
+    /// counts, in completion order.
+    pub fn gene_counts(&self) -> impl Iterator<Item = (&Completion, &GeneCounts)> {
+        self.gene_counts.iter().map(|(i, counts)| (&self.completed[*i], counts))
+    }
+
     /// What the report carries: [`Resolution::results`], moved out.
-    pub fn into_results(self) -> Vec<PipelineResult> {
+    pub fn into_results(self) -> Vec<Completion> {
         self.completed
     }
 
@@ -494,22 +515,16 @@ impl Accounting {
         Ok((self.wasted_secs, self.salvaged_secs))
     }
 
-    /// What the attribution ledger needs about each completed accession
-    /// (`names[i]` is the submitted id of handle `i`).
-    pub fn ledger_inputs(
-        &self,
-        resolution: &Resolution,
-        names: &[String],
-        end_secs: f64,
-    ) -> Vec<CompletedAccession> {
+    /// What the attribution ledger needs about each completed accession.
+    pub fn ledger_inputs(&self, resolution: &Resolution, end_secs: f64) -> Vec<CompletedAccession> {
         resolution
             .completed()
-            .map(|(accession, result)| {
+            .map(|(accession, completion)| {
                 let a = self.accounts[accession.index()];
                 CompletedAccession {
-                    accession: names[accession.index()].clone(),
+                    accession: completion.accession.clone(),
                     queue_wait_secs: a.queue_wait_secs.unwrap_or(0.0),
-                    stage_secs: result.stage_secs,
+                    stage_secs: completion.stage_secs,
                     ended_secs: a.completed_at_secs.unwrap_or(end_secs),
                     retry_waste_secs: a.retry_waste_secs,
                     salvaged_secs: a.salvaged_secs,
@@ -628,7 +643,7 @@ impl Observers {
         if !self.recorder.is_enabled() {
             return;
         }
-        let result = &job.result;
+        let run = &job.run;
         let span = self.recorder.span_closed(
             "job",
             parent,
@@ -638,19 +653,19 @@ impl Observers {
                 ("accession", accession.to_string()),
                 ("instance", instance.0.to_string()),
                 ("outcome", outcome.to_string()),
-                ("strategy", format!("{:?}", result.strategy)),
-                ("mapping_rate", format!("{:.6}", result.mapping_rate)),
+                ("strategy", format!("{:?}", run.strategy)),
+                ("mapping_rate", format!("{:.6}", run.mapping_rate)),
             ],
         );
         if outcome != "ok" {
             return;
         }
-        for (name, s, e) in result.stage_spans() {
-            let attrs: &[(&str, String)] =
-                if name == "fasterq-dump" { &result.dump_attrs } else { &[] };
+        let dump_attrs = run.products.as_ref().map_or(&[][..], |p| &p.dump_attrs[..]);
+        for (name, s, e) in run.stage_secs.spans() {
+            let attrs = if name == "fasterq-dump" { dump_attrs } else { &[] };
             let stage = self.recorder.span_closed(name, span, started + s, started + e, attrs);
             if name == "align" {
-                for (phase, ps, pe) in result.align_phase_spans() {
+                for (phase, ps, pe) in run.stage_secs.align_phase_spans(&run.phase_work) {
                     self.recorder.span_closed(phase, stage, started + ps, started + pe, &[]);
                 }
             }
@@ -671,8 +686,8 @@ impl Observers {
         job: &Job,
         history: &[star_aligner::ProgressSnapshot],
     ) {
-        let align_start = job.started_secs + job.result.stage_secs.prefix_secs(2);
-        let align_secs = job.result.stage_secs.align_secs;
+        let align_start = job.started_secs + job.run.stage_secs.prefix_secs(2);
+        let align_secs = job.run.stage_secs.align_secs;
         let final_processed = history.last().map(|s| s.processed).unwrap_or(0).max(1);
         let n = history.len();
         let points = n.min(8);
@@ -715,7 +730,7 @@ mod tests {
         Fleet::new(&cfg, &Observers::new(&cfg, 0.0), 2).unwrap()
     }
 
-    fn result(accession: &str) -> PipelineResult {
+    fn run(accession: &str) -> AccessionRun {
         ModeledWorkload::default().run_accession(accession).unwrap()
     }
 
@@ -727,7 +742,7 @@ mod tests {
             accession: SRR1,
             receipt: q.receive(T0).expect("one message").1,
             started_secs: 0.0,
-            result: result("SRR1"),
+            run: run("SRR1"),
             resumed_secs: 0.0,
             crash_offset_secs: 0.0,
         }
@@ -863,13 +878,13 @@ mod tests {
         assert_eq!(r.resolved(), 1);
         assert!(!r.is_completed(SRR1));
         // An in-flight duplicate completes it after all.
-        r.complete(SRR1, result("SRR1"));
+        r.complete(SRR1, "SRR1", run("SRR1"));
         assert!(r.is_completed(SRR1));
         assert_eq!(r.resolved(), 1, "moved from dead-lettered to completed, not counted twice");
         assert_eq!(r.dead_only, 0, "no longer resolved by dead-lettering alone");
         assert!(!r.done());
         // A dead letter for an already-completed accession resolves nothing new.
-        r.complete(SRR2, result("SRR2"));
+        r.complete(SRR2, "SRR2", run("SRR2"));
         let dlq = vec![SRR1, SRR2];
         assert_eq!(r.absorb_dead_letters(&dlq), &dlq[1..]);
         assert_eq!(r.resolved(), 2);
@@ -884,12 +899,12 @@ mod tests {
     #[test]
     fn a_duplicate_delivery_of_a_completed_handle_counts_once() {
         let mut r = Resolution::new(2);
-        r.complete(SRR2, result("SRR2"));
+        r.complete(SRR2, "SRR2", run("SRR2"));
         // What `on_delivery` / `on_job_done` ask before touching the table again.
         assert!(r.is_completed(SRR2) && !r.is_completed(SRR1));
         assert_eq!(r.resolved(), 1);
         assert!(!r.done(), "the other handle is still pending");
-        r.complete(SRR1, result("SRR1"));
+        r.complete(SRR1, "SRR1", run("SRR1"));
         assert!(r.done());
         assert_eq!(r.completed().map(|(a, _)| a).collect::<Vec<_>>(), [SRR2, SRR1]);
     }
@@ -897,7 +912,7 @@ mod tests {
     #[test]
     fn an_unresolved_slot_is_a_conservation_error() {
         let mut r = Resolution::new(2);
-        r.complete(SRR1, result("SRR1"));
+        r.complete(SRR1, "SRR1", run("SRR1"));
         let err = r.conserve(&ids(), &[]).unwrap_err();
         assert!(
             matches!(&err, AtlasError::Conservation(m) if m.contains("SRR2 neither completed")),
@@ -908,7 +923,7 @@ mod tests {
     #[test]
     fn a_diverged_dead_letter_set_is_a_conservation_error() {
         let mut r = Resolution::new(2);
-        r.complete(SRR1, result("SRR1"));
+        r.complete(SRR1, "SRR1", run("SRR1"));
         // The queue dead-lettered SRR2 but the maintained count never absorbed it.
         let dlq = vec![SRR2];
         let err = r.conserve(&ids(), &dlq).unwrap_err();

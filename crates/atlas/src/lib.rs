@@ -43,8 +43,8 @@ pub mod workload;
 pub use early_stop::{EarlyStopAccounting, EarlyStopPolicy};
 pub use error::AtlasError;
 pub use ledger::{AccessionLedgerEntry, LedgerTotals, SloReport};
-pub use orchestrator::{CampaignConfig, CampaignReport, Orchestrator};
+pub use orchestrator::{CampaignConfig, CampaignReport, Completion, Orchestrator};
 pub use pipeline::{AtlasPipeline, PipelineConfig, PipelineResult, StageTimes};
 pub use recovery::RecoveryConfig;
 pub use right_size::RightSizer;
-pub use workload::{CampaignWorkload, ModeledWorkload};
+pub use workload::{AccessionRun, CampaignWorkload, ModeledWorkload, RunProducts};

@@ -29,8 +29,8 @@
 use std::sync::Arc;
 
 use crate::campaign::Campaign;
-use crate::early_stop::SavingsSummary;
-use crate::pipeline::{AtlasPipeline, PipelineResult};
+use crate::early_stop::{EarlyStopAccounting, SavingsSummary};
+use crate::pipeline::{AtlasPipeline, StageTimes};
 use crate::workload::CampaignWorkload;
 use crate::AtlasError;
 use cloudsim::cost::CostReport;
@@ -40,6 +40,7 @@ use cloudsim::retry::RetryPolicy;
 use cloudsim::{ScalingPolicy, SimDuration, SpotMarket};
 use deseq_norm::NormalizedMatrix;
 use genomics::fnv;
+use star_aligner::RunStatus;
 use telemetry::{AlertEvent, CampaignTelemetry, MonitorConfig};
 
 /// S3 download bandwidth at instance init, bytes/second.
@@ -172,11 +173,37 @@ pub struct FleetSample {
     pub pending_messages: usize,
 }
 
+/// One accession's first completion, as the report keeps it: what the digest,
+/// the savings, the ledger and the renderers read, and nothing else.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Completion {
+    /// The accession, as submitted.
+    pub accession: String,
+    /// Modeled per-stage durations of the completing attempt (align stage
+    /// already shortened when it resumed from a checkpoint).
+    pub stage_secs: StageTimes,
+    /// Final mapping rate observed by the aligner.
+    pub mapping_rate: f64,
+    /// How the alignment ended.
+    pub status: RunStatus,
+    /// Early-stop time accounting (on modeled alignment seconds).
+    pub early_stop: EarlyStopAccounting,
+}
+
+impl Completion {
+    /// Did early stopping abort this accession?
+    pub fn early_stopped(&self) -> bool {
+        matches!(self.status, RunStatus::EarlyStopped { .. })
+    }
+}
+
 /// Campaign outcome.
 #[derive(Debug)]
 pub struct CampaignReport {
-    /// Per-accession results in completion order.
-    pub completed: Vec<PipelineResult>,
+    /// First completions, in completion order. A completion keeps no gene
+    /// counts or phase work: the counts of the runs that produced them went into
+    /// [`CampaignReport::normalized`], and nothing else reads the rest.
+    pub completed: Vec<Completion>,
     /// Total simulated campaign duration.
     pub makespan: SimDuration,
     /// USD/instance-hour accounting.
@@ -653,16 +680,27 @@ mod tests {
         .unwrap();
         let mut ids = ModeledWorkload::accessions(21);
         ids[17] = ids[3].clone();
-        match orch.run(&ids) {
-            Err(AtlasError::InvalidParams(msg)) => {
-                assert!(msg.contains(&ids[3]) && msg.contains("positions 3 and 17"), "{msg}");
+        let aba = ["SRR90000001", "SRR90000002", "SRR90000001"].map(String::from);
+        let cases = [(&ids[..], &ids[3], "positions 3 and 17"), (&aba, &aba[0], "positions 0 and 2")];
+        for (ids, repeated, positions) in cases {
+            match orch.run(ids) {
+                Err(AtlasError::InvalidParams(msg)) => {
+                    assert!(msg.contains(repeated.as_str()) && msg.contains(positions), "{msg}");
+                }
+                other => panic!("expected InvalidParams, got {:?}", other.map(|r| r.sim_events)),
             }
-            other => panic!("expected InvalidParams, got {:?}", other.map(|r| r.sim_events)),
         }
         // Nothing submitted is not an error: an empty campaign, settled at t = 0.
         let empty = orch.run(&[]).unwrap();
         assert_eq!((empty.sim_events, empty.makespan.as_secs()), (0, 0.0));
         assert!(empty.completed.is_empty() && empty.dead_lettered.is_empty());
+    }
+
+    #[test]
+    fn a_completion_fits_in_128_bytes() {
+        // The report keeps one per accession; at 10^6 accessions every byte here
+        // is a megabyte of the campaign's peak.
+        assert!(std::mem::size_of::<Completion>() <= 128, "{}", std::mem::size_of::<Completion>());
     }
 
     #[test]

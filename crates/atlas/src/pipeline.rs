@@ -101,6 +101,37 @@ impl StageTimes {
         assert!(stage < Self::N_STAGES, "stage {stage} out of range");
         self.as_array()[..stage].iter().sum()
     }
+
+    /// Per-stage `(name, start, end)` offsets from job start, in execution order.
+    pub fn spans(&self) -> Vec<(&'static str, f64, f64)> {
+        let durations = self.as_array();
+        Self::STAGE_NAMES
+            .iter()
+            .enumerate()
+            .map(|(i, name)| {
+                let start = self.prefix_secs(i);
+                (*name, start, start + durations[i])
+            })
+            .collect()
+    }
+
+    /// Align sub-stage `(name, start, end)` offsets from job start: the align
+    /// stage split proportional to `work`'s seed/stitch/extend unit counts.
+    /// Empty when no alignment work was recorded. Boundaries are monotone and
+    /// the last end lands exactly on the align stage's end.
+    pub fn align_phase_spans(&self, work: &PhaseWork) -> Vec<(&'static str, f64, f64)> {
+        const ALIGN_STAGE: usize = 2;
+        debug_assert_eq!(Self::STAGE_NAMES[ALIGN_STAGE], "align");
+        if work.total() == 0 || self.align_secs <= 0.0 {
+            return Vec::new();
+        }
+        let start = self.prefix_secs(ALIGN_STAGE);
+        let end = start + self.align_secs;
+        let (f_seed, f_stitch, _) = work.fractions();
+        let b1 = (start + self.align_secs * f_seed).min(end);
+        let b2 = (start + self.align_secs * (f_seed + f_stitch)).clamp(b1, end);
+        vec![("seed", start, b1), ("stitch", b1, b2), ("extend", b2, end)]
+    }
 }
 
 /// Everything one accession's pipeline run produces.
@@ -142,33 +173,13 @@ impl PipelineResult {
     /// Per-stage `(name, start, end)` offsets from job start, in execution order.
     /// Used to emit stage spans under a job span on the telemetry timeline.
     pub fn stage_spans(&self) -> Vec<(&'static str, f64, f64)> {
-        let durations = self.stage_secs.as_array();
-        StageTimes::STAGE_NAMES
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                let start = self.stage_secs.prefix_secs(i);
-                (*name, start, start + durations[i])
-            })
-            .collect()
+        self.stage_secs.spans()
     }
 
-    /// Align sub-stage `(name, start, end)` offsets from job start: the align
-    /// stage split proportional to the seed/stitch/extend work-unit counts.
-    /// Empty when no alignment work was recorded. Boundaries are monotone and
-    /// the last end lands exactly on the align stage's end.
+    /// Align sub-stage `(name, start, end)` offsets from job start (see
+    /// [`StageTimes::align_phase_spans`]).
     pub fn align_phase_spans(&self) -> Vec<(&'static str, f64, f64)> {
-        const ALIGN_STAGE: usize = 2;
-        debug_assert_eq!(StageTimes::STAGE_NAMES[ALIGN_STAGE], "align");
-        if self.phase_work.total() == 0 || self.stage_secs.align_secs <= 0.0 {
-            return Vec::new();
-        }
-        let start = self.stage_secs.prefix_secs(ALIGN_STAGE);
-        let end = start + self.stage_secs.align_secs;
-        let (f_seed, f_stitch, _) = self.phase_work.fractions();
-        let b1 = (start + self.stage_secs.align_secs * f_seed).min(end);
-        let b2 = (start + self.stage_secs.align_secs * (f_seed + f_stitch)).clamp(b1, end);
-        vec![("seed", start, b1), ("stitch", b1, b2), ("extend", b2, end)]
+        self.stage_secs.align_phase_spans(&self.phase_work)
     }
 }
 

@@ -1,14 +1,22 @@
 //! What a campaign runs per accession: the real pipeline, or a modeled stand-in.
 //!
 //! The orchestrator only needs one thing from the science side: "run this
-//! accession, give me a [`PipelineResult`]". [`CampaignWorkload`] captures that
-//! seam. [`AtlasPipeline`] implements it by actually aligning; [`ModeledWorkload`]
-//! synthesizes results from a seeded hash so fleet-scale campaigns (10⁴–10⁶
-//! accessions, thousands of instances — the regime of ROADMAP item 1 and the
-//! follow-up papers' cost studies) exercise the *orchestration* layer at full
-//! fidelity without paying for 10⁴ real alignments. Orchestration cannot tell the
-//! two apart: everything it reads off a result (stage durations, early-stop
-//! accounting, phase work) is present either way.
+//! accession, tell me what the campaign schedules on". [`CampaignWorkload`]
+//! captures that seam. [`AtlasPipeline`] implements it by actually aligning;
+//! [`ModeledWorkload`] synthesizes runs from a seeded hash so fleet-scale
+//! campaigns (10⁴–10⁶ accessions, thousands of instances — the regime of ROADMAP
+//! item 1 and the follow-up papers' cost studies) exercise the *orchestration*
+//! layer at full fidelity without paying for 10⁴ real alignments.
+//!
+//! An [`AccessionRun`] is what the campaign's handlers read, as flat fields: stage
+//! durations, mapping rate, status, early-stop accounting and phase work. It
+//! carries no name (the campaign holds the submitted one), so a modeled run
+//! allocates nothing. What only a real alignment produces — gene counts and the
+//! `fasterq-dump` span attributes — rides in [`AccessionRun::products`], which
+//! only [`AtlasPipeline`] fills. A first completion keeps even less: the report's
+//! [`crate::orchestrator::Completion`] drops the strategy, the phase work and the
+//! products, and the campaign moves the gene counts to a side list that feeds the
+//! DESeq2 step.
 
 use std::sync::Arc;
 
@@ -17,35 +25,91 @@ use crate::pipeline::{AtlasPipeline, PipelineResult, StageTimes};
 use crate::AtlasError;
 use genomics::fnv;
 use sra_sim::accession::LibraryStrategy;
+use star_aligner::quant::GeneCounts;
 use star_aligner::{PhaseWork, ProgressSnapshot, RunStatus};
+
+/// What a campaign reads off one run of one accession.
+#[derive(Clone, Debug)]
+pub struct AccessionRun {
+    /// Its library strategy (from catalog metadata).
+    pub strategy: LibraryStrategy,
+    /// Modeled per-stage durations.
+    pub stage_secs: StageTimes,
+    /// Final mapping rate observed by the aligner.
+    pub mapping_rate: f64,
+    /// How the alignment ended.
+    pub status: RunStatus,
+    /// Early-stop time accounting (on modeled alignment seconds).
+    pub early_stop: EarlyStopAccounting,
+    /// Per-phase alignment work units, which split the align span into
+    /// seed/stitch/extend on the telemetry timeline.
+    pub phase_work: PhaseWork,
+    /// What only a real alignment produces; `None` for a modeled run.
+    pub products: Option<Box<RunProducts>>,
+}
+
+impl AccessionRun {
+    /// Did early stopping abort this accession?
+    pub fn early_stopped(&self) -> bool {
+        matches!(self.status, RunStatus::EarlyStopped { .. })
+    }
+}
+
+/// The real pipeline's output beyond what the campaign schedules on.
+#[derive(Clone, Debug)]
+pub struct RunProducts {
+    /// Gene counts (a completed run with quant on; see
+    /// [`PipelineResult::gene_counts`]).
+    pub gene_counts: Option<GeneCounts>,
+    /// `fasterq-dump` stage attributes (spots, bytes, layout) for telemetry.
+    pub dump_attrs: Vec<(&'static str, String)>,
+}
+
+impl From<PipelineResult> for AccessionRun {
+    fn from(r: PipelineResult) -> AccessionRun {
+        AccessionRun {
+            strategy: r.strategy,
+            stage_secs: r.stage_secs,
+            mapping_rate: r.mapping_rate,
+            status: r.status,
+            early_stop: r.early_stop,
+            phase_work: r.phase_work,
+            products: Some(Box::new(RunProducts {
+                gene_counts: r.gene_counts,
+                dump_attrs: r.dump_attrs,
+            })),
+        }
+    }
+}
 
 /// Per-accession work a campaign schedules onto instances.
 pub trait CampaignWorkload: Send + Sync {
-    /// Run one accession to a result.
-    fn run_accession(&self, accession: &str) -> Result<PipelineResult, AtlasError>;
+    /// Run one accession.
+    fn run_accession(&self, accession: &str) -> Result<AccessionRun, AtlasError>;
 
     /// Run one accession, also returning its progress history (for live-monitor
     /// campaigns). Implementations without real progress return an empty history.
     fn run_accession_with_history(
         &self,
         accession: &str,
-    ) -> Result<(PipelineResult, Vec<ProgressSnapshot>), AtlasError>;
+    ) -> Result<(AccessionRun, Vec<ProgressSnapshot>), AtlasError>;
 }
 
 impl CampaignWorkload for AtlasPipeline {
-    fn run_accession(&self, accession: &str) -> Result<PipelineResult, AtlasError> {
-        AtlasPipeline::run_accession(self, accession)
+    fn run_accession(&self, accession: &str) -> Result<AccessionRun, AtlasError> {
+        AtlasPipeline::run_accession(self, accession).map(AccessionRun::from)
     }
 
     fn run_accession_with_history(
         &self,
         accession: &str,
-    ) -> Result<(PipelineResult, Vec<ProgressSnapshot>), AtlasError> {
-        AtlasPipeline::run_accession_with_history(self, accession)
+    ) -> Result<(AccessionRun, Vec<ProgressSnapshot>), AtlasError> {
+        let (result, history) = AtlasPipeline::run_accession_with_history(self, accession)?;
+        Ok((result.into(), history))
     }
 }
 
-/// A seeded synthetic workload: per-accession results are a pure function of
+/// A seeded synthetic workload: per-accession runs are a pure function of
 /// `(seed, accession)`, so campaigns over it are exactly as deterministic and
 /// replayable as real ones — just free. Durations are drawn from a spread around
 /// the configured means; a fixed fraction of accessions early-stop (single-cell
@@ -99,7 +163,7 @@ impl ModeledWorkload {
 }
 
 impl CampaignWorkload for ModeledWorkload {
-    fn run_accession(&self, accession: &str) -> Result<PipelineResult, AtlasError> {
+    fn run_accession(&self, accession: &str) -> Result<AccessionRun, AtlasError> {
         // Durations spread ±50% around the means, per stream.
         let spread = |mean: f64, u: f64| mean * (0.5 + u);
         let reads = (self.mean_reads as f64 * (0.5 + self.unit(accession, 1))) as u64;
@@ -146,31 +210,27 @@ impl CampaignWorkload for ModeledWorkload {
             extend_units: processed + (self.unit(accession, 9) * processed as f64) as u64,
             ..PhaseWork::default()
         };
-        Ok(PipelineResult {
-            accession: accession.to_string(),
+        Ok(AccessionRun {
             strategy,
             stage_secs,
             mapping_rate,
             status,
             early_stop,
+            phase_work,
             // No counts: fleet-scale campaigns skip the DESeq2 step (normalized
             // stays None), which is the point — orchestration, not science.
-            gene_counts: None,
-            reads_input: reads,
-            measured_align_secs: 0.0,
-            phase_work,
-            dump_attrs: Vec::new(),
+            products: None,
         })
     }
 
     fn run_accession_with_history(
         &self,
         accession: &str,
-    ) -> Result<(PipelineResult, Vec<ProgressSnapshot>), AtlasError> {
+    ) -> Result<(AccessionRun, Vec<ProgressSnapshot>), AtlasError> {
         let result = self.run_accession(accession)?;
-        // Synthesize a handful of progress lines consistent with the result, so
+        // Synthesize a handful of progress lines consistent with the run, so
         // monitor-on campaigns emit the same event kinds as real ones.
-        let total = result.reads_input;
+        let total = result.early_stop.total_reads;
         let processed_final = match result.status {
             RunStatus::EarlyStopped { processed_reads } => processed_reads,
             _ => total,
@@ -226,7 +286,7 @@ mod tests {
             let (r, h) = w.run_accession_with_history(&a).unwrap();
             assert!(!h.is_empty());
             let last = h.last().unwrap();
-            assert!(last.processed <= r.reads_input);
+            assert!(last.processed <= r.early_stop.total_reads);
             assert!(last.processed_fraction() <= 1.0);
         }
     }

@@ -7,9 +7,11 @@ use atlas_pipeline::orchestrator::{CampaignConfig, Orchestrator};
 use atlas_pipeline::pipeline::{AtlasPipeline, PipelineConfig};
 use cloudsim::instance::InstanceType;
 use cloudsim::{ScalingPolicy, SpotMarket};
+use deseq_norm::CountsMatrix;
 use genomics::EnsemblParams;
 use sra_sim::accession::CatalogParams;
 use sra_sim::SraRepository;
+use star_aligner::quant::Strandedness;
 use std::sync::Arc;
 
 fn pipeline_fixture(
@@ -65,6 +67,38 @@ fn orchestrated_results_match_sequential_execution() {
         assert_eq!(r.early_stopped(), stopped, "{}", r.accession);
         assert!((r.mapping_rate - rate).abs() < 1e-9, "{}", r.accession);
     }
+}
+
+#[test]
+fn normalized_counts_are_the_completions_counts_in_completion_order() {
+    // A completion keeps no gene counts; the campaign holds them beside it. The
+    // DESeq2 step must still see every counting run's table, in completion
+    // order, as a direct run of the same accession produces it.
+    let (pipeline, ids) = pipeline_fixture(10, 0.2, Some(2.0e-4));
+    let report = Orchestrator::new(Arc::clone(&pipeline), campaign_config()).unwrap().run(&ids).unwrap();
+    let direct: Vec<_> = report
+        .completed
+        .iter()
+        .filter_map(|c| {
+            let counts = pipeline.run_accession(&c.accession).unwrap().gene_counts?;
+            Some((c.accession.clone(), counts))
+        })
+        .collect();
+    assert!(
+        direct.len() >= 2 && direct.len() < report.completed.len(),
+        "premise: {} of {} completions counted (early stops count nothing)",
+        direct.len(),
+        report.completed.len()
+    );
+    let gene_ids = direct[0].1.gene_ids.clone();
+    let samples = direct.iter().map(|(accession, _)| accession.clone()).collect();
+    let mut matrix = CountsMatrix::zeros(gene_ids.clone(), samples);
+    for (j, (_, counts)) in direct.iter().enumerate() {
+        for (g, id) in gene_ids.iter().enumerate() {
+            matrix.set(g, j, counts.count(id, Strandedness::Unstranded).unwrap());
+        }
+    }
+    assert_eq!(report.normalized, Some(deseq_norm::normalize(&matrix).unwrap()));
 }
 
 #[test]
