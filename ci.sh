@@ -79,6 +79,30 @@ if [ "$(ls benchmarks)" != "e2e" ] || grep -rl --include=Cargo.toml '^\[\[bench\
     echo "benchmarks/ holds more than e2e, or a crate declares a [[bench]] target" >&2
     exit 1
 fi
+# A test asserts on counters, not on the wall clock: a file under tests/ or the
+# `#[cfg(test)]` part of a source file may not read a measured time (`.elapsed_secs`,
+# `.measured_align_secs`, `.actual_secs`, Fig. 3's `.secs_108` / `.secs_111` /
+# `.weighted_speedup`, `Instant::now`) inside an `assert`, directly or through a
+# `let` it binds. The listed files predate the rule; shrink the list, do not grow it.
+measured_time_allowed="crates/atlas/src/pipeline.rs tests/tests/campaign.rs"
+measured='\.(elapsed_secs|measured_align_secs|actual_secs|secs_108|secs_111|weighted_speedup)\b'
+for f in $(grep -rlE "$measured|Instant::now" --include='*.rs' crates tests examples | sort); do
+    case " $measured_time_allowed " in *" $f "*) continue ;; esac
+    case "$f" in */tests/*) test_code=$(cat "$f") ;; *) test_code=$(sed -n '/#\[cfg(test)\]/,$p' "$f") ;; esac
+    if printf '%s' "$test_code" | MEASURED="$measured" perl -0777 -ne '
+        my $read = qr/$ENV{MEASURED}/;
+        my @names;
+        while (/\blet\s+(?:mut\s+)?(\w+)[^=;]*=([^;]*);/g) { my ($n, $e) = ($1, $2); push @names, $n if $e =~ $read }
+        my $names = join "|", @names;
+        while (/\b(?:prop_)?assert(?:_eq|_ne)?!\s*(\((?:[^()]++|(?1))*\))/g) {
+            my $args = $1;
+            exit 0 if $args =~ $read || $args =~ /Instant::now/ || ($names ne "" && $args =~ /\b(?:$names)\b/);
+        }
+        exit 1'; then
+        echo "$f: a test asserts on a measured time; assert on a counter (PhaseWork, seed probes) instead" >&2
+        exit 1
+    fi
+done
 # Goldens and tests, both ways: every file under tests/golden/ is named by a test
 # (an orphan pins nothing), and every golden a test names —
 # `assert_matches_golden("<file>", ..)` or a local `golden("<file>", ..)` — is

@@ -732,7 +732,7 @@ impl<'a> Campaign<'a> {
             // Only on recovery campaigns, so recovery-off OpenMetrics dumps (and
             // their goldens) are byte-identical to pre-recovery builds.
             rec.gauge_set_at(at, "slo_ledger_salvaged_secs", totals.salvaged_secs);
-            rec.gauge_set_at(at, "slo_ledger_lost_secs", totals.lost_secs);
+            rec.gauge_set_at(at, "slo_ledger_lost_secs", totals.retry_waste_secs);
         }
         Some(SloReport { objectives, ledger, totals })
     }

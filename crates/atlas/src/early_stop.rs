@@ -9,7 +9,7 @@
 //! time the abort saved — the yellow bars of Fig. 4.
 
 use star_aligner::progress::ProgressSnapshot;
-use star_aligner::runner::{MonitorVerdict, RunMonitor, RunOutput, RunStatus};
+use star_aligner::runner::{MonitorVerdict, RunMonitor, RunStatus};
 
 /// The early-stopping rule.
 #[derive(Clone, Copy, Debug)]
@@ -77,11 +77,16 @@ pub struct EarlyStopAccounting {
 }
 
 impl EarlyStopAccounting {
-    /// Derive the accounting from a run output and the wall seconds it consumed.
-    pub fn from_run(output: &RunOutput, align_secs: f64) -> EarlyStopAccounting {
-        let processed = output.final_snapshot.processed;
-        let total = output.final_snapshot.total_reads;
-        let stopped = matches!(output.status, RunStatus::EarlyStopped { .. });
+    /// Derive the accounting from how a run ended, its final snapshot and the
+    /// seconds it consumed; a STAR and a pseudoaligner run are accounted alike.
+    pub fn from_run(
+        status: RunStatus,
+        last: &ProgressSnapshot,
+        align_secs: f64,
+    ) -> EarlyStopAccounting {
+        let processed = last.processed;
+        let total = last.total_reads;
+        let stopped = matches!(status, RunStatus::EarlyStopped { .. });
         let projected = if stopped && processed > 0 {
             align_secs * total as f64 / processed as f64
         } else {

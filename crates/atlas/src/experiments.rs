@@ -16,12 +16,11 @@
 
 use std::sync::Arc;
 
-use crate::early_stop::{EarlyStopPolicy, SavingsSummary};
+use crate::early_stop::{EarlyStopAccounting, EarlyStopPolicy, SavingsSummary};
 use crate::orchestrator::{CampaignConfig, CampaignReport, Orchestrator};
 use crate::pipeline::{AtlasPipeline, PipelineConfig};
 use crate::right_size::RightSizer;
 use crate::AtlasError;
-use genomics::annotation::AnnotationParams;
 use genomics::{
     Annotation, Assembly, EnsemblGenerator, EnsemblParams, LibraryType, ReadSimulator, Release,
     SimulatorParams,
@@ -30,7 +29,7 @@ use sra_sim::accession::{CatalogParams, LibraryStrategy};
 use sra_sim::SraRepository;
 use star_aligner::index::{IndexParams, IndexStats, StarIndex};
 use star_aligner::runner::{RunConfig, Runner};
-use star_aligner::AlignParams;
+use star_aligner::PhaseWork;
 
 /// Human toplevel genome length used when projecting synthetic index sizes to paper
 /// scale (GRCh38 ≈ 3.1 Gbp of chromosomes).
@@ -76,7 +75,7 @@ impl Substrate {
         // Annotate on the 111 assembly; the gene set (chromosomes + novel scaffolds)
         // is present identically in 108.
         let annotation = Arc::new(
-            Annotation::simulate(&asm_111, &generator, &AnnotationParams::default())
+            Annotation::simulate(&asm_111, &generator)
                 .map_err(star_aligner::StarError::Genomics)?,
         );
         let index_params = IndexParams::default();
@@ -111,11 +110,6 @@ pub struct Fig3Config {
     pub threads: usize,
     /// Workload seed.
     pub seed: u64,
-    /// `--outFilterMultimapNmax` used for both runs. The toplevel assembly's
-    /// duplicated scaffolds multimap genic reads, so the Atlas runs STAR with an
-    /// ENCODE-style cap of 20 instead of the default 10; both releases use the same
-    /// setting, preserving the mapping-rate comparison.
-    pub multimap_cap: usize,
 }
 
 impl Default for Fig3Config {
@@ -127,7 +121,6 @@ impl Default for Fig3Config {
             reads_sigma: 0.5,
             threads: 4,
             seed: 7,
-            multimap_cap: 20,
         }
     }
 }
@@ -149,6 +142,10 @@ pub struct Fig3File {
     pub rate_108: f64,
     /// Mapping rate on 111.
     pub rate_111: f64,
+    /// Alignment work (seed/stitch/extend units) on 108.
+    pub work_108: PhaseWork,
+    /// Alignment work on 111.
+    pub work_111: PhaseWork,
 }
 
 impl Fig3File {
@@ -178,7 +175,8 @@ pub struct Fig3Result {
 }
 
 /// Regenerate Fig. 3: align the same FASTQ set against both indices and compare
-/// execution times.
+/// execution times. Both releases run with the Atlas's align parameters
+/// ([`PipelineConfig::default`]), so the mapping-rate comparison is like for like.
 pub fn fig3_genome_release(config: &Fig3Config) -> Result<Fig3Result, AtlasError> {
     let sub = Substrate::build(config.ensembl.clone())?;
     let run_config = RunConfig {
@@ -188,6 +186,7 @@ pub fn fig3_genome_release(config: &Fig3Config) -> Result<Fig3Result, AtlasError
         record_alignments: false,
         collect_junctions: false,
     };
+    let align_params = PipelineConfig::default().align_params;
     let mut files = Vec::with_capacity(config.n_files);
     let mut rng_seed = config.seed;
     for i in 0..config.n_files {
@@ -217,17 +216,18 @@ pub fn fig3_genome_release(config: &Fig3Config) -> Result<Fig3Result, AtlasError
             secs_111: 0.0,
             rate_108: 0.0,
             rate_111: 0.0,
+            work_108: PhaseWork::default(),
+            work_111: PhaseWork::default(),
         };
-        let align_params =
-            AlignParams { out_filter_multimap_nmax: config.multimap_cap, ..AlignParams::default() };
-        for (index, secs, rate) in [
-            (&sub.index_108, &mut row.secs_108, &mut row.rate_108),
-            (&sub.index_111, &mut row.secs_111, &mut row.rate_111),
+        for (index, secs, rate, work) in [
+            (&sub.index_108, &mut row.secs_108, &mut row.rate_108, &mut row.work_108),
+            (&sub.index_111, &mut row.secs_111, &mut row.rate_111, &mut row.work_111),
         ] {
             let runner = Runner::new(index, align_params.clone(), run_config.clone())?;
             let out = runner.run(&reads_vec, None, None, None)?;
             *secs = out.final_snapshot.elapsed_secs;
             *rate = out.mapped_fraction();
+            *work = out.phase_work;
         }
         files.push(row);
     }
@@ -352,8 +352,6 @@ pub struct Fig4Config {
     pub catalog: CatalogParams,
     /// Cap on generated reads per accession (experiment scaling).
     pub spot_cap: Option<u64>,
-    /// The early-stopping policy under test.
-    pub policy: EarlyStopPolicy,
     /// Aligner threads.
     pub threads: usize,
 }
@@ -364,7 +362,6 @@ impl Default for Fig4Config {
             ensembl: EnsemblParams::default(),
             catalog: CatalogParams::default(),
             spot_cap: Some(4_000),
-            policy: EarlyStopPolicy::default(),
             threads: 4,
         }
     }
@@ -407,8 +404,8 @@ impl Fig4Result {
     }
 }
 
-/// Regenerate Fig. 4: run the pipeline (alignment stage) over the catalog with early
-/// stopping and account the savings.
+/// Regenerate Fig. 4: run the pipeline (alignment stage) over the catalog with the
+/// paper's early-stopping policy ([`EarlyStopPolicy::default`]) and account the savings.
 pub fn fig4_early_stopping(config: &Fig4Config) -> Result<Fig4Result, AtlasError> {
     let sub = Substrate::build(config.ensembl.clone())?;
     let catalog = config.catalog.generate()?;
@@ -417,7 +414,7 @@ pub fn fig4_early_stopping(config: &Fig4Config) -> Result<Fig4Result, AtlasError
     if let Some(cap) = config.spot_cap {
         repo = repo.with_spot_cap(cap);
     }
-    let mut pc = PipelineConfig { early_stop: Some(config.policy), ..PipelineConfig::default() };
+    let mut pc = PipelineConfig::default();
     pc.run_config.threads = config.threads;
     pc.run_config.batch_size = 500;
     pc.run_config.quant = false;
@@ -454,12 +451,6 @@ pub struct CheckpointAnalysisConfig {
     pub catalog: CatalogParams,
     /// Cap on generated reads per accession.
     pub spot_cap: Option<u64>,
-    /// Candidate checkpoint fractions.
-    pub fractions: Vec<f64>,
-    /// The mapping-rate threshold (paper: 0.30).
-    pub min_rate: f64,
-    /// Aligner threads.
-    pub threads: usize,
 }
 
 impl Default for CheckpointAnalysisConfig {
@@ -468,15 +459,16 @@ impl Default for CheckpointAnalysisConfig {
             ensembl: EnsemblParams::default(),
             catalog: CatalogParams { n_accessions: 200, ..CatalogParams::default() },
             spot_cap: Some(2_000),
-            fractions: vec![0.02, 0.05, 0.10, 0.20, 0.30, 0.50],
-            min_rate: 0.30,
-            threads: 4,
         }
     }
 }
 
+/// Candidate checkpoint fractions the analysis replays.
+pub const CHECKPOINT_FRACTIONS: [f64; 6] = [0.02, 0.05, 0.10, 0.20, 0.30, 0.50];
+
 /// Reproduce the paper's progress-log analysis: record complete-run traces over the
-/// catalog and replay every candidate checkpoint fraction.
+/// catalog and replay every one of [`CHECKPOINT_FRACTIONS`] at the paper's
+/// mapping-rate threshold ([`EarlyStopPolicy::default`]).
 pub fn checkpoint_analysis(
     config: &CheckpointAnalysisConfig,
 ) -> Result<crate::analysis::CheckpointAnalysis, AtlasError> {
@@ -488,12 +480,12 @@ pub fn checkpoint_analysis(
         repo = repo.with_spot_cap(cap);
     }
     let mut pc = PipelineConfig { early_stop: None, ..PipelineConfig::default() };
-    pc.run_config.threads = config.threads;
     pc.run_config.quant = false;
     let pipeline =
         AtlasPipeline::new(Arc::new(repo), Arc::clone(&sub.index_111), Arc::clone(&sub.annotation), pc)?;
     let traces = crate::analysis::record_traces(&pipeline)?;
-    Ok(crate::analysis::analyze_checkpoints(&traces, &config.fractions, config.min_rate))
+    let min_rate = EarlyStopPolicy::default().min_mapping_rate;
+    Ok(crate::analysis::analyze_checkpoints(&traces, &CHECKPOINT_FRACTIONS, min_rate))
 }
 
 // ---------------------------------------------------------------------------
@@ -513,11 +505,6 @@ pub struct CampaignExperimentConfig {
     pub release: Release,
     /// Spot interruptions per instance-hour (0 = stable fleet).
     pub interruptions_per_hour: f64,
-    /// Aligner threads per worker.
-    pub threads: usize,
-    /// Use the paper-scale index bytes (85/29.5 GiB) for instance init & sizing
-    /// instead of the measured synthetic size.
-    pub paper_scale_index: bool,
 }
 
 impl Default for CampaignExperimentConfig {
@@ -528,24 +515,29 @@ impl Default for CampaignExperimentConfig {
             spot_cap: Some(1_500),
             release: Release::R111,
             interruptions_per_hour: 0.2,
-            threads: 4,
-            paper_scale_index: true,
         }
     }
 }
 
 /// Run the end-to-end architecture campaign (E4) and return the report plus the
-/// instance type the right-sizer picked.
+/// instance type the right-sizer picked. Instance init and sizing charge the
+/// paper-scale index bytes (85 / 29.5 GiB), not the synthetic index's.
 pub fn cloud_campaign(
     config: &CampaignExperimentConfig,
 ) -> Result<(CampaignReport, String), AtlasError> {
     let sub = Substrate::build(config.ensembl.clone())?;
-    let (index, assembly) = match config.release {
-        Release::R108 => (Arc::clone(&sub.index_108), Arc::clone(&sub.asm_108)),
-        _ => (Arc::clone(&sub.index_111), Arc::clone(&sub.asm_111)),
+    let index = match config.release {
+        Release::R108 => Arc::clone(&sub.index_108),
+        _ => Arc::clone(&sub.index_111),
     };
-    let _ = assembly;
+    // Size the fleet for this index.
+    let sizer = paper_scale_sizer(&index.stats(), sub.human_scale());
+    let itype = sizer
+        .choose()
+        .ok_or_else(|| AtlasError::InvalidParams("no instance type fits the index".into()))?;
     let catalog = config.catalog.generate()?;
+    let mut ids: Vec<String> = catalog.iter().map(|m| m.id.clone()).collect();
+    ids.sort();
     let mut repo = SraRepository::new(
         Arc::clone(&sub.asm_111),
         Arc::clone(&sub.annotation),
@@ -555,34 +547,14 @@ pub fn cloud_campaign(
         repo = repo.with_spot_cap(cap);
     }
     let mut pc = PipelineConfig::default();
-    pc.run_config.threads = config.threads;
     pc.run_config.batch_size = 500;
     let pipeline =
         Arc::new(AtlasPipeline::new(Arc::new(repo), index, Arc::clone(&sub.annotation), pc)?);
 
-    // Size the fleet for this index.
-    let stats = match config.release {
-        Release::R108 => sub.index_108.stats(),
-        _ => sub.index_111.stats(),
-    };
-    let sizer = paper_scale_sizer(&stats, sub.human_scale());
-    let itype = sizer
-        .choose()
-        .ok_or_else(|| AtlasError::InvalidParams("no instance type fits the index".into()))?;
-    let index_bytes = if config.paper_scale_index {
-        (sizer.index_gib * (1u64 << 30) as f64) as u64
-    } else {
-        stats.total_bytes() as u64
-    };
-    let mut cc = CampaignConfig::new(itype, index_bytes);
+    let mut cc = CampaignConfig::new(itype, (sizer.index_gib * (1u64 << 30) as f64) as u64);
     cc.spot_market.interruptions_per_hour = config.interruptions_per_hour;
     cc.scaling = cloudsim::ScalingPolicy { min_size: 0, max_size: 8, target_backlog_per_instance: 8 };
     let orch = Orchestrator::new(pipeline, cc)?;
-    let ids: Vec<String> = {
-        let mut v = config.catalog.generate()?.into_iter().map(|m| m.id).collect::<Vec<_>>();
-        v.sort();
-        v
-    };
     let report = orch.run(&ids)?;
     Ok((report, itype.name.to_string()))
 }
@@ -633,8 +605,6 @@ pub struct PseudoStudyConfig {
     pub catalog: CatalogParams,
     /// Cap on generated reads per accession.
     pub spot_cap: Option<u64>,
-    /// The early-stopping policy under test.
-    pub policy: EarlyStopPolicy,
     /// Threads per run.
     pub threads: usize,
 }
@@ -645,7 +615,6 @@ impl Default for PseudoStudyConfig {
             ensembl: EnsemblParams::default(),
             catalog: CatalogParams { n_accessions: 200, ..CatalogParams::default() },
             spot_cap: Some(2_000),
-            policy: EarlyStopPolicy::default(),
             threads: 4,
         }
     }
@@ -682,6 +651,7 @@ pub fn pseudo_early_stopping(config: &PseudoStudyConfig) -> Result<PseudoStudyRe
     }
     let dumper = sra_sim::FasterqDump::default();
 
+    let policy = EarlyStopPolicy::default();
     let mut with_progress = SavingsSummary::default();
     let mut stock = SavingsSummary::default();
     let mut bulk_rates = Vec::new();
@@ -697,28 +667,11 @@ pub fn pseudo_early_stopping(config: &PseudoStudyConfig) -> Result<PseudoStudyRe
                 batch_size: batch,
                 report_progress,
             };
-            let runner = PseudoRunner::new(
-                &index,
-                pseudo_aligner::pseudoalign::PseudoParams::default(),
-                run_config,
-            )?;
-            let out = runner.run(&reads, Some(&config.policy))?;
+            let runner = PseudoRunner::new(&index, run_config)?;
+            let out = runner.run(&reads, Some(&policy))?;
             let secs = out.final_snapshot.elapsed_secs
                 * (meta.spots as f64 / reads.len().max(1) as f64);
-            let stopped = matches!(out.status, star_aligner::RunStatus::EarlyStopped { .. });
-            let processed = out.final_snapshot.processed.max(1);
-            let projected = if stopped {
-                secs * out.final_snapshot.total_reads as f64 / processed as f64
-            } else {
-                secs
-            };
-            summary.add(&crate::early_stop::EarlyStopAccounting {
-                stopped,
-                processed_reads: out.final_snapshot.processed,
-                total_reads: out.final_snapshot.total_reads,
-                actual_secs: secs,
-                projected_full_secs: projected,
-            });
+            summary.add(&EarlyStopAccounting::from_run(out.status, &out.final_snapshot, secs));
             if report_progress {
                 match meta.strategy {
                     LibraryStrategy::RnaSeqBulk => bulk_rates.push(out.mapped_fraction()),
@@ -739,36 +692,6 @@ pub fn pseudo_early_stopping(config: &PseudoStudyConfig) -> Result<PseudoStudyRe
 // ---------------------------------------------------------------------------
 // E7 — graceful spot degradation (checkpointing under a reclaim storm)
 // ---------------------------------------------------------------------------
-
-/// Configuration for the spot-recovery study: the same seeded reclaim storm
-/// hits a modeled align-dominated campaign twice — once with checkpoint/resume
-/// armed, once without — and the ledger prices the difference.
-#[derive(Clone, Debug)]
-pub struct SpotRecoveryConfig {
-    /// Workload size (modeled accessions, ~10-minute align stages).
-    pub n_accessions: usize,
-    /// The reclaim storm, replayed identically into both arms.
-    pub burst: cloudsim::faults::SpotBurst,
-    /// Fault seed shared by both arms.
-    pub fault_seed: u64,
-    /// Probability a checkpoint write fails inside the notice window.
-    pub checkpoint_write_fail: f64,
-}
-
-impl Default for SpotRecoveryConfig {
-    fn default() -> Self {
-        SpotRecoveryConfig {
-            n_accessions: 60,
-            burst: cloudsim::faults::SpotBurst {
-                start_secs: 300.0,
-                duration_secs: 3600.0,
-                rate_per_hour: 18.0,
-            },
-            fault_seed: 42,
-            checkpoint_write_fail: 0.05,
-        }
-    }
-}
 
 /// One arm (recovery on or off) of the spot-recovery study.
 #[derive(Clone, Debug)]
@@ -821,8 +744,11 @@ impl SpotRecoveryResult {
 }
 
 /// Run the spot-recovery study (E7): the Fig. 4-style waste chart for graceful
-/// degradation — same seed, checkpointing on vs off.
-pub fn spot_recovery(config: &SpotRecoveryConfig) -> Result<SpotRecoveryResult, AtlasError> {
+/// degradation. The same seeded reclaim storm (an hour at 18 reclaims per
+/// instance-hour from t = 300 s, 5 % of checkpoint writes failing) hits
+/// `n_accessions` modeled accessions (~10-minute align stages) twice — once with
+/// checkpoint/resume armed, once without — and the ledger prices the difference.
+pub fn spot_recovery(n_accessions: usize) -> Result<SpotRecoveryResult, AtlasError> {
     let run_arm = |recovery: bool| -> Result<SpotRecoveryArm, AtlasError> {
         let t = cloudsim::instance::InstanceType::by_name("r6a.xlarge")
             .map_err(AtlasError::Cloud)?;
@@ -835,9 +761,13 @@ pub fn spot_recovery(config: &SpotRecoveryConfig) -> Result<SpotRecoveryResult, 
         cfg.spot_market =
             cloudsim::SpotMarket { price_factor: 0.35, interruptions_per_hour: 0.0, seed: 11 };
         cfg.faults = Some(cloudsim::FaultPlan {
-            seed: config.fault_seed,
-            checkpoint_write_fail: config.checkpoint_write_fail,
-            spot_bursts: vec![config.burst],
+            seed: 42,
+            checkpoint_write_fail: 0.05,
+            spot_bursts: vec![cloudsim::faults::SpotBurst {
+                start_secs: 300.0,
+                duration_secs: 3600.0,
+                rate_per_hour: 18.0,
+            }],
             ..cloudsim::FaultPlan::default()
         });
         cfg.max_receive_count = Some(10);
@@ -845,7 +775,7 @@ pub fn spot_recovery(config: &SpotRecoveryConfig) -> Result<SpotRecoveryResult, 
         if recovery {
             cfg.recovery = Some(crate::recovery::RecoveryConfig::default());
         }
-        let ids = crate::workload::ModeledWorkload::accessions(config.n_accessions);
+        let ids = crate::workload::ModeledWorkload::accessions(n_accessions);
         let report = Orchestrator::with_workload(
             crate::workload::ModeledWorkload::default().into_workload(),
             cfg,
@@ -889,7 +819,6 @@ mod tests {
             reads_sigma: 0.4,
             threads: 1,
             seed: 5,
-            multimap_cap: 20,
         }
     }
 
@@ -897,17 +826,14 @@ mod tests {
     fn fig3_shows_release_111_much_faster_with_same_mapping() {
         let r = fig3_genome_release(&tiny_fig3()).unwrap();
         assert_eq!(r.files.len(), 4);
-        assert!(
-            r.weighted_speedup > 1.5,
-            "release 111 must win clearly even at tiny scale: {}",
-            r.weighted_speedup
-        );
+        // Alignment work units, not wall-clock: exact for the seed, so every file is
+        // checked. This seed reads 3.94-6.24x more work on release 108.
+        for f in &r.files {
+            let ratio = f.work_108.total() as f64 / f.work_111.total() as f64;
+            assert!(ratio > 3.5, "{}: release 108 must cost clearly more work: {ratio}", f.name);
+        }
         assert!(r.mean_rate_diff < 0.02, "mapping rates nearly identical: {}", r.mean_rate_diff);
         assert!(r.stats_108.total_bytes() > 2 * r.stats_111.total_bytes());
-        // Wall-clock per tiny file is milliseconds and can wobble; demand a majority
-        // rather than unanimity (the full-scale experiment checks every file).
-        let faster = r.files.iter().filter(|f| f.secs_108 > f.secs_111).count();
-        assert!(faster >= 3, "most files slower on 108: {faster}/4");
     }
 
     #[test]
@@ -934,7 +860,6 @@ mod tests {
                 ..CatalogParams::default()
             },
             spot_cap: Some(800),
-            policy: EarlyStopPolicy::default(),
             threads: 2,
         };
         let r = fig4_early_stopping(&cfg).unwrap();
@@ -961,7 +886,6 @@ mod tests {
                 ..CatalogParams::default()
             },
             spot_cap: Some(800),
-            policy: EarlyStopPolicy::default(),
             threads: 2,
         };
         let r = pseudo_early_stopping(&cfg).unwrap();
@@ -983,13 +907,12 @@ mod tests {
 
     #[test]
     fn spot_recovery_study_recovers_waste() {
-        let cfg = SpotRecoveryConfig { n_accessions: 20, ..SpotRecoveryConfig::default() };
-        let r = spot_recovery(&cfg).unwrap();
+        let r = spot_recovery(20).unwrap();
         assert!(r.with_recovery.interruptions > 0, "premise: the storm struck");
         assert!(r.without_recovery.interruptions > 0);
         assert_eq!(
             r.with_recovery.completed + r.with_recovery.dead_lettered,
-            cfg.n_accessions
+            20
         );
         assert!(r.with_recovery.salvaged_secs > 0.0);
         assert_eq!(r.without_recovery.salvaged_secs, 0.0);

@@ -60,15 +60,10 @@ pub struct AccessionLedgerEntry {
     /// rescued by the checkpoint/resume path ([`crate::recovery`]). Those
     /// seconds already sit inside the clock path (they happened before the
     /// successful attempt started, so `idle_gap_secs` covers them); this field
-    /// labels them without changing [`Self::latency_parts`]. Always 0 when
-    /// recovery is off.
+    /// labels them without changing [`Self::latency_parts`]: with recovery on,
+    /// the burned seconds are `retry_waste_secs` and the rescued ones are these.
+    /// Always 0 when recovery is off.
     pub salvaged_secs: f64,
-    /// The recovery-aware name for `retry_waste_secs`: seconds this accession's
-    /// failed attempts truly burned. With recovery on, the old pre-recovery
-    /// retry waste splits into `salvaged_secs` (rescued) + `lost_secs` (burned);
-    /// with recovery off the split is trivial (`lost == retry_waste`, salvaged
-    /// 0). Kept equal to `retry_waste_secs` so existing part math is untouched.
-    pub lost_secs: f64,
     /// Submit → completion, seconds. Equals [`Self::fold`] of
     /// [`Self::latency_parts`] bit-exactly, by construction.
     pub turnaround_secs: f64,
@@ -129,8 +124,6 @@ pub struct LedgerTotals {
     pub idle_gap_secs: f64,
     /// Salvaged (checkpoint-rescued) seconds over entries.
     pub salvaged_secs: f64,
-    /// Lost (truly burned) seconds over entries — equals `retry_waste_secs`.
-    pub lost_secs: f64,
     /// Turnaround seconds over entries.
     pub turnaround_secs: f64,
     /// Compute dollars over entries.
@@ -223,7 +216,6 @@ pub(crate) fn build_ledger(
             retry_waste_secs: c.retry_waste_secs,
             idle_gap_secs: idle_gap,
             salvaged_secs: c.salvaged_secs,
-            lost_secs: c.retry_waste_secs,
             turnaround_secs: turnaround,
             compute_usd,
             retry_usd,
@@ -269,7 +261,6 @@ pub(crate) fn build_ledger(
         totals.retry_waste_secs += e.retry_waste_secs;
         totals.idle_gap_secs += e.idle_gap_secs;
         totals.salvaged_secs += e.salvaged_secs;
-        totals.lost_secs += e.lost_secs;
         totals.turnaround_secs += e.turnaround_secs;
         totals.compute_usd += e.compute_usd;
         totals.retry_usd += e.retry_usd;
@@ -306,11 +297,10 @@ mod tests {
         let (entries, totals) = build_ledger(&[c], 1.0, 1.0);
         let e = &entries[0];
         assert_eq!(e.salvaged_secs, 40.0);
-        assert_eq!(e.lost_secs, e.retry_waste_secs, "lost is the recovery-aware alias");
+        assert_eq!(e.retry_waste_secs, 25.0, "the burned seconds stay retry waste");
         // Salvaged seconds are informational: the 6-part latency fold is untouched.
         assert_eq!(AccessionLedgerEntry::fold(&e.latency_parts()), e.turnaround_secs);
         assert_eq!(totals.salvaged_secs, 40.0);
-        assert_eq!(totals.lost_secs, totals.retry_waste_secs);
     }
 
     #[test]

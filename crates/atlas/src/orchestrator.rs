@@ -400,7 +400,6 @@ impl Orchestrator {
 mod tests {
     use super::*;
     use crate::pipeline::PipelineConfig;
-    use genomics::annotation::AnnotationParams;
     use genomics::{Annotation, EnsemblGenerator, EnsemblParams, Release};
     use sra_sim::accession::CatalogParams;
     use sra_sim::SraRepository;
@@ -409,7 +408,7 @@ mod tests {
     fn setup(n_accessions: usize, sc_fraction: f64) -> (Arc<AtlasPipeline>, Vec<String>, u64) {
         let g = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
         let asm = Arc::new(g.generate(Release::R111));
-        let ann = Arc::new(Annotation::simulate(&asm, &g, &AnnotationParams::default()).unwrap());
+        let ann = Arc::new(Annotation::simulate(&asm, &g).unwrap());
         let idx = Arc::new(StarIndex::build(&asm, &ann, &IndexParams::default()).unwrap());
         let index_bytes = idx.stats().total_bytes() as u64;
         let mut cat = CatalogParams::default();

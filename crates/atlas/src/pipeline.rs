@@ -169,18 +169,6 @@ impl PipelineResult {
     pub fn early_stopped(&self) -> bool {
         matches!(self.status, RunStatus::EarlyStopped { .. })
     }
-
-    /// Per-stage `(name, start, end)` offsets from job start, in execution order.
-    /// Used to emit stage spans under a job span on the telemetry timeline.
-    pub fn stage_spans(&self) -> Vec<(&'static str, f64, f64)> {
-        self.stage_secs.spans()
-    }
-
-    /// Align sub-stage `(name, start, end)` offsets from job start (see
-    /// [`StageTimes::align_phase_spans`]).
-    pub fn align_phase_spans(&self) -> Vec<(&'static str, f64, f64)> {
-        self.stage_secs.align_phase_spans(&self.phase_work)
-    }
 }
 
 /// The pipeline bound to a repository, an index, and an annotation.
@@ -295,7 +283,8 @@ impl AtlasPipeline {
             None => output.final_snapshot.elapsed_secs,
         };
         let align_secs = measured_secs * spots_ratio;
-        let early_stop = EarlyStopAccounting::from_run(&output, align_secs);
+        let early_stop =
+            EarlyStopAccounting::from_run(output.status, &output.final_snapshot, align_secs);
 
         // Stage 4: collect. Charged only for completed runs (aborted pipelines skip
         // the upload and report the abort).
@@ -333,7 +322,6 @@ impl AtlasPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use genomics::annotation::AnnotationParams;
     use genomics::{EnsemblGenerator, EnsemblParams, Release};
     use sra_sim::accession::CatalogParams;
     use star_aligner::index::IndexParams;
@@ -341,7 +329,7 @@ mod tests {
     fn pipeline(early_stop: bool, spot_cap: Option<u64>) -> AtlasPipeline {
         let g = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
         let asm = Arc::new(g.generate(Release::R111));
-        let ann = Arc::new(Annotation::simulate(&asm, &g, &AnnotationParams::default()).unwrap());
+        let ann = Arc::new(Annotation::simulate(&asm, &g).unwrap());
         let idx =
             Arc::new(StarIndex::build(&asm, &ann, &IndexParams::default()).unwrap());
         let mut cat = CatalogParams::default();
@@ -444,7 +432,7 @@ mod tests {
     fn paired_accession_runs_through_the_pipeline() {
         let g = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
         let asm = Arc::new(g.generate(Release::R111));
-        let ann = Arc::new(Annotation::simulate(&asm, &g, &AnnotationParams::default()).unwrap());
+        let ann = Arc::new(Annotation::simulate(&asm, &g).unwrap());
         let idx = Arc::new(StarIndex::build(&asm, &ann, &IndexParams::default()).unwrap());
         let mut cat = CatalogParams::default();
         cat.n_accessions = 4;

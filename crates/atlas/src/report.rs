@@ -399,6 +399,8 @@ mod tests {
                 secs_111: 1.0,
                 rate_108: 0.9,
                 rate_111: 0.91,
+                work_108: Default::default(),
+                work_111: Default::default(),
             }],
             weighted_speedup: 10.0,
             stats_108: stats(1000),

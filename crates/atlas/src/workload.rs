@@ -109,32 +109,28 @@ impl CampaignWorkload for AtlasPipeline {
     }
 }
 
+/// Mean seconds of a modeled align stage (dominates the job).
+const MEAN_ALIGN_SECS: f64 = 600.0;
+/// Fraction of modeled accessions that early-stop.
+const EARLY_STOP_FRACTION: f64 = 0.25;
+/// Mean modeled reads per accession.
+const MEAN_READS: u64 = 1_000_000;
+
 /// A seeded synthetic workload: per-accession runs are a pure function of
 /// `(seed, accession)`, so campaigns over it are exactly as deterministic and
 /// replayable as real ones — just free. Durations are drawn from a spread around
-/// the configured means; a fixed fraction of accessions early-stop (single-cell
-/// contamination, per the paper ~25 %) with the paper's shape: stop at ~10 % of
-/// reads, projecting the full-run time the abort saved.
+/// fixed means (a ~10-minute align stage); a fixed fraction of accessions early-stop
+/// (single-cell contamination, per the paper ~25 %) with the paper's shape: stop at
+/// ~10 % of reads, projecting the full-run time the abort saved.
 #[derive(Clone, Debug)]
 pub struct ModeledWorkload {
     /// Seed for all per-accession draws.
     pub seed: u64,
-    /// Mean seconds of the align stage (dominates the job).
-    pub mean_align_secs: f64,
-    /// Fraction of accessions that early-stop, in `[0, 1]`.
-    pub early_stop_fraction: f64,
-    /// Modeled reads per accession (scales per-accession only via the hash).
-    pub mean_reads: u64,
 }
 
 impl Default for ModeledWorkload {
     fn default() -> Self {
-        ModeledWorkload {
-            seed: 0x5EED,
-            mean_align_secs: 600.0,
-            early_stop_fraction: 0.25,
-            mean_reads: 1_000_000,
-        }
+        ModeledWorkload { seed: 0x5EED }
     }
 }
 
@@ -166,9 +162,9 @@ impl CampaignWorkload for ModeledWorkload {
     fn run_accession(&self, accession: &str) -> Result<AccessionRun, AtlasError> {
         // Durations spread ±50% around the means, per stream.
         let spread = |mean: f64, u: f64| mean * (0.5 + u);
-        let reads = (self.mean_reads as f64 * (0.5 + self.unit(accession, 1))) as u64;
-        let full_align = spread(self.mean_align_secs, self.unit(accession, 2));
-        let stops = self.unit(accession, 3) < self.early_stop_fraction;
+        let reads = (MEAN_READS as f64 * (0.5 + self.unit(accession, 1))) as u64;
+        let full_align = spread(MEAN_ALIGN_SECS, self.unit(accession, 2));
+        let stops = self.unit(accession, 3) < EARLY_STOP_FRACTION;
         // Early stops abort at ~10-15% of reads with a sub-threshold mapping rate;
         // completions map well.
         let (status, strategy, mapping_rate, align_secs, processed) = if stops {
@@ -191,10 +187,10 @@ impl CampaignWorkload for ModeledWorkload {
             )
         };
         let stage_secs = StageTimes {
-            prefetch_secs: spread(self.mean_align_secs * 0.05, self.unit(accession, 6)),
-            dump_secs: spread(self.mean_align_secs * 0.15, self.unit(accession, 7)),
+            prefetch_secs: spread(MEAN_ALIGN_SECS * 0.05, self.unit(accession, 6)),
+            dump_secs: spread(MEAN_ALIGN_SECS * 0.15, self.unit(accession, 7)),
             align_secs,
-            collect_secs: spread(self.mean_align_secs * 0.02, self.unit(accession, 8)),
+            collect_secs: spread(MEAN_ALIGN_SECS * 0.02, self.unit(accession, 8)),
         };
         let early_stop = EarlyStopAccounting {
             stopped: stops,
@@ -266,7 +262,7 @@ mod tests {
         let b = w.run_accession("SRR90000001").unwrap();
         assert_eq!(a.stage_secs.total(), b.stage_secs.total());
         assert_eq!(a.mapping_rate, b.mapping_rate);
-        let other_seed = ModeledWorkload { seed: 7, ..ModeledWorkload::default() };
+        let other_seed = ModeledWorkload { seed: 7 };
         let c = other_seed.run_accession("SRR90000001").unwrap();
         assert_ne!(a.stage_secs.total(), c.stage_secs.total());
     }

@@ -13,7 +13,6 @@ use atlas_pipeline::experiments::{
     checkpoint_analysis, cloud_campaign, fig3_genome_release, fig4_early_stopping,
     index_comparison, pseudo_early_stopping, right_size_comparison, spot_recovery,
     CampaignExperimentConfig, CheckpointAnalysisConfig, Fig3Config, Fig4Config, PseudoStudyConfig,
-    SpotRecoveryConfig,
 };
 use atlas_pipeline::{report, AtlasError};
 use genomics::EnsemblParams;
@@ -137,14 +136,12 @@ fn fig4_config(scale: Scale) -> Fig4Config {
             },
             spot_cap: Some(1_000),
             threads: 4,
-            ..Fig4Config::default()
         },
         Scale::Paper => Fig4Config {
             ensembl: ensembl_params(scale),
             catalog: CatalogParams::default(),
             spot_cap: Some(3_000),
             threads: 4,
-            ..Fig4Config::default()
         },
     }
 }
@@ -184,7 +181,6 @@ fn run_checkpoint_analysis(scale: Scale) -> Result<(), AtlasError> {
                 ..CatalogParams::default()
             },
             spot_cap: Some(1_000),
-            ..CheckpointAnalysisConfig::default()
         },
         Scale::Paper => CheckpointAnalysisConfig { ensembl: ensembl_params(scale), ..CheckpointAnalysisConfig::default() },
     };
@@ -220,11 +216,11 @@ fn run_spot_recovery(scale: Scale) -> Result<(), AtlasError> {
     banner("E7 — graceful spot degradation: checkpointing under a reclaim storm");
     // The study runs on the modeled workload (align-dominated ~10-minute jobs),
     // so the storm shape is scale-free; test scale just trims the catalog.
-    let cfg = match scale {
-        Scale::Test => SpotRecoveryConfig { n_accessions: 24, ..SpotRecoveryConfig::default() },
-        Scale::Paper => SpotRecoveryConfig::default(),
+    let n_accessions = match scale {
+        Scale::Test => 24,
+        Scale::Paper => 60,
     };
-    print!("{}", report::render_spot_recovery(&spot_recovery(&cfg)?));
+    print!("{}", report::render_spot_recovery(&spot_recovery(n_accessions)?));
     Ok(())
 }
 

@@ -13,6 +13,7 @@ use crate::seq::DnaSeq;
 use crate::GenomicsError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::RangeInclusive;
 
 /// Transcription strand.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -132,38 +133,20 @@ pub struct Annotation {
     pub genes: Vec<Gene>,
 }
 
-/// Parameters for the annotation simulator.
-#[derive(Clone, Debug)]
-pub struct AnnotationParams {
-    /// Seed for the annotation RNG (independent of the assembly seed).
-    pub seed: u64,
-    /// Genes placed per hotspot interval.
-    pub genes_per_hotspot: usize,
-    /// Genes placed outside hotspots, per chromosome.
-    pub background_genes_per_chromosome: usize,
-    /// Genes placed on each novel scaffold that is long enough.
-    pub genes_per_novel_scaffold: usize,
-    /// Exon count range (inclusive).
-    pub exons_per_gene: (usize, usize),
-    /// Exon length range (inclusive).
-    pub exon_len: (usize, usize),
-    /// Intron length range (inclusive).
-    pub intron_len: (usize, usize),
-}
-
-impl Default for AnnotationParams {
-    fn default() -> Self {
-        AnnotationParams {
-            seed: 7,
-            genes_per_hotspot: 8,
-            background_genes_per_chromosome: 4,
-            genes_per_novel_scaffold: 1,
-            exons_per_gene: (2, 6),
-            exon_len: (120, 360),
-            intron_len: (150, 900),
-        }
-    }
-}
+/// Seed for the annotation RNG (independent of the assembly seed).
+const SEED: u64 = 7;
+/// Genes placed per hotspot interval.
+const GENES_PER_HOTSPOT: usize = 8;
+/// Genes placed outside hotspots, per chromosome.
+const BACKGROUND_GENES_PER_CHROMOSOME: usize = 4;
+/// Genes placed on each novel scaffold that is long enough.
+const GENES_PER_NOVEL_SCAFFOLD: usize = 1;
+/// Exon count range.
+const EXONS_PER_GENE: RangeInclusive<usize> = 2..=6;
+/// Exon length range.
+const EXON_LEN: RangeInclusive<usize> = 120..=360;
+/// Intron length range.
+const INTRON_LEN: RangeInclusive<usize> = 150..=900;
 
 impl Annotation {
     /// Number of genes.
@@ -190,14 +173,13 @@ impl Annotation {
     /// genes concentrate where release-108 scaffolds duplicate sequence.
     ///
     /// Genes on chromosomes are placed first (hotspot genes, then background genes),
-    /// then one or more genes per sufficiently long novel scaffold. All placement is
-    /// deterministic in `params.seed`.
+    /// then one gene per sufficiently long novel scaffold. All placement is
+    /// deterministic: the RNG has a fixed seed of its own.
     pub fn simulate(
         assembly: &Assembly,
         generator: &EnsemblGenerator,
-        params: &AnnotationParams,
     ) -> Result<Annotation, GenomicsError> {
-        let mut rng = StdRng::seed_from_u64(params.seed.wrapping_mul(0xD134_2543_DE82_EF95));
+        let mut rng = StdRng::seed_from_u64(SEED.wrapping_mul(0xD134_2543_DE82_EF95));
         let mut genes = Vec::new();
         let mut serial = 0u32;
         // Genes never overlap (real gene bodies rarely do, and overlap would turn
@@ -209,10 +191,9 @@ impl Annotation {
         let chroms: Vec<_> = assembly.chromosomes().collect();
         for (ci, chrom) in chroms.iter().enumerate() {
             for hs in generator.hotspots(ci) {
-                for _ in 0..params.genes_per_hotspot {
+                for _ in 0..GENES_PER_HOTSPOT {
                     if let Some(g) = place_gene_disjoint(
                         &mut rng,
-                        params,
                         &chrom.name,
                         hs,
                         &mut serial,
@@ -222,11 +203,10 @@ impl Annotation {
                     }
                 }
             }
-            for _ in 0..params.background_genes_per_chromosome {
+            for _ in 0..BACKGROUND_GENES_PER_CHROMOSOME {
                 let span = (0, chrom.len());
                 if let Some(g) = place_gene_disjoint(
                     &mut rng,
-                    params,
                     &chrom.name,
                     span,
                     &mut serial,
@@ -239,11 +219,10 @@ impl Annotation {
 
         for contig in &assembly.contigs {
             if contig.kind != ContigKind::Chromosome && contig.name.starts_with("KN99") {
-                for _ in 0..params.genes_per_novel_scaffold {
+                for _ in 0..GENES_PER_NOVEL_SCAFFOLD {
                     let span = (0, contig.len());
                     if let Some(g) = place_gene_disjoint(
                         &mut rng,
-                        params,
                         &contig.name,
                         span,
                         &mut serial,
@@ -288,7 +267,6 @@ impl Annotation {
 /// genes). Successful placements are recorded in `occupied`.
 fn place_gene_disjoint(
     rng: &mut StdRng,
-    params: &AnnotationParams,
     contig: &str,
     region: Interval,
     serial: &mut u32,
@@ -297,7 +275,7 @@ fn place_gene_disjoint(
     const ATTEMPTS: usize = 12;
     for _ in 0..ATTEMPTS {
         let mut trial_serial = *serial;
-        if let Some(gene) = place_gene(rng, params, contig, region, &mut trial_serial) {
+        if let Some(gene) = place_gene(rng, contig, region, &mut trial_serial) {
             let (start, end) = gene.span();
             if occupied.iter().all(|&(s, e)| end <= s || start >= e) {
                 occupied.push((start, end));
@@ -315,7 +293,6 @@ fn place_gene_disjoint(
 /// is too small to hold even a single-exon gene.
 fn place_gene(
     rng: &mut StdRng,
-    params: &AnnotationParams,
     contig: &str,
     region: Interval,
     serial: &mut u32,
@@ -325,13 +302,13 @@ fn place_gene(
         return None;
     }
     let avail = hi - lo;
-    let n_exons = rng.gen_range(params.exons_per_gene.0..=params.exons_per_gene.1);
+    let n_exons = rng.gen_range(EXONS_PER_GENE);
     // Draw a gene body layout, shrinking the exon count until it fits.
     for n in (1..=n_exons).rev() {
         let exon_lens: Vec<usize> =
-            (0..n).map(|_| rng.gen_range(params.exon_len.0..=params.exon_len.1)).collect();
+            (0..n).map(|_| rng.gen_range(EXON_LEN)).collect();
         let intron_lens: Vec<usize> = (0..n.saturating_sub(1))
-            .map(|_| rng.gen_range(params.intron_len.0..=params.intron_len.1))
+            .map(|_| rng.gen_range(INTRON_LEN))
             .collect();
         let body: usize = exon_lens.iter().sum::<usize>() + intron_lens.iter().sum::<usize>();
         if body >= avail {
@@ -362,7 +339,7 @@ mod tests {
     fn setup() -> (Assembly, EnsemblGenerator, Annotation) {
         let g = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
         let a = g.generate(Release::R111);
-        let ann = Annotation::simulate(&a, &g, &AnnotationParams::default()).unwrap();
+        let ann = Annotation::simulate(&a, &g).unwrap();
         (a, g, ann)
     }
 

@@ -11,7 +11,7 @@
 //! * chromosomes are **identical across releases** (same seed path), so mapping rates
 //!   stay nearly identical — the paper reports <1 % mean difference;
 //! * release 108 adds *duplicating scaffolds*: mutated copies of segments drawn from
-//!   gene-dense "hotspot" intervals, totalling `scaffold_extra_ratio ×` the chromosome
+//!   gene-dense "hotspot" intervals, totalling `SCAFFOLD_EXTRA_RATIO ×` the chromosome
 //!   length. Because they concentrate on hotspots, every genic read gains several extra
 //!   candidate loci, which is what makes alignment an order of magnitude slower;
 //! * a small mass of *novel scaffolds* (sequence absent from chromosomes) is present in
@@ -61,71 +61,55 @@ impl Release {
     pub const ALL: [Release; 4] = [Release::R108, Release::R109, Release::R110, Release::R111];
 }
 
-/// Parameters controlling the synthetic assembly.
+/// Master seed; every derived RNG is a pure function of this.
+const SEED: u64 = 42;
+/// Fraction of each chromosome covered by gene-dense hotspot intervals.
+const HOTSPOT_FRACTION: f64 = 0.10;
+/// Number of hotspot intervals per chromosome.
+const HOTSPOTS_PER_CHROMOSOME: usize = 2;
+/// Total duplicating-scaffold sequence as a multiple of total chromosome length
+/// (release 108 value; later releases retain a prefix of it).
+const SCAFFOLD_EXTRA_RATIO: f64 = 1.88;
+/// Per-base substitution probability applied to scaffold copies (alt-haplotype
+/// style divergence; must stay well below the aligner's mismatch tolerance so the
+/// copies genuinely attract seeds).
+const SCAFFOLD_DIVERGENCE: f64 = 0.009;
+/// Total novel-scaffold sequence as a multiple of total chromosome length.
+/// Present in all releases; carries real genes.
+const NOVEL_SCAFFOLD_RATIO: f64 = 0.02;
+/// Number of interspersed-repeat families seeded into chromosomes.
+const REPEAT_FAMILIES: usize = 4;
+/// Length of each repeat element.
+const REPEAT_LEN: usize = 300;
+/// Fraction of chromosome sequence occupied by repeat elements.
+const REPEAT_FRACTION: f64 = 0.08;
+
+/// Parameters controlling the synthetic assembly: its size. The rest of its shape
+/// (seed, hotspots, scaffold ratios, repeats) is fixed by this module's constants.
 ///
 /// Defaults are calibrated so that the release-108 : release-111 toplevel size ratio is
 /// ≈2.9 (paper: 85 GiB vs 29.5 GiB index) and genic reads gain roughly an order of
 /// magnitude more candidate alignment loci on release 108.
 #[derive(Clone, Debug)]
 pub struct EnsemblParams {
-    /// Master seed; every derived RNG is a pure function of this.
-    pub seed: u64,
     /// Number of chromosomes.
     pub n_chromosomes: usize,
     /// Length of each chromosome in bases.
     pub chromosome_len: usize,
-    /// Fraction of each chromosome covered by gene-dense hotspot intervals.
-    pub hotspot_fraction: f64,
-    /// Number of hotspot intervals per chromosome.
-    pub hotspots_per_chromosome: usize,
-    /// Total duplicating-scaffold sequence as a multiple of total chromosome length
-    /// (release 108 value; later releases retain a prefix of it).
-    pub scaffold_extra_ratio: f64,
     /// Mean duplicating-scaffold length (actual lengths vary ±50 %).
     pub scaffold_mean_len: usize,
-    /// Per-base substitution probability applied to scaffold copies (alt-haplotype
-    /// style divergence; must stay well below the aligner's mismatch tolerance so the
-    /// copies genuinely attract seeds).
-    pub scaffold_divergence: f64,
-    /// Total novel-scaffold sequence as a multiple of total chromosome length.
-    /// Present in all releases; carries real genes.
-    pub novel_scaffold_ratio: f64,
-    /// Number of interspersed-repeat families seeded into chromosomes.
-    pub repeat_families: usize,
-    /// Length of each repeat element.
-    pub repeat_len: usize,
-    /// Fraction of chromosome sequence occupied by repeat elements.
-    pub repeat_fraction: f64,
 }
 
 impl Default for EnsemblParams {
     fn default() -> Self {
-        EnsemblParams {
-            seed: 42,
-            n_chromosomes: 4,
-            chromosome_len: 400_000,
-            hotspot_fraction: 0.10,
-            hotspots_per_chromosome: 2,
-            scaffold_extra_ratio: 1.88,
-            scaffold_mean_len: 6_000,
-            scaffold_divergence: 0.009,
-            novel_scaffold_ratio: 0.02,
-            repeat_families: 4,
-            repeat_len: 300,
-            repeat_fraction: 0.08,
-        }
+        EnsemblParams { n_chromosomes: 4, chromosome_len: 400_000, scaffold_mean_len: 6_000 }
     }
 }
 
 impl EnsemblParams {
     /// A smaller configuration for fast unit tests.
     pub fn tiny() -> Self {
-        EnsemblParams {
-            n_chromosomes: 2,
-            chromosome_len: 20_000,
-            scaffold_mean_len: 1_500,
-            ..EnsemblParams::default()
-        }
+        EnsemblParams { n_chromosomes: 2, chromosome_len: 20_000, scaffold_mean_len: 1_500 }
     }
 
     /// Validate internal consistency.
@@ -133,19 +117,8 @@ impl EnsemblParams {
         if self.n_chromosomes == 0 || self.chromosome_len == 0 {
             return Err(GenomicsError::InvalidParams("need at least one non-empty chromosome".into()));
         }
-        if !(0.0..=1.0).contains(&self.hotspot_fraction) || !(0.0..=1.0).contains(&self.repeat_fraction) {
-            return Err(GenomicsError::InvalidParams("fractions must be in [0,1]".into()));
-        }
-        if self.hotspots_per_chromosome == 0 && self.hotspot_fraction > 0.0 {
-            return Err(GenomicsError::InvalidParams("hotspot_fraction > 0 requires hotspots".into()));
-        }
-        if self.scaffold_mean_len == 0 && self.scaffold_extra_ratio > 0.0 {
+        if self.scaffold_mean_len == 0 {
             return Err(GenomicsError::InvalidParams("scaffold_mean_len must be positive".into()));
-        }
-        if self.scaffold_divergence < 0.0 || self.scaffold_divergence > 0.2 {
-            return Err(GenomicsError::InvalidParams(
-                "scaffold_divergence outside plausible [0, 0.2]".into(),
-            ));
         }
         Ok(())
     }
@@ -175,22 +148,19 @@ impl EnsemblGenerator {
     fn rng_for(&self, stage: u64) -> StdRng {
         // Derive per-stage RNGs so chromosomes are identical no matter which release
         // or how many scaffolds are requested.
-        StdRng::seed_from_u64(self.params.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(stage))
+        StdRng::seed_from_u64(SEED.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(stage))
     }
 
     /// Gene-dense hotspot intervals for chromosome `chrom` (deterministic).
     pub fn hotspots(&self, chrom: usize) -> Vec<Interval> {
         let p = &self.params;
-        if p.hotspot_fraction == 0.0 || p.hotspots_per_chromosome == 0 {
-            return Vec::new();
-        }
         let mut rng = self.rng_for(1000 + chrom as u64);
-        let per_len =
-            ((p.chromosome_len as f64 * p.hotspot_fraction) / p.hotspots_per_chromosome as f64) as usize;
+        let per_len = ((p.chromosome_len as f64 * HOTSPOT_FRACTION)
+            / HOTSPOTS_PER_CHROMOSOME as f64) as usize;
         let per_len = per_len.max(1).min(p.chromosome_len);
         // Place hotspots in disjoint equal slots so they never overlap.
-        let slot = p.chromosome_len / p.hotspots_per_chromosome;
-        (0..p.hotspots_per_chromosome)
+        let slot = p.chromosome_len / HOTSPOTS_PER_CHROMOSOME;
+        (0..HOTSPOTS_PER_CHROMOSOME)
             .map(|i| {
                 let lo = i * slot;
                 let max_start = lo + slot.saturating_sub(per_len);
@@ -206,7 +176,7 @@ impl EnsemblGenerator {
         // Repeat family library shared across chromosomes.
         let mut fam_rng = self.rng_for(1);
         let families: Vec<DnaSeq> =
-            (0..p.repeat_families).map(|_| DnaSeq::random(&mut fam_rng, p.repeat_len)).collect();
+            (0..REPEAT_FAMILIES).map(|_| DnaSeq::random(&mut fam_rng, REPEAT_LEN)).collect();
 
         (0..p.n_chromosomes)
             .map(|i| {
@@ -215,12 +185,12 @@ impl EnsemblGenerator {
                 // Overwrite a fraction of the chromosome with slightly mutated repeat
                 // elements — interspersed repeats are what make even a deduplicated
                 // genome produce some multimapping seeds.
-                if !families.is_empty() && p.repeat_len > 0 && p.repeat_len < p.chromosome_len {
+                if REPEAT_LEN < p.chromosome_len {
                     let n_elements =
-                        ((p.chromosome_len as f64 * p.repeat_fraction) / p.repeat_len as f64) as usize;
+                        ((p.chromosome_len as f64 * REPEAT_FRACTION) / REPEAT_LEN as f64) as usize;
                     for _ in 0..n_elements {
                         let fam = &families[rng.gen_range(0..families.len())];
-                        let pos = rng.gen_range(0..p.chromosome_len - p.repeat_len);
+                        let pos = rng.gen_range(0..p.chromosome_len - REPEAT_LEN);
                         let mutated = mutate(fam, 0.03, &mut rng);
                         overwrite(&mut seq, pos, &mutated);
                     }
@@ -233,11 +203,7 @@ impl EnsemblGenerator {
     /// Number of complete duplication rounds implied by the ratio parameters: the
     /// hotspot copy number of the release-108 assembly.
     pub fn duplication_rounds(&self) -> usize {
-        let p = &self.params;
-        if p.hotspot_fraction <= 0.0 || p.scaffold_extra_ratio <= 0.0 {
-            return 0;
-        }
-        (p.scaffold_extra_ratio / p.hotspot_fraction).round().max(1.0) as usize
+        (SCAFFOLD_EXTRA_RATIO / HOTSPOT_FRACTION).round().max(1.0) as usize
     }
 
     /// Generate the full (release-108) list of duplicating scaffolds.
@@ -252,9 +218,6 @@ impl EnsemblGenerator {
     fn duplicating_scaffolds(&self, chromosomes: &[Contig]) -> Vec<Contig> {
         let p = &self.params;
         let rounds = self.duplication_rounds();
-        if rounds == 0 {
-            return Vec::new();
-        }
         let mut rng = self.rng_for(3);
         let mut scaffolds = Vec::new();
         let mut serial = 0u32;
@@ -266,7 +229,7 @@ impl EnsemblGenerator {
                     while pos < hi {
                         let len = sample_len(p.scaffold_mean_len, &mut rng).min(hi - pos);
                         let segment = chrom.seq.subseq(pos, pos + len);
-                        let seq = mutate(&segment, p.scaffold_divergence, &mut rng);
+                        let seq = mutate(&segment, SCAFFOLD_DIVERGENCE, &mut rng);
                         serial += 1;
                         let kind = if rng.gen_bool(0.5) {
                             ContigKind::UnlocalizedScaffold
@@ -286,7 +249,7 @@ impl EnsemblGenerator {
     /// Generate the novel scaffolds (present in every release, carry real genes).
     fn novel_scaffolds(&self, total_chrom: usize) -> Vec<Contig> {
         let p = &self.params;
-        let target = (total_chrom as f64 * p.novel_scaffold_ratio) as usize;
+        let target = (total_chrom as f64 * NOVEL_SCAFFOLD_RATIO) as usize;
         if target == 0 {
             return Vec::new();
         }
@@ -295,7 +258,7 @@ impl EnsemblGenerator {
         let mut emitted = 0usize;
         let mut serial = 0u32;
         while emitted < target {
-            let len = sample_len(p.scaffold_mean_len.max(1), &mut rng);
+            let len = sample_len(p.scaffold_mean_len, &mut rng);
             serial += 1;
             let seq = DnaSeq::random(&mut rng, len);
             emitted += len;
@@ -461,7 +424,7 @@ mod tests {
             prev_end = e;
         }
         let covered: usize = hs1.iter().map(|&(s, e)| e - s).sum();
-        let expect = (len as f64 * g.params().hotspot_fraction) as usize;
+        let expect = (len as f64 * HOTSPOT_FRACTION) as usize;
         assert!((covered as i64 - expect as i64).unsigned_abs() as usize <= hs1.len() * 2);
     }
 
@@ -479,12 +442,6 @@ mod tests {
     fn invalid_params_are_rejected() {
         let mut p = EnsemblParams::tiny();
         p.n_chromosomes = 0;
-        assert!(EnsemblGenerator::new(p).is_err());
-        let mut p = EnsemblParams::tiny();
-        p.hotspot_fraction = 1.5;
-        assert!(EnsemblGenerator::new(p).is_err());
-        let mut p = EnsemblParams::tiny();
-        p.scaffold_divergence = 0.5;
         assert!(EnsemblGenerator::new(p).is_err());
     }
 }

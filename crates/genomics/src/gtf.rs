@@ -101,7 +101,6 @@ fn parse_attribute(attributes: &str, key: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annotation::AnnotationParams;
     use crate::ensembl::{EnsemblGenerator, EnsemblParams, Release};
     use std::io::Cursor;
 
@@ -109,7 +108,7 @@ mod tests {
     fn round_trips_simulated_annotation() {
         let g = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
         let asm = g.generate(Release::R111);
-        let ann = Annotation::simulate(&asm, &g, &AnnotationParams::default()).unwrap();
+        let ann = Annotation::simulate(&asm, &g).unwrap();
         let text = ann.to_gtf();
         let back = read_gtf(Cursor::new(text.as_bytes())).unwrap();
         assert_eq!(back.genes, ann.genes);

@@ -541,13 +541,12 @@ fn lognormal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annotation::AnnotationParams;
     use crate::ensembl::{EnsemblGenerator, EnsemblParams, Release};
 
     fn setup() -> (Assembly, Annotation) {
         let g = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
         let a = g.generate(Release::R111);
-        let ann = Annotation::simulate(&a, &g, &AnnotationParams::default()).unwrap();
+        let ann = Annotation::simulate(&a, &g).unwrap();
         (a, ann)
     }
 

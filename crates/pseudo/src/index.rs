@@ -169,13 +169,12 @@ pub(crate) fn canonical_kmers(seq: &DnaSeq, k: usize) -> impl Iterator<Item = u6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use genomics::annotation::AnnotationParams;
     use genomics::{EnsemblGenerator, EnsemblParams, Release};
 
     fn setup() -> (Assembly, Annotation) {
         let g = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
         let asm = g.generate(Release::R111);
-        let ann = Annotation::simulate(&asm, &g, &AnnotationParams::default()).unwrap();
+        let ann = Annotation::simulate(&asm, &g).unwrap();
         (asm, ann)
     }
 

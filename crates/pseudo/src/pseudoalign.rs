@@ -8,18 +8,8 @@
 use crate::index::{canonical_kmers, PseudoIndex};
 use genomics::DnaSeq;
 
-/// Pseudoalignment parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct PseudoParams {
-    /// Minimum fraction of the read's k-mers that must be present in the index.
-    pub min_kmer_fraction: f64,
-}
-
-impl Default for PseudoParams {
-    fn default() -> Self {
-        PseudoParams { min_kmer_fraction: 0.5 }
-    }
-}
+/// Minimum fraction of the read's k-mers that must be present in the index.
+pub const MIN_KMER_FRACTION: f64 = 0.5;
 
 /// Result of pseudoaligning one read.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -42,17 +32,12 @@ impl PseudoOutcome {
 /// The pseudoaligner, borrowing its index.
 pub struct PseudoAligner<'i> {
     index: &'i PseudoIndex,
-    params: PseudoParams,
 }
 
 impl<'i> PseudoAligner<'i> {
     /// Create a pseudoaligner.
-    pub fn new(index: &'i PseudoIndex, params: PseudoParams) -> PseudoAligner<'i> {
-        assert!(
-            (0.0..=1.0).contains(&params.min_kmer_fraction),
-            "min_kmer_fraction must be in [0,1]"
-        );
-        PseudoAligner { index, params }
+    pub fn new(index: &'i PseudoIndex) -> PseudoAligner<'i> {
+        PseudoAligner { index }
     }
 
     /// The index in use.
@@ -83,7 +68,7 @@ impl<'i> PseudoAligner<'i> {
                 break;
             }
         }
-        let enough = total > 0 && hit as f64 / total as f64 >= self.params.min_kmer_fraction;
+        let enough = total > 0 && hit as f64 / total as f64 >= MIN_KMER_FRACTION;
         PseudoOutcome {
             compatible: if enough { intersection.unwrap_or_default() } else { Vec::new() },
             kmers_hit: hit,
@@ -114,13 +99,12 @@ fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::index::PseudoIndexParams;
-    use genomics::annotation::AnnotationParams;
     use genomics::{Annotation, Assembly, EnsemblGenerator, EnsemblParams, Release};
 
     fn setup() -> (Assembly, Annotation, PseudoIndex) {
         let g = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
         let asm = g.generate(Release::R111);
-        let ann = Annotation::simulate(&asm, &g, &AnnotationParams::default()).unwrap();
+        let ann = Annotation::simulate(&asm, &g).unwrap();
         let idx = PseudoIndex::build(&asm, &ann, &PseudoIndexParams { k: 21 }).unwrap();
         (asm, ann, idx)
     }
@@ -128,7 +112,7 @@ mod tests {
     #[test]
     fn transcript_reads_pseudoalign_to_their_transcript() {
         let (asm, ann, idx) = setup();
-        let aligner = PseudoAligner::new(&idx, PseudoParams::default());
+        let aligner = PseudoAligner::new(&idx);
         let mut checked = 0;
         for (tid, gene) in ann.genes.iter().enumerate() {
             let t = gene.transcript(&asm).unwrap();
@@ -150,7 +134,7 @@ mod tests {
     #[test]
     fn reverse_strand_reads_pseudoalign_too() {
         let (asm, ann, idx) = setup();
-        let aligner = PseudoAligner::new(&idx, PseudoParams::default());
+        let aligner = PseudoAligner::new(&idx);
         let gene = ann.genes.iter().find(|g| g.transcript_len() >= 120).unwrap();
         let t = gene.transcript(&asm).unwrap();
         let read = t.subseq(0, 100).reverse_complement();
@@ -160,7 +144,7 @@ mod tests {
     #[test]
     fn junk_reads_do_not_pseudoalign() {
         let (_, _, idx) = setup();
-        let aligner = PseudoAligner::new(&idx, PseudoParams::default());
+        let aligner = PseudoAligner::new(&idx);
         for junk in [
             DnaSeq::from_codes(vec![0; 100]),
             DnaSeq::random(&mut <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1), 100),
@@ -175,7 +159,7 @@ mod tests {
         // The pseudoaligner only knows the transcriptome: intronic/intergenic
         // sequence is invisible (the key behavioural difference vs STAR).
         let (asm, ann, idx) = setup();
-        let aligner = PseudoAligner::new(&idx, PseudoParams::default());
+        let aligner = PseudoAligner::new(&idx);
         let chrom = asm.contig("1").unwrap();
         // Find a window no gene overlaps.
         let mut pos = None;
@@ -200,7 +184,7 @@ mod tests {
     #[test]
     fn short_reads_are_unmapped() {
         let (_, _, idx) = setup();
-        let aligner = PseudoAligner::new(&idx, PseudoParams::default());
+        let aligner = PseudoAligner::new(&idx);
         let out = aligner.pseudoalign(&"ACGT".parse().unwrap());
         assert!(!out.is_mapped());
         assert_eq!(out.kmers_total, 0);
@@ -217,7 +201,7 @@ mod tests {
     #[test]
     fn errors_reduce_hits_but_reads_still_map() {
         let (asm, ann, idx) = setup();
-        let aligner = PseudoAligner::new(&idx, PseudoParams::default());
+        let aligner = PseudoAligner::new(&idx);
         let gene = ann.genes.iter().find(|g| g.transcript_len() >= 120).unwrap();
         let t = gene.transcript(&asm).unwrap();
         let mut codes = t.subseq(0, 100).codes().to_vec();

@@ -10,7 +10,7 @@
 //!   same [`ProgressSnapshot`] history as the STAR runner and consults the monitor
 //!   between batches; the unchanged `EarlyStopPolicy` works immediately.
 
-use crate::pseudoalign::{PseudoAligner, PseudoOutcome, PseudoParams};
+use crate::pseudoalign::{PseudoAligner, PseudoOutcome};
 use crate::quant::EqClassCounts;
 use crate::PseudoIndex;
 use genomics::pool::Pool;
@@ -73,7 +73,6 @@ impl<'i> PseudoRunner<'i> {
     /// STAR runner uses.
     pub fn new(
         index: &'i PseudoIndex,
-        params: PseudoParams,
         config: PseudoRunConfig,
     ) -> Result<PseudoRunner<'i>, StarError> {
         if config.threads == 0 || config.batch_size == 0 {
@@ -81,7 +80,7 @@ impl<'i> PseudoRunner<'i> {
         }
         let pool = Pool::shared(config.threads)
             .map_err(|e| StarError::InvalidParams(format!("thread pool: {e}")))?;
-        Ok(PseudoRunner { aligner: PseudoAligner::new(index, params), config, pool })
+        Ok(PseudoRunner { aligner: PseudoAligner::new(index), config, pool })
     }
 
     /// Pseudoalign all reads. `monitor` is only consulted when `report_progress` is
@@ -132,7 +131,6 @@ impl<'i> PseudoRunner<'i> {
 mod tests {
     use super::*;
     use crate::index::PseudoIndexParams;
-    use genomics::annotation::AnnotationParams;
     use star_aligner::runner::MonitorVerdict;
     use genomics::{
         Annotation, EnsemblGenerator, EnsemblParams, LibraryType, ReadSimulator, Release,
@@ -142,7 +140,7 @@ mod tests {
     fn setup() -> (PseudoIndex, Vec<FastqRecord>, Vec<FastqRecord>) {
         let g = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
         let asm = g.generate(Release::R111);
-        let ann = Annotation::simulate(&asm, &g, &AnnotationParams::default()).unwrap();
+        let ann = Annotation::simulate(&asm, &g).unwrap();
         let idx = PseudoIndex::build(&asm, &ann, &PseudoIndexParams { k: 21 }).unwrap();
         let bulk: Vec<FastqRecord> =
             ReadSimulator::new(&asm, &ann, SimulatorParams::for_library(LibraryType::BulkPolyA), 3)
@@ -168,9 +166,7 @@ mod tests {
     #[test]
     fn bulk_reads_pseudoalign_at_high_rate() {
         let (idx, bulk, _) = setup();
-        let runner =
-            PseudoRunner::new(&idx, crate::pseudoalign::PseudoParams::default(), PseudoRunConfig::default())
-                .unwrap();
+        let runner = PseudoRunner::new(&idx, PseudoRunConfig::default()).unwrap();
         let out = runner.run(&bulk, None).unwrap();
         assert_eq!(out.status, RunStatus::Completed);
         // The pseudoaligner only sees exonic reads (~82% of bulk libraries), so its
@@ -182,9 +178,7 @@ mod tests {
     #[test]
     fn single_cell_reads_pseudoalign_below_threshold() {
         let (idx, _, sc) = setup();
-        let runner =
-            PseudoRunner::new(&idx, crate::pseudoalign::PseudoParams::default(), PseudoRunConfig::default())
-                .unwrap();
+        let runner = PseudoRunner::new(&idx, PseudoRunConfig::default()).unwrap();
         let out = runner.run(&sc, None).unwrap();
         assert!(out.mapped_fraction() < 0.30, "rate {}", out.mapped_fraction());
     }
@@ -203,7 +197,7 @@ mod tests {
 
         // With progress (the paper's proposal): aborts early.
         let cfg = PseudoRunConfig { batch_size: 100, report_progress: true, ..PseudoRunConfig::default() };
-        let runner = PseudoRunner::new(&idx, crate::pseudoalign::PseudoParams::default(), cfg).unwrap();
+        let runner = PseudoRunner::new(&idx, cfg).unwrap();
         let out = runner.run(&sc, Some(&monitor)).unwrap();
         assert!(
             matches!(out.status, RunStatus::EarlyStopped { .. }),
@@ -215,7 +209,7 @@ mod tests {
         // Stock Salmon mode: same monitor, never consulted — runs to completion.
         let cfg =
             PseudoRunConfig { batch_size: 100, report_progress: false, ..PseudoRunConfig::default() };
-        let runner = PseudoRunner::new(&idx, crate::pseudoalign::PseudoParams::default(), cfg).unwrap();
+        let runner = PseudoRunner::new(&idx, cfg).unwrap();
         let out = runner.run(&sc, Some(&monitor)).unwrap();
         assert_eq!(out.status, RunStatus::Completed, "no progress stream → no early stopping");
         assert_eq!(out.final_snapshot.processed, sc.len() as u64);
@@ -225,9 +219,7 @@ mod tests {
     #[test]
     fn quantification_runs_on_the_collected_counts() {
         let (idx, bulk, _) = setup();
-        let runner =
-            PseudoRunner::new(&idx, crate::pseudoalign::PseudoParams::default(), PseudoRunConfig::default())
-                .unwrap();
+        let runner = PseudoRunner::new(&idx, PseudoRunConfig::default()).unwrap();
         let out = runner.run(&bulk, None).unwrap();
         let lengths: Vec<usize> =
             (0..idx.n_transcripts() as u32).map(|t| idx.transcript(t).len).collect();
@@ -241,7 +233,7 @@ mod tests {
     fn invalid_config_rejected() {
         let (idx, _, _) = setup();
         let cfg = PseudoRunConfig { threads: 0, ..PseudoRunConfig::default() };
-        assert!(PseudoRunner::new(&idx, crate::pseudoalign::PseudoParams::default(), cfg).is_err());
+        assert!(PseudoRunner::new(&idx, cfg).is_err());
     }
 
     #[test]
@@ -250,8 +242,7 @@ mod tests {
         let mut rates = Vec::new();
         for threads in [1, 4] {
             let cfg = PseudoRunConfig { threads, ..PseudoRunConfig::default() };
-            let runner =
-                PseudoRunner::new(&idx, crate::pseudoalign::PseudoParams::default(), cfg).unwrap();
+            let runner = PseudoRunner::new(&idx, cfg).unwrap();
             let out = runner.run(&bulk, None).unwrap();
             rates.push((out.final_snapshot.unique, out.final_snapshot.multi, out.counts.mapped()));
         }

@@ -55,7 +55,6 @@ mod tests {
     use super::*;
     use crate::accession::CatalogParams;
     use crate::SraRepository;
-    use genomics::annotation::AnnotationParams;
     use genomics::{Annotation, EnsemblGenerator, EnsemblParams, Release};
     use std::sync::Arc;
 
@@ -63,7 +62,7 @@ mod tests {
         let g = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
         let asm = Arc::new(g.generate(Release::R111));
         let ann =
-            Arc::new(Annotation::simulate(&asm, &g, &AnnotationParams::default()).unwrap());
+            Arc::new(Annotation::simulate(&asm, &g).unwrap());
         let mut params = CatalogParams::default();
         params.n_accessions = 5;
         params.bulk_spots_median = 300;

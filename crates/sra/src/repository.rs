@@ -103,14 +103,13 @@ impl SraRepository {
 mod tests {
     use super::*;
     use crate::accession::{CatalogParams, LibraryStrategy};
-    use genomics::annotation::AnnotationParams;
     use genomics::{EnsemblGenerator, EnsemblParams, Release};
 
     fn repo() -> SraRepository {
         let g = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
         let asm = Arc::new(g.generate(Release::R111));
         let ann =
-            Arc::new(Annotation::simulate(&asm, &g, &AnnotationParams::default()).unwrap());
+            Arc::new(Annotation::simulate(&asm, &g).unwrap());
         let mut params = CatalogParams::default();
         params.n_accessions = 20;
         params.bulk_spots_median = 200;
@@ -165,7 +164,7 @@ mod tests {
         let g = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
         let asm = Arc::new(g.generate(Release::R111));
         let ann =
-            Arc::new(Annotation::simulate(&asm, &g, &AnnotationParams::default()).unwrap());
+            Arc::new(Annotation::simulate(&asm, &g).unwrap());
         let mut params = CatalogParams::default();
         params.n_accessions = 10;
         params.bulk_spots_median = 150;

@@ -8,8 +8,6 @@
 //! untouched.
 
 use std::sync::Arc;
-
-use genomics::annotation::AnnotationParams;
 use genomics::simulate::ReadOrigin;
 use genomics::{
     Annotation, Assembly, EnsemblGenerator, EnsemblParams, FastqRecord, ReadSimulator, Release,
@@ -77,7 +75,7 @@ impl Fnv {
 fn substrate() -> (Arc<Assembly>, Arc<Annotation>) {
     let generator = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
     let assembly = generator.generate(Release::R111);
-    let annotation = Annotation::simulate(&assembly, &generator, &AnnotationParams::default()).unwrap();
+    let annotation = Annotation::simulate(&assembly, &generator).unwrap();
     (Arc::new(assembly), Arc::new(annotation))
 }
 

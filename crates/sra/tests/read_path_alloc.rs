@@ -10,7 +10,6 @@ mod counting_alloc;
 use std::sync::Arc;
 
 use counting_alloc::{tracked, CountingAlloc};
-use genomics::annotation::AnnotationParams;
 use genomics::{Annotation, EnsemblGenerator, EnsemblParams, Release};
 use sra_sim::accession::{AccessionMeta, LibraryLayout, LibraryStrategy};
 use sra_sim::{FasterqDump, SraRepository};
@@ -33,7 +32,7 @@ fn fetch_allocates_per_accession_and_dump_three_times_per_read() {
     let generator = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
     let assembly = Arc::new(generator.generate(Release::R111));
     let annotation =
-        Arc::new(Annotation::simulate(&assembly, &generator, &AnnotationParams::default()).unwrap());
+        Arc::new(Annotation::simulate(&assembly, &generator).unwrap());
     let catalog = vec![
         accession("SRRBULK", LibraryStrategy::RnaSeqBulk, LibraryLayout::Single),
         accession("SRRCELL", LibraryStrategy::SingleCell, LibraryLayout::Single),

@@ -20,6 +20,15 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Candidate alignments within this score of the best count as multimapping hits
+/// (`--outFilterMultimapScoreRange`).
+pub const MULTIMAP_SCORE_RANGE: i32 = 1;
+/// Minimum fraction of read bases matched for a mapped call
+/// (`--outFilterMatchNminOverLread`, STAR default 0.66).
+pub const MIN_MATCHED_OVER_READ_LEN: f64 = 0.66;
+/// Maximum mismatches as a fraction of read length (`--outFilterMismatchNoverLmax`).
+pub const MAX_MISMATCH_OVER_READ_LEN: f64 = 0.10;
+
 /// CIGAR-lite operation (substitution-only model: no I/D).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CigarOp {
@@ -167,29 +176,6 @@ impl PhaseWork {
     pub fn nanos_total(&self) -> u64 {
         self.seed_nanos + self.stitch_nanos + self.extend_nanos
     }
-
-    /// Collapsed-stack (flamegraph `folds`) dump of the phase attribution:
-    /// one `root;phase weight` line per phase, lexicographic phase order,
-    /// zero-weight phases skipped. Weights are measured microseconds when
-    /// [`crate::AlignParams::measure_phase_nanos`] was on, abstract work units
-    /// otherwise — so the dump is useful both for modeled and measured runs.
-    /// Pipe to `flamegraph.pl` / `inferno-flamegraph` as-is.
-    pub fn collapsed_stacks(&self, root: &str) -> String {
-        let measured = self.nanos_total() > 0;
-        let rows = [
-            ("extend", self.extend_nanos / 1_000, self.extend_units),
-            ("seed", self.seed_nanos / 1_000, self.seed_units),
-            ("stitch", self.stitch_nanos / 1_000, self.stitch_units),
-        ];
-        let mut out = String::new();
-        for (name, micros, units) in rows {
-            let weight = if measured { micros } else { units };
-            if weight > 0 {
-                out.push_str(&format!("{root};{name} {weight}\n"));
-            }
-        }
-        out
-    }
 }
 
 /// Zero-cost-when-off wall-clock timer for phase attribution. Disabled, both
@@ -296,11 +282,6 @@ impl<'i> Aligner<'i> {
         Aligner { layers: SeedLayers::full(index), params, contig_names }
     }
 
-    /// The parameters in use.
-    pub fn params(&self) -> &AlignParams {
-        &self.params
-    }
-
     /// The index in use.
     pub fn index(&self) -> &'i StarIndex {
         self.layers.index()
@@ -348,7 +329,7 @@ impl<'i> Aligner<'i> {
             work.seed_units += seeds.len() as u64;
             work.seed_probes += probe.cost().probes;
             let t = timer.start();
-            best_chains_into(seeds, read_len, &self.params, stitch, chains);
+            best_chains_into(seeds, read_len, stitch, chains);
             timer.stop(t, &mut work.stitch_nanos);
             work.stitch_units += chains.len as u64;
             let t = timer.start();
@@ -361,7 +342,7 @@ impl<'i> Aligner<'i> {
                 }
                 work.extend_units += 1;
                 let wa = out.slot(is_rc);
-                if extend_chain_into(chain, read, genome, index.sjdb(), &self.params, wa) {
+                if extend_chain_into(chain, read, genome, index.sjdb(), wa) {
                     out.commit();
                 }
             }
@@ -420,8 +401,7 @@ impl<'i> Aligner<'i> {
     pub(crate) fn passes_filters(&self, wa: &WindowAlignment, read_len: usize) -> bool {
         let matched_frac = wa.matched() as f64 / read_len.max(1) as f64;
         let mm_frac = wa.mismatches as f64 / read_len.max(1) as f64;
-        matched_frac >= self.params.min_matched_over_read_len
-            && mm_frac <= self.params.max_mismatch_over_read_len
+        matched_frac >= MIN_MATCHED_OVER_READ_LEN && mm_frac <= MAX_MISMATCH_OVER_READ_LEN
     }
 
     /// Align a bare sequence (uses this thread's scratch buffers).
@@ -467,7 +447,7 @@ impl<'i> Aligner<'i> {
 
         let n_hits = cands
             .iter()
-            .filter(|(_, wa)| wa.score + self.params.multimap_score_range >= best_score)
+            .filter(|(_, wa)| wa.score + MULTIMAP_SCORE_RANGE >= best_score)
             .count() as u32;
         let class = self.class_for(n_hits);
         let primary = emit.records.then(|| self.record_for(*best_rc, best_wa, n_hits));
@@ -684,11 +664,6 @@ mod tests {
             "measurement never changes the work counts"
         );
         assert!(on.nanos_total() > 0, "gate on: phases were timed");
-        // Unit-weighted folds (gate off) are deterministic and flamegraph-shaped.
-        let folds = off.collapsed_stacks("align");
-        assert!(folds.contains("align;seed ") && folds.ends_with('\n'), "{folds:?}");
-        assert_eq!(folds, off.collapsed_stacks("align"));
-        assert_eq!(PhaseWork::default().collapsed_stacks("align"), "");
     }
 
     #[test]

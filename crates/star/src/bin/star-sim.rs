@@ -19,8 +19,6 @@
 //! ```
 //!
 //! Flag names follow real STAR where a counterpart exists.
-
-use genomics::annotation::AnnotationParams;
 use genomics::{Annotation, Assembly, AssemblyKind, Contig, ContigKind, FastqRecord};
 use star_aligner::index::{IndexParams, StarIndex};
 use star_aligner::junctions::to_sj_tab;
@@ -98,7 +96,7 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
     let params = genomics::EnsemblParams { chromosome_len: 100_000, ..genomics::EnsemblParams::default() };
     let generator = genomics::EnsemblGenerator::new(params).map_err(|e| e.to_string())?;
     let assembly = generator.generate(release);
-    let annotation = Annotation::simulate(&assembly, &generator, &AnnotationParams::default())
+    let annotation = Annotation::simulate(&assembly, &generator)
         .map_err(|e| e.to_string())?;
 
     let fasta_path = out_dir.join("genome.fa");

@@ -333,7 +333,6 @@ mod tests {
     use crate::progress::ProgressSnapshot;
     use crate::runner::{CancelToken, MonitorVerdict, RunConfig, Runner};
     use crate::sam;
-    use genomics::annotation::AnnotationParams;
     use genomics::{
         Annotation, EnsemblGenerator, EnsemblParams, FastqRecord, LibraryType, ReadSimulator,
         Release, SimulatorParams,
@@ -342,7 +341,7 @@ mod tests {
     fn setup() -> (StarIndex, Annotation, Vec<FastqRecord>) {
         let g = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
         let asm = g.generate(Release::R111);
-        let ann = Annotation::simulate(&asm, &g, &AnnotationParams::default()).unwrap();
+        let ann = Annotation::simulate(&asm, &g).unwrap();
         let idx = StarIndex::build(&asm, &ann, &IndexParams::default()).unwrap();
         let reads: Vec<FastqRecord> =
             ReadSimulator::new(&asm, &ann, SimulatorParams::for_library(LibraryType::BulkPolyA), 11)

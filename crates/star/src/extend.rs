@@ -21,10 +21,30 @@
 
 use crate::align::CigarOp;
 use crate::genome::{count_mismatches, mismatch_mask, Packed2, PackedGenome, BASES_PER_WORD};
-use crate::params::AlignParams;
 use crate::seed::Seed;
 use crate::sjdb::{SpliceClass, SpliceJunctionDb};
-use crate::stitch::Chain;
+use crate::stitch::{Chain, MAX_INTRON_LEN};
+
+/// Mismatch penalty in the alignment score (match = +1).
+pub const MISMATCH_PENALTY: i32 = 1;
+// The bit-parallel end extension is exact only for a non-negative penalty.
+const _: () = assert!(MISMATCH_PENALTY >= 0);
+/// Score penalty for an annotated splice junction (`--scoreGapATAC`-family; 0 in
+/// STAR when the junction is in the sjdb).
+pub const ANNOTATED_SPLICE_PENALTY: i32 = 0;
+/// Score penalty for a canonical (GT-AG / CT-AC) novel junction.
+pub const CANONICAL_SPLICE_PENALTY: i32 = 1;
+/// Score penalty for a non-canonical novel junction (`--scoreGapNoncan`).
+pub const NONCANONICAL_SPLICE_PENALTY: i32 = 8;
+
+/// The score penalty of a junction of class `class`.
+fn junction_penalty(class: SpliceClass) -> i32 {
+    match class {
+        SpliceClass::Annotated => ANNOTATED_SPLICE_PENALTY,
+        SpliceClass::Canonical => CANONICAL_SPLICE_PENALTY,
+        SpliceClass::NonCanonical => NONCANONICAL_SPLICE_PENALTY,
+    }
+}
 
 /// A scored candidate alignment within one genomic window.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -88,10 +108,9 @@ pub(crate) fn extend_chain(
     read_codes: &[u8],
     genome: &PackedGenome,
     sjdb: &SpliceJunctionDb,
-    params: &AlignParams,
 ) -> Option<WindowAlignment> {
     let mut out = WindowAlignment::empty();
-    extend_chain_into(chain, &Packed2::from_codes(read_codes), genome, sjdb, params, &mut out)
+    extend_chain_into(chain, &Packed2::from_codes(read_codes), genome, sjdb, &mut out)
         .then_some(out)
 }
 
@@ -102,16 +121,14 @@ pub(crate) fn extend_chain(
 /// Bit-parallel run processing: within a run of matches the score strictly
 /// increases, so the running best only ever lands on a run end; walking the
 /// mismatch mask run by run reproduces the per-base loop bit-exactly (for the
-/// non-negative mismatch penalties the parameter validation admits).
+/// non-negative [`MISMATCH_PENALTY`], asserted at compile time).
 fn best_ext_fwd(
     read: &Packed2,
     rstart: usize,
     seq: &Packed2,
     gstart: usize,
     room: usize,
-    penalty: i32,
 ) -> (usize, u32) {
-    debug_assert!(penalty >= 0, "negative mismatch penalty breaks run-end argmax");
     let mut score = 0i32;
     let mut best_score = 0i32;
     let mut mm = 0u32;
@@ -137,7 +154,7 @@ fn best_ext_fwd(
                     best_mm = mm;
                 }
             }
-            score -= penalty;
+            score -= MISMATCH_PENALTY;
             mm += 1;
             prev_n = n_mm;
             x &= x - 1;
@@ -165,9 +182,7 @@ fn best_ext_back(
     seq: &Packed2,
     gpos: usize,
     room: usize,
-    penalty: i32,
 ) -> (usize, u32) {
-    debug_assert!(penalty >= 0, "negative mismatch penalty breaks run-end argmax");
     let mut score = 0i32;
     let mut best_score = 0i32;
     let mut mm = 0u32;
@@ -199,7 +214,7 @@ fn best_ext_back(
                     best_mm = mm;
                 }
             }
-            score -= penalty;
+            score -= MISMATCH_PENALTY;
             mm += 1;
             prev_i = i_mm;
             x ^= 1u64 << p;
@@ -229,7 +244,6 @@ pub(crate) fn extend_chain_into(
     read: &Packed2,
     genome: &PackedGenome,
     sjdb: &SpliceJunctionDb,
-    params: &AlignParams,
     out: &mut WindowAlignment,
 ) -> bool {
     let seeds = &chain.seeds;
@@ -259,7 +273,6 @@ pub(crate) fn extend_chain_into(
         seq,
         first.gpos as usize,
         left_room,
-        params.mismatch_penalty,
     );
     mismatches += best_mm;
     let gstart = first.gpos - best_ext as u64;
@@ -292,7 +305,7 @@ pub(crate) fn extend_chain_into(
             // sjdb-guided splice placement — boundary bases repeated on both sides
             // of an intron otherwise make the junction position ambiguous).
             let intron_len = genome_gap - read_gap;
-            if intron_len as u64 > params.max_intron_len {
+            if intron_len as u64 > MAX_INTRON_LEN {
                 return false;
             }
             let gap = SpliceGap { a, b, read_gap, intron_len, max_left_shift: m_run - 1 };
@@ -302,11 +315,7 @@ pub(crate) fn extend_chain_into(
             m_run += split;
             let intron_start = (a.gend() as i64 + split) as u64;
             let intron_end = intron_start + intron_len as u64;
-            splice_penalty += match class {
-                SpliceClass::Annotated => params.annotated_splice_penalty,
-                SpliceClass::Canonical => params.canonical_splice_penalty,
-                SpliceClass::NonCanonical => params.noncanonical_splice_penalty,
-            };
+            splice_penalty += junction_penalty(class);
             out.junctions.push((intron_start, intron_end, class));
             out.cigar.push(CigarOp::M(m_run as u32));
             out.cigar.push(CigarOp::N(intron_len as u32));
@@ -328,7 +337,6 @@ pub(crate) fn extend_chain_into(
         seq,
         last.gend() as usize,
         right_room,
-        params.mismatch_penalty,
     );
     mismatches += best_mm_r;
     m_run += best_ext_r as i64;
@@ -345,7 +353,7 @@ pub(crate) fn extend_chain_into(
     out.gstart = gstart;
     out.aligned = aligned;
     out.mismatches = mismatches;
-    out.score = matched as i32 - (mismatches as i32) * params.mismatch_penalty - splice_penalty;
+    out.score = matched as i32 - (mismatches as i32) * MISMATCH_PENALTY - splice_penalty;
     true
 }
 
@@ -463,7 +471,6 @@ pub fn extend_chain_scalar(
     read_codes: &[u8],
     genome: &PackedGenome,
     sjdb: &SpliceJunctionDb,
-    params: &AlignParams,
 ) -> Option<WindowAlignment> {
     let seeds = &chain.seeds;
     if seeds.is_empty() {
@@ -494,7 +501,7 @@ pub fn extend_chain_scalar(
             if r == g {
                 score += 1;
             } else {
-                score -= params.mismatch_penalty;
+                score -= MISMATCH_PENALTY;
                 mm += 1;
             }
             if score > best_score {
@@ -535,7 +542,7 @@ pub fn extend_chain_scalar(
             m_run += read_gap as i64;
         } else {
             let intron_len = genome_gap - read_gap;
-            if intron_len as u64 > params.max_intron_len {
+            if intron_len as u64 > MAX_INTRON_LEN {
                 return None;
             }
             let gap = SpliceGap { a, b, read_gap, intron_len, max_left_shift: m_run - 1 };
@@ -545,11 +552,7 @@ pub fn extend_chain_scalar(
             m_run += split;
             let intron_start = (a.gend() as i64 + split) as u64;
             let intron_end = intron_start + intron_len as u64;
-            splice_penalty += match class {
-                SpliceClass::Annotated => params.annotated_splice_penalty,
-                SpliceClass::Canonical => params.canonical_splice_penalty,
-                SpliceClass::NonCanonical => params.noncanonical_splice_penalty,
-            };
+            splice_penalty += junction_penalty(class);
             out.junctions.push((intron_start, intron_end, class));
             out.cigar.push(CigarOp::M(m_run as u32));
             out.cigar.push(CigarOp::N(intron_len as u32));
@@ -577,7 +580,7 @@ pub fn extend_chain_scalar(
             if r == g {
                 score += 1;
             } else {
-                score -= params.mismatch_penalty;
+                score -= MISMATCH_PENALTY;
                 mm += 1;
             }
             if score > best_score {
@@ -602,7 +605,7 @@ pub fn extend_chain_scalar(
     out.gstart = gstart;
     out.aligned = aligned;
     out.mismatches = mismatches;
-    out.score = matched as i32 - (mismatches as i32) * params.mismatch_penalty - splice_penalty;
+    out.score = matched as i32 - (mismatches as i32) * MISMATCH_PENALTY - splice_penalty;
     Some(out)
 }
 
@@ -667,6 +670,7 @@ fn best_split_scalar(
 mod tests {
     use super::*;
     use crate::index::{IndexParams, StarIndex};
+    use crate::params::AlignParams;
     use crate::seed::collect_seeds;
     use crate::stitch::best_chains;
     use genomics::annotation::{Annotation, Exon, Gene, Strand};
@@ -688,12 +692,12 @@ mod tests {
         StarIndex::build(&asm, &ann, &IndexParams::default()).unwrap()
     }
 
-    fn align_one(idx: &StarIndex, read: &DnaSeq, params: &AlignParams) -> WindowAlignment {
-        let seeds = collect_seeds(idx, read.codes(), params);
-        let chains = best_chains(&seeds, read.len(), params);
+    fn align_one(idx: &StarIndex, read: &DnaSeq) -> WindowAlignment {
+        let seeds = collect_seeds(idx, read.codes(), &AlignParams::default());
+        let chains = best_chains(&seeds, read.len());
         chains
             .iter()
-            .filter_map(|c| extend_chain(c, read.codes(), idx.genome(), idx.sjdb(), params))
+            .filter_map(|c| extend_chain(c, read.codes(), idx.genome(), idx.sjdb()))
             .max_by_key(|wa| wa.score)
             .expect("alignment exists")
     }
@@ -707,7 +711,7 @@ mod tests {
         let text = random_text(1, 2000);
         let idx = index_of(&text, Annotation::default());
         let read: DnaSeq = text[700..800].parse().unwrap();
-        let wa = align_one(&idx, &read, &AlignParams::default());
+        let wa = align_one(&idx, &read);
         assert_eq!(wa.gstart, 700);
         assert_eq!(wa.score, 100);
         assert_eq!(wa.aligned, 100);
@@ -723,7 +727,7 @@ mod tests {
         let mut codes: Vec<u8> = text[700..800].parse::<DnaSeq>().unwrap().codes().to_vec();
         codes[40] = (codes[40] + 2) % 4;
         let read = DnaSeq::from_codes(codes);
-        let wa = align_one(&idx, &read, &AlignParams::default());
+        let wa = align_one(&idx, &read);
         assert_eq!(wa.gstart, 700);
         assert_eq!(wa.aligned, 100);
         assert_eq!(wa.mismatches, 1);
@@ -740,7 +744,7 @@ mod tests {
         // through the mismatch is profitable.
         codes[95] = (codes[95] + 1) % 4;
         let read = DnaSeq::from_codes(codes);
-        let wa = align_one(&idx, &read, &AlignParams::default());
+        let wa = align_one(&idx, &read);
         assert_eq!(wa.aligned, 100, "should extend through the single mismatch");
         assert_eq!(wa.mismatches, 1);
     }
@@ -752,7 +756,7 @@ mod tests {
         // 80 genomic bases + 20 divergent bases.
         let tail = random_text(999, 20);
         let read: DnaSeq = format!("{}{}", &text[700..780], tail).parse().unwrap();
-        let wa = align_one(&idx, &read, &AlignParams::default());
+        let wa = align_one(&idx, &read);
         assert!(wa.clipped() >= 15, "divergent tail should clip, cigar {:?}", wa.cigar);
         assert!(wa.aligned >= 80);
         assert!(matches!(wa.cigar.last(), Some(CigarOp::S(_))));
@@ -773,7 +777,7 @@ mod tests {
         // Read spanning the junction: 50 bases of exon1 end + 50 of exon2 start.
         let read: DnaSeq =
             format!("{}{}", &text[950..1000], &text[1400..1450]).parse().unwrap();
-        let wa = align_one(&idx, &read, &AlignParams::default());
+        let wa = align_one(&idx, &read);
         assert_eq!(wa.gstart, 950);
         assert_eq!(wa.aligned, 100);
         assert_eq!(wa.mismatches, 0);
@@ -792,13 +796,12 @@ mod tests {
         let idx = index_of(&text, Annotation::default());
         let read: DnaSeq =
             format!("{}{}", &text[950..1000], &text[1400..1450]).parse().unwrap();
-        let params = AlignParams::default();
-        let wa = align_one(&idx, &read, &params);
+        let wa = align_one(&idx, &read);
         assert_eq!(wa.junctions.len(), 1);
         // Random genome: junction motif is almost surely non-canonical here.
         let expected_penalty = match wa.junctions[0].2 {
-            SpliceClass::NonCanonical => params.noncanonical_splice_penalty,
-            SpliceClass::Canonical => params.canonical_splice_penalty,
+            SpliceClass::NonCanonical => NONCANONICAL_SPLICE_PENALTY,
+            SpliceClass::Canonical => CANONICAL_SPLICE_PENALTY,
             SpliceClass::Annotated => 0,
         };
         assert_eq!(wa.score, 100 - expected_penalty);
@@ -819,7 +822,7 @@ mod tests {
             format!("{}{}", &text[950..1000], &text[1400..1450]).parse::<DnaSeq>().unwrap().codes().to_vec();
         codes[49] = (codes[49] + 1) % 4;
         let read = DnaSeq::from_codes(codes);
-        let wa = align_one(&idx, &read, &AlignParams::default());
+        let wa = align_one(&idx, &read);
         assert_eq!(wa.aligned, 100);
         assert_eq!(wa.mismatches, 1);
         assert_eq!(wa.junctions.len(), 1);
@@ -832,12 +835,10 @@ mod tests {
         let idx = index_of(&text, Annotation::default());
         let read: DnaSeq = format!("CCCCC{}", &text[0..95]).parse().unwrap();
         let seeds = collect_seeds(&idx, read.codes(), &AlignParams::default());
-        let chains = best_chains(&seeds, read.len(), &AlignParams::default());
+        let chains = best_chains(&seeds, read.len());
         let wa = chains
             .iter()
-            .filter_map(|c| {
-                extend_chain(c, read.codes(), idx.genome(), idx.sjdb(), &AlignParams::default())
-            })
+            .filter_map(|c| extend_chain(c, read.codes(), idx.genome(), idx.sjdb()))
             .max_by_key(|w| w.score)
             .unwrap();
         assert_eq!(wa.gstart, 0);
@@ -850,7 +851,7 @@ mod tests {
         let idx = index_of(&text, Annotation::default());
         for read_src in [&text[100..200], &text[1900..2000]] {
             let read: DnaSeq = read_src.parse().unwrap();
-            let wa = align_one(&idx, &read, &AlignParams::default());
+            let wa = align_one(&idx, &read);
             let total: u32 = wa
                 .cigar
                 .iter()
@@ -907,14 +908,12 @@ mod tests {
                 }
             };
             let seeds = collect_seeds(&idx, &codes, &params);
-            let chains = best_chains(&seeds, codes.len(), &params);
+            let chains = best_chains(&seeds, codes.len());
             let packed = Packed2::from_codes(&codes);
             for chain in &chains {
-                let scalar = extend_chain_scalar(chain, &codes, idx.genome(), idx.sjdb(), &params);
+                let scalar = extend_chain_scalar(chain, &codes, idx.genome(), idx.sjdb());
                 let mut fast = WindowAlignment::empty();
-                let ok = extend_chain_into(
-                    chain, &packed, idx.genome(), idx.sjdb(), &params, &mut fast,
-                );
+                let ok = extend_chain_into(chain, &packed, idx.genome(), idx.sjdb(), &mut fast);
                 assert_eq!(ok, scalar.is_some(), "trial {trial}");
                 if let Some(s) = scalar {
                     assert_eq!(fast, s, "trial {trial}");

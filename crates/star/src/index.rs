@@ -393,13 +393,12 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use genomics::annotation::AnnotationParams;
     use genomics::{EnsemblGenerator, EnsemblParams, Release};
 
     fn small_index() -> StarIndex {
         let g = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
         let asm = g.generate(Release::R111);
-        let ann = Annotation::simulate(&asm, &g, &AnnotationParams::default()).unwrap();
+        let ann = Annotation::simulate(&asm, &g).unwrap();
         StarIndex::build(&asm, &ann, &IndexParams::default()).unwrap()
     }
 
@@ -428,11 +427,10 @@ mod tests {
     #[test]
     fn index_size_scales_with_release() {
         let g = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
-        let ann_params = AnnotationParams::default();
         let mut totals = Vec::new();
         for r in [Release::R108, Release::R111] {
             let asm = g.generate(r);
-            let ann = Annotation::simulate(&asm, &g, &ann_params).unwrap();
+            let ann = Annotation::simulate(&asm, &g).unwrap();
             let idx = StarIndex::build(&asm, &ann, &IndexParams::default()).unwrap();
             totals.push(idx.stats().total_bytes());
         }

@@ -40,16 +40,14 @@
 //! # Quick example
 //!
 //! ```
-//! use genomics::{EnsemblGenerator, EnsemblParams, Release, Annotation,
-//!                annotation::AnnotationParams};
+//! use genomics::{EnsemblGenerator, EnsemblParams, Release, Annotation};
 //! use star_aligner::index::{IndexParams, StarIndex};
 //! use star_aligner::align::Aligner;
 //! use star_aligner::params::AlignParams;
 //!
 //! let generator = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
 //! let assembly = generator.generate(Release::R111);
-//! let annotation = Annotation::simulate(&assembly, &generator,
-//!                                       &AnnotationParams::default()).unwrap();
+//! let annotation = Annotation::simulate(&assembly, &generator).unwrap();
 //! let index = StarIndex::build(&assembly, &annotation, &IndexParams::default()).unwrap();
 //! let aligner = Aligner::new(&index, AlignParams::default());
 //! // Align a read taken straight from chromosome 1.

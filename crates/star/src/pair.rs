@@ -8,7 +8,9 @@
 //! (`--outFilterMultimapNmax`-style accounting on fragments, the unit the paper's
 //! mapping-rate statistic uses for paired libraries).
 
-use crate::align::{genome_span, Aligner, AlignmentRecord, Emit, MapClass, PhaseWork};
+use crate::align::{
+    genome_span, Aligner, AlignmentRecord, Emit, MapClass, PhaseWork, MULTIMAP_SCORE_RANGE,
+};
 use crate::quant::Assignment;
 use crate::scratch::{with_thread_scratch, AlignScratch};
 use genomics::FastqRecord;
@@ -150,7 +152,7 @@ impl<'i> Aligner<'i> {
         let best_score = pairs.iter().map(|p| p.score).max().expect("non-empty");
         let n_hits = pairs
             .iter()
-            .filter(|p| p.score + self.params().multimap_score_range >= best_score)
+            .filter(|p| p.score + MULTIMAP_SCORE_RANGE >= best_score)
             .count() as u32;
         let best = pairs
             .iter()
@@ -194,7 +196,6 @@ mod tests {
     use super::*;
     use crate::index::{IndexParams, StarIndex};
     use crate::AlignParams;
-    use genomics::annotation::AnnotationParams;
     use genomics::simulate::ReadOrigin;
     use genomics::{
         Annotation, Assembly, EnsemblGenerator, EnsemblParams, LibraryType, ReadSimulator,
@@ -210,7 +211,7 @@ mod tests {
     fn setup() -> (Assembly, Annotation, StarIndex) {
         let g = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
         let asm = g.generate(Release::R111);
-        let ann = Annotation::simulate(&asm, &g, &AnnotationParams::default()).unwrap();
+        let ann = Annotation::simulate(&asm, &g).unwrap();
         let idx = StarIndex::build(&asm, &ann, &IndexParams::default()).unwrap();
         (asm, ann, idx)
     }

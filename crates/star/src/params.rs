@@ -6,6 +6,8 @@ use crate::StarError;
 /// Per-read alignment parameters.
 ///
 /// Field names keep STAR's vocabulary so the mapping to the real tool is obvious.
+/// Settings no caller varies are constants where they are read: the output filters
+/// in [`crate::align`], the intron cap in [`crate::stitch`], the scores in [`crate::extend`].
 #[derive(Clone, Debug)]
 pub struct AlignParams {
     /// Minimum seed (MMP) length to be usable as an anchor.
@@ -16,26 +18,6 @@ pub struct AlignParams {
     /// Maximum reported alignments; beyond this a read counts as
     /// "mapped to too many loci" (`--outFilterMultimapNmax`).
     pub out_filter_multimap_nmax: usize,
-    /// Candidate alignments within this score of the best are counted as
-    /// multimapping hits (`--outFilterMultimapScoreRange`).
-    pub multimap_score_range: i32,
-    /// Minimum fraction of read bases matched for a mapped call
-    /// (`--outFilterMatchNminOverLread`, STAR default 0.66).
-    pub min_matched_over_read_len: f64,
-    /// Maximum mismatches as a fraction of read length
-    /// (`--outFilterMismatchNoverLmax`).
-    pub max_mismatch_over_read_len: f64,
-    /// Maximum intron length considered when stitching seeds (`--alignIntronMax`).
-    pub max_intron_len: u64,
-    /// Mismatch penalty in the alignment score (match = +1).
-    pub mismatch_penalty: i32,
-    /// Score penalty for an annotated splice junction (`--scoreGapATAC`-family; 0 in
-    /// STAR when the junction is in the sjdb).
-    pub annotated_splice_penalty: i32,
-    /// Score penalty for a canonical (GT-AG / CT-AC) novel junction.
-    pub canonical_splice_penalty: i32,
-    /// Score penalty for a non-canonical novel junction (`--scoreGapNoncan`).
-    pub noncanonical_splice_penalty: i32,
     /// Hard cap on seeds collected per read direction (guards pathological reads).
     pub max_seeds_per_read: usize,
     /// Measure wall-clock nanoseconds per alignment phase (seed/stitch/extend)
@@ -52,14 +34,6 @@ impl Default for AlignParams {
             min_seed_len: 18,
             anchor_multimap_nmax: 50,
             out_filter_multimap_nmax: 10,
-            multimap_score_range: 1,
-            min_matched_over_read_len: 0.66,
-            max_mismatch_over_read_len: 0.10,
-            max_intron_len: 5_000,
-            mismatch_penalty: 1,
-            annotated_splice_penalty: 0,
-            canonical_splice_penalty: 1,
-            noncanonical_splice_penalty: 8,
             max_seeds_per_read: 200,
             measure_phase_nanos: false,
         }
@@ -74,11 +48,6 @@ impl AlignParams {
         }
         if self.anchor_multimap_nmax == 0 || self.out_filter_multimap_nmax == 0 {
             return Err(StarError::InvalidParams("multimap caps must be positive".into()));
-        }
-        if !(0.0..=1.0).contains(&self.min_matched_over_read_len)
-            || !(0.0..=1.0).contains(&self.max_mismatch_over_read_len)
-        {
-            return Err(StarError::InvalidParams("filter fractions must be in [0,1]".into()));
         }
         if self.max_seeds_per_read == 0 {
             return Err(StarError::InvalidParams("max_seeds_per_read must be positive".into()));
@@ -103,9 +72,6 @@ mod tests {
         assert!(p.validate().is_err());
         let mut p = AlignParams::default();
         p.out_filter_multimap_nmax = 0;
-        assert!(p.validate().is_err());
-        let mut p = AlignParams::default();
-        p.min_matched_over_read_len = 1.5;
         assert!(p.validate().is_err());
         let mut p = AlignParams::default();
         p.max_seeds_per_read = 0;

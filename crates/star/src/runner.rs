@@ -578,7 +578,6 @@ impl<'i> Runner<'i> {
 mod tests {
     use super::*;
     use crate::index::{IndexParams, StarIndex};
-    use genomics::annotation::AnnotationParams;
     use genomics::{
         Annotation, EnsemblGenerator, EnsemblParams, LibraryType, ReadSimulator, Release,
         SimulatorParams,
@@ -587,7 +586,7 @@ mod tests {
     fn setup() -> (StarIndex, Annotation, Vec<FastqRecord>, Vec<FastqRecord>) {
         let g = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
         let asm = g.generate(Release::R111);
-        let ann = Annotation::simulate(&asm, &g, &AnnotationParams::default()).unwrap();
+        let ann = Annotation::simulate(&asm, &g).unwrap();
         let idx = StarIndex::build(&asm, &ann, &IndexParams::default()).unwrap();
         let bulk: Vec<FastqRecord> =
             ReadSimulator::new(&asm, &ann, SimulatorParams::for_library(LibraryType::BulkPolyA), 1)
@@ -818,7 +817,7 @@ mod tests {
     fn paired_run_counts_fragments() {
         let g = genomics::EnsemblGenerator::new(genomics::EnsemblParams::tiny()).unwrap();
         let asm = g.generate(genomics::Release::R111);
-        let ann = Annotation::simulate(&asm, &g, &AnnotationParams::default()).unwrap();
+        let ann = Annotation::simulate(&asm, &g).unwrap();
         let idx = StarIndex::build(&asm, &ann, &IndexParams::default()).unwrap();
         let pairs: Vec<(FastqRecord, FastqRecord)> = ReadSimulator::new(
             &asm,
@@ -849,7 +848,7 @@ mod tests {
     fn paired_single_cell_can_be_early_stopped() {
         let g = genomics::EnsemblGenerator::new(genomics::EnsemblParams::tiny()).unwrap();
         let asm = g.generate(genomics::Release::R111);
-        let ann = Annotation::simulate(&asm, &g, &AnnotationParams::default()).unwrap();
+        let ann = Annotation::simulate(&asm, &g).unwrap();
         let idx = StarIndex::build(&asm, &ann, &IndexParams::default()).unwrap();
         let pairs: Vec<(FastqRecord, FastqRecord)> = ReadSimulator::new(
             &asm,

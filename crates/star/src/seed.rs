@@ -353,11 +353,10 @@ mod tests {
 
     #[test]
     fn ladder_shortcut_and_min_seed_cutoff_change_no_seed_on_release_108() {
-        use genomics::annotation::AnnotationParams;
         use genomics::{EnsemblGenerator, EnsemblParams, LibraryType, ReadSimulator, Release, SimulatorParams};
         let g = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
         let asm_111 = g.generate(Release::R111);
-        let ann = Annotation::simulate(&asm_111, &g, &AnnotationParams::default()).unwrap();
+        let ann = Annotation::simulate(&asm_111, &g).unwrap();
         let idx = StarIndex::build(&g.generate(Release::R108), &ann, &IndexParams::default()).unwrap();
         let layers = SeedLayers::full(&idx);
         let params = AlignParams::default();

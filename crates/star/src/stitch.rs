@@ -5,9 +5,11 @@
 //! dynamic programming. Each chain is a candidate alignment to be extended and
 //! scored by [`crate::extend`].
 
-use crate::params::AlignParams;
 use crate::scratch::{ChainPool, StitchScratch, WindowDp};
 use crate::seed::Seed;
+
+/// Maximum intron length considered when stitching seeds (`--alignIntronMax`).
+pub const MAX_INTRON_LEN: u64 = 5_000;
 
 /// A collinear chain of seeds within one genomic window.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -50,7 +52,7 @@ pub fn gap_compatible(a: &Seed, b: &Seed, max_intron: u64) -> bool {
 /// pooled `out` (cleared first).
 ///
 /// Windows are built by sorting seeds by genome position and splitting where the gap
-/// between consecutive seeds exceeds `max_intron + read_len` (they could never be
+/// between consecutive seeds exceeds [`MAX_INTRON_LEN`]` + read_len` (they could never be
 /// stitched). Within a window, a quadratic DP maximizes covered read bases; one chain
 /// is emitted per DP *terminal* (a seed no better chain passes through), so
 /// duplicated loci inside one window — e.g. a read hitting both a chromosome region
@@ -60,7 +62,6 @@ pub fn gap_compatible(a: &Seed, b: &Seed, max_intron: u64) -> bool {
 pub(crate) fn best_chains_into(
     seeds: &[Seed],
     read_len: usize,
-    params: &AlignParams,
     scratch: &mut StitchScratch,
     out: &mut ChainPool,
 ) {
@@ -73,29 +74,29 @@ pub(crate) fn best_chains_into(
     by_gpos.extend_from_slice(seeds);
     by_gpos.sort_unstable_by_key(|s| s.gpos);
 
-    let split_gap = params.max_intron_len + read_len as u64;
+    let split_gap = MAX_INTRON_LEN + read_len as u64;
     let mut win_start = 0usize;
     for i in 1..by_gpos.len() {
         if by_gpos[i].gpos.saturating_sub(by_gpos[i - 1].gend()) > split_gap {
-            chain_window(&by_gpos[win_start..i], params, dp, out);
+            chain_window(&by_gpos[win_start..i], dp, out);
             win_start = i;
         }
     }
-    chain_window(&by_gpos[win_start..], params, dp, out);
+    chain_window(&by_gpos[win_start..], dp, out);
 }
 
 /// [`best_chains_into`] on fresh buffers, returning owned chains.
 #[cfg(test)]
-pub(crate) fn best_chains(seeds: &[Seed], read_len: usize, params: &AlignParams) -> Vec<Chain> {
+pub(crate) fn best_chains(seeds: &[Seed], read_len: usize) -> Vec<Chain> {
     let mut pool = ChainPool::default();
-    best_chains_into(seeds, read_len, params, &mut StitchScratch::default(), &mut pool);
+    best_chains_into(seeds, read_len, &mut StitchScratch::default(), &mut pool);
     pool.chains.truncate(pool.len);
     pool.chains
 }
 
 /// DP over one window: maximize covered read bases over gap-compatible chains and
 /// emit one chain per terminal (a seed no better chain passes through).
-fn chain_window(window: &[Seed], params: &AlignParams, dp: &mut WindowDp, out: &mut ChainPool) {
+fn chain_window(window: &[Seed], dp: &mut WindowDp, out: &mut ChainPool) {
     let WindowDp { win, best_cov, prev, used_as_prev } = dp;
     if window.is_empty() {
         return;
@@ -112,7 +113,7 @@ fn chain_window(window: &[Seed], params: &AlignParams, dp: &mut WindowDp, out: &
     prev.resize(n, u32::MAX); // MAX = chain start
     for i in 0..n {
         for j in 0..i {
-            if gap_compatible(&win[j], &win[i], params.max_intron_len) {
+            if gap_compatible(&win[j], &win[i], MAX_INTRON_LEN) {
                 let cand = best_cov[j] + win[i].len;
                 if cand > best_cov[i] {
                     best_cov[i] = cand;
@@ -170,7 +171,7 @@ mod tests {
 
     #[test]
     fn single_seed_gives_single_chain() {
-        let chains = best_chains(&[seed(0, 500, 100)], 100, &AlignParams::default());
+        let chains = best_chains(&[seed(0, 500, 100)], 100);
         assert_eq!(chains.len(), 1);
         assert_eq!(chains[0].covered(), 100);
     }
@@ -178,7 +179,7 @@ mod tests {
     #[test]
     fn mismatch_split_seeds_chain_together() {
         let s = [seed(0, 100, 50), seed(51, 151, 49)];
-        let chains = best_chains(&s, 100, &AlignParams::default());
+        let chains = best_chains(&s, 100);
         assert_eq!(chains.len(), 1);
         assert_eq!(chains[0].seeds.len(), 2);
         assert_eq!(chains[0].covered(), 99);
@@ -187,7 +188,7 @@ mod tests {
     #[test]
     fn spliced_seeds_chain_within_intron_limit() {
         let s = [seed(0, 100, 60), seed(60, 1160, 40)]; // 1000bp intron
-        let chains = best_chains(&s, 100, &AlignParams::default());
+        let chains = best_chains(&s, 100);
         assert_eq!(chains.len(), 1);
         assert_eq!(chains[0].seeds.len(), 2);
     }
@@ -195,7 +196,7 @@ mod tests {
     #[test]
     fn distant_loci_become_separate_windows() {
         let s = [seed(0, 100, 100), seed(0, 1_000_000, 100)];
-        let chains = best_chains(&s, 100, &AlignParams::default());
+        let chains = best_chains(&s, 100);
         assert_eq!(chains.len(), 2, "two windows, one chain each");
         assert_eq!(chains[0].covered(), 100);
         assert_eq!(chains[1].covered(), 100);
@@ -209,7 +210,7 @@ mod tests {
             seed(35, 500, 20),  // compatible with first but then blocks the third
             seed(35, 140, 60),  // 5bp mismatch gap after first; total 90
         ];
-        let chains = best_chains(&s, 100, &AlignParams::default());
+        let chains = best_chains(&s, 100);
         let best = chains.iter().max_by_key(|c| c.covered()).unwrap();
         assert_eq!(best.covered(), 90);
         assert_eq!(best.seeds.len(), 2);
@@ -225,13 +226,13 @@ mod tests {
             seed(0, 50_100, 50),
             seed(51, 50_151, 49),
         ];
-        let chains = best_chains(&s, 100, &AlignParams::default());
+        let chains = best_chains(&s, 100);
         assert_eq!(chains.len(), 2);
         assert!(chains.iter().all(|c| c.covered() == 99));
     }
 
     #[test]
     fn empty_input_gives_no_chains() {
-        assert!(best_chains(&[], 100, &AlignParams::default()).is_empty());
+        assert!(best_chains(&[], 100).is_empty());
     }
 }

@@ -4,7 +4,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use genomics::annotation::{AnnotationParams, Exon, Gene, Strand};
+use genomics::annotation::{Exon, Gene, Strand};
 use genomics::fasta::FastaRecord;
 use genomics::{Annotation, DnaSeq, FastqRecord};
 use rand::rngs::StdRng;
@@ -215,7 +215,7 @@ fn paired_sam_equals_the_per_pair_rendering() {
     let params = genomics::EnsemblParams { chromosome_len: 100_000, ..genomics::EnsemblParams::default() };
     let generator = genomics::EnsemblGenerator::new(params).unwrap();
     let assembly = generator.generate(genomics::Release::R111);
-    let annotation = Annotation::simulate(&assembly, &generator, &AnnotationParams::default()).unwrap();
+    let annotation = Annotation::simulate(&assembly, &generator).unwrap();
     let library = genomics::SimulatorParams::for_library(genomics::LibraryType::BulkPolyA);
     let pairs = genomics::ReadSimulator::new(&assembly, &annotation, library, 7)
         .unwrap()

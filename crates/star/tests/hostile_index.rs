@@ -7,7 +7,6 @@
 mod counting_alloc;
 
 use counting_alloc::{tracked, CountingAlloc};
-use genomics::annotation::AnnotationParams;
 use genomics::{Annotation, EnsemblGenerator, EnsemblParams, Release};
 use star_aligner::index::{IndexParams, StarIndex};
 use star_aligner::StarError;
@@ -80,7 +79,7 @@ fn assert_rejected(blob: &[u8], what: &str) {
 fn hostile_blobs_get_a_typed_error_and_bounded_allocation() {
     let generator = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
     let assembly = generator.generate(Release::R111);
-    let annotation = Annotation::simulate(&assembly, &generator, &AnnotationParams::default()).unwrap();
+    let annotation = Annotation::simulate(&assembly, &generator).unwrap();
     let index = StarIndex::build(&assembly, &annotation, &IndexParams::default()).unwrap();
     assert!(!index.sjdb().is_empty(), "premise: every section is populated");
     let blob = index.serialize();

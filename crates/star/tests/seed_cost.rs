@@ -25,8 +25,6 @@
 //! `-- --nocapture` prints one line per cell, with the orientations that found no
 //! seed split out. What the counter cannot see: which of those loads actually miss —
 //! that is index size against cache, and stays with `atlas-e2e`'s `star.seed.cpu_s`.
-
-use genomics::annotation::AnnotationParams;
 use genomics::{
     Annotation, DnaSeq, EnsemblGenerator, EnsemblParams, FastqRecord, LibraryType, ReadSimulator,
     Release, SimulatorParams,
@@ -84,7 +82,7 @@ fn seed_all(index: &StarIndex, reads: &[FastqRecord]) -> (SearchCost, SearchCost
 fn seed_probes_are_exact_thread_invariant_and_within_their_ceilings() {
     let generator = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
     let asm_111 = generator.generate(Release::R111);
-    let annotation = Annotation::simulate(&asm_111, &generator, &AnnotationParams::default()).unwrap();
+    let annotation = Annotation::simulate(&asm_111, &generator).unwrap();
     let simulate = |library, seed, n, prefix: &str| -> Vec<FastqRecord> {
         ReadSimulator::new(&asm_111, &annotation, SimulatorParams::for_library(library), seed)
             .unwrap()

@@ -15,7 +15,6 @@
 mod counting_alloc;
 
 use counting_alloc::{tracked, CountingAlloc};
-use genomics::annotation::AnnotationParams;
 use genomics::{Annotation, EnsemblGenerator, EnsemblParams, LibraryType, ReadSimulator, Release, SimulatorParams};
 use star_aligner::align::Aligner;
 use star_aligner::index::{IndexParams, StarIndex};
@@ -30,7 +29,7 @@ fn steady_state_alignment_allocates_nothing() {
     // Build everything (index, reads, scratch) before tracking starts.
     let generator = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
     let assembly = generator.generate(Release::R111);
-    let annotation = Annotation::simulate(&assembly, &generator, &AnnotationParams::default()).unwrap();
+    let annotation = Annotation::simulate(&assembly, &generator).unwrap();
     let index = StarIndex::build(&assembly, &annotation, &IndexParams::default()).unwrap();
     let aligner = Aligner::new(&index, AlignParams::default());
     let mut sim = ReadSimulator::new(

@@ -7,9 +7,9 @@
 //! ```
 
 use atlas_pipeline::experiments::{paper_scale_sizer, Substrate};
+use atlas_pipeline::PipelineConfig;
 use genomics::{EnsemblParams, LibraryType, ReadSimulator, Release, SimulatorParams};
 use star_aligner::runner::{RunConfig, Runner};
-use star_aligner::AlignParams;
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -43,9 +43,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let reads: Vec<_> = simulator.simulate(40_000, "SRR0000042").into_iter().map(|r| r.fastq).collect();
     println!("\naligning {} reads against both indices…", reads.len());
 
-    // Toplevel assemblies multimap more: use the Atlas's ENCODE-style cap.
-    let align_params =
-        AlignParams { out_filter_multimap_nmax: 20, ..AlignParams::default() };
+    // Toplevel assemblies multimap more: use the Atlas's align parameters (its
+    // ENCODE-style multimap cap).
+    let align_params = PipelineConfig::default().align_params;
     let run_config = RunConfig { threads: 4, quant: false, ..RunConfig::default() };
 
     let mut times = Vec::new();

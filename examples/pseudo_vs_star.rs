@@ -10,7 +10,6 @@
 use atlas_pipeline::early_stop::EarlyStopPolicy;
 use atlas_pipeline::experiments::Substrate;
 use genomics::{EnsemblParams, FastqRecord, LibraryType, ReadSimulator, SimulatorParams};
-use pseudo_aligner::pseudoalign::PseudoParams;
 use pseudo_aligner::{PseudoIndex, PseudoIndexParams, PseudoRunConfig, PseudoRunner};
 use star_aligner::runner::{RunConfig, RunMonitor, RunStatus, Runner};
 use star_aligner::AlignParams;
@@ -69,7 +68,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         let runner = PseudoRunner::new(
             &pseudo_index,
-            PseudoParams::default(),
             PseudoRunConfig { threads: 4, batch_size: 1_000, report_progress },
         )?;
         let t = Instant::now();

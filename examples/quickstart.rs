@@ -8,8 +8,6 @@
 //! ```text
 //! cargo run --release -p atlas-examples --bin quickstart
 //! ```
-
-use genomics::annotation::AnnotationParams;
 use genomics::{
     Annotation, EnsemblGenerator, EnsemblParams, LibraryType, ReadSimulator, Release,
     SimulatorParams,
@@ -33,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. A gene annotation (GTF-lite) for GeneCounts.
-    let annotation = Annotation::simulate(&assembly, &generator, &AnnotationParams::default())?;
+    let annotation = Annotation::simulate(&assembly, &generator)?;
     println!("annotation: {} genes", annotation.len());
 
     // 3. Build the index ("STAR --runMode genomeGenerate").

@@ -1,8 +1,6 @@
 //! End-to-end integration: genome generation → annotation → index → SRA repository →
 //! prefetch → fasterq-dump → STAR alignment → GeneCounts → DESeq2 normalization.
 //! Exercises every crate boundary the paper's pipeline crosses.
-
-use genomics::annotation::AnnotationParams;
 use genomics::{Annotation, EnsemblGenerator, EnsemblParams, Release};
 use sra_sim::accession::{CatalogParams, LibraryStrategy};
 use sra_sim::{FasterqDump, NetworkModel, SraRepository};
@@ -16,7 +14,7 @@ fn substrate() -> (Arc<genomics::Assembly>, Arc<Annotation>, StarIndex) {
     let generator = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
     let assembly = Arc::new(generator.generate(Release::R111));
     let annotation =
-        Arc::new(Annotation::simulate(&assembly, &generator, &AnnotationParams::default()).unwrap());
+        Arc::new(Annotation::simulate(&assembly, &generator).unwrap());
     let index = StarIndex::build(&assembly, &annotation, &IndexParams::default()).unwrap();
     (assembly, annotation, index)
 }
@@ -155,7 +153,7 @@ fn fasta_export_reimport_builds_equivalent_index() {
     let generator = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
     let assembly = generator.generate(Release::R111);
     let annotation =
-        Annotation::simulate(&assembly, &generator, &AnnotationParams::default()).unwrap();
+        Annotation::simulate(&assembly, &generator).unwrap();
 
     let mut fasta_bytes = Vec::new();
     genomics::fasta::write_fasta(&mut fasta_bytes, &assembly.to_fasta(), 70).unwrap();

@@ -2,8 +2,6 @@
 //! so we can score position accuracy, spliced-alignment correctness, and the
 //! unmappability of technical sequence — the properties the pipeline's
 //! mapping-rate statistics (and hence early stopping) depend on.
-
-use genomics::annotation::AnnotationParams;
 use genomics::simulate::{JunkClass, ReadOrigin};
 use genomics::{
     Annotation, EnsemblGenerator, EnsemblParams, FastqRecord, LibraryType, ReadSimulator,
@@ -23,7 +21,7 @@ fn fixture() -> Fixture {
     let generator = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
     let assembly = generator.generate(Release::R111);
     let annotation =
-        Annotation::simulate(&assembly, &generator, &AnnotationParams::default()).unwrap();
+        Annotation::simulate(&assembly, &generator).unwrap();
     let index = StarIndex::build(&assembly, &annotation, &IndexParams::default()).unwrap();
     Fixture { assembly, annotation, index }
 }

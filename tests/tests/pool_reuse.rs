@@ -3,15 +3,12 @@
 //! One test on purpose: `workers_spawned` counts for the whole process, and
 //! each file under `tests/tests/` is a process of its own, so nothing else can move
 //! the counter between two readings.
-
-use genomics::annotation::AnnotationParams;
 use genomics::pool::workers_spawned;
 use genomics::{
     Annotation, EnsemblGenerator, EnsemblParams, FastqRecord, LibraryType, ReadSimulator, Release,
     SimulatorParams,
 };
 use pseudo_aligner::index::PseudoIndexParams;
-use pseudo_aligner::pseudoalign::PseudoParams;
 use pseudo_aligner::runner::{PseudoRunConfig, PseudoRunner};
 use pseudo_aligner::PseudoIndex;
 use sra_sim::accession::LibraryStrategy;
@@ -25,15 +22,11 @@ fn runners_and_two_pass_mode_reuse_the_pool_workers() {
     let generator = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
     let assembly = generator.generate(Release::R111);
     let annotation =
-        Annotation::simulate(&assembly, &generator, &AnnotationParams::default()).unwrap();
-    // The index knows another annotation's junctions, so the reads' own junctions
-    // are novel and two-pass mode really builds a second-pass index.
-    let other = AnnotationParams {
-        seed: 4242,
-        ..AnnotationParams::default()
-    };
-    let other = Annotation::simulate(&assembly, &generator, &other).unwrap();
-    let index = StarIndex::build(&assembly, &other, &IndexParams::default()).unwrap();
+        Annotation::simulate(&assembly, &generator).unwrap();
+    // The index knows no junctions, so the reads' junctions are novel and two-pass
+    // mode really builds a second-pass index.
+    let index =
+        StarIndex::build(&assembly, &Annotation::default(), &IndexParams::default()).unwrap();
     let reads: Vec<FastqRecord> = ReadSimulator::new(
         &assembly,
         &annotation,
@@ -109,7 +102,7 @@ fn runners_and_two_pass_mode_reuse_the_pool_workers() {
             threads: THREADS,
             ..PseudoRunConfig::default()
         };
-        PseudoRunner::new(&pseudo_index, PseudoParams::default(), config)
+        PseudoRunner::new(&pseudo_index, config)
             .unwrap()
             .run(&reads, None)
             .unwrap();

@@ -186,7 +186,6 @@ proptest! {
 // Alignment properties need a shared index (expensive); build once.
 mod align_props {
     use super::*;
-    use genomics::annotation::AnnotationParams;
     use genomics::{Annotation, EnsemblGenerator, EnsemblParams, Release};
     use star_aligner::align::{Aligner, CigarOp};
     use star_aligner::index::{IndexParams, StarIndex};
@@ -204,7 +203,7 @@ mod align_props {
             let generator = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
             let assembly = generator.generate(Release::R111);
             let annotation =
-                Annotation::simulate(&assembly, &generator, &AnnotationParams::default()).unwrap();
+                Annotation::simulate(&assembly, &generator).unwrap();
             let index = StarIndex::build(&assembly, &annotation, &IndexParams::default()).unwrap();
             Fixture { assembly, index }
         })

@@ -1,7 +1,5 @@
 //! Property-based tests for the later-added modules: paired-end alignment, SAM
 //! rendering, GTF round-tripping, paired archives, and pseudoalignment.
-
-use genomics::annotation::AnnotationParams;
 use genomics::{Annotation, DnaSeq, EnsemblGenerator, EnsemblParams, FastqRecord, Release};
 use proptest::prelude::*;
 use star_aligner::align::Aligner;
@@ -23,7 +21,7 @@ fn fixture() -> &'static Fixture {
         let generator = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
         let assembly = generator.generate(Release::R111);
         let annotation =
-            Annotation::simulate(&assembly, &generator, &AnnotationParams::default()).unwrap();
+            Annotation::simulate(&assembly, &generator).unwrap();
         let index = StarIndex::build(&assembly, &annotation, &IndexParams::default()).unwrap();
         let pseudo = pseudo_aligner::PseudoIndex::build(
             &assembly,
@@ -197,10 +195,7 @@ proptest! {
         let t = gene.transcript(&f.assembly).unwrap();
         let s = start % (t.len() - 100);
         let read = t.subseq(s, s + 100);
-        let aligner = pseudo_aligner::PseudoAligner::new(
-            &f.pseudo,
-            pseudo_aligner::pseudoalign::PseudoParams::default(),
-        );
+        let aligner = pseudo_aligner::PseudoAligner::new(&f.pseudo);
         let fwd = aligner.pseudoalign(&read);
         let rev = aligner.pseudoalign(&read.reverse_complement());
         prop_assert_eq!(fwd.is_mapped(), rev.is_mapped());

@@ -161,15 +161,10 @@ fn checkpointing_cuts_ledger_waste_under_the_same_seeded_burst() {
         burned(&on),
         burned(&off)
     );
-    // The ledger splits the former retry-waste bucket: salvaged seconds are
-    // exactly the report's salvage total, lost stays the retry_waste alias.
+    // The ledger labels the rescued part of the waste: salvaged seconds are
+    // exactly the report's salvage total.
     let on_totals = &on.slo.as_ref().unwrap().totals;
     assert!((on_totals.salvaged_secs - on.salvaged_compute_secs).abs() < 1e-6);
-    assert_eq!(
-        on_totals.lost_secs.to_bits(),
-        on_totals.retry_waste_secs.to_bits(),
-        "lost is the recovery-aware name for retry waste"
-    );
     let off_totals = &off.slo.as_ref().unwrap().totals;
     assert_eq!(off_totals.salvaged_secs, 0.0);
 }
@@ -356,7 +351,7 @@ proptest! {
         prop_assert_eq!(resolved, expect);
         prop_assert!(report.salvaged_compute_secs >= 0.0);
         let totals = &report.slo.as_ref().unwrap().totals;
-        prop_assert!(totals.salvaged_secs >= 0.0 && totals.lost_secs >= 0.0);
+        prop_assert!(totals.salvaged_secs >= 0.0 && totals.retry_waste_secs >= 0.0);
         prop_assert!((totals.salvaged_secs - report.salvaged_compute_secs).abs() < 1e-6);
     }
 

@@ -8,13 +8,11 @@
 //! hardest) and must produce the same values, in the same order.
 
 use atlas_pipeline::{AtlasPipeline, PipelineConfig};
-use genomics::annotation::AnnotationParams;
 use genomics::pool::Pool;
 use genomics::{
     Annotation, Assembly, EnsemblGenerator, EnsemblParams, FastqRecord, LibraryType, ReadSimulator,
     Release, SimulatorParams,
 };
-use pseudo_aligner::pseudoalign::PseudoParams;
 use pseudo_aligner::{PseudoIndex, PseudoIndexParams, PseudoRunConfig, PseudoRunner};
 use sra_sim::accession::{CatalogParams, LibraryStrategy};
 use sra_sim::{FasterqDump, SraArchive, SraRepository};
@@ -39,7 +37,7 @@ fn fixture() -> Fixture {
     let generator = EnsemblGenerator::new(EnsemblParams::tiny()).unwrap();
     let assembly = Arc::new(generator.generate(Release::R111));
     let annotation = Arc::new(
-        Annotation::simulate(&assembly, &generator, &AnnotationParams::default()).unwrap(),
+        Annotation::simulate(&assembly, &generator).unwrap(),
     );
     let index =
         Arc::new(StarIndex::build(&assembly, &annotation, &IndexParams::default()).unwrap());
@@ -246,7 +244,7 @@ fn pseudo_runner_output_is_invariant_to_thread_count() {
             batch_size: 150,
             report_progress,
         };
-        let out = PseudoRunner::new(&index, PseudoParams::default(), config)
+        let out = PseudoRunner::new(&index, config)
             .unwrap()
             .run(reads, Some(&paper_policy))
             .unwrap();
