@@ -55,6 +55,18 @@ if sed '/#\[cfg(test)\]/,$d' crates/star/src/mmp.rs | grep -n 'sa\.full()'; then
     echo "crates/star/src/mmp.rs: a search starts from sa.full() outside #[cfg(test)]" >&2
     exit 1
 fi
+# The index keeps the genome 2-bit packed. A byte-per-base copy (4x the packing) is
+# made once, as the suffix array's input in `StarIndex::build`; every prefix rung
+# reads `Packed2::word_from`. Any other `.unpack()` / `.to_codes()` outside test code
+# under crates/star/src fails here.
+unpacked=$(for f in $(find crates/star/src -name '*.rs' | sort); do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -E '\.(unpack|to_codes)\(' | sed "s|^|$f:|" || true
+done | grep -vxF 'crates/star/src/index.rs:        let sa = SuffixArray::build(&genome.seq().to_codes());' || true)
+if [ -n "$unpacked" ]; then
+    printf '%s\n' "$unpacked" >&2
+    echo "a byte-per-base copy of the genome outside StarIndex::build's suffix-array input" >&2
+    exit 1
+fi
 # What the per-read path asks the allocator for, counted: steady-state alignment, and
 # alignment with a gene assignment, make no call; a whole quant-on run makes as many
 # for 4 000 reads as for 400 (gene counting builds no record and allocates nothing).
@@ -83,11 +95,10 @@ fi
 # `#[cfg(test)]` part of a source file may not read a measured time (`.elapsed_secs`,
 # `.measured_align_secs`, `.actual_secs`, Fig. 3's `.secs_108` / `.secs_111` /
 # `.weighted_speedup`, `Instant::now`) inside an `assert`, directly or through a
-# `let` it binds. The listed files predate the rule; shrink the list, do not grow it.
-measured_time_allowed="crates/atlas/src/pipeline.rs tests/tests/campaign.rs"
+# `let` it binds. There is no allow-list: a test that needs seconds charges modeled
+# ones (`align_secs_per_read`) and asserts on those.
 measured='\.(elapsed_secs|measured_align_secs|actual_secs|secs_108|secs_111|weighted_speedup)\b'
 for f in $(grep -rlE "$measured|Instant::now" --include='*.rs' crates tests examples | sort); do
-    case " $measured_time_allowed " in *" $f "*) continue ;; esac
     case "$f" in */tests/*) test_code=$(cat "$f") ;; *) test_code=$(sed -n '/#\[cfg(test)\]/,$p' "$f") ;; esac
     if printf '%s' "$test_code" | MEASURED="$measured" perl -0777 -ne '
         my $read = qr/$ENV{MEASURED}/;

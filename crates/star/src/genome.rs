@@ -271,12 +271,6 @@ impl PackedGenome {
         &self.seq
     }
 
-    /// Unpack the full genome to byte-per-base codes. Build-time only (suffix
-    /// array + prefix table construction) — 4× the resident footprint.
-    pub fn unpack(&self) -> Vec<u8> {
-        self.seq.to_codes()
-    }
-
     /// The contig span table, in genome order.
     pub fn spans(&self) -> &[ContigSpan] {
         &self.spans

@@ -5,6 +5,14 @@
 //! byte-accurate component sizes, and [`StarIndex::serialize`]/[`StarIndex::deserialize`]
 //! provide the on-disk form whose download-and-load cost the cloud model charges at
 //! instance initialization.
+//!
+//! The genome stays 2-bit packed for the index's whole life. [`StarIndex::build`]
+//! unpacks it once, as the suffix array's input, and drops that copy before the
+//! prefix tables are built; every prefix rung — the serialized base table, the ones
+//! derived below it at load, the deep one built on first use — reads its `d`-mers
+//! from the packing. This module orders the sections and writes all but one: the
+//! base [`PrefixTable`] encodes and validates its own (`encode`/`decode`), so
+//! nothing here knows its bucket layout.
 
 use crate::genome::{ContigSpan, Packed2, PackedGenome};
 use crate::prefix::PrefixTable;
@@ -70,7 +78,7 @@ struct Shared {
     /// `k-1, …, 1` derived from it ([`PrefixTable::ladder`]).
     prefix: Vec<PrefixTable>,
     /// Deeper runtime-only prefix tables for the seed hot path, built lazily on
-    /// first use and cached for the index's lifetime. Not part of the on-disk
+    /// first use from the packed genome and cached for the index's lifetime. Not part of the on-disk
     /// format ([`StarIndex::serialize`] skips it) and excluded from [`IndexStats`].
     deep: OnceLock<Vec<PrefixTable>>,
 }
@@ -90,17 +98,16 @@ impl StarIndex {
         params: &IndexParams,
     ) -> Result<StarIndex, StarError> {
         let genome = PackedGenome::from_assembly(assembly)?;
-        // Construction works on a transient byte-per-base copy (SA-IS wants byte
-        // access); only the 2-bit packing stays resident.
-        let codes = genome.unpack();
-        let sa = SuffixArray::build(&codes);
         let k = params
             .sa_index_nbases
             .unwrap_or_else(|| PrefixTable::auto_k(genome.len(), AUTO_DEPTH_CAP));
         if k == 0 || k > 13 {
             return Err(StarError::InvalidParams(format!("sa_index_nbases {k} not in 1..=13")));
         }
-        let base = PrefixTable::build(&sa, &codes, k);
+        // SA-IS reads a byte per base: that copy lives for this statement only, and
+        // everything after it reads the 2-bit packing.
+        let sa = SuffixArray::build(&genome.seq().to_codes());
+        let base = PrefixTable::build(&sa, genome.seq(), k);
         let sjdb = SpliceJunctionDb::from_annotation(annotation, &genome);
         Ok(StarIndex {
             shared: Shared::new(genome, sa, base),
@@ -142,7 +149,7 @@ impl StarIndex {
     /// ([`PrefixTable::deepen`]).
     pub fn deep_prefix(&self) -> &[PrefixTable] {
         let Shared { genome, sa, prefix, deep } = &*self.shared;
-        deep.get_or_init(|| PrefixTable::deepen(sa, &genome.unpack(), prefix[0].k()))
+        deep.get_or_init(|| PrefixTable::deepen(sa, genome.seq(), prefix[0].k()))
     }
 
     /// Resident bytes of the prefix tables that are not in the serialized index and
@@ -207,15 +214,7 @@ impl StarIndex {
         for &p in sa.positions() {
             push_u32(&mut out, p);
         }
-        // Prefix table.
-        let (starts, ends, k) = self.prefix().raw();
-        push_u32(&mut out, k as u32);
-        for &v in starts {
-            push_u32(&mut out, v);
-        }
-        for &v in ends {
-            push_u32(&mut out, v);
-        }
+        self.prefix().encode(&mut out);
         // Sjdb.
         let js = self.sjdb.sorted();
         push_u64(&mut out, js.len() as u64);
@@ -260,14 +259,9 @@ impl StarIndex {
         let sa_len = r.u64()?;
         let sa_raw = r.array(sa_len, "suffix array length", u32::from_le_bytes)?;
         let sa = SuffixArray::from_raw(sa_raw, genome.len())?;
-        let k = r.u32()? as usize;
-        if k == 0 || k > 13 {
-            return Err(StarError::CorruptIndex(format!("prefix depth {k}")));
-        }
-        let buckets = 1u64 << (2 * k);
-        let starts = r.array(buckets, "prefix depth", u32::from_le_bytes)?;
-        let ends = r.array(buckets, "prefix depth", u32::from_le_bytes)?;
-        let prefix = PrefixTable::from_raw(starts, ends, k, sa.len())?;
+        let mut rest = &bytes[r.pos..];
+        let prefix = PrefixTable::decode(&mut rest, sa.len())?;
+        r.pos = bytes.len() - rest.len();
         let n_j = r.u64()?;
         let n_j = r.count(n_j, 16, "junction count")?;
         let mut pairs = Vec::with_capacity(n_j);

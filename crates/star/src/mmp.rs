@@ -330,8 +330,7 @@ mod tests {
         let text_seq = DnaSeq::random(&mut rng, 5000);
         let text = text_seq.to_string();
         let idx = index_of(&text);
-        let codes = idx.genome().unpack();
-        let deep = PrefixTable::deepen(idx.sa(), &codes, idx.prefix().k());
+        let deep = PrefixTable::deepen(idx.sa(), idx.genome().seq(), idx.prefix().k());
         assert!(!deep.is_empty(), "5kb genome supports a deeper table");
         assert!(deep.iter().all(|t| t.k() > idx.prefix().k()));
         for i in 0..500 {

@@ -4,7 +4,7 @@
 //! prefix length `1..=genomeSAindexNbases` and, when a prefix is flagged absent, steps
 //! down one length: an MMP search never descends the suffix array from its root, and
 //! the step from "absent at depth d+1" to "present at depth d" *is* the answer. Here
-//! that is a contiguous ladder of dense 4^d-entry tables, one per depth
+//! that is a contiguous ladder of dense 4^d-bucket tables, one per depth
 //! `top, top−1, …, 1` ([`crate::mmp::SeedLayers`]). Only depth `k` — the base table —
 //! is part of the serialized index and its size; `k` defaults to a `log4`-of-genome
 //! shape like STAR's `min(14, log2(GenomeLength)/2 - 1)`, with a smaller cap suited to
@@ -12,13 +12,21 @@
 //! index is built or loaded ([`PrefixTable::ladder`], O(4^k)); the depths above it are
 //! built on first use by scanning the suffix array ([`PrefixTable::deepen`]).
 //!
-//! A depth-`d` bucket holds the suffixes of at least `d` bases that start with its
-//! `d`-mer. Shorter suffixes (the last `d-1` genome positions) sort in between bucket
-//! runs; each bucket therefore stores its exact `[start, end)` slot range rather than
-//! deriving the end from the next bucket's start.
+//! A bucket is one [`SaInterval`], addressed by its `d`-mer packed LSB-first — the
+//! value `seq.word_from(pos) & mask` reads from a [`Packed2`], so every rung is built
+//! from the packed genome and probed from a packed read the same way. An empty bucket
+//! is `SaInterval { lo: 0, hi: 0 }`. A depth-`d` bucket holds the suffixes of at least
+//! `d` bases that start with its `d`-mer. Shorter suffixes (the last `d-1` genome
+//! positions) sort in between bucket runs, so each bucket stores its exact interval
+//! rather than deriving its end from the next bucket's start.
+//!
+//! On disk (`PrefixTable::encode`) a table is its depth, every bucket's first slot,
+//! then every bucket's one-past-last slot, with an empty bucket written as
+//! `u32::MAX, 0`: index format version 2, which this layout must keep.
 
 use crate::genome::Packed2;
 use crate::sa::{SaInterval, SuffixArray};
+use crate::StarError;
 
 /// Rungs [`PrefixTable::deepen`] builds above the base table. Measured, not assumed
 /// (EXPERIMENTS.md, "Ladder depth: the verdict"): with no rung above `k` seeding is
@@ -27,14 +35,16 @@ use crate::sa::{SaInterval, SuffixArray};
 /// alternating pairs against `k+1` on either release.
 const DEEP_RUNGS: usize = 1;
 
-/// Dense k-mer → SA-interval table.
+/// The bucket of a `d`-mer no suffix starts with.
+const EMPTY: SaInterval = SaInterval { lo: 0, hi: 0 };
+
+/// Dense `k`-mer → SA-interval table: one rung of the ladder.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PrefixTable {
     k: usize,
-    /// Per-bucket first SA slot; `u32::MAX` marks an empty bucket.
-    starts: Vec<u32>,
-    /// Per-bucket one-past-last SA slot (0 for empty buckets).
-    ends: Vec<u32>,
+    /// Bucket `m` is the interval of the suffixes that start with the `k`-mer whose
+    /// LSB-first packed value is `m`; `EMPTY` when there are none.
+    buckets: Vec<SaInterval>,
 }
 
 impl PrefixTable {
@@ -45,45 +55,27 @@ impl PrefixTable {
         (k.max(4) as usize).min(cap.max(4))
     }
 
-    /// Build the table by a single scan over the suffix array.
-    ///
-    /// The k-mer at every genome position is precomputed with one rolling pass
-    /// (`kmers[i] = codes[i] | kmers[i+1] · 4`, truncated to `2k` bits), so the SA
-    /// scan does one table lookup per suffix instead of re-packing `k` bases —
-    /// O(n) total rather than O(nk).
-    pub fn build(sa: &SuffixArray, codes: &[u8], k: usize) -> PrefixTable {
+    /// Build the depth-`k` table by a single scan over the suffix array: each suffix
+    /// of at least `k` bases lands in the bucket its first `k` bases address, read
+    /// from the packed genome in one word (`seq.word_from(pos) & mask`). O(n), and
+    /// nothing is allocated but the buckets.
+    pub fn build(sa: &SuffixArray, seq: &Packed2, k: usize) -> PrefixTable {
         assert!((1..=13).contains(&k), "prefix depth {k} unsupported");
-        let buckets = 1usize << (2 * k);
-        let mask = (buckets - 1) as u32;
-        let mut starts = vec![u32::MAX; buckets];
-        let mut ends = vec![0u32; buckets];
-        let n = codes.len();
-        let mut kmers: Vec<u32> = Vec::new();
-        if n >= k {
-            kmers = vec![0u32; n - k + 1];
-            let last = n - k;
-            kmers[last] = kmer_value(&codes[last..last + k]) as u32;
-            for i in (0..last).rev() {
-                kmers[i] = ((kmers[i + 1] << 2) | codes[i] as u32) & mask;
-            }
-        }
-        for (slot, &pos) in sa.positions().iter().enumerate() {
+        let mask = (1u64 << (2 * k)) - 1;
+        let mut buckets = vec![EMPTY; 1 << (2 * k)];
+        for (slot, &pos) in (0u32..).zip(sa.positions()) {
             let pos = pos as usize;
-            if pos >= kmers.len() {
+            if pos + k > seq.len() {
                 continue; // suffix too short to be addressable through the table
             }
-            let m = kmers[pos] as usize;
-            let slot = slot as u32;
-            if starts[m] == u32::MAX {
-                starts[m] = slot;
+            let bucket = &mut buckets[(seq.word_from(pos) & mask) as usize];
+            debug_assert!(bucket.is_empty() || bucket.hi == slot, "bucket not contiguous in the suffix array");
+            if bucket.is_empty() {
+                bucket.lo = slot;
             }
-            debug_assert!(
-                ends[m] == 0 || ends[m] == slot,
-                "bucket {m} not contiguous in the suffix array"
-            );
-            ends[m] = slot + 1;
+            bucket.hi = slot + 1;
         }
-        PrefixTable { k, starts, ends }
+        PrefixTable { k, buckets }
     }
 
     /// The table depth `k`.
@@ -92,27 +84,12 @@ impl PrefixTable {
         self.k
     }
 
-    /// SA interval of suffixes starting with the `k`-mer at the front of `pattern`.
-    /// Returns `None` when `pattern` is shorter than `k` (a shallower rung of the
-    /// ladder answers then).
-    #[inline]
-    pub fn lookup(&self, pattern: &[u8]) -> Option<SaInterval> {
-        if pattern.len() < self.k {
-            return None;
-        }
-        Some(self.lookup_value(kmer_value(&pattern[..self.k])))
-    }
-
     /// SA interval for an LSB-first-packed `k`-mer value — the O(1) probe the
     /// packed hot path uses: `seq.word_from(p) & ((1 << 2k) - 1)` *is* the value.
     /// The caller guarantees at least `k` bases remain at the probe position.
     #[inline]
     pub fn lookup_value(&self, m: usize) -> SaInterval {
-        let lo = self.starts[m];
-        if lo == u32::MAX {
-            return SaInterval { lo: 0, hi: 0 };
-        }
-        SaInterval { lo, hi: self.ends[m] }
+        self.buckets[m]
     }
 
     /// The rungs of the ladder below this (base) table, derived from it: returns
@@ -126,33 +103,32 @@ impl PrefixTable {
     pub fn ladder(self, sa: &SuffixArray, seq: &Packed2) -> Vec<PrefixTable> {
         let mut rungs = vec![self];
         for d in (1..rungs[0].k).rev() {
-            let deeper = rungs.last().expect("starts non-empty");
-            let buckets = 1usize << (2 * d);
-            let mut starts = vec![u32::MAX; buckets];
-            let mut ends = vec![0u32; buckets];
-            for (m, (&s, &e)) in deeper.starts.iter().zip(&deeper.ends).enumerate() {
-                if s != u32::MAX {
-                    let parent = m & (buckets - 1);
-                    starts[parent] = starts[parent].min(s);
-                    ends[parent] = ends[parent].max(e);
-                }
+            let deeper = &rungs.last().expect("starts non-empty").buckets;
+            let mask = (1usize << (2 * d)) - 1;
+            let mut buckets = vec![EMPTY; mask + 1];
+            for (m, iv) in deeper.iter().enumerate().filter(|(_, iv)| !iv.is_empty()) {
+                let parent = &mut buckets[m & mask];
+                *parent = if parent.is_empty() {
+                    *iv
+                } else {
+                    SaInterval { lo: parent.lo.min(iv.lo), hi: parent.hi.max(iv.hi) }
+                };
             }
             if let Some(at) = seq.len().checked_sub(d) {
                 let tail: Vec<u8> = (at..seq.len()).map(|i| seq.get(i)).collect();
-                let bucket = sa.find(seq, &tail);
-                if !bucket.is_empty() {
-                    let m = kmer_value(&tail);
-                    debug_assert!(starts[m] == u32::MAX || (starts[m], ends[m]) == (bucket.lo + 1, bucket.hi));
-                    (starts[m], ends[m]) = (bucket.lo, bucket.hi);
-                }
+                let bucket = &mut buckets[seq.word_from(at) as usize & mask];
+                let with_tail = sa.find(seq, &tail);
+                debug_assert!(bucket.is_empty() || (bucket.lo - 1, bucket.hi) == (with_tail.lo, with_tail.hi));
+                *bucket = with_tail;
             }
-            rungs.push(PrefixTable { k: d, starts, ends });
+            rungs.push(PrefixTable { k: d, buckets });
         }
         rungs
     }
 
     /// The rungs of the ladder above the base table, deepest first: depths
-    /// `top, …, base_k + 1`, contiguous, each built by one scan of the suffix array.
+    /// `top, …, base_k + 1`, contiguous, each built by one scan of the suffix array
+    /// over the packed genome `seq`.
     ///
     /// A `d`-mer bucket is exactly the interval that refinement from the root reaches
     /// at depth `d`, so no rung changes a search result. What a deep rung buys is the
@@ -164,10 +140,10 @@ impl PrefixTable {
     /// These tables are runtime-only: built on the first [`crate::align::Aligner::new`]
     /// over an index and never serialized, so index files and their digests are
     /// unaffected.
-    pub fn deepen(sa: &SuffixArray, codes: &[u8], base_k: usize) -> Vec<PrefixTable> {
+    pub fn deepen(sa: &SuffixArray, seq: &Packed2, base_k: usize) -> Vec<PrefixTable> {
         let mut rungs: Vec<PrefixTable> = (base_k + 1..=(base_k + DEEP_RUNGS).min(13))
-            .take_while(|&d| (1usize << (2 * d)) <= 4 * codes.len())
-            .map(|d| PrefixTable::build(sa, codes, d))
+            .take_while(|&d| (1usize << (2 * d)) <= 4 * seq.len())
+            .map(|d| PrefixTable::build(sa, seq, d))
             .collect();
         rungs.reverse();
         rungs
@@ -175,64 +151,79 @@ impl PrefixTable {
 
     /// Bytes of memory/disk the table occupies.
     pub fn byte_size(&self) -> usize {
-        (self.starts.len() + self.ends.len()) * std::mem::size_of::<u32>()
+        self.buckets.len() * std::mem::size_of::<SaInterval>()
     }
 
-    /// Raw parts for serialization.
-    pub(crate) fn raw(&self) -> (&[u32], &[u32], usize) {
-        (&self.starts, &self.ends, self.k)
-    }
-
-    /// Rebuild from serialized parts.
-    pub(crate) fn from_raw(
-        starts: Vec<u32>,
-        ends: Vec<u32>,
-        k: usize,
-        sa_len: usize,
-    ) -> Result<PrefixTable, crate::StarError> {
-        if k == 0 || k > 13 || starts.len() != 1usize << (2 * k) || ends.len() != starts.len() {
-            return Err(crate::StarError::CorruptIndex("prefix table shape mismatch".into()));
+    /// Append the serialized table: the depth, every bucket's first slot, then every
+    /// bucket's one-past-last slot, little-endian `u32`s; an empty bucket is
+    /// `u32::MAX, 0`.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.k as u32).to_le_bytes());
+        let stored = |iv: &SaInterval| if iv.is_empty() { (u32::MAX, 0) } else { (iv.lo, iv.hi) };
+        for iv in &self.buckets {
+            out.extend_from_slice(&stored(iv).0.to_le_bytes());
         }
-        for (m, (&s, &e)) in starts.iter().zip(&ends).enumerate() {
-            if s == u32::MAX {
-                if e != 0 {
-                    return Err(crate::StarError::CorruptIndex(format!("bucket {m}: empty start, end {e}")));
-                }
-            } else if s >= e || e as usize > sa_len {
-                return Err(crate::StarError::CorruptIndex(format!("bucket {m}: bad range {s}..{e}")));
-            }
+        for iv in &self.buckets {
+            out.extend_from_slice(&stored(iv).1.to_le_bytes());
         }
-        Ok(PrefixTable { k, starts, ends })
     }
-}
 
-/// Pack 2-bit codes into an integer, LSB-first (base `i` at bits `2i`) — the same
-/// layout [`crate::genome::Packed2::word_from`] produces, so a packed read yields
-/// probe values in O(1). Bucket addressing only needs a bijection k-mer↔index: each bucket's SA
-/// slots are contiguous because they share a k-base prefix, regardless of how the
-/// buckets themselves are numbered.
-#[inline]
-pub(crate) fn kmer_value(codes: &[u8]) -> usize {
-    let mut v = 0usize;
-    for (i, &c) in codes.iter().enumerate() {
-        v |= (c as usize) << (2 * i);
+    /// Decode a table `encode` wrote from the front of `input`, and
+    /// advance `input` past it. Every bucket is validated against a suffix array of
+    /// `sa_len` slots, and the buckets are the only allocation.
+    pub(crate) fn decode(input: &mut &[u8], sa_len: usize) -> Result<PrefixTable, StarError> {
+        let truncated = || StarError::CorruptIndex("prefix table runs past the end of the blob".into());
+        let (k, rest) = input.split_first_chunk::<4>().ok_or_else(truncated)?;
+        let k = u32::from_le_bytes(*k) as usize;
+        if k == 0 || k > 13 {
+            return Err(StarError::CorruptIndex(format!("prefix depth {k}")));
+        }
+        let n = 1usize << (2 * k);
+        if rest.len() < 8 * n {
+            return Err(truncated());
+        }
+        let (starts, rest) = rest.split_at(4 * n);
+        let (ends, rest) = rest.split_at(4 * n);
+        let slot = |bytes: &[u8]| u32::from_le_bytes(bytes.try_into().expect("4 bytes"));
+        let mut buckets = Vec::with_capacity(n);
+        for (m, (s, e)) in starts.chunks_exact(4).zip(ends.chunks_exact(4)).enumerate() {
+            buckets.push(match (slot(s), slot(e)) {
+                (u32::MAX, 0) => EMPTY,
+                (u32::MAX, e) => return Err(StarError::CorruptIndex(format!("bucket {m}: empty start, end {e}"))),
+                (lo, hi) if lo < hi && hi as usize <= sa_len => SaInterval { lo, hi },
+                (lo, hi) => return Err(StarError::CorruptIndex(format!("bucket {m}: bad range {lo}..{hi}"))),
+            });
+        }
+        *input = rest;
+        Ok(PrefixTable { k, buckets })
     }
-    v
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::genome::Packed2;
     use genomics::DnaSeq;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Pack 2-bit codes LSB-first (base `i` at bits `2i`): the bucket address
+    /// [`Packed2::word_from`] yields for the same bases.
+    fn kmer_value(codes: &[u8]) -> usize {
+        codes.iter().enumerate().map(|(i, &c)| (c as usize) << (2 * i)).sum()
+    }
+
+    /// The bucket of the `k`-mer at the front of `pattern`; `None` when `pattern` is
+    /// shorter than the table's depth.
+    fn lookup(table: &PrefixTable, pattern: &[u8]) -> Option<SaInterval> {
+        let d = table.k();
+        (pattern.len() >= d).then(|| table.lookup_value(kmer_value(&pattern[..d])))
+    }
+
     /// Every rung of the whole ladder over `codes` around a depth-`k` base table:
     /// scanned above the base, derived below it, deepest first.
-    fn whole_ladder(sa: &SuffixArray, codes: &[u8], k: usize) -> Vec<PrefixTable> {
-        let mut rungs = PrefixTable::deepen(sa, codes, k);
-        rungs.extend(PrefixTable::build(sa, codes, k).ladder(sa, &Packed2::from_codes(codes)));
+    fn whole_ladder(sa: &SuffixArray, seq: &Packed2, k: usize) -> Vec<PrefixTable> {
+        let mut rungs = PrefixTable::deepen(sa, seq, k);
+        rungs.extend(PrefixTable::build(sa, seq, k).ladder(sa, seq));
         assert!(rungs.iter().map(|t| t.k()).eq((1..=rungs.len()).rev()), "contiguous down to depth 1");
         rungs
     }
@@ -241,16 +232,16 @@ mod tests {
     fn assert_ladder_agrees_with_find(codes: &[u8], k: usize) {
         let packed = Packed2::from_codes(codes);
         let sa = SuffixArray::build(codes);
-        for table in whole_ladder(&sa, codes, k) {
+        for table in whole_ladder(&sa, &packed, k) {
             let d = table.k();
             for m in 0..(1usize << (2 * d)) {
                 // LSB-first decode, mirroring kmer_value's packing.
                 let pattern: Vec<u8> = (0..d).map(|i| ((m >> (2 * i)) & 0b11) as u8).collect();
-                let via_table = table.lookup(&pattern).unwrap();
+                let via_table = lookup(&table, &pattern).unwrap();
                 assert_eq!(via_table, table.lookup_value(m), "depth {d}, value probe {m:#b}");
                 let via_find = sa.find(&packed, &pattern);
                 if via_find.is_empty() {
-                    assert!(via_table.is_empty(), "depth {d}, k-mer {m:#b}");
+                    assert_eq!(via_table, EMPTY, "depth {d}, k-mer {m:#b}");
                 } else {
                     assert_eq!(via_table, via_find, "depth {d}, k-mer {m:#b}");
                 }
@@ -263,7 +254,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let s = DnaSeq::random(&mut rng, 2000);
         let sa = SuffixArray::build(s.codes());
-        assert_eq!(whole_ladder(&sa, s.codes(), 4).len(), 5, "one scanned rung above the base");
+        assert_eq!(whole_ladder(&sa, &Packed2::from_codes(s.codes()), 4).len(), 5, "one scanned rung above the base");
         assert_ladder_agrees_with_find(s.codes(), 4);
     }
 
@@ -271,12 +262,12 @@ mod tests {
     fn short_suffixes_do_not_leak_into_buckets() {
         // Craft a text whose final short suffixes sort between bucket runs.
         let s: DnaSeq = "CACGTC".parse().unwrap(); // suffixes include "C", "TC" (short for k=3)
-        let sa = SuffixArray::build(s.codes());
-        let t = PrefixTable::build(&sa, s.codes(), 3);
+        let (sa, packed) = (SuffixArray::build(s.codes()), Packed2::from_codes(s.codes()));
+        let t = PrefixTable::build(&sa, &packed, 3);
         for pat_str in ["CAC", "ACG", "CGT", "GTC", "CCC", "TCA"] {
             let pat: DnaSeq = pat_str.parse().unwrap();
-            let via_table = t.lookup(pat.codes()).unwrap();
-            let via_find = sa.find(&Packed2::from_codes(s.codes()), pat.codes());
+            let via_table = lookup(&t, pat.codes()).unwrap();
+            let via_find = sa.find(&packed, pat.codes());
             if via_find.is_empty() {
                 assert!(via_table.is_empty(), "{pat_str}");
             } else {
@@ -303,15 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn short_pattern_returns_none() {
-        let s: DnaSeq = "ACGTACGTACGTACGT".parse().unwrap();
-        let sa = SuffixArray::build(s.codes());
-        let table = PrefixTable::build(&sa, s.codes(), 4);
-        assert!(table.lookup(&[0, 1]).is_none());
-        assert!(table.lookup(&[0, 1, 2, 3]).is_some());
-    }
-
-    #[test]
     fn auto_k_scales_with_genome_and_respects_cap() {
         assert_eq!(PrefixTable::auto_k(0, 12), 4);
         let k_small = PrefixTable::auto_k(10_000, 12);
@@ -324,37 +306,51 @@ mod tests {
     #[test]
     fn byte_size_counts_both_arrays() {
         let s: DnaSeq = "ACGTACGTACGT".parse().unwrap();
-        let sa = SuffixArray::build(s.codes());
-        let t = PrefixTable::build(&sa, s.codes(), 4);
+        let t = PrefixTable::build(&SuffixArray::build(s.codes()), &Packed2::from_codes(s.codes()), 4);
+        // A first and a one-past-last slot per bucket: the two sections on disk.
         assert_eq!(t.byte_size(), 2 * 256 * 4);
+        let mut blob = Vec::new();
+        t.encode(&mut blob);
+        assert_eq!(blob.len(), 4 + t.byte_size());
     }
 
     #[test]
-    fn from_raw_validates() {
+    fn encode_decode_validates() {
         let s: DnaSeq = "ACGTACGT".parse().unwrap();
         let sa = SuffixArray::build(s.codes());
-        let t = PrefixTable::build(&sa, s.codes(), 4);
-        let (starts, ends, k) = t.raw();
-        assert!(PrefixTable::from_raw(starts.to_vec(), ends.to_vec(), k, sa.len()).is_ok());
-        assert!(PrefixTable::from_raw(starts.to_vec(), ends.to_vec(), 3, sa.len()).is_err());
+        let t = PrefixTable::build(&sa, &Packed2::from_codes(s.codes()), 4);
+        let mut blob = Vec::new();
+        t.encode(&mut blob);
+        blob.push(0xAB); // what follows the table in the index
+        let decode = |bytes: &[u8]| PrefixTable::decode(&mut &bytes[..], sa.len());
+        let mut rest = &blob[..];
+        assert_eq!(PrefixTable::decode(&mut rest, sa.len()).unwrap(), t);
+        assert_eq!(rest, [0xAB], "decode stops at the table's end");
+        // A depth the sections are too short for.
+        let mut bad = blob.clone();
+        bad[..4].copy_from_slice(&5u32.to_le_bytes());
+        assert!(decode(&bad).is_err());
+        let (starts, ends) = (4, 4 + 256 * 4);
+        let slot_at = |bytes: &[u8], at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
         // Empty bucket with nonzero end.
-        let mut bad_ends = ends.to_vec();
-        let empty_m = starts.iter().position(|&s| s == u32::MAX).unwrap();
-        bad_ends[empty_m] = 1;
-        assert!(PrefixTable::from_raw(starts.to_vec(), bad_ends, k, sa.len()).is_err());
+        let empty_m = (0..256).find(|&m| t.lookup_value(m).is_empty()).unwrap();
+        assert_eq!(slot_at(&blob, starts + 4 * empty_m), u32::MAX, "an empty bucket's stored start");
+        let mut bad = blob.clone();
+        bad[ends + 4 * empty_m..][..4].copy_from_slice(&1u32.to_le_bytes());
+        assert!(decode(&bad).is_err());
         // Range beyond SA.
-        let full_m = starts.iter().position(|&s| s != u32::MAX).unwrap();
-        let mut bad_ends = ends.to_vec();
-        bad_ends[full_m] = sa.len() as u32 + 5;
-        assert!(PrefixTable::from_raw(starts.to_vec(), bad_ends, k, sa.len()).is_err());
+        let full_m = (0..256).find(|&m| !t.lookup_value(m).is_empty()).unwrap();
+        let mut bad = blob.clone();
+        bad[ends + 4 * full_m..][..4].copy_from_slice(&(sa.len() as u32 + 5).to_le_bytes());
+        assert!(decode(&bad).is_err());
     }
 
     #[test]
     fn homopolymer_buckets_match_find() {
         let codes = vec![0u8; 64];
-        let sa = SuffixArray::build(&codes);
-        let t = PrefixTable::build(&sa, &codes, 4);
+        let (sa, packed) = (SuffixArray::build(&codes), Packed2::from_codes(&codes));
+        let t = PrefixTable::build(&sa, &packed, 4);
         let pattern = vec![0u8; 4];
-        assert_eq!(t.lookup(&pattern).unwrap(), sa.find(&Packed2::from_codes(&codes), &pattern));
+        assert_eq!(lookup(&t, &pattern).unwrap(), sa.find(&packed, &pattern));
     }
 }

@@ -64,9 +64,9 @@ impl SuffixArray {
         let mut text: Vec<u32> = Vec::with_capacity(n + 1);
         text.extend(codes.iter().map(|&c| c as u32 + 1));
         text.push(0);
-        let full = sa_is(&text, 5);
-        debug_assert_eq!(full[0] as usize, n, "sentinel suffix must sort first");
-        let sa = full[1..].to_vec();
+        let mut sa = sa_is(&text, 5);
+        let sentinel = sa.remove(0);
+        debug_assert_eq!(sentinel as usize, n, "sentinel suffix must sort first");
         SuffixArray { sa }
     }
 
