@@ -78,8 +78,9 @@ struct Shared {
     /// `k-1, …, 1` derived from it ([`PrefixTable::ladder`]).
     prefix: Vec<PrefixTable>,
     /// Deeper runtime-only prefix tables for the seed hot path, built lazily on
-    /// first use from the packed genome and cached for the index's lifetime. Not part of the on-disk
-    /// format ([`StarIndex::serialize`] skips it) and excluded from [`IndexStats`].
+    /// first use from the packed genome and cached for the index's lifetime. Not
+    /// part of the on-disk format ([`StarIndex::serialize`] skips it) and excluded
+    /// from [`IndexStats`].
     deep: OnceLock<Vec<PrefixTable>>,
 }
 

@@ -69,7 +69,7 @@ impl PrefixTable {
                 continue; // suffix too short to be addressable through the table
             }
             let bucket = &mut buckets[(seq.word_from(pos) & mask) as usize];
-            debug_assert!(bucket.is_empty() || bucket.hi == slot, "bucket not contiguous in the suffix array");
+            debug_assert!(bucket.is_empty() || bucket.hi == slot, "bucket not contiguous in the SA");
             if bucket.is_empty() {
                 bucket.lo = slot;
             }
@@ -189,7 +189,6 @@ impl PrefixTable {
         for (m, (s, e)) in starts.chunks_exact(4).zip(ends.chunks_exact(4)).enumerate() {
             buckets.push(match (slot(s), slot(e)) {
                 (u32::MAX, 0) => EMPTY,
-                (u32::MAX, e) => return Err(StarError::CorruptIndex(format!("bucket {m}: empty start, end {e}"))),
                 (lo, hi) if lo < hi && hi as usize <= sa_len => SaInterval { lo, hi },
                 (lo, hi) => return Err(StarError::CorruptIndex(format!("bucket {m}: bad range {lo}..{hi}"))),
             });
