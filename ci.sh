@@ -67,6 +67,13 @@ if [ -n "$unpacked" ]; then
     echo "a byte-per-base copy of the genome outside StarIndex::build's suffix-array input" >&2
     exit 1
 fi
+# The paper experiments share one substrate (both assemblies and indexes): the caller
+# builds it, the `experiments` binary once per run, and passes it in. An experiment
+# function that builds its own would rebuild both indexes per experiment.
+if sed '/#\[cfg(test)\]/,$d' crates/atlas/src/experiments.rs | grep -n 'Substrate::build('; then
+    echo "crates/atlas/src/experiments.rs: an experiment builds its own Substrate outside #[cfg(test)]" >&2
+    exit 1
+fi
 # What the per-read path asks the allocator for, counted: steady-state alignment, and
 # alignment with a gene assignment, make no call; a whole quant-on run makes as many
 # for 4 000 reads as for 400 (gene counting builds no record and allocates nothing).

@@ -1,9 +1,11 @@
 //! Regeneration code for every figure and table in the paper's evaluation.
 //!
-//! Each experiment is a pure function from a scalable config to a structured result;
-//! the `atlas-bench` crate's `experiments` binary prints them as tables
-//! (EXPERIMENTS.md records paper-vs-measured). Tests run the same functions at
-//! reduced scale, so the experiment logic itself is covered by the suite.
+//! Each experiment is a function from a [`Substrate`] (the two assemblies, the
+//! annotation and both indexes, built once by the caller) and a scalable config to a
+//! structured result. Each config's `Default` is the paper scale; the `atlas-bench`
+//! crate's `experiments` binary runs it and prints the tables (EXPERIMENTS.md records
+//! paper-vs-measured). Tests run the same functions at reduced scale, so the
+//! experiment logic itself is covered by the suite.
 //!
 //! | Function | Paper artifact |
 //! |---|---|
@@ -91,6 +93,21 @@ impl Substrate {
     }
 }
 
+/// The catalog `params` generates, served from the release-111 assembly, with at
+/// most `spot_cap` reads simulated per accession.
+fn repository(
+    sub: &Substrate,
+    params: &CatalogParams,
+    spot_cap: Option<u64>,
+) -> Result<SraRepository, AtlasError> {
+    let catalog = params.generate()?;
+    let repo = SraRepository::new(Arc::clone(&sub.asm_111), Arc::clone(&sub.annotation), catalog);
+    Ok(match spot_cap {
+        Some(cap) => repo.with_spot_cap(cap),
+        None => repo,
+    })
+}
+
 // ---------------------------------------------------------------------------
 // E1 / Fig. 3
 // ---------------------------------------------------------------------------
@@ -98,8 +115,6 @@ impl Substrate {
 /// Configuration for the Fig. 3 experiment.
 #[derive(Clone, Debug)]
 pub struct Fig3Config {
-    /// Assembly generator parameters.
-    pub ensembl: EnsemblParams,
     /// Number of FASTQ files (paper: 49).
     pub n_files: usize,
     /// Median reads per file (log-normal around this; paper files average 15.9 GiB).
@@ -115,7 +130,6 @@ pub struct Fig3Config {
 impl Default for Fig3Config {
     fn default() -> Self {
         Fig3Config {
-            ensembl: EnsemblParams::default(),
             n_files: 49,
             reads_median: 4_000,
             reads_sigma: 0.5,
@@ -177,8 +191,7 @@ pub struct Fig3Result {
 /// Regenerate Fig. 3: align the same FASTQ set against both indices and compare
 /// execution times. Both releases run with the Atlas's align parameters
 /// ([`PipelineConfig::default`]), so the mapping-rate comparison is like for like.
-pub fn fig3_genome_release(config: &Fig3Config) -> Result<Fig3Result, AtlasError> {
-    let sub = Substrate::build(config.ensembl.clone())?;
+pub fn fig3_genome_release(sub: &Substrate, config: &Fig3Config) -> Result<Fig3Result, AtlasError> {
     let run_config = RunConfig {
         threads: config.threads,
         batch_size: 2_000,
@@ -320,8 +333,7 @@ pub struct IndexComparison {
 }
 
 /// Regenerate the §III-A configuration table.
-pub fn index_comparison(params: EnsemblParams) -> Result<IndexComparison, AtlasError> {
-    let sub = Substrate::build(params)?;
+pub fn index_comparison(sub: &Substrate) -> Result<IndexComparison, AtlasError> {
     let s108 = sub.index_108.stats();
     let s111 = sub.index_111.stats();
     let scale = sub.human_scale();
@@ -345,9 +357,6 @@ pub fn index_comparison(params: EnsemblParams) -> Result<IndexComparison, AtlasE
 /// Configuration for the Fig. 4 experiment.
 #[derive(Clone, Debug)]
 pub struct Fig4Config {
-    /// Assembly generator parameters (release 111 is used, as the optimized
-    /// pipeline would).
-    pub ensembl: EnsemblParams,
     /// Catalog shape (paper: 1000 accessions, 3.8 % single-cell).
     pub catalog: CatalogParams,
     /// Cap on generated reads per accession (experiment scaling).
@@ -359,9 +368,8 @@ pub struct Fig4Config {
 impl Default for Fig4Config {
     fn default() -> Self {
         Fig4Config {
-            ensembl: EnsemblParams::default(),
             catalog: CatalogParams::default(),
-            spot_cap: Some(4_000),
+            spot_cap: Some(3_000),
             threads: 4,
         }
     }
@@ -404,16 +412,11 @@ impl Fig4Result {
     }
 }
 
-/// Regenerate Fig. 4: run the pipeline (alignment stage) over the catalog with the
-/// paper's early-stopping policy ([`EarlyStopPolicy::default`]) and account the savings.
-pub fn fig4_early_stopping(config: &Fig4Config) -> Result<Fig4Result, AtlasError> {
-    let sub = Substrate::build(config.ensembl.clone())?;
-    let catalog = config.catalog.generate()?;
-    let mut repo =
-        SraRepository::new(Arc::clone(&sub.asm_111), Arc::clone(&sub.annotation), catalog.clone());
-    if let Some(cap) = config.spot_cap {
-        repo = repo.with_spot_cap(cap);
-    }
+/// Regenerate Fig. 4: run the pipeline (alignment stage) over the catalog on the
+/// release-111 index, as the optimized pipeline would, with the paper's
+/// early-stopping policy ([`EarlyStopPolicy::default`]) and account the savings.
+pub fn fig4_early_stopping(sub: &Substrate, config: &Fig4Config) -> Result<Fig4Result, AtlasError> {
+    let repo = repository(sub, &config.catalog, config.spot_cap)?;
     let mut pc = PipelineConfig::default();
     pc.run_config.threads = config.threads;
     pc.run_config.batch_size = 500;
@@ -421,14 +424,15 @@ pub fn fig4_early_stopping(config: &Fig4Config) -> Result<Fig4Result, AtlasError
     let pipeline =
         AtlasPipeline::new(Arc::new(repo), Arc::clone(&sub.index_111), Arc::clone(&sub.annotation), pc)?;
 
-    let mut runs = Vec::with_capacity(catalog.len());
+    let ids = pipeline.repository().ids();
+    let mut runs = Vec::with_capacity(ids.len());
     let mut summary = SavingsSummary::default();
-    for meta in &catalog {
-        let r = pipeline.run_accession(&meta.id)?;
+    for accession in ids {
+        let r = pipeline.run_accession(&accession)?;
         summary.add(&r.early_stop);
         runs.push(Fig4Run {
-            accession: meta.id.clone(),
-            strategy: meta.strategy,
+            accession,
+            strategy: r.strategy,
             stopped: r.early_stopped(),
             actual_secs: r.early_stop.actual_secs,
             projected_secs: r.early_stop.projected_full_secs,
@@ -445,8 +449,6 @@ pub fn fig4_early_stopping(config: &Fig4Config) -> Result<Fig4Result, AtlasError
 /// Configuration for the checkpoint analysis.
 #[derive(Clone, Debug)]
 pub struct CheckpointAnalysisConfig {
-    /// Assembly generator parameters.
-    pub ensembl: EnsemblParams,
     /// Catalog to record traces over (the paper used 1000 progress files).
     pub catalog: CatalogParams,
     /// Cap on generated reads per accession.
@@ -456,7 +458,6 @@ pub struct CheckpointAnalysisConfig {
 impl Default for CheckpointAnalysisConfig {
     fn default() -> Self {
         CheckpointAnalysisConfig {
-            ensembl: EnsemblParams::default(),
             catalog: CatalogParams { n_accessions: 200, ..CatalogParams::default() },
             spot_cap: Some(2_000),
         }
@@ -470,15 +471,10 @@ pub const CHECKPOINT_FRACTIONS: [f64; 6] = [0.02, 0.05, 0.10, 0.20, 0.30, 0.50];
 /// catalog and replay every one of [`CHECKPOINT_FRACTIONS`] at the paper's
 /// mapping-rate threshold ([`EarlyStopPolicy::default`]).
 pub fn checkpoint_analysis(
+    sub: &Substrate,
     config: &CheckpointAnalysisConfig,
 ) -> Result<crate::analysis::CheckpointAnalysis, AtlasError> {
-    let sub = Substrate::build(config.ensembl.clone())?;
-    let catalog = config.catalog.generate()?;
-    let mut repo =
-        SraRepository::new(Arc::clone(&sub.asm_111), Arc::clone(&sub.annotation), catalog);
-    if let Some(cap) = config.spot_cap {
-        repo = repo.with_spot_cap(cap);
-    }
+    let repo = repository(sub, &config.catalog, config.spot_cap)?;
     let mut pc = PipelineConfig { early_stop: None, ..PipelineConfig::default() };
     pc.run_config.quant = false;
     let pipeline =
@@ -495,8 +491,6 @@ pub fn checkpoint_analysis(
 /// Configuration for the cloud-campaign experiment.
 #[derive(Clone, Debug)]
 pub struct CampaignExperimentConfig {
-    /// Assembly generator parameters.
-    pub ensembl: EnsemblParams,
     /// Catalog shape.
     pub catalog: CatalogParams,
     /// Cap on generated reads per accession.
@@ -510,9 +504,8 @@ pub struct CampaignExperimentConfig {
 impl Default for CampaignExperimentConfig {
     fn default() -> Self {
         CampaignExperimentConfig {
-            ensembl: EnsemblParams::default(),
-            catalog: CatalogParams { n_accessions: 100, ..CatalogParams::default() },
-            spot_cap: Some(1_500),
+            catalog: CatalogParams { n_accessions: 200, ..CatalogParams::default() },
+            spot_cap: Some(2_000),
             release: Release::R111,
             interruptions_per_hour: 0.2,
         }
@@ -523,9 +516,9 @@ impl Default for CampaignExperimentConfig {
 /// instance type the right-sizer picked. Instance init and sizing charge the
 /// paper-scale index bytes (85 / 29.5 GiB), not the synthetic index's.
 pub fn cloud_campaign(
+    sub: &Substrate,
     config: &CampaignExperimentConfig,
 ) -> Result<(CampaignReport, String), AtlasError> {
-    let sub = Substrate::build(config.ensembl.clone())?;
     let index = match config.release {
         Release::R108 => Arc::clone(&sub.index_108),
         _ => Arc::clone(&sub.index_111),
@@ -535,17 +528,8 @@ pub fn cloud_campaign(
     let itype = sizer
         .choose()
         .ok_or_else(|| AtlasError::InvalidParams("no instance type fits the index".into()))?;
-    let catalog = config.catalog.generate()?;
-    let mut ids: Vec<String> = catalog.iter().map(|m| m.id.clone()).collect();
-    ids.sort();
-    let mut repo = SraRepository::new(
-        Arc::clone(&sub.asm_111),
-        Arc::clone(&sub.annotation),
-        catalog,
-    );
-    if let Some(cap) = config.spot_cap {
-        repo = repo.with_spot_cap(cap);
-    }
+    let repo = repository(sub, &config.catalog, config.spot_cap)?;
+    let ids = repo.ids();
     let mut pc = PipelineConfig::default();
     pc.run_config.batch_size = 500;
     let pipeline =
@@ -581,14 +565,15 @@ impl RightSizeComparison {
 
 /// Run E5.
 pub fn right_size_comparison(
+    sub: &Substrate,
     base: &CampaignExperimentConfig,
 ) -> Result<RightSizeComparison, AtlasError> {
     let mut c108 = base.clone();
     c108.release = Release::R108;
     let mut c111 = base.clone();
     c111.release = Release::R111;
-    let (report_108, instance_108) = cloud_campaign(&c108)?;
-    let (report_111, instance_111) = cloud_campaign(&c111)?;
+    let (report_108, instance_108) = cloud_campaign(sub, &c108)?;
+    let (report_111, instance_111) = cloud_campaign(sub, &c111)?;
     Ok(RightSizeComparison { report_108, instance_108, report_111, instance_111 })
 }
 
@@ -599,8 +584,6 @@ pub fn right_size_comparison(
 /// Configuration for the pseudoaligner early-stopping study.
 #[derive(Clone, Debug)]
 pub struct PseudoStudyConfig {
-    /// Assembly generator parameters.
-    pub ensembl: EnsemblParams,
     /// Catalog shape.
     pub catalog: CatalogParams,
     /// Cap on generated reads per accession.
@@ -612,7 +595,6 @@ pub struct PseudoStudyConfig {
 impl Default for PseudoStudyConfig {
     fn default() -> Self {
         PseudoStudyConfig {
-            ensembl: EnsemblParams::default(),
             catalog: CatalogParams { n_accessions: 200, ..CatalogParams::default() },
             spot_cap: Some(2_000),
             threads: 4,
@@ -636,19 +618,16 @@ pub struct PseudoStudyResult {
 /// E6: run the pseudoaligner over the catalog twice — with the progress stream the
 /// paper asks (pseudo)aligner authors to add, and without it (stock Salmon) — and
 /// account the early-stopping savings in each mode.
-pub fn pseudo_early_stopping(config: &PseudoStudyConfig) -> Result<PseudoStudyResult, AtlasError> {
+pub fn pseudo_early_stopping(
+    sub: &Substrate,
+    config: &PseudoStudyConfig,
+) -> Result<PseudoStudyResult, AtlasError> {
     use pseudo_aligner::{PseudoIndex, PseudoIndexParams, PseudoRunConfig, PseudoRunner};
 
-    let sub = Substrate::build(config.ensembl.clone())?;
     let index =
         PseudoIndex::build(&sub.asm_111, &sub.annotation, &PseudoIndexParams { k: 21 })
             .map_err(star_aligner::StarError::Genomics)?;
-    let catalog = config.catalog.generate()?;
-    let mut repo =
-        SraRepository::new(Arc::clone(&sub.asm_111), Arc::clone(&sub.annotation), catalog.clone());
-    if let Some(cap) = config.spot_cap {
-        repo = repo.with_spot_cap(cap);
-    }
+    let repo = repository(sub, &config.catalog, config.spot_cap)?;
     let dumper = sra_sim::FasterqDump::default();
 
     let policy = EarlyStopPolicy::default();
@@ -656,8 +635,9 @@ pub fn pseudo_early_stopping(config: &PseudoStudyConfig) -> Result<PseudoStudyRe
     let mut stock = SavingsSummary::default();
     let mut bulk_rates = Vec::new();
     let mut sc_rates = Vec::new();
-    for meta in &catalog {
-        let reads = dumper.run(&repo.fetch(&meta.id)?)?.reads;
+    for id in repo.ids() {
+        let meta = repo.meta(&id)?;
+        let reads = dumper.run(&repo.fetch(&id)?)?.reads;
         let batch = (reads.len() / 20).max(50);
         for (report_progress, summary) in
             [(true, &mut with_progress), (false, &mut stock)]
@@ -813,7 +793,6 @@ mod tests {
 
     fn tiny_fig3() -> Fig3Config {
         Fig3Config {
-            ensembl: EnsemblParams::tiny(),
             n_files: 4,
             reads_median: 1_500,
             reads_sigma: 0.4,
@@ -824,7 +803,8 @@ mod tests {
 
     #[test]
     fn fig3_shows_release_111_much_faster_with_same_mapping() {
-        let r = fig3_genome_release(&tiny_fig3()).unwrap();
+        let sub = Substrate::build(EnsemblParams::tiny()).unwrap();
+        let r = fig3_genome_release(&sub, &tiny_fig3()).unwrap();
         assert_eq!(r.files.len(), 4);
         // Alignment work units, not wall-clock: exact for the seed, so every file is
         // checked. This seed reads 3.94-6.24x more work on release 108.
@@ -838,7 +818,8 @@ mod tests {
 
     #[test]
     fn index_comparison_projects_paper_scale_sizes() {
-        let c = index_comparison(EnsemblParams::tiny()).unwrap();
+        let sub = Substrate::build(EnsemblParams::tiny()).unwrap();
+        let c = index_comparison(&sub).unwrap();
         assert!(c.size_ratio > 2.0 && c.size_ratio < 3.5, "ratio {}", c.size_ratio);
         assert!(c.projected_gib_108 > c.projected_gib_111 * 2.0);
         assert_ne!(c.instance_108, "none");
@@ -851,8 +832,8 @@ mod tests {
 
     #[test]
     fn fig4_savings_come_from_single_cell_runs() {
+        let sub = Substrate::build(EnsemblParams::tiny()).unwrap();
         let cfg = Fig4Config {
-            ensembl: EnsemblParams::tiny(),
             catalog: CatalogParams {
                 n_accessions: 25,
                 single_cell_fraction: 0.2,
@@ -862,7 +843,7 @@ mod tests {
             spot_cap: Some(800),
             threads: 2,
         };
-        let r = fig4_early_stopping(&cfg).unwrap();
+        let r = fig4_early_stopping(&sub, &cfg).unwrap();
         assert_eq!(r.runs.len(), 25);
         assert_eq!(r.summary.stopped, 5, "0.2 × 25 single-cell accessions stopped");
         assert!(r.stopped_all_single_cell(), "paper: terminated inputs were single-cell");
@@ -877,8 +858,8 @@ mod tests {
 
     #[test]
     fn pseudo_study_shows_progress_gap() {
+        let sub = Substrate::build(EnsemblParams::tiny()).unwrap();
         let cfg = PseudoStudyConfig {
-            ensembl: EnsemblParams::tiny(),
             catalog: CatalogParams {
                 n_accessions: 12,
                 single_cell_fraction: 0.25,
@@ -888,7 +869,7 @@ mod tests {
             spot_cap: Some(800),
             threads: 2,
         };
-        let r = pseudo_early_stopping(&cfg).unwrap();
+        let r = pseudo_early_stopping(&sub, &cfg).unwrap();
         assert_eq!(r.with_progress.stopped, 3, "25% of 12 single-cell accessions stop");
         assert_eq!(r.stock.stopped, 0, "stock Salmon cannot early-stop");
         assert!(r.with_progress.saved_fraction() > 0.0);

@@ -10,7 +10,7 @@ use atlas_pipeline::experiments::{
     checkpoint_analysis, cloud_campaign, fig3_genome_release, fig4_early_stopping,
     index_comparison, pseudo_early_stopping, right_size_comparison, spot_recovery,
     CampaignExperimentConfig, CheckpointAnalysisConfig, Fig3Config, Fig4Config,
-    PseudoStudyConfig, SpotRecoveryArm,
+    PseudoStudyConfig, SpotRecoveryArm, Substrate,
 };
 use atlas_pipeline::orchestrator::CampaignReport;
 use genomics::fnv::{fnv1a, OFFSET};
@@ -91,15 +91,15 @@ fn catalog(n: usize, single_cell: f64, bulk: u64) -> CatalogParams {
 
 #[test]
 fn e1_fig3_rows_and_index_stats() {
+    let sub = Substrate::build(EnsemblParams::tiny()).unwrap();
     let cfg = Fig3Config {
-        ensembl: EnsemblParams::tiny(),
         n_files: 3,
         reads_median: 800,
         reads_sigma: 0.4,
         threads: 2,
         seed: 5,
     };
-    let r = fig3_genome_release(&cfg).unwrap();
+    let r = fig3_genome_release(&sub, &cfg).unwrap();
     let mut h = Hash::new();
     for f in &r.files {
         h.str(&f.name).usize(f.reads).u64(f.fastq_bytes).f64(f.rate_108).f64(f.rate_111);
@@ -113,7 +113,8 @@ fn e1_fig3_rows_and_index_stats() {
 
 #[test]
 fn e2_index_table() {
-    let c = index_comparison(EnsemblParams::tiny()).unwrap();
+    let sub = Substrate::build(EnsemblParams::tiny()).unwrap();
+    let c = index_comparison(&sub).unwrap();
     let mut h = Hash::new();
     h.stats(&c.stats_108)
         .stats(&c.stats_111)
@@ -127,13 +128,13 @@ fn e2_index_table() {
 
 #[test]
 fn e3_fig4_runs() {
+    let sub = Substrate::build(EnsemblParams::tiny()).unwrap();
     let cfg = Fig4Config {
-        ensembl: EnsemblParams::tiny(),
         catalog: catalog(25, 0.2, 400),
         spot_cap: Some(800),
         threads: 2,
     };
-    let r = fig4_early_stopping(&cfg).unwrap();
+    let r = fig4_early_stopping(&sub, &cfg).unwrap();
     let mut h = Hash::new();
     for run in &r.runs {
         h.str(&run.accession).str(&format!("{:?}", run.strategy));
@@ -144,12 +145,12 @@ fn e3_fig4_runs() {
 
 #[test]
 fn e3b_checkpoint_outcomes() {
+    let sub = Substrate::build(EnsemblParams::tiny()).unwrap();
     let cfg = CheckpointAnalysisConfig {
-        ensembl: EnsemblParams::tiny(),
         catalog: catalog(20, 0.2, 400),
         spot_cap: Some(800),
     };
-    let a = checkpoint_analysis(&cfg).unwrap();
+    let a = checkpoint_analysis(&sub, &cfg).unwrap();
     let mut h = Hash::new();
     h.usize(a.n_traces);
     for o in &a.outcomes {
@@ -160,19 +161,19 @@ fn e3b_checkpoint_outcomes() {
 
 #[test]
 fn e4_e5_campaigns() {
+    let sub = Substrate::build(EnsemblParams::tiny()).unwrap();
     let cfg = CampaignExperimentConfig {
-        ensembl: EnsemblParams::tiny(),
         catalog: catalog(12, 0.25, 400),
         spot_cap: Some(800),
         ..CampaignExperimentConfig::default()
     };
-    let (report, instance) = cloud_campaign(&cfg).unwrap();
+    let (report, instance) = cloud_campaign(&sub, &cfg).unwrap();
     let mut h = Hash::new();
     h.campaign(&report, &instance);
     pin("E4", &h, 0xe67e56dcec9319c1);
 
     let cfg = CampaignExperimentConfig { interruptions_per_hour: 0.0, ..cfg };
-    let c = right_size_comparison(&cfg).unwrap();
+    let c = right_size_comparison(&sub, &cfg).unwrap();
     let mut h = Hash::new();
     h.campaign(&c.report_108, &c.instance_108).campaign(&c.report_111, &c.instance_111);
     pin("E5", &h, 0x4375e33a51de75bb);
@@ -180,13 +181,13 @@ fn e4_e5_campaigns() {
 
 #[test]
 fn e6_pseudo_study() {
+    let sub = Substrate::build(EnsemblParams::tiny()).unwrap();
     let cfg = PseudoStudyConfig {
-        ensembl: EnsemblParams::tiny(),
         catalog: catalog(12, 0.25, 500),
         spot_cap: Some(800),
         threads: 2,
     };
-    let r = pseudo_early_stopping(&cfg).unwrap();
+    let r = pseudo_early_stopping(&sub, &cfg).unwrap();
     let mut h = Hash::new();
     h.usize(r.with_progress.stopped).usize(r.stock.stopped).f64(r.bulk_rate).f64(r.single_cell_rate);
     pin("E6", &h, 0xc8d3ace2fa8a7ec2);

@@ -7,12 +7,18 @@
 //! Each subcommand prints the table corresponding to one paper artifact; see
 //! DESIGN.md's experiment index and EXPERIMENTS.md for paper-vs-measured records.
 //! Every named experiment runs even when an earlier one fails; the exit code is 1
-//! if any failed, and 2 on a usage error, which is found before anything runs.
+//! if any failed, and 2 on a usage error, which is found before anything runs. A run
+//! builds one [`Substrate`] (both assemblies and indexes), the first time a selected
+//! experiment reads it; `spot-recovery` alone builds none. Paper scale is each
+//! experiment config's `Default`.
+
+use std::cell::OnceCell;
 
 use atlas_pipeline::experiments::{
     checkpoint_analysis, cloud_campaign, fig3_genome_release, fig4_early_stopping,
     index_comparison, pseudo_early_stopping, right_size_comparison, spot_recovery,
     CampaignExperimentConfig, CheckpointAnalysisConfig, Fig3Config, Fig4Config, PseudoStudyConfig,
+    Substrate,
 };
 use atlas_pipeline::{report, AtlasError};
 use genomics::EnsemblParams;
@@ -20,7 +26,7 @@ use sra_sim::accession::CatalogParams;
 
 const USAGE: &str = "usage: experiments [--scale test|paper] <fig3|index-table|fig4|checkpoint-analysis|cloud-campaign|right-size|spot-recovery|pseudo-early-stop|all>";
 
-type Experiment = fn(Scale) -> Result<(), AtlasError>;
+type Experiment = fn(&Run) -> Result<(), AtlasError>;
 
 /// Every experiment by subcommand name, in the order `all` runs them.
 const EXPERIMENTS: [(&str, Experiment); 8] = [
@@ -54,6 +60,30 @@ impl Scale {
     }
 }
 
+/// One invocation: its scale and the substrate every experiment of it shares.
+struct Run {
+    scale: Scale,
+    substrate: OnceCell<Substrate>,
+}
+
+impl Run {
+    fn new(scale: Scale) -> Run {
+        Run { scale, substrate: OnceCell::new() }
+    }
+
+    /// The run's substrate, built on the first call.
+    fn substrate(&self) -> Result<&Substrate, AtlasError> {
+        if let Some(sub) = self.substrate.get() {
+            return Ok(sub);
+        }
+        let sub = Substrate::build(match self.scale {
+            Scale::Test => EnsemblParams { chromosome_len: 60_000, ..EnsemblParams::default() },
+            Scale::Paper => EnsemblParams::default(),
+        })?;
+        Ok(self.substrate.get_or_init(|| sub))
+    }
+}
+
 fn usage_error(reason: &str) -> ! {
     eprintln!("{reason}\n{USAGE}");
     std::process::exit(2);
@@ -84,17 +114,17 @@ fn main() {
     if selected.is_empty() {
         selected.extend(EXPERIMENTS);
     }
-    if run_each(scale, &selected) > 0 {
+    if run_each(&Run::new(scale), &selected) > 0 {
         std::process::exit(1);
     }
 }
 
 /// Run `experiments` in order, reporting each failure and going on to the next;
 /// returns how many failed.
-fn run_each(scale: Scale, experiments: &[(&str, Experiment)]) -> usize {
+fn run_each(run: &Run, experiments: &[(&str, Experiment)]) -> usize {
     let mut failed = 0;
-    for (name, run) in experiments {
-        if let Err(e) = run(scale) {
+    for (name, experiment) in experiments {
+        if let Err(e) = experiment(run) {
             eprintln!("{name} failed: {e}");
             failed += 1;
         }
@@ -102,25 +132,16 @@ fn run_each(scale: Scale, experiments: &[(&str, Experiment)]) -> usize {
     failed
 }
 
-/// Ensembl generator parameters for a scale.
-fn ensembl_params(scale: Scale) -> EnsemblParams {
-    match scale {
-        Scale::Test => EnsemblParams { chromosome_len: 60_000, ..EnsemblParams::default() },
-        Scale::Paper => EnsemblParams::default(),
-    }
-}
-
 /// Fig. 3 configuration for a scale (paper: 49 FASTQ files).
 fn fig3_config(scale: Scale) -> Fig3Config {
     match scale {
         Scale::Test => Fig3Config {
-            ensembl: ensembl_params(scale),
             n_files: 6,
             reads_median: 1_000,
             reads_sigma: 0.4,
             ..Fig3Config::default()
         },
-        Scale::Paper => Fig3Config { ensembl: ensembl_params(scale), ..Fig3Config::default() },
+        Scale::Paper => Fig3Config::default(),
     }
 }
 
@@ -128,21 +149,15 @@ fn fig3_config(scale: Scale) -> Fig3Config {
 fn fig4_config(scale: Scale) -> Fig4Config {
     match scale {
         Scale::Test => Fig4Config {
-            ensembl: ensembl_params(scale),
             catalog: CatalogParams {
                 n_accessions: 50,
                 bulk_spots_median: 600,
                 ..CatalogParams::default()
             },
             spot_cap: Some(1_000),
-            threads: 4,
+            ..Fig4Config::default()
         },
-        Scale::Paper => Fig4Config {
-            ensembl: ensembl_params(scale),
-            catalog: CatalogParams::default(),
-            spot_cap: Some(3_000),
-            threads: 4,
-        },
+        Scale::Paper => Fig4Config::default(),
     }
 }
 
@@ -152,29 +167,30 @@ fn banner(name: &str) {
     println!("==========================================================");
 }
 
-fn run_fig3(scale: Scale) -> Result<(), AtlasError> {
+fn run_fig3(run: &Run) -> Result<(), AtlasError> {
     banner("E1 / Fig. 3 — genome release 108 vs 111");
-    print!("{}", report::render_fig3(&fig3_genome_release(&fig3_config(scale))?));
+    let r = fig3_genome_release(run.substrate()?, &fig3_config(run.scale))?;
+    print!("{}", report::render_fig3(&r));
     Ok(())
 }
 
-fn run_index_table(scale: Scale) -> Result<(), AtlasError> {
+fn run_index_table(run: &Run) -> Result<(), AtlasError> {
     banner("E2 / §III-A — index comparison table");
-    print!("{}", report::render_index_table(&index_comparison(ensembl_params(scale))?));
+    print!("{}", report::render_index_table(&index_comparison(run.substrate()?)?));
     Ok(())
 }
 
-fn run_fig4(scale: Scale) -> Result<(), AtlasError> {
+fn run_fig4(run: &Run) -> Result<(), AtlasError> {
     banner("E3 / Fig. 4 — early stopping savings");
-    print!("{}", report::render_fig4(&fig4_early_stopping(&fig4_config(scale))?));
+    let r = fig4_early_stopping(run.substrate()?, &fig4_config(run.scale))?;
+    print!("{}", report::render_fig4(&r));
     Ok(())
 }
 
-fn run_checkpoint_analysis(scale: Scale) -> Result<(), AtlasError> {
+fn run_checkpoint_analysis(run: &Run) -> Result<(), AtlasError> {
     banner("E3b — checkpoint analysis (\"10% of reads is enough\")");
-    let cfg = match scale {
+    let cfg = match run.scale {
         Scale::Test => CheckpointAnalysisConfig {
-            ensembl: ensembl_params(scale),
             catalog: CatalogParams {
                 n_accessions: 40,
                 bulk_spots_median: 800,
@@ -182,41 +198,35 @@ fn run_checkpoint_analysis(scale: Scale) -> Result<(), AtlasError> {
             },
             spot_cap: Some(1_000),
         },
-        Scale::Paper => CheckpointAnalysisConfig { ensembl: ensembl_params(scale), ..CheckpointAnalysisConfig::default() },
+        Scale::Paper => CheckpointAnalysisConfig::default(),
     };
-    print!("{}", report::render_checkpoint_analysis(&checkpoint_analysis(&cfg)?));
+    print!("{}", report::render_checkpoint_analysis(&checkpoint_analysis(run.substrate()?, &cfg)?));
     Ok(())
 }
 
 fn campaign_config(scale: Scale) -> CampaignExperimentConfig {
     match scale {
         Scale::Test => CampaignExperimentConfig {
-            ensembl: ensembl_params(scale),
             catalog: CatalogParams { n_accessions: 30, bulk_spots_median: 600, ..CatalogParams::default() },
             spot_cap: Some(800),
             ..CampaignExperimentConfig::default()
         },
-        Scale::Paper => CampaignExperimentConfig {
-            ensembl: ensembl_params(scale),
-            catalog: CatalogParams { n_accessions: 200, ..CatalogParams::default() },
-            spot_cap: Some(2_000),
-            ..CampaignExperimentConfig::default()
-        },
+        Scale::Paper => CampaignExperimentConfig::default(),
     }
 }
 
-fn run_campaign(scale: Scale) -> Result<(), AtlasError> {
+fn run_campaign(run: &Run) -> Result<(), AtlasError> {
     banner("E4 — end-to-end cloud campaign (Fig. 1 + Fig. 2)");
-    let (r, instance) = cloud_campaign(&campaign_config(scale))?;
+    let (r, instance) = cloud_campaign(run.substrate()?, &campaign_config(run.scale))?;
     print!("{}", report::render_campaign(&r, &instance));
     Ok(())
 }
 
-fn run_spot_recovery(scale: Scale) -> Result<(), AtlasError> {
+fn run_spot_recovery(run: &Run) -> Result<(), AtlasError> {
     banner("E7 — graceful spot degradation: checkpointing under a reclaim storm");
     // The study runs on the modeled workload (align-dominated ~10-minute jobs),
     // so the storm shape is scale-free; test scale just trims the catalog.
-    let n_accessions = match scale {
+    let n_accessions = match run.scale {
         Scale::Test => 24,
         Scale::Paper => 60,
     };
@@ -224,11 +234,10 @@ fn run_spot_recovery(scale: Scale) -> Result<(), AtlasError> {
     Ok(())
 }
 
-fn run_pseudo_study(scale: Scale) -> Result<(), AtlasError> {
+fn run_pseudo_study(run: &Run) -> Result<(), AtlasError> {
     banner("E6 — future work: early stopping on a pseudoaligner");
-    let cfg = match scale {
+    let cfg = match run.scale {
         Scale::Test => PseudoStudyConfig {
-            ensembl: ensembl_params(scale),
             catalog: CatalogParams {
                 n_accessions: 30,
                 bulk_spots_median: 800,
@@ -238,18 +247,18 @@ fn run_pseudo_study(scale: Scale) -> Result<(), AtlasError> {
             spot_cap: Some(1_000),
             ..PseudoStudyConfig::default()
         },
-        Scale::Paper => PseudoStudyConfig { ensembl: ensembl_params(scale), ..PseudoStudyConfig::default() },
+        Scale::Paper => PseudoStudyConfig::default(),
     };
-    print!("{}", report::render_pseudo_study(&pseudo_early_stopping(&cfg)?));
+    print!("{}", report::render_pseudo_study(&pseudo_early_stopping(run.substrate()?, &cfg)?));
     Ok(())
 }
 
-fn run_right_size(scale: Scale) -> Result<(), AtlasError> {
+fn run_right_size(run: &Run) -> Result<(), AtlasError> {
     banner("E5 — right-sizing: 108-sized fleet vs 111-sized fleet");
-    let mut cfg = campaign_config(scale);
+    let mut cfg = campaign_config(run.scale);
     // Right-sizing compares steady fleets; interruptions add noise.
     cfg.interruptions_per_hour = 0.0;
-    print!("{}", report::render_right_size(&right_size_comparison(&cfg)?));
+    print!("{}", report::render_right_size(&right_size_comparison(run.substrate()?, &cfg)?));
     Ok(())
 }
 
@@ -284,15 +293,23 @@ mod tests {
     fn a_failed_experiment_is_counted_and_the_rest_still_run() {
         use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
         static RAN: AtomicUsize = AtomicUsize::new(0);
-        fn fails(_: Scale) -> Result<(), AtlasError> {
+        fn fails(_: &Run) -> Result<(), AtlasError> {
             RAN.fetch_add(1, Relaxed);
             Err(AtlasError::InvalidParams("stub".into()))
         }
-        fn passes(_: Scale) -> Result<(), AtlasError> {
+        fn passes(_: &Run) -> Result<(), AtlasError> {
             RAN.fetch_add(1, Relaxed);
             Ok(())
         }
-        assert_eq!(run_each(Scale::Test, &[("a", fails), ("b", passes), ("c", fails)]), 2);
+        let run = Run::new(Scale::Test);
+        assert_eq!(run_each(&run, &[("a", fails), ("b", passes), ("c", fails)]), 2);
         assert_eq!(RAN.load(Relaxed), 3);
+    }
+
+    #[test]
+    fn spot_recovery_alone_builds_no_substrate() {
+        let run = Run::new(Scale::Test);
+        assert_eq!(run_each(&run, &[("spot-recovery", run_spot_recovery)]), 0);
+        assert!(run.substrate.get().is_none());
     }
 }

@@ -432,10 +432,8 @@ impl<'a> ReadSimulator<'a> {
 
     /// Draw a fragment length (Gaussian, clamped to `[read_len, cap]`).
     fn fragment_len(&mut self, cap: usize) -> usize {
+        let z = standard_normal(&mut self.rng);
         let p = &self.params;
-        let u1: f64 = self.rng.gen::<f64>().max(f64::MIN_POSITIVE);
-        let u2: f64 = self.rng.gen();
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         let len = (p.fragment_mean + p.fragment_sd * z).round() as i64;
         (len.max(p.read_len as i64) as usize).min(cap)
     }
@@ -530,12 +528,18 @@ fn complement(codes: &mut [u8]) {
     codes.iter_mut().for_each(|c| *c = 3 - *c);
 }
 
-/// Sample exp(N(mu, sigma²)) via Box–Muller (avoids a rand_distr dependency).
-fn lognormal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
+/// A standard normal draw via Box–Muller (avoids a rand_distr dependency): two
+/// uniforms, `u1` then `u2`, per draw. Every Gaussian the simulators draw comes from
+/// here, so this draw order is part of the pinned read and catalog content.
+pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
     let u2: f64 = rng.gen();
-    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-    (mu + sigma * z).exp()
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// Sample exp(N(mu, sigma²)).
+fn lognormal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
+    (mu + sigma * standard_normal(rng)).exp()
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 
 use crate::SraError;
 use genomics::fnv;
+use genomics::simulate::standard_normal;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -180,7 +181,7 @@ impl CatalogParams {
         for i in 0..n {
             let strategy =
                 if sc_set.contains(&i) { LibraryStrategy::SingleCell } else { LibraryStrategy::RnaSeqBulk };
-            let z = gaussian(&mut rng);
+            let z = standard_normal(&mut rng);
             let mut spots =
                 (self.bulk_spots_median as f64 * (self.bulk_spots_sigma * z).exp()).max(100.0);
             if strategy == LibraryStrategy::SingleCell {
@@ -204,13 +205,6 @@ impl CatalogParams {
         }
         Ok(catalog)
     }
-}
-
-/// Standard normal via Box–Muller.
-fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

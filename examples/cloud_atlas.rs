@@ -22,6 +22,10 @@
 //! `trace_query` bin to ask questions about the run, or save logs from two
 //! seeds (`--seed <n>` perturbs the spot market) and `trace_query diff` them
 //! to see where the seconds moved.
+//!
+//! A usage error (an unknown flag, a flag without its value, a `--seed` that is not
+//! an integer) exits 2 with the usage on stderr before anything runs; a failed run
+//! exits 1.
 
 use atlas_pipeline::experiments::{paper_scale_sizer, Substrate};
 use atlas_pipeline::orchestrator::{CampaignConfig, Orchestrator};
@@ -34,6 +38,14 @@ use sra_sim::SraRepository;
 use std::sync::Arc;
 use telemetry::{MonitorConfig, SloConfig, SloRegistry};
 
+const USAGE: &str =
+    "usage: cloud_atlas [--trace-out <path>] [--metrics-out <path>] [--log-out <path>] [--seed <n>]";
+
+fn usage_error(reason: &str) -> ! {
+    eprintln!("cloud_atlas: {reason}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut trace_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
@@ -41,26 +53,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut spot_seed: u64 = 11;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut value = |what: &str| {
+            args.next().unwrap_or_else(|| usage_error(&format!("{arg} needs {what} argument")))
+        };
         match arg.as_str() {
-            "--trace-out" => {
-                trace_out =
-                    Some(args.next().ok_or("--trace-out needs a file path argument")?);
-            }
-            "--metrics-out" => {
-                metrics_out =
-                    Some(args.next().ok_or("--metrics-out needs a file path argument")?);
-            }
-            "--log-out" => {
-                log_out = Some(args.next().ok_or("--log-out needs a file path argument")?);
-            }
+            "--trace-out" => trace_out = Some(value("a file path")),
+            "--metrics-out" => metrics_out = Some(value("a file path")),
+            "--log-out" => log_out = Some(value("a file path")),
             "--seed" => {
-                spot_seed = args
-                    .next()
-                    .ok_or("--seed needs an integer argument")?
+                spot_seed = value("an integer")
                     .parse()
-                    .map_err(|_| "--seed needs an integer argument")?;
+                    .unwrap_or_else(|_| usage_error("--seed needs an integer argument"));
             }
-            other => return Err(format!("unknown argument: {other}").into()),
+            other => usage_error(&format!("unknown argument: {other}")),
         }
     }
 
