@@ -170,3 +170,6 @@ fi
 cargo test -q --release --offline -p atlas-integration-tests --test observer_cost
 # The SRA read path, counted the same way: fetch allocates per accession, never per read; the dump three times per read.
 cargo test -q --release --offline -p sra-sim --test read_path_alloc
+# Reading a saved event log, counted the same way: `Query::run` and
+# `RunProfile::from_event_log` over a recorder-written log and over that log twice.
+cargo test -q --release --offline -p telemetry --test read_path_alloc
