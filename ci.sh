@@ -74,6 +74,15 @@ if sed '/#\[cfg(test)\]/,$d' crates/atlas/src/experiments.rs | grep -n 'Substrat
     echo "crates/atlas/src/experiments.rs: an experiment builds its own Substrate outside #[cfg(test)]" >&2
     exit 1
 fi
+# The event log's readers (`Query::run`, `RunProfile::from_event_log`) read each line in
+# place through `json::Fields`; a `json::parse(` outside test code in either file would
+# build a `JsonValue` tree per line again.
+for f in crates/telemetry/src/query.rs crates/telemetry/src/diff.rs; do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'json::parse\(|json::\{[^}]*\bparse\b'; then
+        echo "$f: a log reader calls json::parse( outside #[cfg(test)]: read lines with json::Fields" >&2
+        exit 1
+    fi
+done
 # What the per-read path asks the allocator for, counted: steady-state alignment, and
 # alignment with a gene assignment, make no call; a whole quant-on run makes as many
 # for 4 000 reads as for 400 (gene counting builds no record and allocates nothing).

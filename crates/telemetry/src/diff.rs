@@ -32,9 +32,10 @@
 //! Rendering (text and JSON) goes through [`crate::json::fmt_f64`] and sorted
 //! containers only: byte-deterministic for fixed inputs.
 
-use crate::json::{self, JsonValue};
+use crate::json::{self, Field, Fields, JsonValue};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::ops::AddAssign;
 
 /// A neutral per-run summary: everything `diff` needs, nothing engine-specific.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -78,41 +79,41 @@ impl RunProfile {
         let mut per_accession: BTreeMap<String, f64> = BTreeMap::new();
         let mut per_instance: BTreeMap<String, f64> = BTreeMap::new();
         let mut counts: BTreeMap<String, u64> = BTreeMap::new();
+        // Reused from line to line: the record and a non-string instance's text.
+        let mut event = Fields::default();
+        let mut instance = String::new();
         for (lineno, line) in ndjson.lines().enumerate() {
             if line.is_empty() {
                 continue;
             }
-            let event =
-                json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-            let Some(t) = event.get("t").and_then(JsonValue::as_f64) else {
+            // A line that is valid JSON but not an object has no fields: it fails on `t`.
+            event.parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+            let Some(t) = event.get("t").and_then(Field::as_f64) else {
                 return Err(format!("line {}: event without numeric \"t\"", lineno + 1));
             };
             makespan = makespan.max(t);
-            let kind = event.get("kind").and_then(JsonValue::as_str).unwrap_or("");
-            *counts.entry(kind.to_string()).or_insert(0) += 1;
+            let kind = event.get("kind").and_then(Field::as_str).unwrap_or("");
+            add_to(&mut counts, kind, 1);
             let secs = match kind {
                 "queue_wait" => {
-                    let w = event.get("wait_secs").and_then(JsonValue::as_f64).unwrap_or(0.0);
+                    let w = event.get("wait_secs").and_then(Field::as_f64).unwrap_or(0.0);
                     queue_wait += w;
                     w
                 }
                 "worker_crash" => {
-                    let w =
-                        event.get("wasted_secs").and_then(JsonValue::as_f64).unwrap_or(0.0);
+                    let w = event.get("wasted_secs").and_then(Field::as_f64).unwrap_or(0.0);
                     retry_waste += w;
                     w
                 }
                 _ => continue,
             };
-            if let Some(acc) = event.get("accession").and_then(JsonValue::as_str) {
-                *per_accession.entry(acc.to_string()).or_insert(0.0) += secs;
+            if let Some(acc) = event.get("accession").and_then(Field::as_str) {
+                add_to(&mut per_accession, acc, secs);
             }
             if let Some(inst) = event.get("instance") {
-                let id = match inst.as_str() {
-                    Some(s) => s.to_string(),
-                    None => inst.render(),
-                };
-                *per_instance.entry(id).or_insert(0.0) += secs;
+                instance.clear();
+                inst.write_text(&mut instance);
+                add_to(&mut per_instance, &instance, secs);
             }
         }
         Ok(RunProfile {
@@ -129,6 +130,18 @@ impl RunProfile {
             critical_edges: Vec::new(),
             event_counts: counts.into_iter().collect(),
         })
+    }
+}
+
+/// `map[key] += v`, starting from zero; the key is copied the first time only.
+fn add_to<V: Default + AddAssign>(map: &mut BTreeMap<String, V>, key: &str, v: V) {
+    match map.get_mut(key) {
+        Some(sum) => *sum += v,
+        None => {
+            let mut sum = V::default();
+            sum += v;
+            map.insert(key.to_string(), sum);
+        }
     }
 }
 

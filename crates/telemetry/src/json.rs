@@ -5,6 +5,7 @@
 //! The result: serializing the same telemetry twice yields the same bytes, which is
 //! what makes fixed-seed event logs byte-comparable.
 
+use std::borrow::Cow;
 use std::fmt::{self, Write};
 
 /// A JSON value with deterministic serialization.
@@ -199,23 +200,19 @@ pub fn fmt_f64(v: f64) -> String {
 
 /// Parse a JSON document into a [`JsonValue`]. Rejects trailing garbage.
 ///
-/// This is the read side of the crate's hand-rolled serializer: the query
-/// engine ([`crate::query`]) and run differ ([`mod@crate::diff`]) consume saved
-/// NDJSON event logs, so the parser accepts full JSON (nested arrays/objects,
-/// escapes, exponent floats) even though the log emits only flat objects.
-/// Numbers without `.`/`e` parse to `Int`/`UInt` (matching what the writer
-/// emitted); everything else becomes `Num`, and a literal that overflows `f64`
-/// is a [`ParseError`], not an infinity. Arrays and objects may nest 64
-/// deep; a deeper document is a [`ParseError`], so input from outside the
-/// program cannot run the recursive descent out of stack.
+/// This is the read side of the crate's hand-rolled serializer. It accepts full
+/// JSON (nested arrays/objects, escapes, exponent floats) even though the event
+/// log emits only flat objects; the log's readers ([`crate::query`],
+/// [`mod@crate::diff`]) go through [`Fields::parse`], which shares this parser and
+/// builds no tree. Numbers without `.`/`e` parse to `Int`/`UInt` (matching what
+/// the writer emitted); everything else becomes `Num`, and a literal that
+/// overflows `f64` is a [`ParseError`], not an infinity. Arrays and objects may
+/// nest 64 deep; a deeper document is a [`ParseError`], so input from outside
+/// the program cannot run the recursive descent out of stack.
 pub fn parse(text: &str) -> Result<JsonValue, ParseError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
-    p.skip_ws();
+    let mut p = Parser::new(text);
     let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
+    p.finish()?;
     Ok(v)
 }
 
@@ -240,7 +237,91 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// One value of a flat record read by [`Fields::parse`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum Field<'a> {
+    /// A string, borrowed from the line unless it holds an escape.
+    Str(Cow<'a, str>),
+    /// Any other value, as [`parse`] builds it: a scalar allocates nothing, an
+    /// array or object is built by the same recursion.
+    Value(JsonValue),
+}
+
+impl Field<'_> {
+    /// Numeric view, as [`JsonValue::as_f64`].
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Field::Str(_) => None,
+            Field::Value(v) => v.as_f64(),
+        }
+    }
+
+    /// String view, as [`JsonValue::as_str`].
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Field::Str(s) => Some(s),
+            Field::Value(v) => v.as_str(),
+        }
+    }
+
+    /// Append the value's canonical text: a string unquoted, anything else as
+    /// [`JsonValue::render`] writes it.
+    pub fn write_text(&self, out: &mut String) {
+        match self {
+            Field::Str(s) => out.push_str(s),
+            Field::Value(v) => v.write_into(out),
+        }
+    }
+}
+
+/// The fields of one flat NDJSON record, read without building a tree: keys and
+/// escape-free strings borrow from the line, and the buffer is reused from line
+/// to line, so a line whose strings hold no escape costs the allocator nothing.
+#[derive(Debug, Default)]
+pub struct Fields<'a>(Vec<(Cow<'a, str>, Field<'a>)>);
+
+impl<'a> Fields<'a> {
+    /// Read `line` in place of the previous record. Answers exactly as
+    /// [`parse`]: the same [`ParseError`] for a line it rejects; `Ok(true)` with
+    /// that object's fields, in line order, for an object; `Ok(false)` with no
+    /// fields for any other value. The fields are unspecified after an error.
+    pub fn parse(&mut self, line: &'a str) -> Result<bool, ParseError> {
+        self.0.clear();
+        let mut p = Parser::new(line);
+        let is_object = p.peek() == Some(b'{');
+        if is_object {
+            let fields = &mut self.0;
+            p.nested(|p| {
+                p.object(|p, key| {
+                    let value = match p.peek() {
+                        Some(b'"') => Field::Str(p.string()?),
+                        _ => Field::Value(p.value()?),
+                    };
+                    fields.push((key, value));
+                    Ok(())
+                })
+            })?;
+        } else {
+            p.value()?;
+        }
+        p.finish()?;
+        Ok(is_object)
+    }
+
+    /// The value of `key`: the first, when the line repeats it (as
+    /// [`JsonValue::get`]).
+    pub fn get(&self, key: &str) -> Option<&Field<'a>> {
+        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// Every field, in line order.
+    pub fn as_slice(&self) -> &[(Cow<'a, str>, Field<'a>)] {
+        &self.0
+    }
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open around `pos`.
@@ -248,6 +329,22 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    /// A parser at the first non-whitespace byte of `text`.
+    fn new(text: &'a str) -> Parser<'a> {
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
+        p.skip_ws();
+        p
+    }
+
+    /// Reject anything but whitespace after the document.
+    fn finish(&mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(())
+    }
+
     fn err(&self, message: &str) -> ParseError {
         ParseError { message: message.to_string(), offset: self.pos }
     }
@@ -285,9 +382,16 @@ impl<'a> Parser<'a> {
             Some(b'n') => self.literal("null", JsonValue::Null),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
+            Some(b'"') => Ok(JsonValue::Str(self.string()?.into_owned())),
             Some(b'[') => self.nested(Parser::array),
-            Some(b'{') => self.nested(Parser::object),
+            Some(b'{') => self.nested(|p| {
+                let mut fields = Vec::new();
+                p.object(|p, key| {
+                    fields.push((key.into_owned(), p.value()?));
+                    Ok(())
+                })?;
+                Ok(JsonValue::Obj(fields))
+            }),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -295,10 +399,10 @@ impl<'a> Parser<'a> {
     }
 
     /// Parse one array or object, counting it against `MAX_DEPTH`.
-    fn nested(
+    fn nested<T>(
         &mut self,
-        container: fn(&mut Self) -> Result<JsonValue, ParseError>,
-    ) -> Result<JsonValue, ParseError> {
+        container: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
         if self.depth == MAX_DEPTH {
             return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
         }
@@ -331,13 +435,16 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, ParseError> {
+    /// Parse one object, handing each key to `field` to parse its value.
+    fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -345,73 +452,81 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            fields.push((key, self.value()?));
+            field(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// A string, borrowed from the input unless it holds an escape; each run of
+    /// plain bytes is copied at once. Runs end at an ASCII `"` or `\`, so they
+    /// are whole UTF-8 characters of the `&str` input.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut owned: Option<String> = None;
         loop {
-            let Some(c) = self.peek() else { return Err(self.err("unterminated string")) };
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(e) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| self.err("non-UTF8 \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogates never appear in the writer's output
-                            // (it emits \u only for C0 controls); map them to
-                            // the replacement character instead of erroring.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
+            let start = self.pos;
+            let Some(len) = self.bytes[start..].iter().position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.pos = self.bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            let run = &self.text[start..start + len];
+            self.pos = start + len + 1;
+            if self.bytes[start + len] == b'"' {
+                return Ok(match owned {
+                    None => Cow::Borrowed(run),
+                    Some(mut out) => {
+                        out.push_str(run);
+                        Cow::Owned(out)
                     }
-                }
-                _ => {
-                    // Re-synchronize on UTF-8 boundaries: walk back to a char
-                    // start and push the whole scalar.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len() && self.bytes[end] & 0xC0 == 0x80 {
-                        end += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
+                });
             }
+            let escaped = self.escape()?;
+            let out = owned.get_or_insert_with(String::new);
+            out.push_str(run);
+            out.push(escaped);
         }
+    }
+
+    /// The character a backslash escape stands for (`pos` just past the `\`).
+    fn escape(&mut self) -> Result<char, ParseError> {
+        let Some(e) = self.peek() else {
+            return Err(self.err("unterminated escape"));
+        };
+        self.pos += 1;
+        Ok(match e {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'u' => {
+                if self.pos + 4 > self.bytes.len() {
+                    return Err(self.err("truncated \\u escape"));
+                }
+                let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
+                    .map_err(|_| self.err("non-UTF8 \\u escape"))?;
+                let code =
+                    u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+                self.pos += 4;
+                // Surrogates never appear in the writer's output (it emits \u
+                // only for C0 controls); map them to the replacement character
+                // instead of erroring.
+                char::from_u32(code).unwrap_or('\u{fffd}')
+            }
+            _ => return Err(self.err("unknown escape")),
+        })
     }
 
     fn number(&mut self) -> Result<JsonValue, ParseError> {
@@ -599,6 +714,35 @@ mod tests {
     fn parse_handles_unicode_and_escapes() {
         let v = parse("\"caf\u{e9} \\u0041 \\t\"").unwrap();
         assert_eq!(v.as_str(), Some("caf\u{e9} A \t"));
+    }
+
+    #[test]
+    fn fields_borrow_what_holds_no_escape() {
+        let line = r#"{"t":2.5,"kind":"queue_wait","note":"a\"b","n":-3,"arr":[1,{"k":null}],"kind":"x"}"#;
+        let mut fields = Fields::default();
+        assert_eq!(fields.parse(line), Ok(true));
+        assert!(matches!(fields.get("kind"), Some(Field::Str(Cow::Borrowed("queue_wait")))));
+        assert!(matches!(fields.get("note"), Some(Field::Str(Cow::Owned(s))) if s == "a\"b"));
+        assert!(fields.as_slice().iter().all(|(k, _)| matches!(k, Cow::Borrowed(_))));
+        assert_eq!(fields.get("t").and_then(Field::as_f64), Some(2.5));
+        assert_eq!(fields.as_slice().len(), 6, "a repeated key is kept, and the first wins");
+        let text = |key: &str| {
+            let mut out = String::new();
+            fields.get(key).unwrap().write_text(&mut out);
+            out
+        };
+        assert_eq!((text("note"), text("n"), text("arr")), ("a\"b".into(), "-3".into(), "[1,{\"k\":null}]".into()));
+        assert_eq!(fields.get("missing"), None);
+        // A value that is not an object leaves no fields; a rejected line errs as in `parse`.
+        assert_eq!(fields.parse(" [1] "), Ok(false));
+        assert!(fields.as_slice().is_empty());
+        assert_eq!(fields.parse("{\"t\":}"), parse("{\"t\":}").map(|_| true));
+        // The record itself counts against the depth bound, as in `parse`.
+        let nest = |n: usize| format!("{}1{}", "{\"a\":".repeat(n), "}".repeat(n));
+        for depth in [MAX_DEPTH, MAX_DEPTH + 1] {
+            let line = nest(depth);
+            assert_eq!(Fields::default().parse(&line), parse(&line).map(|_| true), "depth {depth}");
+        }
     }
 
     #[test]

@@ -18,10 +18,12 @@
 //! `tests/tests/trace_query.rs`).
 //!
 //! The engine is streaming: one pass over the lines, state proportional to the
-//! number of groups — a million-line log costs a million parses and nothing
-//! else.
+//! number of groups. Each line is read in place ([`json::Fields`], no `JsonValue`
+//! tree) and looked up with a reused group key, so the allocator is asked only
+//! for a new group, a new sum bucket or a new sketch bucket: a log's second copy
+//! appended to it costs no allocator call (`tests/read_path_alloc.rs`).
 
-use crate::json::{self, JsonValue};
+use crate::json::{self, Field, Fields, JsonValue};
 use crate::sketch::QuantileSketch;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -149,25 +151,36 @@ impl Query {
         let mut groups: BTreeMap<Vec<String>, Vec<AggState>> = BTreeMap::new();
         let mut scanned = 0u64;
         let mut matched = 0u64;
+        // Reused from line to line: the record, the group key being looked up
+        // (one cell per `group_by` field) and the text a `--where` compares.
+        let mut event = Fields::default();
+        let mut key = vec![String::new(); self.group_by.len()];
+        let mut text = String::new();
         for (lineno, line) in ndjson.lines().enumerate() {
             if line.is_empty() {
                 continue;
             }
             scanned += 1;
-            let event = json::parse(line)
-                .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-            let Some(t) = event.get("t").and_then(JsonValue::as_f64) else {
+            // A line that is valid JSON but not an object has no fields: it fails on `t`.
+            event.parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+            let Some(t) = event.get("t").and_then(Field::as_f64) else {
                 return Err(format!("line {}: event without numeric \"t\"", lineno + 1));
             };
-            if !self.matches(&event, t) {
+            if !self.matches(&event, t, &mut text) {
                 continue;
             }
             matched += 1;
-            let key: Vec<String> =
-                self.group_by.iter().map(|f| field_text(&event, f)).collect();
-            let states = groups
-                .entry(key)
-                .or_insert_with(|| self.aggs.iter().map(AggState::new).collect());
+            for (cell, field) in key.iter_mut().zip(&self.group_by) {
+                cell.clear();
+                field_text(&event, field, cell);
+            }
+            // The key is copied for a group's first event only.
+            let states = match groups.get_mut(key.as_slice()) {
+                Some(states) => states,
+                None => groups
+                    .entry(key.clone())
+                    .or_insert_with(|| self.aggs.iter().map(AggState::new).collect()),
+            };
             for (state, agg) in states.iter_mut().zip(&self.aggs) {
                 state.observe(agg, &event);
             }
@@ -175,7 +188,7 @@ impl Query {
         Ok(QueryResult { query: self.clone(), scanned, matched, groups })
     }
 
-    fn matches(&self, event: &JsonValue, t: f64) -> bool {
+    fn matches(&self, event: &Fields<'_>, t: f64, text: &mut String) -> bool {
         if let Some(since) = self.since {
             if t < since {
                 return false;
@@ -187,12 +200,16 @@ impl Query {
             }
         }
         if !self.kinds.is_empty() {
-            let kind = event.get("kind").and_then(JsonValue::as_str).unwrap_or("");
+            let kind = event.get("kind").and_then(Field::as_str).unwrap_or("");
             if !self.kinds.iter().any(|k| k == kind) {
                 return false;
             }
         }
-        self.where_eq.iter().all(|(field, want)| field_text(event, field) == *want)
+        self.where_eq.iter().all(|(field, want)| {
+            text.clear();
+            field_text(event, field, text);
+            text == want
+        })
     }
 }
 
@@ -206,13 +223,13 @@ fn parse_time(flag: &str, value: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("bad {flag} value {value:?}"))
 }
 
-/// A field's canonical text form: strings unquoted, numbers via the writer's
-/// own float formatting, missing fields as `-` (so group keys are total).
-fn field_text(event: &JsonValue, field: &str) -> String {
+/// Append a field's canonical text form to `out`: strings unquoted, numbers via
+/// the writer's own float formatting, nested values as [`json::parse`] renders
+/// them, missing fields as `-` (so group keys are total).
+fn field_text(event: &Fields<'_>, field: &str, out: &mut String) {
     match event.get(field) {
-        None => "-".to_string(),
-        Some(JsonValue::Str(s)) => s.clone(),
-        Some(v) => v.render(),
+        None => out.push('-'),
+        Some(v) => v.write_text(out),
     }
 }
 
@@ -239,7 +256,7 @@ impl AggState {
         }
     }
 
-    fn observe(&mut self, agg: &Agg, event: &JsonValue) {
+    fn observe(&mut self, agg: &Agg, event: &Fields<'_>) {
         let field = match agg {
             Agg::Count => {
                 if let AggState::Count(n) = self {
@@ -249,7 +266,7 @@ impl AggState {
             }
             Agg::Sum(f) | Agg::Min(f) | Agg::Max(f) | Agg::Quantiles(f) => f,
         };
-        let Some(v) = event.get(field).and_then(JsonValue::as_f64) else { return };
+        let Some(v) = event.get(field).and_then(Field::as_f64) else { return };
         match self {
             AggState::Count(_) => {}
             AggState::Fold { sum_exact } => {

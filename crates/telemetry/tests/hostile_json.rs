@@ -4,13 +4,16 @@
 //! with every bit flipped, and with every byte replaced by each structural byte.
 //! The parser must answer with a value or a typed `ParseError` — never a panic —
 //! must not hand back a non-finite number, and must not ask the allocator for more
-//! than a small multiple of the input.
+//! than a small multiple of the input. The borrowed reader those two go through
+//! (`json::Fields::parse`) must give `parse`'s answer on every one of these inputs:
+//! the same fields for an object, the same `ParseError` (message and offset) for a
+//! rejected document.
 
 #[path = "../../star/tests/support/counting_alloc.rs"]
 mod counting_alloc;
 
 use counting_alloc::{tracked, CountingAlloc};
-use telemetry::json::{parse, ParseError};
+use telemetry::json::{parse, Field, Fields, ParseError};
 use telemetry::{JsonValue, Recorder};
 
 #[global_allocator]
@@ -70,6 +73,36 @@ fn check(bytes: &[u8], what: &str) -> bool {
     }
 }
 
+/// The borrowed reader accepts exactly when `parse` yields an object, with that
+/// object's fields, and otherwise rejects with `parse`'s error or reports a
+/// non-object with no fields.
+fn reader_agrees(bytes: &[u8], what: &str) {
+    let text = String::from_utf8_lossy(bytes);
+    let mut fields = Fields::default();
+    let read = fields.parse(&text);
+    match (parse(&text), read) {
+        (Ok(JsonValue::Obj(want)), Ok(true)) => {
+            let got: Vec<(String, JsonValue)> = fields
+                .as_slice()
+                .iter()
+                .map(|(k, f)| {
+                    let v = match f {
+                        Field::Str(s) => JsonValue::Str(s.to_string()),
+                        Field::Value(v) => v.clone(),
+                    };
+                    (k.to_string(), v)
+                })
+                .collect();
+            assert_eq!(got, want, "{what}: the reader's fields");
+        }
+        (Ok(v), Ok(false)) if !matches!(v, JsonValue::Obj(_)) => {
+            assert!(fields.as_slice().is_empty(), "{what}: a non-object left fields");
+        }
+        (Err(want), Err(got)) => assert_eq!(got, want, "{what}: the reader's error"),
+        (want, got) => panic!("{what}: parse gave {want:?}, the reader {got:?}"),
+    }
+}
+
 #[test]
 fn hostile_json_gets_a_typed_error_and_bounded_allocation() {
     // The line the campaign's `queue_wait` event leaves in the log, with a string
@@ -96,10 +129,12 @@ fn hostile_json_gets_a_typed_error_and_bounded_allocation() {
     for (name, text) in [("event-log line", line), ("timing report", report)] {
         let bytes = text.as_bytes();
         assert!(check(bytes, name), "premise: the pristine {name} parses");
+        reader_agrees(bytes, name);
 
         // Every proper prefix is an unfinished document.
         for cut in 0..bytes.len() {
             assert!(!check(&bytes[..cut], &format!("{name} cut to {cut} bytes")), "{name} cut to {cut} bytes parsed");
+            reader_agrees(&bytes[..cut], &format!("{name} cut to {cut} bytes"));
             cases += 1;
         }
         // Any single bit, and any structural byte anywhere: some of these are other
@@ -109,11 +144,13 @@ fn hostile_json_gets_a_typed_error_and_bounded_allocation() {
             for bit in 0..8 {
                 bad[at] = bytes[at] ^ (1 << bit);
                 check(&bad, &format!("{name} with bit {bit} of byte {at} flipped"));
+                reader_agrees(&bad, &format!("{name} with bit {bit} of byte {at} flipped"));
                 cases += 1;
             }
             for &sub in STRUCTURAL {
                 bad[at] = sub;
                 check(&bad, &format!("{name} with byte {at} replaced by {:?}", sub as char));
+                reader_agrees(&bad, &format!("{name} with byte {at} replaced by {:?}", sub as char));
                 cases += 1;
             }
             bad[at] = bytes[at];
