@@ -24,8 +24,7 @@ use crate::events::EventRecord;
 use crate::json::JsonValue;
 use crate::slo::{Slo, SloState, SloStatus};
 use crate::span::SpanRecord;
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// One of the five alert rules. Made only by the constructors below; their two
 /// numbers each are everything a rule lets a caller set.
@@ -39,8 +38,8 @@ enum Rule {
     Straggler {
         factor: f64,
         min_samples: usize,
-        /// Job durations: the fleet's median, and each instance's, sorted.
-        fleet: FleetMedian,
+        /// Job durations, sorted: all of them, and each instance's.
+        fleet: Vec<f64>,
         per_instance: BTreeMap<String, Vec<f64>>,
         /// Instances already reported.
         flagged: BTreeSet<String>,
@@ -67,7 +66,7 @@ impl AlertRule {
         AlertRule(Rule::Straggler {
             factor,
             min_samples,
-            fleet: FleetMedian::default(),
+            fleet: Vec::new(),
             per_instance: BTreeMap::new(),
             flagged: BTreeSet::new(),
         })
@@ -312,7 +311,7 @@ impl Rule {
         // they pool under the span's name.
         let instance = span.attr("instance").unwrap_or("job");
         let duration = span.duration_secs();
-        fleet.push(duration);
+        insert_sorted(fleet, duration);
         // The key is copied for an instance's first job only.
         if !per_instance.contains_key(instance) {
             per_instance.insert(instance.to_string(), Vec::new());
@@ -322,7 +321,7 @@ impl Rule {
         if fleet.len() < *min_samples || flagged.contains(instance) {
             return None;
         }
-        let bound = *factor * fleet.median()?;
+        let bound = *factor * quantile_sorted(fleet, 0.5);
         let p99 = quantile_sorted(durations, 0.99);
         (p99 > bound).then(|| {
             flagged.insert(instance.to_string());
@@ -421,73 +420,6 @@ impl Monitor {
         records
     }
 }
-
-/// A running median of job durations in two heaps split at the median: `lower`
-/// holds the ⌊n/2⌋ smallest, `upper` the rest. `upper`'s least is then the
-/// element at index ⌊n/2⌋ of the sorted durations, which is what
-/// [`quantile_sorted`] picks for q = 0.5 (it rounds (n-1)/2 half up), at
-/// O(log n) a job where inserting into a sorted vector costs O(n).
-#[derive(Clone, Debug, Default)]
-struct FleetMedian {
-    lower: BinaryHeap<Secs>,
-    upper: BinaryHeap<Reverse<Secs>>,
-}
-
-impl FleetMedian {
-    fn len(&self) -> usize {
-        self.lower.len() + self.upper.len()
-    }
-
-    fn push(&mut self, x: f64) {
-        let x = Secs(x);
-        if self.upper.peek().is_some_and(|Reverse(least)| x < *least) {
-            self.lower.push(x);
-        } else {
-            self.upper.push(Reverse(x));
-        }
-        // One push moves the split by at most one element.
-        let half = self.len() / 2;
-        if self.lower.len() > half {
-            if let Some(most) = self.lower.pop() {
-                self.upper.push(Reverse(most));
-            }
-        } else if self.lower.len() < half {
-            if let Some(Reverse(least)) = self.upper.pop() {
-                self.lower.push(least);
-            }
-        }
-    }
-
-    /// The nearest-rank median; `None` before the first job.
-    fn median(&self) -> Option<f64> {
-        self.upper.peek().map(|Reverse(least)| least.0)
-    }
-}
-
-/// Seconds ordered by [`f64::total_cmp`]: for durations (never NaN) the order
-/// of a sorted vector, up to the sign of a zero.
-#[derive(Clone, Copy, Debug)]
-struct Secs(f64);
-
-impl Ord for Secs {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-impl PartialOrd for Secs {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Secs {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Secs {}
 
 fn insert_sorted(v: &mut Vec<f64>, x: f64) {
     let at = v.partition_point(|&y| y <= x);
@@ -693,32 +625,5 @@ mod tests {
         assert_eq!(rec.slo_status()[0].total, 0);
         assert!(rec.alerts().is_empty());
         assert_eq!(rec.n_events(), 0);
-    }
-
-    /// Job durations with many ties (a few exact multiples) among arbitrary ones.
-    fn durations() -> impl proptest::prelude::Strategy<Value = f64> {
-        use proptest::prelude::Strategy;
-        proptest::prop_oneof![
-            3 => (0u32..8).prop_map(|k| f64::from(k) * 2.5),
-            1 => 0.0f64..1e4,
-        ]
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
-
-        #[test]
-        fn fleet_median_is_the_sorted_vectors_median(
-            stream in proptest::collection::vec(durations(), 1..300),
-        ) {
-            let (mut fleet, mut sorted) = (FleetMedian::default(), Vec::new());
-            for x in stream {
-                fleet.push(x);
-                insert_sorted(&mut sorted, x);
-                let oracle = quantile_sorted(&sorted, 0.5);
-                proptest::prop_assert_eq!(fleet.len(), sorted.len());
-                proptest::prop_assert_eq!(fleet.median().map(f64::to_bits), Some(oracle.to_bits()));
-            }
-        }
     }
 }

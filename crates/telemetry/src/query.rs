@@ -224,8 +224,8 @@ fn parse_time(flag: &str, value: &str) -> Result<f64, String> {
 }
 
 /// Append a field's canonical text form to `out`: strings unquoted, numbers via
-/// the writer's own float formatting, nested values as [`json::parse`] renders
-/// them, missing fields as `-` (so group keys are total).
+/// the writer's own float formatting, nested values as [`JsonValue::render`]
+/// writes them, missing fields as `-` (so group keys are total).
 fn field_text(event: &Fields<'_>, field: &str, out: &mut String) {
     match event.get(field) {
         None => out.push('-'),

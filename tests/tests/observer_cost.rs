@@ -75,7 +75,7 @@ struct Tier {
 const TIERS: [Tier; 4] = [
     Tier { name: "telemetry off", recorder: false, monitor_and_slo: false, chaos: false, calls: 8_597, bytes: 3_226_192, sim_events: 24_107, spans: 0, events: 0 },
     Tier { name: "recorder only", recorder: true, monitor_and_slo: false, chaos: false, calls: 445_115, bytes: 57_594_653, sim_events: 24_107, spans: 64_065, events: 18_260 },
-    Tier { name: "monitor + SLO", recorder: true, monitor_and_slo: true, chaos: false, calls: 613_037, bytes: 98_807_083, sim_events: 24_107, spans: 64_065, events: 57_034 },
+    Tier { name: "monitor + SLO", recorder: true, monitor_and_slo: true, chaos: false, calls: 613_027, bytes: 98_871_019, sim_events: 24_107, spans: 64_065, events: 57_034 },
     Tier { name: "chaos, off", recorder: false, monitor_and_slo: false, chaos: true, calls: 8_711, bytes: 3_667_720, sim_events: 28_032, spans: 0, events: 0 },
 ];
 
