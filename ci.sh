@@ -87,6 +87,10 @@ done
 # alignment with a gene assignment, make no call; a whole quant-on run makes as many
 # for 4 000 reads as for 400 (gene counting builds no record and allocates nothing).
 cargo test -q --release --offline -p star-aligner --test zero_alloc
+# What building an index costs the allocator, counted: the peak of live heap bytes per
+# genome base, the calls and the bytes requested by `StarIndex::build` on both tiny
+# releases, each a ceiling with a 0.9x floor.
+cargo test -q --release --offline -p star-aligner --test index_build_alloc
 cargo clippy --offline -- -D warnings
 # Doc links are checked: a link to a deleted, renamed or private item, or an
 # ambiguous one, fails here instead of rendering as plain text.
