@@ -115,7 +115,7 @@ impl Packed2 {
         &self.words
     }
 
-    /// Unpack to byte-per-base codes (build-time only; the hot path stays packed).
+    /// Unpack to byte-per-base codes (for tests and tools: the index never unpacks).
     pub fn to_codes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.len);
         for i in 0..self.len {

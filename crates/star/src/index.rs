@@ -6,11 +6,11 @@
 //! provide the on-disk form whose download-and-load cost the cloud model charges at
 //! instance initialization.
 //!
-//! The genome stays 2-bit packed for the index's whole life. [`StarIndex::build`]
-//! unpacks it once, as the suffix array's input, and drops that copy before the
-//! prefix tables are built; every prefix rung — the serialized base table, the ones
-//! derived below it at load, the deep one built on first use — reads its `d`-mers
-//! from the packing. This module orders the sections and writes all but one: the
+//! The genome stays 2-bit packed for the index's whole life: the suffix array is
+//! sorted straight from the packing ([`SuffixArray::build`]), and every prefix rung —
+//! the serialized base table, the ones derived below it at load, the deep one built
+//! on first use — reads its `d`-mers from it. No byte-per-base copy is ever made, so
+//! building peaks at about the bytes the finished index keeps. This module orders the sections and writes all but one: the
 //! base [`PrefixTable`] encodes and validates its own (`encode`/`decode`), so
 //! nothing here knows its bucket layout.
 
@@ -105,9 +105,7 @@ impl StarIndex {
         if k == 0 || k > 13 {
             return Err(StarError::InvalidParams(format!("sa_index_nbases {k} not in 1..=13")));
         }
-        // SA-IS reads a byte per base: that copy lives for this statement only, and
-        // everything after it reads the 2-bit packing.
-        let sa = SuffixArray::build(&genome.seq().to_codes());
+        let sa = SuffixArray::build(genome.seq());
         let base = PrefixTable::build(&sa, genome.seq(), k);
         let sjdb = SpliceJunctionDb::from_annotation(annotation, &genome);
         Ok(StarIndex {

@@ -5,7 +5,8 @@
 //!
 //! * [`genome`] — the concatenated, contig-boundary-aware reference ("Genome" file).
 //! * [`sa`] — an uncompressed suffix array over the concatenated genome, STAR's
-//!   central index structure, built in linear time with SA-IS.
+//!   central index structure, built in linear time with SA-IS from the 2-bit packed
+//!   genome, in little more memory than the array itself.
 //! * [`prefix`] — the k-mer prefix lookup tables (`genomeSAindexNbases` analog), one
 //!   per prefix length like STAR's `SAindex`, that every suffix-array search starts
 //!   from.

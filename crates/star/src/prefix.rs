@@ -230,7 +230,7 @@ mod tests {
     /// Every bucket of every rung is the interval a from-scratch search finds.
     fn assert_ladder_agrees_with_find(codes: &[u8], k: usize) {
         let packed = Packed2::from_codes(codes);
-        let sa = SuffixArray::build(codes);
+        let sa = SuffixArray::build(&packed);
         for table in whole_ladder(&sa, &packed, k) {
             let d = table.k();
             for m in 0..(1usize << (2 * d)) {
@@ -252,7 +252,7 @@ mod tests {
     fn lookup_agrees_with_sa_find_on_random_text() {
         let mut rng = StdRng::seed_from_u64(11);
         let s = DnaSeq::random(&mut rng, 2000);
-        let sa = SuffixArray::build(s.codes());
+        let sa = SuffixArray::build(&Packed2::from_codes(s.codes()));
         assert_eq!(whole_ladder(&sa, &Packed2::from_codes(s.codes()), 4).len(), 5, "one scanned rung above the base");
         assert_ladder_agrees_with_find(s.codes(), 4);
     }
@@ -261,7 +261,7 @@ mod tests {
     fn short_suffixes_do_not_leak_into_buckets() {
         // Craft a text whose final short suffixes sort between bucket runs.
         let s: DnaSeq = "CACGTC".parse().unwrap(); // suffixes include "C", "TC" (short for k=3)
-        let (sa, packed) = (SuffixArray::build(s.codes()), Packed2::from_codes(s.codes()));
+        let (sa, packed) = (SuffixArray::build(&Packed2::from_codes(s.codes())), Packed2::from_codes(s.codes()));
         let t = PrefixTable::build(&sa, &packed, 3);
         for pat_str in ["CAC", "ACG", "CGT", "GTC", "CCC", "TCA"] {
             let pat: DnaSeq = pat_str.parse().unwrap();
@@ -305,7 +305,7 @@ mod tests {
     #[test]
     fn byte_size_counts_both_arrays() {
         let s: DnaSeq = "ACGTACGTACGT".parse().unwrap();
-        let t = PrefixTable::build(&SuffixArray::build(s.codes()), &Packed2::from_codes(s.codes()), 4);
+        let t = PrefixTable::build(&SuffixArray::build(&Packed2::from_codes(s.codes())), &Packed2::from_codes(s.codes()), 4);
         // A first and a one-past-last slot per bucket: the two sections on disk.
         assert_eq!(t.byte_size(), 2 * 256 * 4);
         let mut blob = Vec::new();
@@ -316,7 +316,7 @@ mod tests {
     #[test]
     fn encode_decode_validates() {
         let s: DnaSeq = "ACGTACGT".parse().unwrap();
-        let sa = SuffixArray::build(s.codes());
+        let sa = SuffixArray::build(&Packed2::from_codes(s.codes()));
         let t = PrefixTable::build(&sa, &Packed2::from_codes(s.codes()), 4);
         let mut blob = Vec::new();
         t.encode(&mut blob);
@@ -347,7 +347,7 @@ mod tests {
     #[test]
     fn homopolymer_buckets_match_find() {
         let codes = vec![0u8; 64];
-        let (sa, packed) = (SuffixArray::build(&codes), Packed2::from_codes(&codes));
+        let (sa, packed) = (SuffixArray::build(&Packed2::from_codes(&codes)), Packed2::from_codes(&codes));
         let t = PrefixTable::build(&sa, &packed, 4);
         let pattern = vec![0u8; 4];
         assert_eq!(lookup(&t, &pattern).unwrap(), sa.find(&packed, &pattern));

@@ -1,14 +1,15 @@
 //! Uncompressed suffix array — STAR's central index structure.
 //!
-//! Built with SA-IS (suffix array by induced sorting, Nong–Zhang–Chan 2009): a
-//! linear-time, allocation-lean construction that replaced the original prefix
-//! doubling (Manber–Myers, O(n log² n) rounds of sorting). The prefix-doubling
-//! builder is kept as [`SuffixArray::build_prefix_doubling`] purely as an
-//! independent oracle for differential testing. STAR likewise keeps its suffix
-//! array *uncompressed* to trade memory for search speed, which is exactly why
-//! index size matters so much in the paper (85 GiB for the release-108 human
-//! toplevel genome) and why shrinking the genome shrinks the instance-memory
-//! requirement.
+//! Built with SA-IS (suffix array by induced sorting, Nong–Zhang–Chan 2009) straight
+//! from the 2-bit packed genome, in the space of its own output: the level-0 text is
+//! read from the [`Packed2`], suffix types are one bit each, and the recursion on the
+//! reduced string runs inside the output buffer, so building needs about 4.5 bytes
+//! per base where the returned array holds 4. The prefix-doubling builder it replaced
+//! (Manber–Myers, O(n log² n)) lives on in this module's tests as an independent
+//! oracle. STAR likewise keeps its suffix array *uncompressed* to trade memory for
+//! search speed, which is exactly why index size matters so much in the paper
+//! (85 GiB for the release-108 human toplevel genome) and why shrinking the genome
+//! shrinks the instance-memory requirement.
 //!
 //! Search is interval refinement: an interval of the SA whose suffixes share a prefix
 //! is narrowed one base at a time via binary search ([`SuffixArray::refine`]), the
@@ -47,71 +48,32 @@ pub struct SuffixArray {
 }
 
 impl SuffixArray {
-    /// Build the suffix array of `codes` (2-bit base codes, one per byte).
+    /// Build the suffix array of the packed sequence `seq`.
     ///
-    /// SA-IS: classify suffixes S/L, induce-sort the LMS substrings, recurse on the
-    /// reduced string when names collide, then induce the full order from the sorted
-    /// LMS suffixes. O(n) time, O(n) extra memory, no per-round reallocation.
-    pub fn build(codes: &[u8]) -> SuffixArray {
-        let n = codes.len();
-        assert!(n < u32::MAX as usize, "genome too large for u32 suffix array");
-        if n == 0 {
-            return SuffixArray { sa: Vec::new() };
-        }
-        // Shift codes to 1..=4 and append the unique smallest sentinel 0; the
-        // sentinel reproduces the convention that a shorter suffix which is a
-        // prefix of a longer one sorts first.
-        let mut text: Vec<u32> = Vec::with_capacity(n + 1);
-        text.extend(codes.iter().map(|&c| c as u32 + 1));
-        text.push(0);
-        let mut sa = sa_is(&text, 5);
-        let sentinel = sa.remove(0);
-        debug_assert_eq!(sentinel as usize, n, "sentinel suffix must sort first");
-        SuffixArray { sa }
+    /// SA-IS reads the 2-bit packing directly and works inside the array it returns:
+    /// besides the `4(n+1)` output bytes it holds one type bit per suffix and, per
+    /// recursion level, one bit per symbol of that level's text and two counters per
+    /// name. O(n) time.
+    pub fn build(seq: &Packed2) -> SuffixArray {
+        SuffixArray::build_counting_levels(seq).0
     }
 
-    /// The original prefix-doubling builder (Manber–Myers), kept as an independent
-    /// oracle: ranks start as the codes themselves; each round sorts by
-    /// `(rank[i], rank[i+k])` and re-ranks, doubling `k`, until all ranks are unique.
-    pub fn build_prefix_doubling(codes: &[u8]) -> SuffixArray {
-        let n = codes.len();
+    /// [`SuffixArray::build`], also returning how many reduced texts SA-IS recursed
+    /// into (0 when the first naming already told every LMS substring apart).
+    fn build_counting_levels(seq: &Packed2) -> (SuffixArray, usize) {
+        let n = seq.len();
         assert!(n < u32::MAX as usize, "genome too large for u32 suffix array");
         if n == 0 {
-            return SuffixArray { sa: Vec::new() };
+            return (SuffixArray { sa: Vec::new() }, 0);
         }
-        let mut sa: Vec<u32> = (0..n as u32).collect();
-        // rank[i] = rank of suffix i by its first k characters; start with k = 1.
-        let mut rank: Vec<u32> = codes.iter().map(|&c| c as u32 + 1).collect();
-        let mut next_rank: Vec<u32> = vec![0; n];
-        let mut key: Vec<u64> = vec![0; n];
-        let mut k = 1usize;
-        loop {
-            // Composite key: (rank[i], rank[i+k]); missing second half sorts first.
-            for (i, dst) in key.iter_mut().enumerate() {
-                let r1 = rank[i] as u64;
-                let r2 = if i + k < n { rank[i + k] as u64 } else { 0 };
-                *dst = (r1 << 32) | r2;
-            }
-            sa.sort_unstable_by_key(|&i| key[i as usize]);
-            // Re-rank: equal keys share a rank. `next_rank` is swapped back in, not
-            // reallocated, so the loop reuses two buffers for its whole life.
-            let mut r = 1u32;
-            next_rank[sa[0] as usize] = r;
-            for w in sa.windows(2) {
-                let (a, b) = (w[0] as usize, w[1] as usize);
-                if key[a] != key[b] {
-                    r += 1;
-                }
-                next_rank[b] = r;
-            }
-            std::mem::swap(&mut rank, &mut next_rank);
-            if r as usize == n {
-                break; // all suffixes distinguished
-            }
-            k *= 2;
-            debug_assert!(k < 2 * n, "prefix doubling failed to converge");
-        }
-        SuffixArray { sa }
+        let mut sa = vec![0; n + 1];
+        let levels = sa_is(&PackedText(seq), &mut sa, 5);
+        // The sentinel suffix sorts first; dropping its slot leaves the order with
+        // the convention that a shorter suffix which is a prefix of a longer one
+        // sorts first.
+        let sentinel = sa.remove(0);
+        debug_assert_eq!(sentinel as usize, n, "sentinel suffix must sort first");
+        (SuffixArray { sa }, levels)
     }
 
     /// Reconstruct from a previously serialized position vector, validating that it
@@ -219,121 +181,251 @@ impl SuffixArray {
 /// Sentinel slot value for "not yet induced" during SA-IS passes.
 const EMPTY: u32 = u32::MAX;
 
-/// SA-IS core (Nong–Zhang–Chan). `text` must end with a unique smallest value 0
-/// (the sentinel) and every value must be `< sigma`. Returns the suffix array of
-/// `text` including the sentinel suffix (which always lands in slot 0).
-fn sa_is(text: &[u32], sigma: usize) -> Vec<u32> {
+/// A text SA-IS can sort: its last symbol is a unique smallest 0 (the sentinel) and
+/// every symbol is below the alphabet size the caller passes with it.
+trait Text {
+    fn len(&self) -> usize;
+    fn at(&self, i: usize) -> u32;
+}
+
+/// The level-0 text: base codes shifted to `1..=4`, then a virtual sentinel 0.
+struct PackedText<'a>(&'a Packed2);
+
+impl Text for PackedText<'_> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.0.len() + 1
+    }
+
+    #[inline]
+    fn at(&self, i: usize) -> u32 {
+        if i < self.0.len() {
+            self.0.get(i) as u32 + 1
+        } else {
+            0
+        }
+    }
+}
+
+/// A reduced text: the names of the LMS substrings one level up, in text order.
+impl Text for [u32] {
+    #[inline]
+    fn len(&self) -> usize {
+        <[u32]>::len(self)
+    }
+
+    #[inline]
+    fn at(&self, i: usize) -> u32 {
+        self[i]
+    }
+}
+
+/// One bit per suffix: set when the suffix is S-type (sorts before its successor).
+struct Types(Vec<u64>);
+
+impl Types {
+    fn scan<T: Text + ?Sized>(text: &T) -> Types {
+        let n = text.len();
+        let mut bits = vec![0u64; n.div_ceil(64)];
+        bits[(n - 1) >> 6] |= 1 << ((n - 1) & 63);
+        let (mut next, mut next_s) = (text.at(n - 1), true);
+        for i in (0..n - 1).rev() {
+            let c = text.at(i);
+            let s = c < next || (c == next && next_s);
+            bits[i >> 6] |= (s as u64) << (i & 63);
+            (next, next_s) = (c, s);
+        }
+        Types(bits)
+    }
+
+    #[inline]
+    fn s(&self, i: usize) -> bool {
+        (self.0[i >> 6] >> (i & 63)) & 1 == 1
+    }
+
+    /// Leftmost S-type suffix of a run: S-type with an L-type predecessor.
+    #[inline]
+    fn lms(&self, i: usize) -> bool {
+        i > 0 && self.s(i) && !self.s(i - 1)
+    }
+}
+
+/// Per-symbol counts, and the moving head or tail of each symbol's bucket.
+struct Buckets {
+    counts: Vec<u32>,
+    ptr: Vec<u32>,
+}
+
+impl Buckets {
+    fn count<T: Text + ?Sized>(text: &T, sigma: usize) -> Buckets {
+        let mut counts = vec![0u32; sigma];
+        for i in 0..text.len() {
+            counts[text.at(i) as usize] += 1;
+        }
+        Buckets { counts, ptr: vec![0; sigma] }
+    }
+
+    /// Point every bucket at its first slot.
+    fn heads(&mut self) {
+        let mut sum = 0u32;
+        for (h, &c) in self.ptr.iter_mut().zip(&self.counts) {
+            *h = sum;
+            sum += c;
+        }
+    }
+
+    /// Point every bucket one past its last slot.
+    fn tails(&mut self) {
+        let mut sum = 0u32;
+        for (t, &c) in self.ptr.iter_mut().zip(&self.counts) {
+            sum += c;
+            *t = sum;
+        }
+    }
+
+    /// Put `p` in the last free slot of bucket `c`.
+    #[inline]
+    fn push_tail(&mut self, sa: &mut [u32], c: u32, p: u32) {
+        let t = &mut self.ptr[c as usize];
+        *t -= 1;
+        sa[*t as usize] = p;
+    }
+}
+
+/// SA-IS core (Nong–Zhang–Chan) writing the suffix array of `text`, sentinel
+/// included, into `sa` (`sa.len() == text.len()`; the sentinel lands in slot 0).
+/// Symbols are `< sigma`. Returns the number of reduced texts it recursed into.
+///
+/// The recursion runs inside `sa`: with `m` LMS suffixes, the sorted LMS substrings
+/// are compacted into `sa[..m]`, the name of position `p` is written to
+/// `sa[m + p/2]` (LMS positions are never adjacent, so the slots are distinct), the
+/// names are gathered in text order into `sa[n-m..]`, and the reduced text is sorted
+/// into `sa[..m]` (`m <= n/2`, so the two do not meet).
+fn sa_is<T: Text + ?Sized>(text: &T, sa: &mut [u32], sigma: usize) -> usize {
     let n = text.len();
+    debug_assert_eq!(sa.len(), n);
     if n == 1 {
-        return vec![0];
+        sa[0] = 0;
+        return 0;
     }
-    // Type scan: suffix i is S-type when it sorts before suffix i+1.
-    let mut is_s = vec![false; n];
-    is_s[n - 1] = true;
-    for i in (0..n - 1).rev() {
-        is_s[i] = text[i] < text[i + 1] || (text[i] == text[i + 1] && is_s[i + 1]);
-    }
-    // Character bucket sizes.
-    let mut bucket = vec![0u32; sigma];
-    for &c in text {
-        bucket[c as usize] += 1;
-    }
+    let types = Types::scan(text);
 
     // Pass 1: drop LMS suffixes at their bucket tails (any relative order), then
     // induce. This sorts the LMS *substrings*.
-    let mut sa = vec![EMPTY; n];
-    let mut tails = bucket_tails(&bucket);
+    let mut buckets = Buckets::count(text, sigma);
+    sa.fill(EMPTY);
+    buckets.tails();
     for i in 1..n {
-        if is_s[i] && !is_s[i - 1] {
-            let c = text[i] as usize;
-            tails[c] -= 1;
-            sa[tails[c] as usize] = i as u32;
+        if types.lms(i) {
+            buckets.push_tail(sa, text.at(i), i as u32);
         }
     }
-    induce(text, &mut sa, &is_s, &bucket);
+    induce(text, &types, sa, &mut buckets);
+    drop(buckets);
 
-    // Name LMS substrings by their rank in the induced order; equal substrings
-    // share a name so the recursion sees them as one character.
-    let mut name = vec![EMPTY; n];
-    let mut prev = usize::MAX;
-    let mut last_name = 0u32;
-    for &p in sa.iter() {
-        let p = p as usize;
-        if p > 0 && is_s[p] && !is_s[p - 1] {
-            if prev != usize::MAX && !lms_substrings_equal(text, &is_s, prev, p) {
-                last_name += 1;
-            }
-            name[p] = last_name;
-            prev = p;
+    // Compact the sorted LMS substrings into sa[..m].
+    let mut m = 0;
+    for i in 0..n {
+        let p = sa[i];
+        if p != EMPTY && types.lms(p as usize) {
+            sa[m] = p;
+            m += 1;
         }
     }
-    // Reduced string: names in text order. Its last entry is the sentinel's LMS
-    // (position n-1), whose name is 0 and unique — the recursion's sentinel.
-    let lms_positions: Vec<u32> =
-        (1..n).filter(|&i| is_s[i] && !is_s[i - 1]).map(|i| i as u32).collect();
-    let reduced: Vec<u32> = lms_positions.iter().map(|&p| name[p as usize]).collect();
-    let num_names = last_name as usize + 1;
-    let sa1: Vec<u32> = if num_names == reduced.len() {
-        // All names unique: the reduced SA is just the inverse permutation.
-        let mut sa1 = vec![0u32; reduced.len()];
-        for (i, &nm) in reduced.iter().enumerate() {
-            sa1[nm as usize] = i as u32;
+    // Name them by rank; equal substrings share a name, so the recursion sees them
+    // as one symbol. The sentinel's substring sorts first and alone: name 0.
+    sa[m..].fill(EMPTY);
+    let mut name = 0u32;
+    for i in 0..m {
+        let p = sa[i] as usize;
+        if i > 0 && !lms_substrings_equal(text, &types, sa[i - 1] as usize, p) {
+            name += 1;
         }
-        sa1
+        sa[m + p / 2] = name;
+    }
+    let names = name as usize + 1;
+    // Gather the names in text order into sa[n-m..]: the reduced text, whose last
+    // symbol is the sentinel's unique 0.
+    let mut j = n;
+    for i in (m..n).rev() {
+        if sa[i] != EMPTY {
+            j -= 1;
+            sa[j] = sa[i];
+        }
+    }
+    let (head, reduced) = sa.split_at_mut(n - m);
+    let sorted = &mut head[..m];
+    let levels = if names == m {
+        // Every name unique: the reduced suffix array is the inverse permutation.
+        for (i, &nm) in reduced.iter().enumerate() {
+            sorted[nm as usize] = i as u32;
+        }
+        0
     } else {
-        sa_is(&reduced, num_names)
+        1 + sa_is(&*reduced, sorted, names)
     };
 
-    // Pass 2: drop LMS suffixes in their now-exact order (reverse, so tails fill
-    // back-to-front keeps them sorted) and induce the final array.
-    sa.fill(EMPTY);
-    let mut tails = bucket_tails(&bucket);
-    for &r in sa1.iter().rev() {
-        let p = lms_positions[r as usize];
-        let c = text[p as usize] as usize;
-        tails[c] -= 1;
-        sa[tails[c] as usize] = p;
+    // The reduced text is spent: overwrite it with the LMS positions in text order,
+    // and map the sorted ranks through them.
+    let mut j = 0;
+    for i in 1..n {
+        if types.lms(i) {
+            reduced[j] = i as u32;
+            j += 1;
+        }
     }
-    induce(text, &mut sa, &is_s, &bucket);
-    sa
+    for r in sorted.iter_mut() {
+        *r = reduced[*r as usize];
+    }
+
+    // Pass 2: drop LMS suffixes in their now-exact order (back to front, so the tails
+    // fill keeping them sorted) and induce the final array.
+    sa[m..].fill(EMPTY);
+    let mut buckets = Buckets::count(text, sigma);
+    buckets.tails();
+    for i in (0..m).rev() {
+        let p = sa[i];
+        sa[i] = EMPTY;
+        buckets.push_tail(sa, text.at(p as usize), p);
+    }
+    induce(text, &types, sa, &mut buckets);
+    levels
 }
 
 /// Induced sorting: scatter L-type suffixes left-to-right from bucket heads, then
 /// S-type right-to-left from bucket tails. Given correctly ordered LMS seeds this
 /// yields the fully sorted array; given unordered seeds it sorts LMS substrings.
-fn induce(text: &[u32], sa: &mut [u32], is_s: &[bool], bucket: &[u32]) {
+fn induce<T: Text + ?Sized>(text: &T, types: &Types, sa: &mut [u32], buckets: &mut Buckets) {
     let n = text.len();
-    let mut heads = bucket_heads(bucket);
+    buckets.heads();
     for i in 0..n {
         let p = sa[i];
         if p == EMPTY || p == 0 {
             continue;
         }
         let j = (p - 1) as usize;
-        if !is_s[j] {
-            let c = text[j] as usize;
-            sa[heads[c] as usize] = j as u32;
-            heads[c] += 1;
+        if !types.s(j) {
+            let h = &mut buckets.ptr[text.at(j) as usize];
+            sa[*h as usize] = j as u32;
+            *h += 1;
         }
     }
-    let mut tails = bucket_tails(bucket);
+    buckets.tails();
     for i in (0..n).rev() {
         let p = sa[i];
         if p == EMPTY || p == 0 {
             continue;
         }
         let j = (p - 1) as usize;
-        if is_s[j] {
-            let c = text[j] as usize;
-            tails[c] -= 1;
-            sa[tails[c] as usize] = j as u32;
+        if types.s(j) {
+            buckets.push_tail(sa, text.at(j), j as u32);
         }
     }
 }
 
-/// Compare the LMS substrings starting at `a` and `b` (char-and-type-wise, up to
+/// Compare the LMS substrings starting at `a` and `b` (symbol-and-type-wise, up to
 /// and including the next LMS position). The unique sentinel only equals itself.
-fn lms_substrings_equal(text: &[u32], is_s: &[bool], a: usize, b: usize) -> bool {
+fn lms_substrings_equal<T: Text + ?Sized>(text: &T, types: &Types, a: usize, b: usize) -> bool {
     let n = text.len();
     if a == n - 1 || b == n - 1 {
         return a == b;
@@ -341,38 +433,16 @@ fn lms_substrings_equal(text: &[u32], is_s: &[bool], a: usize, b: usize) -> bool
     let mut i = 0usize;
     loop {
         let (pa, pb) = (a + i, b + i);
-        if text[pa] != text[pb] || is_s[pa] != is_s[pb] {
+        if text.at(pa) != text.at(pb) || types.s(pa) != types.s(pb) {
             return false;
         }
-        if i > 0 && is_s[pa] && !is_s[pa - 1] {
+        if i > 0 && types.lms(pa) {
             // Both hit their closing LMS position simultaneously (types matched at
             // every prior offset, so `b + i` is LMS exactly when `a + i` is).
             return true;
         }
         i += 1;
     }
-}
-
-/// Start slot of each character's bucket.
-fn bucket_heads(bucket: &[u32]) -> Vec<u32> {
-    let mut heads = vec![0u32; bucket.len()];
-    let mut sum = 0u32;
-    for (h, &b) in heads.iter_mut().zip(bucket) {
-        *h = sum;
-        sum += b;
-    }
-    heads
-}
-
-/// One-past-the-end slot of each character's bucket.
-fn bucket_tails(bucket: &[u32]) -> Vec<u32> {
-    let mut tails = vec![0u32; bucket.len()];
-    let mut sum = 0u32;
-    for (t, &b) in tails.iter_mut().zip(bucket) {
-        sum += b;
-        *t = sum;
-    }
-    tails
 }
 
 /// First slot in `[lo, hi)` satisfying monotone predicate `pred` (or `hi`); `evals`
@@ -396,7 +466,12 @@ mod tests {
     use super::*;
     use genomics::DnaSeq;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// SA-IS over the packing of byte-per-base `codes`.
+    fn build(codes: &[u8]) -> SuffixArray {
+        SuffixArray::build(&Packed2::from_codes(codes))
+    }
 
     /// Reference: sort suffixes naively.
     fn naive_sa(codes: &[u8]) -> Vec<u32> {
@@ -405,12 +480,58 @@ mod tests {
         idx
     }
 
+    /// The original prefix-doubling builder (Manber–Myers), kept as an independent
+    /// oracle: ranks start as the codes themselves; each round sorts by
+    /// `(rank[i], rank[i+k])` and re-ranks, doubling `k`, until all ranks are unique.
+    fn build_prefix_doubling(codes: &[u8]) -> SuffixArray {
+        let n = codes.len();
+        if n == 0 {
+            return SuffixArray { sa: Vec::new() };
+        }
+        let mut sa: Vec<u32> = (0..n as u32).collect();
+        // rank[i] = rank of suffix i by its first k characters; start with k = 1.
+        let mut rank: Vec<u32> = codes.iter().map(|&c| c as u32 + 1).collect();
+        let mut next_rank: Vec<u32> = vec![0; n];
+        let mut key: Vec<u64> = vec![0; n];
+        let mut k = 1usize;
+        loop {
+            // Composite key: (rank[i], rank[i+k]); missing second half sorts first.
+            for (i, dst) in key.iter_mut().enumerate() {
+                let r1 = rank[i] as u64;
+                let r2 = if i + k < n { rank[i + k] as u64 } else { 0 };
+                *dst = (r1 << 32) | r2;
+            }
+            sa.sort_unstable_by_key(|&i| key[i as usize]);
+            // Re-rank: equal keys share a rank.
+            let mut r = 1u32;
+            next_rank[sa[0] as usize] = r;
+            for w in sa.windows(2) {
+                let (a, b) = (w[0] as usize, w[1] as usize);
+                if key[a] != key[b] {
+                    r += 1;
+                }
+                next_rank[b] = r;
+            }
+            std::mem::swap(&mut rank, &mut next_rank);
+            if r as usize == n {
+                break; // all suffixes distinguished
+            }
+            k *= 2;
+        }
+        SuffixArray { sa }
+    }
+
+    /// SA-IS and the oracle agree on `codes`; returns SA-IS's recursion depth.
+    fn agrees_with_oracle(codes: &[u8], what: &str) -> usize {
+        let (fast, levels) = SuffixArray::build_counting_levels(&Packed2::from_codes(codes));
+        assert_eq!(fast.positions(), build_prefix_doubling(codes).positions(), "{what}");
+        levels
+    }
+
     #[test]
     fn matches_naive_on_known_string() {
-        // "banana" in base codes: use ACGT alphabet — "ACGACA" style.
         let s: DnaSeq = "ACGACGTACG".parse().unwrap();
-        let sa = SuffixArray::build(s.codes());
-        assert_eq!(sa.positions(), naive_sa(s.codes()).as_slice());
+        assert_eq!(build(s.codes()).positions(), naive_sa(s.codes()).as_slice());
     }
 
     #[test]
@@ -418,16 +539,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         for len in [1usize, 2, 5, 17, 100, 1000] {
             let s = DnaSeq::random(&mut rng, len);
-            let sa = SuffixArray::build(s.codes());
-            assert_eq!(sa.positions(), naive_sa(s.codes()).as_slice(), "len {len}");
+            assert_eq!(build(s.codes()).positions(), naive_sa(s.codes()).as_slice(), "len {len}");
         }
     }
 
     #[test]
     fn handles_homopolymer_worst_case() {
         // All-equal text maximizes prefix-doubling rounds.
-        let codes = vec![0u8; 500];
-        let sa = SuffixArray::build(&codes);
+        let sa = build(&[0u8; 500]);
         // Suffixes of AAAA... sort shortest-first: positions n-1, n-2, ..., 0.
         let expect: Vec<u32> = (0..500u32).rev().collect();
         assert_eq!(sa.positions(), expect.as_slice());
@@ -438,29 +557,64 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(41);
         for len in [1usize, 2, 3, 7, 64, 257, 1000, 5000] {
             let s = DnaSeq::random(&mut rng, len);
-            let fast = SuffixArray::build(s.codes());
-            let oracle = SuffixArray::build_prefix_doubling(s.codes());
-            assert_eq!(fast.positions(), oracle.positions(), "len {len}");
+            agrees_with_oracle(s.codes(), &format!("len {len}"));
         }
+    }
+
+    #[test]
+    fn sais_and_prefix_doubling_agree_on_every_text_up_to_three_bases() {
+        for n in 1..=3u32 {
+            for word in 0..4u32.pow(n) {
+                let codes: Vec<u8> = (0..n).map(|i| (word >> (2 * i) & 3) as u8).collect();
+                agrees_with_oracle(&codes, &format!("{codes:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn sais_and_prefix_doubling_agree_on_one_and_two_letter_texts() {
+        let mut rng = StdRng::seed_from_u64(44);
+        let lengths = (1..=64).chain((0..60).map(|_| rng.gen_range(65..2000usize)));
+        for len in lengths.collect::<Vec<_>>() {
+            let a = rng.gen_range(0..4u8);
+            let b = if rng.gen_bool(0.5) { a } else { rng.gen_range(0..4u8) };
+            let codes: Vec<u8> = (0..len).map(|_| if rng.gen_bool(0.5) { a } else { b }).collect();
+            agrees_with_oracle(&codes, &format!("len {len} over {a}/{b}"));
+        }
+    }
+
+    #[test]
+    fn a_text_whose_lms_substrings_all_differ_needs_no_recursion() {
+        // LMS substrings CAG, GAT, TAC and the sentinel's: all distinct.
+        let s: DnaSeq = "TCAGATACG".parse().unwrap();
+        assert_eq!(agrees_with_oracle(s.codes(), "TCAGATACG"), 0);
     }
 
     #[test]
     fn sais_and_prefix_doubling_agree_on_adversarial_texts() {
         // All-A: maximal bucket collisions, every suffix a prefix of the next.
-        let all_a = vec![0u8; 777];
-        assert_eq!(
-            SuffixArray::build(&all_a).positions(),
-            SuffixArray::build_prefix_doubling(&all_a).positions()
-        );
-        // Short-period texts: ACACAC…, ACGACG…, AACAAC… force deep LMS recursion
-        // because every LMS substring looks identical.
+        agrees_with_oracle(&[0u8; 777], "all A");
+        // Short-period texts: ACACAC…, ACGACG…, AACAAC… make every LMS substring
+        // look identical, so the first naming collapses them.
         for period in [&[0u8, 1][..], &[0, 1, 2], &[0, 0, 1], &[3, 2, 1, 0]] {
             let text: Vec<u8> = period.iter().copied().cycle().take(600).collect();
-            assert_eq!(
-                SuffixArray::build(&text).positions(),
-                SuffixArray::build_prefix_doubling(&text).positions(),
-                "period {period:?}"
-            );
+            assert!(agrees_with_oracle(&text, &format!("period {period:?}")) >= 1, "period {period:?}");
+        }
+    }
+
+    #[test]
+    fn nested_periodic_texts_recurse_three_levels_and_more() {
+        // Fibonacci words over two letters: each reduction is again Fibonacci-like, so
+        // the depth grows with the length.
+        let (mut a, mut b) = (vec![0u8], vec![0u8, 1]);
+        while b.len() < 3000 {
+            let next = [b.as_slice(), a.as_slice()].concat();
+            (a, b) = (b, next);
+        }
+        for (letters, len) in [([0u8, 1], 3000), ([2, 0], 2584), ([1, 3], 1597)] {
+            let codes: Vec<u8> = b[..len].iter().map(|&c| letters[c as usize]).collect();
+            let levels = agrees_with_oracle(&codes, &format!("Fibonacci {len} over {letters:?}"));
+            assert!(levels >= 3, "Fibonacci {len} over {letters:?}: {levels} levels");
         }
     }
 
@@ -475,17 +629,15 @@ mod tests {
         genome.extend_from_slice(scaffold.codes());
         genome.extend_from_slice(spacer.codes());
         genome.extend_from_slice(scaffold.codes());
-        let fast = SuffixArray::build(&genome);
-        let oracle = SuffixArray::build_prefix_doubling(&genome);
-        assert_eq!(fast.positions(), oracle.positions());
-        assert_eq!(fast.positions(), naive_sa(&genome).as_slice());
+        agrees_with_oracle(&genome, "duplicated scaffold");
+        assert_eq!(build(&genome).positions(), naive_sa(&genome).as_slice());
     }
 
     #[test]
     fn find_locates_all_occurrences() {
         let s: DnaSeq = "ACGTACGTTACG".parse().unwrap();
         let packed = Packed2::from_codes(s.codes());
-        let sa = SuffixArray::build(s.codes());
+        let sa = SuffixArray::build(&packed);
         let pat: DnaSeq = "ACG".parse().unwrap();
         let iv = sa.find(&packed, pat.codes());
         let mut hits: Vec<u32> = (iv.lo..iv.hi).map(|slot| sa.suffix(slot)).collect();
@@ -501,7 +653,7 @@ mod tests {
     #[test]
     fn refine_excludes_too_short_suffixes() {
         let s: DnaSeq = "TTT".parse().unwrap();
-        let sa = SuffixArray::build(s.codes());
+        let sa = build(s.codes());
         // Suffixes: "T"(2) < "TT"(1) < "TTT"(0). Searching "TT" must hit slots {1,2}.
         let pat: DnaSeq = "TT".parse().unwrap();
         let iv = sa.find(&Packed2::from_codes(s.codes()), pat.codes());
@@ -514,7 +666,7 @@ mod tests {
     #[test]
     fn from_raw_rejects_corruption() {
         let s: DnaSeq = "ACGT".parse().unwrap();
-        let sa = SuffixArray::build(s.codes());
+        let sa = build(s.codes());
         let good = sa.positions().to_vec();
         assert!(SuffixArray::from_raw(good.clone(), 4).is_ok());
         assert!(SuffixArray::from_raw(good.clone(), 5).is_err());
@@ -528,7 +680,7 @@ mod tests {
 
     #[test]
     fn empty_text_is_fine() {
-        let sa = SuffixArray::build(&[]);
+        let sa = build(&[]);
         assert!(sa.is_empty());
         assert!(sa.find(&Packed2::from_codes(&[]), &[0]).is_empty());
     }
@@ -536,7 +688,6 @@ mod tests {
     #[test]
     fn byte_size_counts_entries() {
         let s: DnaSeq = "ACGTACGT".parse().unwrap();
-        let sa = SuffixArray::build(s.codes());
-        assert_eq!(sa.byte_size(), 32);
+        assert_eq!(build(s.codes()).byte_size(), 32);
     }
 }

@@ -33,7 +33,7 @@ proptest! {
 
     #[test]
     fn suffix_array_is_sorted_permutation(codes in dna(1..400)) {
-        let sa = SuffixArray::build(&codes);
+        let sa = SuffixArray::build(&Packed2::from_codes(&codes));
         // Permutation.
         let mut sorted: Vec<u32> = sa.positions().to_vec();
         sorted.sort_unstable();
@@ -49,7 +49,7 @@ proptest! {
     fn sa_find_locates_every_occurrence(codes in dna(20..300), start in 0usize..250, len in 1usize..20) {
         prop_assume!(start + len <= codes.len());
         let pattern = codes[start..start + len].to_vec();
-        let sa = SuffixArray::build(&codes);
+        let sa = SuffixArray::build(&Packed2::from_codes(&codes));
         let iv = sa.find(&star_aligner::Packed2::from_codes(&codes), &pattern);
         let hits: std::collections::HashSet<u32> =
             (iv.lo..iv.hi).map(|slot| sa.suffix(slot)).collect();
