@@ -512,13 +512,14 @@ impl<'a> Parser<'a> {
             b'b' => '\u{8}',
             b'f' => '\u{c}',
             b'u' => {
-                if self.pos + 4 > self.bytes.len() {
+                let Some(hex) = self.bytes.get(self.pos..self.pos + 4) else {
                     return Err(self.err("truncated \\u escape"));
-                }
-                let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                    .map_err(|_| self.err("non-UTF8 \\u escape"))?;
-                let code =
-                    u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+                };
+                // Exactly four hex digits: `from_str_radix` would also take a sign.
+                let code = hex
+                    .iter()
+                    .try_fold(0u32, |code, &h| Some(code * 16 + (h as char).to_digit(16)?))
+                    .ok_or_else(|| self.err("bad \\u escape"))?;
                 self.pos += 4;
                 // Surrogates never appear in the writer's output (it emits \u
                 // only for C0 controls); map them to the replacement character
@@ -533,6 +534,11 @@ impl<'a> Parser<'a> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
+        }
+        // JSON's integer part is `0` or starts with 1-9: `01` is not a number.
+        if self.peek() == Some(b'0') && self.bytes.get(self.pos + 1).is_some_and(u8::is_ascii_digit) {
+            self.pos += 1;
+            return Err(self.err("leading zero in number"));
         }
         let mut is_float = false;
         while let Some(c) = self.peek() {

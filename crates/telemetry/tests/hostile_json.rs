@@ -164,4 +164,25 @@ fn hostile_json_gets_a_typed_error_and_bounded_allocation() {
     overflowing[exponent_at] = b'9';
     let err = parse(std::str::from_utf8(&overflowing).unwrap()).unwrap_err();
     assert_eq!(err.message, "number overflows f64");
+
+    // Two more it let through: `\u` took a signed hex number (`\u+041` read as `A`),
+    // and an integer part could start with a zero. JSON forbids both.
+    for (text, message, offset) in [
+        (r#""\u+041""#, "bad \\u escape", 3),
+        (r#"{"s":"a\u+0041"}"#, "bad \\u escape", 9),
+        ("01", "leading zero in number", 1),
+        ("-01", "leading zero in number", 2),
+        ("[1,00]", "leading zero in number", 4),
+        (r#"{"n":007}"#, "leading zero in number", 6),
+        ("0.5e01", "", 0),
+        ("-0", "", 0),
+        ("10", "", 0),
+        (r#""\u00e9\u0041""#, "", 0),
+    ] {
+        assert!(check(text.as_bytes(), text) == message.is_empty(), "{text}");
+        reader_agrees(text.as_bytes(), text);
+        if !message.is_empty() {
+            assert_eq!(parse(text), Err(ParseError { message: message.into(), offset }), "{text}");
+        }
+    }
 }
