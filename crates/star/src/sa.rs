@@ -51,9 +51,9 @@ impl SuffixArray {
     /// Build the suffix array of the packed sequence `seq`.
     ///
     /// SA-IS reads the 2-bit packing directly and works inside the array it returns:
-    /// besides the `4(n+1)` output bytes it holds one type bit per suffix and, per
-    /// recursion level, one bit per symbol of that level's text and two counters per
-    /// name. O(n) time.
+    /// besides the `4(n+1)` output bytes it holds one type bit per symbol of every
+    /// level's text, and two counters per alphabet symbol of the level it is working
+    /// on. O(n) time.
     pub fn build(seq: &Packed2) -> SuffixArray {
         SuffixArray::build_counting_levels(seq).0
     }
@@ -485,6 +485,7 @@ mod tests {
     /// `(rank[i], rank[i+k])` and re-ranks, doubling `k`, until all ranks are unique.
     fn build_prefix_doubling(codes: &[u8]) -> SuffixArray {
         let n = codes.len();
+        assert!(n < u32::MAX as usize, "genome too large for u32 suffix array");
         if n == 0 {
             return SuffixArray { sa: Vec::new() };
         }
@@ -502,7 +503,8 @@ mod tests {
                 *dst = (r1 << 32) | r2;
             }
             sa.sort_unstable_by_key(|&i| key[i as usize]);
-            // Re-rank: equal keys share a rank.
+            // Re-rank: equal keys share a rank. `next_rank` is swapped back in, not
+            // reallocated, so the loop reuses two buffers for its whole life.
             let mut r = 1u32;
             next_rank[sa[0] as usize] = r;
             for w in sa.windows(2) {
@@ -517,6 +519,7 @@ mod tests {
                 break; // all suffixes distinguished
             }
             k *= 2;
+            debug_assert!(k < 2 * n, "prefix doubling failed to converge");
         }
         SuffixArray { sa }
     }

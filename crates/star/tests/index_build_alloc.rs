@@ -1,11 +1,11 @@
 //! What building an index asks the allocator for, counted rather than timed:
 //! `StarIndex::build` on both tiny releases, as the peak of live heap bytes per
 //! genome base, the allocator calls and the bytes requested. The peak is what an
-//! instance must hold while it builds; it is set by the suffix-array construction,
-//! whose temporaries can outweigh the finished index.
-//!
-//! Before SA-IS ran over the packed genome inside its own output, the peak was 23.7
-//! bytes per base on both releases (247 and 135 calls, 3.6 and 1.3 MB requested).
+//! instance must hold while it builds, and the suffix-array construction is where
+//! temporaries can push it past the finished index: before SA-IS ran over the packed
+//! genome inside its own output, the peak was 23.7 bytes per base on both releases
+//! (247 and 135 calls, 3.6 and 1.3 MB requested), over four times what the index
+//! keeps.
 //!
 //! Each figure is a ceiling with a 0.9x floor: a change that moves one re-captures
 //! it from the printed line and says why.
