@@ -323,11 +323,11 @@ fn sa_is<T: Text + ?Sized>(text: &T, sa: &mut [u32], sigma: usize) -> usize {
     induce(text, &types, sa, &mut buckets);
     drop(buckets);
 
-    // Compact the sorted LMS substrings into sa[..m].
+    // Compact the sorted LMS substrings into sa[..m] (the induce filled every slot).
     let mut m = 0;
     for i in 0..n {
         let p = sa[i];
-        if p != EMPTY && types.lms(p as usize) {
+        if types.lms(p as usize) {
             sa[m] = p;
             m += 1;
         }
