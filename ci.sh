@@ -55,6 +55,17 @@ if sed '/#\[cfg(test)\]/,$d' crates/star/src/mmp.rs | grep -n 'sa\.full()'; then
     echo "crates/star/src/mmp.rs: a search starts from sa.full() outside #[cfg(test)]" >&2
     exit 1
 fi
+# The index's bytes and the interval of every bucket of every depth the search reads
+# (k+1 through the base table's child counts) are pinned, and a loaded blob whose
+# prefix table disagrees with its suffix array is refused at load, not met at search.
+cargo test -q --release --offline -p star-aligner --test index_pin --test hostile_index
+# The index keeps no table built lazily on first use: what a search reads exists once
+# the index is built or loaded, so its cost lands in build and load, not in whichever
+# aligner comes first.
+if sed '/#\[cfg(test)\]/,$d' crates/star/src/index.rs | grep -n 'OnceLock'; then
+    echo "crates/star/src/index.rs: an OnceLock outside #[cfg(test)]: the index builds nothing lazily" >&2
+    exit 1
+fi
 # The index keeps the genome 2-bit packed, and nothing unpacks it: SA-IS reads the
 # packing (`SuffixArray::build(&Packed2)`) and every prefix rung reads
 # `Packed2::word_from`. Any `.unpack()` / `.to_codes()` outside test code under

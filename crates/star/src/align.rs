@@ -8,7 +8,6 @@
 
 use crate::extend::{extend_chain_into, WindowAlignment};
 use crate::index::StarIndex;
-use crate::mmp::SeedLayers;
 use crate::params::AlignParams;
 use crate::quant::{Assignment, GeneModel, Placement};
 use crate::scratch::{with_thread_scratch, AlignScratch, CandSet, ScratchCore};
@@ -266,8 +265,8 @@ fn mapq_for(n_hits: u32) -> u8 {
 
 /// The per-read aligner, borrowing an index.
 pub struct Aligner<'i> {
-    /// The index and the ladder of prefix tables every seed search starts from.
-    layers: SeedLayers<'i>,
+    /// The index: genome, suffix array, prefix ladder and junctions.
+    index: &'i StarIndex,
     params: AlignParams,
     /// Interned contig names, indexed like `genome().spans()`.
     contig_names: Vec<Arc<str>>,
@@ -279,12 +278,12 @@ impl<'i> Aligner<'i> {
         params.validate().expect("invalid alignment parameters");
         let contig_names =
             index.genome().spans().iter().map(|s| Arc::from(s.name.as_str())).collect();
-        Aligner { layers: SeedLayers::full(index), params, contig_names }
+        Aligner { index, params, contig_names }
     }
 
     /// The index in use.
     pub fn index(&self) -> &'i StarIndex {
-        self.layers.index()
+        self.index
     }
 
     /// Align a FASTQ record (read id propagated into the record).
@@ -314,7 +313,7 @@ impl<'i> Aligner<'i> {
         if read_len == 0 {
             return work;
         }
-        let index = self.layers.index();
+        let index = self.index;
         let genome = index.genome();
         let ScratchCore { rc, fwd, rcp, seeds, probe, stitch, chains } = core;
         rc.clear();
@@ -324,7 +323,7 @@ impl<'i> Aligner<'i> {
         let timer = PhaseTimer::new(self.params.measure_phase_nanos);
         for (is_rc, read) in [(false, &*fwd), (true, &*rcp)] {
             let t = timer.start();
-            collect_seeds_packed(&self.layers, read, &self.params, seeds, probe);
+            collect_seeds_packed(index, read, &self.params, seeds, probe);
             timer.stop(t, &mut work.seed_nanos);
             work.seed_units += seeds.len() as u64;
             work.seed_probes += probe.cost().probes;
@@ -360,13 +359,13 @@ impl<'i> Aligner<'i> {
 
     /// A candidate as the gene model reads it (contig index, local start).
     pub(crate) fn placement<'w>(&self, is_rc: bool, wa: &'w WindowAlignment) -> Placement<'w> {
-        let (contig, pos) = self.layers.index().genome().to_local(wa.gstart);
+        let (contig, pos) = self.index.genome().to_local(wa.gstart);
         Placement { contig, pos, reverse: is_rc, cigar: &wa.cigar }
     }
 
     /// Build the public record for a candidate (contig-local coordinates).
     pub(crate) fn record_for(&self, is_rc: bool, wa: &WindowAlignment, n_hits: u32) -> AlignmentRecord {
-        let genome = self.layers.index().genome();
+        let genome = self.index.genome();
         let (contig_idx, local) = genome.to_local(wa.gstart);
         let span = &genome.spans()[contig_idx];
         AlignmentRecord {

@@ -7,12 +7,13 @@
 //! instance initialization.
 //!
 //! The genome stays 2-bit packed for the index's whole life: the suffix array is
-//! sorted straight from the packing ([`SuffixArray::build`]), and every prefix rung —
-//! the serialized base table, the ones derived below it at load, the deep one built
-//! on first use — reads its `d`-mers from it. No byte-per-base copy is ever made, so
-//! building peaks at about the bytes the finished index keeps. This module orders the sections and writes all but one: the
-//! base [`PrefixTable`] encodes and validates its own (`encode`/`decode`), so
-//! nothing here knows its bucket layout.
+//! sorted straight from the packing ([`SuffixArray::build`]), and the prefix tables —
+//! the serialized base table with its child counts, counted again from the suffix
+//! array at load, and the rungs derived below it — read their `d`-mers from it. No
+//! byte-per-base copy is ever made, so building and loading peak at about the bytes
+//! the finished index keeps, and nothing is built later, on first use. This module
+//! orders the sections and writes all but one: the base [`PrefixTable`] encodes and
+//! validates its own (`encode`/`decode`), so nothing here knows its bucket layout.
 
 use crate::genome::{ContigSpan, Packed2, PackedGenome};
 use crate::prefix::PrefixTable;
@@ -20,7 +21,7 @@ use crate::sa::SuffixArray;
 use crate::sjdb::SpliceJunctionDb;
 use crate::StarError;
 use genomics::{Annotation, Assembly};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Parameters for index construction.
 #[derive(Clone, Debug, Default)]
@@ -74,20 +75,16 @@ pub struct StarIndex {
 struct Shared {
     genome: PackedGenome,
     sa: SuffixArray,
-    /// The serialized base prefix table (depth `k`) first, then the depths
-    /// `k-1, …, 1` derived from it ([`PrefixTable::ladder`]).
+    /// The serialized base prefix table (depth `k`, answering `k+1` from its child
+    /// counts) first, then the depths `k-1, …, 1` derived from it
+    /// ([`PrefixTable::ladder`]).
     prefix: Vec<PrefixTable>,
-    /// Deeper runtime-only prefix tables for the seed hot path, built lazily on
-    /// first use from the packed genome and cached for the index's lifetime. Not
-    /// part of the on-disk format ([`StarIndex::serialize`] skips it) and excluded
-    /// from [`IndexStats`].
-    deep: OnceLock<Vec<PrefixTable>>,
 }
 
 impl Shared {
     fn new(genome: PackedGenome, sa: SuffixArray, base: PrefixTable) -> Arc<Shared> {
         let prefix = base.ladder(&sa, genome.seq());
-        Arc::new(Shared { genome, sa, prefix, deep: OnceLock::new() })
+        Arc::new(Shared { genome, sa, prefix })
     }
 }
 
@@ -126,7 +123,8 @@ impl StarIndex {
         &self.shared.sa
     }
 
-    /// The base prefix lookup table: the one depth that is serialized.
+    /// The base prefix lookup table: the one depth that is serialized, and the one
+    /// whose buckets also answer depth `k+1` ([`PrefixTable::child`]).
     pub fn prefix(&self) -> &PrefixTable {
         &self.shared.prefix[0]
     }
@@ -141,22 +139,14 @@ impl StarIndex {
         &self.sjdb
     }
 
-    /// Deeper runtime-only prefix tables for the seed hot path (deepest first, down
-    /// to `k+1`; empty when the genome is too small to warrant one). Built on first
-    /// call and cached, so sharing one index across runs pays the construction cost
-    /// once. Search results are identical with or without them
-    /// ([`PrefixTable::deepen`]).
-    pub fn deep_prefix(&self) -> &[PrefixTable] {
-        let Shared { genome, sa, prefix, deep } = &*self.shared;
-        deep.get_or_init(|| PrefixTable::deepen(sa, genome.seq(), prefix[0].k()))
-    }
-
     /// Resident bytes of the prefix tables that are not in the serialized index and
-    /// so not in [`IndexStats`]: every rung of the search ladder but the base table.
-    /// Builds the deep tables if no aligner has yet.
+    /// so not in [`IndexStats`]: the rungs below the base table (0.7 MiB on the
+    /// paper-scale release 111, 2.7 MiB on 108) and the base table's overflow
+    /// entries (none on 111, 4 KiB on 108). Depth `k+1` costs nothing here: the base
+    /// table's own buckets answer it.
     pub fn runtime_table_bytes(&self) -> usize {
-        let rungs = self.deep_prefix().iter().chain(&self.shared.prefix[1..]);
-        rungs.map(PrefixTable::byte_size).sum()
+        let resident: usize = self.prefix_ladder().iter().map(PrefixTable::resident_bytes).sum();
+        resident - self.prefix().byte_size()
     }
 
     /// This index with additional sjdb junctions (global coordinates) — the
@@ -187,10 +177,18 @@ impl StarIndex {
     /// Layout: magic, version, header lengths, then the 2-bit packed genome words
     /// (version 2 stores the packed form directly — 4× smaller on disk than the
     /// old byte-per-base blob, and deserialization is a straight word copy), span
-    /// table, SA, prefix table, sjdb.
+    /// table, SA, prefix table, sjdb. The blob is the one allocation: its length is
+    /// known from the section sizes before a byte is written.
     pub fn serialize(&self) -> Vec<u8> {
         let (genome, sa) = (self.genome(), self.sa());
-        let mut out = Vec::with_capacity(genome.len() * 5 + 1024);
+        let spans: usize = genome.spans().iter().map(|s| MIN_SPAN_BYTES + s.name.len()).sum();
+        let len = MAGIC.len() + 4 + (4 + self.assembly_name.len()) + 4
+            + 8 + 8 * genome.seq().words().len()
+            + 4 + spans
+            + 8 + 4 * sa.len()
+            + 4 + self.prefix().byte_size()
+            + 8 + 16 * self.sjdb.len();
+        let mut out = Vec::with_capacity(len);
         out.extend_from_slice(MAGIC);
         push_u32(&mut out, VERSION);
         push_str(&mut out, &self.assembly_name);
@@ -214,13 +212,17 @@ impl StarIndex {
             push_u32(&mut out, p);
         }
         self.prefix().encode(&mut out);
-        // Sjdb.
-        let js = self.sjdb.sorted();
-        push_u64(&mut out, js.len() as u64);
-        for j in js {
+        // Sjdb, in (start, end) order: written as the set holds it, then sorted in
+        // place.
+        push_u64(&mut out, self.sjdb.len() as u64);
+        let at = out.len();
+        for j in self.sjdb.iter() {
             push_u64(&mut out, j.intron_start);
             push_u64(&mut out, j.intron_end);
         }
+        let field = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+        out[at..].as_chunks_mut::<16>().0.sort_unstable_by_key(|j| (field(&j[..8]), field(&j[8..])));
+        debug_assert_eq!(out.len(), len, "the reservation is the blob");
         out
     }
 
@@ -259,7 +261,7 @@ impl StarIndex {
         let sa_raw = r.array(sa_len, "suffix array length", u32::from_le_bytes)?;
         let sa = SuffixArray::from_raw(sa_raw, genome.len())?;
         let mut rest = &bytes[r.pos..];
-        let prefix = PrefixTable::decode(&mut rest, sa.len())?;
+        let prefix = PrefixTable::decode(&mut rest, &sa, genome.seq())?;
         r.pos = bytes.len() - rest.len();
         let n_j = r.u64()?;
         let n_j = r.count(n_j, 16, "junction count")?;
@@ -435,12 +437,9 @@ mod tests {
     fn a_second_pass_index_shares_everything_but_its_junctions() {
         let idx = small_index();
         let n_junctions = idx.sjdb().sorted().len();
-        // Derived before the deep tables exist: whichever index asks first builds
-        // them for both.
         let second = idx.with_extra_junctions([(100, 900)]);
         assert!(Arc::ptr_eq(&idx.shared, &second.shared));
-        assert!(!second.deep_prefix().is_empty());
-        assert!(std::ptr::eq(idx.deep_prefix(), second.deep_prefix()), "deep tables built twice");
+        assert!(std::ptr::eq(idx.prefix_ladder(), second.prefix_ladder()), "prefix tables built twice");
         assert!(second.sjdb().contains(100, 900) && !idx.sjdb().contains(100, 900));
         assert_eq!((idx.sjdb().sorted().len(), second.sjdb().sorted().len()), (n_junctions, n_junctions + 1));
     }
@@ -451,8 +450,10 @@ mod tests {
         let k = idx.prefix().k();
         assert!(idx.prefix_ladder().iter().map(|t| t.k()).eq((1..=k).rev()));
         let below: usize = idx.prefix_ladder()[1..].iter().map(PrefixTable::byte_size).sum();
-        let above: usize = idx.deep_prefix().iter().map(PrefixTable::byte_size).sum();
-        assert_eq!(idx.runtime_table_bytes(), below + above);
+        let overflow = idx.prefix().resident_bytes() - idx.prefix().byte_size();
+        assert_eq!(idx.runtime_table_bytes(), below + overflow);
+        // Depth k+1 is answered from the base table's buckets, at no extra byte.
+        assert!(idx.prefix().child(0).is_some());
         // Derived rungs: 4^(k-1) + … + 4 buckets against the base table's 4^k.
         assert!(3 * below < idx.stats().prefix_bytes);
         assert_eq!(idx.stats().prefix_bytes, idx.prefix().byte_size(), "the serialized size is the base table's");

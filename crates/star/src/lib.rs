@@ -14,9 +14,9 @@
 //! * [`index`] — [`index::StarIndex`]: everything above bundled, with byte-accurate
 //!   size accounting (the 85 GiB vs 29.5 GiB comparison of the paper's §III-A) and
 //!   (de)serialization.
-//! * [`mmp`] — Maximal Mappable Prefix search, STAR's seed-discovery primitive;
-//!   [`mmp::SeedLayers`] is the ladder of prefix tables, one per depth, that a
-//!   search starts from.
+//! * [`mmp`] — Maximal Mappable Prefix search, STAR's seed-discovery primitive,
+//!   started from the index's ladder of prefix tables, one per depth
+//!   ([`index::StarIndex::prefix_ladder`]).
 //! * [`seed`] / [`stitch`] / [`extend`] — seed collection, windowing/stitching into
 //!   collinear chains (introns allowed), and mismatch-scored extension to a full-read
 //!   alignment with soft clips.

@@ -1,20 +1,20 @@
 //! Maximal Mappable Prefix (MMP) search — STAR's seed-discovery primitive.
 //!
 //! The MMP of a read position `p` is the longest read substring starting at `p` that
-//! occurs anywhere in the genome (Dobin et al. 2013, Fig. 1). A search starts from a
-//! ladder of O(1) prefix tables, one per depth `top, top−1, …, 1` ([`SeedLayers`]),
-//! probed deepest first — like STAR's `SAindex`, never from the root of the suffix
-//! array. Every table addresses buckets by the LSB-first packed k-mer value, which a
-//! packed query yields with one [`Packed2::word_from`] and a mask — no per-base
-//! repacking. If the deepest table the query can address has its prefix, interval
+//! occurs anywhere in the genome (Dobin et al. 2013, Fig. 1). A search starts from the
+//! index's ladder of O(1) prefix tables, depths `k+1, k, …, 1`, probed deepest first
+//! — like STAR's `SAindex`, never from the root of the suffix array. Every table
+//! addresses buckets by the LSB-first packed k-mer value, which a packed query yields
+//! with one [`Packed2::word_from`] and a mask — no per-base repacking. The top two
+//! depths are one load: a base-table bucket carries the sizes of its four depth-`k+1`
+//! children. If the deepest depth the query can address has its prefix, interval
 //! refinement on the suffix array takes over, stopping at the first base that empties
 //! the interval; small intervals finish with word-at-a-time direct extension
-//! (32 bases per compare). If it does not, the first shallower table that has it *is*
+//! (32 bases per compare). If it does not, the first shallower depth that has it *is*
 //! the answer, and neither the suffix array nor the genome is read at all.
 
 use crate::genome::{common_prefix_len, Packed2};
 use crate::index::StarIndex;
-use crate::prefix::PrefixTable;
 use crate::sa::SaInterval;
 
 /// Result of one MMP search.
@@ -44,9 +44,11 @@ impl Mmp {
 pub struct SearchCost {
     /// Searches run.
     pub searches: u64,
-    /// Prefix-table lookups, plus binary-search steps inside
-    /// [`crate::sa::SuffixArray::refine`] (one suffix-array load and one genome load
-    /// each), plus suffixes compared by direct extension.
+    /// Prefix-table lookups (one per bucket, whether it answers depth `k` or `k+1`,
+    /// and one more when a base bucket's child sizes are an overflow entry), plus
+    /// binary-search steps inside [`crate::sa::SuffixArray::refine`] (one
+    /// suffix-array load and one genome load each), plus suffixes compared by direct
+    /// extension.
     pub probes: u64,
     /// Suffixes in the searches' starting intervals, summed.
     pub start_suffixes: u64,
@@ -61,92 +63,69 @@ pub struct SearchCost {
 /// scaffold-duplicated genome inflates.
 const DIRECT_EXTEND_MAX_INTERVAL: u32 = 16;
 
-/// Where an MMP search may start: the ladder of prefix tables over one index, one per
-/// depth `top, …, 1` — the runtime-only tables deeper than the index's base table,
-/// then [`StarIndex::prefix_ladder`]. Built once per [`crate::Aligner`]
-/// ([`SeedLayers::full`]) and borrowed down through seed collection into
-/// [`mmp_search_packed`]. No choice of `top` changes a search result.
-#[derive(Clone, Copy, Debug)]
-pub struct SeedLayers<'i> {
-    // Private so that no ladder with a missing depth can be made: a search reads an
-    // empty bucket at depth `d+1` beside a full one at depth `d` as "the MMP is `d`
-    // bases", which is only true of adjacent depths.
-    index: &'i StarIndex,
-    deep: &'i [PrefixTable],
-}
-
-impl<'i> SeedLayers<'i> {
-    /// The index's own ladder under `deep`, which must hold the depths
-    /// `k + deep.len(), …, k + 1` above the base table's `k`, deepest first
-    /// ([`PrefixTable::deepen`], or a tail of it).
-    pub fn new(index: &'i StarIndex, deep: &'i [PrefixTable]) -> SeedLayers<'i> {
-        let rungs = deep.iter().chain(index.prefix_ladder());
-        let top = index.prefix().k() + deep.len();
-        assert!(rungs.map(|t| t.k()).eq((1..=top).rev()), "prefix ladder skips a depth");
-        SeedLayers { index, deep }
-    }
-
-    /// The layers an aligner searches through: the index with its cached deep
-    /// prefix tables ([`StarIndex::deep_prefix`]).
-    pub fn full(index: &'i StarIndex) -> SeedLayers<'i> {
-        SeedLayers::new(index, index.deep_prefix())
-    }
-
-    /// The index: genome, suffix array, and the ladder from its base table down.
-    pub fn index(&self) -> &'i StarIndex {
-        self.index
-    }
-}
-
 /// The full MMP search over a packed query; what it cost is added to `cost`.
 ///
-/// The ladder is probed deepest first, from the deepest table the remaining query
+/// The ladder is probed deepest first, from the deepest depth the remaining query
 /// can address. A depth-`d` bucket *is* the interval that refinement from the root
-/// reaches at depth `d`, so whichever rung answers, the result is the same:
+/// reaches at depth `d`, so whichever depth answers, the result is the same:
 ///
-/// * the first rung probed has the prefix — refine from its bucket;
-/// * a rung has it after the rung above was probed and found empty — the MMP is
-///   exactly that rung's depth and its bucket the interval, with no suffix or genome
-///   base read (what extending every suffix of the bucket by zero bases would find);
-/// * no rung has it — the first base does not occur in the genome.
-pub fn mmp_search_packed(
-    layers: &SeedLayers<'_>,
-    q: &Packed2,
-    from: usize,
-    cost: &mut SearchCost,
-) -> Mmp {
-    let SeedLayers { index, deep } = *layers;
+/// * the first depth probed has the prefix — refine from its bucket;
+/// * a depth has it after the one above was found empty — the MMP is exactly that
+///   depth and its bucket the interval, with no suffix or genome base read (what
+///   extending every suffix of the bucket by zero bases would find). An empty child
+///   under a full base bucket is this case, answered by the one load that read both;
+/// * no depth has it — the first base does not occur in the genome.
+pub fn mmp_search_packed(index: &StarIndex, q: &Packed2, from: usize, cost: &mut SearchCost) -> Mmp {
+    search::<true>(index, q, from, cost)
+}
+
+/// [`mmp_search_packed`], with `CHILDREN = false` starting no deeper than the base
+/// table — the start the children are checked against.
+#[inline(always)]
+fn search<const CHILDREN: bool>(index: &StarIndex, q: &Packed2, from: usize, cost: &mut SearchCost) -> Mmp {
     let seq = index.genome().seq();
     let sa = index.sa();
     let remaining = q.len() - from;
-    // One unaligned fetch covers every table's probe: depths are ≤ 31 bases.
+    // One unaligned fetch covers every probe: depths are ≤ 31 bases.
     let w = q.word_from(from);
     cost.searches += 1;
 
     let mut deeper_absent = false;
     let mut start = None;
-    for table in deep.iter().chain(index.prefix_ladder()) {
-        let d = table.k();
-        if d > remaining {
-            continue;
-        }
-        cost.probes += 1;
-        let bucket = table.lookup_value((w & ((1u64 << (2 * d)) - 1)) as usize);
-        if bucket.is_empty() {
+    let mut rungs = index.prefix_ladder().iter();
+    if CHILDREN && remaining > index.prefix().k() {
+        let base = rungs.next().expect("the ladder starts at the base table");
+        let (bucket, child) = base.probe(w, &mut cost.probes);
+        let child = child.expect("the base table has children");
+        if !child.is_empty() {
+            start = Some((base.k() + 1, child));
+        } else {
             deeper_absent = true;
-            continue;
+            start = (!bucket.is_empty()).then_some((base.k(), bucket));
         }
-        cost.start_suffixes += u64::from(bucket.size());
-        cost.widest_start = cost.widest_start.max(bucket.size());
-        if deeper_absent {
-            return Mmp { start: from, len: d, interval: bucket };
+    }
+    if start.is_none() {
+        for table in rungs {
+            let d = table.k();
+            if d > remaining {
+                continue;
+            }
+            let (bucket, _) = table.probe(w, &mut cost.probes);
+            if !bucket.is_empty() {
+                start = Some((d, bucket));
+                break;
+            }
+            deeper_absent = true;
         }
-        start = Some((d, bucket));
-        break;
     }
     let Some((mut depth, mut iv)) = start else {
         return Mmp { start: from, len: 0, interval: SaInterval { lo: 0, hi: 0 } };
     };
+    cost.start_suffixes += u64::from(iv.size());
+    cost.widest_start = cost.widest_start.max(iv.size());
+    if deeper_absent {
+        return Mmp { start: from, len: depth, interval: iv };
+    }
 
     while depth < remaining {
         if iv.size() <= DIRECT_EXTEND_MAX_INTERVAL {
@@ -209,20 +188,18 @@ fn direct_extend(
     Mmp { start: from, len: depth + best_ext, interval: SaInterval { lo: best_lo, hi: best_hi } }
 }
 
-#[cfg(test)]
-impl<'i> SeedLayers<'i> {
-    /// The serialized base table and the rungs below it, no deep tables: a start no
-    /// aligner uses, kept as the reference the deep tables are checked against.
-    pub(crate) fn base(index: &'i StarIndex) -> SeedLayers<'i> {
-        SeedLayers::new(index, &[])
-    }
-}
-
-/// The MMP of unpacked `pattern[from..]`, started from [`SeedLayers::base`].
+/// The MMP of unpacked `pattern[from..]`.
 #[cfg(test)]
 pub(crate) fn mmp_search(index: &StarIndex, pattern: &[u8], from: usize) -> Mmp {
     let q = Packed2::from_codes(pattern);
-    mmp_search_packed(&SeedLayers::base(index), &q, from, &mut SearchCost::default())
+    mmp_search_packed(index, &q, from, &mut SearchCost::default())
+}
+
+/// The search from the base table down, not reading its children: the start no
+/// aligner uses, kept as the reference the children are checked against.
+#[cfg(test)]
+pub(crate) fn mmp_search_without_children(index: &StarIndex, q: &Packed2, from: usize, cost: &mut SearchCost) -> Mmp {
+    search::<false>(index, q, from, cost)
 }
 
 /// The oracle: the MMP of `q[from..]` by per-base interval refinement from the root
@@ -323,19 +300,16 @@ mod tests {
 
     #[test]
     fn deep_table_never_changes_results() {
-        use crate::prefix::PrefixTable;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(1234);
         let text_seq = DnaSeq::random(&mut rng, 5000);
         let text = text_seq.to_string();
         let idx = index_of(&text);
-        let deep = PrefixTable::deepen(idx.sa(), idx.genome().seq(), idx.prefix().k());
-        assert!(!deep.is_empty(), "5kb genome supports a deeper table");
-        assert!(deep.iter().all(|t| t.k() > idx.prefix().k()));
+        let (mut with, mut without) = (SearchCost::default(), SearchCost::default());
         for i in 0..500 {
             // Mix pure-random queries with genomic and near-genomic ones so both the
-            // deep-hit and deep-miss fallback paths are exercised.
+            // child-hit and child-miss paths are exercised.
             let q = match i % 3 {
                 0 => {
                     let qlen = rng.gen_range(1..80usize);
@@ -353,29 +327,26 @@ mod tests {
                     DnaSeq::from_codes(codes)
                 }
             };
-            let plain = mmp_search(&idx, q.codes(), 0);
-            let layers = SeedLayers::new(&idx, &deep);
-            let fast = mmp_search_packed(
-                &layers,
-                &Packed2::from_codes(q.codes()),
-                0,
-                &mut SearchCost::default(),
-            );
+            let packed = Packed2::from_codes(q.codes());
+            let plain = mmp_search_without_children(&idx, &packed, 0, &mut without);
+            let fast = mmp_search_packed(&idx, &packed, 0, &mut with);
             assert_eq!(plain, fast, "query {q}");
         }
+        assert!(with.probes < without.probes, "premise: the children answer some searches");
     }
 
-    /// The ladder search — from the base table down, and with the deep tables on
-    /// top — against per-base refinement from the root, for every `(q, from)`.
+    /// The ladder search — from the base table's children down, and from the base
+    /// table itself — against per-base refinement from the root, for every
+    /// `(q, from)`.
     fn assert_ladder_matches_refinement(idx: &StarIndex, queries: &[DnaSeq]) {
         for q in queries {
             let packed = Packed2::from_codes(q.codes());
             for from in 0..=q.len() {
                 let want = mmp_by_refinement(idx, &packed, from);
-                for layers in [SeedLayers::base(idx), SeedLayers::full(idx)] {
-                    let got = mmp_search_packed(&layers, &packed, from, &mut SearchCost::default());
-                    assert_eq!(got, want, "query {q} from {from}, {} deep tables", layers.deep.len());
-                }
+                let got = mmp_search_packed(idx, &packed, from, &mut SearchCost::default());
+                assert_eq!(got, want, "query {q} from {from}");
+                let got = mmp_search_without_children(idx, &packed, from, &mut SearchCost::default());
+                assert_eq!(got, want, "query {q} from {from}, without children");
             }
         }
     }
@@ -418,7 +389,6 @@ mod tests {
             let idx = index_of(text);
             assert_ladder_matches_refinement(&idx, &probe_queries(text, i as u64));
         }
-        assert!(!index_of(&random).deep_prefix().is_empty(), "the random text has deep tables");
         // `prefix::tests::short_suffixes_do_not_leak_into_buckets`' text: its last
         // k-1 suffixes sort between the bucket runs of the base table.
         let idx = index_with("CACGTC", IndexParams { sa_index_nbases: Some(3) });
@@ -434,10 +404,31 @@ mod tests {
         assert_eq!(idx.prefix().k(), 4);
         let q: DnaSeq = "GGTCCCCCCC".parse().unwrap();
         let mut cost = SearchCost::default();
-        let m = mmp_search_packed(&SeedLayers::base(&idx), &Packed2::from_codes(q.codes()), 0, &mut cost);
+        let m = mmp_search_packed(&idx, &Packed2::from_codes(q.codes()), 0, &mut cost);
         assert_eq!((m.len, m.occurrences()), (3, 1));
         assert_eq!(cost, SearchCost { searches: 1, probes: 2, start_suffixes: 1, widest_start: 1 });
         assert_eq!(m, mmp_by_refinement(&idx, &Packed2::from_codes(q.codes()), 0));
+    }
+
+    #[test]
+    fn an_empty_child_of_a_full_base_bucket_answers_in_one_probe() {
+        // "GATC" occurs three times in the text (once as its last four bases) and
+        // "GATCA" never: the base bucket (k = 4) of the query's first four bases is
+        // full, the child its fifth base names is empty.
+        let text = "ACGTACGGTTACGATCGGATCGATTACGGATC";
+        let idx = index_of(text);
+        let q: DnaSeq = "GATCAAAAAA".parse().unwrap();
+        let packed = Packed2::from_codes(q.codes());
+        let mut cost = SearchCost::default();
+        let m = mmp_search_packed(&idx, &packed, 0, &mut cost);
+        assert_eq!((m.len, m.occurrences()), (4, 3));
+        assert_eq!(cost, SearchCost { searches: 1, probes: 1, start_suffixes: 3, widest_start: 3 });
+        assert_eq!(m, mmp_by_refinement(&idx, &packed, 0));
+        // From the base table alone the same answer costs the bucket's probe and a
+        // direct extension of its three suffixes.
+        let mut without = SearchCost::default();
+        assert_eq!(mmp_search_without_children(&idx, &packed, 0, &mut without), m);
+        assert_eq!(without.probes, 1 + 3);
     }
 
     #[test]

@@ -4,47 +4,83 @@
 //! prefix length `1..=genomeSAindexNbases` and, when a prefix is flagged absent, steps
 //! down one length: an MMP search never descends the suffix array from its root, and
 //! the step from "absent at depth d+1" to "present at depth d" *is* the answer. Here
-//! that is a contiguous ladder of dense 4^d-bucket tables, one per depth
-//! `top, top−1, …, 1` ([`crate::mmp::SeedLayers`]). Only depth `k` — the base table —
-//! is part of the serialized index and its size; `k` defaults to a `log4`-of-genome
-//! shape like STAR's `min(14, log2(GenomeLength)/2 - 1)`, with a smaller cap suited to
-//! synthetic genomes. The depths below `k` are derived from the base table when an
-//! index is built or loaded ([`PrefixTable::ladder`], O(4^k)); the depths above it are
-//! built on first use by scanning the suffix array ([`PrefixTable::deepen`]).
+//! that is a contiguous ladder of dense 4^d-bucket tables, one per depth `k, k−1, …,
+//! 1` ([`crate::index::StarIndex::prefix_ladder`]), topped by depth `k+1`, which the
+//! base table answers from its own buckets. Only depth `k` — the base table — is part
+//! of the serialized index and its size; `k` defaults to a `log4`-of-genome shape like
+//! STAR's `min(14, log2(GenomeLength)/2 - 1)`, with a smaller cap suited to synthetic
+//! genomes. The depths below `k` are derived from the base table when an index is
+//! built or loaded ([`PrefixTable::ladder`], O(4^k)).
 //!
-//! A bucket is one [`SaInterval`], addressed by its `d`-mer packed LSB-first — the
-//! value `seq.word_from(pos) & mask` reads from a [`Packed2`], so every rung is built
-//! from the packed genome and probed from a packed read the same way. An empty bucket
-//! is `SaInterval { lo: 0, hi: 0 }`. A depth-`d` bucket holds the suffixes of at least
-//! `d` bases that start with its `d`-mer. Shorter suffixes (the last `d-1` genome
-//! positions) sort in between bucket runs, so each bucket stores its exact interval
-//! rather than deriving its end from the next bucket's start.
+//! A bucket is addressed by its `d`-mer packed LSB-first — the value
+//! `seq.word_from(pos) & mask` reads from a [`Packed2`], so every rung is built from
+//! the packed genome and probed from a packed read the same way. A depth-`d` bucket
+//! holds the suffixes of at least `d` bases that start with its `d`-mer. Shorter
+//! suffixes (the last `d-1` genome positions) sort in between bucket runs, so each
+//! bucket stores its exact interval rather than deriving its end from the next
+//! bucket's start.
+//!
+//! Two bucket encodings, both 8 bytes. A rung below the base stores its interval, and
+//! an empty bucket is `SaInterval { lo: 0, hi: 0 }`. The base table stores its first
+//! slot and four 8-bit child counts: how many of its suffixes continue with A, C, G
+//! and T, which are its four depth-`k+1` buckets in order. Its one suffix with exactly
+//! `k` bases left sorts first and is in no child; it is one bucket per table (the
+//! genome's last `k` bases), so the table names that bucket instead of giving every
+//! bucket a field. A count of 255 means "255 or more": that bucket's exact child sizes
+//! are in a short side table, which one more probe reads. So one 8-byte load answers
+//! depths `k` and `k+1` at once, and the dense 4^(k+1)-bucket rung the search used to
+//! keep beside the base table is gone.
 //!
 //! On disk (`PrefixTable::encode`) a table is its depth, every bucket's first slot,
 //! then every bucket's one-past-last slot, with an empty bucket written as
-//! `u32::MAX, 0`: index format version 2, which this layout must keep.
+//! `u32::MAX, 0`: index format version 2, which this layout must keep. The child
+//! counts are not stored: loading counts them again from the suffix array and the
+//! packed genome, in one scan, and rejects a table whose intervals that scan does not
+//! reproduce.
 
 use crate::genome::Packed2;
 use crate::sa::{SaInterval, SuffixArray};
 use crate::StarError;
 
-/// Rungs [`PrefixTable::deepen`] builds above the base table. Measured, not assumed
-/// (EXPERIMENTS.md, "Ladder depth: the verdict"): with no rung above `k` seeding is
-/// 1.2–1.4× slower on both releases; a second one, `k+2`, quadruples the bytes of the
-/// first (128 MiB of release 108's resident set) and did not win nine of ten
-/// alternating pairs against `k+1` on either release.
-const DEEP_RUNGS: usize = 1;
-
 /// The bucket of a `d`-mer no suffix starts with.
 const EMPTY: SaInterval = SaInterval { lo: 0, hi: 0 };
 
-/// Dense `k`-mer → SA-interval table: one rung of the ladder.
+/// A child count of 255 or more: the bucket's exact child sizes are an overflow entry.
+const OVERFLOW: u8 = u8::MAX;
+
+/// A base-table bucket: its first slot and the sizes of its four children, the
+/// depth-`k+1` buckets of its `k`-mer followed by A, C, G and T.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Bucket {
+    /// First slot; 0 for an empty bucket.
+    lo: u32,
+    /// Suffixes per child, or [`OVERFLOW`].
+    counts: [u8; 4],
+}
+
+/// Dense `k`-mer → SA-interval table: one rung of the ladder. Its depth is not a
+/// field — a table holds `4^k` buckets — which keeps a rung of the index's list at
+/// 40 bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PrefixTable {
-    k: usize,
-    /// Bucket `m` is the interval of the suffixes that start with the `k`-mer whose
-    /// LSB-first packed value is `m`; `EMPTY` when there are none.
-    buckets: Vec<SaInterval>,
+pub struct PrefixTable(Rung);
+
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Rung {
+    /// A table counted from the suffix array ([`PrefixTable::build`]), which answers
+    /// its children as well as its own buckets.
+    Counted {
+        buckets: Box<[Bucket]>,
+        /// The bucket of the one suffix with exactly `k` bases left, which sorts first
+        /// in it and is in none of its children; `None` when the genome is shorter.
+        short: Option<u32>,
+        /// `(bucket, exact child sizes)` of every bucket with an [`OVERFLOW`] count, in
+        /// bucket order.
+        overflow: Box<[(u32, [u32; 4])]>,
+    },
+    /// A rung derived below the base table ([`PrefixTable::ladder`]): each bucket's
+    /// interval. A search never asks it for children, so it keeps none; counts here
+    /// would overflow in most buckets of the shallow rungs.
+    Intervals(Box<[SaInterval]>),
 }
 
 impl PrefixTable {
@@ -56,40 +92,134 @@ impl PrefixTable {
     }
 
     /// Build the depth-`k` table by a single scan over the suffix array: each suffix
-    /// of at least `k` bases lands in the bucket its first `k` bases address, read
-    /// from the packed genome in one word (`seq.word_from(pos) & mask`). O(n), and
-    /// nothing is allocated but the buckets.
+    /// of at least `k` bases lands in the bucket its first `k` bases address, and in
+    /// the child its next base names, both read from the packed genome in one word
+    /// (`seq.word_from(pos)`). O(n), and nothing is allocated but the table.
+    ///
+    /// # Panics
+    ///
+    /// If `k` is not in `1..=13`, or `sa` is not the sorted suffix array of `seq`.
     pub fn build(sa: &SuffixArray, seq: &Packed2, k: usize) -> PrefixTable {
         assert!((1..=13).contains(&k), "prefix depth {k} unsupported");
+        PrefixTable::count(sa, seq, k).unwrap_or_else(|e| panic!("not the suffix array of the genome: {e}"))
+    }
+
+    /// [`PrefixTable::build`]'s scan, checking as it goes that every bucket is one run
+    /// of slots in which the short suffix comes first and the children follow in
+    /// order — true of any sorted suffix array, and what makes the counts describe
+    /// its intervals.
+    fn count(sa: &SuffixArray, seq: &Packed2, k: usize) -> Result<PrefixTable, String> {
+        let n = seq.len();
         let mask = (1u64 << (2 * k)) - 1;
-        let mut buckets = vec![EMPTY; 1 << (2 * k)];
+        let mut buckets = vec![Bucket::default(); 1 << (2 * k)].into_boxed_slice();
+        let short = n.checked_sub(k).map(|at| (seq.word_from(at) & mask) as u32);
+        let mut short_seen = false;
+        // The bucket of the previous slot: a bucket is entered once, at its first slot.
+        let mut prev = None;
         for (slot, &pos) in (0u32..).zip(sa.positions()) {
             let pos = pos as usize;
-            if pos + k > seq.len() {
-                continue; // suffix too short to be addressable through the table
+            if pos + k > n {
+                prev = None; // too short to be addressable through the table
+                continue;
             }
-            let bucket = &mut buckets[(seq.word_from(pos) & mask) as usize];
-            debug_assert!(bucket.is_empty() || bucket.hi == slot, "bucket not contiguous in the SA");
-            if bucket.is_empty() {
+            let w = seq.word_from(pos);
+            let m = (w & mask) as usize;
+            let bucket = &mut buckets[m];
+            if prev != Some(m) {
+                if bucket.counts != [0; 4] || (short == Some(m as u32) && short_seen) {
+                    return Err(format!("bucket {m} is split at slot {slot}"));
+                }
                 bucket.lo = slot;
             }
-            bucket.hi = slot + 1;
+            if pos + k == n {
+                if prev == Some(m) {
+                    return Err(format!("bucket {m}: its suffix of {k} bases is not first"));
+                }
+                short_seen = true;
+            } else {
+                let c = (w >> (2 * k)) as usize & 3;
+                if bucket.counts[c + 1..].iter().any(|&later| later != 0) {
+                    return Err(format!("bucket {m}: child {c} follows a later one at slot {slot}"));
+                }
+                bucket.counts[c] = bucket.counts[c].saturating_add(1);
+            }
+            prev = Some(m);
         }
-        PrefixTable { k, buckets }
+        // A saturated count is recounted over its bucket's run, now known contiguous.
+        let overflows = |b: &&Bucket| b.counts.contains(&OVERFLOW);
+        let mut overflow = Vec::with_capacity(buckets.iter().filter(overflows).count());
+        for (m, b) in (0u32..).zip(buckets.iter()).filter(|(_, b)| overflows(b)) {
+            let mut sizes = [0u32; 4];
+            let first = b.lo + u32::from(short == Some(m));
+            for &pos in &sa.positions()[first as usize..] {
+                let w = seq.word_from(pos as usize);
+                if pos as usize + k >= n || (w & mask) as u32 != m {
+                    break; // past the run: a suffix with no child, or another bucket
+                }
+                sizes[(w >> (2 * k)) as usize & 3] += 1;
+            }
+            overflow.push((m, sizes));
+        }
+        Ok(PrefixTable(Rung::Counted { buckets, short, overflow: overflow.into_boxed_slice() }))
     }
 
     /// The table depth `k`.
     #[inline]
     pub fn k(&self) -> usize {
-        self.k
+        self.len().trailing_zeros() as usize / 2
     }
 
-    /// SA interval for an LSB-first-packed `k`-mer value — the O(1) probe the
-    /// packed hot path uses: `seq.word_from(p) & ((1 << 2k) - 1)` *is* the value.
-    /// The caller guarantees at least `k` bases remain at the probe position.
+    /// Buckets in the table: `4^k`.
+    fn len(&self) -> usize {
+        match &self.0 {
+            Rung::Counted { buckets, .. } => buckets.len(),
+            Rung::Intervals(buckets) => buckets.len(),
+        }
+    }
+
+    /// SA interval for an LSB-first-packed `k`-mer value `m < 4^k`: `seq.word_from(p)
+    /// & ((1 << 2k) - 1)` *is* the value.
     #[inline]
     pub fn lookup_value(&self, m: usize) -> SaInterval {
-        self.buckets[m]
+        self.probe(m as u64, &mut 0).0
+    }
+
+    /// SA interval for an LSB-first-packed `k+1`-mer value `m < 4^(k+1)`, answered
+    /// from its depth-`k` bucket; `None` for a rung derived below the base table,
+    /// which keeps no children. Equal to `PrefixTable::build(sa, seq, k + 1)
+    /// .lookup_value(m)`, empty intervals included.
+    pub fn child(&self, m: usize) -> Option<SaInterval> {
+        let child = self.probe(m as u64, &mut 0).1?;
+        Some(if child.is_empty() { EMPTY } else { child })
+    }
+
+    /// The probe the packed hot path makes: the bucket of the `k`-mer at the front of
+    /// the LSB-first packed word `w` and, from a counted table, the interval of the
+    /// `k+1`-mer at its front (empty, though not always `lo == hi == 0`, when no
+    /// suffix has it). One probe is added to `probes`, and one more when the bucket's
+    /// child sizes are an overflow entry. The caller guarantees at least `k` bases
+    /// remain at the probe position, and `k + 1` for the child to mean anything.
+    #[inline]
+    pub(crate) fn probe(&self, w: u64, probes: &mut u64) -> (SaInterval, Option<SaInterval>) {
+        *probes += 1;
+        let (buckets, short, overflow) = match &self.0 {
+            Rung::Counted { buckets, short, overflow } => (buckets, *short, overflow),
+            Rung::Intervals(buckets) => return (buckets[w as usize & (buckets.len() - 1)], None),
+        };
+        let m = w as usize & (buckets.len() - 1);
+        let c = (w >> buckets.len().trailing_zeros()) as usize & 3;
+        let Bucket { lo, counts } = buckets[m];
+        let sizes = if counts.contains(&OVERFLOW) {
+            *probes += 1;
+            let at = overflow.binary_search_by_key(&(m as u32), |&(b, _)| b);
+            overflow[at.expect("an overflow entry per saturated bucket")].1
+        } else {
+            counts.map(u32::from)
+        };
+        let first = lo + u32::from(short == Some(m as u32));
+        let start = first + sizes[..c].iter().sum::<u32>();
+        let bucket = SaInterval { lo, hi: first + sizes.iter().sum::<u32>() };
+        (bucket, Some(SaInterval { lo: start, hi: start + sizes[c] }))
     }
 
     /// The rungs of the ladder below this (base) table, derived from it: returns
@@ -101,15 +231,17 @@ impl PrefixTable {
     /// no deeper table can address and which sorts first among the suffixes starting
     /// with its `d` bases. O(4^k) in all: no scan of the suffix array.
     pub fn ladder(self, sa: &SuffixArray, seq: &Packed2) -> Vec<PrefixTable> {
-        let mut rungs = vec![self];
-        for d in (1..rungs[0].k).rev() {
-            let deeper = &rungs.last().expect("starts non-empty").buckets;
+        let mut rungs = Vec::with_capacity(self.k());
+        rungs.push(self);
+        for d in (1..rungs[0].k()).rev() {
+            let deeper: &PrefixTable = rungs.last().expect("starts non-empty");
             let mask = (1usize << (2 * d)) - 1;
             let mut buckets = vec![EMPTY; mask + 1];
-            for (m, iv) in deeper.iter().enumerate().filter(|(_, iv)| !iv.is_empty()) {
+            let deeper_buckets = (0..deeper.len()).map(|m| (m, deeper.lookup_value(m)));
+            for (m, iv) in deeper_buckets.filter(|(_, iv)| !iv.is_empty()) {
                 let parent = &mut buckets[m & mask];
                 *parent = if parent.is_empty() {
-                    *iv
+                    iv
                 } else {
                     SaInterval { lo: parent.lo.min(iv.lo), hi: parent.hi.max(iv.hi) }
                 };
@@ -121,57 +253,47 @@ impl PrefixTable {
                 debug_assert!(bucket.is_empty() || (bucket.lo - 1, bucket.hi) == (with_tail.lo, with_tail.hi));
                 *bucket = with_tail;
             }
-            rungs.push(PrefixTable { k: d, buckets });
+            rungs.push(PrefixTable(Rung::Intervals(buckets.into_boxed_slice())));
         }
         rungs
     }
 
-    /// The rungs of the ladder above the base table, deepest first: depths
-    /// `top, …, base_k + 1`, contiguous, each built by one scan of the suffix array
-    /// over the packed genome `seq`.
-    ///
-    /// A `d`-mer bucket is exactly the interval that refinement from the root reaches
-    /// at depth `d`, so no rung changes a search result. What a deep rung buys is the
-    /// answer to "is this `d`-mer in the genome at all" in one load: the strand of a
-    /// read that does not map behaves like random sequence, and almost every search
-    /// on it ends at the first rung whose bucket is not empty. A depth is built while
-    /// it fits within 4× the genome length in buckets (≤ 13), up to
-    /// `base_k + DEEP_RUNGS`, bounding the tables at 32 bytes per genome base.
-    /// These tables are runtime-only: built on the first [`crate::align::Aligner::new`]
-    /// over an index and never serialized, so index files and their digests are
-    /// unaffected.
-    pub fn deepen(sa: &SuffixArray, seq: &Packed2, base_k: usize) -> Vec<PrefixTable> {
-        let mut rungs: Vec<PrefixTable> = (base_k + 1..=(base_k + DEEP_RUNGS).min(13))
-            .take_while(|&d| (1usize << (2 * d)) <= 4 * seq.len())
-            .map(|d| PrefixTable::build(sa, seq, d))
-            .collect();
-        rungs.reverse();
-        rungs
+    /// Bytes of the table's buckets, 8 per bucket in either encoding: what the table
+    /// takes on disk, where the base table's starts and ends are 4 bytes each.
+    pub fn byte_size(&self) -> usize {
+        self.len() * std::mem::size_of::<SaInterval>()
     }
 
-    /// Bytes of memory/disk the table occupies.
-    pub fn byte_size(&self) -> usize {
-        self.buckets.len() * std::mem::size_of::<SaInterval>()
+    /// Bytes the table holds in memory: its buckets and the base table's overflow
+    /// entries, which are not stored on disk.
+    pub fn resident_bytes(&self) -> usize {
+        let overflow = match &self.0 {
+            Rung::Counted { overflow, .. } => std::mem::size_of_val(&**overflow),
+            Rung::Intervals(_) => 0,
+        };
+        self.byte_size() + overflow
     }
 
     /// Append the serialized table: the depth, every bucket's first slot, then every
     /// bucket's one-past-last slot, little-endian `u32`s; an empty bucket is
     /// `u32::MAX, 0`.
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.k as u32).to_le_bytes());
-        let stored = |iv: &SaInterval| if iv.is_empty() { (u32::MAX, 0) } else { (iv.lo, iv.hi) };
-        for iv in &self.buckets {
-            out.extend_from_slice(&stored(iv).0.to_le_bytes());
+        out.extend_from_slice(&(self.k() as u32).to_le_bytes());
+        for m in 0..self.len() {
+            out.extend_from_slice(&stored(self.lookup_value(m)).0.to_le_bytes());
         }
-        for iv in &self.buckets {
-            out.extend_from_slice(&stored(iv).1.to_le_bytes());
+        for m in 0..self.len() {
+            out.extend_from_slice(&stored(self.lookup_value(m)).1.to_le_bytes());
         }
     }
 
-    /// Decode a table `encode` wrote from the front of `input`, and
-    /// advance `input` past it. Every bucket is validated against a suffix array of
-    /// `sa_len` slots, and the buckets are the only allocation.
-    pub(crate) fn decode(input: &mut &[u8], sa_len: usize) -> Result<PrefixTable, StarError> {
+    /// Decode a table `encode` wrote from the front of `input`, and advance `input`
+    /// past it. The table is counted again from the suffix array `sa` of the packed
+    /// genome `seq` (one scan, as [`PrefixTable::build`]), and every bucket the blob
+    /// stores must be the interval that scan finds: a table that disagrees with its
+    /// suffix array is rejected here, not met later at search. The table and its
+    /// overflow entries are the only allocations.
+    pub(crate) fn decode(input: &mut &[u8], sa: &SuffixArray, seq: &Packed2) -> Result<PrefixTable, StarError> {
         let truncated = || StarError::CorruptIndex("prefix table runs past the end of the blob".into());
         let (k, rest) = input.split_first_chunk::<4>().ok_or_else(truncated)?;
         let k = u32::from_le_bytes(*k) as usize;
@@ -184,17 +306,30 @@ impl PrefixTable {
         }
         let (starts, rest) = rest.split_at(4 * n);
         let (ends, rest) = rest.split_at(4 * n);
+        let table = PrefixTable::count(sa, seq, k)
+            .map_err(|e| StarError::CorruptIndex(format!("suffix array out of k-mer order: {e}")))?;
         let slot = |bytes: &[u8]| u32::from_le_bytes(bytes.try_into().expect("4 bytes"));
-        let mut buckets = Vec::with_capacity(n);
         for (m, (s, e)) in starts.chunks_exact(4).zip(ends.chunks_exact(4)).enumerate() {
-            buckets.push(match (slot(s), slot(e)) {
-                (u32::MAX, 0) => EMPTY,
-                (lo, hi) if lo < hi && hi as usize <= sa_len => SaInterval { lo, hi },
-                (lo, hi) => return Err(StarError::CorruptIndex(format!("bucket {m}: bad range {lo}..{hi}"))),
-            });
+            let (lo, hi) = stored(table.lookup_value(m));
+            if (slot(s), slot(e)) != (lo, hi) {
+                return Err(StarError::CorruptIndex(format!(
+                    "bucket {m}: {}..{} in the blob, {lo}..{hi} in the suffix array",
+                    slot(s),
+                    slot(e)
+                )));
+            }
         }
         *input = rest;
-        Ok(PrefixTable { k, buckets })
+        Ok(table)
+    }
+}
+
+/// A bucket as the blob stores it: its interval, or `u32::MAX, 0` when empty.
+fn stored(iv: SaInterval) -> (u32, u32) {
+    if iv.is_empty() {
+        (u32::MAX, 0)
+    } else {
+        (iv.lo, iv.hi)
     }
 }
 
@@ -218,25 +353,30 @@ mod tests {
         (pattern.len() >= d).then(|| table.lookup_value(kmer_value(&pattern[..d])))
     }
 
-    /// Every rung of the whole ladder over `codes` around a depth-`k` base table:
-    /// scanned above the base, derived below it, deepest first.
+    /// Every rung of the ladder over `codes` from a depth-`k` base table down,
+    /// deepest first.
     fn whole_ladder(sa: &SuffixArray, seq: &Packed2, k: usize) -> Vec<PrefixTable> {
-        let mut rungs = PrefixTable::deepen(sa, seq, k);
-        rungs.extend(PrefixTable::build(sa, seq, k).ladder(sa, seq));
-        assert!(rungs.iter().map(|t| t.k()).eq((1..=rungs.len()).rev()), "contiguous down to depth 1");
+        let rungs = PrefixTable::build(sa, seq, k).ladder(sa, seq);
+        assert!(rungs.iter().map(|t| t.k()).eq((1..=k).rev()), "contiguous down to depth 1");
         rungs
     }
 
-    /// Every bucket of every rung is the interval a from-scratch search finds.
+    /// The `d`-mer of LSB-first packed value `m`, mirroring kmer_value's packing.
+    fn kmer_of(m: usize, d: usize) -> Vec<u8> {
+        (0..d).map(|i| ((m >> (2 * i)) & 0b11) as u8).collect()
+    }
+
+    /// Every bucket of every rung, and every child of the base table, is the interval
+    /// a from-scratch search finds.
     fn assert_ladder_agrees_with_find(codes: &[u8], k: usize) {
         let packed = Packed2::from_codes(codes);
         let sa = SuffixArray::build(&packed);
-        for table in whole_ladder(&sa, &packed, k) {
+        let rungs = whole_ladder(&sa, &packed, k);
+        for table in &rungs {
             let d = table.k();
             for m in 0..(1usize << (2 * d)) {
-                // LSB-first decode, mirroring kmer_value's packing.
-                let pattern: Vec<u8> = (0..d).map(|i| ((m >> (2 * i)) & 0b11) as u8).collect();
-                let via_table = lookup(&table, &pattern).unwrap();
+                let pattern = kmer_of(m, d);
+                let via_table = lookup(table, &pattern).unwrap();
                 assert_eq!(via_table, table.lookup_value(m), "depth {d}, value probe {m:#b}");
                 let via_find = sa.find(&packed, &pattern);
                 if via_find.is_empty() {
@@ -245,15 +385,65 @@ mod tests {
                     assert_eq!(via_table, via_find, "depth {d}, k-mer {m:#b}");
                 }
             }
+            assert_eq!(table.child(0).is_some(), d == k, "only the base table has children");
         }
+        for m in 0..(1usize << (2 * (k + 1))) {
+            let via_find = sa.find(&packed, &kmer_of(m, k + 1));
+            let want = if via_find.is_empty() { EMPTY } else { via_find };
+            assert_eq!(rungs[0].child(m), Some(want), "depth {}, k-mer {m:#b}", k + 1);
+        }
+    }
+
+    /// Every child of the depth-`k` table, for `k` from 1 to `top`, against the dense
+    /// depth-`k+1` table; and the short suffix's bucket is its children and one more.
+    fn assert_children_equal_the_dense_table(codes: &[u8], top: usize) {
+        let packed = Packed2::from_codes(codes);
+        let sa = SuffixArray::build(&packed);
+        for k in 1..=top {
+            let (table, dense) = (PrefixTable::build(&sa, &packed, k), PrefixTable::build(&sa, &packed, k + 1));
+            for m in 0..1usize << (2 * (k + 1)) {
+                assert_eq!(table.child(m), Some(dense.lookup_value(m)), "k = {k}, {}-mer {m:#b}", k + 1);
+            }
+            if let Some(at) = codes.len().checked_sub(k) {
+                let m = kmer_value(&codes[at..]);
+                let children: u32 = (0..4).map(|c| table.child(m | c << (2 * k)).unwrap().size()).sum();
+                assert_eq!(table.lookup_value(m).size(), children + 1, "k = {k}: the short suffix's bucket");
+            }
+        }
+    }
+
+    #[test]
+    fn children_equal_the_dense_table_one_deeper() {
+        let mut rng = StdRng::seed_from_u64(45);
+        for len in [1, 7, 300, 2000] {
+            let random = DnaSeq::random(&mut rng, len);
+            let auto = PrefixTable::auto_k(len, 11);
+            assert_children_equal_the_dense_table(random.codes(), auto + 2);
+        }
+        let tandem: Vec<u8> = [0u8, 1, 2, 1, 3].iter().copied().cycle().take(1500).collect();
+        assert_children_equal_the_dense_table(&tandem, PrefixTable::auto_k(tandem.len(), 11) + 2);
+        // A tiny assembly's contigs, concatenated as the index concatenates them.
+        let generator = genomics::EnsemblGenerator::new(genomics::EnsemblParams::tiny()).unwrap();
+        let assembly = generator.generate(genomics::Release::R111);
+        let genome: Vec<u8> = assembly.contigs.iter().flat_map(|c| c.seq.codes().iter().copied()).collect();
+        assert_children_equal_the_dense_table(&genome, PrefixTable::auto_k(genome.len(), 11) + 2);
+        // A homopolymer: its one non-empty child holds almost every suffix, far past
+        // what a count holds, so its size comes from an overflow entry.
+        let poly_a = vec![0u8; 2000];
+        assert_children_equal_the_dense_table(&poly_a, PrefixTable::auto_k(poly_a.len(), 11) + 2);
+        let sa = SuffixArray::build(&Packed2::from_codes(&poly_a));
+        let table = PrefixTable::build(&sa, &Packed2::from_codes(&poly_a), 4);
+        assert!(table.resident_bytes() > table.byte_size(), "premise: the homopolymer overflows");
+        let (mut probes, mut bucket_probes) = (0, 0);
+        assert_eq!(table.probe(0, &mut probes).1, Some(SaInterval { lo: 4, hi: 2000 }));
+        table.probe(0b01, &mut bucket_probes);
+        assert_eq!((probes, bucket_probes), (2, 1), "an overflow entry is one more probe");
     }
 
     #[test]
     fn lookup_agrees_with_sa_find_on_random_text() {
         let mut rng = StdRng::seed_from_u64(11);
         let s = DnaSeq::random(&mut rng, 2000);
-        let sa = SuffixArray::build(&Packed2::from_codes(s.codes()));
-        assert_eq!(whole_ladder(&sa, &Packed2::from_codes(s.codes()), 4).len(), 5, "one scanned rung above the base");
         assert_ladder_agrees_with_find(s.codes(), 4);
     }
 
@@ -311,19 +501,22 @@ mod tests {
         let mut blob = Vec::new();
         t.encode(&mut blob);
         assert_eq!(blob.len(), 4 + t.byte_size());
+        // A rung of the index's list, which `index_build_alloc`'s peak counts.
+        assert_eq!(std::mem::size_of::<PrefixTable>(), 40);
     }
 
     #[test]
     fn encode_decode_validates() {
         let s: DnaSeq = "ACGTACGT".parse().unwrap();
-        let sa = SuffixArray::build(&Packed2::from_codes(s.codes()));
-        let t = PrefixTable::build(&sa, &Packed2::from_codes(s.codes()), 4);
+        let packed = Packed2::from_codes(s.codes());
+        let sa = SuffixArray::build(&packed);
+        let t = PrefixTable::build(&sa, &packed, 4);
         let mut blob = Vec::new();
         t.encode(&mut blob);
         blob.push(0xAB); // what follows the table in the index
-        let decode = |bytes: &[u8]| PrefixTable::decode(&mut &bytes[..], sa.len());
+        let decode = |bytes: &[u8]| PrefixTable::decode(&mut &bytes[..], &sa, &packed);
         let mut rest = &blob[..];
-        assert_eq!(PrefixTable::decode(&mut rest, sa.len()).unwrap(), t);
+        assert_eq!(PrefixTable::decode(&mut rest, &sa, &packed).unwrap(), t);
         assert_eq!(rest, [0xAB], "decode stops at the table's end");
         // A depth the sections are too short for.
         let mut bad = blob.clone();
@@ -338,10 +531,22 @@ mod tests {
         bad[ends + 4 * empty_m..][..4].copy_from_slice(&1u32.to_le_bytes());
         assert!(decode(&bad).is_err());
         // Range beyond SA.
-        let full_m = (0..256).find(|&m| !t.lookup_value(m).is_empty()).unwrap();
+        let full: Vec<usize> = (0..256).filter(|&m| !t.lookup_value(m).is_empty()).collect();
         let mut bad = blob.clone();
-        bad[ends + 4 * full_m..][..4].copy_from_slice(&(sa.len() as u32 + 5).to_le_bytes());
+        bad[ends + 4 * full[0]..][..4].copy_from_slice(&(sa.len() as u32 + 5).to_le_bytes());
         assert!(decode(&bad).is_err());
+        // Two well-formed buckets swapped: every range is inside the suffix array, but
+        // not the one the suffix array gives the k-mer.
+        let mut bad = blob.clone();
+        for section in [starts, ends] {
+            let (a, b) = (slot_at(&blob, section + 4 * full[0]), slot_at(&blob, section + 4 * full[1]));
+            bad[section + 4 * full[0]..][..4].copy_from_slice(&b.to_le_bytes());
+            bad[section + 4 * full[1]..][..4].copy_from_slice(&a.to_le_bytes());
+        }
+        assert!(matches!(decode(&bad), Err(StarError::CorruptIndex(_))));
+        // A suffix array that is a permutation but not sorted.
+        let reversed = SuffixArray::from_raw(sa.positions().iter().rev().copied().collect(), sa.len()).unwrap();
+        assert!(matches!(PrefixTable::decode(&mut &blob[..], &reversed, &packed), Err(StarError::CorruptIndex(_))));
     }
 
     #[test]

@@ -86,13 +86,14 @@ impl SuffixArray {
                 sa.len()
             )));
         }
-        let mut seen = vec![false; text_len];
+        // One bit per position: no side array as large as the genome's bases.
+        let mut seen = vec![0u64; text_len.div_ceil(64)];
         for &p in &sa {
             let p = p as usize;
-            if p >= text_len || seen[p] {
+            if p >= text_len || seen[p >> 6] >> (p & 63) & 1 == 1 {
                 return Err(crate::StarError::CorruptIndex("suffix array is not a permutation".into()));
             }
-            seen[p] = true;
+            seen[p >> 6] |= 1 << (p & 63);
         }
         Ok(SuffixArray { sa })
     }

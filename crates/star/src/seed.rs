@@ -19,7 +19,8 @@
 //! by the copy number.
 
 use crate::genome::Packed2;
-use crate::mmp::{mmp_search_packed, SearchCost, SeedLayers};
+use crate::index::StarIndex;
+use crate::mmp::{mmp_search_packed, SearchCost};
 use crate::params::AlignParams;
 
 /// One seed: an exact read↔genome match.
@@ -79,16 +80,14 @@ impl SeedProbeScratch {
 /// Collect seeds for one oriented, packed read (the caller runs this once per
 /// strand) into `seeds` (cleared first), sorted by `(read_pos, gpos)`. Occurrences
 /// are resolved in batches through `probe`; both buffers keep their capacity across
-/// reads so the steady state allocates nothing. Seeds are identical whichever
-/// `layers` start the MMP searches.
+/// reads so the steady state allocates nothing.
 pub fn collect_seeds_packed(
-    layers: &SeedLayers<'_>,
+    index: &StarIndex,
     q: &Packed2,
     params: &AlignParams,
     seeds: &mut Vec<Seed>,
     probe: &mut SeedProbeScratch,
 ) {
-    let index = layers.index();
     seeds.clear();
     probe.cost = SearchCost::default();
     let mut from = 0usize;
@@ -96,7 +95,7 @@ pub fn collect_seeds_packed(
     // An MMP is at most what is left of the read: once that is under `min_seed_len`
     // neither this search nor any after it can yield a seed.
     while from + params.min_seed_len.max(1) <= q.len() && seeds.len() < params.max_seeds_per_read {
-        let m = mmp_search_packed(layers, q, from, &mut probe.cost);
+        let m = mmp_search_packed(index, q, from, &mut probe.cost);
         if m.len == 0 {
             from += 1;
             continue;
@@ -154,16 +153,12 @@ pub fn collect_seeds_packed(
     seeds.sort_unstable_by_key(|s| (s.read_pos, s.gpos));
 }
 
-/// Seeds of unpacked `read_codes` through the index's base layers, on fresh buffers.
+/// Seeds of unpacked `read_codes`, on fresh buffers.
 #[cfg(test)]
-pub(crate) fn collect_seeds(
-    index: &crate::index::StarIndex,
-    read_codes: &[u8],
-    params: &AlignParams,
-) -> Vec<Seed> {
+pub(crate) fn collect_seeds(index: &StarIndex, read_codes: &[u8], params: &AlignParams) -> Vec<Seed> {
     let mut seeds = Vec::new();
     let q = Packed2::from_codes(read_codes);
-    collect_seeds_packed(&SeedLayers::base(index), &q, params, &mut seeds, &mut SeedProbeScratch::default());
+    collect_seeds_packed(index, &q, params, &mut seeds, &mut SeedProbeScratch::default());
     seeds
 }
 
@@ -358,7 +353,6 @@ mod tests {
         let asm_111 = g.generate(Release::R111);
         let ann = Annotation::simulate(&asm_111, &g).unwrap();
         let idx = StarIndex::build(&g.generate(Release::R108), &ann, &IndexParams::default()).unwrap();
-        let layers = SeedLayers::full(&idx);
         let params = AlignParams::default();
         let (mut seeds, mut probe) = (Vec::new(), SeedProbeScratch::default());
         let mut seeded = 0;
@@ -368,7 +362,7 @@ mod tests {
             for read in sim.simulate(250, "L") {
                 for seq in [read.fastq.seq.clone(), read.fastq.seq.reverse_complement()] {
                     let q = Packed2::from_codes(seq.codes());
-                    collect_seeds_packed(&layers, &q, &params, &mut seeds, &mut probe);
+                    collect_seeds_packed(&idx, &q, &params, &mut seeds, &mut probe);
                     assert_eq!(seeds, plain_uncut_seeds(&idx, seq.codes(), &params), "read {seq}");
                     seeded += usize::from(!seeds.is_empty());
                 }

@@ -78,6 +78,11 @@ impl SpliceJunctionDb {
         v
     }
 
+    /// Every junction, in no particular order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Junction> {
+        self.junctions.iter()
+    }
+
     /// Number of junctions.
     pub fn len(&self) -> usize {
         self.junctions.len()

@@ -317,8 +317,8 @@ fn two_pass_sam_comes_from_the_second_pass() {
     // tables are the first pass's own (two-pass mode used to deep-copy all three), …
     let (sa_1, sa_2) = (first_pass_index.sa().positions(), second_pass_index.sa().positions());
     assert!(std::ptr::eq(sa_1, sa_2), "suffix array copied");
-    let (deep_1, deep_2) = (first_pass_index.deep_prefix(), second_pass_index.deep_prefix());
-    assert!(!deep_1.is_empty() && std::ptr::eq(deep_1, deep_2), "deep prefix tables rebuilt");
+    let (ladder_1, ladder_2) = (first_pass_index.prefix_ladder(), second_pass_index.prefix_ladder());
+    assert!(std::ptr::eq(ladder_1, ladder_2), "prefix tables rebuilt");
     // … and two passes align and count exactly as one pass over a second-pass index
     // that shares nothing with the first.
     let gene = Gene {

@@ -113,6 +113,22 @@ fn hostile_blobs_get_a_typed_error_and_bounded_allocation() {
         assert_rejected(&bad, &format!("top bit of {} flipped", f.name));
     }
 
+    // A prefix section in which every bucket is a well-formed range (`lo < hi <= n`)
+    // but two of them are swapped: it disagrees with the suffix array, and the load,
+    // not a later search, must say so.
+    let k = layout.lengths.iter().find(|f| f.name == "prefix depth").unwrap().at;
+    let buckets = 1usize << (2 * index.prefix().k());
+    let slot = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap());
+    let full: Vec<usize> = (0..buckets).filter(|m| slot(k + 4 + 4 * m) != u32::MAX).take(2).collect();
+    let mut swapped = blob.clone();
+    for section in [k + 4, k + 4 + 4 * buckets] {
+        let (a, b) = (section + 4 * full[0], section + 4 * full[1]);
+        swapped[a..a + 4].copy_from_slice(&blob[b..b + 4]);
+        swapped[b..b + 4].copy_from_slice(&blob[a..a + 4]);
+    }
+    assert!(slot(k + 4 + 4 * full[0]) < slot(k + 4 + 4 * full[1]), "premise: two different buckets");
+    assert_rejected(&swapped, "two prefix buckets swapped");
+
     // Any other single bit: some flips are legal blobs (a different base, another
     // release number), none may panic or allocate beyond the bound.
     for at in (0..blob.len()).step_by(blob.len() / 257) {

@@ -1,9 +1,11 @@
 //! Absolute pins of the index: the serialized bytes of the tiny release-108 and
 //! release-111 indexes (FNV-1a and length), at the automatic prefix depth and at
 //! depth 6, and an FNV-1a over the SA interval every bucket of every rung of the
-//! search ladder answers — the rungs derived below the base table and the deep ones
-//! built above it. A change to how a rung is built, stored or loaded must leave all
-//! of them where they are: the index format and every seed search depend on them.
+//! search ladder answers — the rungs derived below the base table, and depth `k+1`
+//! above it, which the base table answers from its child counts (the "deep digest":
+//! it pins the same intervals as the dense depth-`k+1` rung the search used to
+//! build). A change to how a rung is built, stored or loaded must leave all of them
+//! where they are: the index format and every seed search depend on them.
 
 use genomics::fnv::{fnv1a, OFFSET};
 use genomics::{Annotation, EnsemblGenerator, EnsemblParams, Release};
@@ -20,6 +22,19 @@ fn ladder_digest(rungs: &[PrefixTable]) -> u64 {
             h = fnv1a(h, &iv.lo.to_le_bytes());
             h = fnv1a(h, &iv.hi.to_le_bytes());
         }
+    }
+    h
+}
+
+/// [`ladder_digest`] of the one rung above the base table `base`: `(depth, lo, hi)`
+/// of every `k+1`-mer, read through the base table's children.
+fn deep_digest(base: &PrefixTable) -> u64 {
+    let depth = base.k() + 1;
+    let mut h = fnv1a(OFFSET, &(depth as u32).to_le_bytes());
+    for m in 0..1usize << (2 * depth) {
+        let iv = base.child(m).expect("the base table has children");
+        h = fnv1a(h, &iv.lo.to_le_bytes());
+        h = fnv1a(h, &iv.hi.to_le_bytes());
     }
     h
 }
@@ -46,8 +61,8 @@ fn serialized_index_and_every_rung_are_pinned() {
         let loaded = StarIndex::deserialize(&blob).unwrap();
         let ladder = ladder_digest(loaded.prefix_ladder());
         assert_eq!(ladder, ladder_digest(index.prefix_ladder()), "{release:?} {sa_index_nbases:?}: built and loaded ladders differ");
-        let deep = ladder_digest(loaded.deep_prefix());
-        assert!(!loaded.deep_prefix().is_empty(), "premise: {release:?} {sa_index_nbases:?} has a deep rung");
+        let deep = deep_digest(loaded.prefix());
+        assert_eq!(deep, deep_digest(index.prefix()), "{release:?} {sa_index_nbases:?}: built and loaded children differ");
         seen.push((release, sa_index_nbases, fnv1a(OFFSET, &blob), blob.len(), ladder, deep));
     }
     assert_eq!(seen, PINS, "pins moved");

@@ -32,24 +32,24 @@ use genomics::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use star_aligner::index::{IndexParams, StarIndex};
-use star_aligner::mmp::{SearchCost, SeedLayers};
+use star_aligner::mmp::SearchCost;
 use star_aligner::runner::{RunConfig, Runner};
 use star_aligner::seed::{collect_seeds_packed, SeedProbeScratch};
 use star_aligner::{AlignParams, Packed2};
 
 /// Committed probes per cell: `(index, reads, reads in the cell, total probes)`.
 const CEILINGS: [(&str, &str, usize, u64); 11] = [
-    ("r111", "bulk", 2_000, 93_842),
-    ("r111", "single_cell", 2_000, 145_786),
-    ("r111", "random", 1_000, 74_455),
-    ("r108", "bulk", 2_000, 258_234),
-    ("r108", "single_cell", 2_000, 193_721),
-    ("r108", "random", 1_000, 55_206),
+    ("r111", "bulk", 2_000, 91_745),
+    ("r111", "single_cell", 2_000, 137_899),
+    ("r111", "random", 1_000, 72_666),
+    ("r108", "bulk", 2_000, 247_374),
+    ("r108", "single_cell", 2_000, 166_281),
+    ("r108", "random", 1_000, 45_166),
     ("r111 k=4", "bulk", 2_000, 512_706),
     ("r111 k=5", "bulk", 2_000, 268_202),
-    ("r111 k=6", "bulk", 2_000, 93_842),
-    ("r111 k=7", "bulk", 2_000, 57_179),
-    ("r111 k=8", "bulk", 2_000, 57_179),
+    ("r111 k=6", "bulk", 2_000, 91_745),
+    ("r111 k=7", "bulk", 2_000, 45_483),
+    ("r111 k=8", "bulk", 2_000, 45_752),
 ];
 
 fn add(total: &mut SearchCost, one: SearchCost) {
@@ -62,13 +62,12 @@ fn add(total: &mut SearchCost, one: SearchCost) {
 /// Seed every read in both orientations, as `Aligner::candidates_into` does; returns
 /// the cost of all orientations and of those that found no seed.
 fn seed_all(index: &StarIndex, reads: &[FastqRecord]) -> (SearchCost, SearchCost) {
-    let layers = SeedLayers::full(index);
     let params = AlignParams::default();
     let (mut seeds, mut probe) = (Vec::new(), SeedProbeScratch::default());
     let (mut all, mut seedless) = (SearchCost::default(), SearchCost::default());
     for read in reads {
         for seq in [read.seq.clone(), read.seq.reverse_complement()] {
-            collect_seeds_packed(&layers, &Packed2::from_codes(seq.codes()), &params, &mut seeds, &mut probe);
+            collect_seeds_packed(index, &Packed2::from_codes(seq.codes()), &params, &mut seeds, &mut probe);
             add(&mut all, probe.cost());
             if seeds.is_empty() {
                 add(&mut seedless, probe.cost());

@@ -1,5 +1,5 @@
 //! Counting global allocator for the allocation-bound tests: `zero_alloc`,
-//! `hostile_index`, `hostile_checkpoint`, `deep_prefix_alloc` and `index_build_alloc`
+//! `hostile_index`, `hostile_checkpoint`, `load_alloc` and `index_build_alloc`
 //! here, and — including this file by path — `sra`'s `hostile_archive`,
 //! `telemetry`'s `hostile_json` and the integration suite's `observer_cost`.
 //!
