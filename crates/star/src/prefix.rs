@@ -112,54 +112,48 @@ impl PrefixTable {
         let n = seq.len();
         let mask = (1u64 << (2 * k)) - 1;
         let mut buckets = vec![Bucket::default(); 1 << (2 * k)].into_boxed_slice();
+        let mut overflow = Vec::new();
         let short = n.checked_sub(k).map(|at| (seq.word_from(at) & mask) as u32);
-        let mut short_seen = false;
-        // The bucket of the previous slot: a bucket is entered once, at its first slot.
-        let mut prev = None;
+        // The run of slots being counted: its bucket (`usize::MAX` for none), the
+        // suffixes of each child so far, the last child seen, and its k-mer as suffix
+        // order sorts it, which must grow from run to run: no bucket is entered twice.
+        // (Checked without reading the bucket, whose cache miss would then hold up
+        // the scan; its counts are written once, when the run ends.)
+        let (mut run, mut sizes, mut last, mut run_kmer) = (usize::MAX, [0u32; 4], 0, None);
         for (slot, &pos) in (0u32..).zip(sa.positions()) {
             let pos = pos as usize;
             if pos + k > n {
-                prev = None; // too short to be addressable through the table
+                close_run(&mut buckets, &mut overflow, run, sizes);
+                run = usize::MAX; // too short to be addressable through the table
                 continue;
             }
             let w = seq.word_from(pos);
             let m = (w & mask) as usize;
-            let bucket = &mut buckets[m];
-            if prev != Some(m) {
-                if bucket.counts != [0; 4] || (short == Some(m as u32) && short_seen) {
-                    return Err(format!("bucket {m} is split at slot {slot}"));
+            if m != run {
+                close_run(&mut buckets, &mut overflow, run, sizes);
+                let kmer = Some(first_base_first(w, k));
+                if kmer <= run_kmer {
+                    return Err(format!("bucket {m} is out of suffix order at slot {slot}"));
                 }
-                bucket.lo = slot;
+                (run, sizes, last, run_kmer) = (m, [0; 4], 0, kmer);
+                buckets[m].lo = slot;
             }
             if pos + k == n {
-                if prev == Some(m) {
+                if sizes != [0; 4] {
                     return Err(format!("bucket {m}: its suffix of {k} bases is not first"));
                 }
-                short_seen = true;
-            } else {
-                let c = (w >> (2 * k)) as usize & 3;
-                if bucket.counts[c + 1..].iter().any(|&later| later != 0) {
-                    return Err(format!("bucket {m}: child {c} follows a later one at slot {slot}"));
-                }
-                bucket.counts[c] = bucket.counts[c].saturating_add(1);
+                continue;
             }
-            prev = Some(m);
-        }
-        // A saturated count is recounted over its bucket's run, now known contiguous.
-        let overflows = |b: &&Bucket| b.counts.contains(&OVERFLOW);
-        let mut overflow = Vec::with_capacity(buckets.iter().filter(overflows).count());
-        for (m, b) in (0u32..).zip(buckets.iter()).filter(|(_, b)| overflows(b)) {
-            let mut sizes = [0u32; 4];
-            let first = b.lo + u32::from(short == Some(m));
-            for &pos in &sa.positions()[first as usize..] {
-                let w = seq.word_from(pos as usize);
-                if pos as usize + k >= n || (w & mask) as u32 != m {
-                    break; // past the run: a suffix with no child, or another bucket
-                }
-                sizes[(w >> (2 * k)) as usize & 3] += 1;
+            let c = (w >> (2 * k)) as usize & 3;
+            if c < last {
+                return Err(format!("bucket {m}: child {c} follows a later one at slot {slot}"));
             }
-            overflow.push((m, sizes));
+            last = c;
+            sizes[c] += 1;
         }
+        close_run(&mut buckets, &mut overflow, run, sizes);
+        // Runs come in suffix order; the entries are looked up by bucket value.
+        overflow.sort_unstable_by_key(|&(m, _)| m);
         Ok(PrefixTable(Rung::Counted { buckets, short, overflow: overflow.into_boxed_slice() }))
     }
 
@@ -279,11 +273,13 @@ impl PrefixTable {
     /// `u32::MAX, 0`.
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.k() as u32).to_le_bytes());
-        for m in 0..self.len() {
-            out.extend_from_slice(&stored(self.lookup_value(m)).0.to_le_bytes());
-        }
-        for m in 0..self.len() {
-            out.extend_from_slice(&stored(self.lookup_value(m)).1.to_le_bytes());
+        let at = out.len();
+        out.resize(at + 8 * self.len(), 0);
+        let (starts, ends) = out[at..].split_at_mut(4 * self.len());
+        for (m, (start, end)) in starts.chunks_exact_mut(4).zip(ends.chunks_exact_mut(4)).enumerate() {
+            let (lo, hi) = stored(self.lookup_value(m));
+            start.copy_from_slice(&lo.to_le_bytes());
+            end.copy_from_slice(&hi.to_le_bytes());
         }
     }
 
@@ -321,6 +317,26 @@ impl PrefixTable {
         }
         *input = rest;
         Ok(table)
+    }
+}
+
+/// The `d`-mer at the front of the LSB-first packed word `w`, as a number whose most
+/// significant digit is its first base: the order suffix order sorts `d`-mers in.
+fn first_base_first(w: u64, d: usize) -> u64 {
+    const LOW_BITS: u64 = 0x5555_5555_5555_5555;
+    let reversed = w.reverse_bits(); // the first base on top, its two bits swapped
+    (((reversed >> 1) & LOW_BITS) | ((reversed & LOW_BITS) << 1)) >> (64 - 2 * d)
+}
+
+/// End [`PrefixTable::count`]'s run of bucket `m` (`usize::MAX`: no run): store its
+/// child sizes as counts, and as an overflow entry when one does not fit.
+fn close_run(buckets: &mut [Bucket], overflow: &mut Vec<(u32, [u32; 4])>, m: usize, sizes: [u32; 4]) {
+    if m == usize::MAX {
+        return;
+    }
+    buckets[m].counts = sizes.map(|size| size.min(u32::from(OVERFLOW)) as u8);
+    if sizes.iter().any(|&size| size >= u32::from(OVERFLOW)) {
+        overflow.push((m as u32, sizes));
     }
 }
 
@@ -547,6 +563,19 @@ mod tests {
         // A suffix array that is a permutation but not sorted.
         let reversed = SuffixArray::from_raw(sa.positions().iter().rev().copied().collect(), sa.len()).unwrap();
         assert!(matches!(PrefixTable::decode(&mut &blob[..], &reversed, &packed), Err(StarError::CorruptIndex(_))));
+    }
+
+    #[test]
+    fn first_base_first_orders_kmers_as_suffix_order_does() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(3);
+        for d in [1, 6, 13] {
+            for _ in 0..200 {
+                let (a, b): (Vec<u8>, Vec<u8>) = (0..d).map(|_| (rng.gen_range(0..4u8), rng.gen_range(0..4u8))).unzip();
+                let (wa, wb) = (kmer_value(&a) as u64, kmer_value(&b) as u64);
+                assert_eq!(first_base_first(wa, d).cmp(&first_base_first(wb, d)), a.cmp(&b), "{a:?} {b:?}");
+            }
+        }
     }
 
     #[test]
