@@ -14,6 +14,13 @@
 //! `slo_clear` line lands is behaviour too. On an intended behaviour change,
 //! re-capture with `cargo test --test campaign_pins -- --nocapture` (each case
 //! prints its current rows) and say why in the commit.
+//!
+//! Each row also counts the records a cloud-service model causes (fault, retry,
+//! S3 and launch events in the stripped log; the `faults_injected`,
+//! `instances_launched` and `retry_backoff_secs` lines of the exposition), so a
+//! change of *who* emits them is checked to reach every kind: between them the
+//! five rows hold each at least once, and only the upload-failure row exhausts
+//! retries.
 
 use atlas_integration_tests::stripped_event_log;
 use atlas_pipeline::orchestrator::{CampaignConfig, CampaignReport, Orchestrator};
@@ -51,10 +58,6 @@ fn run(cfg: CampaignConfig, n: usize) -> CampaignReport {
     report
 }
 
-fn pin_of(cfg: CampaignConfig, n: usize) -> Pin {
-    pin(&run(cfg, n))
-}
-
 fn pin(report: &CampaignReport) -> Pin {
     let telemetry = report.telemetry.as_ref().expect("pins run with telemetry on");
     (
@@ -70,6 +73,29 @@ fn check(name: &str, got: Pin, want: Pin) {
     assert_eq!(got, want, "{name}: campaign behaviour moved (digest, events, log, openmetrics)");
 }
 
+/// The event kinds and exposition metrics the cloud-service models cause, counted
+/// by [`check_records`] in this order.
+const MODEL_EVENTS: [&str; 6] =
+    ["fault_injected", "retry", "retries_exhausted", "s3_get", "s3_put", "instance_launch"];
+const MODEL_METRICS: [&str; 3] = ["faults_injected", "instances_launched", "retry_backoff_secs"];
+
+/// Lines of each [`MODEL_EVENTS`] kind in the stripped log, then exposition lines
+/// of each [`MODEL_METRICS`] family.
+fn check_records(name: &str, report: &CampaignReport, want: [usize; 9]) {
+    let log = stripped_event_log(report).unwrap();
+    let telemetry = report.telemetry.as_ref().expect("pins run with telemetry on");
+    let exposition = &telemetry.openmetrics_text;
+    let mut got = [0; 9];
+    for (n, kind) in got.iter_mut().zip(MODEL_EVENTS) {
+        *n = log.matches(&format!("\"kind\":\"{kind}\"")).count();
+    }
+    for (n, metric) in got[MODEL_EVENTS.len()..].iter_mut().zip(MODEL_METRICS) {
+        *n = exposition.lines().filter(|l| l.starts_with(metric)).count();
+    }
+    println!("{name} records: {got:?}");
+    assert_eq!(got, want, "{name}: records moved ({MODEL_EVENTS:?}, then {MODEL_METRICS:?})");
+}
+
 /// `(FNV-1a of the whole event log, alerts reported)`.
 fn check_full_log(name: &str, report: &CampaignReport, want: (u64, usize)) {
     let log = &report.telemetry.as_ref().expect("pins run with telemetry on").event_log;
@@ -80,12 +106,13 @@ fn check_full_log(name: &str, report: &CampaignReport, want: (u64, usize)) {
 
 #[test]
 fn fault_free_spot_fleet() {
-    let cfg = base_config(128, 2.0);
+    let report = run(base_config(128, 2.0), 2000);
     check(
         "fault_free_spot_fleet",
-        pin_of(cfg, 2000),
+        pin(&report),
         (0xa4d1e29c119f54f6, 12997, 0x626ee1d6c7a27b9b, 0xa60924f8a697326d),
     );
+    check_records("fault_free_spot_fleet", &report, [0, 0, 0, 845, 2000, 845, 0, 1, 0]);
 }
 
 #[test]
@@ -94,11 +121,14 @@ fn chaos_plan_with_dead_letter_queue() {
     cfg.scaling.target_backlog_per_instance = 2;
     cfg.faults = Some(FaultPlan::chaos(11));
     cfg.max_receive_count = Some(6);
+    let report = run(cfg, 400);
     check(
         "chaos_plan_with_dead_letter_queue",
-        pin_of(cfg, 400),
+        pin(&report),
         (0x9c5910f3ee631167, 15209, 0x3cc1b3d49e2cde36, 0x62fd1db2b234cd6e),
     );
+    let name = "chaos_plan_with_dead_letter_queue";
+    check_records(name, &report, [896, 759, 0, 239, 405, 239, 1, 1, 10]);
 }
 
 #[test]
@@ -125,6 +155,8 @@ fn recovery_under_reclaims_and_a_burst() {
         (0x1efc4a17b4da9929, 3593, 0xe2cc0331ceabcf79, 0x41bf5a929ec7bd52),
     );
     check_full_log("recovery_under_reclaims_and_a_burst", &report, (0x1b73e1a92c40ffef, 0));
+    let name = "recovery_under_reclaims_and_a_burst";
+    check_records(name, &report, [180, 90, 0, 705, 69, 705, 1, 1, 10]);
 }
 
 #[test]
@@ -134,11 +166,14 @@ fn every_upload_fails_so_everything_dead_letters() {
     cfg.faults =
         Some(FaultPlan { seed: 2, s3_put_fail: 1.0, s3_get_fail: 0.9, ..FaultPlan::default() });
     cfg.max_receive_count = Some(3);
+    let report = run(cfg, 40);
     check(
         "every_upload_fails_so_everything_dead_letters",
-        pin_of(cfg, 40),
+        pin(&report),
         (0xf010969ad5927e97, 2480, 0x58a0a8891f5012d7, 0x8616ca3d0d9cc000),
     );
+    let name = "every_upload_fails_so_everything_dead_letters";
+    check_records(name, &report, [503, 379, 124, 5, 0, 9, 1, 1, 10]);
 }
 
 #[test]
@@ -153,4 +188,6 @@ fn observed_campaign_with_monitor_and_slos() {
         (0x585d585a49c471f0, 5495, 0xfa9545c494e7c587, 0xc6c3561bcaf89f68),
     );
     check_full_log("observed_campaign_with_monitor_and_slos", &report, (0x63eb4f73dc5807fb, 137));
+    let name = "observed_campaign_with_monitor_and_slos";
+    check_records(name, &report, [0, 0, 0, 210, 500, 210, 0, 1, 0]);
 }
