@@ -85,6 +85,18 @@ if sed '/#\[cfg(test)\]/,$d' crates/atlas/src/experiments.rs | grep -n 'Substrat
     echo "crates/atlas/src/experiments.rs: an experiment builds its own Substrate outside #[cfg(test)]" >&2
     exit 1
 fi
+# The cloud models log nothing: they return what happened (a fault's counter, a retried
+# call's failed attempts, an S3 transfer's attempts) and `atlas::campaign` makes every
+# record a campaign leaves. Telemetry named outside test code under crates/cloudsim/src
+# would bring a second emitter back.
+logging=$(for f in $(find crates/cloudsim/src -name '*.rs' | sort); do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'telemetry::|Recorder|JsonValue' | sed "s|^|$f:|" || true
+done)
+if [ -n "$logging" ]; then
+    printf '%s\n' "$logging" >&2
+    echo "crates/cloudsim/src names telemetry outside #[cfg(test)]: log from atlas::campaign" >&2
+    exit 1
+fi
 # The event log's readers (`Query::run`, `RunProfile::from_event_log`) read each line in
 # place through `json::Fields`; a `json::parse(` outside test code in either file would
 # build a `JsonValue` tree per line again.

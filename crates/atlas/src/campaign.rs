@@ -26,6 +26,12 @@
 //! only where text leaves the campaign: event and span fields, the results key,
 //! the workload call and the report.
 //!
+//! Every record a campaign leaves is made here and in [`state`]'s `Observers`
+//! and `Fleet`: the cloud models in `cloudsim` log nothing. They return what
+//! happened — the counter of an injected fault, each failed attempt of a retried
+//! call with its backoff, the attempts of an S3 transfer — and the handler that
+//! called them logs it at its own `now`.
+//!
 //! Nothing here is per-tick or O(campaign size) inside the event loop. The run
 //! is a pure function of config + workload: `tests/tests/devent_diff.rs` replays
 //! seeded campaigns byte for byte, and `tests/tests/campaign_pins.rs` pins five
@@ -129,8 +135,7 @@ impl<'a> Campaign<'a> {
             CostTracker::on_demand()
         };
         let obs = Observers::new(cfg, cost.hourly_rate(cfg.instance_type, cfg.spot));
-        let mut injector = FaultInjector::new(cfg.faults.clone().unwrap_or_default());
-        injector.attach_recorder(Arc::clone(&obs.recorder));
+        let injector = FaultInjector::new(cfg.faults.clone().unwrap_or_default());
         let mut events = Kernel::new();
         events.schedule(SimTime::ZERO, Event::ScaleTick);
         // Per-accession accounts exist only when something will read them.
@@ -197,7 +202,6 @@ impl<'a> Campaign<'a> {
         if self.events.dispatched() > 10_000 + 400 * self.accessions.len() as u64 + 200_000 {
             return Err(AtlasError::InvalidParams("event budget exceeded (simulation bug)".into()));
         }
-        self.injector.set_now(now.as_secs());
         Ok((now, event))
     }
 
@@ -254,8 +258,17 @@ impl<'a> Campaign<'a> {
         // failure kills the launch and the ASG replaces the instance at a later
         // tick. The bulk index transfer time itself is modeled by `init_secs`.
         let manifest = b"star-index manifest".len() as u64;
-        match s3::get_retrying("index/manifest", manifest, &mut self.injector, id.0, &cfg.retry) {
+        let got = s3::get_retrying(manifest, &mut self.injector, id.0);
+        self.obs.retried(now, FaultOp::S3Get, id.0, &got);
+        match got.outcome {
             Ok(d) => {
+                self.obs.event(now.as_secs(), "s3_get", || {
+                    vec![
+                        ("key", JsonValue::from("index/manifest")),
+                        ("instance", JsonValue::from(id.0)),
+                        ("attempts", JsonValue::from(got.attempts)),
+                    ]
+                });
                 let init = SimDuration::from_secs(cfg.init_secs());
                 self.events.schedule(now + init + d, Event::InstanceReady(id));
             }
@@ -295,6 +308,15 @@ impl<'a> Campaign<'a> {
         Ok(())
     }
 
+    /// Roll one fault for `op` on instance `serial`, logging a hit.
+    fn roll(&mut self, now: SimTime, serial: u64, op: FaultOp) -> bool {
+        let hit = self.injector.roll(serial, op);
+        if let Some(counter) = hit {
+            self.obs.fault_injected(now, op, serial, counter);
+        }
+        hit.is_some()
+    }
+
     // ——— Poll → delivery → job start ———
 
     fn on_poll(&mut self, now: SimTime, id: InstanceId) -> Result<(), AtlasError> {
@@ -304,9 +326,9 @@ impl<'a> Campaign<'a> {
             return Ok(());
         }
         let cfg = self.cfg;
-        let received = self
-            .injector
-            .with_retry(id.0, FaultOp::SqsReceive, &cfg.retry, || Ok(self.sqs.receive(now)));
+        let received =
+            self.injector.with_retry(id.0, FaultOp::SqsReceive, || Ok(self.sqs.receive(now)));
+        self.obs.retried(now, FaultOp::SqsReceive, id.0, &received);
         let retry_at = now + cfg.poll_interval + received.backoff;
         let Ok(msg) = received.outcome else {
             // Receive retries exhausted: the worker backs off and polls again;
@@ -359,10 +381,8 @@ impl<'a> Campaign<'a> {
             // A duplicate delivery of already-finished work: acknowledge and
             // poll again immediately.
             self.obs.job_event(now, "duplicate_receive", name, id, &[]);
-            let _ = self
-                .injector
-                .with_retry(id.0, FaultOp::SqsDelete, &self.cfg.retry, || self.sqs.delete(receipt))
-                .outcome;
+            let deleted = self.injector.with_retry(id.0, FaultOp::SqsDelete, || self.sqs.delete(receipt));
+            self.obs.retried(now, FaultOp::SqsDelete, id.0, &deleted);
             self.events.schedule(now, Event::Poll(id));
             return Ok(());
         }
@@ -405,26 +425,24 @@ impl<'a> Campaign<'a> {
     /// Lease the message for the job's duration, roll the job-level faults, and
     /// hand the job to its worker.
     fn start_job(&mut self, now: SimTime, id: InstanceId, mut job: Job) {
-        let (cfg, serial, epoch) = (self.cfg, id.0, job.epoch);
+        let (serial, epoch) = (id.0, job.epoch);
         let stages = job.run.stage_secs;
         let duration = stages.total().max(0.001);
         // A failed or stale lease extension leaves the base visibility timeout
         // in force: the message may re-deliver mid-job and the duplicate
         // completion is absorbed by `Resolution::is_completed`.
         let lease = SimDuration::from_secs(duration * LEASE_MARGIN);
-        let _ = self
-            .injector
-            .with_retry(serial, FaultOp::SqsExtend, &cfg.retry, || {
-                self.sqs.change_visibility(job.receipt, now, lease)
-            })
-            .outcome;
+        let extended = self.injector.with_retry(serial, FaultOp::SqsExtend, || {
+            self.sqs.change_visibility(job.receipt, now, lease)
+        });
+        self.obs.retried(now, FaultOp::SqsExtend, serial, &extended);
         // Duplicate delivery: the broker violates visibility and hands this
         // message to a second worker while ours is still working on it.
-        if self.injector.roll(serial, FaultOp::DuplicateDelivery) {
+        if self.roll(now, serial, FaultOp::DuplicateDelivery) {
             let _ = self.sqs.force_visible(job.receipt);
         }
         let mut crash_at = None;
-        if self.injector.roll(serial, FaultOp::WorkerCrash) {
+        if self.roll(now, serial, FaultOp::WorkerCrash) {
             // Crash at a deterministic offset inside a uniformly chosen stage.
             let stage = ((self.injector.side_roll(serial, 0xC0DE) * StageTimes::N_STAGES as f64)
                 as usize)
@@ -461,14 +479,10 @@ impl<'a> Campaign<'a> {
         let name = self.name(job.accession);
         // Nothing reads a result back from S3 (the report carries it), so the
         // upload is modeled — transfer, retries, backoff — and not kept.
-        let upload = s3::upload_retrying(
-            format_args!("results/{name}"),
-            name.len() as u64,
-            &mut self.injector,
-            id.0,
-            &cfg.retry,
-        );
-        let Ok(upload_secs) = upload else {
+        let bytes = name.len() as u64;
+        let upload = s3::upload_retrying(bytes, &mut self.injector, id.0);
+        self.obs.retried(now, FaultOp::S3Put, id.0, &upload);
+        let Ok(upload_secs) = upload.outcome else {
             // Result upload exhausted its retries: the job's output is lost and
             // the message re-delivers after its lease expires, so another
             // worker redoes the work.
@@ -478,12 +492,20 @@ impl<'a> Campaign<'a> {
             self.events.schedule(now + cfg.poll_interval, Event::Poll(id));
             return;
         };
+        // The results key is formatted only for a recorder that records.
+        self.obs.event(now.as_secs(), "s3_put", || {
+            vec![
+                ("key", JsonValue::from(format!("results/{name}"))),
+                ("instance", JsonValue::from(id.0)),
+                ("attempts", JsonValue::from(upload.attempts)),
+                ("bytes", JsonValue::from(bytes)),
+            ]
+        });
         // The lease was sized with margin, so the delete should succeed; if it
         // went stale (duplicate delivery, missed extension) the message
         // re-delivers and the duplicate is absorbed by `Resolution::is_completed`.
-        let deleted = self
-            .injector
-            .with_retry(id.0, FaultOp::SqsDelete, &cfg.retry, || self.sqs.delete(job.receipt));
+        let deleted = self.injector.with_retry(id.0, FaultOp::SqsDelete, || self.sqs.delete(job.receipt));
+        self.obs.retried(now, FaultOp::SqsDelete, id.0, &deleted);
         if self.resolution.is_completed(job.accession) {
             self.obs.job_spans(parent, id, name, &job, window, "duplicate");
             self.accounting.duplicate_completions += 1;
@@ -592,7 +614,6 @@ impl<'a> Campaign<'a> {
     /// in-flight message straight back (visibility → 0) instead of letting the
     /// lease lapse after the reclaim.
     fn drain_job(&mut self, now: SimTime, id: InstanceId, job: &Job) {
-        let rec = &self.obs.recorder;
         let (accession, name) = (job.accession, self.name(job.accession));
         let window = (job.started_secs, now.as_secs());
         self.obs.lost_job_span(self.fleet.job_parent(id), name, window, "drained");
@@ -603,7 +624,7 @@ impl<'a> Campaign<'a> {
         let align_done = (elapsed - stages.prefix_secs(2)).clamp(0.0, stages.align_secs);
         let mut checkpointed = 0.0f64;
         if !self.resolution.is_completed(accession) && align_done > 0.0 {
-            if self.injector.roll(id.0, FaultOp::CheckpointPut) {
+            if self.roll(now, id.0, FaultOp::CheckpointPut) {
                 // The checkpoint upload failed inside the notice window; the
                 // progress will be redone.
                 self.obs.job_event(now, "checkpoint_failed", name, id, &[]);
@@ -613,7 +634,7 @@ impl<'a> Campaign<'a> {
                 checkpointed = align_done;
                 self.accounting.checkpointed(accession, align_done);
                 self.obs.job_event(now, "checkpoint", name, id, &[("offset_secs", offset)]);
-                rec.counter_add("checkpoints_written", 1);
+                self.obs.recorder.counter_add("checkpoints_written", 1);
             }
         }
         // Checkpointed seconds stay out of the waste pool for now; settlement
@@ -627,7 +648,7 @@ impl<'a> Campaign<'a> {
                 ("checkpointed_secs", JsonValue::from(checkpointed)),
             ]
         });
-        rec.counter_add("drains", 1);
+        self.obs.recorder.counter_add("drains", 1);
         // The receipt is invalidated, so the message re-delivers immediately. A
         // stale receipt (the broker already re-delivered) is fine.
         let _ = self.sqs.release(job.receipt);

@@ -12,7 +12,9 @@
 //!   a ledger will read it) in exactly one accession's account; every
 //!   checkpointed second ends up salvaged or wasted, never both.
 //! * [`Observers`] — telemetry only ever *reads* the campaign; the SLO sketches
-//!   and the ledger price compute at the rate the bill is settled at.
+//!   and the ledger price compute at the rate the bill is settled at. It and
+//!   [`Fleet::launch`] make the records of what the cloud models report: faults,
+//!   retries and launches.
 //!
 //! Per-accession state is the *accession table*: vectors addressed by the
 //! [`Acc`] handle (submit index) — a fate in [`Resolution`], an account in
@@ -31,7 +33,9 @@ use crate::workload::AccessionRun;
 use crate::AtlasError;
 use cloudsim::asg::AutoScalingGroup;
 use cloudsim::cost::CostTracker;
+use cloudsim::faults::{FaultOp, Retried};
 use cloudsim::instance::{Instance, InstanceId, InstanceType};
+use cloudsim::retry::{BACKOFF_BUCKETS, MAX_ATTEMPTS};
 use cloudsim::sqs::ReceiptHandle;
 use cloudsim::SimTime;
 use star_aligner::quant::GeneCounts;
@@ -91,9 +95,8 @@ impl Fleet {
     /// A fleet for a campaign of `accessions`: the job table is sized for the
     /// fleet cap, or for one job per accession when that is fewer.
     pub fn new(cfg: &CampaignConfig, obs: &Observers, accessions: usize) -> Result<Fleet, AtlasError> {
-        let mut asg = AutoScalingGroup::new(cfg.scaling, cfg.instance_type, cfg.spot)
+        let asg = AutoScalingGroup::new(cfg.scaling, cfg.instance_type, cfg.spot)
             .map_err(AtlasError::Cloud)?;
-        asg.attach_recorder(Arc::clone(&obs.recorder));
         let slots = (cfg.scaling.max_size as usize).min(accessions);
         Ok(Fleet {
             asg,
@@ -134,13 +137,24 @@ impl Fleet {
         self.workers[(id.0 - 1) as usize].span
     }
 
-    /// Launch one instance and open its span.
+    /// Launch one instance, log the launch and open its span.
     pub fn launch(&mut self, now: SimTime) -> InstanceId {
         let id = self.asg.launch(now);
         self.fleet_size.record(now, self.asg.active_count());
         debug_assert_eq!(id.0 as usize, self.workers.len() + 1, "serials are dense instance ids");
         let span = if self.recorder.is_enabled() {
             let inst = &self.asg.instances()[self.workers.len()];
+            self.recorder.event(
+                now.as_secs(),
+                "instance_launch",
+                vec![
+                    ("instance", JsonValue::from(id.0)),
+                    ("itype", JsonValue::from(inst.itype.name)),
+                    ("spot", JsonValue::from(inst.spot)),
+                    ("active", JsonValue::from(self.asg.active_count())),
+                ],
+            );
+            self.recorder.counter_add("instances_launched", 1);
             self.recorder.span_start_attrs(
                 "instance",
                 self.campaign_span,
@@ -598,6 +612,50 @@ impl Observers {
             fields.extend(extra.iter().map(|&(k, v)| (k, JsonValue::from(v))));
             fields
         });
+    }
+
+    /// Log a fault the injector rolled: `counter` is what
+    /// [`cloudsim::FaultInjector::roll`] returned for the hit.
+    pub fn fault_injected(&self, now: SimTime, op: FaultOp, serial: u64, counter: u64) {
+        if self.recorder.is_enabled() {
+            self.recorder.event(
+                now.as_secs(),
+                "fault_injected",
+                vec![
+                    ("op", JsonValue::from(op.name())),
+                    ("instance", JsonValue::from(serial)),
+                    ("counter", JsonValue::from(counter)),
+                ],
+            );
+            self.recorder.counter_add("faults_injected", 1);
+        }
+    }
+
+    /// Log the failed attempts of a call instance `serial` drove through
+    /// [`cloudsim::FaultInjector::with_retry`], in order: each one's fault, then
+    /// its `retry` and backoff sample, or `retries_exhausted` for the last attempt.
+    pub fn retried<T>(&self, now: SimTime, op: FaultOp, serial: u64, call: &Retried<T>) {
+        if !self.recorder.is_enabled() {
+            return;
+        }
+        for (attempt, failed) in (1u32..).zip(call.failures()) {
+            self.fault_injected(now, op, serial, failed.counter);
+            let (op, instance) = (JsonValue::from(op.name()), JsonValue::from(serial));
+            if attempt == MAX_ATTEMPTS {
+                let fields = vec![("op", op), ("instance", instance), ("attempts", JsonValue::from(attempt))];
+                self.recorder.event(now.as_secs(), "retries_exhausted", fields);
+            } else {
+                let backoff = failed.backoff.as_secs();
+                let fields = vec![
+                    ("op", op),
+                    ("instance", instance),
+                    ("attempt", JsonValue::from(attempt)),
+                    ("backoff_secs", JsonValue::from(backoff)),
+                ];
+                self.recorder.event(now.as_secs(), "retry", fields);
+                self.recorder.observe("retry_backoff_secs", BACKOFF_BUCKETS, backoff);
+            }
+        }
     }
 
     /// Close the `job` span of an attempt that ended with no result

@@ -36,7 +36,6 @@ use crate::AtlasError;
 use cloudsim::cost::CostReport;
 use cloudsim::faults::{FaultCounters, FaultPlan};
 use cloudsim::instance::InstanceType;
-use cloudsim::retry::RetryPolicy;
 use cloudsim::{ScalingPolicy, SimDuration, SpotMarket};
 use deseq_norm::NormalizedMatrix;
 use genomics::fnv;
@@ -68,8 +67,6 @@ pub struct CampaignConfig {
     pub index_bytes: u64,
     /// Deterministic fault plan for chaos campaigns (`None` = fault-free).
     pub faults: Option<FaultPlan>,
-    /// Retry policy for S3/SQS calls made by workers.
-    pub retry: RetryPolicy,
     /// Deliveries allowed per message before it moves to the dead-letter queue
     /// (`None` = redeliver forever, the pre-DLQ behavior).
     pub max_receive_count: Option<u32>,
@@ -111,7 +108,6 @@ impl CampaignConfig {
             scale_tick: SimDuration::from_secs(60.0),
             index_bytes,
             faults: None,
-            retry: RetryPolicy::default(),
             max_receive_count: None,
             telemetry: true,
             monitor: None,
@@ -140,7 +136,6 @@ impl CampaignConfig {
         if let Some(plan) = &self.faults {
             plan.validate().map_err(AtlasError::Cloud)?;
         }
-        self.retry.validate().map_err(AtlasError::Cloud)?;
         if self.max_receive_count == Some(0) {
             return Err(AtlasError::InvalidParams("max_receive_count must be >= 1".into()));
         }
@@ -614,8 +609,9 @@ mod tests {
     #[test]
     fn every_f64_knob_rejects_nan_infinity_and_negative_at_submit() {
         use cloudsim::{CloudError, SpotBurst};
-        // A NaN spot rate and an infinite retry delay each passed validation once
-        // and panicked mid-campaign; this covers the whole class.
+        // A NaN spot rate and an infinite retry delay (when retries were
+        // configurable) each passed validation once and panicked mid-campaign;
+        // this covers the whole class.
         fn plan(c: &mut CampaignConfig) -> &mut FaultPlan {
             c.faults.get_or_insert_with(FaultPlan::default)
         }
@@ -625,13 +621,9 @@ mod tests {
             &mut plan(c).spot_bursts[0]
         }
         type Set = fn(&mut CampaignConfig, f64);
-        let knobs: [(&str, Set); 19] = [
+        let knobs: [(&str, Set); 15] = [
             ("spot_market.price_factor", |c, v| c.spot_market.price_factor = v),
             ("spot_market.interruptions_per_hour", |c, v| c.spot_market.interruptions_per_hour = v),
-            ("retry.base_delay_secs", |c, v| c.retry.base_delay_secs = v),
-            ("retry.max_delay_secs", |c, v| c.retry.max_delay_secs = v),
-            ("retry.multiplier", |c, v| c.retry.multiplier = v),
-            ("retry.jitter", |c, v| c.retry.jitter = v),
             ("faults.s3_get_fail", |c, v| plan(c).s3_get_fail = v),
             ("faults.s3_put_fail", |c, v| plan(c).s3_put_fail = v),
             ("faults.sqs_receive_fail", |c, v| plan(c).sqs_receive_fail = v),

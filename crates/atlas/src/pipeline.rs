@@ -19,7 +19,7 @@ use crate::AtlasError;
 use genomics::Annotation;
 use sra_sim::accession::{LibraryLayout, LibraryStrategy};
 use sra_sim::fasterq_dump::DumpModel;
-use sra_sim::prefetch::NetworkModel;
+use sra_sim::prefetch;
 use sra_sim::{FasterqDump, SraRepository};
 use star_aligner::quant::GeneCounts;
 use star_aligner::runner::{RunConfig, RunStatus, Runner};
@@ -28,8 +28,6 @@ use star_aligner::{AlignParams, PhaseWork, StarIndex};
 /// Pipeline configuration.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
-    /// Network model charged by `prefetch`.
-    pub network: NetworkModel,
     /// Throughput model charged by `fasterq-dump`.
     pub dump: DumpModel,
     /// Aligner parameters.
@@ -53,7 +51,6 @@ impl Default for PipelineConfig {
         let align_params =
             AlignParams { out_filter_multimap_nmax: 20, ..AlignParams::default() };
         PipelineConfig {
-            network: NetworkModel::default(),
             dump: DumpModel::default(),
             align_params,
             run_config: RunConfig::default(),
@@ -192,7 +189,6 @@ impl AtlasPipeline {
         if let Some(p) = &config.early_stop {
             p.validate()?;
         }
-        config.network.validate().map_err(|e| AtlasError::InvalidParams(format!("network: {e}")))?;
         config.dump.validate().map_err(|e| AtlasError::InvalidParams(format!("dump: {e}")))?;
         if let Some(secs) = config.align_secs_per_read.filter(|s| !(s.is_finite() && *s >= 0.0)) {
             return Err(AtlasError::InvalidParams(format!(
@@ -243,7 +239,7 @@ impl AtlasPipeline {
         // Stage 1: prefetch. Real archive content; the modeled time charges the
         // catalog-scale file size so spot caps don't shrink the cloud clock.
         let archive = self.repo.fetch(accession)?;
-        let prefetch_secs = self.config.network.transfer_secs(meta.sra_size_bytes());
+        let prefetch_secs = prefetch::transfer_secs(meta.sra_size_bytes());
 
         // Stage 2: fasterq-dump.
         let dump = FasterqDump::new(self.config.dump).run(&archive)?;
@@ -295,7 +291,7 @@ impl AtlasPipeline {
                 .gene_counts
                 .as_ref()
                 .map_or(0, |gc| gc.gene_ids.len() as u64 * 24 + 128);
-            self.config.network.transfer_secs(table_bytes)
+            prefetch::transfer_secs(table_bytes)
         } else {
             0.0
         };
@@ -476,17 +472,14 @@ mod tests {
             }
         };
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            refused("bandwidth_bytes_per_sec", &|c| c.network.bandwidth_bytes_per_sec = bad);
             refused("bytes_per_sec_per_thread", &|c| c.dump.bytes_per_sec_per_thread = bad);
             if bad != 0.0 {
-                refused("latency_secs", &|c| c.network.latency_secs = bad);
                 refused("align_secs_per_read", &|c| c.align_secs_per_read = Some(bad));
             }
         }
         refused("threads", &|c| c.dump.threads = 0);
-        // Zero latency and a free align stage are models, not mistakes.
+        // A free align stage is a model, not a mistake.
         let mut config = good.config().clone();
-        config.network.latency_secs = 0.0;
         config.align_secs_per_read = Some(0.0);
         let free =
             AtlasPipeline::new(good.repository_arc(), good.index_arc(), good.annotation_arc(), config);

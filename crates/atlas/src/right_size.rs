@@ -26,18 +26,6 @@ impl RightSizer {
         RightSizer { index_gib, headroom_factor: 1.25, min_vcpus: 4 }
     }
 
-    /// Sizer from a measured synthetic index, scaled to paper dimensions.
-    ///
-    /// `linear_scale` is the ratio of real genome bases to simulated bases (e.g.
-    /// `3.1e9 / simulated_chromosome_total`). Because the scale is
-    /// release-independent — derived from the chromosome mass, which is identical
-    /// across releases — the 108-vs-111 index-size gap carries through to the
-    /// projected GiB figures and hence to the instance choice.
-    pub fn from_index_stats(stats: &star_aligner::IndexStats, linear_scale: f64) -> RightSizer {
-        let index_gib = stats.total_bytes() as f64 * linear_scale / (1u64 << 30) as f64;
-        RightSizer::for_index_gib(index_gib)
-    }
-
     /// Memory requirement in GiB.
     pub fn required_gib(&self) -> f64 {
         self.index_gib * self.headroom_factor
@@ -83,31 +71,6 @@ mod tests {
         let mut s = RightSizer::for_index_gib(50.0);
         s.headroom_factor = 2.0;
         assert!((s.required_gib() - 100.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_index_stats_scales_linearly() {
-        // A synthetic index of 450k bases occupying ~4.3 bytes/base projects to
-        // ~12.4 GiB at human scale (scale = 3.1e9 / 450k sim bases).
-        let stats = star_aligner::IndexStats {
-            genome_bytes: 112_500,
-            sa_bytes: 1_800_000,
-            prefix_bytes: 32_768,
-            sjdb_bytes: 4_000,
-            genome_len: 450_000,
-            n_contigs: 10,
-        };
-        let scale = 3.1e9 / 450_000.0;
-        let sizer = RightSizer::from_index_stats(&stats, scale);
-        let expect_gib = stats.total_bytes() as f64 * scale / (1u64 << 30) as f64;
-        assert!((sizer.index_gib - expect_gib).abs() < 1e-6, "{} vs {expect_gib}", sizer.index_gib);
-        assert!(sizer.index_gib > 10.0 && sizer.index_gib < 15.0);
-        // A release-108-style index (2.9x the bytes) at the SAME scale projects 2.9x
-        // the GiB — the gap survives scaling.
-        let mut big = stats;
-        big.sa_bytes *= 3;
-        let bigger = RightSizer::from_index_stats(&big, scale);
-        assert!(bigger.index_gib > 2.0 * sizer.index_gib);
     }
 
     #[test]

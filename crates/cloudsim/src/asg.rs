@@ -17,8 +17,6 @@ use crate::time::SimTime;
 use crate::CloudError;
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
-use std::sync::Arc;
-use telemetry::{JsonValue, Recorder};
 
 /// Scaling policy parameters.
 #[derive(Clone, Copy, Debug)]
@@ -67,8 +65,6 @@ pub struct AutoScalingGroup {
     /// Non-terminated instances ordered newest-first (launch-time ties break on
     /// id, matching the stable sort the scan-based implementation used).
     live: BTreeSet<(Reverse<SimTime>, InstanceId)>,
-    /// Telemetry sink, when attached. Scaling decisions never depend on it.
-    recorder: Option<Arc<Recorder>>,
 }
 
 /// A scaling decision: how many instances to launch, and which to terminate.
@@ -95,17 +91,7 @@ impl AutoScalingGroup {
             instances: Vec::new(),
             next_id: 1,
             live: BTreeSet::new(),
-            recorder: None,
         })
-    }
-
-    /// Attach a telemetry recorder: launches emit `instance_launch` events. A
-    /// disabled recorder is not kept: it would drop every event, so nothing is
-    /// built for it.
-    pub fn attach_recorder(&mut self, recorder: Arc<Recorder>) {
-        if recorder.is_enabled() {
-            self.recorder = Some(recorder);
-        }
     }
 
     /// All instances ever launched (including terminated), for cost accounting.
@@ -166,19 +152,6 @@ impl AutoScalingGroup {
         self.next_id += 1;
         self.instances.push(Instance::launch(id, self.itype, self.spot, now));
         self.live.insert((Reverse(now), id));
-        if let Some(rec) = &self.recorder {
-            rec.event(
-                now.as_secs(),
-                "instance_launch",
-                vec![
-                    ("instance", JsonValue::from(id.0)),
-                    ("itype", JsonValue::from(self.itype.name)),
-                    ("spot", JsonValue::from(self.spot)),
-                    ("active", JsonValue::from(self.active_count())),
-                ],
-            );
-            rec.counter_add("instances_launched", 1);
-        }
         id
     }
 
@@ -307,19 +280,5 @@ mod tests {
         assert!(inst.spot);
         assert_eq!(inst.itype.name, "r6a.4xlarge");
         assert_eq!(inst.launched_at, SimTime::from_secs(7.0));
-    }
-
-    #[test]
-    fn launches_are_logged_to_an_enabled_recorder_only() {
-        let rec = Arc::new(Recorder::new());
-        let mut g = group();
-        g.attach_recorder(Arc::clone(&rec));
-        g.launch(SimTime::from_secs(3.0));
-        let log = rec.events_ndjson();
-        let want = "{\"t\":3,\"kind\":\"instance_launch\",\"instance\":1,\"itype\":\"r6a.4xlarge\"";
-        assert!(log.starts_with(want), "{log}");
-        let mut quiet = group();
-        quiet.attach_recorder(Arc::new(Recorder::disabled()));
-        assert!(quiet.recorder.is_none(), "a recorder that records nothing is not kept");
     }
 }

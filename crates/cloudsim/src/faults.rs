@@ -13,12 +13,10 @@
 //! instance's fault stream is independent of fleet size. That is what makes chaos
 //! campaigns replayable bit-for-bit and failures bisectable.
 
-use crate::retry::RetryPolicy;
+use crate::retry::{self, MAX_ATTEMPTS};
 use crate::time::{SimDuration, SimTime};
 use crate::CloudError;
 use std::collections::HashMap;
-use std::sync::Arc;
-use telemetry::{JsonValue, Recorder};
 
 /// Operations that can fail transiently under a [`FaultPlan`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -42,7 +40,7 @@ pub enum FaultOp {
 }
 
 impl FaultOp {
-    /// Stable snake_case name, used in telemetry events.
+    /// Stable snake_case name (the `op` field of a campaign's fault events).
     pub fn name(self) -> &'static str {
         match self {
             FaultOp::S3Get => "s3_get",
@@ -200,6 +198,15 @@ impl FaultPlan {
     }
 }
 
+/// One attempt that an injected fault failed inside [`FaultInjector::with_retry`].
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct FailedAttempt {
+    /// The fault's roll counter (what [`FaultInjector::roll`] returns for it).
+    pub counter: u64,
+    /// Backoff slept after the attempt; zero for one that exhausts the retries.
+    pub backoff: SimDuration,
+}
+
 /// Result of driving an operation through [`FaultInjector::with_retry`].
 #[derive(Debug)]
 pub struct Retried<T> {
@@ -210,6 +217,17 @@ pub struct Retried<T> {
     pub attempts: u32,
     /// Total backoff slept between attempts.
     pub backoff: SimDuration,
+    /// The failed attempts, in order, in the first `n_failed` slots.
+    failed: [FailedAttempt; MAX_ATTEMPTS as usize],
+    n_failed: usize,
+}
+
+impl<T> Retried<T> {
+    /// The attempts an injected fault failed, in order. All
+    /// [`retry::MAX_ATTEMPTS`] of them when the retries were exhausted.
+    pub fn failures(&self) -> &[FailedAttempt] {
+        &self.failed[..self.n_failed]
+    }
 }
 
 /// SplitMix64 finalizer: a high-quality 64-bit mix.
@@ -250,7 +268,7 @@ pub struct FaultCounters {
     pub checkpoint_put_faults: u64,
     /// Failed attempts that consumed a retry.
     pub retry_attempts: u64,
-    /// Operations that failed every attempt of their retry policy.
+    /// Operations whose every attempt failed.
     pub retries_exhausted: u64,
     /// Total simulated seconds slept in retry backoff.
     pub retry_backoff_secs: f64,
@@ -292,10 +310,6 @@ pub struct FaultInjector {
     counters: HashMap<(u64, FaultOp), u64>,
     side_counters: HashMap<(u64, u64), u64>,
     tallies: FaultCounters,
-    /// Telemetry sink, when attached. Injection decisions never depend on it.
-    recorder: Option<Arc<Recorder>>,
-    /// Current sim time for emitted events (advanced by the orchestrator loop).
-    now_secs: f64,
 }
 
 impl FaultInjector {
@@ -306,35 +320,6 @@ impl FaultInjector {
             counters: HashMap::new(),
             side_counters: HashMap::new(),
             tallies: FaultCounters::default(),
-            recorder: None,
-            now_secs: 0.0,
-        }
-    }
-
-    /// Attach a telemetry recorder: injected faults, retries, and exhaustions are
-    /// emitted as structured events from now on. A disabled recorder is not kept:
-    /// it would drop every event, so nothing is built for it.
-    pub fn attach_recorder(&mut self, recorder: Arc<Recorder>) {
-        if recorder.is_enabled() {
-            self.recorder = Some(recorder);
-        }
-    }
-
-    /// Advance the sim clock used to timestamp emitted events.
-    pub fn set_now(&mut self, now_secs: f64) {
-        self.now_secs = now_secs;
-    }
-
-    /// Emit a structured event at the injector's current sim time (no-op without an
-    /// attached recorder, and then `fields` is never called). Service models (S3,
-    /// SQS wrappers) reuse this so their events share the injector's clock.
-    pub fn emit(
-        &self,
-        kind: &'static str,
-        fields: impl FnOnce() -> Vec<(&'static str, JsonValue)>,
-    ) {
-        if let Some(rec) = &self.recorder {
-            rec.event(self.now_secs, kind, fields());
         }
     }
 
@@ -351,33 +336,22 @@ impl FaultInjector {
         v
     }
 
-    /// Roll one fault decision for `op` on instance `serial`. Deterministic in
+    /// Roll one fault decision for `op` on instance `serial`: the roll's counter
+    /// when the fault strikes, `None` when it does not. Deterministic in
     /// `(plan.seed, serial, op, attempt counter)`.
-    pub fn roll(&mut self, serial: u64, op: FaultOp) -> bool {
+    pub fn roll(&mut self, serial: u64, op: FaultOp) -> Option<u64> {
         let p = self.plan.probability(op);
         // An op the plan cannot inject keeps no counter: a counter is read only by
         // later rolls of its own `(serial, op)`, and the plan never changes.
         if p <= 0.0 {
-            return false;
+            return None;
         }
         let counter = self.bump(serial, op);
         let hit = unit(self.plan.seed, serial, op.tag(), counter) < p;
         if hit {
             self.tallies.count(op);
-            if let Some(rec) = &self.recorder {
-                rec.event(
-                    self.now_secs,
-                    "fault_injected",
-                    vec![
-                        ("op", JsonValue::from(op.name())),
-                        ("instance", JsonValue::from(serial)),
-                        ("counter", JsonValue::from(counter)),
-                    ],
-                );
-                rec.counter_add("faults_injected", 1);
-            }
         }
-        hit
+        hit.then_some(counter)
     }
 
     /// A deterministic uniform `[0, 1)` draw on a side stream (jitter, crash
@@ -389,64 +363,44 @@ impl FaultInjector {
         unit(self.plan.seed ^ 0xA5A5_A5A5_A5A5_A5A5, serial, salt, counter)
     }
 
-    /// Drive `f` under `policy`, injecting transient `op` faults before each
-    /// attempt. Backoff accrues between failed attempts with deterministic jitter.
-    /// Non-injected errors from `f` (semantic failures like a stale receipt) are
-    /// returned immediately — retrying cannot fix them.
+    /// Drive `f` for up to [`retry::MAX_ATTEMPTS`] attempts, injecting a
+    /// transient `op` fault before each. Backoff accrues between failed attempts
+    /// with deterministic jitter. Non-injected errors from `f` (semantic failures
+    /// like a stale receipt) are returned immediately — retrying cannot fix them.
     pub fn with_retry<T>(
         &mut self,
         serial: u64,
         op: FaultOp,
-        policy: &RetryPolicy,
         mut f: impl FnMut() -> Result<T, CloudError>,
     ) -> Retried<T> {
         let mut backoff = SimDuration::ZERO;
-        for attempt in 1..=policy.max_attempts {
-            if self.roll(serial, op) {
-                self.tallies.retry_attempts += 1;
-                if attempt == policy.max_attempts {
-                    self.tallies.retries_exhausted += 1;
-                    self.emit("retries_exhausted", || {
-                        vec![
-                            ("op", JsonValue::from(op.name())),
-                            ("instance", JsonValue::from(serial)),
-                            ("attempts", JsonValue::from(attempt)),
-                        ]
-                    });
-                    return Retried {
-                        outcome: Err(CloudError::RetriesExhausted(format!(
-                            "{op:?} on instance {serial} after {attempt} attempts"
-                        ))),
-                        attempts: attempt,
-                        backoff,
-                    };
-                }
-                let u = self.side_roll(serial, 0xB0FF ^ op.tag());
-                let sleep = policy.backoff_after(attempt, u);
-                backoff += sleep;
-                self.tallies.retry_backoff_secs += sleep.as_secs();
-                if let Some(rec) = &self.recorder {
-                    rec.event(
-                        self.now_secs,
-                        "retry",
-                        vec![
-                            ("op", JsonValue::from(op.name())),
-                            ("instance", JsonValue::from(serial)),
-                            ("attempt", JsonValue::from(attempt)),
-                            ("backoff_secs", JsonValue::from(sleep.as_secs())),
-                        ],
-                    );
-                    rec.observe(
-                        "retry_backoff_secs",
-                        &policy.backoff_histogram_bounds(),
-                        sleep.as_secs(),
-                    );
-                }
-                continue;
+        let mut failed = [FailedAttempt::default(); MAX_ATTEMPTS as usize];
+        for attempt in 1..=MAX_ATTEMPTS {
+            let n_failed = attempt as usize - 1;
+            let Some(counter) = self.roll(serial, op) else {
+                return Retried { outcome: f(), attempts: attempt, backoff, failed, n_failed };
+            };
+            self.tallies.retry_attempts += 1;
+            if attempt == MAX_ATTEMPTS {
+                self.tallies.retries_exhausted += 1;
+                failed[n_failed] = FailedAttempt { counter, backoff: SimDuration::ZERO };
+                return Retried {
+                    outcome: Err(CloudError::RetriesExhausted(format!(
+                        "{op:?} on instance {serial} after {attempt} attempts"
+                    ))),
+                    attempts: attempt,
+                    backoff,
+                    failed,
+                    n_failed: attempt as usize,
+                };
             }
-            return Retried { outcome: f(), attempts: attempt, backoff };
+            let u = self.side_roll(serial, 0xB0FF ^ op.tag());
+            let sleep = retry::backoff_after(attempt, u);
+            backoff += sleep;
+            self.tallies.retry_backoff_secs += sleep.as_secs();
+            failed[n_failed] = FailedAttempt { counter, backoff: sleep };
         }
-        unreachable!("max_attempts >= 1 is enforced by RetryPolicy::validate")
+        unreachable!("the last attempt returns, failed or not")
     }
 
     /// The unified reclaim schedule for an instance launched at `launched_at`:
@@ -540,8 +494,8 @@ mod tests {
         let (mut rolls_a, mut rolls_b) = (Vec::new(), Vec::new());
         for serial in 0..4 {
             for _ in 0..100 {
-                rolls_a.push(a.roll(serial, FaultOp::S3Get));
-                rolls_b.push(b.roll(serial, FaultOp::S3Get));
+                rolls_a.push(a.roll(serial, FaultOp::S3Get).is_some());
+                rolls_b.push(b.roll(serial, FaultOp::S3Get).is_some());
             }
         }
         assert_ne!(rolls_a, rolls_b);
@@ -571,8 +525,8 @@ mod tests {
     fn zero_probability_never_fires_and_one_always_fires() {
         let mut inj = FaultInjector::new(plan());
         for _ in 0..100 {
-            assert!(!inj.roll(1, FaultOp::S3Put), "p=0 must never fire");
-            assert!(inj.roll(1, FaultOp::SqsDelete), "p=1 must always fire");
+            assert!(inj.roll(1, FaultOp::S3Put).is_none(), "p=0 must never fire");
+            assert!(inj.roll(1, FaultOp::SqsDelete).is_some(), "p=1 must always fire");
         }
         assert_eq!(inj.tallies().sqs_delete_faults, 100);
         assert_eq!(inj.tallies().s3_put_faults, 0);
@@ -585,7 +539,7 @@ mod tests {
         let mut hits = 0;
         for serial in 0..4 {
             for _ in 0..n / 4 {
-                if inj.roll(serial, FaultOp::S3Get) {
+                if inj.roll(serial, FaultOp::S3Get).is_some() {
                     hits += 1;
                 }
             }
@@ -599,11 +553,10 @@ mod tests {
         // p = 0.5 and 4 attempts: most calls succeed eventually; backoff accrues
         // exactly when attempts were consumed.
         let mut inj = FaultInjector::new(plan());
-        let policy = RetryPolicy::default();
         let mut ok = 0;
         let mut exhausted = 0;
         for i in 0..200 {
-            let r = inj.with_retry(i % 8, FaultOp::S3Get, &policy, || Ok(42));
+            let r = inj.with_retry(i % 8, FaultOp::S3Get, || Ok(42));
             match r.outcome {
                 Ok(v) => {
                     assert_eq!(v, 42);
@@ -612,7 +565,7 @@ mod tests {
                 }
                 Err(CloudError::RetriesExhausted(_)) => {
                     exhausted += 1;
-                    assert_eq!(r.attempts, policy.max_attempts);
+                    assert_eq!(r.attempts, MAX_ATTEMPTS);
                 }
                 Err(e) => panic!("unexpected {e}"),
             }
@@ -625,38 +578,36 @@ mod tests {
     #[test]
     fn with_retry_passes_semantic_errors_through() {
         let mut inj = FaultInjector::new(FaultPlan::default());
-        let r: Retried<()> = inj.with_retry(0, FaultOp::SqsDelete, &RetryPolicy::default(), || {
-            Err(CloudError::StaleReceipt("r".into()))
-        });
+        let r: Retried<()> =
+            inj.with_retry(0, FaultOp::SqsDelete, || Err(CloudError::StaleReceipt("r".into())));
         assert_eq!(r.attempts, 1, "semantic errors are not retried");
         assert!(matches!(r.outcome, Err(CloudError::StaleReceipt(_))));
     }
 
     #[test]
-    fn attached_recorder_sees_faults_and_retries() {
+    fn failures_carry_each_fault_counter_and_backoff() {
+        // p = 1.0 on SqsDelete: every attempt faults, so the call exhausts.
         let mut inj = FaultInjector::new(plan());
-        let rec = Arc::new(Recorder::new());
-        inj.attach_recorder(Arc::clone(&rec));
-        inj.set_now(42.0);
-        // p = 1.0 on SqsDelete: every attempt faults, so the policy exhausts.
-        let r: Retried<()> =
-            inj.with_retry(3, FaultOp::SqsDelete, &RetryPolicy::default(), || Ok(()));
+        let r: Retried<()> = inj.with_retry(3, FaultOp::SqsDelete, || Ok(()));
         assert!(matches!(r.outcome, Err(CloudError::RetriesExhausted(_))));
-        let log = rec.events_ndjson();
-        assert!(log.contains("\"kind\":\"fault_injected\",\"op\":\"sqs_delete\""), "{log}");
-        assert!(log.contains("\"kind\":\"retry\""), "{log}");
-        assert!(log.contains("\"kind\":\"retries_exhausted\""), "{log}");
-        assert!(log.lines().all(|l| l.starts_with("{\"t\":42,")), "events use set_now time");
-        rec.read(|_, _, metrics| {
-            assert_eq!(metrics.counter("faults_injected"), 4);
-            assert_eq!(metrics.histogram("retry_backoff_secs").unwrap().count(), 3);
-        });
-        // Decisions are identical with and without a recorder attached.
-        let mut bare = FaultInjector::new(plan());
-        let b: Retried<()> =
-            bare.with_retry(3, FaultOp::SqsDelete, &RetryPolicy::default(), || Ok(()));
-        assert_eq!(r.attempts, b.attempts);
-        assert_eq!(r.backoff, b.backoff);
+        let counters: Vec<u64> = r.failures().iter().map(|f| f.counter).collect();
+        assert_eq!(counters, [0, 1, 2, 3]);
+        let slept = r.failures().iter().fold(SimDuration::ZERO, |sum, f| sum + f.backoff);
+        assert_eq!(slept, r.backoff);
+        assert_eq!(r.failures()[3].backoff, SimDuration::ZERO, "no sleep after the last attempt");
+        // p = 0.5: only the failed attempts are listed, each with its roll's counter.
+        let (mut inj, mut twin) = (FaultInjector::new(plan()), FaultInjector::new(plan()));
+        let mut retried = 0;
+        for serial in 0..16 {
+            let r = inj.with_retry(serial, FaultOp::S3Get, || Ok(()));
+            let failed = if r.outcome.is_ok() { r.attempts - 1 } else { MAX_ATTEMPTS };
+            assert_eq!(r.failures().len(), failed as usize);
+            let rolled: Vec<u64> =
+                (0..r.attempts).filter_map(|_| twin.roll(serial, FaultOp::S3Get)).collect();
+            assert_eq!(r.failures().iter().map(|f| f.counter).collect::<Vec<_>>(), rolled);
+            retried += u32::from(failed > 0);
+        }
+        assert!(retried > 0, "premise: some call failed an attempt");
     }
 
     #[test]
@@ -723,7 +674,6 @@ mod tests {
         };
         let impossible =
             [FaultOp::S3Put, FaultOp::SqsReceive, FaultOp::SqsDelete, FaultOp::CheckpointPut];
-        let policy = RetryPolicy::default();
         let mut a = FaultInjector::new(plan.clone());
         let mut b = FaultInjector::new(plan);
         for i in 0..600u64 {
@@ -733,10 +683,10 @@ mod tests {
                 let op = impossible[((noise >> (8 * k)) % 4) as usize];
                 let other = serial + 1 + (noise >> 40) % 3;
                 if k % 2 == 0 {
-                    assert!(!b.roll(if k % 4 == 0 { serial } else { other }, op));
+                    assert!(b.roll(if k % 4 == 0 { serial } else { other }, op).is_none());
                 } else {
                     let s = if k % 3 == 0 { serial } else { other };
-                    let r = b.with_retry(s, op, &policy, || Ok(k));
+                    let r = b.with_retry(s, op, || Ok(k));
                     assert_eq!((r.outcome.unwrap(), r.attempts, r.backoff), (k, 1, SimDuration::ZERO));
                 }
             }
@@ -744,8 +694,8 @@ mod tests {
                 let crash = FaultOp::WorkerCrash;
                 assert_eq!(a.roll(serial, crash), b.roll(serial, crash), "roll {i}");
             } else {
-                let ra = a.with_retry(serial, FaultOp::S3Get, &policy, || Ok(()));
-                let rb = b.with_retry(serial, FaultOp::S3Get, &policy, || Ok(()));
+                let ra = a.with_retry(serial, FaultOp::S3Get, || Ok(()));
+                let rb = b.with_retry(serial, FaultOp::S3Get, || Ok(()));
                 let seen = |r: &Retried<()>| (r.outcome.is_ok(), r.attempts, r.backoff);
                 assert_eq!(seen(&ra), seen(&rb), "retried call {i}");
             }

@@ -11,8 +11,9 @@
 //! * [`faults`] — deterministic fault injection: seeded chaos plans for S3/SQS
 //!   errors, duplicate deliveries, worker crashes, and spot bursts, replayable
 //!   bit-for-bit.
-//! * [`retry`] — capped exponential backoff with deterministic jitter (the AWS-SDK
-//!   retry machinery the paper's architecture silently assumes).
+//! * [`retry`] — the retry constants (attempts, capped exponential backoff with
+//!   deterministic jitter): the AWS-SDK retry machinery the paper's architecture
+//!   silently assumes.
 //! * [`sqs`] — the work queue: visibility timeouts, at-least-once redelivery —
 //!   exactly the property that makes the architecture resilient to spot reclaims.
 //! * [`s3`] — the transfer-cost model of the index-manifest GET and result PUTs.
@@ -22,6 +23,11 @@
 //!
 //! Nothing here sleeps or talks to a network: time advances only through the event
 //! queue, so campaigns over thousands of accessions simulate in milliseconds.
+//!
+//! Nothing here logs either. A model returns what happened — the counter of an
+//! injected fault, each failed attempt of a retried call, the attempts of an S3
+//! transfer — and the caller decides what to record: a campaign's every record
+//! is made in `atlas::campaign`.
 
 #![forbid(unsafe_code)]
 
@@ -43,7 +49,6 @@ pub use devent::Kernel;
 pub use error::CloudError;
 pub use faults::{FaultCounters, FaultInjector, FaultOp, FaultPlan, SpotBurst};
 pub use instance::{Instance, InstanceId, InstanceState, InstanceType, INSTANCE_CATALOG};
-pub use retry::RetryPolicy;
 pub use spot::{Reclaim, ReclaimSource, SpotMarket};
 pub use sqs::SqsQueue;
 pub use time::{SimDuration, SimTime};

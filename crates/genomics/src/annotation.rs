@@ -164,11 +164,6 @@ impl Annotation {
         self.genes.iter().find(|g| g.id == id)
     }
 
-    /// Genes on the named contig.
-    pub fn genes_on<'a>(&'a self, contig: &'a str) -> impl Iterator<Item = &'a Gene> + 'a {
-        self.genes.iter().filter(move |g| g.contig == contig)
-    }
-
     /// Simulate an annotation for `assembly`, using the generator's hotspot layout so
     /// genes concentrate where release-108 scaffolds duplicate sequence.
     ///
@@ -359,7 +354,7 @@ mod tests {
     fn genes_concentrate_in_hotspots() {
         let (_, g, ann) = setup();
         let hotspots0 = g.hotspots(0);
-        let on_chr1: Vec<_> = ann.genes_on("1").collect();
+        let on_chr1: Vec<_> = ann.genes.iter().filter(|g| g.contig == "1").collect();
         let in_hs = on_chr1
             .iter()
             .filter(|gene| {

@@ -93,16 +93,6 @@ impl Assembly {
         self.contigs.iter().filter(|c| c.kind == ContigKind::Chromosome)
     }
 
-    /// Derive the `primary_assembly` view (chromosomes only) of this assembly.
-    pub fn to_primary_assembly(&self) -> Assembly {
-        Assembly {
-            name: self.name.clone(),
-            release: self.release,
-            kind: AssemblyKind::PrimaryAssembly,
-            contigs: self.chromosomes().cloned().collect(),
-        }
-    }
-
     /// Render as FASTA records with Ensembl-style headers.
     pub fn to_fasta(&self) -> Vec<FastaRecord> {
         self.contigs
@@ -126,20 +116,6 @@ impl Assembly {
                 }
             })
             .collect()
-    }
-
-    /// Approximate on-disk FASTA size in bytes (1 byte/base + headers + newlines),
-    /// used to compare release file sizes like the paper's 108-vs-111 comparison.
-    pub fn fasta_byte_size(&self) -> usize {
-        const LINE_WIDTH: usize = 60;
-        self.contigs
-            .iter()
-            .map(|c| {
-                let body = c.len() + c.len().div_ceil(LINE_WIDTH);
-                let header = c.name.len() + 48; // '>' + name + role text + newline
-                body + header
-            })
-            .sum()
     }
 }
 
@@ -182,18 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn primary_assembly_drops_scaffolds_only() {
-        let a = toy_assembly();
-        let p = a.to_primary_assembly();
-        assert_eq!(p.kind, AssemblyKind::PrimaryAssembly);
-        assert_eq!(p.contigs.len(), 2);
-        assert_eq!(p.total_len(), 800);
-        assert!(p.contigs.iter().all(|c| c.kind == ContigKind::Chromosome));
-        // Source untouched.
-        assert_eq!(a.contigs.len(), 4);
-    }
-
-    #[test]
     fn contig_lookup_by_name() {
         let a = toy_assembly();
         assert_eq!(a.contig("KI1.1").unwrap().len(), 120);
@@ -209,13 +173,5 @@ mod tests {
         assert!(recs[2].header.contains("scaffold_unplaced"));
         assert!(recs[0].header.contains(":500:"));
         assert_eq!(recs[0].id(), "1");
-    }
-
-    #[test]
-    fn fasta_byte_size_tracks_sequence_plus_overhead() {
-        let a = toy_assembly();
-        let sz = a.fasta_byte_size();
-        assert!(sz > a.total_len(), "must include headers/newlines");
-        assert!(sz < a.total_len() + 1000, "overhead should be modest: {sz}");
     }
 }

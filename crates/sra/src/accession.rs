@@ -103,6 +103,9 @@ impl AccessionMeta {
 /// (the archive byte pin hashes with it too).
 pub(crate) const CONTENT_SEED_PRIME: u64 = 0x1000_0000_01b3;
 
+/// Spot multiplier of a single-cell accession: they are ~10× larger than bulk.
+pub const SINGLE_CELL_SPOT_FACTOR: f64 = 10.0;
+
 /// Parameters of the synthetic workload catalog.
 #[derive(Clone, Debug)]
 pub struct CatalogParams {
@@ -116,8 +119,6 @@ pub struct CatalogParams {
     pub bulk_spots_median: u64,
     /// Log-normal σ of bulk spot counts.
     pub bulk_spots_sigma: f64,
-    /// Spot multiplier for single-cell accessions (they are ~10× larger).
-    pub single_cell_spot_factor: f64,
     /// Read length.
     pub read_len: u32,
     /// Fraction of *bulk* accessions with paired layout (single-cell 3' libraries
@@ -134,7 +135,6 @@ impl Default for CatalogParams {
             single_cell_fraction: 0.038,
             bulk_spots_median: 4_000,
             bulk_spots_sigma: 0.6,
-            single_cell_spot_factor: 10.0,
             read_len: 100,
             paired_fraction: 0.0,
         }
@@ -152,9 +152,6 @@ impl CatalogParams {
         }
         if self.bulk_spots_median == 0 || self.read_len == 0 {
             return Err(SraError::InvalidParams("spot counts and read length must be positive".into()));
-        }
-        if self.single_cell_spot_factor <= 0.0 {
-            return Err(SraError::InvalidParams("single_cell_spot_factor must be positive".into()));
         }
         if !(0.0..=1.0).contains(&self.paired_fraction) {
             return Err(SraError::InvalidParams("paired_fraction must be in [0,1]".into()));
@@ -185,7 +182,7 @@ impl CatalogParams {
             let mut spots =
                 (self.bulk_spots_median as f64 * (self.bulk_spots_sigma * z).exp()).max(100.0);
             if strategy == LibraryStrategy::SingleCell {
-                spots *= self.single_cell_spot_factor;
+                spots *= SINGLE_CELL_SPOT_FACTOR;
             }
             let layout = if strategy == LibraryStrategy::RnaSeqBulk
                 && rng.gen_bool(self.paired_fraction)
@@ -280,9 +277,6 @@ mod tests {
         assert!(p.generate().is_err());
         let mut p = CatalogParams::default();
         p.single_cell_fraction = 1.2;
-        assert!(p.generate().is_err());
-        let mut p = CatalogParams::default();
-        p.single_cell_spot_factor = 0.0;
         assert!(p.generate().is_err());
     }
 

@@ -14,7 +14,8 @@
 //!   yields the same reads, generated from the bound assembly/annotation with the
 //!   library type's simulator.
 //! * [`prefetch`] — the `prefetch` time model: transfer seconds for a byte count
-//!   against a network model (no wall-clock sleeping; the cloud layer charges time).
+//!   at a fixed latency and bandwidth (no wall-clock sleeping; the cloud layer
+//!   charges time).
 //! * [`fasterq_dump`] — the `fasterq-dump` tool model: parallel decode to FASTQ with
 //!   a throughput model.
 
@@ -31,5 +32,4 @@ pub use accession::{AccessionMeta, CatalogParams, LibraryStrategy};
 pub use archive::SraArchive;
 pub use error::SraError;
 pub use fasterq_dump::{FasterqDump, FasterqOutput};
-pub use prefetch::NetworkModel;
 pub use repository::SraRepository;

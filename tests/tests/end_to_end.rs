@@ -3,7 +3,7 @@
 //! Exercises every crate boundary the paper's pipeline crosses.
 use genomics::{Annotation, EnsemblGenerator, EnsemblParams, Release};
 use sra_sim::accession::{CatalogParams, LibraryStrategy};
-use sra_sim::{FasterqDump, NetworkModel, SraRepository};
+use sra_sim::{prefetch, FasterqDump, SraRepository};
 use star_aligner::index::{IndexParams, StarIndex};
 use star_aligner::quant::Strandedness;
 use star_aligner::runner::{RunConfig, Runner};
@@ -32,7 +32,6 @@ fn full_pipeline_produces_normalizable_counts() {
     .unwrap();
     let repo = SraRepository::new(Arc::clone(&assembly), Arc::clone(&annotation), catalog);
 
-    let network = NetworkModel::default();
     let dumper = FasterqDump::default();
     let run_config = RunConfig { threads: 2, quant: true, ..RunConfig::default() };
     let runner = Runner::new(&index, AlignParams::default(), run_config).unwrap();
@@ -43,7 +42,7 @@ fn full_pipeline_produces_normalizable_counts() {
     for id in repo.ids() {
         // Stage 1: prefetch.
         let fetched = repo.fetch(&id).unwrap();
-        assert!(network.transfer_secs(fetched.size_bytes()) > 0.0);
+        assert!(prefetch::transfer_secs(fetched.size_bytes()) > 0.0);
         // Stage 2: fasterq-dump.
         let dumped = dumper.run(&fetched).unwrap();
         assert_eq!(dumped.reads.len() as u64, fetched.spots());
