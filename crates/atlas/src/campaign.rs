@@ -381,7 +381,8 @@ impl<'a> Campaign<'a> {
             // A duplicate delivery of already-finished work: acknowledge and
             // poll again immediately.
             self.obs.job_event(now, "duplicate_receive", name, id, &[]);
-            let deleted = self.injector.with_retry(id.0, FaultOp::SqsDelete, || self.sqs.delete(receipt));
+            let deleted =
+                self.injector.with_retry(id.0, FaultOp::SqsDelete, || self.sqs.delete(receipt));
             self.obs.retried(now, FaultOp::SqsDelete, id.0, &deleted);
             self.events.schedule(now, Event::Poll(id));
             return Ok(());
@@ -504,7 +505,8 @@ impl<'a> Campaign<'a> {
         // The lease was sized with margin, so the delete should succeed; if it
         // went stale (duplicate delivery, missed extension) the message
         // re-delivers and the duplicate is absorbed by `Resolution::is_completed`.
-        let deleted = self.injector.with_retry(id.0, FaultOp::SqsDelete, || self.sqs.delete(job.receipt));
+        let deleted =
+            self.injector.with_retry(id.0, FaultOp::SqsDelete, || self.sqs.delete(job.receipt));
         self.obs.retried(now, FaultOp::SqsDelete, id.0, &deleted);
         if self.resolution.is_completed(job.accession) {
             self.obs.job_spans(parent, id, name, &job, window, "duplicate");

@@ -642,7 +642,8 @@ impl Observers {
             self.fault_injected(now, op, serial, failed.counter);
             let (op, instance) = (JsonValue::from(op.name()), JsonValue::from(serial));
             if attempt == MAX_ATTEMPTS {
-                let fields = vec![("op", op), ("instance", instance), ("attempts", JsonValue::from(attempt))];
+                let attempts = JsonValue::from(attempt);
+                let fields = vec![("op", op), ("instance", instance), ("attempts", attempts)];
                 self.recorder.event(now.as_secs(), "retries_exhausted", fields);
             } else {
                 let backoff = failed.backoff.as_secs();

@@ -609,9 +609,8 @@ mod tests {
     #[test]
     fn every_f64_knob_rejects_nan_infinity_and_negative_at_submit() {
         use cloudsim::{CloudError, SpotBurst};
-        // A NaN spot rate and an infinite retry delay (when retries were
-        // configurable) each passed validation once and panicked mid-campaign;
-        // this covers the whole class.
+        // A NaN spot rate and an infinite retry delay each passed validation once
+        // and panicked mid-campaign; this covers the whole class.
         fn plan(c: &mut CampaignConfig) -> &mut FaultPlan {
             c.faults.get_or_insert_with(FaultPlan::default)
         }

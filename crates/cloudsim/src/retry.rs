@@ -60,8 +60,8 @@ mod tests {
 
     #[test]
     fn histogram_bounds_follow_the_backoff_ladder() {
-        // The rungs multiplied out from the constants, as the histogram was
-        // once bounded: each literal must be that product exactly.
+        // The rungs multiplied out from the constants: each literal must be that
+        // product exactly.
         let mut ladder = vec![BASE_DELAY_SECS];
         let mut b = BASE_DELAY_SECS * MULTIPLIER;
         while b < MAX_DELAY_SECS {

@@ -41,7 +41,11 @@ pub fn get_retrying(bytes: u64, faults: &mut FaultInjector, serial: u64) -> Retr
 }
 
 /// A PUT of `bytes` bytes by instance `serial`, priced like [`get_retrying`].
-pub fn upload_retrying(bytes: u64, faults: &mut FaultInjector, serial: u64) -> Retried<SimDuration> {
+pub fn upload_retrying(
+    bytes: u64,
+    faults: &mut FaultInjector,
+    serial: u64,
+) -> Retried<SimDuration> {
     transfer_retrying(FaultOp::S3Put, bytes, faults, serial)
 }
 
