@@ -97,6 +97,19 @@ if [ -n "$logging" ]; then
     echo "crates/cloudsim/src names telemetry outside #[cfg(test)]: log from atlas::campaign" >&2
     exit 1
 fi
+# The fleet's rate is priced once: `Campaign::new` turns the instance type's on-demand
+# price into the spot rate (`SpotMarket::hourly_price`), and the bill, the SLO cost
+# sketch and the ledger read that rate. A call outside test code anywhere else under
+# crates/ would price an instance-second a second way.
+priced=$(for f in $(find crates -path '*/src/*' -name '*.rs' | sort); do
+    [ "$f" = crates/atlas/src/campaign.rs ] && continue
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -n '\.hourly_price(' | sed "s|^|$f:|" || true
+done)
+if [ -n "$priced" ]; then
+    printf '%s\n' "$priced" >&2
+    echo "hourly_price( called outside crates/atlas/src/campaign.rs: the fleet's rate is priced in Campaign::new" >&2
+    exit 1
+fi
 # The event log's readers (`Query::run`, `RunProfile::from_event_log`) read each line in
 # place through `json::Fields`; a `json::parse(` outside test code in either file would
 # build a `JsonValue` tree per line again.

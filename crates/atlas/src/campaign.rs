@@ -49,7 +49,7 @@ use crate::pipeline::StageTimes;
 use crate::recovery::CheckpointStore;
 use crate::workload::CampaignWorkload;
 use crate::AtlasError;
-use cloudsim::cost::CostTracker;
+use cloudsim::cost::CostReport;
 use cloudsim::faults::{FaultInjector, FaultOp};
 use cloudsim::instance::{InstanceId, InstanceState};
 use cloudsim::sqs::ReceiptHandle;
@@ -128,13 +128,12 @@ impl<'a> Campaign<'a> {
         for i in 0..n {
             sqs.send(Acc(i));
         }
-        // The single pricing point for the bill, the SLO sketches and the ledger.
-        let cost = if cfg.spot {
-            CostTracker::with_spot(cfg.spot_market)
-        } else {
-            CostTracker::on_demand()
-        };
-        let obs = Observers::new(cfg, cost.hourly_rate(cfg.instance_type, cfg.spot));
+        // What one instance-second costs, priced once: the bill, the SLO cost
+        // sketch and the ledger all read this rate. The fleet is one instance
+        // type on the spot market (an on-demand fleet is a market at price
+        // factor 1.0 with no interruptions).
+        let usd_per_hour = cfg.spot_market.hourly_price(cfg.instance_type.on_demand_hourly_usd);
+        let obs = Observers::new(cfg, usd_per_hour);
         let injector = FaultInjector::new(cfg.faults.clone().unwrap_or_default());
         let mut events = Kernel::new();
         events.schedule(SimTime::ZERO, Event::ScaleTick);
@@ -150,8 +149,8 @@ impl<'a> Campaign<'a> {
             injector,
             fleet: Fleet::new(cfg, &obs, accessions.len())?,
             resolution: Resolution::new(accessions.len()),
-            accounting: Accounting::new(cost, ledger, accounts),
-            recovery: cfg.recovery.map(|r| CheckpointStore::new(r.checkpoint_ttl_secs)),
+            accounting: Accounting::new(ledger, accounts),
+            recovery: cfg.recovery.map(|_| CheckpointStore::default()),
             obs,
             timeline: Vec::new(),
             next_epoch: 1,
@@ -279,20 +278,18 @@ impl<'a> Campaign<'a> {
                 });
             }
         }
-        if cfg.spot {
-            // One reclaim pipeline for market-sampled and fault-plan burst
-            // interruptions. With recovery on, each reclaim is preceded by its
-            // notice; scheduling the notice first makes the FIFO tie-break
-            // dispatch it before a same-instant reclaim.
-            for r in self.injector.reclaim_schedule(&cfg.spot_market, now, id.0) {
-                if self.recovery.is_some() {
-                    self.events.schedule(
-                        self.injector.notice_at(now, r.at),
-                        Event::SpotNotice { instance: id, reclaim_at: r.at, source: r.source },
-                    );
-                }
-                self.events.schedule(r.at, Event::Interruption(id));
+        // One reclaim pipeline for market-sampled and fault-plan burst
+        // interruptions. With recovery on, each reclaim is preceded by its
+        // notice; scheduling the notice first makes the FIFO tie-break dispatch
+        // it before a same-instant reclaim.
+        for r in self.injector.reclaim_schedule(&cfg.spot_market, now, id.0) {
+            if self.recovery.is_some() {
+                self.events.schedule(
+                    self.injector.notice_at(now, r.at),
+                    Event::SpotNotice { instance: id, reclaim_at: r.at, source: r.source },
+                );
             }
+            self.events.schedule(r.at, Event::Interruption(id));
         }
     }
 
@@ -679,10 +676,15 @@ impl<'a> Campaign<'a> {
         for serial in 1..=self.fleet.asg().instances().len() as u64 {
             self.fleet.retire(InstanceId(serial), end);
         }
+        // The bill: every instance in launch order, then the wasted slice, all at
+        // the one rate.
+        let rate = self.obs.usd_per_hour;
+        let mut cost = CostReport::default();
         for inst in self.fleet.asg().instances() {
-            self.accounting.cost.charge(inst, end);
+            cost.charge(rate, inst.billable_secs(end));
         }
-        let (wasted_secs, salvaged_secs) = self.accounting.close(cfg.instance_type, cfg.spot)?;
+        let (wasted_secs, salvaged_secs) = self.accounting.close()?;
+        cost.attribute_waste(rate, wasted_secs);
         let dead_lettered = self.resolution.conserve(self.accessions, self.sqs.dead_letters())?;
         let dead_lettered = dead_lettered.into_iter().map(|a| self.name(a).to_string()).collect();
 
@@ -701,13 +703,13 @@ impl<'a> Campaign<'a> {
                 attrs.iter().map(|(k, v)| (*k, JsonValue::from(v.as_str()))).collect(),
             );
         }
-        let slo = self.slo_report(end);
+        let slo = self.slo_report(end, cost.total_usd);
         rec.span_end(self.obs.campaign_span, end.as_secs());
         let (mean_fleet_size, busy_fraction) = self.fleet.utilization(end);
         Ok(CampaignReport {
             completed: self.resolution.into_results(),
             makespan: end - SimTime::ZERO,
-            cost: self.accounting.cost.report().clone(),
+            cost,
             instances_launched: self.fleet.asg().instances().len(),
             interruptions: self.accounting.interruptions,
             redeliveries: self.accounting.redeliveries,
@@ -734,7 +736,7 @@ impl<'a> Campaign<'a> {
     /// attribution ledger decomposes each completed accession's turnaround and
     /// dollars. Pure observer: computed from quantities the campaign already
     /// tracked.
-    fn slo_report(&self, end: SimTime) -> Option<SloReport> {
+    fn slo_report(&self, end: SimTime, total_usd: f64) -> Option<SloReport> {
         if !self.obs.slo_on {
             return None;
         }
@@ -745,8 +747,7 @@ impl<'a> Campaign<'a> {
             rec.gauge_set_at(at, &format!("slo_budget_remaining:{}", s.id), s.budget_remaining);
         }
         let inputs = self.accounting.ledger_inputs(&self.resolution, at);
-        let (ledger, totals) =
-            build_ledger(&inputs, self.obs.usd_per_hour, self.accounting.cost.report().total_usd);
+        let (ledger, totals) = build_ledger(&inputs, self.obs.usd_per_hour, total_usd);
         rec.gauge_set_at(at, "slo_ledger_compute_usd", totals.compute_usd);
         rec.gauge_set_at(at, "slo_ledger_retry_usd", totals.retry_usd);
         rec.gauge_set_at(at, "slo_ledger_idle_amortized_usd", totals.idle_amortized_usd);

@@ -32,9 +32,8 @@ use crate::orchestrator::{CampaignConfig, Completion};
 use crate::workload::AccessionRun;
 use crate::AtlasError;
 use cloudsim::asg::AutoScalingGroup;
-use cloudsim::cost::CostTracker;
 use cloudsim::faults::{FaultOp, Retried};
-use cloudsim::instance::{Instance, InstanceId, InstanceType};
+use cloudsim::instance::{Instance, InstanceId};
 use cloudsim::retry::{BACKOFF_BUCKETS, MAX_ATTEMPTS};
 use cloudsim::sqs::ReceiptHandle;
 use cloudsim::SimTime;
@@ -78,6 +77,8 @@ struct Worker {
 /// launched, indexed by instance serial (ids are dense and count from 1).
 pub(super) struct Fleet {
     asg: AutoScalingGroup,
+    /// The one instance type every launch is, for the launch records.
+    itype: &'static str,
     workers: Vec<Worker>,
     /// The job table: one slot per job in flight. A freed slot goes on `free`
     /// and is reused, so the table is as long as the most jobs ever held at
@@ -95,11 +96,11 @@ impl Fleet {
     /// A fleet for a campaign of `accessions`: the job table is sized for the
     /// fleet cap, or for one job per accession when that is fewer.
     pub fn new(cfg: &CampaignConfig, obs: &Observers, accessions: usize) -> Result<Fleet, AtlasError> {
-        let asg = AutoScalingGroup::new(cfg.scaling, cfg.instance_type, cfg.spot)
-            .map_err(AtlasError::Cloud)?;
+        let asg = AutoScalingGroup::new(cfg.scaling).map_err(AtlasError::Cloud)?;
         let slots = (cfg.scaling.max_size as usize).min(accessions);
         Ok(Fleet {
             asg,
+            itype: cfg.instance_type.name,
             workers: Vec::new(),
             jobs: Vec::with_capacity(slots),
             free: Vec::with_capacity(slots),
@@ -143,14 +144,13 @@ impl Fleet {
         self.fleet_size.record(now, self.asg.active_count());
         debug_assert_eq!(id.0 as usize, self.workers.len() + 1, "serials are dense instance ids");
         let span = if self.recorder.is_enabled() {
-            let inst = &self.asg.instances()[self.workers.len()];
             self.recorder.event(
                 now.as_secs(),
                 "instance_launch",
                 vec![
                     ("instance", JsonValue::from(id.0)),
-                    ("itype", JsonValue::from(inst.itype.name)),
-                    ("spot", JsonValue::from(inst.spot)),
+                    ("itype", JsonValue::from(self.itype)),
+                    ("spot", JsonValue::from(true)),
                     ("active", JsonValue::from(self.asg.active_count())),
                 ],
             );
@@ -161,8 +161,8 @@ impl Fleet {
                 now.as_secs(),
                 &[
                     ("instance", id.0.to_string()),
-                    ("itype", inst.itype.name.to_string()),
-                    ("spot", inst.spot.to_string()),
+                    ("itype", self.itype.to_string()),
+                    ("spot", true.to_string()),
                 ],
             )
         } else {
@@ -446,10 +446,9 @@ pub(super) struct AccessionAccount {
     pub salvaged_secs: f64,
 }
 
-/// Counters, the waste/salvage books and the bill.
+/// Counters and the waste/salvage books.
 #[derive(Default)]
 pub(super) struct Accounting {
-    pub cost: CostTracker,
     pub interruptions: usize,
     pub redeliveries: u64,
     pub duplicate_completions: u64,
@@ -468,9 +467,9 @@ pub(super) struct Accounting {
 impl Accounting {
     /// `accounts` is the number of accessions when a ledger or the recovery
     /// layer is on, 0 otherwise.
-    pub fn new(cost: CostTracker, ledger: bool, accounts: usize) -> Accounting {
+    pub fn new(ledger: bool, accounts: usize) -> Accounting {
         let accounts = vec![AccessionAccount::default(); accounts];
-        Accounting { cost, ledger, accounts, ..Accounting::default() }
+        Accounting { ledger, accounts, ..Accounting::default() }
     }
 
     /// `accession`'s account, when an attribution ledger will read it.
@@ -507,9 +506,8 @@ impl Accounting {
     /// (salvaged or wasted). The reclassification folds in handle order, i.e.
     /// the order the accessions were submitted in — float addition makes that
     /// order part of the result. Errs when the checkpointed seconds are not
-    /// `salvaged + lost`. Labels the wasted slice of the bill; returns
-    /// `(wasted, salvaged)` seconds.
-    pub fn close(&mut self, itype: &InstanceType, spot: bool) -> Result<(f64, f64), AtlasError> {
+    /// `salvaged + lost`. Returns `(wasted, salvaged)` seconds.
+    pub fn close(&mut self) -> Result<(f64, f64), AtlasError> {
         let mut lost_secs = 0.0;
         for a in self.accounts.iter_mut().filter(|a| a.pending_salvage_secs > 0.0) {
             self.wasted_secs += a.pending_salvage_secs;
@@ -525,7 +523,6 @@ impl Accounting {
                 self.checkpointed_secs, self.salvaged_secs
             )));
         }
-        self.cost.attribute_waste(itype, spot, self.wasted_secs);
         Ok((self.wasted_secs, self.salvaged_secs))
     }
 
@@ -774,6 +771,7 @@ impl Observers {
 mod tests {
     use super::*;
     use crate::workload::{CampaignWorkload, ModeledWorkload};
+    use cloudsim::instance::InstanceType;
     use telemetry::{AlertRule, MonitorConfig, SloConfig};
     const T0: SimTime = SimTime::ZERO;
     const SRR1: Acc = Acc(0);
@@ -996,7 +994,7 @@ mod tests {
 
     #[test]
     fn waste_lands_in_the_total_and_one_account_exactly_once() {
-        let mut with_ledger = Accounting::new(CostTracker::on_demand(), true, 2);
+        let mut with_ledger = Accounting::new(true, 2);
         with_ledger.waste(SRR1, 10.0);
         with_ledger.waste(SRR2, 5.0);
         with_ledger.waste(SRR1, 2.5);
@@ -1004,7 +1002,7 @@ mod tests {
         assert_eq!(with_ledger.accounts[SRR1.index()].retry_waste_secs, 12.5);
         assert_eq!(with_ledger.accounts[SRR2.index()].retry_waste_secs, 5.0);
         // Without a ledger to read them, no per-accession entries are made.
-        let mut bare = Accounting::new(CostTracker::on_demand(), false, 0);
+        let mut bare = Accounting::new(false, 0);
         bare.waste(SRR1, 10.0);
         assert!(bare.ledger_account(SRR1).is_none());
         assert_eq!(bare.wasted_secs, 10.0);
@@ -1017,7 +1015,7 @@ mod tests {
         const B: Acc = Acc(1);
         const C: Acc = Acc(2);
         const D: Acc = Acc(3);
-        let mut a = Accounting::new(CostTracker::on_demand(), true, 4);
+        let mut a = Accounting::new(true, 4);
         // Inserted out of order; float addition makes the fold order observable:
         // (1 + 1) + 1e16 keeps the 2, 1e16 + 1 + 1 loses it.
         a.checkpointed(C, 1e16);
@@ -1025,7 +1023,7 @@ mod tests {
         a.checkpointed(A, 1.0);
         a.checkpointed(D, 40.0);
         a.salvaged(D, 40.0);
-        assert_eq!(a.close(xlarge(), true).unwrap(), ((1.0 + 1.0) + 1e16, 40.0));
+        assert_eq!(a.close().unwrap(), ((1.0 + 1.0) + 1e16, 40.0));
         assert_ne!(a.wasted_secs, (1e16 + 1.0) + 1.0, "premise: order is observable");
         assert_eq!(a.accounts[D.index()].retry_waste_secs, 0.0, "fully salvaged: nothing lost");
         assert_eq!(a.accounts[D.index()].salvaged_secs, 40.0);
@@ -1035,10 +1033,10 @@ mod tests {
             "the ledger sees the reclassification"
         );
         // A partial resume leaves the remainder to be lost.
-        let mut p = Accounting::new(CostTracker::on_demand(), false, 1);
+        let mut p = Accounting::new(false, 1);
         p.checkpointed(A, 30.0);
         p.salvaged(A, 10.0);
-        assert_eq!(p.close(xlarge(), true).unwrap(), (20.0, 10.0));
+        assert_eq!(p.close().unwrap(), (20.0, 10.0));
         let untouched = p.accounts[A.index()].retry_waste_secs;
         assert_eq!(untouched, 0.0, "no ledger, no per-accession waste");
     }
@@ -1048,22 +1046,22 @@ mod tests {
         // Put / resume / expire, as `drain_job` and `record_completion` drive it:
         // SRR1 drains twice and a resumed completion reuses both slices; SRR2's
         // checkpoint expires, so its completion salvages nothing.
-        let mut a = Accounting::new(CostTracker::on_demand(), false, 2);
+        let mut a = Accounting::new(false, 2);
         a.checkpointed(SRR1, 100.25);
         a.checkpointed(SRR2, 61.5);
         a.checkpointed(SRR1, 50.125);
         a.salvaged(SRR1, 100.25 + 50.125);
-        assert_eq!(a.close(xlarge(), true).unwrap(), (61.5, 150.375));
+        assert_eq!(a.close().unwrap(), (61.5, 150.375));
         // A second that is neither pending nor salvaged breaks the books.
-        let mut broken = Accounting::new(CostTracker::on_demand(), false, 1);
+        let mut broken = Accounting::new(false, 1);
         broken.checkpointed(SRR1, 30.0);
         broken.accounts[SRR1.index()].pending_salvage_secs = 10.0;
-        let err = broken.close(xlarge(), true).unwrap_err();
+        let err = broken.close().unwrap_err();
         assert!(matches!(&err, AtlasError::Conservation(m) if m.contains("checkpointed")), "{err}");
         // So does salvaging more than was ever checkpointed.
-        let mut over = Accounting::new(CostTracker::on_demand(), false, 1);
+        let mut over = Accounting::new(false, 1);
         over.checkpointed(SRR1, 30.0);
         over.salvaged(SRR1, 45.0);
-        assert!(matches!(over.close(xlarge(), true), Err(AtlasError::Conservation(_))));
+        assert!(matches!(over.close(), Err(AtlasError::Conservation(_))));
     }
 }

@@ -753,7 +753,7 @@ pub fn spot_recovery(n_accessions: usize) -> Result<SpotRecoveryResult, AtlasErr
         cfg.max_receive_count = Some(10);
         cfg.slo = Some(telemetry::SloConfig::default());
         if recovery {
-            cfg.recovery = Some(crate::recovery::RecoveryConfig::default());
+            cfg.recovery = Some(crate::recovery::RecoveryConfig);
         }
         let ids = crate::workload::ModeledWorkload::accessions(n_accessions);
         let report = Orchestrator::with_workload(

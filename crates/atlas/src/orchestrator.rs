@@ -3,8 +3,7 @@
 //! Runs a whole accession workload on the simulated AWS architecture:
 //!
 //! * accession ids go into an SQS queue;
-//! * an AutoScalingGroup sizes a fleet of (optionally spot) instances from the
-//!   backlog;
+//! * an AutoScalingGroup sizes a fleet of spot instances from the backlog;
 //! * each instance spends its init phase downloading the STAR index from S3 and
 //!   loading it into shared memory — the overhead §III-A says shrinks with the
 //!   release-111 index;
@@ -52,9 +51,10 @@ const INDEX_LOAD_BPS: f64 = 1e9;
 pub struct CampaignConfig {
     /// Instance type the ASG launches (pick with [`crate::RightSizer`]).
     pub instance_type: &'static InstanceType,
-    /// Launch instances on the spot market.
-    pub spot: bool,
-    /// Spot pricing/interruption model.
+    /// Spot pricing/interruption model. The fleet runs on the spot market: an
+    /// instance-hour costs the type's on-demand price × `price_factor`, and an
+    /// on-demand fleet is a market at `price_factor: 1.0` with
+    /// `interruptions_per_hour: 0.0`.
     pub spot_market: SpotMarket,
     /// Fleet sizing policy.
     pub scaling: ScalingPolicy,
@@ -101,7 +101,6 @@ impl CampaignConfig {
     pub fn new(instance_type: &'static InstanceType, index_bytes: u64) -> CampaignConfig {
         CampaignConfig {
             instance_type,
-            spot: true,
             spot_market: SpotMarket::default(),
             scaling: ScalingPolicy::default(),
             poll_interval: SimDuration::from_secs(20.0),
@@ -149,9 +148,6 @@ impl CampaignConfig {
                     "slo requires telemetry (the SLO engine observes the telemetry stream)".into(),
                 ));
             }
-        }
-        if let Some(recovery) = &self.recovery {
-            recovery.validate()?;
         }
         Ok(())
     }
@@ -620,7 +616,7 @@ mod tests {
             &mut plan(c).spot_bursts[0]
         }
         type Set = fn(&mut CampaignConfig, f64);
-        let knobs: [(&str, Set); 15] = [
+        let knobs: [(&str, Set); 14] = [
             ("spot_market.price_factor", |c, v| c.spot_market.price_factor = v),
             ("spot_market.interruptions_per_hour", |c, v| c.spot_market.interruptions_per_hour = v),
             ("faults.s3_get_fail", |c, v| plan(c).s3_get_fail = v),
@@ -635,9 +631,6 @@ mod tests {
             ("spot_burst.start_secs", |c, v| burst(c).start_secs = v),
             ("spot_burst.duration_secs", |c, v| burst(c).duration_secs = v),
             ("spot_burst.rate_per_hour", |c, v| burst(c).rate_per_hour = v),
-            ("recovery.checkpoint_ttl_secs", |c, v| {
-                c.recovery = Some(RecoveryConfig { checkpoint_ttl_secs: v })
-            }),
         ];
         let workload = ModeledWorkload::default().into_workload();
         let config = || CampaignConfig::new(InstanceType::by_name("r6a.xlarge").unwrap(), 1 << 30);

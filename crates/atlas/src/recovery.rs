@@ -19,41 +19,25 @@
 use std::collections::BTreeMap;
 
 use crate::campaign::Acc;
-use crate::AtlasError;
 
-/// Recovery-layer knobs. The notice lead time and the checkpoint-write failure
-/// probability live in the fault plan ([`cloudsim::FaultPlan::spot_notice_secs`],
-/// [`cloudsim::FaultPlan::checkpoint_write_fail`]) — they are properties of the
-/// simulated environment; this struct configures the worker-side policy.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RecoveryConfig {
-    /// Seconds a stored checkpoint stays usable. Expired checkpoints are
-    /// ignored by resume lookups and garbage-collected at scale ticks; the
-    /// progress they held is accounted as lost compute at settlement.
-    pub checkpoint_ttl_secs: f64,
-}
+/// Seconds a stored checkpoint stays usable. Expired checkpoints are ignored by
+/// resume lookups and garbage-collected at scale ticks; the progress they held
+/// is accounted as lost compute at settlement. Generous relative to job
+/// durations: checkpoints survive several redelivery cycles but not a wedged
+/// campaign.
+pub const CHECKPOINT_TTL_SECS: f64 = 7200.0;
 
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        // Generous relative to job durations: checkpoints survive several
-        // redelivery cycles but not a wedged campaign.
-        RecoveryConfig { checkpoint_ttl_secs: 7200.0 }
-    }
-}
+/// Turns the recovery layer on (`CampaignConfig::recovery = Some(..)`); it has
+/// no knobs. The notice lead time and the checkpoint-write failure probability
+/// live in the fault plan ([`cloudsim::FaultPlan::spot_notice_secs`],
+/// [`cloudsim::FaultPlan::checkpoint_write_fail`]): they are properties of the
+/// simulated environment, and the checkpoint lifetime is
+/// [`CHECKPOINT_TTL_SECS`].
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct RecoveryConfig;
 
-impl RecoveryConfig {
-    /// Validate the configuration.
-    pub fn validate(&self) -> Result<(), AtlasError> {
-        if !self.checkpoint_ttl_secs.is_finite() || self.checkpoint_ttl_secs <= 0.0 {
-            return Err(AtlasError::InvalidParams(
-                "recovery.checkpoint_ttl_secs must be finite and positive".into(),
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// The simulated-S3 checkpoint store, keyed by accession handle.
+/// The simulated-S3 checkpoint store, keyed by accession handle. A checkpoint
+/// lives for [`CHECKPOINT_TTL_SECS`].
 ///
 /// The engine stores the *modeled* checkpoint — the cumulative align-stage
 /// seconds completed, and when it was written (for TTL enforcement) — because at
@@ -63,8 +47,6 @@ impl RecoveryConfig {
 #[derive(Debug, Default)]
 pub(crate) struct CheckpointStore {
     index: BTreeMap<Acc, CheckpointMeta>,
-    /// Seconds a checkpoint stays usable; lookups and GC share it.
-    ttl_secs: f64,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -74,12 +56,6 @@ struct CheckpointMeta {
 }
 
 impl CheckpointStore {
-    /// An empty store whose checkpoints live for `ttl_secs`
-    /// ([`RecoveryConfig::checkpoint_ttl_secs`]).
-    pub fn new(ttl_secs: f64) -> CheckpointStore {
-        CheckpointStore { ttl_secs, ..CheckpointStore::default() }
-    }
-
     /// Write (or overwrite) the checkpoint for an accession: cumulative
     /// align-stage seconds completed across its drained attempts.
     pub fn put(&mut self, accession: Acc, align_offset_secs: f64, now_secs: f64) {
@@ -91,7 +67,7 @@ impl CheckpointStore {
     /// checkpoint exists. Lookups are TTL-aware even before a GC pass runs.
     pub fn get(&self, accession: Acc, now_secs: f64) -> Option<f64> {
         let meta = self.index.get(&accession)?;
-        (now_secs - meta.written_at_secs <= self.ttl_secs).then_some(meta.align_offset_secs)
+        (now_secs - meta.written_at_secs <= CHECKPOINT_TTL_SECS).then_some(meta.align_offset_secs)
     }
 
     /// Drop an accession's checkpoint (consumed by a successful completion).
@@ -102,8 +78,7 @@ impl CheckpointStore {
     /// Garbage-collect expired checkpoints; returns how many were collected.
     pub fn gc(&mut self, now_secs: f64) -> usize {
         let before = self.index.len();
-        let ttl_secs = self.ttl_secs;
-        self.index.retain(|_, m| now_secs - m.written_at_secs <= ttl_secs);
+        self.index.retain(|_, m| now_secs - m.written_at_secs <= CHECKPOINT_TTL_SECS);
         before - self.index.len()
     }
 
@@ -121,17 +96,8 @@ mod tests {
     const SRR2: Acc = Acc(1);
 
     #[test]
-    fn default_config_validates_and_bad_ttls_do_not() {
-        RecoveryConfig::default().validate().unwrap();
-        assert!(RecoveryConfig { checkpoint_ttl_secs: 0.0 }.validate().is_err());
-        assert!(RecoveryConfig { checkpoint_ttl_secs: -5.0 }.validate().is_err());
-        assert!(RecoveryConfig { checkpoint_ttl_secs: f64::NAN }.validate().is_err());
-        assert!(RecoveryConfig { checkpoint_ttl_secs: f64::INFINITY }.validate().is_err());
-    }
-
-    #[test]
     fn put_get_remove_roundtrip() {
-        let mut s = CheckpointStore::new(3600.0);
+        let mut s = CheckpointStore::default();
         assert_eq!(s.len(), 0);
         s.put(SRR1, 42.5, 100.0);
         assert_eq!(s.get(SRR1, 150.0), Some(42.5));
@@ -147,17 +113,20 @@ mod tests {
 
     #[test]
     fn expired_checkpoints_are_invisible_and_collectable() {
-        let mut s = CheckpointStore::new(600.0);
+        let mut s = CheckpointStore::default();
         s.put(SRR1, 10.0, 0.0);
         s.put(SRR2, 20.0, 500.0);
-        // TTL 600: at t=700, SRR1 (age 700) is expired, SRR2 (age 200) is live.
-        assert_eq!(s.get(SRR1, 700.0), None, "expired before GC runs");
-        assert_eq!(s.get(SRR2, 700.0), Some(20.0));
-        assert_eq!(s.gc(700.0), 1);
+        // Just past the TTL, SRR1 (age TTL + 1) is expired; SRR2 (age TTL - 499)
+        // is live, and so was SRR1 at exactly the TTL.
+        let past = CHECKPOINT_TTL_SECS + 1.0;
+        assert_eq!(s.get(SRR1, CHECKPOINT_TTL_SECS), Some(10.0), "live at the TTL");
+        assert_eq!(s.get(SRR1, past), None, "expired before GC runs");
+        assert_eq!(s.get(SRR2, past), Some(20.0));
+        assert_eq!(s.gc(past), 1);
         assert_eq!(s.len(), 1);
         // GC is idempotent until more expire.
-        assert_eq!(s.gc(700.0), 0);
-        assert_eq!(s.gc(2000.0), 1);
+        assert_eq!(s.gc(past), 0);
+        assert_eq!(s.gc(500.0 + past), 1);
         assert_eq!(s.len(), 0);
     }
 }

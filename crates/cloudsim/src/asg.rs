@@ -12,7 +12,7 @@
 //! decision reads the victims straight off the set — no scan, no sort, and no hash
 //! iteration anywhere near scheduling order.
 
-use crate::instance::{Instance, InstanceId, InstanceState, InstanceType};
+use crate::instance::{Instance, InstanceId, InstanceState};
 use crate::time::SimTime;
 use crate::CloudError;
 use std::cmp::Reverse;
@@ -58,8 +58,6 @@ impl ScalingPolicy {
 #[derive(Debug)]
 pub struct AutoScalingGroup {
     policy: ScalingPolicy,
-    itype: &'static InstanceType,
-    spot: bool,
     instances: Vec<Instance>,
     next_id: u64,
     /// Non-terminated instances ordered newest-first (launch-time ties break on
@@ -77,21 +75,10 @@ pub struct ScaleDecision {
 }
 
 impl AutoScalingGroup {
-    /// Create a group launching `itype` instances (spot or on-demand).
-    pub fn new(
-        policy: ScalingPolicy,
-        itype: &'static InstanceType,
-        spot: bool,
-    ) -> Result<AutoScalingGroup, CloudError> {
+    /// Create a group sized by `policy`.
+    pub fn new(policy: ScalingPolicy) -> Result<AutoScalingGroup, CloudError> {
         policy.validate()?;
-        Ok(AutoScalingGroup {
-            policy,
-            itype,
-            spot,
-            instances: Vec::new(),
-            next_id: 1,
-            live: BTreeSet::new(),
-        })
+        Ok(AutoScalingGroup { policy, instances: Vec::new(), next_id: 1, live: BTreeSet::new() })
     }
 
     /// All instances ever launched (including terminated), for cost accounting.
@@ -150,7 +137,7 @@ impl AutoScalingGroup {
     pub fn launch(&mut self, now: SimTime) -> InstanceId {
         let id = InstanceId(self.next_id);
         self.next_id += 1;
-        self.instances.push(Instance::launch(id, self.itype, self.spot, now));
+        self.instances.push(Instance::launch(id, now));
         self.live.insert((Reverse(now), id));
         id
     }
@@ -180,12 +167,8 @@ mod tests {
     use super::*;
 
     fn group() -> AutoScalingGroup {
-        AutoScalingGroup::new(
-            ScalingPolicy { min_size: 1, max_size: 8, target_backlog_per_instance: 10 },
-            InstanceType::by_name("r6a.4xlarge").unwrap(),
-            true,
-        )
-        .unwrap()
+        let policy = ScalingPolicy { min_size: 1, max_size: 8, target_backlog_per_instance: 10 };
+        AutoScalingGroup::new(policy).unwrap()
     }
 
     #[test]
@@ -235,12 +218,8 @@ mod tests {
         // Several instances launched the same instant (one ScaleTick burst): the
         // decision must list them in launch order, exactly like the legacy stable
         // sort did — this pins the tie-break the differential harness depends on.
-        let mut g = AutoScalingGroup::new(
-            ScalingPolicy { min_size: 0, max_size: 8, target_backlog_per_instance: 10 },
-            InstanceType::by_name("r6a.4xlarge").unwrap(),
-            true,
-        )
-        .unwrap();
+        let policy = ScalingPolicy { min_size: 0, max_size: 8, target_backlog_per_instance: 10 };
+        let mut g = AutoScalingGroup::new(policy).unwrap();
         let a = g.launch(SimTime::from_secs(50.0));
         let b = g.launch(SimTime::from_secs(50.0));
         let c = g.launch(SimTime::from_secs(50.0));
@@ -273,12 +252,12 @@ mod tests {
     }
 
     #[test]
-    fn launched_instances_record_spot_flag_and_type() {
+    fn launched_instances_record_id_state_and_launch_time() {
         let mut g = group();
         let id = g.launch(SimTime::from_secs(7.0));
         let inst = g.instance_mut(id).unwrap();
-        assert!(inst.spot);
-        assert_eq!(inst.itype.name, "r6a.4xlarge");
+        assert_eq!(inst.id, id);
+        assert_eq!(inst.state, InstanceState::Initializing);
         assert_eq!(inst.launched_at, SimTime::from_secs(7.0));
     }
 }

@@ -86,10 +86,6 @@ pub enum InstanceState {
 pub struct Instance {
     /// Unique id.
     pub id: InstanceId,
-    /// Its type (catalog entry).
-    pub itype: &'static InstanceType,
-    /// True when launched on the spot market.
-    pub spot: bool,
     /// Launch timestamp.
     pub launched_at: SimTime,
     /// Current lifecycle state.
@@ -100,8 +96,8 @@ pub struct Instance {
 
 impl Instance {
     /// Launch a new instance (state starts at `Initializing`).
-    pub fn launch(id: InstanceId, itype: &'static InstanceType, spot: bool, now: SimTime) -> Instance {
-        Instance { id, itype, spot, launched_at: now, state: InstanceState::Initializing, terminated_at: None }
+    pub fn launch(id: InstanceId, now: SimTime) -> Instance {
+        Instance { id, launched_at: now, state: InstanceState::Initializing, terminated_at: None }
     }
 
     /// Mark initialization complete.
@@ -182,8 +178,7 @@ mod tests {
 
     #[test]
     fn lifecycle_transitions() {
-        let t = InstanceType::by_name("r6a.xlarge").unwrap();
-        let mut i = Instance::launch(InstanceId(1), t, true, SimTime::from_secs(100.0));
+        let mut i = Instance::launch(InstanceId(1), SimTime::from_secs(100.0));
         assert_eq!(i.state, InstanceState::Initializing);
         i.mark_running().unwrap();
         assert_eq!(i.state, InstanceState::Running);
@@ -198,8 +193,7 @@ mod tests {
 
     #[test]
     fn draining_lifecycle() {
-        let t = InstanceType::by_name("r6a.xlarge").unwrap();
-        let mut i = Instance::launch(InstanceId(3), t, true, SimTime::ZERO);
+        let mut i = Instance::launch(InstanceId(3), SimTime::ZERO);
         // Draining straight from Initializing (notice during init) is legal.
         i.mark_draining().unwrap();
         assert_eq!(i.state, InstanceState::Draining);
@@ -213,7 +207,7 @@ mod tests {
         assert_eq!(i.billable_secs(SimTime::from_secs(999.0)), 300.0);
         assert!(i.mark_draining().is_err(), "terminated instances cannot drain");
 
-        let mut r = Instance::launch(InstanceId(4), t, true, SimTime::ZERO);
+        let mut r = Instance::launch(InstanceId(4), SimTime::ZERO);
         r.mark_running().unwrap();
         r.mark_draining().unwrap();
         assert_eq!(r.state, InstanceState::Draining);
@@ -221,8 +215,7 @@ mod tests {
 
     #[test]
     fn billable_time_of_running_instance_uses_now() {
-        let t = InstanceType::by_name("r6a.xlarge").unwrap();
-        let i = Instance::launch(InstanceId(2), t, false, SimTime::from_secs(0.0));
+        let i = Instance::launch(InstanceId(2), SimTime::from_secs(0.0));
         assert_eq!(i.billable_secs(SimTime::from_secs(1800.0)), 1800.0);
     }
 

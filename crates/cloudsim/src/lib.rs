@@ -18,8 +18,8 @@
 //!   exactly the property that makes the architecture resilient to spot reclaims.
 //! * [`s3`] — the transfer-cost model of the index-manifest GET and result PUTs.
 //! * [`asg`] — AutoScalingGroup sizing instances from queue backlog.
-//! * [`cost`] — instance-seconds × price accounting (the "minimize cloud costs"
-//!   goal the paper optimizes for).
+//! * [`cost`] — the cost report: billable instance-seconds × an hourly rate the
+//!   caller priced (the "minimize cloud costs" goal the paper optimizes for).
 //!
 //! Nothing here sleeps or talks to a network: time advances only through the event
 //! queue, so campaigns over thousands of accessions simulate in milliseconds.
@@ -44,7 +44,6 @@ pub mod sqs;
 pub mod time;
 
 pub use asg::{AutoScalingGroup, ScalingPolicy};
-pub use cost::CostTracker;
 pub use devent::Kernel;
 pub use error::CloudError;
 pub use faults::{FaultCounters, FaultInjector, FaultOp, FaultPlan, SpotBurst};

@@ -20,7 +20,7 @@
 //! * later releases retain a shrinking deterministic prefix of the duplicating
 //!   scaffolds (release 111 keeps almost none).
 
-use crate::genome::{Assembly, AssemblyKind, Contig, ContigKind};
+use crate::genome::{Assembly, Contig, ContigKind};
 use crate::seq::{Base, DnaSeq};
 use crate::GenomicsError;
 use rand::rngs::StdRng;
@@ -285,7 +285,6 @@ impl EnsemblGenerator {
         Assembly {
             name: "GRCh38-sim".into(),
             release: release.number(),
-            kind: AssemblyKind::Toplevel,
             contigs,
         }
     }

@@ -50,15 +50,6 @@ impl Contig {
     }
 }
 
-/// Which published sequence set an [`Assembly`] value represents.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum AssemblyKind {
-    /// Chromosomes + unlocalized + unplaced scaffolds (what the Atlas pipeline needs).
-    Toplevel,
-    /// Chromosomes only.
-    PrimaryAssembly,
-}
-
 /// A reference genome assembly: an ordered set of contigs plus provenance metadata.
 #[derive(Clone, Debug)]
 pub struct Assembly {
@@ -66,8 +57,6 @@ pub struct Assembly {
     pub name: String,
     /// Ensembl release number this assembly snapshot corresponds to.
     pub release: u32,
-    /// Which sequence set this is.
-    pub kind: AssemblyKind,
     /// Contigs in FASTA order (chromosomes first, then scaffolds).
     pub contigs: Vec<Contig>,
 }
@@ -130,7 +119,6 @@ mod tests {
         Assembly {
             name: "TOY".into(),
             release: 108,
-            kind: AssemblyKind::Toplevel,
             contigs: vec![
                 Contig { name: "1".into(), kind: ContigKind::Chromosome, seq: DnaSeq::random(&mut rng, 500) },
                 Contig { name: "2".into(), kind: ContigKind::Chromosome, seq: DnaSeq::random(&mut rng, 300) },

@@ -44,7 +44,7 @@ pub use ensembl::{EnsemblGenerator, EnsemblParams, Release};
 pub use error::GenomicsError;
 pub use fasta::FastaRecord;
 pub use fastq::FastqRecord;
-pub use genome::{Assembly, AssemblyKind, Contig, ContigKind};
+pub use genome::{Assembly, Contig, ContigKind};
 pub use seq::{Base, DnaSeq};
 pub use simulate::{LibraryType, PairedRead, ReadSimulator, SimulatedRead, SimulatorParams};
 

@@ -775,8 +775,7 @@ mod tests {
     fn one_chromosome(len: usize) -> (Assembly, Annotation) {
         let seq = DnaSeq::random(&mut StdRng::seed_from_u64(len as u64), len);
         let contig = crate::Contig { name: "1".into(), kind: ContigKind::Chromosome, seq };
-        let assembly =
-            Assembly { name: "one".into(), release: 111, kind: crate::AssemblyKind::Toplevel, contigs: vec![contig] };
+        let assembly = Assembly { name: "one".into(), release: 111, contigs: vec![contig] };
         (assembly, Annotation { genes: Vec::new() })
     }
 

@@ -462,7 +462,7 @@ mod tests {
     use super::*;
     use crate::index::IndexParams;
     use genomics::annotation::{Annotation, Exon, Gene, Strand};
-    use genomics::{Assembly, AssemblyKind, Contig, ContigKind};
+    use genomics::{Assembly, Contig, ContigKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -474,7 +474,6 @@ mod tests {
         let asm = Assembly {
             name: "T".into(),
             release: 1,
-            kind: AssemblyKind::Toplevel,
             contigs: contigs
                 .into_iter()
                 .map(|(n, seq)| Contig { name: n.into(), kind: ContigKind::Chromosome, seq })

@@ -19,7 +19,7 @@
 //! ```
 //!
 //! Flag names follow real STAR where a counterpart exists.
-use genomics::{Annotation, Assembly, AssemblyKind, Contig, ContigKind, FastqRecord};
+use genomics::{Annotation, Assembly, Contig, ContigKind, FastqRecord};
 use star_aligner::index::{IndexParams, StarIndex};
 use star_aligner::junctions::to_sj_tab;
 use star_aligner::runner::{RunConfig, Runner};
@@ -144,7 +144,6 @@ fn load_assembly(path: &Path) -> Result<Assembly, String> {
     Ok(Assembly {
         name: path.file_stem().map(|s| s.to_string_lossy().into_owned()).unwrap_or_default(),
         release: 0,
-        kind: AssemblyKind::Toplevel,
         contigs: records
             .into_iter()
             .map(|r| {
@@ -283,7 +282,7 @@ fn cmd_align_reads(flags: &HashMap<String, String>) -> Result<(), String> {
         output.history.iter().map(|s| format!("{}\n", s.to_log_line())).collect();
     fs::write(&progress_path, progress_text).map_err(|e| e.to_string())?;
     let final_path = PathBuf::from(format!("{prefix}Log.final.out"));
-    fs::write(&final_path, format!("{}\n", output.final_log)).map_err(|e| e.to_string())?;
+    fs::write(&final_path, format!("{}\n", output.final_log())).map_err(|e| e.to_string())?;
 
     // ReadsPerGene.out.tab.
     if let Some(counts) = &output.gene_counts {
@@ -297,7 +296,7 @@ fn cmd_align_reads(flags: &HashMap<String, String>) -> Result<(), String> {
         fs::write(&path, to_sj_tab(junctions)).map_err(|e| e.to_string())?;
     }
 
-    println!("{}", output.final_log);
+    println!("{}", output.final_log());
     if two_pass {
         println!("twopassMode Basic: {inserted} novel junctions inserted before pass 2");
     }

@@ -412,8 +412,8 @@ mod tests {
 
         // Log.final: canonical text (wall-clock rows excluded) is identical.
         assert_eq!(
-            resumed.final_log.canonical_text(),
-            baseline.final_log.canonical_text(),
+            resumed.final_log().canonical_text(),
+            baseline.final_log().canonical_text(),
             "Log.final must match"
         );
         // Quant: ReadsPerGene.out.tab is byte-identical.
@@ -550,7 +550,7 @@ mod tests {
         assert_eq!(ckpt.reads_processed, 0);
         let resumed = runner.run_resumed(&reads, Some(&ann), &ckpt, None, None).unwrap();
         let fresh = runner.run(&reads, Some(&ann), None, None).unwrap();
-        assert_eq!(resumed.final_log.canonical_text(), fresh.final_log.canonical_text());
+        assert_eq!(resumed.final_log().canonical_text(), fresh.final_log().canonical_text());
         assert_eq!(resumed.gene_counts, fresh.gene_counts);
     }
 }

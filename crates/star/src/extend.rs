@@ -674,7 +674,7 @@ mod tests {
     use crate::seed::collect_seeds;
     use crate::stitch::best_chains;
     use genomics::annotation::{Annotation, Exon, Gene, Strand};
-    use genomics::{Assembly, AssemblyKind, Contig, ContigKind, DnaSeq};
+    use genomics::{Assembly, Contig, ContigKind, DnaSeq};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -682,7 +682,6 @@ mod tests {
         let asm = Assembly {
             name: "T".into(),
             release: 1,
-            kind: AssemblyKind::Toplevel,
             contigs: vec![Contig {
                 name: "1".into(),
                 kind: ContigKind::Chromosome,

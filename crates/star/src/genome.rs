@@ -322,7 +322,7 @@ impl PackedGenome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use genomics::{AssemblyKind, Contig, DnaSeq};
+    use genomics::{Contig, DnaSeq};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -334,7 +334,6 @@ mod tests {
         Assembly {
             name: "T".into(),
             release: 111,
-            kind: AssemblyKind::Toplevel,
             contigs: vec![
                 Contig { name: "1".into(), kind: ContigKind::Chromosome, seq: "ACGTACGTAC".parse().unwrap() },
                 Contig { name: "2".into(), kind: ContigKind::Chromosome, seq: "GGGG".parse().unwrap() },
@@ -448,8 +447,7 @@ mod tests {
 
     #[test]
     fn rejects_empty_assembly() {
-        let empty =
-            Assembly { name: "E".into(), release: 1, kind: AssemblyKind::Toplevel, contigs: vec![] };
+        let empty = Assembly { name: "E".into(), release: 1, contigs: vec![] };
         assert!(PackedGenome::from_assembly(&empty).is_err());
     }
 
@@ -477,7 +475,7 @@ mod tests {
                 seq: rand_seq(25_000, i as u64),
             })
             .collect();
-        let a = Assembly { name: "F".into(), release: 1, kind: AssemblyKind::Toplevel, contigs };
+        let a = Assembly { name: "F".into(), release: 1, contigs };
         let g = PackedGenome::from_assembly(&a).unwrap();
         let unpacked = g.len(); // one byte per base
         assert!(

@@ -227,7 +227,7 @@ pub(crate) fn mmp_by_refinement(index: &StarIndex, q: &Packed2, from: usize) -> 
 mod tests {
     use super::*;
     use crate::index::{IndexParams, StarIndex};
-    use genomics::{Annotation, Assembly, AssemblyKind, Contig, ContigKind, DnaSeq};
+    use genomics::{Annotation, Assembly, Contig, ContigKind, DnaSeq};
 
     fn index_of(seq: &str) -> StarIndex {
         index_with(seq, IndexParams::default())
@@ -237,7 +237,6 @@ mod tests {
         let asm = Assembly {
             name: "T".into(),
             release: 1,
-            kind: AssemblyKind::Toplevel,
             contigs: vec![Contig {
                 name: "1".into(),
                 kind: ContigKind::Chromosome,

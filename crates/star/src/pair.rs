@@ -15,18 +15,20 @@ use crate::quant::Assignment;
 use crate::scratch::{with_thread_scratch, AlignScratch};
 use genomics::FastqRecord;
 
-/// Insert-size acceptance window for proper pairs.
+/// Minimum outer distance (fragment length) of a proper pair.
+pub const MIN_INSERT: u64 = 50;
+
+/// Insert-size acceptance window for proper pairs: [`MIN_INSERT`] up to
+/// `max_insert`.
 #[derive(Clone, Copy, Debug)]
 pub struct PairParams {
-    /// Minimum outer distance (fragment length) of a proper pair.
-    pub min_insert: u64,
     /// Maximum outer distance of a proper pair.
     pub max_insert: u64,
 }
 
 impl Default for PairParams {
     fn default() -> Self {
-        PairParams { min_insert: 50, max_insert: 1_200 }
+        PairParams { max_insert: 1_200 }
     }
 }
 
@@ -138,7 +140,7 @@ impl<'i> Aligner<'i> {
                     continue; // facing outward
                 }
                 let insert = rev_end - fwd_start;
-                if insert < pp.min_insert || insert > pp.max_insert {
+                if insert < MIN_INSERT || insert > pp.max_insert {
                     continue;
                 }
                 pairs.push(CandidatePair { i1, i2, score: wa1.score + wa2.score, insert });
@@ -258,7 +260,7 @@ mod tests {
         params.exonic_fraction = 1.0;
         params.genomic_fraction = 0.0;
         // Wide insert window: spliced fragments span introns on the genome.
-        let pp = PairParams { min_insert: 50, max_insert: 6_000 };
+        let pp = PairParams { max_insert: 6_000 };
         let mut sim = ReadSimulator::new(&asm, &ann, params, 78).unwrap();
         let pairs = sim.simulate_pairs(200, "TP");
         let mapped = pairs
@@ -322,7 +324,7 @@ mod tests {
         );
         assert!(!aligner.align_pair(&r1, &r2).is_mapped());
         // But an explicit wider window accepts it.
-        let wide = PairParams { min_insert: 50, max_insert: 10_000 };
+        let wide = PairParams { max_insert: 10_000 };
         assert!(maps_within(&aligner, &r1, &r2, &wide));
     }
 

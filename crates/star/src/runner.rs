@@ -152,8 +152,6 @@ pub struct RunOutput {
     pub final_snapshot: ProgressSnapshot,
     /// One snapshot per batch boundary (the `Log.progress.out` history).
     pub history: Vec<ProgressSnapshot>,
-    /// `Log.final.out` summary.
-    pub final_log: FinalLog,
     /// Gene counts when `quant` was enabled.
     pub gene_counts: Option<GeneCounts>,
     /// Sorted junction table when `collect_junctions` was enabled (SJ.out.tab).
@@ -165,6 +163,11 @@ pub struct RunOutput {
 }
 
 impl RunOutput {
+    /// The `Log.final.out` summary of the final snapshot.
+    pub fn final_log(&self) -> FinalLog {
+        FinalLog(self.final_snapshot)
+    }
+
     /// Convenience: overall mapping rate in `[0,1]`.
     pub fn mapped_fraction(&self) -> f64 {
         self.final_snapshot.mapped_fraction()
@@ -366,7 +369,6 @@ impl Tally {
     fn finish(self, driven: Driven) -> RunOutput {
         RunOutput {
             status: driven.status,
-            final_log: FinalLog(driven.final_snapshot),
             final_snapshot: driven.final_snapshot,
             history: driven.history,
             gene_counts: self.counts,

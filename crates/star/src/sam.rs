@@ -206,7 +206,7 @@ mod tests {
     use crate::align::Aligner;
     use crate::index::{IndexParams, StarIndex};
     use crate::AlignParams;
-    use genomics::{Annotation, Assembly, AssemblyKind, Contig, ContigKind, DnaSeq};
+    use genomics::{Annotation, Assembly, Contig, ContigKind, DnaSeq};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -215,7 +215,6 @@ mod tests {
         let asm = Assembly {
             name: "T".into(),
             release: 111,
-            kind: AssemblyKind::Toplevel,
             contigs: vec![Contig { name: "1".into(), kind: ContigKind::Chromosome, seq: chr.clone() }],
         };
         (chr, StarIndex::build(&asm, &Annotation::default(), &IndexParams::default()).unwrap())

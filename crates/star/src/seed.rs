@@ -166,7 +166,7 @@ pub(crate) fn collect_seeds(index: &StarIndex, read_codes: &[u8], params: &Align
 mod tests {
     use super::*;
     use crate::index::{IndexParams, StarIndex};
-    use genomics::{Annotation, Assembly, AssemblyKind, Contig, ContigKind, DnaSeq};
+    use genomics::{Annotation, Assembly, Contig, ContigKind, DnaSeq};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -174,7 +174,6 @@ mod tests {
         let asm = Assembly {
             name: "T".into(),
             release: 1,
-            kind: AssemblyKind::Toplevel,
             contigs: contigs
                 .into_iter()
                 .map(|(name, seq)| Contig {

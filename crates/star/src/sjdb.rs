@@ -140,13 +140,12 @@ impl SpliceJunctionDb {
 mod tests {
     use super::*;
     use genomics::annotation::{Exon, Gene, Strand};
-    use genomics::{Assembly, AssemblyKind, Contig, ContigKind, DnaSeq};
+    use genomics::{Assembly, Contig, ContigKind, DnaSeq};
 
     fn genome_with(seq: &str) -> PackedGenome {
         let asm = Assembly {
             name: "T".into(),
             release: 1,
-            kind: AssemblyKind::Toplevel,
             contigs: vec![Contig {
                 name: "1".into(),
                 kind: ContigKind::Chromosome,

@@ -101,7 +101,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Paper-scale index bytes drive instance-init time (download + shm load).
     let index_bytes = (sizer.index_gib * (1u64 << 30) as f64) as u64;
     let mut config = CampaignConfig::new(instance, index_bytes);
-    config.spot = true;
     config.spot_market =
         SpotMarket { price_factor: 0.35, interruptions_per_hour: 0.5, seed: spot_seed };
     config.scaling = ScalingPolicy { min_size: 0, max_size: 6, target_backlog_per_instance: 4 };

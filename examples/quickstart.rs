@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let output = runner.run(&reads, Some(&annotation), None, None)?;
 
     // 6. Log.final.out.
-    println!("\n--- Log.final.out ---\n{}", output.final_log);
+    println!("\n--- Log.final.out ---\n{}", output.final_log());
 
     // 7. ReadsPerGene.out.tab (header rows + five most expressed genes).
     let counts = output.gene_counts.expect("quant was enabled");

@@ -1,12 +1,15 @@
 //! Campaign-level integration: the discrete-event orchestrator must agree with a
 //! plain sequential execution of the same pipeline, survive hostile spot markets,
-//! and price the release-111 configuration below the release-108 one.
+//! price the release-111 configuration below the release-108 one, and bill an
+//! on-demand fleet (a spot market at full price, never reclaimed) at the
+//! on-demand rate.
 
 use atlas_pipeline::experiments::Substrate;
 use atlas_pipeline::orchestrator::{CampaignConfig, CampaignReport, Orchestrator};
 use atlas_pipeline::pipeline::{AtlasPipeline, PipelineConfig};
+use atlas_pipeline::{ModeledWorkload, RecoveryConfig};
 use cloudsim::instance::InstanceType;
-use cloudsim::{ScalingPolicy, SpotMarket};
+use cloudsim::{FaultPlan, ScalingPolicy, SpotMarket};
 use deseq_norm::CountsMatrix;
 use genomics::EnsemblParams;
 use sra_sim::accession::CatalogParams;
@@ -220,4 +223,41 @@ fn bigger_index_costs_more_init_time() {
     let ratio = cfg_108.init_secs() / cfg_111.init_secs();
     assert!((ratio - 85.0 / 29.5).abs() < 0.01, "init time ratio {ratio}");
     assert!(cfg_108.init_secs() > 200.0, "85 GiB at 400 MB/s is minutes, not seconds");
+}
+
+#[test]
+fn an_on_demand_fleet_is_a_spot_market_at_full_price_without_interruptions() {
+    let t = InstanceType::by_name("r6a.xlarge").unwrap();
+    let mut cfg = CampaignConfig::new(t, 1 << 30);
+    cfg.spot_market = SpotMarket { price_factor: 1.0, interruptions_per_hour: 0.0, seed: 3 };
+    cfg.scaling = ScalingPolicy { min_size: 0, max_size: 8, target_backlog_per_instance: 4 };
+    // Crashes, duplicates and failed uploads waste compute, so the wasted slice
+    // of the bill is not zero; recovery is armed, so a reclaim would be noticed.
+    cfg.faults = Some(FaultPlan::chaos(11));
+    cfg.recovery = Some(RecoveryConfig::default());
+    let ids = ModeledWorkload::accessions(200);
+    let report = Orchestrator::with_workload(ModeledWorkload::default().into_workload(), cfg)
+        .unwrap()
+        .run(&ids)
+        .unwrap();
+    assert_eq!(report.completed.len() + report.dead_lettered.len(), ids.len());
+
+    let log = &report.telemetry.as_ref().unwrap().event_log;
+    for kind in ["spot_interruption", "spot_notice"] {
+        assert!(!log.contains(&format!("\"kind\":\"{kind}\"")), "{kind} on an on-demand fleet");
+    }
+    assert_eq!(report.interruptions, 0);
+
+    let od = t.on_demand_hourly_usd;
+    let cost = &report.cost;
+    let on_demand_bill = cost.total_hours * od;
+    assert!(cost.total_hours > 0.0);
+    assert!(
+        (cost.total_usd - on_demand_bill).abs() <= 1e-9 * on_demand_bill,
+        "{} USD billed for {} h at {od} USD/h",
+        cost.total_usd,
+        cost.total_hours
+    );
+    assert!(report.wasted_compute_secs > 0.0, "the chaos plan wastes compute");
+    assert_eq!(cost.wasted_usd.to_bits(), (od * report.wasted_compute_secs / 3600.0).to_bits());
 }

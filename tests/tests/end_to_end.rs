@@ -162,7 +162,6 @@ fn fasta_export_reimport_builds_equivalent_index() {
     let rebuilt = genomics::Assembly {
         name: assembly.name.clone(),
         release: assembly.release,
-        kind: assembly.kind,
         contigs: records
             .iter()
             .zip(&assembly.contigs)

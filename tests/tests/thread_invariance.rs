@@ -98,7 +98,7 @@ fn fingerprint(out: RunOutput) -> Fingerprint {
         status: out.status,
         history: out.history.iter().map(counters).collect(),
         final_snapshot: counters(&out.final_snapshot),
-        final_log: out.final_log.canonical_text(),
+        final_log: out.final_log().canonical_text(),
         gene_counts: out.gene_counts,
         junctions: out.junctions,
         alignments: out.alignments,
