@@ -119,6 +119,21 @@ for f in crates/telemetry/src/query.rs crates/telemetry/src/diff.rs; do
         exit 1
     fi
 done
+# An event's fields are rendered once, when the recorder logs it (`EventLog::push`, the one
+# call of `write_ndjson_into`); the Perfetto export copies those bytes and `summarize` hands
+# the log out. A renderer outside test code anywhere else under crates/telemetry/src fails
+# here, and the single render is checked byte for byte against the old two-pass renderer,
+# which the test keeps as its oracle.
+rendered=$(for f in $(find crates/telemetry/src -name '*.rs' | sort); do
+    case "$f" in crates/telemetry/src/recorder.rs | crates/telemetry/src/events.rs) continue ;; esac
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'write_ndjson_into|fn ndjson' | sed "s|^|$f:|" || true
+done)
+if [ -n "$rendered" ]; then
+    printf '%s\n' "$rendered" >&2
+    echo "crates/telemetry/src renders event fields outside recorder.rs / events.rs: copy them from the log" >&2
+    exit 1
+fi
+cargo test -q --release --offline -p telemetry --lib export::tests::the_single_render_matches_the_two_pass_oracle
 # What the per-read path asks the allocator for, counted: steady-state alignment, and
 # alignment with a gene assignment, make no call; a whole quant-on run makes as many
 # for 4 000 reads as for 400 (gene counting builds no record and allocates nothing).

@@ -10,8 +10,10 @@
 //! exports byte-identical documents on every run, which is what lets CI pin them
 //! as goldens.
 
-use crate::events::EventRecord;
-use crate::json::{escape_into, fmt_f64, JsonValue};
+use crate::events::{EventLog, EventRecord, Indexed};
+use crate::json::{
+    escape_into, escape_unquoted_into, escaped_len, fmt_f64, push_i64, push_u64, JsonValue,
+};
 use crate::metrics::MetricsRegistry;
 use crate::recorder::Recorder;
 use crate::span::SpanRecord;
@@ -26,26 +28,169 @@ fn micros(secs: f64) -> i64 {
 /// The process id a span renders under: the `instance` attribute of the nearest
 /// enclosing `instance` span (the instances of the simulated fleet map to Perfetto
 /// processes), or 0 for campaign-level spans.
+///
+/// One forward pass: a recorder assigns a span's id as its index + 1 when it
+/// opens, so a parent precedes its children. An `instance` span takes its parsed
+/// attribute (0 when it does not parse), any other span its parent's pid, and a
+/// parent the slice does not hold before the span gives 0.
 fn span_pids(spans: &[SpanRecord]) -> Vec<u64> {
-    let index: BTreeMap<u64, usize> =
-        spans.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
-    let mut pids = vec![0u64; spans.len()];
-    for (i, span) in spans.iter().enumerate() {
-        let mut cur = Some(span);
-        while let Some(s) = cur {
-            if s.name == "instance" {
-                if let Some(pid) = s.attr("instance").and_then(|v| v.parse::<u64>().ok()) {
-                    pids[i] = pid;
-                }
-                break;
-            }
-            cur = index.get(&s.parent).map(|&j| &spans[j]);
-        }
+    let mut pids: Vec<u64> = Vec::with_capacity(spans.len());
+    for s in spans {
+        let pid = if s.name == "instance" {
+            s.attr("instance").and_then(|v| v.parse().ok()).unwrap_or(0)
+        } else {
+            let parent = usize::try_from(s.parent).ok().and_then(|id| id.checked_sub(1));
+            parent.and_then(|i| pids.get(i)).copied().unwrap_or(0)
+        };
+        pids.push(pid);
     }
     pids
 }
 
-/// Export spans and events as a Chrome/Perfetto trace-event JSON document
+/// Decimal digits of `n`.
+fn digits(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Decimal length of `n`, sign included.
+fn signed_digits(n: i64) -> usize {
+    usize::from(n < 0) + digits(n.unsigned_abs())
+}
+
+// The fixed text of the trace's objects, shared by what sizes them and what
+// writes them.
+const HEAD: &str = "{\"traceEvents\":[";
+const TAIL: &str = "],\"displayTimeUnit\":\"ms\"}\n";
+const META_PID: &str = "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
+const META_ARGS: &str = ",\"tid\":0,\"args\":{\"name\":";
+const META_CAMPAIGN: &str = "\"campaign\"}}";
+const META_INSTANCE: &str = "\"instance ";
+const META_INSTANCE_END: &str = "\"}}";
+const NAME: &str = "{\"name\":";
+const SPAN_TS: &str = ",\"cat\":\"sim\",\"ph\":\"X\",\"ts\":";
+const SPAN_DUR: &str = ",\"dur\":";
+const SPAN_PID: &str = ",\"pid\":";
+const INSTANT_TS: &str = ",\"cat\":\"event\",\"ph\":\"i\",\"ts\":";
+const INSTANT_SCOPE: &str = ",\"s\":\"";
+const INSTANT_PID: &str = "\",\"pid\":";
+const ARGS: &str = ",\"tid\":0,\"args\":{";
+const CLOSE: &str = "}}";
+
+/// Process metadata for `pid`: pid 0 is the campaign, an instance labels itself.
+fn meta_len(pid: u64) -> usize {
+    let label = if pid == 0 {
+        META_CAMPAIGN.len()
+    } else {
+        META_INSTANCE.len() + digits(pid) + META_INSTANCE_END.len()
+    };
+    META_PID.len() + digits(pid) + META_ARGS.len() + label
+}
+
+fn write_meta(pid: u64, out: &mut String) {
+    out.push_str(META_PID);
+    push_u64(pid, out);
+    out.push_str(META_ARGS);
+    if pid == 0 {
+        out.push_str(META_CAMPAIGN);
+    } else {
+        out.push_str(META_INSTANCE);
+        push_u64(pid, out);
+        out.push_str(META_INSTANCE_END);
+    }
+}
+
+/// A span as a complete (`"ph":"X"`) event, its attributes in `args`.
+fn span_len(s: &SpanRecord, pid: u64) -> usize {
+    let attrs: usize = s.attrs.iter().map(|(k, v)| escaped_len(k) + 1 + escaped_len(v)).sum();
+    NAME.len()
+        + escaped_len(&s.name)
+        + SPAN_TS.len()
+        + signed_digits(micros(s.start_secs))
+        + SPAN_DUR.len()
+        + signed_digits(micros(s.duration_secs()))
+        + SPAN_PID.len()
+        + digits(pid)
+        + ARGS.len()
+        + attrs
+        + s.attrs.len().saturating_sub(1)
+        + CLOSE.len()
+}
+
+fn write_span(s: &SpanRecord, pid: u64, out: &mut String) {
+    out.push_str(NAME);
+    escape_into(&s.name, out);
+    out.push_str(SPAN_TS);
+    push_i64(micros(s.start_secs), out);
+    out.push_str(SPAN_DUR);
+    push_i64(micros(s.duration_secs()), out);
+    out.push_str(SPAN_PID);
+    push_u64(pid, out);
+    out.push_str(ARGS);
+    for (j, (k, v)) in s.attrs.iter().enumerate() {
+        if j > 0 {
+            out.push(',');
+        }
+        escape_into(k, out);
+        out.push(':');
+        escape_into(v, out);
+    }
+    out.push_str(CLOSE);
+}
+
+/// An event-log record as an instant (`"ph":"i"`), its `args` copied from the
+/// log's bytes.
+fn instant_len(e: &Indexed) -> usize {
+    NAME.len()
+        + escaped_len(e.kind)
+        + INSTANT_TS.len()
+        + signed_digits(micros(e.at_secs))
+        + INSTANT_SCOPE.len()
+        + 1
+        + INSTANT_PID.len()
+        + digits(e.pid.unwrap_or(0))
+        + ARGS.len()
+        + e.fields.len()
+        + CLOSE.len()
+}
+
+fn write_instant(e: &Indexed, fields: &str, out: &mut String) {
+    out.push_str(NAME);
+    escape_into(e.kind, out);
+    out.push_str(INSTANT_TS);
+    push_i64(micros(e.at_secs), out);
+    out.push_str(INSTANT_SCOPE);
+    out.push(if e.pid.is_some() { 'p' } else { 'g' });
+    out.push_str(INSTANT_PID);
+    push_u64(e.pid.unwrap_or(0), out);
+    out.push_str(ARGS);
+    out.push_str(fields);
+    out.push_str(CLOSE);
+}
+
+/// An SLO budget sample as a counter (`"ph":"C"`) event: one counter track per
+/// objective showing the remaining error budget over time. These are rare (one
+/// per whole percent of budget spent), so they are sized by writing them.
+fn write_counter(e: &EventRecord, out: &mut String) {
+    out.push_str(NAME);
+    out.push_str("\"slo_budget:");
+    match e.field("slo") {
+        Some(JsonValue::Str(slo)) => escape_unquoted_into(slo, out),
+        Some(other) => escape_unquoted_into(&other.render(), out),
+        None => {}
+    }
+    let _ = write!(
+        out,
+        "\",\"cat\":\"slo\",\"ph\":\"C\",\"ts\":{},\"pid\":0,\"tid\":0,\"args\":{{\"remaining\":",
+        micros(e.at_secs)
+    );
+    match e.field("remaining") {
+        Some(v) => v.write_into(out),
+        None => out.push('0'),
+    }
+    out.push_str(CLOSE);
+}
+
+/// Export spans and the event log as a Chrome/Perfetto trace-event JSON document
 /// (`chrome://tracing`, <https://ui.perfetto.dev>, `speedscope` all load it).
 ///
 /// * Every closed span becomes a complete (`"ph":"X"`) event; `ts`/`dur` are
@@ -56,125 +201,73 @@ fn span_pids(spans: &[SpanRecord]) -> Vec<u64> {
 ///   metadata events label each pid.
 /// * Span attributes ride along in `args`.
 /// * Every event-log record becomes an instant (`"ph":"i"`) event, scoped to its
-///   instance's process when it names one, global otherwise.
-pub fn perfetto_trace(spans: &[SpanRecord], events: &[EventRecord]) -> String {
+///   instance's process when it names one, global otherwise; its `args` are its
+///   fields, copied from the log. `slo_budget` records become counter events.
+///
+/// `spans` are a recorder's (see [`Recorder::read`]): a span's id is its index + 1.
+/// The document is sized before it is written and allocated once.
+pub fn perfetto_trace(spans: &[SpanRecord], events: &EventLog) -> String {
     let pids = span_pids(spans);
-    // Streamed straight into the output buffer: a campaign renders hundreds of
-    // KB of trace JSON inside `summarize`, and materializing the equivalent
-    // `JsonValue` tree first costs an allocation per key, which the allocator-call
-    // ceilings in `tests/tests/observer_cost.rs` would see.
-    // Bytes are identical to what the tree render produced: strings go through
-    // `escape_into`, field values through `JsonValue::write_into`.
-    let mut out = String::with_capacity(176 * (spans.len() + events.len()) + 128);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    macro_rules! sep {
-        () => {
-            if first {
-                first = false;
-            } else {
-                out.push(',');
-            }
-        };
-    }
-
     // Process metadata: pid 0 is the campaign; instance pids label themselves,
-    // in first-seen (emission) order.
-    let mut seen: Vec<u64> = vec![0];
-    for (i, s) in spans.iter().enumerate() {
-        if s.name == "instance" && !seen.contains(&pids[i]) {
-            seen.push(pids[i]);
-        }
-    }
-    for &pid in &seen {
-        sep!();
-        let _ = write!(out, "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":");
-        if pid == 0 {
-            out.push_str("\"campaign\"");
-        } else {
-            let _ = write!(out, "\"instance {pid}\"");
-        }
-        out.push_str("}}");
-    }
+    // in first-seen (emission) order. Deduplicated by sorting, not by a scan of
+    // the pids seen so far per instance span, which is quadratic in the fleet.
+    let instance = |(i, (s, &pid)): (usize, (&SpanRecord, &u64))| {
+        (s.name == "instance" && pid != 0).then_some((pid, i))
+    };
+    let instances = || spans.iter().zip(&pids).enumerate().filter_map(instance);
+    let mut firsts: Vec<(u64, usize)> = Vec::with_capacity(instances().count());
+    firsts.extend(instances());
+    firsts.sort_unstable();
+    firsts.dedup_by_key(|first| first.0);
+    firsts.sort_unstable_by_key(|first| first.1);
+    let seen = || std::iter::once(0).chain(firsts.iter().map(|first| first.0));
 
-    for (i, s) in spans.iter().enumerate() {
-        sep!();
-        out.push_str("{\"name\":");
-        escape_into(&s.name, &mut out);
-        let _ = write!(
-            out,
-            ",\"cat\":\"sim\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":0,\"args\":{{",
-            micros(s.start_secs),
-            micros(s.duration_secs()),
-            pids[i]
-        );
-        for (j, (k, v)) in s.attrs.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            escape_into(k, &mut out);
-            out.push(':');
-            escape_into(v, &mut out);
-        }
-        out.push_str("}}");
-    }
-
-    for e in events {
-        sep!();
-        // SLO budget samples render as counter (`"ph":"C"`) events — one counter
-        // track per objective showing the remaining error budget over time.
+    let mut counter = String::new();
+    let mut budgets = events.budgets();
+    let mut len = HEAD.len() + TAIL.len() + firsts.len() + spans.len() + events.len();
+    len += seen().map(meta_len).sum::<usize>();
+    len += spans.iter().zip(&pids).map(|(s, &pid)| span_len(s, pid)).sum::<usize>();
+    for e in events.entries() {
         if e.kind == "slo_budget" {
-            let slo = e
-                .field("slo")
-                .map(|v| match v {
-                    JsonValue::Str(s) => s.clone(),
-                    other => other.render(),
-                })
-                .unwrap_or_default();
-            out.push_str("{\"name\":");
-            escape_into(&format!("slo_budget:{slo}"), &mut out);
-            let _ = write!(
-                out,
-                ",\"cat\":\"slo\",\"ph\":\"C\",\"ts\":{},\"pid\":0,\"tid\":0,\"args\":{{\"remaining\":",
-                micros(e.at_secs)
-            );
-            match e.field("remaining") {
-                Some(v) => v.write_into(&mut out),
-                None => out.push('0'),
+            if let Some(budget) = budgets.next() {
+                counter.clear();
+                write_counter(budget, &mut counter);
+                len += counter.len();
+                continue;
             }
-            out.push_str("}}");
-            continue;
         }
-        let pid = e
-            .fields
-            .iter()
-            .find(|(k, _)| *k == "instance")
-            .and_then(|(_, v)| match v {
-                JsonValue::UInt(n) => Some(*n),
-                JsonValue::Int(n) if *n >= 0 => Some(*n as u64),
-                _ => None,
-            });
-        out.push_str("{\"name\":");
-        escape_into(e.kind, &mut out);
-        let _ = write!(
-            out,
-            ",\"cat\":\"event\",\"ph\":\"i\",\"ts\":{},\"s\":\"{}\",\"pid\":{},\"tid\":0,\"args\":{{",
-            micros(e.at_secs),
-            if pid.is_some() { "p" } else { "g" },
-            pid.unwrap_or(0)
-        );
-        for (j, (k, v)) in e.fields.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            escape_into(k, &mut out);
-            out.push(':');
-            v.write_into(&mut out);
-        }
-        out.push_str("}}");
+        len += instant_len(e);
     }
 
-    out.push_str("],\"displayTimeUnit\":\"ms\"}\n");
+    let mut out = String::with_capacity(len);
+    out.push_str(HEAD);
+    let mut first = true;
+    let mut sep = |out: &mut String| {
+        if !std::mem::take(&mut first) {
+            out.push(',');
+        }
+    };
+    for pid in seen() {
+        sep(&mut out);
+        write_meta(pid, &mut out);
+    }
+    for (s, &pid) in spans.iter().zip(&pids) {
+        sep(&mut out);
+        write_span(s, pid, &mut out);
+    }
+    let mut budgets = events.budgets();
+    for e in events.entries() {
+        sep(&mut out);
+        if e.kind == "slo_budget" {
+            if let Some(budget) = budgets.next() {
+                write_counter(budget, &mut out);
+                continue;
+            }
+        }
+        write_instant(e, events.fields(e), &mut out);
+    }
+    out.push_str(TAIL);
+    debug_assert_eq!(out.len(), len, "the Perfetto document and its sizing disagree");
     out
 }
 
@@ -268,6 +361,7 @@ pub fn collapsed_stacks(spans: &[SpanRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::AlertEvent;
     use crate::span::SpanId;
 
     fn sample_recorder() -> Recorder {
@@ -418,5 +512,312 @@ mod tests {
             attrs: vec![],
         }];
         assert_eq!(collapsed_stacks(&spans), "stage 1000000\n");
+    }
+
+    #[test]
+    fn a_bogus_parent_and_an_unparsable_instance_give_pid_0() {
+        let r = Recorder::new();
+        let good = r.span_start_attrs("instance", SpanId::NONE, 0.0, &[("instance", "7".into())]);
+        let bad = r.span_start_attrs("instance", SpanId::NONE, 0.0, &[("instance", "x7".into())]);
+        let unnamed = r.span_start("instance", SpanId::NONE, 0.0);
+        r.span_start("job", good, 1.0);
+        r.span_start("job", bad, 1.0);
+        r.span_start("job", unnamed, 1.0);
+        r.span_start("job", SpanId(999), 1.0);
+        r.span_start("job", SpanId::NONE, 1.0);
+        let job = r.span_start("job", good, 1.0);
+        r.span_start("align", job, 1.0);
+        let pids = r.read(|spans, _, _| span_pids(spans));
+        assert_eq!(pids, [7, 0, 0, 7, 0, 0, 0, 0, 7, 7]);
+    }
+
+    /// The renderer this module had before the event log became the store:
+    /// the log rendered from kept records at export, the Perfetto `args`
+    /// rendered a second time from the same records, and span pids found by
+    /// walking each span's ancestors through an id map. Kept as the oracle
+    /// for the single render.
+    mod oracle {
+        use crate::events::EventRecord;
+        use crate::json::{escape_into, JsonValue};
+        use crate::span::SpanRecord;
+        use std::collections::BTreeMap;
+        use std::fmt::Write;
+
+        fn micros(secs: f64) -> i64 {
+            (secs * 1e6).round() as i64
+        }
+
+        pub(super) fn ndjson(events: &[EventRecord]) -> String {
+            let mut out = String::new();
+            for e in events {
+                e.write_ndjson_into(&mut out);
+                out.push('\n');
+            }
+            out
+        }
+
+        fn span_pids(spans: &[SpanRecord]) -> Vec<u64> {
+            let index: BTreeMap<u64, usize> =
+                spans.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
+            let mut pids = vec![0u64; spans.len()];
+            for (i, span) in spans.iter().enumerate() {
+                let mut cur = Some(span);
+                while let Some(s) = cur {
+                    if s.name == "instance" {
+                        if let Some(pid) = s.attr("instance").and_then(|v| v.parse::<u64>().ok()) {
+                            pids[i] = pid;
+                        }
+                        break;
+                    }
+                    cur = index.get(&s.parent).map(|&j| &spans[j]);
+                }
+            }
+            pids
+        }
+
+        pub(super) fn perfetto_trace(spans: &[SpanRecord], events: &[EventRecord]) -> String {
+            let pids = span_pids(spans);
+            let mut out = String::from("{\"traceEvents\":[");
+            let mut first = true;
+            let mut sep = |out: &mut String| {
+                if !std::mem::take(&mut first) {
+                    out.push(',');
+                }
+            };
+            let mut seen: Vec<u64> = vec![0];
+            for (i, s) in spans.iter().enumerate() {
+                if s.name == "instance" && !seen.contains(&pids[i]) {
+                    seen.push(pids[i]);
+                }
+            }
+            for &pid in &seen {
+                sep(&mut out);
+                let _ = write!(
+                    out,
+                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":"
+                );
+                if pid == 0 {
+                    out.push_str("\"campaign\"");
+                } else {
+                    let _ = write!(out, "\"instance {pid}\"");
+                }
+                out.push_str("}}");
+            }
+            for (i, s) in spans.iter().enumerate() {
+                sep(&mut out);
+                out.push_str("{\"name\":");
+                escape_into(&s.name, &mut out);
+                let _ = write!(
+                    out,
+                    ",\"cat\":\"sim\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":0,\"args\":{{",
+                    micros(s.start_secs),
+                    micros(s.duration_secs()),
+                    pids[i]
+                );
+                for (j, (k, v)) in s.attrs.iter().enumerate() {
+                    if j > 0 {
+                        out.push(',');
+                    }
+                    escape_into(k, &mut out);
+                    out.push(':');
+                    escape_into(v, &mut out);
+                }
+                out.push_str("}}");
+            }
+            for e in events {
+                sep(&mut out);
+                if e.kind == "slo_budget" {
+                    let slo = e
+                        .field("slo")
+                        .map(|v| match v {
+                            JsonValue::Str(s) => s.clone(),
+                            other => other.render(),
+                        })
+                        .unwrap_or_default();
+                    out.push_str("{\"name\":");
+                    escape_into(&format!("slo_budget:{slo}"), &mut out);
+                    let _ = write!(
+                        out,
+                        ",\"cat\":\"slo\",\"ph\":\"C\",\"ts\":{},\"pid\":0,\"tid\":0,\"args\":{{\"remaining\":",
+                        micros(e.at_secs)
+                    );
+                    match e.field("remaining") {
+                        Some(v) => v.write_into(&mut out),
+                        None => out.push('0'),
+                    }
+                    out.push_str("}}");
+                    continue;
+                }
+                let pid = e.fields.iter().find(|(k, _)| *k == "instance").and_then(|(_, v)| match v {
+                    JsonValue::UInt(n) => Some(*n),
+                    JsonValue::Int(n) if *n >= 0 => Some(*n as u64),
+                    _ => None,
+                });
+                out.push_str("{\"name\":");
+                escape_into(e.kind, &mut out);
+                let _ = write!(
+                    out,
+                    ",\"cat\":\"event\",\"ph\":\"i\",\"ts\":{},\"s\":\"{}\",\"pid\":{},\"tid\":0,\"args\":{{",
+                    micros(e.at_secs),
+                    if pid.is_some() { "p" } else { "g" },
+                    pid.unwrap_or(0)
+                );
+                for (j, (k, v)) in e.fields.iter().enumerate() {
+                    if j > 0 {
+                        out.push(',');
+                    }
+                    escape_into(k, &mut out);
+                    out.push(':');
+                    v.write_into(&mut out);
+                }
+                out.push_str("}}");
+            }
+            out.push_str("],\"displayTimeUnit\":\"ms\"}\n");
+            out
+        }
+    }
+
+    /// SplitMix64: the differential test's whole source of randomness.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+            items[self.below(items.len())]
+        }
+
+        /// Text with quotes, backslashes, control characters and non-ASCII.
+        fn text(&mut self) -> String {
+            const PIECES: [&str; 12] =
+                ["SRR1", "plain", "q\"uote", "back\\slash", "new\nline", "\t", "\r", "\u{1}", "\u{1f}", "é", "→", "𝄞"];
+            (0..self.below(4)).map(|_| self.pick(&PIECES)).collect()
+        }
+
+        fn number(&mut self) -> f64 {
+            const SPECIAL: [f64; 9] =
+                [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0, 1e300, 5e-324, -2.5, 0.75];
+            if self.below(2) == 0 {
+                self.pick(&SPECIAL)
+            } else {
+                (self.next() as f64 / u64::MAX as f64 - 0.5) * 1e4
+            }
+        }
+
+        fn value(&mut self, depth: usize) -> JsonValue {
+            match self.below(if depth < 2 { 9 } else { 7 }) {
+                0 => JsonValue::Null,
+                1 => JsonValue::Bool(self.below(2) == 0),
+                2 => JsonValue::Int(-(self.below(1_000_000) as i64)),
+                3 => JsonValue::Int(self.next() as i64),
+                4 => JsonValue::UInt(self.next() >> self.below(64)),
+                5 => JsonValue::Num(self.number()),
+                6 => JsonValue::Str(self.text()),
+                7 => JsonValue::Arr((0..self.below(4)).map(|_| self.value(depth + 1)).collect()),
+                _ => JsonValue::Obj(
+                    (0..self.below(4)).map(|_| (self.text(), self.value(depth + 1))).collect(),
+                ),
+            }
+        }
+
+        fn record(&mut self) -> EventRecord {
+            const KINDS: [&str; 7] =
+                ["alert", "slo_budget", "retry", "progress", "queue_wait", "slo_clear", "odd\"kind"];
+            const KEYS: [&str; 9] =
+                ["instance", "slo", "remaining", "accession", "rule", "op", "ключ", "k\\ey", "wait_secs"];
+            let at_secs = self.number().abs();
+            let kind = self.pick(&KINDS);
+            if kind == "alert" && self.below(2) == 0 {
+                let alert = AlertEvent {
+                    rule: self.text(),
+                    subject: self.text(),
+                    at_secs,
+                    value: self.number(),
+                    threshold: self.number(),
+                    latency_secs: self.number(),
+                };
+                return alert.into_event_record();
+            }
+            let mut fields = Vec::new();
+            if kind == "slo_budget" && self.below(2) == 0 {
+                fields.push(("slo", JsonValue::Str(self.text())));
+                fields.push(("remaining", JsonValue::Num(self.number())));
+            }
+            for _ in 0..self.below(5) {
+                let key = self.pick(&KEYS);
+                let value = match (key, self.below(3)) {
+                    ("instance", 0) => JsonValue::UInt(self.below(40) as u64),
+                    ("instance", 1) => JsonValue::Int(self.below(40) as i64 - 20),
+                    _ => self.value(0),
+                };
+                fields.push((key, value));
+            }
+            EventRecord { at_secs, kind, fields }
+        }
+    }
+
+    /// Record the same random spans and events into a recorder and into the
+    /// oracle's record list: the log, the Perfetto document and the alerts must
+    /// come out byte for byte the same.
+    #[test]
+    fn the_single_render_matches_the_two_pass_oracle() {
+        const NAMES: [&str; 5] = ["campaign", "instance", "job", "align", "od\"d"];
+        const INSTANCES: [&str; 6] = ["7", "12", "x", "-1", "", "18446744073709551615"];
+        for seed in 0..600 {
+            let mut g = Gen(seed);
+            let rec = Recorder::new();
+            let mut records = Vec::new();
+            let mut opened = 0u64;
+            for _ in 0..g.below(40) {
+                if g.below(2) == 0 {
+                    let name = g.pick(&NAMES);
+                    // A parent that precedes the span, none, or one never recorded.
+                    let parent = match g.below(4) {
+                        0 => SpanId::NONE,
+                        1 => SpanId(10_000),
+                        _ => SpanId(if opened == 0 { 0 } else { 1 + g.next() % opened }),
+                    };
+                    let mut attrs = Vec::new();
+                    if name == "instance" && g.below(4) != 0 {
+                        attrs.push(("instance", g.pick(&INSTANCES).to_string()));
+                    }
+                    for _ in 0..g.below(3) {
+                        attrs.push(("accession", g.text()));
+                    }
+                    if g.below(3) == 0 {
+                        // An open span may start anywhere, NaN included.
+                        rec.span_start_attrs(name, parent, g.number(), &attrs);
+                    } else {
+                        let start = (g.next() % 1_000_000_000) as f64 / 7.0;
+                        let end = start + (g.next() % 1_000_000) as f64 / 3.0;
+                        rec.span_closed(name, parent, start, end, &attrs);
+                    }
+                    opened += 1;
+                } else {
+                    let record = g.record();
+                    rec.event(record.at_secs, record.kind, record.fields.clone());
+                    records.push(record);
+                }
+            }
+            let spans = rec.read(|spans, _, _| spans.to_vec());
+            assert_eq!(rec.events_ndjson(), oracle::ndjson(&records), "seed {seed}: event log");
+            let trace = perfetto_trace_from(&rec);
+            assert_eq!(trace, oracle::perfetto_trace(&spans, &records), "seed {seed}: Perfetto");
+            assert_eq!(trace.capacity(), trace.len(), "seed {seed}: the trace is sized exactly");
+            let alerts: Vec<AlertEvent> =
+                records.iter().filter_map(AlertEvent::from_event_record).collect();
+            // Compared as text: a NaN value is not equal to itself.
+            assert_eq!(format!("{:?}", rec.alerts()), format!("{alerts:?}"), "seed {seed}: alerts");
+        }
     }
 }

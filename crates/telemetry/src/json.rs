@@ -43,12 +43,8 @@ impl JsonValue {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
-            JsonValue::UInt(v) => {
-                let _ = write!(out, "{v}");
-            }
+            JsonValue::Int(v) => push_i64(*v, out),
+            JsonValue::UInt(v) => push_u64(*v, out),
             JsonValue::Num(v) => write_f64(*v, out),
             JsonValue::Str(s) => escape_into(s, out),
             JsonValue::Arr(items) => {
@@ -173,7 +169,8 @@ impl From<Vec<JsonValue>> for JsonValue {
 ///   (`1e300`, `5e-324`) instead of `{}`'s positional expansion, which would
 ///   print hundreds of digits;
 /// * everything else → Rust's shortest-roundtrip `{}` formatting (integral
-///   floats print without a decimal point — "3" — still a valid JSON number).
+///   floats print without a decimal point — "3" — still a valid JSON number),
+///   whose bytes `crate::shortest` writes at about half the cost.
 pub fn write_f64(v: f64, out: &mut String) {
     if !v.is_finite() {
         out.push_str("null");
@@ -186,7 +183,7 @@ pub fn write_f64(v: f64, out: &mut String) {
     let magnitude = v.abs();
     if !(1e-6..1e17).contains(&magnitude) {
         let _ = write!(out, "{v:e}");
-    } else {
+    } else if !crate::shortest::write_positional(v, out) {
         let _ = write!(out, "{v}");
     }
 }
@@ -577,20 +574,66 @@ impl<'a> Parser<'a> {
 /// Write `s` as a quoted JSON string with the mandatory escapes.
 pub(crate) fn escape_into(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    escape_unquoted_into(s, out);
+    out.push('"');
+}
+
+/// Write the inside of [`escape_into`]'s string: `s` with the mandatory escapes,
+/// no quotes. Runs that need no escape are copied whole; every byte that needs
+/// one is ASCII, so each split falls on a char boundary.
+pub(crate) fn escape_unquoted_into(s: &str, out: &mut String) {
+    let mut rest = s;
+    while let Some(i) = rest.bytes().position(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
+        }
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
+}
+
+/// Write `n` in decimal, as `{}` formats it.
+pub(crate) fn push_u64(mut n: u64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
-    out.push('"');
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
+/// Write `n` in decimal, as `{}` formats it.
+pub(crate) fn push_i64(n: i64, out: &mut String) {
+    if n < 0 {
+        out.push('-');
+    }
+    push_u64(n.unsigned_abs(), out);
+}
+
+/// The number of bytes [`escape_into`] writes for `s`, quotes included.
+pub(crate) fn escaped_len(s: &str) -> usize {
+    let escapes: usize = s
+        .bytes()
+        .map(|b| match b {
+            b'"' | b'\\' | b'\n' | b'\r' | b'\t' => 1,
+            b if b < 0x20 => 5,
+            _ => 0,
+        })
+        .sum();
+    s.len() + escapes + 2
 }
 
 #[cfg(test)]
@@ -643,6 +686,51 @@ mod tests {
     fn strings_escape_control_characters() {
         assert_eq!(JsonValue::from("a\"b\\c\nd").render(), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(JsonValue::from("\u{1}").render(), "\"\\u0001\"");
+    }
+
+    #[test]
+    fn escapes_and_integers_match_their_char_by_char_and_fmt_forms() {
+        let reference = |s: &str| {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        };
+        let controls: String = (0u8..0x20).chain([0x7f]).map(char::from).collect();
+        for s in ["", "plain", "é→𝄞\"x", "tail\\", "\"head", controls.as_str(), "a\u{1}b\u{1f}é\n"] {
+            let mut out = String::new();
+            escape_into(s, &mut out);
+            assert_eq!(out, reference(s), "{s:?}");
+        }
+        for n in [0, 1, 9, 10, 99, 100, 12_345, i64::MAX, i64::MIN, -1, -10, -987_654_321] {
+            let mut out = String::new();
+            push_i64(n, &mut out);
+            assert_eq!(out, n.to_string());
+        }
+        for n in [0, 7, 10, 1_000_000, u64::MAX, u64::MAX / 10] {
+            let mut out = String::new();
+            push_u64(n, &mut out);
+            assert_eq!(out, n.to_string());
+        }
+    }
+
+    #[test]
+    fn escaped_len_counts_what_escape_into_writes() {
+        for s in ["", "plain", "a\"b\\c\nd\re\tf", "\u{1}\u{1f}\u{7f}", "é→𝄞", "\u{0}x"] {
+            let mut out = String::new();
+            escape_into(s, &mut out);
+            assert_eq!(escaped_len(s), out.len(), "{s:?}");
+        }
     }
 
     #[test]

@@ -43,12 +43,13 @@ pub mod query;
 pub mod recorder;
 pub mod report;
 pub mod series;
+mod shortest;
 pub mod sketch;
 pub mod slo;
 pub mod span;
 
 pub use diff::{diff, DiffEntry, DiffReport, DiffSection, RunProfile};
-pub use events::EventRecord;
+pub use events::{EventLog, EventRecord};
 pub use export::{collapsed_stacks, openmetrics, openmetrics_from, perfetto_trace, perfetto_trace_from};
 pub use json::JsonValue;
 pub use metrics::{Histogram, MetricsRegistry, RATE_BUCKETS, SECS_BUCKETS};

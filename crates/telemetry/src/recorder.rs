@@ -10,8 +10,12 @@
 //! [monitor](crate::monitor): under the same lock, every event, closing span,
 //! gauge sample and sketch sample is offered to it as the simulator emits it,
 //! and what it fires is appended to the log right after its trigger.
+//!
+//! Each event is rendered into the NDJSON log as it is recorded, after the
+//! monitor has seen it ([`EventLog`]): the log is the store, and the exports
+//! copy from it.
 
-use crate::events::EventRecord;
+use crate::events::{EventLog, EventRecord};
 use crate::json::JsonValue;
 use crate::metrics::MetricsRegistry;
 use crate::monitor::{AlertEvent, AlertRule, Monitor};
@@ -22,7 +26,7 @@ use std::sync::Mutex;
 #[derive(Debug, Default)]
 struct Inner {
     spans: Vec<SpanRecord>,
-    events: Vec<EventRecord>,
+    events: EventLog,
     metrics: MetricsRegistry,
     monitor: Option<Monitor>,
 }
@@ -84,7 +88,7 @@ impl Recorder {
     /// Every alert the monitor fired so far, in firing order: the log's `alert`
     /// records (none without a monitor).
     pub fn alerts(&self) -> Vec<AlertEvent> {
-        self.lock().events.iter().filter_map(AlertEvent::from_event_record).collect()
+        self.lock().events.alerts().collect()
     }
 
     /// Status of every objective the monitor evaluates, in registry order.
@@ -175,6 +179,8 @@ impl Recorder {
     /// Append a structured event. Kind and field names are schema constants
     /// (literals at every call site), so the record is built without per-key
     /// allocations — progress streaming makes this the hottest telemetry path.
+    /// The monitor sees the record first; then its line is rendered onto the log
+    /// and, unless it is an `alert` or `slo_budget`, the record is dropped.
     pub fn event(&self, at_secs: f64, kind: &'static str, fields: Vec<(&'static str, JsonValue)>) {
         if !self.enabled {
             return;
@@ -233,14 +239,15 @@ impl Recorder {
         }
     }
 
-    /// Lend `f` everything recorded so far — spans and events in emission
-    /// order, and the metrics registry — under the state lock, without copying.
+    /// Lend `f` everything recorded so far — spans in emission order, the event
+    /// log, and the metrics registry — under the state lock, without copying.
     /// `f` must not call back into this recorder: the lock is not re-entrant.
-    pub fn read<R>(
-        &self,
-        f: impl FnOnce(&[SpanRecord], &[EventRecord], &MetricsRegistry) -> R,
-    ) -> R {
-        let inner = self.lock();
+    ///
+    /// The log is lent as one buffer: lines recorded since the last read are
+    /// first gathered after the earlier ones (see [`EventLog`]).
+    pub fn read<R>(&self, f: impl FnOnce(&[SpanRecord], &EventLog, &MetricsRegistry) -> R) -> R {
+        let mut inner = self.lock();
+        inner.events.gather();
         f(&inner.spans, &inner.events, &inner.metrics)
     }
 
@@ -254,26 +261,16 @@ impl Recorder {
         self.lock().events.len()
     }
 
-    /// The whole event log as NDJSON (one line per event, trailing newline when
-    /// non-empty). Byte-identical across same-seed runs.
+    /// A copy of the whole event log as NDJSON (one line per event, trailing
+    /// newline when non-empty). Byte-identical across same-seed runs.
     pub fn events_ndjson(&self) -> String {
-        ndjson(&self.lock().events)
+        self.read(|_, events, _| events.ndjson().to_string())
     }
 
     /// The metrics registry serialized to its stable JSON shape.
     pub fn metrics_json(&self) -> String {
         self.lock().metrics.to_json().render()
     }
-}
-
-/// `events` as NDJSON, one line each.
-pub(crate) fn ndjson(events: &[EventRecord]) -> String {
-    let mut out = String::with_capacity(events.len() * 96);
-    for e in events {
-        e.write_ndjson_into(&mut out);
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -355,15 +352,17 @@ mod tests {
 
     /// `kind` (and `rule`, for alerts) of every logged record, in log order.
     fn kinds(r: &Recorder) -> Vec<String> {
-        r.read(|_, events, _| {
-            events
-                .iter()
-                .map(|e| match e.field("rule").and_then(JsonValue::as_str) {
-                    Some(rule) => format!("{}:{rule}", e.kind),
-                    None => e.kind.to_string(),
-                })
-                .collect()
-        })
+        r.events_ndjson()
+            .lines()
+            .map(|line| {
+                let e = crate::json::parse(line).unwrap();
+                let kind = e.get("kind").and_then(JsonValue::as_str).unwrap();
+                match e.get("rule").and_then(JsonValue::as_str) {
+                    Some(rule) => format!("{kind}:{rule}"),
+                    None => kind.to_string(),
+                }
+            })
+            .collect()
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! pipeline stages) into fixed-bucket histograms, and reports the dominant stage
 //! per accession plus the fleet-level share of every stage.
 
-use crate::events::EventRecord;
+use crate::events::EventLog;
 use crate::json::JsonValue;
 use crate::metrics::{Histogram, MetricsRegistry, SECS_BUCKETS};
 use crate::recorder::Recorder;
@@ -15,6 +15,7 @@ use crate::span::SpanRecord;
 use crate::SCHEMA_VERSION;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
+use std::sync::Arc;
 
 /// Latency distribution of one pipeline stage across completed jobs.
 #[derive(Clone, Debug, PartialEq)]
@@ -75,7 +76,8 @@ pub struct CampaignTelemetry {
     /// Critical-path breakdown.
     pub critical_path: CriticalPath,
     /// The full structured event log, NDJSON. Byte-identical across same-seed runs.
-    pub event_log: String,
+    /// The recorder's own buffer, shared: summarizing copies no log.
+    pub event_log: Arc<String>,
     /// The metrics registry serialized to its stable JSON shape.
     pub metrics_json: String,
     /// `(name, count, p50, p95, p99)` for every registry histogram, sorted by name.
@@ -97,21 +99,64 @@ pub fn summarize(rec: &Recorder) -> CampaignTelemetry {
     rec.read(summarize_recorded)
 }
 
+/// The value in `map` under `key`, made with `new` (and the key allocated) only
+/// the first time `key` is seen.
+fn slot<'m, V>(map: &'m mut BTreeMap<String, V>, key: &str, new: impl FnOnce() -> V) -> &'m mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), new());
+    }
+    map.get_mut(key).expect("inserted above")
+}
+
+/// Every span's children, in emission order, without a collection per parent:
+/// span `i`'s children are `kids[start[i]..start[i + 1]]`, as indices into the
+/// spans. A span's id is its index + 1 (the recorder assigns them so); a parent
+/// id that names no recorded span adopts nothing.
+struct Children {
+    start: Vec<usize>,
+    kids: Vec<usize>,
+}
+
+impl Children {
+    fn of(spans: &[SpanRecord]) -> Children {
+        let parent = |s: &SpanRecord| {
+            usize::try_from(s.parent).ok()?.checked_sub(1).filter(|&p| p < spans.len())
+        };
+        let mut start = vec![0usize; spans.len() + 1];
+        for p in spans.iter().filter_map(parent) {
+            start[p + 1] += 1;
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        let mut kids = vec![0usize; start[spans.len()]];
+        let mut cursor = start.clone();
+        for (i, s) in spans.iter().enumerate() {
+            if let Some(p) = parent(s) {
+                kids[cursor[p]] = i;
+                cursor[p] += 1;
+            }
+        }
+        Children { start, kids }
+    }
+
+    fn of_span(&mut self, i: usize) -> &mut [usize] {
+        &mut self.kids[self.start[i]..self.start[i + 1]]
+    }
+}
+
 fn summarize_recorded(
     spans: &[SpanRecord],
-    events: &[EventRecord],
+    events: &EventLog,
     metrics: &MetricsRegistry,
 ) -> CampaignTelemetry {
-    let mut children: BTreeMap<u64, Vec<&SpanRecord>> = BTreeMap::new();
-    for s in spans {
-        children.entry(s.parent).or_default().push(s);
-    }
+    let mut children = Children::of(spans);
 
     let mut stage_hists: BTreeMap<String, Histogram> = BTreeMap::new();
     let mut stage_totals: BTreeMap<String, f64> = BTreeMap::new();
     let mut per_accession: Vec<AccessionPath> = Vec::new();
     let mut dominated: BTreeMap<String, usize> = BTreeMap::new();
-    let mut seen_accessions: BTreeSet<String> = BTreeSet::new();
+    let mut seen_accessions: BTreeSet<&str> = BTreeSet::new();
     let mut fleet_busy_secs = 0.0;
     let mut fleet_uptime_secs = 0.0;
 
@@ -123,32 +168,34 @@ fn summarize_recorded(
         }
     }
 
-    for job in spans.iter().filter(|s| s.name == "job" && s.attr("outcome") == Some("ok")) {
+    let ok_jobs = spans.iter().enumerate();
+    for (j, job) in ok_jobs.filter(|(_, s)| s.name == "job" && s.attr("outcome") == Some("ok")) {
         let Some(accession) = job.attr("accession") else { continue };
         // Duplicate completions re-run the same work; only the first counts.
-        if !seen_accessions.insert(accession.to_string()) {
+        if !seen_accessions.insert(accession) {
             continue;
         }
-        let mut stages: Vec<&SpanRecord> = children.get(&job.id).cloned().unwrap_or_default();
-        stages.sort_by(|a, b| a.start_secs.total_cmp(&b.start_secs).then(a.id.cmp(&b.id)));
+        let stages = children.of_span(j);
         if stages.is_empty() {
             continue;
         }
+        // (start, id) is unique per span, so the unstable sort orders as a stable one would.
+        stages.sort_unstable_by(|&a, &b| {
+            let (a, b) = (&spans[a], &spans[b]);
+            a.start_secs.total_cmp(&b.start_secs).then(a.id.cmp(&b.id))
+        });
         let mut total = 0.0;
         let mut dominant: (&str, f64) = ("", f64::NEG_INFINITY);
-        for st in &stages {
+        for st in stages.iter().map(|&k| &spans[k]) {
             let d = st.duration_secs();
             total += d;
-            stage_hists
-                .entry(st.name.clone())
-                .or_insert_with(|| Histogram::new(SECS_BUCKETS))
-                .observe(d);
-            *stage_totals.entry(st.name.clone()).or_insert(0.0) += d;
+            slot(&mut stage_hists, &st.name, || Histogram::new(SECS_BUCKETS)).observe(d);
+            *slot(&mut stage_totals, &st.name, || 0.0) += d;
             if d > dominant.1 {
                 dominant = (st.name.as_str(), d);
             }
         }
-        *dominated.entry(dominant.0.to_string()).or_insert(0) += 1;
+        *slot(&mut dominated, dominant.0, || 0) += 1;
         per_accession.push(AccessionPath {
             accession: accession.to_string(),
             total_secs: total,
@@ -203,7 +250,7 @@ fn summarize_recorded(
             fleet_busy_secs,
             fleet_uptime_secs,
         },
-        event_log: crate::recorder::ndjson(events),
+        event_log: events.shared(),
         metrics_json: metrics.to_json().render(),
         histogram_summaries,
         sketch_summaries,

@@ -135,7 +135,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     if let Some(path) = log_out {
         let t = report.telemetry.as_ref().ok_or("--log-out requires telemetry enabled")?;
-        std::fs::write(&path, &t.event_log)?;
+        std::fs::write(&path, t.event_log.as_bytes())?;
         println!("\nwrote NDJSON event log to {path} — query it with the trace_query bin");
     }
 

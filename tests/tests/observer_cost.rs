@@ -22,6 +22,9 @@
 //! * **(D) a modeled run allocates nothing:** `ModeledWorkload::run_accession`
 //!   over 8 000 ids makes no allocator call, so what a campaign allocates per
 //!   accession is the campaign's own.
+//! * **(E) what one record costs:** allocator calls and bytes requested per
+//!   recorded span and event, over the "telemetry off" row, printed and held to
+//!   committed ceilings (`PER_RECORD`).
 //!
 //! What the counters cannot see: work that does not allocate. Restoring the
 //! O(window) double scan `SloState::sample` had before PR 20 moves none of these
@@ -74,10 +77,18 @@ struct Tier {
 /// accession's `Completion` (the report's vector is sized at submit).
 const TIERS: [Tier; 4] = [
     Tier { name: "telemetry off", recorder: false, monitor_and_slo: false, chaos: false, calls: 8_597, bytes: 3_226_192, sim_events: 24_107, spans: 0, events: 0 },
-    Tier { name: "recorder only", recorder: true, monitor_and_slo: false, chaos: false, calls: 445_115, bytes: 57_594_653, sim_events: 24_107, spans: 64_065, events: 18_260 },
-    Tier { name: "monitor + SLO", recorder: true, monitor_and_slo: true, chaos: false, calls: 613_027, bytes: 98_871_019, sim_events: 24_107, spans: 64_065, events: 57_034 },
+    Tier { name: "recorder only", recorder: true, monitor_and_slo: false, chaos: false, calls: 332_233, bytes: 49_894_040, sim_events: 24_107, spans: 64_065, events: 18_260 },
+    Tier { name: "monitor + SLO", recorder: true, monitor_and_slo: true, chaos: false, calls: 485_857, bytes: 95_656_592, sim_events: 24_107, spans: 64_065, events: 57_034 },
     Tier { name: "chaos, off", recorder: false, monitor_and_slo: false, chaos: true, calls: 8_711, bytes: 3_667_720, sim_events: 28_032, spans: 0, events: 0 },
 ];
+
+/// (E) Per recorded span or event at `SIZES[2]`, over "telemetry off":
+/// `(tier, allocator calls, bytes requested)`, ceilings. The recorder renders
+/// each event into its log and drops the record, so what is left per record is
+/// mostly what the caller builds: a span's name and attributes, an event's
+/// field list.
+const PER_RECORD: [(&str, f64, f64); 2] =
+    [("recorder only", 3.94, 567.0), ("monitor + SLO", 3.95, 764.0)];
 
 fn config(tier: &Tier, recovery: bool) -> CampaignConfig {
     let t = InstanceType::by_name("r6a.xlarge").unwrap();
@@ -176,6 +187,8 @@ fn assert_modeled_runs_allocate_nothing() {
 #[test]
 fn observer_cost_is_exact_bounded_and_does_not_grow_with_the_campaign() {
     assert_modeled_runs_allocate_nothing();
+    // (calls, bytes, spans + events) of each tier's largest campaign, recovery off.
+    let mut largest = Vec::new();
     for want in &TIERS {
         let name = want.name;
         let mut off_cells = Vec::new();
@@ -235,6 +248,25 @@ fn observer_cost_is_exact_bounded_and_does_not_grow_with_the_campaign() {
             "{name}: bytes per accession grow with the campaign: {} at n={n_small}, {} at n={n_large}",
             small.bytes,
             large.bytes
+        );
+        largest.push((name, large.calls, large.bytes, large.outcome.spans + large.outcome.events));
+    }
+
+    // (E) The cost of one record, over the same campaign with telemetry off.
+    let (_, off_calls, off_bytes, _) = largest[0];
+    for (name, max_calls, max_bytes) in PER_RECORD {
+        let &(_, calls, bytes, records) =
+            largest.iter().find(|cell| cell.0 == name).expect("PER_RECORD names a tier");
+        let per_call = (calls - off_calls) as f64 / records as f64;
+        let per_byte = (bytes - off_bytes) as f64 / records as f64;
+        println!(
+            "per record    {name:<13} calls={per_call:.3} bytes={per_byte:.1} over telemetry off \
+             ({records} spans + events)"
+        );
+        assert!(
+            per_call <= max_calls && per_byte <= max_bytes,
+            "{name}: {per_call:.3} allocator calls and {per_byte:.1} bytes per record, \
+             committed {max_calls} and {max_bytes}"
         );
     }
 }

@@ -140,7 +140,7 @@ fn slo_engine_is_a_pure_observer() {
         })
         .flat_map(|l| [l, "\n"])
         .collect();
-    assert_eq!(&stripped, off_log, "SLO-on log is the off log plus observer records");
+    assert_eq!(&stripped, &**off_log, "SLO-on log is the off log plus observer records");
 }
 
 /// Saturated bad traffic (turnaround threshold below every completion time)

@@ -258,5 +258,5 @@ fn monitor_is_a_pure_observer() {
         .filter(|l| !l.contains("\"kind\":\"progress\"") && !l.contains("\"kind\":\"alert\""))
         .flat_map(|l| [l, "\n"])
         .collect();
-    assert_eq!(&stripped, off_log, "monitor-on log is the off log plus monitor records");
+    assert_eq!(&stripped, &**off_log, "monitor-on log is the off log plus monitor records");
 }
