@@ -169,8 +169,7 @@ impl From<Vec<JsonValue>> for JsonValue {
 ///   (`1e300`, `5e-324`) instead of `{}`'s positional expansion, which would
 ///   print hundreds of digits;
 /// * everything else → Rust's shortest-roundtrip `{}` formatting (integral
-///   floats print without a decimal point — "3" — still a valid JSON number),
-///   whose bytes `crate::shortest` writes at about half the cost.
+///   floats print without a decimal point — "3" — still a valid JSON number).
 pub fn write_f64(v: f64, out: &mut String) {
     if !v.is_finite() {
         out.push_str("null");
@@ -183,7 +182,7 @@ pub fn write_f64(v: f64, out: &mut String) {
     let magnitude = v.abs();
     if !(1e-6..1e17).contains(&magnitude) {
         let _ = write!(out, "{v:e}");
-    } else if !crate::shortest::write_positional(v, out) {
+    } else {
         let _ = write!(out, "{v}");
     }
 }

@@ -43,7 +43,6 @@ pub mod query;
 pub mod recorder;
 pub mod report;
 pub mod series;
-mod shortest;
 pub mod sketch;
 pub mod slo;
 pub mod span;

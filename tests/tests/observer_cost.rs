@@ -77,8 +77,8 @@ struct Tier {
 /// accession's `Completion` (the report's vector is sized at submit).
 const TIERS: [Tier; 4] = [
     Tier { name: "telemetry off", recorder: false, monitor_and_slo: false, chaos: false, calls: 8_597, bytes: 3_226_192, sim_events: 24_107, spans: 0, events: 0 },
-    Tier { name: "recorder only", recorder: true, monitor_and_slo: false, chaos: false, calls: 332_233, bytes: 49_894_040, sim_events: 24_107, spans: 64_065, events: 18_260 },
-    Tier { name: "monitor + SLO", recorder: true, monitor_and_slo: true, chaos: false, calls: 485_857, bytes: 95_656_592, sim_events: 24_107, spans: 64_065, events: 57_034 },
+    Tier { name: "recorder only", recorder: true, monitor_and_slo: false, chaos: false, calls: 332_236, bytes: 49_894_065, sim_events: 24_107, spans: 64_065, events: 18_260 },
+    Tier { name: "monitor + SLO", recorder: true, monitor_and_slo: true, chaos: false, calls: 485_876, bytes: 95_656_745, sim_events: 24_107, spans: 64_065, events: 57_034 },
     Tier { name: "chaos, off", recorder: false, monitor_and_slo: false, chaos: true, calls: 8_711, bytes: 3_667_720, sim_events: 28_032, spans: 0, events: 0 },
 ];
 
