@@ -228,6 +228,42 @@ if grep -n 'PipelineResult' crates/atlas/src/campaign.rs crates/atlas/src/campai
     echo "the campaign names PipelineResult: hold an AccessionRun or a Completion instead" >&2
     exit 1
 fi
+# One implementation per shared primitive. Every Gaussian is `genomics::simulate::
+# standard_normal` (the one Box–Muller `.cos(`) except Fig. 3's file sizes (the one
+# inverse-normal CDF, in experiments.rs), and every SplitMix64 draw goes through
+# `cloudsim::faults::mix64` (the one multiplier 0xbf58_476d_1ce4_e5b9, matched in any
+# case and with any underscores). A second copy outside test code under crates/ fails.
+splitmix="0x_*$(echo bf58476d1ce4e5b9 | sed 's/./&_*/g')"
+copies=$(for f in $(find crates -path '*/tests/*' -prune -o -name '*.rs' -print | sort); do
+    code=$(sed '/#\[cfg(test)\]/,$d' "$f")
+    { [ "$f" = crates/atlas/src/experiments.rs ] || printf '%s\n' "$code" | grep -n 'inverse_normal' || true
+      [ "$f" = crates/genomics/src/simulate.rs ] || printf '%s\n' "$code" | grep -n '\.cos(' || true
+      [ "$f" = crates/cloudsim/src/faults.rs ] || printf '%s\n' "$code" | grep -niE "$splitmix" || true
+    } | sed "s|^|$f:|"
+done)
+if [ -n "$copies" ]; then
+    printf '%s\n' "$copies" >&2
+    echo "a second normal sampler or SplitMix64 mixer: draw through genomics::simulate or cloudsim::faults" >&2
+    exit 1
+fi
+# Every dependency a manifest declares is used: each entry of [dependencies],
+# [dev-dependencies] and [build-dependencies] in crates/*/Cargo.toml, tests/ and
+# examples/ is named (`name::`, `use name`, `extern crate name`) in that crate's *.rs.
+unused=$(for manifest in crates/*/Cargo.toml tests/Cargo.toml examples/Cargo.toml; do
+    dir=$(dirname "$manifest")
+    for dep in $(awk '/^\[/ { section = $0; next }
+            section ~ /^\[(dev-|build-)?dependencies\]$/ && /^[A-Za-z0-9_-]+[ \t]*=/ {
+                sub(/[ \t]*=.*/, ""); print }' "$manifest"); do
+        name=${dep//-/_}
+        grep -rqE "\b$name::|\buse $name\b|\bextern crate $name\b" --include='*.rs' "$dir" \
+            || echo "$manifest: $dep"
+    done
+done)
+if [ -n "$unused" ]; then
+    printf '%s\n' "$unused" >&2
+    echo "a declared dependency that no *.rs of its crate names: delete the entry" >&2
+    exit 1
+fi
 # What observers and an armed-but-idle recovery layer cost, counted under the
 # counting allocator on three fixed-seed campaigns: exact for the seed, so the host's
 # wall-clock drift cannot blur it (wall-clock stays with atlas-e2e's observed_fleet_20k).

@@ -23,6 +23,7 @@ use std::sync::Arc;
 use crate::early_stop::EarlyStopAccounting;
 use crate::pipeline::{AtlasPipeline, PipelineResult, StageTimes};
 use crate::AtlasError;
+use cloudsim::faults;
 use genomics::fnv;
 use sra_sim::accession::LibraryStrategy;
 use star_aligner::quant::GeneCounts;
@@ -146,15 +147,11 @@ impl ModeledWorkload {
         (0..n).map(|i| format!("SRR{:08}", 90_000_000 + i)).collect()
     }
 
-    /// A unit draw in `[0, 1)` from stream `stream` of this accession (SplitMix64,
-    /// the same generator the fault injector uses).
+    /// A unit draw in `[0, 1)` from stream `stream` of this accession: FNV-1a of the
+    /// id through the fault injector's SplitMix64 mixer.
     fn unit(&self, accession: &str, stream: u64) -> f64 {
         let h = fnv::fnv1a(fnv::OFFSET ^ self.seed.rotate_left(17) ^ stream, accession.as_bytes());
-        let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z = z ^ (z >> 31);
-        (z >> 11) as f64 / (1u64 << 53) as f64
+        faults::to_unit(faults::mix64(h))
     }
 }
 

@@ -230,18 +230,25 @@ impl<T> Retried<T> {
     }
 }
 
-/// SplitMix64 finalizer: a high-quality 64-bit mix.
-fn mix64(mut z: u64) -> u64 {
+/// SplitMix64 finalizer: a high-quality 64-bit mix. The workspace's one copy: the
+/// fault injector and `atlas`'s modeled workload draw through it.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
+/// Uniform `[0, 1)` from the top 53 bits of `h` (every value a multiple of 2^-53).
+#[inline]
+pub fn to_unit(h: u64) -> f64 {
+    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
 /// Uniform `[0, 1)` from a hash of the address tuple.
 fn unit(seed: u64, serial: u64, stream: u64, counter: u64) -> f64 {
-    let h = mix64(seed ^ mix64(serial ^ mix64(stream ^ mix64(counter))));
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    to_unit(mix64(seed ^ mix64(serial ^ mix64(stream ^ mix64(counter)))))
 }
 
 /// Tallies of injected faults and retry activity over a chaos campaign.

@@ -37,6 +37,13 @@ impl FastqRecord {
         }
         self.qual.iter().map(|&q| q as f64).sum::<f64>() / self.qual.len() as f64
     }
+
+    /// Bytes [`write_fastq`] writes for this record: `@id\n`, `seq\n`, `+\n`,
+    /// `qual\n`. The one FASTQ size count: the dump's output volume and Fig. 3's file
+    /// weights both sum it.
+    pub fn fastq_bytes(&self) -> u64 {
+        (self.id.len() + self.seq.len() + self.qual.len() + 6) as u64
+    }
 }
 
 /// Read all records from a FASTQ stream.
@@ -154,6 +161,23 @@ mod tests {
         assert!((r.mean_quality() - 20.0).abs() < 1e-12);
         let empty = FastqRecord { id: "e".into(), seq: DnaSeq::new(), qual: vec![] };
         assert_eq!(empty.mean_quality(), 0.0);
+    }
+
+    #[test]
+    fn fastq_bytes_is_what_write_fastq_writes() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(6);
+        for id_len in [0, 1, 7, 12, 40] {
+            for read_len in [0, 1, 99, 100, 151] {
+                let id: String = (0..id_len).map(|_| rng.gen_range(b'!'..=b'~') as char).collect();
+                let qual = (0..read_len).map(|_| rng.gen_range(0..=60u8)).collect();
+                let rec = FastqRecord { id, seq: DnaSeq::random(&mut rng, read_len), qual };
+                let mut buf = Vec::new();
+                write_fastq(&mut buf, std::slice::from_ref(&rec)).unwrap();
+                assert_eq!(rec.fastq_bytes(), buf.len() as u64, "id {id_len} read {read_len}");
+            }
+        }
     }
 
     #[test]

@@ -231,7 +231,7 @@ impl<'a> ReadSimulator<'a> {
             let t = gene.transcript(assembly)?;
             if t.len() >= params.read_len {
                 // Log-normal expression weight, deterministic per gene order.
-                let w = lognormal(&mut rng, 0.0, params.expression_sigma);
+                let w = lognormal(&mut rng, 1.0, params.expression_sigma);
                 cum += w;
                 transcripts.push((gene, t, cum));
             }
@@ -537,9 +537,10 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// Sample exp(N(mu, sigma²)).
-fn lognormal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
-    (mu + sigma * standard_normal(rng)).exp()
+/// A log-normal draw with median `median` and log-scale spread `sigma`: one
+/// [`standard_normal`] draw, so the same two uniforms.
+pub fn lognormal<R: Rng + ?Sized>(rng: &mut R, median: f64, sigma: f64) -> f64 {
+    median * (sigma * standard_normal(rng)).exp()
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 
 use crate::SraError;
 use genomics::fnv;
-use genomics::simulate::standard_normal;
+use genomics::simulate::lognormal;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -178,9 +178,8 @@ impl CatalogParams {
         for i in 0..n {
             let strategy =
                 if sc_set.contains(&i) { LibraryStrategy::SingleCell } else { LibraryStrategy::RnaSeqBulk };
-            let z = standard_normal(&mut rng);
             let mut spots =
-                (self.bulk_spots_median as f64 * (self.bulk_spots_sigma * z).exp()).max(100.0);
+                lognormal(&mut rng, self.bulk_spots_median as f64, self.bulk_spots_sigma).max(100.0);
             if strategy == LibraryStrategy::SingleCell {
                 spots *= SINGLE_CELL_SPOT_FACTOR;
             }

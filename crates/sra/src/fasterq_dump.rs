@@ -1,9 +1,10 @@
 //! `fasterq-dump` tool model — pipeline step 2.
 //!
 //! Converts an SRA-lite archive to FASTQ records. The decode itself is real (and
-//! parallel on a [`Pool`], like the multi-threaded real tool); the modeled duration
-//! charges the *output* volume against a per-thread throughput, matching the real
-//! tool's I/O-bound behaviour where FASTQ text dominates.
+//! parallel on a [`Pool`], like the multi-threaded real tool). The dump's modeled
+//! duration is the pipeline's: it charges the catalog-scale FASTQ volume against
+//! [`DumpModel`]'s per-thread throughput, matching the real tool's I/O-bound
+//! behaviour where FASTQ text dominates.
 
 use crate::accession::LibraryLayout;
 use crate::archive::SraArchive;
@@ -54,10 +55,8 @@ pub struct FasterqOutput {
     pub reads: Vec<FastqRecord>,
     /// Archive layout.
     pub layout: LibraryLayout,
-    /// FASTQ text bytes that would be written.
+    /// FASTQ text bytes that would be written ([`FastqRecord::fastq_bytes`] summed).
     pub fastq_bytes: u64,
-    /// Modeled conversion time in seconds.
-    pub modeled_secs: f64,
 }
 
 impl FasterqOutput {
@@ -85,7 +84,7 @@ impl FasterqOutput {
 /// The `fasterq-dump` tool.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FasterqDump {
-    /// Throughput model used for time accounting.
+    /// Throughput model, checked before each dump (the pipeline prices the dump with it).
     pub model: DumpModel,
 }
 
@@ -111,23 +110,12 @@ impl FasterqDump {
         self.model.validate()?;
         // Parallel decode, each read written straight into its slot (archive records
         // are fixed-size, so indexes are independent; `model.threads` only scales the
-        // modeled time).
+        // pipeline's modeled time).
         let mut reads = Vec::new();
         reads.resize_with(archive.n_reads() as usize, FastqRecord::default);
         pool.fill(&mut reads, |i| archive.record(i as u64));
-        // Known undercount: 5 framing bytes per record where `write_fastq` writes 6
-        // (the `@` is missing). Correcting it moves `campaign_perfetto.json`.
-        let fastq_bytes: u64 = reads
-            .iter()
-            .map(|r| r.id.len() as u64 + 1 + r.seq.len() as u64 + 1 + 2 + r.qual.len() as u64 + 1)
-            .sum();
-        let rate = self.model.bytes_per_sec_per_thread * self.model.threads as f64;
-        Ok(FasterqOutput {
-            reads,
-            layout: archive.layout,
-            fastq_bytes,
-            modeled_secs: fastq_bytes as f64 / rate,
-        })
+        let fastq_bytes = reads.iter().map(FastqRecord::fastq_bytes).sum();
+        Ok(FasterqOutput { reads, layout: archive.layout, fastq_bytes })
     }
 }
 
@@ -169,20 +157,6 @@ mod tests {
         let out = FasterqDump::default().run(&arc).unwrap();
         // FASTQ text re-expands well beyond the packed archive.
         assert!(out.fastq_bytes > 5 * arc.size_bytes(), "{} vs {}", out.fastq_bytes, arc.size_bytes());
-    }
-
-    #[test]
-    fn modeled_time_scales_with_threads() {
-        let arc = archive(300);
-        let t1 = FasterqDump::new(DumpModel { bytes_per_sec_per_thread: 1e6, threads: 1 })
-            .run(&arc)
-            .unwrap()
-            .modeled_secs;
-        let t4 = FasterqDump::new(DumpModel { bytes_per_sec_per_thread: 1e6, threads: 4 })
-            .run(&arc)
-            .unwrap()
-            .modeled_secs;
-        assert!((t1 / t4 - 4.0).abs() < 1e-9, "t1={t1} t4={t4}");
     }
 
     fn raw_reads(n: usize, seed: u64) -> Vec<FastqRecord> {
@@ -269,6 +243,5 @@ mod tests {
         let out = FasterqDump::default().run(&arc).unwrap();
         assert!(out.reads.is_empty());
         assert_eq!(out.fastq_bytes, 0);
-        assert_eq!(out.modeled_secs, 0.0);
     }
 }

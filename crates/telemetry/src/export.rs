@@ -17,7 +17,6 @@ use crate::json::{
 use crate::metrics::MetricsRegistry;
 use crate::recorder::Recorder;
 use crate::span::SpanRecord;
-use std::collections::BTreeMap;
 use std::fmt::Write;
 
 /// Simulated seconds → integer trace microseconds.
@@ -321,43 +320,6 @@ pub fn openmetrics_from(rec: &Recorder) -> String {
     rec.read(|_, _, metrics| openmetrics(metrics))
 }
 
-/// Fold the span tree into collapsed-stack (flamegraph) lines: one
-/// `root;child;leaf weight` line per distinct stack, weighted by *self* time in
-/// integer microseconds (a span's duration minus its children's), aggregated and
-/// sorted lexicographically. Pipe the output straight into `flamegraph.pl` or
-/// load it in speedscope.
-pub fn collapsed_stacks(spans: &[SpanRecord]) -> String {
-    let index: BTreeMap<u64, usize> =
-        spans.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
-    let mut child_micros = vec![0i64; spans.len()];
-    for s in spans {
-        if let Some(&pi) = index.get(&s.parent) {
-            child_micros[pi] += micros(s.duration_secs());
-        }
-    }
-    let mut folded: BTreeMap<String, i64> = BTreeMap::new();
-    for (i, s) in spans.iter().enumerate() {
-        let self_micros = (micros(s.duration_secs()) - child_micros[i]).max(0);
-        if self_micros == 0 {
-            continue;
-        }
-        // Walk to the root; orphaned parents terminate the stack where they are.
-        let mut names = vec![s.name.as_str()];
-        let mut cur = s;
-        while let Some(&pi) = index.get(&cur.parent) {
-            cur = &spans[pi];
-            names.push(cur.name.as_str());
-        }
-        names.reverse();
-        *folded.entry(names.join(";")).or_insert(0) += self_micros;
-    }
-    let mut out = String::new();
-    for (stack, weight) in folded {
-        let _ = writeln!(out, "{stack} {weight}");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,33 +447,6 @@ mod tests {
             ),
             "{trace}"
         );
-    }
-
-    #[test]
-    fn collapsed_stacks_weight_self_time() {
-        let r = sample_recorder();
-        let folded = r.read(|spans, _, _| collapsed_stacks(spans));
-        // instance self time: 11s − 8s job = 3s; job self: 8s − 7s align = 1s.
-        assert_eq!(
-            folded,
-            "campaign 1000000\n\
-             campaign;instance 3000000\n\
-             campaign;instance;job 1000000\n\
-             campaign;instance;job;align 7000000\n"
-        );
-    }
-
-    #[test]
-    fn collapsed_stacks_tolerate_orphans() {
-        let spans = vec![SpanRecord {
-            id: 9,
-            parent: 42, // never recorded
-            name: "stage".into(),
-            start_secs: 0.0,
-            end_secs: Some(1.0),
-            attrs: vec![],
-        }];
-        assert_eq!(collapsed_stacks(&spans), "stage 1000000\n");
     }
 
     #[test]

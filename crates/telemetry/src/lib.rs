@@ -14,8 +14,7 @@
 //!   a critical-path extractor over the span tree (which stage dominates each
 //!   accession, fleet-level utilization breakdown), rendered into campaign reports.
 //! * [`export`] — standard-format exporters: Chrome/Perfetto trace-event JSON
-//!   for the span tree, OpenMetrics text for the registry, collapsed-stack
-//!   (flamegraph) folds of the span tree.
+//!   for the span tree, OpenMetrics text for the registry.
 //! * [`monitor`] — the live campaign monitor: five [`AlertRule`]s (stragglers,
 //!   backlog growth, fault bursts, interruption storms, early-stop eligibility)
 //!   and the [`slo`] burn-rate objectives, evaluated by the recorder that owns
@@ -49,7 +48,7 @@ pub mod span;
 
 pub use diff::{diff, DiffEntry, DiffReport, DiffSection, RunProfile};
 pub use events::{EventLog, EventRecord};
-pub use export::{collapsed_stacks, openmetrics, openmetrics_from, perfetto_trace, perfetto_trace_from};
+pub use export::{openmetrics, openmetrics_from, perfetto_trace, perfetto_trace_from};
 pub use json::JsonValue;
 pub use metrics::{Histogram, MetricsRegistry, RATE_BUCKETS, SECS_BUCKETS};
 pub use monitor::{AlertEvent, AlertRule, MonitorConfig};
