@@ -23,14 +23,14 @@ const SPOTS: u64 = 600;
 type Row = (LibraryStrategy, LibraryLayout, u32, [u64; 3]);
 
 const PINS: [Row; 8] = [
-    (LibraryStrategy::RnaSeqBulk, LibraryLayout::Single, 100, [0x2c783bebd3698271, 0x72e2b4a72cb4c41c, 0x72e3ff83b385355e]),
-    (LibraryStrategy::RnaSeqBulk, LibraryLayout::Single, 101, [0x63c97b10a8f41095, 0x12f5ca4213ac0b31, 0x1a3128afc39b0175]),
-    (LibraryStrategy::SingleCell, LibraryLayout::Single, 100, [0x75ea5b330ce46443, 0x87212685eeaae2bd, 0x45f016f9b1d49b45]),
-    (LibraryStrategy::SingleCell, LibraryLayout::Single, 101, [0x5ad19df6b0200e7d, 0xef48b1481597b5cf, 0xa995e5d7fa476234]),
-    (LibraryStrategy::RnaSeqBulk, LibraryLayout::Paired, 100, [0x9426dc1c6ab926eb, 0x6a8d8f23f456df8b, 0x2c11232d7ba9579e]),
-    (LibraryStrategy::RnaSeqBulk, LibraryLayout::Paired, 101, [0x0ea1f01f1f289c4f, 0xeaf4bb250517cc63, 0xe7605de0637755a5]),
-    (LibraryStrategy::SingleCell, LibraryLayout::Paired, 100, [0x4b8f4d484d495238, 0x49a7f80224e47e1a, 0x6e3cc7631d3b00fa]),
-    (LibraryStrategy::SingleCell, LibraryLayout::Paired, 101, [0xf00832c3ac8f2efa, 0x41bc80f063d6d500, 0x463f896be0fafa95]),
+    (LibraryStrategy::RnaSeqBulk, LibraryLayout::Single, 100, [0x2c783bebd3698271, 0x3f7c89d4ff8016be, 0x72e3ff83b385355e]),
+    (LibraryStrategy::RnaSeqBulk, LibraryLayout::Single, 101, [0x63c97b10a8f41095, 0x6e292178d6b5fb74, 0x1a3128afc39b0175]),
+    (LibraryStrategy::SingleCell, LibraryLayout::Single, 100, [0x75ea5b330ce46443, 0x6904e9dd08c580cb, 0x45f016f9b1d49b45]),
+    (LibraryStrategy::SingleCell, LibraryLayout::Single, 101, [0x5ad19df6b0200e7d, 0x097062fcaee61fd6, 0xa995e5d7fa476234]),
+    (LibraryStrategy::RnaSeqBulk, LibraryLayout::Paired, 100, [0x9426dc1c6ab926eb, 0x66fef2bc835e5daa, 0x2c11232d7ba9579e]),
+    (LibraryStrategy::RnaSeqBulk, LibraryLayout::Paired, 101, [0x0ea1f01f1f289c4f, 0x0bffbbbfc28f886f, 0xe7605de0637755a5]),
+    (LibraryStrategy::SingleCell, LibraryLayout::Paired, 100, [0x4b8f4d484d495238, 0xeb4137cdaf98cc5b, 0x6e3cc7631d3b00fa]),
+    (LibraryStrategy::SingleCell, LibraryLayout::Paired, 101, [0xf00832c3ac8f2efa, 0xe563fd05a9a9808c, 0x463f896be0fafa95]),
 ];
 
 struct Fnv(u64);
