@@ -134,6 +134,17 @@ if [ -n "$rendered" ]; then
     exit 1
 fi
 cargo test -q --release --offline -p telemetry --lib export::tests::the_single_render_matches_the_two_pass_oracle
+# The Perfetto trace renders on request: `summarize` keeps a sized `PerfettoTrace` handle
+# and nothing in the campaign renders or streams it. A render outside test code in
+# report.rs or under crates/atlas/src would build the whole document every campaign again.
+eager=$(for f in crates/telemetry/src/report.rs $(find crates/atlas/src -name '*.rs' | sort); do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'perfetto_trace_from|[Pp]erfetto.*\.(render|write_to)\(' | sed "s|^|$f:|" || true
+done)
+if [ -n "$eager" ]; then
+    printf '%s\n' "$eager" >&2
+    echo "a Perfetto render outside test code in telemetry's report.rs or crates/atlas/src: render on request" >&2
+    exit 1
+fi
 # What the per-read path asks the allocator for, counted: steady-state alignment, and
 # alignment with a gene assignment, make no call; a whole quant-on run makes as many
 # for 4 000 reads as for 400 (gene counting builds no record and allocates nothing).

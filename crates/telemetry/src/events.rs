@@ -71,7 +71,7 @@ impl EventRecord {
 
 /// Where one recorded event sits in the log, and what the Perfetto export reads
 /// of it besides its fields' bytes.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct Indexed {
     /// Simulated seconds since campaign start.
     pub(crate) at_secs: f64,
@@ -99,10 +99,15 @@ const MAX_BUFFER: usize = 1 << 20;
 ///
 /// Nothing is allocated before the first record, so a disabled recorder's log
 /// costs one pointer.
-#[derive(Debug, Default)]
-pub struct EventLog(Option<Box<Store>>);
+///
+/// A clone shares the store: what a [`crate::PerfettoTrace`] keeps of the log is
+/// the recorder's own index, kept records and gathered bytes. Recording into a
+/// log whose store is shared copies the store first (`Arc::make_mut`), so a
+/// clone never sees later records.
+#[derive(Clone, Debug, Default)]
+pub struct EventLog(Option<Arc<Store>>);
 
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct Store {
     /// The lines gathered by the last [`EventLog::gather`], in one buffer shared
     /// with every [`crate::CampaignTelemetry`] summarized from it.
@@ -123,7 +128,7 @@ impl EventLog {
     /// Render `record` onto the log and index it: the one place an event's
     /// fields are written.
     pub(crate) fn push(&mut self, record: EventRecord) {
-        let store = self.0.get_or_insert_with(Box::default);
+        let store = Arc::make_mut(self.0.get_or_insert_with(Arc::default));
         let line = &mut store.line;
         line.clear();
         let fields = record.write_ndjson_into(line);
@@ -154,10 +159,11 @@ impl EventLog {
     /// of exactly the log's length, freeing each open buffer once copied. A
     /// no-op when nothing was recorded since the last call.
     pub(crate) fn gather(&mut self) {
-        let Some(store) = self.0.as_deref_mut() else { return };
+        let Some(store) = self.0.as_mut() else { return };
         if store.open.is_empty() {
             return;
         }
+        let store = Arc::make_mut(store);
         let mut all = String::with_capacity(store.bytes);
         if let Some(gathered) = store.gathered.take() {
             all.push_str(&gathered);

@@ -17,33 +17,34 @@ use crate::json::{
 use crate::metrics::MetricsRegistry;
 use crate::recorder::Recorder;
 use crate::span::SpanRecord;
-use std::fmt::Write;
+use std::fmt::{self, Write};
+use std::io;
+use std::sync::Arc;
 
 /// Simulated seconds → integer trace microseconds.
 fn micros(secs: f64) -> i64 {
     (secs * 1e6).round() as i64
 }
 
-/// The process id a span renders under: the `instance` attribute of the nearest
+/// The process id span `i` renders under: the `instance` attribute of the nearest
 /// enclosing `instance` span (the instances of the simulated fleet map to Perfetto
 /// processes), or 0 for campaign-level spans.
 ///
-/// One forward pass: a recorder assigns a span's id as its index + 1 when it
-/// opens, so a parent precedes its children. An `instance` span takes its parsed
-/// attribute (0 when it does not parse), any other span its parent's pid, and a
-/// parent the slice does not hold before the span gives 0.
-fn span_pids(spans: &[SpanRecord]) -> Vec<u64> {
-    let mut pids: Vec<u64> = Vec::with_capacity(spans.len());
-    for s in spans {
-        let pid = if s.name == "instance" {
-            s.attr("instance").and_then(|v| v.parse().ok()).unwrap_or(0)
-        } else {
-            let parent = usize::try_from(s.parent).ok().and_then(|id| id.checked_sub(1));
-            parent.and_then(|i| pids.get(i)).copied().unwrap_or(0)
-        };
-        pids.push(pid);
+/// A recorder assigns a span's id as its index + 1 when it opens, so a parent
+/// precedes its children and the walk up the parents ends. An `instance` span
+/// takes its parsed attribute (0 when it does not parse), any other span its
+/// parent's pid, and a parent that does not precede the span gives 0.
+fn span_pid(spans: &[SpanRecord], mut i: usize) -> u64 {
+    loop {
+        let s = &spans[i];
+        if s.name == "instance" {
+            return s.attr("instance").and_then(|v| v.parse().ok()).unwrap_or(0);
+        }
+        match usize::try_from(s.parent).ok().and_then(|id| id.checked_sub(1)) {
+            Some(parent) if parent < i => i = parent,
+            _ => return 0,
+        }
     }
-    pids
 }
 
 /// Decimal digits of `n`.
@@ -75,6 +76,10 @@ const INSTANT_PID: &str = "\",\"pid\":";
 const ARGS: &str = ",\"tid\":0,\"args\":{";
 const CLOSE: &str = "}}";
 
+// The writers below write into a `String` (which never fails) or a `Stream`
+// (whose first failure sticks): each returns its last write's result, which
+// reports a failure anywhere in the object.
+
 /// Process metadata for `pid`: pid 0 is the campaign, an instance labels itself.
 fn meta_len(pid: u64) -> usize {
     let label = if pid == 0 {
@@ -85,16 +90,16 @@ fn meta_len(pid: u64) -> usize {
     META_PID.len() + digits(pid) + META_ARGS.len() + label
 }
 
-fn write_meta(pid: u64, out: &mut String) {
-    out.push_str(META_PID);
+fn write_meta(pid: u64, out: &mut impl Write) -> fmt::Result {
+    out.write_str(META_PID)?;
     push_u64(pid, out);
-    out.push_str(META_ARGS);
+    out.write_str(META_ARGS)?;
     if pid == 0 {
-        out.push_str(META_CAMPAIGN);
+        out.write_str(META_CAMPAIGN)
     } else {
-        out.push_str(META_INSTANCE);
+        out.write_str(META_INSTANCE)?;
         push_u64(pid, out);
-        out.push_str(META_INSTANCE_END);
+        out.write_str(META_INSTANCE_END)
     }
 }
 
@@ -115,25 +120,25 @@ fn span_len(s: &SpanRecord, pid: u64) -> usize {
         + CLOSE.len()
 }
 
-fn write_span(s: &SpanRecord, pid: u64, out: &mut String) {
-    out.push_str(NAME);
+fn write_span(s: &SpanRecord, pid: u64, out: &mut impl Write) -> fmt::Result {
+    out.write_str(NAME)?;
     escape_into(&s.name, out);
-    out.push_str(SPAN_TS);
+    out.write_str(SPAN_TS)?;
     push_i64(micros(s.start_secs), out);
-    out.push_str(SPAN_DUR);
+    out.write_str(SPAN_DUR)?;
     push_i64(micros(s.duration_secs()), out);
-    out.push_str(SPAN_PID);
+    out.write_str(SPAN_PID)?;
     push_u64(pid, out);
-    out.push_str(ARGS);
+    out.write_str(ARGS)?;
     for (j, (k, v)) in s.attrs.iter().enumerate() {
         if j > 0 {
-            out.push(',');
+            out.write_char(',')?;
         }
         escape_into(k, out);
-        out.push(':');
+        out.write_char(':')?;
         escape_into(v, out);
     }
-    out.push_str(CLOSE);
+    out.write_str(CLOSE)
 }
 
 /// An event-log record as an instant (`"ph":"i"`), its `args` copied from the
@@ -152,24 +157,26 @@ fn instant_len(e: &Indexed) -> usize {
         + CLOSE.len()
 }
 
-fn write_instant(e: &Indexed, fields: &str, out: &mut String) {
-    out.push_str(NAME);
+fn write_instant(e: &Indexed, fields: &str, out: &mut impl Write) -> fmt::Result {
+    out.write_str(NAME)?;
     escape_into(e.kind, out);
-    out.push_str(INSTANT_TS);
+    out.write_str(INSTANT_TS)?;
     push_i64(micros(e.at_secs), out);
-    out.push_str(INSTANT_SCOPE);
-    out.push(if e.pid.is_some() { 'p' } else { 'g' });
-    out.push_str(INSTANT_PID);
+    out.write_str(INSTANT_SCOPE)?;
+    out.write_char(if e.pid.is_some() { 'p' } else { 'g' })?;
+    out.write_str(INSTANT_PID)?;
     push_u64(e.pid.unwrap_or(0), out);
-    out.push_str(ARGS);
-    out.push_str(fields);
-    out.push_str(CLOSE);
+    out.write_str(ARGS)?;
+    out.write_str(fields)?;
+    out.write_str(CLOSE)
 }
 
 /// An SLO budget sample as a counter (`"ph":"C"`) event: one counter track per
 /// objective showing the remaining error budget over time. These are rare (one
-/// per whole percent of budget spent), so they are sized by writing them.
+/// per whole percent of budget spent), so they are sized by writing them, and
+/// written into `out` (cleared first) to be copied on.
 fn write_counter(e: &EventRecord, out: &mut String) {
+    out.clear();
     out.push_str(NAME);
     out.push_str("\"slo_budget:");
     match e.field("slo") {
@@ -189,8 +196,12 @@ fn write_counter(e: &EventRecord, out: &mut String) {
     out.push_str(CLOSE);
 }
 
-/// Export spans and the event log as a Chrome/Perfetto trace-event JSON document
-/// (`chrome://tracing`, <https://ui.perfetto.dev>, `speedscope` all load it).
+/// The most a [`PerfettoTrace::write_to`] holds: its one buffer's bytes.
+pub const STREAM_BUFFER: usize = 64 << 10;
+
+/// Spans and an event log as a Chrome/Perfetto trace-event JSON document
+/// (`chrome://tracing`, <https://ui.perfetto.dev>, `speedscope` all load it),
+/// rendered only on request.
 ///
 /// * Every closed span becomes a complete (`"ph":"X"`) event; `ts`/`dur` are
 ///   integer microseconds of simulated time. Spans still open at export render
@@ -203,76 +214,181 @@ fn write_counter(e: &EventRecord, out: &mut String) {
 ///   instance's process when it names one, global otherwise; its `args` are its
 ///   fields, copied from the log. `slo_budget` records become counter events.
 ///
-/// `spans` are a recorder's (see [`Recorder::read`]): a span's id is its index + 1.
-/// The document is sized before it is written and allocated once.
-pub fn perfetto_trace(spans: &[SpanRecord], events: &EventLog) -> String {
-    let pids = span_pids(spans);
-    // Process metadata: pid 0 is the campaign; instance pids label themselves,
-    // in first-seen (emission) order. Deduplicated by sorting, not by a scan of
-    // the pids seen so far per instance span, which is quadratic in the fleet.
-    let instance = |(i, (s, &pid)): (usize, (&SpanRecord, &u64))| {
-        (s.name == "instance" && pid != 0).then_some((pid, i))
-    };
-    let instances = || spans.iter().zip(&pids).enumerate().filter_map(instance);
-    let mut firsts: Vec<(u64, usize)> = Vec::with_capacity(instances().count());
-    firsts.extend(instances());
-    firsts.sort_unstable();
-    firsts.dedup_by_key(|first| first.0);
-    firsts.sort_unstable_by_key(|first| first.1);
-    let seen = || std::iter::once(0).chain(firsts.iter().map(|first| first.0));
-
-    let mut counter = String::new();
-    let mut budgets = events.budgets();
-    let mut len = HEAD.len() + TAIL.len() + firsts.len() + spans.len() + events.len();
-    len += seen().map(meta_len).sum::<usize>();
-    len += spans.iter().zip(&pids).map(|(s, &pid)| span_len(s, pid)).sum::<usize>();
-    for e in events.entries() {
-        if e.kind == "slo_budget" {
-            if let Some(budget) = budgets.next() {
-                counter.clear();
-                write_counter(budget, &mut counter);
-                len += counter.len();
-                continue;
-            }
-        }
-        len += instant_len(e);
-    }
-
-    let mut out = String::with_capacity(len);
-    out.push_str(HEAD);
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if !std::mem::take(&mut first) {
-            out.push(',');
-        }
-    };
-    for pid in seen() {
-        sep(&mut out);
-        write_meta(pid, &mut out);
-    }
-    for (s, &pid) in spans.iter().zip(&pids) {
-        sep(&mut out);
-        write_span(s, pid, &mut out);
-    }
-    let mut budgets = events.budgets();
-    for e in events.entries() {
-        sep(&mut out);
-        if e.kind == "slo_budget" {
-            if let Some(budget) = budgets.next() {
-                write_counter(budget, &mut out);
-                continue;
-            }
-        }
-        write_instant(e, events.fields(e), &mut out);
-    }
-    out.push_str(TAIL);
-    debug_assert_eq!(out.len(), len, "the Perfetto document and its sizing disagree");
-    out
+/// The handle keeps the recorder's span table and event log (index, kept records
+/// and gathered bytes) by reference count, not by copy, so a clone is cheap. It is
+/// sized when it is made ([`PerfettoTrace::len`]); [`PerfettoTrace::write_to`]
+/// streams the document through one buffer of [`STREAM_BUFFER`] bytes, and
+/// [`PerfettoTrace::render`] allocates it once, at its exact size. Both write it
+/// with the same code, so the bytes are the same.
+#[derive(Clone)]
+pub struct PerfettoTrace {
+    spans: Arc<Vec<SpanRecord>>,
+    events: EventLog,
+    /// The instance pids that get process metadata after the campaign's pid 0:
+    /// each distinct non-zero pid of an `instance` span, in first-seen order.
+    instances: Arc<[u64]>,
+    len: usize,
 }
 
-/// [`perfetto_trace`] over everything a recorder captured.
+impl fmt::Debug for PerfettoTrace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PerfettoTrace")
+            .field("spans", &self.spans.len())
+            .field("events", &self.events.len())
+            .field("len", &self.len)
+            .finish()
+    }
+}
+
+impl PerfettoTrace {
+    /// The trace of `spans` and `events` as a recorder lends them (a span's id is
+    /// its index + 1; the log is gathered), sharing both, sized but not rendered.
+    pub(crate) fn new(spans: Option<&Arc<Vec<SpanRecord>>>, events: &EventLog) -> PerfettoTrace {
+        let (spans, events) = (spans.cloned().unwrap_or_default(), events.clone());
+        // Deduplicated by sorting, not by a scan of the pids seen so far per
+        // instance span, which is quadratic in the fleet.
+        let instance = |(i, s): (usize, &SpanRecord)| {
+            let pid = if s.name == "instance" { span_pid(&spans, i) } else { 0 };
+            (pid != 0).then_some((pid, i))
+        };
+        let all = || spans.iter().enumerate().filter_map(instance);
+        let mut firsts: Vec<(u64, usize)> = Vec::with_capacity(all().count());
+        firsts.extend(all());
+        firsts.sort_unstable();
+        firsts.dedup_by_key(|first| first.0);
+        firsts.sort_unstable_by_key(|first| first.1);
+        let instances: Arc<[u64]> = firsts.iter().map(|first| first.0).collect();
+        let mut trace = PerfettoTrace { spans, events, instances, len: 0 };
+        trace.len = trace.size();
+        trace
+    }
+
+    /// What [`PerfettoTrace::write`] writes, counted without writing it.
+    fn size(&self) -> usize {
+        let (spans, events) = (&self.spans, &self.events);
+        let mut len = HEAD.len() + TAIL.len() + self.instances.len() + spans.len() + events.len();
+        len += std::iter::once(0).chain(self.instances.iter().copied()).map(meta_len).sum::<usize>();
+        len += spans.iter().enumerate().map(|(i, s)| span_len(s, span_pid(spans, i))).sum::<usize>();
+        let mut counter = String::new();
+        let mut budgets = events.budgets();
+        for e in events.entries() {
+            match (e.kind == "slo_budget").then(|| budgets.next()).flatten() {
+                Some(budget) => {
+                    write_counter(budget, &mut counter);
+                    len += counter.len();
+                }
+                None => len += instant_len(e),
+            }
+        }
+        len
+    }
+
+    /// The document's length in bytes: what [`PerfettoTrace::render`] returns and
+    /// [`PerfettoTrace::write_to`] writes.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Never true: a document holds its head and tail even with nothing recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Stream the document into `out` through one buffer of [`STREAM_BUFFER`]
+    /// bytes, the only memory it takes. The first error `out` returns ends the
+    /// stream and is returned, with whatever came before it written. `out` is not
+    /// flushed.
+    pub fn write_to(&self, out: &mut impl io::Write) -> io::Result<()> {
+        let mut stream = Stream { out, buf: Vec::with_capacity(STREAM_BUFFER), error: None };
+        // A stream's only failure is its writer's, which it keeps.
+        let _ = self.write(&mut stream);
+        match stream.error {
+            Some(error) => Err(error),
+            None => stream.out.write_all(&stream.buf),
+        }
+    }
+
+    /// The whole document, allocated once at its exact size.
+    pub fn render(&self) -> String {
+        let mut out = String::with_capacity(self.len);
+        // Writing into a `String` cannot fail.
+        let _ = self.write(&mut out);
+        debug_assert_eq!(out.len(), self.len, "the Perfetto document and its sizing disagree");
+        out
+    }
+
+    /// The document's one writer, into either sink. The campaign's process
+    /// metadata always comes first, so every later object follows a comma.
+    fn write(&self, out: &mut impl Write) -> fmt::Result {
+        let (spans, events) = (&self.spans, &self.events);
+        out.write_str(HEAD)?;
+        write_meta(0, out)?;
+        for &pid in self.instances.iter() {
+            out.write_char(',')?;
+            write_meta(pid, out)?;
+        }
+        for (i, s) in spans.iter().enumerate() {
+            out.write_char(',')?;
+            write_span(s, span_pid(spans, i), out)?;
+        }
+        let mut counter = String::new();
+        let mut budgets = events.budgets();
+        for e in events.entries() {
+            out.write_char(',')?;
+            match (e.kind == "slo_budget").then(|| budgets.next()).flatten() {
+                Some(budget) => {
+                    write_counter(budget, &mut counter);
+                    out.write_str(&counter)?;
+                }
+                None => write_instant(e, events.fields(e), out)?,
+            }
+        }
+        out.write_str(TAIL)
+    }
+}
+
+/// A writer behind a fixed buffer of [`STREAM_BUFFER`] bytes, for
+/// [`PerfettoTrace::write_to`]: a piece that does not fit in what is left of the
+/// buffer flushes it first, and one as long as the buffer goes straight through.
+/// The first error is kept and every later write fails at once, without touching
+/// the writer.
+struct Stream<'w, W: io::Write> {
+    out: &'w mut W,
+    buf: Vec<u8>,
+    error: Option<io::Error>,
+}
+
+impl<W: io::Write> Write for Stream<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        if self.error.is_some() {
+            return Err(fmt::Error);
+        }
+        if self.buf.len() + s.len() > STREAM_BUFFER {
+            let through = s.len() >= STREAM_BUFFER;
+            let written = self.out.write_all(&self.buf).and_then(|()| {
+                if through {
+                    self.out.write_all(s.as_bytes())
+                } else {
+                    Ok(())
+                }
+            });
+            self.buf.clear();
+            if let Err(error) = written {
+                self.error = Some(error);
+                return Err(fmt::Error);
+            }
+            if through {
+                return Ok(());
+            }
+        }
+        self.buf.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// The Perfetto document of everything a recorder captured, rendered.
 pub fn perfetto_trace_from(rec: &Recorder) -> String {
-    rec.read(|spans, events, _| perfetto_trace(spans, events))
+    rec.read_shared(|spans, events, _| PerfettoTrace::new(spans, events)).render()
 }
 
 /// Export the metrics registry as OpenMetrics text exposition
@@ -383,6 +499,84 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The trace of what `rec` recorded, as a summary keeps it.
+    fn handle(rec: &Recorder) -> PerfettoTrace {
+        rec.read_shared(|spans, events, _| PerfettoTrace::new(spans, events))
+    }
+
+    #[test]
+    fn an_empty_recorder_exports_the_campaign_process_alone() {
+        let expected = "{\"traceEvents\":[{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
+                        \"args\":{\"name\":\"campaign\"}}],\"displayTimeUnit\":\"ms\"}\n";
+        let trace = crate::summarize(&Recorder::new()).perfetto_json;
+        let mut streamed = Vec::new();
+        trace.write_to(&mut streamed).unwrap();
+        assert_eq!(trace.len(), expected.len());
+        assert_eq!(trace.render(), expected);
+        assert_eq!(String::from_utf8(streamed).unwrap(), expected);
+    }
+
+    /// Takes `limit` bytes, then fails every call, counting the calls that come
+    /// after its first failure.
+    struct FailsAfter {
+        limit: usize,
+        taken: Vec<u8>,
+        failed: bool,
+        calls_after_failure: usize,
+    }
+
+    impl io::Write for FailsAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.failed {
+                self.calls_after_failure += 1;
+            }
+            let n = buf.len().min(self.limit - self.taken.len());
+            if n == 0 && !buf.is_empty() {
+                self.failed = true;
+                return Err(io::Error::other("no space left"));
+            }
+            self.taken.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A writer that fails after `k` bytes, for every `k` across a small trace
+    /// and at and around each buffer boundary of one over three buffers long
+    /// (with an attribute longer than a buffer, which goes straight through):
+    /// `write_to` returns the error, the writer holds exactly the document's first
+    /// `k` bytes, and nothing is written after the failure.
+    #[test]
+    fn a_writer_that_fails_gets_its_error_back_and_no_retry() {
+        let big = Recorder::new();
+        let root = big.span_start("campaign", SpanId::NONE, 0.0);
+        for i in 0..1_500u32 {
+            let attrs = [("accession", format!("SRR{i:07}")), ("note", "q\"uote\n".repeat(i as usize % 9))];
+            big.span_closed("job", root, f64::from(i), f64::from(i) + 1.5, &attrs);
+        }
+        big.span_closed("job", root, 0.0, 1.0, &[("huge", "\\x".repeat(STREAM_BUFFER))]);
+        big.event(3.0, "queue_wait", vec![("instance", JsonValue::from(7u64))]);
+        for rec in [Recorder::new(), sample_recorder(), big] {
+            let whole = perfetto_trace_from(&rec);
+            let trace = handle(&rec);
+            let len = whole.len();
+            let near = |b: usize| [b.saturating_sub(1), b, b + 1];
+            let mut ks: Vec<usize> = (0..len.min(400)).chain((400..len).step_by(4_999)).collect();
+            ks.extend((1..=len / STREAM_BUFFER + 1).flat_map(|m| near(m * STREAM_BUFFER)));
+            ks.extend(near(len));
+            for k in ks {
+                let mut out = FailsAfter { limit: k, taken: Vec::new(), failed: false, calls_after_failure: 0 };
+                let result = trace.write_to(&mut out);
+                assert_eq!(result.is_ok(), k >= len, "k={k} of {len}: {result:?}");
+                assert!(out.taken == whole.as_bytes()[..k.min(len)], "k={k} of {len}: the bytes written");
+                assert_eq!(out.calls_after_failure, 0, "k={k} of {len}: written to after failing");
+            }
+        }
+    }
+
     #[test]
     fn open_span_renders_with_zero_duration() {
         let r = Recorder::new();
@@ -462,7 +656,7 @@ mod tests {
         r.span_start("job", SpanId::NONE, 1.0);
         let job = r.span_start("job", good, 1.0);
         r.span_start("align", job, 1.0);
-        let pids = r.read(|spans, _, _| span_pids(spans));
+        let pids: Vec<u64> = r.read(|spans, _, _| (0..spans.len()).map(|i| span_pid(spans, i)).collect());
         assert_eq!(pids, [7, 0, 0, 7, 0, 0, 0, 0, 7, 7]);
     }
 
@@ -749,6 +943,9 @@ mod tests {
             let trace = perfetto_trace_from(&rec);
             assert_eq!(trace, oracle::perfetto_trace(&spans, &records), "seed {seed}: Perfetto");
             assert_eq!(trace.capacity(), trace.len(), "seed {seed}: the trace is sized exactly");
+            let mut streamed = Vec::new();
+            handle(&rec).write_to(&mut streamed).unwrap();
+            assert!(streamed == trace.as_bytes(), "seed {seed}: the streamed trace");
             let alerts: Vec<AlertEvent> =
                 records.iter().filter_map(AlertEvent::from_event_record).collect();
             // Compared as text: a NaN value is not equal to itself.

@@ -570,37 +570,39 @@ impl<'a> Parser<'a> {
     }
 }
 
+// The writers below take any `fmt::Write`: a `String`, which never fails, or the
+// Perfetto export's stream, whose failures stick, so its caller checks them at
+// its own next write.
+
 /// Write `s` as a quoted JSON string with the mandatory escapes.
-pub(crate) fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
+pub(crate) fn escape_into<W: Write>(s: &str, out: &mut W) {
+    let _ = out.write_char('"');
     escape_unquoted_into(s, out);
-    out.push('"');
+    let _ = out.write_char('"');
 }
 
 /// Write the inside of [`escape_into`]'s string: `s` with the mandatory escapes,
 /// no quotes. Runs that need no escape are copied whole; every byte that needs
 /// one is ASCII, so each split falls on a char boundary.
-pub(crate) fn escape_unquoted_into(s: &str, out: &mut String) {
+pub(crate) fn escape_unquoted_into<W: Write>(s: &str, out: &mut W) {
     let mut rest = s;
     while let Some(i) = rest.bytes().position(|b| b == b'"' || b == b'\\' || b < 0x20) {
-        out.push_str(&rest[..i]);
-        match rest.as_bytes()[i] {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            b => {
-                let _ = write!(out, "\\u{b:04x}");
-            }
-        }
+        let _ = out.write_str(&rest[..i]);
+        let _ = match rest.as_bytes()[i] {
+            b'"' => out.write_str("\\\""),
+            b'\\' => out.write_str("\\\\"),
+            b'\n' => out.write_str("\\n"),
+            b'\r' => out.write_str("\\r"),
+            b'\t' => out.write_str("\\t"),
+            b => write!(out, "\\u{b:04x}"),
+        };
         rest = &rest[i + 1..];
     }
-    out.push_str(rest);
+    let _ = out.write_str(rest);
 }
 
 /// Write `n` in decimal, as `{}` formats it.
-pub(crate) fn push_u64(mut n: u64, out: &mut String) {
+pub(crate) fn push_u64<W: Write>(mut n: u64, out: &mut W) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     loop {
@@ -611,13 +613,14 @@ pub(crate) fn push_u64(mut n: u64, out: &mut String) {
             break;
         }
     }
-    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+    // Decimal digits are ASCII: the conversion cannot fail.
+    let _ = out.write_str(std::str::from_utf8(&digits[at..]).unwrap_or_default());
 }
 
 /// Write `n` in decimal, as `{}` formats it.
-pub(crate) fn push_i64(n: i64, out: &mut String) {
+pub(crate) fn push_i64<W: Write>(n: i64, out: &mut W) {
     if n < 0 {
-        out.push('-');
+        let _ = out.write_char('-');
     }
     push_u64(n.unsigned_abs(), out);
 }

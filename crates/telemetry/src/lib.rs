@@ -48,7 +48,7 @@ pub mod span;
 
 pub use diff::{diff, DiffEntry, DiffReport, DiffSection, RunProfile};
 pub use events::{EventLog, EventRecord};
-pub use export::{openmetrics, openmetrics_from, perfetto_trace, perfetto_trace_from};
+pub use export::{openmetrics, openmetrics_from, perfetto_trace_from, PerfettoTrace};
 pub use json::JsonValue;
 pub use metrics::{Histogram, MetricsRegistry, RATE_BUCKETS, SECS_BUCKETS};
 pub use monitor::{AlertEvent, AlertRule, MonitorConfig};

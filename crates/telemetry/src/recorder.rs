@@ -14,6 +14,11 @@
 //! Each event is rendered into the NDJSON log as it is recorded, after the
 //! monitor has seen it ([`EventLog`]): the log is the store, and the exports
 //! copy from it.
+//!
+//! The span table and the log's store sit behind `Arc`s, so a summary can keep
+//! them without a copy (see [`crate::PerfettoTrace`]). Recording while a summary
+//! still holds them copies them first (`Arc::make_mut`); a campaign summarizes
+//! once, at its end, and copies nothing.
 
 use crate::events::{EventLog, EventRecord};
 use crate::json::JsonValue;
@@ -21,14 +26,21 @@ use crate::metrics::MetricsRegistry;
 use crate::monitor::{AlertEvent, AlertRule, Monitor};
 use crate::slo::{Slo, SloStatus};
 use crate::span::{SpanId, SpanRecord};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 #[derive(Debug, Default)]
 struct Inner {
-    spans: Vec<SpanRecord>,
+    /// None until the first span, so a disabled recorder allocates nothing.
+    spans: Option<Arc<Vec<SpanRecord>>>,
     events: EventLog,
     metrics: MetricsRegistry,
     monitor: Option<Monitor>,
+}
+
+/// The span table to record into, made on first use and copied first if a
+/// summary still shares it.
+fn table(spans: &mut Option<Arc<Vec<SpanRecord>>>) -> &mut Vec<SpanRecord> {
+    Arc::make_mut(spans.get_or_insert_with(Arc::default))
 }
 
 impl Inner {
@@ -122,8 +134,9 @@ impl Recorder {
             return SpanId::NONE;
         }
         let mut inner = self.lock();
-        let id = inner.spans.len() as u64 + 1;
-        inner.spans.push(SpanRecord {
+        let spans = table(&mut inner.spans);
+        let id = spans.len() as u64 + 1;
+        spans.push(SpanRecord {
             id,
             parent: parent.0,
             name: name.to_string(),
@@ -143,7 +156,7 @@ impl Recorder {
         }
         let mut guard = self.lock();
         let inner = &mut *guard;
-        let span = &mut inner.spans[(id.0 - 1) as usize];
+        let span = &mut table(&mut inner.spans)[(id.0 - 1) as usize];
         assert!(
             at_secs >= span.start_secs,
             "span '{}' would end at {at_secs} before its start {}",
@@ -246,14 +259,24 @@ impl Recorder {
     /// The log is lent as one buffer: lines recorded since the last read are
     /// first gathered after the earlier ones (see [`EventLog`]).
     pub fn read<R>(&self, f: impl FnOnce(&[SpanRecord], &EventLog, &MetricsRegistry) -> R) -> R {
+        self.read_shared(|spans, events, metrics| f(spans.map_or(&[], |s| s), events, metrics))
+    }
+
+    /// [`Recorder::read`], lending the span table as the `Arc` it is kept in
+    /// (none before the first span), for a summary that keeps it; [`EventLog`]
+    /// clones share the same way.
+    pub(crate) fn read_shared<R>(
+        &self,
+        f: impl FnOnce(Option<&Arc<Vec<SpanRecord>>>, &EventLog, &MetricsRegistry) -> R,
+    ) -> R {
         let mut inner = self.lock();
         inner.events.gather();
-        f(&inner.spans, &inner.events, &inner.metrics)
+        f(inner.spans.as_ref(), &inner.events, &inner.metrics)
     }
 
     /// Number of spans recorded.
     pub fn n_spans(&self) -> usize {
-        self.lock().spans.len()
+        self.lock().spans.as_ref().map_or(0, |s| s.len())
     }
 
     /// Number of events recorded.

@@ -8,6 +8,7 @@
 //! per accession plus the fleet-level share of every stage.
 
 use crate::events::EventLog;
+use crate::export::PerfettoTrace;
 use crate::json::JsonValue;
 use crate::metrics::{Histogram, MetricsRegistry, SECS_BUCKETS};
 use crate::recorder::Recorder;
@@ -87,8 +88,9 @@ pub struct CampaignTelemetry {
     pub sketch_summaries: Vec<(String, u64, f64, f64, f64)>,
     /// Chrome/Perfetto trace-event JSON of the span tree + event log — load it
     /// at `ui.perfetto.dev` or `chrome://tracing`. Byte-identical across
-    /// same-seed runs.
-    pub perfetto_json: String,
+    /// same-seed runs. Sized, not rendered: it shares the recorder's spans and
+    /// log, and renders or streams on request.
+    pub perfetto_json: PerfettoTrace,
     /// OpenMetrics text exposition of the metrics registry. Byte-identical
     /// across same-seed runs.
     pub openmetrics_text: String,
@@ -96,7 +98,7 @@ pub struct CampaignTelemetry {
 
 /// Summarize everything a [`Recorder`] captured into a [`CampaignTelemetry`].
 pub fn summarize(rec: &Recorder) -> CampaignTelemetry {
-    rec.read(summarize_recorded)
+    rec.read_shared(summarize_recorded)
 }
 
 /// The value in `map` under `key`, made with `new` (and the key allocated) only
@@ -146,10 +148,11 @@ impl Children {
 }
 
 fn summarize_recorded(
-    spans: &[SpanRecord],
+    shared: Option<&Arc<Vec<SpanRecord>>>,
     events: &EventLog,
     metrics: &MetricsRegistry,
 ) -> CampaignTelemetry {
+    let spans: &[SpanRecord] = shared.map_or(&[], |s| s);
     let mut children = Children::of(spans);
 
     let mut stage_hists: BTreeMap<String, Histogram> = BTreeMap::new();
@@ -254,7 +257,7 @@ fn summarize_recorded(
         metrics_json: metrics.to_json().render(),
         histogram_summaries,
         sketch_summaries,
-        perfetto_json: crate::export::perfetto_trace(spans, events),
+        perfetto_json: PerfettoTrace::new(shared, events),
         openmetrics_text: crate::export::openmetrics(metrics),
     }
 }
@@ -456,6 +459,22 @@ mod tests {
         let t = summarize(&r);
         assert_eq!(t.stage_stats.iter().find(|s| s.stage == "align").unwrap().count, 2);
         assert!((t.critical_path.fleet_busy_secs - (16.0 + 8.0 + 1.0)).abs() < 1e-12);
+    }
+
+    /// A summary shares the recorder's spans and log; recording afterwards
+    /// copies them first, so the summary's trace keeps what it was made from.
+    #[test]
+    fn recording_after_a_summary_leaves_its_trace_alone() {
+        let r = sample_recorder();
+        let before = summarize(&r);
+        let rendered = before.perfetto_json.render();
+        r.span_closed("late", SpanId::NONE, 30.0, 31.0, &[]);
+        r.event(31.0, "late", vec![]);
+        assert_eq!(before.perfetto_json.render(), rendered);
+        assert_eq!(before.perfetto_json.len(), rendered.len());
+        let after = summarize(&r).perfetto_json.render();
+        assert_eq!(after.matches("{\"name\":\"late\"").count(), 2, "{after}");
+        assert!(!rendered.contains("late"));
     }
 
     #[test]

@@ -35,6 +35,8 @@ use cloudsim::{ScalingPolicy, SpotMarket};
 use genomics::EnsemblParams;
 use sra_sim::accession::CatalogParams;
 use sra_sim::SraRepository;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::sync::Arc;
 use telemetry::{MonitorConfig, SloConfig, SloRegistry};
 
@@ -123,7 +125,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     if let Some(path) = trace_out {
         let t = report.telemetry.as_ref().ok_or("--trace-out requires telemetry enabled")?;
-        std::fs::write(&path, &t.perfetto_json)?;
+        // Streamed through the trace's fixed buffer: the document is never held whole.
+        let mut file = BufWriter::new(File::create(&path)?);
+        t.perfetto_json.write_to(&mut file)?;
+        file.flush()?;
         println!("\nwrote Perfetto trace to {path} — open it at https://ui.perfetto.dev");
     }
 

@@ -33,6 +33,17 @@ pub fn stripped_event_log(report: &CampaignReport) -> Option<String> {
     )
 }
 
+/// A Perfetto trace rendered, checked against its other two readings: `len()`
+/// and the bytes `write_to` streams must be the rendering's.
+pub fn streamed_trace(trace: &telemetry::PerfettoTrace) -> String {
+    let rendered = trace.render();
+    let mut streamed = Vec::new();
+    trace.write_to(&mut streamed).expect("writing into a Vec does not fail");
+    assert_eq!(trace.len(), rendered.len(), "len() is not the rendered length");
+    assert!(streamed == rendered.as_bytes(), "write_to streamed other bytes than render()");
+    rendered
+}
+
 /// The same campaign run twice through the kernel engine.
 #[derive(Debug)]
 pub struct EngineComparison {

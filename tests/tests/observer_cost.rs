@@ -25,6 +25,10 @@
 //! * **(E) what one record costs:** allocator calls and bytes requested per
 //!   recorded span and event, over the "telemetry off" row, printed and held to
 //!   committed ceilings (`PER_RECORD`).
+//! * **(F) the Perfetto trace costs nothing until asked for:** a campaign sizes
+//!   its trace (printed as `perfetto=` bytes) but does not render it; streaming
+//!   it requests its one buffer and a small fixed amount, and cloning the
+//!   telemetry copies no span and no log.
 //!
 //! What the counters cannot see: work that does not allocate. Restoring the
 //! O(window) double scan `SloState::sample` had before PR 20 moves none of these
@@ -43,7 +47,9 @@ use atlas_pipeline::{CampaignWorkload, ModeledWorkload, RecoveryConfig};
 use cloudsim::instance::InstanceType;
 use cloudsim::{FaultPlan, ScalingPolicy, SimDuration, SpotMarket};
 use counting_alloc::{tracked, CountingAlloc};
-use telemetry::{MonitorConfig, SloConfig, SloRegistry};
+use std::io;
+use telemetry::export::STREAM_BUFFER;
+use telemetry::{CampaignTelemetry, MonitorConfig, SloConfig, SloRegistry};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
@@ -74,11 +80,13 @@ struct Tier {
 /// tables, the kernel heap's and the queue's doublings, and the launches of a
 /// fleet capped at 64. A redelivered attempt under chaos allocates nothing
 /// either. Bytes are ~403 per accession with telemetry off, 120 of them the
-/// accession's `Completion` (the report's vector is sized at submit).
+/// accession's `Completion` (the report's vector is sized at submit). The
+/// telemetry tiers' bytes hold no Perfetto document: the campaign sizes its trace
+/// and keeps the recorder's spans and log for it (F).
 const TIERS: [Tier; 4] = [
     Tier { name: "telemetry off", recorder: false, monitor_and_slo: false, chaos: false, calls: 8_597, bytes: 3_226_192, sim_events: 24_107, spans: 0, events: 0 },
-    Tier { name: "recorder only", recorder: true, monitor_and_slo: false, chaos: false, calls: 332_236, bytes: 49_894_065, sim_events: 24_107, spans: 64_065, events: 18_260 },
-    Tier { name: "monitor + SLO", recorder: true, monitor_and_slo: true, chaos: false, calls: 485_876, bytes: 95_656_745, sim_events: 24_107, spans: 64_065, events: 57_034 },
+    Tier { name: "recorder only", recorder: true, monitor_and_slo: false, chaos: false, calls: 332_236, bytes: 38_951_191, sim_events: 24_107, spans: 64_065, events: 18_260 },
+    Tier { name: "monitor + SLO", recorder: true, monitor_and_slo: true, chaos: false, calls: 485_876, bytes: 76_094_773, sim_events: 24_107, spans: 64_065, events: 57_034 },
     Tier { name: "chaos, off", recorder: false, monitor_and_slo: false, chaos: true, calls: 8_711, bytes: 3_667_720, sim_events: 28_032, spans: 0, events: 0 },
 ];
 
@@ -88,7 +96,7 @@ const TIERS: [Tier; 4] = [
 /// mostly what the caller builds: a span's name and attributes, an event's
 /// field list.
 const PER_RECORD: [(&str, f64, f64); 2] =
-    [("recorder only", 3.94, 567.0), ("monitor + SLO", 3.95, 764.0)];
+    [("recorder only", 3.94, 434.0), ("monitor + SLO", 3.95, 602.0)];
 
 fn config(tier: &Tier, recovery: bool) -> CampaignConfig {
     let t = InstanceType::by_name("r6a.xlarge").unwrap();
@@ -144,6 +152,7 @@ fn measure(tier: &Tier, n: usize, recovery: bool) -> Cell {
     assert_eq!((report.interruptions, report.salvaged_compute_secs), (0, 0.0));
     let (spans, events, log_bytes) =
         report.telemetry.as_ref().map_or((0, 0, 0), |t| (t.n_spans, t.n_events, t.event_log.len()));
+    let perfetto = report.telemetry.as_ref().map_or(0, |t| check_the_trace_handle(tier.name, n, t));
     let outcome = Outcome {
         digest: report.summary_digest(),
         sim_events: report.sim_events,
@@ -155,7 +164,7 @@ fn measure(tier: &Tier, n: usize, recovery: bool) -> Cell {
     };
     println!(
         "{:<13} n={n:<5} recovery={:<5} calls={:<7} ({:>6.2}/acc) bytes={:<10} ({:>6.0}/acc) \
-         sim_events={} spans={spans} events={events}",
+         sim_events={} spans={spans} events={events} perfetto={perfetto}",
         tier.name,
         if recovery { "armed" } else { "off" },
         seen.calls,
@@ -165,6 +174,53 @@ fn measure(tier: &Tier, n: usize, recovery: bool) -> Cell {
         report.sim_events,
     );
     Cell { outcome, calls: seen.calls, bytes: seen.total }
+}
+
+/// An `io::Write` that keeps nothing and counts what it is given.
+struct Counted(usize);
+
+impl io::Write for Counted {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0 += buf.len();
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// (F): stream `t`'s Perfetto trace and clone `t`, under the counting allocator;
+/// returns the trace's length.
+fn check_the_trace_handle(name: &str, n: usize, t: &CampaignTelemetry) -> usize {
+    let mut out = Counted(0);
+    let (streamed, seen) = tracked(|| t.perfetto_json.write_to(&mut out));
+    streamed.expect("a counting writer does not fail");
+    assert_eq!(out.0, t.perfetto_json.len(), "{name}, n={n}: streamed bytes and len() differ");
+    assert!(
+        seen.total <= STREAM_BUFFER + 1024,
+        "{name}, n={n}: streaming the trace requested {} bytes in {} calls, more than its \
+         {STREAM_BUFFER}-byte buffer and 1 KiB",
+        seen.total,
+        seen.calls
+    );
+    let (_, whole) = tracked(|| t.clone());
+    let (_, summary) = tracked(|| {
+        (
+            t.stage_stats.clone(),
+            t.critical_path.clone(),
+            t.metrics_json.clone(),
+            t.histogram_summaries.clone(),
+            t.sketch_summaries.clone(),
+            t.openmetrics_text.clone(),
+        )
+    });
+    assert_eq!(
+        (whole.calls, whole.total),
+        (summary.calls, summary.total),
+        "{name}, n={n}: cloning the telemetry copied more than its summary (spans or the log)"
+    );
+    t.perfetto_json.len()
 }
 
 /// (D): every draw of a modeled run is arithmetic on the borrowed name.

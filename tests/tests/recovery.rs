@@ -18,6 +18,7 @@
 //! * **conservation** — drain + hand-back + resume never loses an accession,
 //!   across randomized chaos schedules.
 
+use atlas_integration_tests::streamed_trace;
 use atlas_pipeline::orchestrator::{CampaignConfig, CampaignReport, Orchestrator};
 use atlas_pipeline::{ModeledWorkload, RecoveryConfig};
 use cloudsim::faults::{FaultPlan, SpotBurst};
@@ -261,7 +262,7 @@ fn recovery_campaign_exports_match_goldens() {
     let r2 = run();
     let t1 = r1.telemetry.as_ref().unwrap();
     let t2 = r2.telemetry.as_ref().unwrap();
-    assert_eq!(t1.perfetto_json, t2.perfetto_json, "Perfetto export must replay byte-identically");
+    assert_eq!(t1.perfetto_json.render(), t2.perfetto_json.render(), "Perfetto export must replay byte-identically");
     assert_eq!(t1.openmetrics_text, t2.openmetrics_text, "OpenMetrics must replay byte-identically");
     for m in ["spot_notices_total", "drains_total", "checkpoints_written_total"] {
         assert!(t1.openmetrics_text.contains(m), "recovery counter {m} missing from OpenMetrics");
@@ -277,7 +278,7 @@ fn recovery_campaign_exports_match_goldens() {
             .unwrap_or_else(|e| panic!("read golden {path}: {e} (rerun with UPDATE_GOLDEN=1)"));
         assert_eq!(actual, want, "{name} drifted; rerun with UPDATE_GOLDEN=1 if intended");
     };
-    golden("recovery_perfetto.json", &t1.perfetto_json);
+    golden("recovery_perfetto.json", &streamed_trace(&t1.perfetto_json));
     golden("recovery_openmetrics.txt", &t1.openmetrics_text);
 }
 

@@ -3,6 +3,7 @@
 //! determinism, and the golden-pinned OpenMetrics exposition with summaries.
 
 use atlas_pipeline::ledger::AccessionLedgerEntry;
+use atlas_integration_tests::streamed_trace;
 use atlas_pipeline::orchestrator::{CampaignConfig, CampaignReport, Orchestrator};
 use atlas_pipeline::pipeline::{AtlasPipeline, PipelineConfig};
 use atlas_pipeline::experiments::Substrate;
@@ -272,4 +273,8 @@ fn slo_openmetrics_is_deterministic_and_matches_golden() {
     assert!(t1.openmetrics_text.contains("slo_budget_remaining:accession_turnaround_p95"));
     assert!(t1.openmetrics_text.contains("slo_ledger_compute_usd"));
     assert_matches_golden("campaign_slo_openmetrics.txt", &t1.openmetrics_text);
+    // Its Perfetto trace carries the budget counter tracks: sized, streamed and
+    // rendered alike, and the same on a replay.
+    assert!(streamed_trace(&t1.perfetto_json).contains("\"ph\":\"C\""));
+    assert_eq!(t1.perfetto_json.render(), t2.perfetto_json.render());
 }

@@ -4,6 +4,7 @@
 //! accessions must fire their alerts *during* the campaign (online), while a
 //! monitor-free run stays byte-identical.
 
+use atlas_integration_tests::streamed_trace;
 use atlas_pipeline::orchestrator::{CampaignConfig, CampaignReport, Orchestrator};
 use atlas_pipeline::pipeline::{AtlasPipeline, PipelineConfig};
 use atlas_pipeline::experiments::Substrate;
@@ -88,11 +89,11 @@ fn perfetto_and_openmetrics_exports_match_goldens() {
     let r2 = run(&pipeline, &ids, base_config());
     let t1 = r1.telemetry.as_ref().expect("telemetry on by default");
     let t2 = r2.telemetry.as_ref().expect("telemetry on by default");
-    assert_eq!(t1.perfetto_json, t2.perfetto_json, "Perfetto export must replay byte-identically");
+    assert_eq!(t1.perfetto_json.render(), t2.perfetto_json.render(), "Perfetto export must replay byte-identically");
     assert_eq!(t1.openmetrics_text, t2.openmetrics_text, "OpenMetrics must replay byte-identically");
-    assert!(t1.perfetto_json.contains("\"traceEvents\""));
+    assert!(t1.perfetto_json.render().contains("\"traceEvents\""));
     assert!(t1.openmetrics_text.ends_with("# EOF\n"));
-    assert_matches_golden("campaign_perfetto.json", &t1.perfetto_json);
+    assert_matches_golden("campaign_perfetto.json", &streamed_trace(&t1.perfetto_json));
     assert_matches_golden("campaign_openmetrics.txt", &t1.openmetrics_text);
     assert_eq!(t1.to_json(), t2.to_json(), "telemetry.json must replay byte-identically");
     assert_matches_golden("campaign_telemetry.json", &t1.to_json());
